@@ -16,9 +16,17 @@ to every earlier entry.  Generators are enumerated lexicographically
 per generator of the higher degree.
 
 All arithmetic is exact: matrices are int64, Smith reduction runs on
-Python integers (no overflow), nothing is floating point.
+Python integers (no overflow), nothing is floating point.  Invariant
+factors come from unit-pivot elimination on a sparse copy of the matrix,
+then a dense Smith reduction of the small residual.  When unimodular
+transforms are needed (modular solving, cocycle generators), the dense
+reduction runs on the whole matrix.  Homology and cohomology with Z/d
+coefficients are read off the integral invariant factors through the
+universal coefficient theorem.
 """
 
+import heapq
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
@@ -272,13 +280,87 @@ class SmithResult:
 def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
     """Invariant factors of an integer matrix, optionally with transforms.
 
-    Reduction runs on Python integers, so intermediates never overflow.
+    Without transforms, unit pivots are first eliminated on a sparse copy
+    and only the residual is reduced densely.  Reduction runs on Python
+    integers, so intermediates never overflow.
     """
     A = np.asarray(matrix)
-    rows, cols = A.shape if A.ndim == 2 else (0, 0)
     if A.ndim != 2:
         raise InputError("matrix must be two-dimensional")
-    M = [[int(v) for v in A[i]] for i in range(rows)]
+    if transforms:
+        return _smith_dense([[int(v) for v in row] for row in A], A.shape[1],
+                            transforms=True)
+    units, residual, cols = _eliminate_unit_pivots(A)
+    return SmithResult((1,) * units + _smith_dense(residual, cols).factors)
+
+
+def _eliminate_unit_pivots(A):
+    """Split +-1 pivots off A, working on a sparse dict-of-rows copy.
+
+    Each step takes a sparsest column holding a unit and, in it, the unit of
+    the shortest row; row operations clear the rest of that column, and the
+    pivot row and column leave as one invariant factor 1.  Columns re-enter
+    the queue whenever fill-in changes them.  Returns (pivots eliminated,
+    residual rows as dense lists, residual column count); all-zero rows and
+    columns are dropped, which changes no invariant factor.
+    """
+    ri, ci = np.nonzero(A)
+    rows, cols = {}, {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), A[ri, ci].tolist()):
+        v = int(v)
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+    queue = [(len(members), j) for j, members in cols.items()]
+    heapq.heapify(queue)
+    units = 0
+    while queue:
+        count, c = heapq.heappop(queue)
+        col = cols.get(c)
+        if col is None or len(col) != count:
+            continue            # stale entry; a fresh one was queued
+        pivots = [i for i in col if rows[i][c] in (1, -1)]
+        if not pivots:
+            continue            # queued again if fill-in changes the column
+        p = min(pivots, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(p)
+        u = prow.pop(c)
+        del cols[c]
+        col.discard(p)
+        for j in prow:
+            cols[j].discard(p)
+        for i in col:
+            row = rows[i]
+            f = row.pop(c) * u
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            if cols[j]:
+                heapq.heappush(queue, (len(cols[j]), j))
+            else:
+                del cols[j]
+        units += 1
+    position = {j: k for k, j in enumerate(sorted(cols))}
+    residual = []
+    for i in sorted(rows):
+        dense = [0] * len(position)
+        for j, v in rows[i].items():
+            dense[position[j]] = v
+        residual.append(dense)
+    return units, residual, len(position)
+
+
+def _smith_dense(M, cols: int, transforms: bool = False) -> SmithResult:
+    """Smith reduction of the dense row lists M (modified in place)."""
+    rows = len(M)
     U = [[int(i == j) for j in range(rows)] for i in range(rows)] if transforms else None
     V = [[int(i == j) for j in range(cols)] for i in range(cols)] if transforms else None
 
@@ -456,59 +538,24 @@ def kernel_lattice_mod(matrix, modulus: int) -> np.ndarray:
     return V * np.array(scale, dtype=object)[None, :]
 
 
-def _solve_unimodular_lattice(K, R):
-    """Y with K @ Y = R for K square full-rank; raises if not integral."""
-    snf = smith_normal_form(K, transforms=True)
-    d = snf.factors
-    n = K.shape[0]
-    if len(d) != n:
-        raise InputError("lattice basis is rank deficient")
-    UR = _matmul_obj(snf.U, np.asarray(R, dtype=object))
-    Y = np.empty_like(UR)
-    for i in range(n):
-        for j in range(UR.shape[1]):
-            q, rmod = divmod(int(UR[i, j]), d[i])
-            if rmod:
-                raise InputError("relation does not lie in the lattice")
-            Y[i, j] = q
-    return _matmul_obj(snf.V, Y)
-
-
-def _quotient_invariants(K, rel_columns):
-    """Invariant factors (>1) of Z^n / lattice(rel) expressed in basis K."""
-    Y = _solve_unimodular_lattice(K, rel_columns)
-    return tuple(f for f in smith_normal_form(Y).factors if f > 1)
-
-
 def combine_invariant_factors(groups: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Invariant-factor chain of a direct sum given per-summand factors."""
-    ppowers = {}
+    """Invariant-factor chain of a direct sum given per-summand factors.
+
+    Each cyclic factor is merged into the chain from the top down with
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); nothing is factored, so huge
+    orders cost only gcds.  Factors <= 1 contribute nothing."""
+    chain = []
     for factors in groups:
         for f in factors:
-            f = int(f)
-            m = 2
-            while m * m <= f:
-                e = 0
-                while f % m == 0:
-                    e += 1
-                    f //= m
-                if e:
-                    ppowers.setdefault(m, []).append(m ** e)
-                m += 1
-            if f > 1:
-                ppowers.setdefault(f, []).append(f)
-    if not ppowers:
-        return ()
-    length = max(len(v) for v in ppowers.values())
-    chain = []
-    for pos in range(length):
-        val = 1
-        for p, powers in ppowers.items():
-            powers_sorted = sorted(powers, reverse=True)
-            if pos < len(powers_sorted):
-                val *= powers_sorted[pos]
-        chain.append(val)
-    return tuple(sorted(chain))
+            carry = int(f)
+            for k in range(len(chain) - 1, -1, -1):
+                if carry <= 1:
+                    break
+                carry, chain[k] = (math.gcd(chain[k], carry),
+                                   math.lcm(chain[k], carry))
+            if carry > 1:
+                chain.insert(0, carry)
+    return tuple(chain)
 
 
 # ---------------------------------------------------------------------------
@@ -536,44 +583,60 @@ class CohomologyResult:
 
 
 def _coeff_factors(coeff) -> Tuple[int, ...]:
+    """Cyclic factors of the coefficient group: () for None (integral)."""
     if coeff is None:
         return ()
     if isinstance(coeff, int):
-        return (coeff,)
-    factors = getattr(coeff, "factors", None)
-    if factors is None:
-        raise InputError("coefficients must be None (integral), an int, or an AbGroup")
-    return tuple(int(f) for f in factors)
+        factors = (coeff,)
+    elif isinstance(coeff, (list, tuple)):
+        factors = coeff
+    else:
+        factors = getattr(coeff, "factors", None)
+        if factors is None:
+            raise InputError("coefficients must be None (integral), an int, "
+                             "a sequence of ints, or an AbGroup")
+    factors = tuple(int(f) for f in factors)
+    if any(f < 0 for f in factors):
+        raise InputError(f"coefficient factors must be >= 0, got {factors}")
+    return factors
+
+
+def _integral_factors(target, n, dn, dn1):
+    """(b_n, invariant factors of d_n and of d_{n+1}), all factors kept."""
+    low = smith_normal_form(dn).factors
+    high = smith_normal_form(dn1).factors
+    return _generator_count(target, n) - len(low) - len(high), low, high
+
+
+def _finite_invariants(betti, factors, coeffs) -> Tuple[int, ...]:
+    """Invariant factors (> 1) of H_n(C; G) for G the sum of Z/d over coeffs.
+
+    By the universal coefficient theorem H_n(C; Z/d) = H_n (x) Z/d +
+    Tor(H_{n-1}, Z/d) = (Z/d)^b_n + sum of Z/gcd(f, d) over the factors f of
+    d_n and d_{n+1}; H^n(C; Z/d) is the same group."""
+    return combine_invariant_factors(
+        [(d,) * betti + tuple(math.gcd(f, d) for f in factors) for d in coeffs])
 
 
 def homology(target, n: int, coeff=None, verify: bool = True) -> HomologyResult:
     """H_n of the ternary or labeled complex.
 
     coeff None computes integral homology (betti + invariant factors of the
-    torsion subgroup).  A positive int d or an AbGroup computes the finite
-    group H_n(X; coeff), reported with betti 0 and the cyclic decomposition
-    in `torsion` (factors > 1)."""
+    torsion subgroup).  A positive int d, a sequence of them, or an AbGroup
+    computes the finite group H_n(X; coeff) from the integral factors by
+    universal coefficients, reported with betti 0 and the cyclic
+    decomposition in `torsion` (factors > 1)."""
     if n < 1:
         raise InputError("degree must be >= 1")
+    coeffs = _coeff_factors(coeff)
+    if 0 in coeffs:
+        raise InputError("infinite cyclic coefficients are only valid integrally")
     dn = boundary_matrix(target, n, verify=verify)
     dn1 = boundary_matrix(target, n + 1, verify=False)
-    gens = _generator_count(target, n)
-    factors = _coeff_factors(coeff)
-    if not factors:
-        rank_n = smith_normal_form(dn).rank
-        snf1 = smith_normal_form(dn1)
-        betti = gens - rank_n - snf1.rank
-        torsion = tuple(f for f in snf1.factors if f > 1)
-        return HomologyResult(betti, torsion)
-    per_factor = []
-    for d in factors:
-        if d == 0:
-            raise InputError("infinite cyclic coefficients are only valid integrally")
-        K = kernel_lattice_mod(dn, d)
-        rel = np.concatenate(
-            [dn1.astype(object), d * np.eye(gens, dtype=object)], axis=1)
-        per_factor.append(_quotient_invariants(K, rel))
-    return HomologyResult(0, combine_invariant_factors(per_factor))
+    betti, low, high = _integral_factors(target, n, dn, dn1)
+    if not coeffs:
+        return HomologyResult(betti, tuple(f for f in high if f > 1))
+    return HomologyResult(0, _finite_invariants(betti, low + high, coeffs))
 
 
 def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyResult:
@@ -581,23 +644,24 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
 
     The coboundary on n-cochains is the transpose of the degree-(n+1)
     boundary; for the labeled complex at degree 2 the cocycle vectors split
-    per operation label into the pairs (phi_0, phi_1, ...)."""
+    per operation label into the pairs (phi_0, phi_1, ...).  The invariants
+    come from the integral factors by universal coefficients."""
     if n < 1:
         raise InputError("degree must be >= 1")
     factors = _coeff_factors(coeff)
     if not factors:
         raise InputError("cohomology_solve needs finite coefficients")
-    delta_n = boundary_matrix(target, n + 1, verify=verify).T  # n-cochains -> n+1
-    delta_prev = boundary_matrix(target, n, verify=False).T    # (n-1)-cochains -> n
+    if 0 in factors:
+        raise InputError("cochain coefficients must be finite")
+    dn1 = boundary_matrix(target, n + 1, verify=verify)
+    dn = boundary_matrix(target, n, verify=False)
+    delta_n, delta_prev = dn1.T, dn.T    # n-cochains -> n+1, (n-1)-cochains -> n
+    betti, low, high = _integral_factors(target, n, dn, dn1)
     gens = _generator_count(target, n)
     cocycles = []
     coboundaries = []
-    per_factor = []
     for fi, d in enumerate(factors):
-        if d == 0:
-            raise InputError("cochain coefficients must be finite")
         if d == 1:
-            per_factor.append(())
             continue
         K = kernel_lattice_mod(delta_n, d)
         # generating set: nonzero columns of K mod d
@@ -614,9 +678,6 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
                 vec = np.zeros((gens, len(factors)), dtype=np.int64)
                 vec[:, fi] = col
                 coboundaries.append(vec)
-        rel = np.concatenate(
-            [delta_prev.astype(object), d * np.eye(gens, dtype=object)], axis=1)
-        per_factor.append(_quotient_invariants(K, rel))
     blocks = ()
     if not (isinstance(target, OpTable) and target.arity == 3):
         system = [target] if isinstance(target, OpTable) else list(target)
@@ -625,7 +686,8 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
     cz = np.array(cocycles, dtype=np.int64) if cocycles else np.zeros(shape, np.int64)
     cb = (np.array(coboundaries, dtype=np.int64) if coboundaries
           else np.zeros((0, gens, len(factors)), np.int64))
-    return CohomologyResult(cz, cb, combine_invariant_factors(per_factor), blocks)
+    return CohomologyResult(cz, cb, _finite_invariants(betti, low + high, factors),
+                            blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ def files(tmp_path_factory):
         "dih3": dump("dih3.json", affine_op(3, 2, (2,)).as_json()),
         "dih5": dump("dih5.json", affine_op(5, 2, (2,)).as_json()),
         "T5": dump("T5.json", affine_op(5, 3, (2, 1)).as_json()),
+        "T3": dump("T3.json", affine_op(3, 3, (1, 1)).as_json()),
         "plus3": dump("plus3.json",
                       make_op_table(3, 2, lambda x, y: x + y).as_json()),
         "triv3": dump("triv3.json",
@@ -182,6 +183,31 @@ def test_homology_integral_default(files, capsys):
                          capsys)
     assert code == 0
     assert rep["artifacts"][0]["content"]["betti"] == 1
+
+
+@pytest.mark.parametrize("coeff", ["-3", "0", "2,-4"])
+def test_homology_rejects_bad_coefficients(files, capsys, coeff):
+    for cmd in ("homology", "cohomology"):
+        code, out, err = run([cmd, "--op", files["dih3"], "--degree", "2",
+                              "--coeff", coeff], capsys)
+        assert code == 2, (cmd, out, err)
+
+
+def test_homology_multi_factor_coefficients(files, capsys):
+    code, rep = run_json(["homology", "--op", files["T3"], "--degree", "2",
+                          "--coeff", "2,4"], capsys)
+    assert code == 0
+    content = rep["artifacts"][0]["content"]
+    assert content["torsion"] == [2, 2, 2, 4, 4, 4]
+    assert content["group"] == "Z/2 + Z/2 + Z/2 + Z/4 + Z/4 + Z/4"
+
+
+def test_homology_huge_prime_coefficient(files, capsys):
+    p = 2305843009213693951            # the Mersenne prime 2^61 - 1
+    code, rep = run_json(["homology", "--op", files["dih3"], "--degree", "3",
+                          "--coeff", str(p)], capsys)
+    assert code == 0
+    assert rep["artifacts"][0]["content"]["torsion"] == [p]
 
 
 def test_cocycle_solve(files, capsys):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfdist import (InputError, PreconditionError, affine_op, make_op_table)
+from selfdist import (InputError, PreconditionError, affine_op, conj_quandle,
+                      core_quandle, cyclic_group, make_op_table, symmetric_group)
 from selfdist.homology import (HomologyResult, boundary_matrix, chain_map_F,
                                cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
@@ -203,6 +204,84 @@ def test_combine_invariant_factors():
     assert combine_invariant_factors([(6,), (4,)]) == (2, 12)
 
 
+def test_combine_invariant_factors_huge_prime_is_fast():
+    import time
+    p = 2305843009213693951            # the Mersenne prime 2^61 - 1
+    start = time.perf_counter()
+    assert combine_invariant_factors([(p, p), (3,)]) == (p, 3 * p)
+    assert combine_invariant_factors([(p * p,), (p, 1)]) == (p, p * p)
+    assert time.perf_counter() - start < 0.5
+
+
+def _smith_oracle(M):
+    return smith_normal_form(M, transforms=True).factors
+
+
+def _suite_boundaries():
+    """Builders of every boundary matrix the suite uses, by label."""
+    R3 = core_quandle(cyclic_group(3))
+    triv = make_op_table(3, 2, lambda x, y: x)
+    out = {f"T3 d{n}": (lambda n=n: ternary_boundary(tern3(), n)) for n in (2, 3, 4)}
+    out.update({f"R3 d{n}": (lambda n=n: boundary_matrix(R3, n)) for n in (2, 3, 4, 5)})
+    for name, system in (("dih3 pair", [dih3(), dih3()]),
+                         ("triv-dih3 pair", [triv, dih3()]),
+                         ("mixed arity", [dih3(), tern3()])):
+        for n in ((2, 3) if name == "mixed arity" else (2, 3, 4)):
+            out[f"{name} d{n}"] = lambda s=system, n=n: labeled_boundary(s, n)
+    return out
+
+
+SUITE_BOUNDARIES = _suite_boundaries()
+
+
+@pytest.mark.parametrize("label", sorted(SUITE_BOUNDARIES))
+def test_unit_pivot_smith_matches_dense_oracle_on_boundaries(label):
+    matrix = SUITE_BOUNDARIES[label]()
+    # the oracle reduces the transpose: same factors, and the faster
+    # orientation of the dense transforms path on these wide matrices
+    assert smith_normal_form(matrix).factors == _smith_oracle(matrix.T)
+
+
+def _random_matrix(rng, rows, cols, entries):
+    return np.array([[rng.choice(entries) for _ in range(cols)]
+                     for _ in range(rows)], dtype=np.int64).reshape(rows, cols)
+
+
+def test_unit_pivot_smith_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(23)
+    sparse = (0, 0, 0, 0, 1, -1, 2, -2, 3, 6)
+    no_unit = (0, 0, 2, -2, 3, 4, -6, 9)
+    for trial in range(300):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        M = _random_matrix(rng, rows, cols, no_unit if trial % 3 == 0 else sparse)
+        if rows and trial % 4 == 1:
+            M[rng.randrange(rows)] = 0            # an all-zero row
+        if cols and trial % 4 == 2:
+            M[:, rng.randrange(cols)] = 0         # an all-zero column
+        assert smith_normal_form(M).factors == _smith_oracle(M), M
+
+
+def test_unit_pivot_smith_on_degenerate_shapes():
+    for shape in ((0, 0), (0, 4), (4, 0)):
+        M = np.zeros(shape, dtype=np.int64)
+        assert smith_normal_form(M).factors == () == _smith_oracle(M)
+    assert smith_normal_form(np.zeros((3, 5), dtype=np.int64)).factors == ()
+    with pytest.raises(InputError):
+        smith_normal_form(np.zeros(3, dtype=np.int64))
+
+
+def test_unit_pivot_smith_on_entries_above_int64():
+    rng = random.Random(29)
+    big = 2 ** 64 + 3
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        M = np.array([[rng.choice((0, 1, -1, 2, big, -big, 3 * big))
+                       for _ in range(cols)] for _ in range(rows)], dtype=object)
+        assert smith_normal_form(M).factors == _smith_oracle(M), M
+    assert smith_normal_form(np.array([[big, 0], [0, 2 * big]],
+                                      dtype=object)).factors == (big, 2 * big)
+
+
 # ---------------------------------------------------------------------------
 # homology groups
 
@@ -225,6 +304,85 @@ def test_singleton_carrier():
     for n in (2, 3):
         d = ternary_boundary(one, n)
         assert d.shape == (1, 1) and not d.any()
+
+
+# Groups read from the package before Z/d (co)homology was derived from the
+# integral factors.  R3 is the dihedral quandle of order 3; its integral
+# groups agree with Niebrzydowski-Przytycki (arXiv:math/0611803).
+INTEGRAL_ANCHORS = {
+    ("R3", 2): (1, ()), ("R3", 3): (1, (3,)), ("R3", 4): (1, (3, 3)),
+    ("R4", 2): (4, (2, 2)), ("R4", 3): (8, (2,) * 6),
+    ("S3", 2): (9, (3,)),
+}
+
+# (input, degree, d): (invariant factors of H_n(-; Z/d) = H^n(-; Z/d),
+#                      cocycle generators, coboundary generators)
+FINITE_ANCHORS = {
+    ("R3", 2, 2): ((2,), 3, 3), ("R3", 2, 3): ((3,), 3, 3),
+    ("R3", 2, 4): ((4,), 3, 3), ("R3", 2, 6): ((6,), 3, 3),
+    ("R3", 2, 9): ((9,), 3, 3),
+    ("R3", 3, 2): ((2,), 7, 9), ("R3", 3, 3): ((3, 3), 8, 9),
+    ("R3", 3, 4): ((4,), 7, 9), ("R3", 3, 6): ((3, 6), 8, 9),
+    ("R3", 3, 9): ((3, 9), 8, 9),
+    ("R3", 4, 2): ((2,), 21, 27), ("R3", 4, 3): ((3,) * 4, 23, 27),
+    ("R3", 4, 4): ((4,), 21, 27), ("R3", 4, 6): ((3, 3, 3, 6), 23, 27),
+    ("R3", 4, 9): ((3, 3, 3, 9), 23, 27),
+    ("R4", 2, 2): ((2,) * 6, 8, 4), ("R4", 2, 3): ((3,) * 4, 6, 4),
+    ("R4", 2, 4): ((2, 2) + (4,) * 4, 8, 4), ("R4", 2, 6): ((2, 2) + (6,) * 4, 8, 4),
+    ("R4", 2, 9): ((9,) * 4, 6, 4),
+    ("R4", 3, 2): ((2,) * 16, 24, 16), ("R4", 3, 3): ((3,) * 8, 18, 16),
+    ("R4", 3, 4): ((2,) * 8 + (4,) * 8, 24, 16),
+    ("R4", 3, 6): ((2,) * 8 + (6,) * 8, 24, 16), ("R4", 3, 9): ((9,) * 8, 18, 16),
+    ("S3", 2, 2): ((2,) * 9, 12, 5), ("S3", 2, 3): ((3,) * 10, 13, 5),
+    ("S3", 2, 4): ((4,) * 9, 12, 5), ("S3", 2, 6): ((3,) + (6,) * 9, 13, 5),
+    ("S3", 2, 9): ((3,) + (9,) * 9, 13, 5),
+}
+
+
+def _anchor_op(name):
+    if name == "S3":
+        return conj_quandle(symmetric_group(3))
+    return core_quandle(cyclic_group(int(name[1:])))
+
+
+@pytest.mark.parametrize("name,n", sorted(INTEGRAL_ANCHORS))
+def test_integral_homology_anchors(name, n):
+    assert homology(_anchor_op(name), n) == HomologyResult(*INTEGRAL_ANCHORS[name, n])
+
+
+@pytest.mark.parametrize("name,n,d", sorted(FINITE_ANCHORS))
+def test_finite_coefficient_anchors(name, n, d):
+    invariants, cocycles, coboundaries = FINITE_ANCHORS[name, n, d]
+    op = _anchor_op(name)
+    assert homology(op, n, coeff=d) == HomologyResult(0, invariants)
+    res = cohomology_solve(op, n, d)
+    assert res.invariants == invariants
+    assert (len(res.cocycles), len(res.coboundaries)) == (cocycles, coboundaries)
+
+
+def test_coefficient_factors_validated():
+    T = tern3()
+    assert homology(T, 2, coeff=[2, 4]) == HomologyResult(0, (2, 2, 2, 4, 4, 4))
+    assert cohomology_solve(T, 2, (2, 4)).invariants == (2, 2, 2, 4, 4, 4)
+    for bad in (-3, [2, -4]):
+        with pytest.raises(InputError, match=">= 0"):
+            homology(T, 2, coeff=bad)
+        with pytest.raises(InputError, match=">= 0"):
+            cohomology_solve(T, 2, bad)
+    with pytest.raises(InputError):
+        homology(T, 2, coeff=0)
+    with pytest.raises(InputError):
+        cohomology_solve(T, 2, [3, 0])
+    with pytest.raises(InputError):
+        homology(T, 2, coeff="3")
+
+
+def test_homology_with_huge_prime_coefficient():
+    p = 2305843009213693951            # the Mersenne prime 2^61 - 1
+    R3 = core_quandle(cyclic_group(3))
+    # H_3 = Z + Z/3 and H_2 = Z, so H_3(-; Z/p) = Z/p for p prime to 3
+    assert homology(R3, 3, coeff=p) == HomologyResult(0, (p,))
+    assert homology(R3, 3, coeff=3 * p) == HomologyResult(0, (3, 3 * p))
 
 
 def test_finite_coefficient_homology_matches_universal_coefficients():
