@@ -9,17 +9,17 @@ from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       OpTable, are_compatible_ternary,
                       are_mutually_distributive, cyclic_group, dihedral_group,
                       direct_product, evaluate, exchange_holds,
-                      group_from_cayley, heap_vs_core_directional,
-                      index_to_tuple, inverse_translations, is_nary_distributive,
-                      is_quandle, is_rack, make_op_table, relabel,
-                      symmetric_group, tuple_to_index)
+                      group_from_cayley, index_to_tuple, inverse_translations,
+                      is_nary_distributive, is_quandle, is_rack,
+                      make_op_table, relabel, symmetric_group, tuple_to_index)
 from .constructions import (PreconditionError, affine_op,
                             affine_ternary_compat_conditions, augmented_ternary,
                             commuting_automorphisms, compose_mn, conj_quandle,
                             core_quandle, doubling_binary, doubling_ternary,
                             f_functor, g_functor, generalized_alexander,
-                            heap_op, monoid_product, power_op, product_mutual_pair,
-                            projection_op, verify_functor_identities)
+                            heap_op, heap_vs_core_directional, monoid_product,
+                            power_op, product_mutual_pair, projection_op,
+                            verify_functor_identities)
 from .homology import (CohomologyResult, HomologyResult, SmithResult,
                        boundary_matrix, chain_map_F, cohomology_solve,
                        homology, labeled_boundary, pullback_labeled_2cocycle,

@@ -500,8 +500,10 @@ def _build_parser():
         prog="selfdist",
         description="Self-distributive operations: check, construct, compute.")
     top.add_argument("--format", choices=("human", "json"), default="human")
+    # a string default goes through type=int, so a bad SELFDIST_JOBS is a
+    # usage error like a bad --jobs
     top.add_argument("--jobs", type=int,
-                     default=int(os.environ.get("SELFDIST_JOBS", "1")))
+                     default=os.environ.get("SELFDIST_JOBS", "1"))
     top.add_argument("-o", "--output", default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -653,7 +655,9 @@ def main(argv=None) -> int:
     report = Report(argv)
     start = time.perf_counter()
     try:
-        HANDLERS[args.command](args, report, max(1, args.jobs))
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+        HANDLERS[args.command](args, report, args.jobs)
         if args.output:
             _write_output(report, args.output)
     except PreconditionError as exc:

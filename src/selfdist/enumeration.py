@@ -13,17 +13,20 @@ output order is reproducible run to run and across worker counts.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
 from .constructions import affine_op
-from .optable import InputError, OpTable, relabel, tuple_to_index
+from .optable import InputError, OpTable, digit_map, tuple_to_index
 
 FULL_SCAN_LIMIT = 2 ** 25         # tables in a full scan
-TRANSLATION_SCAN_LIMIT = 2 ** 24  # candidates in a translation-structured scan
+RACK_WORK_LIMIT = 2 ** 23         # table entries and checks in a translation scan
 AFFINE_SCAN_LIMIT = 2 ** 16       # coefficient vectors in an affine scan
-ISO_SIZE_LIMIT = 8                # carrier size for brute-force isomorphism
+ISO_SIZE_LIMIT = 8                # carrier size for canonical forms
+ISO_BLOCK_ENTRIES = 2 ** 16       # relabeled entries held at once
 
 KINDS = ("all", "sd", "rack", "quandle")
 
@@ -147,46 +150,80 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> list:
     one permutation per tail; self-distributivity becomes a conjugation
     condition between those permutations, checked incrementally while the
     choices are assigned, so the 6^9 ternary size-3 space prunes quickly.
+    Refuses once the work exceeds RACK_WORK_LIMIT: the entries of the lookup
+    tables, charged before they are built, plus the most consistency checks
+    each search node can make.
     """
     _check_kind(kind, ("rack", "quandle"))
+    work = 0
+
+    def charge(count: int):
+        nonlocal work
+        work += count
+        if work > RACK_WORK_LIMIT:
+            raise InputError(
+                f"refusing translation scan on size {size} arity {arity}: "
+                f"more than {RACK_WORK_LIMIT} table entries and consistency "
+                f"checks")
+
+    # 13!^2 and 2^64 each exceed the budget on their own, so the clamps only
+    # keep the charge itself cheap
+    n_perms = math.factorial(min(size, 13))
+    n_tails = size ** min(arity - 1, 64)
+    charge(n_perms ** 2 + 2 * n_perms * n_tails + n_tails * (arity - 1))
     perms = list(itertools.permutations(range(size)))
-    candidates = len(perms) ** (size ** (arity - 1))
-    if candidates > TRANSLATION_SCAN_LIMIT:
-        raise InputError(
-            f"refusing translation scan: {len(perms)}^{size ** (arity - 1)} "
-            f"= {candidates} candidates exceeds {TRANSLATION_SCAN_LIMIT}")
     pindex = {p: i for i, p in enumerate(perms)}
     compose = [[pindex[tuple(a[b[v]] for v in range(size))] for b in perms]
                for a in perms]
     tails = list(itertools.product(range(size), repeat=arity - 1))
     tindex = {t: i for i, t in enumerate(tails)}
     nt = len(tails)
+    # act[s][y]: tail y moved digit-wise by permutation s; back inverts it
+    act = [[tindex[tuple(p[c] for c in t)] for t in tails] for p in perms]
+    back = [[0] * nt for _ in perms]
+    for s, row in enumerate(act):
+        for y, t in enumerate(row):
+            back[s][t] = y
     assign = [0] * nt
     found = []
 
+    def holds(zi: int, yi: int, ti: int) -> bool:
+        return compose[assign[zi]][assign[yi]] == compose[assign[ti]][assign[zi]]
+
     def consistent(level: int) -> bool:
         # check every conjugation condition that first becomes decidable now:
-        # sigma_{sigma_z . y} o sigma_z == sigma_z o sigma_y
-        for zi in range(level + 1):
-            pz = perms[assign[zi]]
-            for yi in range(level + 1):
-                ti = tindex[tuple(pz[c] for c in tails[yi])]
-                if ti > level or level not in (zi, yi, ti):
-                    continue
-                if compose[assign[zi]][assign[yi]] != compose[assign[ti]][assign[zi]]:
-                    return False
+        # sigma_{sigma_z . y} o sigma_z == sigma_z o sigma_y, with z, y and
+        # sigma_z . y assigned and one of the three at this level; that is at
+        # most 3 * level + 1 checks
+        s = assign[level]
+        for yi in range(level + 1):
+            ti = act[s][yi]
+            if ti <= level and not holds(level, yi, ti):
+                return False
+        for zi in range(level):
+            ti = act[assign[zi]][level]
+            if ti <= level and not holds(zi, level, ti):
+                return False
+            yi = back[assign[zi]][level]
+            if yi < level and not holds(zi, yi, level):
+                return False
         return True
 
-    def descend(level: int):
-        if level == nt:
-            found.append(tuple(assign))
-            return
-        for s in range(len(perms)):
-            assign[level] = s
-            if consistent(level):
-                descend(level + 1)
-
-    descend(0)
+    # iterative backtracking: a search may run as deep as nt levels
+    level = 0
+    assign[0] = -1
+    charge(len(perms))
+    while level >= 0:
+        assign[level] += 1
+        if assign[level] == len(perms):
+            level -= 1
+        elif consistent(level):
+            if level + 1 == nt:
+                found.append(tuple(assign))
+            else:
+                level += 1
+                assign[level] = -1
+                charge(len(perms) * (3 * level + 1))
     tables = sorted(
         tuple(perms[a[ti]][x] for x in range(size) for ti in range(nt))
         for a in found)
@@ -220,8 +257,36 @@ def enumerate_mutual_pairs(size: int) -> list:
     return [(ops[i], ops[j]) for i, j in np.argwhere(mask)]
 
 
-def find_isomorphism(op_a: OpTable, op_b: OpTable):
-    """Lexicographically first relabeling carrying op_a to op_b, or None."""
+@functools.lru_cache(maxsize=None)
+def _permutations(size: int) -> np.ndarray:
+    """All carrier permutations in itertools order (lexicographic), as uint8."""
+    perms = np.array(list(itertools.permutations(range(size))), dtype=np.uint8)
+    perms.setflags(write=False)
+    return perms
+
+
+def _relabelings(tables: np.ndarray, size: int, arity: int):
+    """Yield (lo, t, block) covering every table under every permutation.
+
+    tables holds flat tables as uint8 rows.  block[i, p] is row t + i
+    relabeled along permutation lo + p, in itertools order.  A block holds
+    about ISO_BLOCK_ENTRIES entries, so the N! relabelings of a large table
+    never materialize at once.
+    """
+    perms = _permutations(size)
+    entries = size ** arity
+    step = max(1, ISO_BLOCK_ENTRIES // entries)
+    for lo in range(0, len(perms), step):
+        chunk = perms[lo:lo + step]
+        src = digit_map(np.argsort(chunk, axis=1), size, arity)
+        # entry v under permutation row p sits at p*size + v of the flat chunk
+        offsets = np.arange(0, chunk.size, size)[:, None]
+        rows = max(1, ISO_BLOCK_ENTRIES // src.size)
+        for t in range(0, len(tables), rows):
+            yield lo, t, chunk.ravel()[tables[t:t + rows, src] + offsets]
+
+
+def _check_iso_shape(op_a: OpTable, op_b: OpTable):
     if op_a.size != op_b.size or op_a.arity != op_b.arity:
         raise InputError(
             f"shape mismatch: size {op_a.size} arity {op_a.arity} vs "
@@ -230,9 +295,17 @@ def find_isomorphism(op_a: OpTable, op_b: OpTable):
         raise InputError(
             f"refusing isomorphism search over {op_a.size}! relabelings "
             f"(carrier size limit {ISO_SIZE_LIMIT})")
-    for perm in itertools.permutations(range(op_a.size)):
-        if np.array_equal(relabel(op_a, perm).table, op_b.table):
-            return perm
+
+
+def find_isomorphism(op_a: OpTable, op_b: OpTable):
+    """Lexicographically first relabeling carrying op_a to op_b, or None."""
+    _check_iso_shape(op_a, op_b)
+    target = op_b.table.astype(np.uint8)
+    for lo, _, block in _relabelings(op_a.table.astype(np.uint8)[None],
+                                     op_a.size, op_a.arity):
+        hits = np.flatnonzero((block[0] == target).all(axis=1))
+        if hits.size:
+            return tuple(int(v) for v in _permutations(op_a.size)[lo + hits[0]])
     return None
 
 
@@ -244,20 +317,28 @@ def tables_isomorphic(op_a: OpTable, op_b: OpTable) -> bool:
 def isomorphism_classes(ops) -> list:
     """Partition a list of same-shape tables into isomorphism classes.
 
-    Returns a list of lists of indices into ops, each sorted, ordered by
-    their smallest member.
+    Each table's key is its canonical form, the lexicographically least of
+    its N! relabelings, and two tables are isomorphic exactly when their
+    keys agree.  Returns a list of lists of indices into ops, each sorted,
+    ordered by their smallest member.
     """
     ops = list(ops)
-    out = []
-    done = [False] * len(ops)
-    for i, a in enumerate(ops):
-        if done[i]:
-            continue
-        cls = [i]
-        done[i] = True
-        for j in range(i + 1, len(ops)):
-            if not done[j] and tables_isomorphic(a, ops[j]):
-                cls.append(j)
-                done[j] = True
-        out.append(cls)
-    return out
+    if len(ops) < 2:
+        return [[i] for i in range(len(ops))]
+    for op in ops[1:]:
+        _check_iso_shape(ops[0], op)
+    size, arity = ops[0].size, ops[0].arity
+    tables = np.stack([op.table for op in ops]).astype(np.uint8)
+    # a row viewed as one opaque item sorts by its bytes, lexicographically
+    row = f"V{size ** arity}"
+    least = tables.view(row)[:, 0].copy()
+    for _, t, block in _relabelings(tables, size, arity):
+        # a gathered block need not be laid out row by row
+        block = np.ascontiguousarray(block)
+        cand = np.concatenate([least[t:t + len(block), None],
+                               block.view(row)[..., 0]], axis=1)
+        least[t:t + len(block)] = np.sort(cand, axis=1)[:, 0]
+    classes = {}
+    for i, key in enumerate(least):
+        classes.setdefault(key.tobytes(), []).append(i)
+    return list(classes.values())

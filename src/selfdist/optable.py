@@ -56,7 +56,12 @@ class OpTable:
             raise InputError(f"size must be positive, got {size}")
         if arity < 2:
             raise InputError(f"arity must be at least 2, got {arity}")
-        arr = np.ascontiguousarray(table, dtype=np.int64).ravel()
+        raw = np.asarray(table)
+        if raw.size and raw.dtype.kind not in "iu":
+            # floats and bools would otherwise be truncated to other tables
+            raise InputError(
+                f"table entries must be integers, got {raw.dtype} values")
+        arr = np.ascontiguousarray(raw, dtype=np.int64).ravel()
         if arr.shape[0] != size ** arity:
             raise InputError(
                 f"table length {arr.shape[0]} != size^arity = {size}^{arity}"
@@ -376,44 +381,34 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return group_from_cayley(C.ravel(), size=n)
 
 
-def _core_table(g: FiniteGroup) -> OpTable:
-    return make_op_table(g.size, 2, lambda a, b: g.mul(b, g.mul(g.inv(a), b)))
+def digit_map(maps, size: int, arity: int) -> np.ndarray:
+    """Flat indices under digit-wise maps of the carrier, one row per map.
 
-
-def _heap_table(g: FiniteGroup) -> OpTable:
-    return make_op_table(g.size, 3,
-                         lambda x, y0, y1: g.mul(g.mul(x, g.inv(y0)), y1))
-
-
-def heap_vs_core_directional(group: FiniteGroup, jobs: int = 1):
-    """The two exchange directions between a group's core and heap operations.
-
-    Returns (heap distributes over core, core distributes over heap); the
-    second->first direction fails for every nonabelian group.
+    Row r, column i holds the flat index of (maps[r][a_1], ..., maps[r][a_k]),
+    where i is the flat index of (a_1, ..., a_k).
     """
-    core = _core_table(group)
-    heap = _heap_table(group)
-    return (bool(exchange_holds(core, heap, jobs=jobs)),
-            bool(exchange_holds(heap, core, jobs=jobs)))
+    maps = np.asarray(maps, dtype=np.intp)
+    out = np.zeros((len(maps),) + (1,) * arity, dtype=np.intp)
+    for pos in range(arity):
+        # broadcast digit `pos` along its own axis of the argument grid
+        out = out * size + maps.reshape((len(maps),) + (1,) * pos + (size,)
+                                        + (1,) * (arity - 1 - pos))
+    return out.reshape(len(maps), -1)
 
 
 def relabel(op: OpTable, perm) -> OpTable:
-    """Transport the table along a carrier permutation (old -> new labels)."""
+    """Transport the table along a carrier permutation (old -> new labels).
+
+    The new table sends (p a_1, ..., p a_k) to p W(a_1, ..., a_k), so its
+    entry at a flat index is p applied to the old entry at p^-1 applied
+    digit-wise to that index.
+    """
     N, k = op.size, op.arity
     p = np.ascontiguousarray(perm, dtype=np.int64)
     if p.shape != (N,) or not np.array_equal(np.sort(p), np.arange(N)):
         raise InputError("relabeling must be a permutation of the carrier")
-    # flat index map: apply p digit-wise
-    idx = np.arange(N ** k, dtype=np.int64)
-    new_idx = np.zeros_like(idx)
-    rem = idx.copy()
-    for pos in range(k):
-        power = N ** (k - 1 - pos)
-        new_idx = new_idx * N + p[rem // power]
-        rem %= power
-    out = np.empty_like(op.table)
-    out[new_idx] = p[op.table]
-    return OpTable(N, k, out)
+    src = digit_map(np.argsort(p)[None], N, k)[0]
+    return OpTable(N, k, p[op.table[src]])
 
 
 def inverse_translations(op: OpTable) -> np.ndarray:

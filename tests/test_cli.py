@@ -342,6 +342,47 @@ def test_enumerate_guardrail(files, capsys):
     assert code == 2
 
 
+def test_enumerate_translation_budget(capsys):
+    code, _, err = run(["enumerate", "--scan", "translations", "--size", "7",
+                        "--kind", "rack"], capsys)
+    assert code == 2
+    assert "consistency checks" in err
+    code, _, err = run(["enumerate", "--scan", "translations", "--size", "2",
+                        "--arity", "11", "--kind", "rack"], capsys)
+    assert code == 2
+    assert "consistency checks" in err
+    code, rep = run_json(["enumerate", "--scan", "translations", "--size", "4",
+                          "--kind", "quandle"], capsys)
+    assert code == 0
+    assert rep["artifacts"][0]["content"]["count"] == 36
+
+
+def test_check_axioms_rejects_non_integer_entries(files, capsys):
+    for table in ([0.7, 1.2, 0, 1], [True, False, False, True]):
+        path = files["root"] / "non_integer.json"
+        path.write_text(json.dumps({"size": 2, "arity": 2, "table": table}))
+        code, _, err = run(["check", "axioms", str(path)], capsys)
+        assert code == 2
+        assert "integers" in err
+
+
+def test_jobs_below_one_rejected(files, capsys, monkeypatch):
+    for argv in (["--jobs", "-3", "check", "axioms", files["z8"]],
+                 ["--jobs", "0", "check", "axioms", files["z8"]],
+                 ["check", "axioms", files["z8"], "--jobs", "0"]):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "--jobs must be at least 1" in err
+    monkeypatch.setenv("SELFDIST_JOBS", "-3")
+    code, rep = run_json(["check", "axioms", files["z8"]], capsys)
+    assert code == 2
+    assert "--jobs must be at least 1, got -3" in rep["error"]
+    monkeypatch.setenv("SELFDIST_JOBS", "many")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "axioms", files["z8"]])
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # report invariants
 

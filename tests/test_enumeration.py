@@ -1,12 +1,16 @@
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from selfdist import (InputError, are_mutually_distributive, cyclic_group,
+from selfdist import (InputError, affine_op, are_mutually_distributive,
+                      conj_quandle, core_quandle, cyclic_group, dihedral_group,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
-                      make_op_table, projection_op)
-from selfdist.enumeration import (enumerate_affine, enumerate_mutual_pairs,
+                      make_op_table, projection_op, relabel, symmetric_group)
+from selfdist import enumeration
+from selfdist.enumeration import (KINDS, enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks,
                                   find_isomorphism, isomorphism_classes,
                                   tables_isomorphic)
@@ -153,11 +157,47 @@ def test_rack_scan_contains_affine_racks():
 
 def test_rack_scan_guardrail():
     with pytest.raises(InputError):
-        enumerate_racks(5, 2)
-    with pytest.raises(InputError):
         enumerate_racks(3, 4)
     with pytest.raises(InputError):
         enumerate_racks(3, 3, kind="sd")
+
+
+def test_rack_scan_size_5():
+    # beyond reach of the old raw-candidate guard (120^5 candidates)
+    racks = enumerate_racks(5, 2)
+    assert len(racks) == 1708
+    assert [flat(o) for o in racks] == sorted(flat(o) for o in racks)
+    assert flat(racks[0]) == flat(projection_op(5, 2))
+    for op in random.Random(5).sample(racks, 10):
+        assert is_rack(op)
+    assert len(enumerate_racks(5, 2, "quandle")) == 404
+
+
+def test_rack_scan_work_budget():
+    assert enumeration.RACK_WORK_LIMIT == 2 ** 23
+    # refused before any table is built: 7!^2 compositions, 10^7 tail digits
+    with pytest.raises(InputError, match="consistency checks"):
+        enumerate_racks(7, 2)
+    with pytest.raises(InputError, match="consistency checks"):
+        enumerate_racks(1, 10 ** 7)
+    # refused while searching: the tables fit, the search does not; with
+    # 1024 and 2187 tails the all-identity branch is consistent at every
+    # level, so (2, 11) and (3, 8) run deep before the budget stops them
+    for size, arity in [(6, 2), (2, 6), (4, 3), (2, 11), (3, 8)]:
+        with pytest.raises(InputError, match="consistency checks"):
+            enumerate_racks(size, arity)
+
+
+def test_rack_scan_work_budget_is_counted(monkeypatch):
+    # order 4: 24^2 compositions, 2 * 24 * 4 tail actions and 4 one-digit
+    # tails up front, then 24 * (3 * level + 1) checks at each of the 241
+    # inner nodes of the search
+    need = 24 ** 2 + 2 * 24 * 4 + 4 + 45528
+    monkeypatch.setattr(enumeration, "RACK_WORK_LIMIT", need)
+    assert len(enumerate_racks(4, 2)) == 114
+    monkeypatch.setattr(enumeration, "RACK_WORK_LIMIT", need - 1)
+    with pytest.raises(InputError):
+        enumerate_racks(4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +242,158 @@ def test_mutual_pairs_diagonal_present():
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing
+# isomorphism testing, against the pairwise permutation search as oracle
+
+def relabel_ref(table, size, arity, perm):
+    """Scatter form of a relabeling: new(p a_1, .., p a_k) = p old(a_1, .., a_k)."""
+    p = np.asarray(perm)
+    new_idx = np.zeros(size ** arity, dtype=np.int64)
+    for digits in np.indices((size,) * arity).reshape(arity, -1):
+        new_idx = new_idx * size + p[digits]
+    out = np.empty(size ** arity, dtype=np.int64)
+    out[new_idx] = p[np.asarray(table)]
+    return out
+
+
+def find_isomorphism_ref(op_a, op_b):
+    """First permutation in itertools order carrying op_a to op_b, or None."""
+    for perm in itertools.permutations(range(op_a.size)):
+        if np.array_equal(relabel_ref(op_a.table, op_a.size, op_a.arity, perm),
+                          op_b.table):
+            return perm
+    return None
+
+
+def isomorphism_classes_ref(ops):
+    """Pairwise search: each unclaimed table collects the later isomorphic ones."""
+    out, done = [], [False] * len(ops)
+    for i, a in enumerate(ops):
+        if done[i]:
+            continue
+        cls = [i]
+        for j in range(i + 1, len(ops)):
+            if not done[j] and find_isomorphism_ref(a, ops[j]) is not None:
+                cls.append(j)
+                done[j] = True
+        out.append(cls)
+    return out
+
+
+def shuffled_copies(bases, copies, seed):
+    """Seeded relabeled copies of each base table, shuffled together."""
+    rng = random.Random(seed)
+    items = []
+    for op in bases:
+        for _ in range(copies):
+            perm = list(range(op.size))
+            rng.shuffle(perm)
+            items.append(make_op_table(op.size, op.arity,
+                                       relabel_ref(op.table, op.size, op.arity, perm)))
+    rng.shuffle(items)
+    return items
+
+
+def enumerated_lists():
+    """Every table list this module enumerates, by name.
+
+    The 1708 racks of order 5 are left to the published counts: the pairwise
+    oracle would take minutes on them.
+    """
+    lists = {f"ops-{n}-{k}-{kind}": enumerate_operations(n, k, kind)
+             for n, k, kinds in [(1, 2, KINDS), (2, 2, KINDS), (2, 3, KINDS),
+                                 (3, 2, KINDS[1:])]
+             for kind in kinds}
+    lists.update({f"affine-{m}-{k}-{kind}": enumerate_affine(m, k, kind)
+                  for m, k, kind in [(3, 2, "sd"), (3, 2, "rack"), (5, 2, "rack"),
+                                     (4, 3, "rack"), (4, 3, "quandle"),
+                                     (3, 3, "rack"), (6, 2, "sd")]})
+    lists.update({f"racks-{n}-{k}-{kind}": enumerate_racks(n, k, kind)
+                  for n, k in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]
+                  for kind in ("rack", "quandle")})
+    return lists
+
+
+def test_isomorphism_classes_match_pairwise_oracle():
+    for name, ops in enumerated_lists().items():
+        assert isomorphism_classes(ops) == isomorphism_classes_ref(ops), name
+
+
+def test_isomorphism_classes_of_shuffled_copies():
+    bases = {5: [projection_op(5, 2), core_quandle(cyclic_group(5)),
+                 affine_op(5, 2, [2]), affine_op(5, 2, [3])],
+             6: [projection_op(6, 2), core_quandle(cyclic_group(6)),
+                 conj_quandle(symmetric_group(3)), core_quandle(symmetric_group(3))],
+             3: enumerate_racks(3, 3)[:12]}
+    for seed, (order, copies) in enumerate([(5, 3), (6, 3), (6, 2), (3, 2)]):
+        ops = shuffled_copies(bases[order], copies, seed)
+        classes = isomorphism_classes(ops)
+        assert classes == isomorphism_classes_ref(ops)
+        assert all(c == sorted(c) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+
+
+def test_find_isomorphism_matches_oracle():
+    rng = random.Random(0x150)
+    pool = [op for ops in enumerated_lists().values() for op in ops if op.size > 1]
+    pool += [affine_op(5, 2, [2]), core_quandle(cyclic_group(6)),
+             heap_op(cyclic_group(4)), projection_op(4, 3)]
+    for _ in range(300):
+        a = rng.choice(pool)
+        if rng.random() < 0.5:
+            perm = list(range(a.size))
+            rng.shuffle(perm)
+            b = make_op_table(a.size, a.arity,
+                              relabel_ref(a.table, a.size, a.arity, perm))
+        else:
+            same = [op for op in pool if (op.size, op.arity) == (a.size, a.arity)]
+            b = rng.choice(same)
+        assert find_isomorphism(a, b) == find_isomorphism_ref(a, b)
+
+
+def test_blocks_smaller_than_one_table(monkeypatch):
+    # every permutation in its own block, every table in its own batch
+    monkeypatch.setattr(enumeration, "ISO_BLOCK_ENTRIES", 1)
+    ops = enumerate_operations(3, 2, "sd")
+    assert isomorphism_classes(ops) == isomorphism_classes_ref(ops)
+    ops = shuffled_copies([core_quandle(cyclic_group(4)), projection_op(4, 2),
+                           affine_op(4, 2, [3])], 3, 7)
+    assert isomorphism_classes(ops) == isomorphism_classes_ref(ops)
+    for a in ops:
+        for b in ops[:3]:
+            assert find_isomorphism(a, b) == find_isomorphism_ref(a, b)
+
+
+def test_size_8_ternary_through_blocks():
+    heap = heap_op(cyclic_group(8))
+    a = relabel(heap, (3, 1, 4, 0, 7, 5, 2, 6))
+    b = relabel(heap, (7, 6, 5, 4, 3, 2, 1, 0))
+    other = relabel(heap_op(dihedral_group(4)), (1, 0, 3, 2, 5, 4, 7, 6))
+    entries = 8 ** 3
+    # the 40320 relabelings of one table span several blocks
+    assert math.factorial(8) * entries > 8 * enumeration.ISO_BLOCK_ENTRIES
+    assert isomorphism_classes([a, other, b, heap]) == [[0, 2, 3], [1]]
+    perm = find_isomorphism(a, b)
+    assert perm == find_isomorphism_ref(a, b)
+    assert relabel(a, perm) == b
+    assert find_isomorphism(a, other) is None
+    # a table with few symmetries, moved so that its first isomorphism lies
+    # in a later block
+    rng = np.random.default_rng(8)
+    c = make_op_table(8, 3, rng.integers(0, 8, entries))
+    perm = (4, 6, 0, 1, 2, 3, 7, 5)
+    d = relabel(c, perm)
+    assert find_isomorphism(c, d) == find_isomorphism_ref(c, d) == perm
+
+
+def test_published_counts_up_to_isomorphism():
+    # racks and quandles of orders 3, 4, 5 (Vojtechovsky-Yang, arXiv:1805.05908)
+    for size, racks, quandles in [(3, 6, 3), (4, 19, 7), (5, 74, 22)]:
+        assert len(isomorphism_classes(enumerate_racks(size, 2))) == racks
+        assert len(isomorphism_classes(enumerate_racks(size, 2, "quandle"))) == quandles
+    # all 256 ternary tables on 2 points fall into 136 orbits under the swap
+    # (Burnside: (256 + 16) / 2)
+    assert len(isomorphism_classes(enumerate_operations(2, 3, "all"))) == 136
+
 
 def test_find_isomorphism_positive():
     a = make_op_table(3, 2, [0, 0, 0, 1, 2, 2, 2, 1, 1])

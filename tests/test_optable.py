@@ -27,6 +27,20 @@ def test_make_op_table_validation():
     assert make_op_table(1, 3, [0]).size == 1
 
 
+def test_non_integer_entries_rejected():
+    # truncation would turn [0.7, 1.2, 0, 1] into the different table [0, 1, 0, 1]
+    for table in ([0.7, 1.2, 0, 1], [0.0, 1.0, 0.0, 1.0], [True, False, False, True],
+                  np.array([0, 1, 0, 1], dtype=np.float32), ["0", "1", "0", "1"],
+                  [0, 1, 0, 10 ** 30]):
+        with pytest.raises(InputError, match="integers"):
+            OpTable(2, 2, table)
+    with pytest.raises(InputError):
+        OpTable.from_json({"size": 2, "arity": 2, "table": [0.7, 1.2, 0, 1]})
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert make_op_table(2, 2, np.array([0, 1, 0, 1], dtype=dtype)) == \
+            make_op_table(2, 2, [0, 1, 0, 1])
+
+
 def test_index_convention_first_argument_most_significant():
     rng = random.Random(2)
     entries = [rng.randrange(3) for _ in range(9)]
@@ -233,6 +247,20 @@ def test_relabel_formula():
     for a in range(3):
         for b in range(3):
             assert evaluate(moved, (perm[a], perm[b])) == perm[evaluate(op, (a, b))]
+
+
+def test_relabel_matches_scatter_formula():
+    # new[p a_1, .., p a_k] = p old[a_1, .., a_k], written as a scatter
+    rng = np.random.default_rng(31)
+    for size, arity in [(1, 2), (2, 3), (3, 2), (4, 3), (5, 2), (3, 4)]:
+        table = rng.integers(0, size, size ** arity)
+        perm = rng.permutation(size)
+        new_idx = np.zeros(size ** arity, dtype=np.int64)
+        for digits in np.indices((size,) * arity).reshape(arity, -1):
+            new_idx = new_idx * size + perm[digits]
+        want = np.empty_like(table)
+        want[new_idx] = perm[table]
+        assert np.array_equal(relabel(OpTable(size, arity, table), perm).table, want)
 
 
 def test_inverse_translations_roundtrip():
