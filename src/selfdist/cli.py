@@ -11,6 +11,7 @@ field varies between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -46,16 +47,89 @@ SCHEMA = "selfdist-report/1"
 # report
 
 
-def _jsonable(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+JSON_CHUNK = 1 << 16   # list items per piece of streamed JSON output
+
+_compact = json.JSONEncoder().encode
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
+def _json_default(value):
+    """Numpy values as the Python values they hold; the encoders' fallback."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+def _plain(value):
+    """A witness as nested lists of Python scalars, for both report formats."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = _json_default(value)
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     return value
+
+
+@functools.lru_cache(maxsize=None)
+def _items_encoder(depth: int):
+    """C encoder that puts each scalar list item on its own line at `depth`."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _compact(key)
+    return _compact(key)
+
+
+def _iter_json(value, depth: int = 0):
+    """The text of json.dumps(value, indent=2), in pieces of bounded size.
+
+    Lists are taken JSON_CHUNK items at a time; a chunk of plain scalars is
+    encoded in one call of the C encoder, anything else item by item.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        sep = "{"
+        for key, item in value.items():
+            yield sep + pad + _json_key(key) + ": "
+            yield from _iter_json(item, depth + 1)
+            sep = ","
+        yield "\n" + "  " * depth + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        sep = "["
+        for start in range(0, len(value), JSON_CHUNK):
+            chunk = value[start:start + JSON_CHUNK]
+            if _SCALARS.issuperset(map(type, chunk)):
+                yield sep + pad + _items_encoder(depth + 1)(chunk)[1:-1]
+                sep = ","
+                continue
+            for item in chunk:
+                yield sep + pad
+                yield from _iter_json(item, depth + 1)
+                sep = ","
+        yield "\n" + "  " * depth + "]"
+    elif isinstance(value, (str, int, float)) or value is None:
+        yield _compact(value)
+    else:
+        yield from _iter_json(_json_default(value), depth)
+
+
+def _dump_json(obj, fh):
+    """Write json.dumps(obj, indent=2) and a newline, a bounded piece at a time."""
+    fh.writelines(_iter_json(obj))
+    fh.write("\n")
 
 
 class Report:
@@ -72,8 +146,8 @@ class Report:
             cex = None
             if result.counterexample is not None:
                 c = result.counterexample
-                cex = {"witness": _jsonable(c.witness), "lhs": _jsonable(c.lhs),
-                       "rhs": _jsonable(c.rhs)}
+                cex = {"witness": _plain(c.witness), "lhs": _plain(c.lhs),
+                       "rhs": _plain(c.rhs)}
             self.verdicts.append({
                 "property": prop, "holds": bool(result), "counterexample": cex,
                 "detail": detail or result.detail})
@@ -82,7 +156,7 @@ class Report:
                                   "counterexample": None, "detail": detail})
 
     def artifact(self, name: str, content: dict):
-        self.artifacts.append({"name": name, "content": _jsonable(content),
+        self.artifacts.append({"name": name, "content": content,
                                "path": None})
 
     @property
@@ -123,7 +197,7 @@ def _summary(content) -> str:
             return body
         if "group" in content:
             return content["group"]
-        text = json.dumps(content)
+        text = json.dumps(content, default=_json_default)
         return text if len(text) <= 400 else text[:400] + "..."
     return str(content)
 
@@ -466,12 +540,12 @@ def _cmd_enumerate(args, report, jobs):
             "count": len(pairs),
             "pairs": [[a.as_json(), b.as_json()] for a, b in pairs]})
         return
+    kind = args.kind or ("rack" if args.scan == "translations" else "sd")
     if args.scan == "full":
-        ops = enumeration.enumerate_operations(args.size, args.arity, args.kind)
+        ops = enumeration.enumerate_operations(args.size, args.arity, kind)
     elif args.scan == "affine":
-        ops = enumeration.enumerate_affine(args.size, args.arity, args.kind)
+        ops = enumeration.enumerate_affine(args.size, args.arity, kind)
     elif args.scan == "translations":
-        kind = args.kind if args.kind in ("rack", "quandle") else "rack"
         ops = enumeration.enumerate_racks(args.size, args.arity, kind)
     else:
         raise InputError(f"unknown scan {args.scan!r}")
@@ -624,8 +698,8 @@ def _build_parser():
     p = sub.add_parser("enumerate", parents=[common])
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--arity", type=int, default=2)
-    p.add_argument("--kind", default="sd",
-                   choices=("all", "sd", "rack", "quandle"))
+    p.add_argument("--kind", choices=("all", "sd", "rack", "quandle"),
+                   help="default sd, or rack under --scan translations")
     p.add_argument("--scan", default="full",
                    choices=("full", "affine", "translations"))
     p.add_argument("--pairs", action="store_true",
@@ -641,8 +715,7 @@ def _write_output(report: Report, path: str):
     else:
         payload = {a["name"]: a["content"] for a in report.artifacts}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        _dump_json(payload, fh)
     for a in report.artifacts:
         a["path"] = path
         a["content"] = None
@@ -671,13 +744,13 @@ def main(argv=None) -> int:
         if args.format == "json":
             out = report.as_json()
             out["error"] = str(exc)
-            print(json.dumps(out, indent=2))
+            _dump_json(out, sys.stdout)
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 2
     report.seconds = time.perf_counter() - start
     if args.format == "json":
-        print(json.dumps(report.as_json(), indent=2))
+        _dump_json(report.as_json(), sys.stdout)
     else:
         print(report.render_human())
     return report.exit_code

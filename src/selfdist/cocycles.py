@@ -133,7 +133,12 @@ class Cochain:
         coeff = coeff_group(coeff)
         if size < 1 or nargs < 1:
             raise InputError("cochain needs size >= 1 and nargs >= 1")
-        arr = np.asarray(values, dtype=np.int64)
+        raw = np.asarray(values)
+        if raw.size and raw.dtype.kind not in "iu":
+            # floats and bools would otherwise be truncated to other values
+            raise InputError(
+                f"cochain values must be integers, got {raw.dtype} values")
+        arr = np.asarray(raw, dtype=np.int64)
         if arr.ndim == 1 and coeff.rank == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[1] != coeff.rank:

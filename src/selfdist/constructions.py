@@ -18,7 +18,7 @@ import numpy as np
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       OpTable, are_compatible_ternary,
                       are_mutually_distributive, exchange_holds,
-                      is_nary_distributive, is_rack, make_op_table)
+                      is_nary_distributive, is_rack)
 
 
 class PreconditionError(ValueError):
@@ -66,23 +66,23 @@ def affine_op(modulus: int, arity: int, coefficients) -> OpTable:
 
 def conj_quandle(g: FiniteGroup) -> OpTable:
     """Conjugation a * b = b^-1 a b."""
-    op = make_op_table(g.size, 2,
-                       lambda a, b: g.mul(g.inv(b), g.mul(a, b)))
-    return OpTable(g.size, 2, op.table, meta={"construction": "conjugation"})
+    C = g.cayley.reshape(g.size, g.size)
+    return OpTable(g.size, 2, C[g.inverse[None, :], C],
+                   meta={"construction": "conjugation"})
 
 
 def core_quandle(g: FiniteGroup) -> OpTable:
     """Core operation a * b = b a^-1 b."""
-    op = make_op_table(g.size, 2,
-                       lambda a, b: g.mul(b, g.mul(g.inv(a), b)))
-    return OpTable(g.size, 2, op.table, meta={"construction": "core"})
+    C = g.cayley.reshape(g.size, g.size)
+    return OpTable(g.size, 2, C[np.arange(g.size)[None, :], C[g.inverse]],
+                   meta={"construction": "core"})
 
 
 def heap_op(g: FiniteGroup) -> OpTable:
     """Heap T(x, y0, y1) = x y0^-1 y1, a ternary rack for every group."""
-    op = make_op_table(g.size, 3,
-                       lambda x, y0, y1: g.mul(g.mul(x, g.inv(y0)), y1))
-    return OpTable(g.size, 3, op.table, meta={"construction": "heap"})
+    C = g.cayley.reshape(g.size, g.size)
+    return OpTable(g.size, 3, C[C[:, g.inverse][:, :, None], np.arange(g.size)],
+                   meta={"construction": "heap"})
 
 
 def heap_vs_core_directional(group: FiniteGroup, jobs: int = 1):
@@ -112,10 +112,8 @@ def _check_automorphism(g: FiniteGroup, perm) -> np.ndarray:
 def generalized_alexander(g: FiniteGroup, f) -> OpTable:
     """Twisted operation x * y = f(x y^-1) y for an automorphism f."""
     fv = _check_automorphism(g, f)
-    op = make_op_table(
-        g.size, 2,
-        lambda x, y: g.mul(int(fv[g.mul(x, g.inv(y))]), y))
-    return OpTable(g.size, 2, op.table,
+    C = g.cayley.reshape(g.size, g.size)
+    return OpTable(g.size, 2, C[fv[C[:, g.inverse]], np.arange(g.size)[None, :]],
                    meta={"construction": "generalized_alexander"})
 
 

@@ -92,7 +92,7 @@ class OpTable:
 
     def as_json(self) -> dict:
         out = {"size": self.size, "arity": self.arity,
-               "table": [int(v) for v in self.table]}
+               "table": self.table.tolist()}
         if self.meta:
             out["provenance"] = dict(self.meta)
         return out
@@ -295,7 +295,7 @@ class FiniteGroup:
         return int(self.inverse[a])
 
     def as_json(self) -> dict:
-        return {"size": self.size, "cayley": [int(v) for v in self.cayley]}
+        return {"size": self.size, "cayley": self.cayley.tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "FiniteGroup":
@@ -307,7 +307,11 @@ class FiniteGroup:
 
 def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     """Validate a flat multiplication table and derive identity and inverses."""
-    flat = np.ascontiguousarray(cayley, dtype=np.int64).ravel()
+    raw = np.asarray(cayley)
+    if raw.size and raw.dtype.kind not in "iu":
+        raise InputError(
+            f"cayley entries must be integers, got {raw.dtype} values")
+    flat = np.ascontiguousarray(raw, dtype=np.int64).ravel()
     if size is None:
         size = round(len(flat) ** 0.5)
     size = int(size)
@@ -348,37 +352,36 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    """Permutations of {0..n-1} in lexicographic order, product "a then b"."""
-    elems = list(itertools.permutations(range(n)))
-    idx = {p: i for i, p in enumerate(elems)}
-    m = len(elems)
-    C = np.empty((m, m), np.int64)
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            C[i, j] = idx[tuple(b[a[t]] for t in range(n))]
+    """Permutations of {0..n-1} in lexicographic order, product "a then b".
+
+    The product of a and b is t -> b[a[t]].  Each product is ranked by its
+    base-n code, which lexicographic order makes increasing along the list.
+    """
+    P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    m, n = P.shape
+    weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    code = np.zeros((m, m), np.int64)
+    for t in range(n):
+        # code[a, b] accumulates digit t of the product, b[a[t]]
+        code = code * n + P[:, P[:, t]].T
+    C = np.searchsorted(P @ weights, code)
     return group_from_cayley(C.ravel(), size=m)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon; element r^i s^j encoded as 2*i+j."""
-    m = 2 * n
-    C = np.empty((m, m), np.int64)
-    for i1, j1, i2, j2 in itertools.product(range(n), range(2), range(n), range(2)):
-        # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + i2*(-1)^j1) s^(j1+j2)
-        i = (i1 + (i2 if j1 == 0 else -i2)) % n
-        j = (j1 + j2) % 2
-        C[2 * i1 + j1, 2 * i2 + j2] = 2 * i + j
-    return group_from_cayley(C.ravel(), size=m)
+    i1, j1, i2, j2 = np.ix_(np.arange(n), np.arange(2), np.arange(n), np.arange(2))
+    # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + i2*(-1)^j1) s^(j1+j2)
+    i = (i1 + np.where(j1 == 0, i2, -i2)) % n
+    j = (j1 + j2) % 2
+    return group_from_cayley((2 * i + j).ravel(), size=2 * n)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    n = g.size * h.size
-    C = np.empty((n, n), np.int64)
-    for a0, a1, b0, b1 in itertools.product(
-            range(g.size), range(h.size), range(g.size), range(h.size)):
-        C[a0 * h.size + a1, b0 * h.size + b1] = \
-            g.mul(a0, b0) * h.size + h.mul(a1, b1)
-    return group_from_cayley(C.ravel(), size=n)
+    """Product group on pairs (a0, a1) encoded as a0*|h|+a1."""
+    Cg = g.cayley.reshape(g.size, 1, g.size, 1)
+    Ch = h.cayley.reshape(1, h.size, 1, h.size)
+    return group_from_cayley((Cg * h.size + Ch).ravel(), size=g.size * h.size)
 
 
 def digit_map(maps, size: int, arity: int) -> np.ndarray:

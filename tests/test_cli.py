@@ -1,9 +1,13 @@
+import io
 import json
 
+import numpy as np
 import pytest
 
 from selfdist import (OpTable, affine_op, doubling_ternary, f_functor,
-                      make_op_table, twist_op)
+                      heap_op, make_op_table, product_mutual_pair,
+                      symmetric_group, twist_op)
+from selfdist import cli
 from selfdist.braid import BraidWord
 from selfdist.cli import SCHEMA, main
 from selfdist.cocycles import extend, make_cochain
@@ -357,6 +361,21 @@ def test_enumerate_translation_budget(capsys):
     assert rep["artifacts"][0]["content"]["count"] == 36
 
 
+def test_enumerate_translations_refuses_other_kinds(capsys):
+    for kind in ("sd", "all"):
+        code, _, err = run(["enumerate", "--scan", "translations", "--size",
+                            "2", "--kind", kind], capsys)
+        assert code == 2, kind
+        assert "unknown predicate" in err
+    # without --kind a translation scan lists racks, a full scan sd tables
+    for scan, kind in (("translations", "rack"), ("full", "sd")):
+        base = ["enumerate", "--scan", scan, "--size", "3"]
+        code, rep = run_json(base, capsys)
+        assert code == 0
+        assert rep["artifacts"] == run_json(base + ["--kind", kind],
+                                            capsys)[1]["artifacts"]
+
+
 def test_check_axioms_rejects_non_integer_entries(files, capsys):
     for table in ([0.7, 1.2, 0, 1], [True, False, False, True]):
         path = files["root"] / "non_integer.json"
@@ -364,6 +383,20 @@ def test_check_axioms_rejects_non_integer_entries(files, capsys):
         code, _, err = run(["check", "axioms", str(path)], capsys)
         assert code == 2
         assert "integers" in err
+
+
+def test_non_integer_groups_and_cochains_rejected(files, capsys):
+    path = files["root"] / "float_group.json"
+    path.write_text(json.dumps({"size": 2, "cayley": [0, 1, 1, 0.2]}))
+    code, _, err = run(["construct", "heap", "--group", str(path)], capsys)
+    assert code == 2
+    assert "integers" in err
+    path = files["root"] / "float_cochain.json"
+    path.write_text(json.dumps({"nargs": 3, "coeff": [3],
+                                "values": [[0.5]] + [[0]] * 26}))
+    code, _, err = run(["check", "cocycle", files["T3"], str(path)], capsys)
+    assert code == 2
+    assert "integers" in err
 
 
 def test_jobs_below_one_rejected(files, capsys, monkeypatch):
@@ -411,3 +444,111 @@ def test_flags_accepted_after_subcommand(files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["schema"] == SCHEMA
+
+
+# ---------------------------------------------------------------------------
+# output writer: the same bytes as json.dumps(obj, indent=2)
+
+
+def written(obj) -> str:
+    buf = io.StringIO()
+    cli._dump_json(obj, buf)
+    return buf.getvalue()
+
+
+WRITER_CASES = [
+    {}, [], 0, -7, 2.5, None, True, "plain",
+    {"count": 0, "tables": []},
+    {"empty": {}, "nested": [[], [{}], [[1, 2], []]]},
+    {"a\"b\\c\n\t": "caf\u00e9 \u2603 \U0001d11e \x00\x1f </",
+     "list": ["\u00fc", "\"", "\\", "\ud800"]},
+    {"floats": [0.1, -0.0, 1e300, float("inf"), float("-inf"), float("nan")]},
+    {"mixed": [1, "two", 3.0, None, False, [4], {"five": 5}, (6, 7)]},
+    {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+    (1, (2, 3)),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+@pytest.mark.parametrize("obj", WRITER_CASES)
+def test_writer_matches_json_dumps(obj, chunk, monkeypatch):
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    assert written(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_writer_long_list_spans_chunks():
+    table = list(range(300)) * (cli.JSON_CHUNK // 150 + 1)
+    assert len(table) > 2 * cli.JSON_CHUNK
+    obj = {"size": 300, "arity": 2, "table": table, "tail": [table[:5]]}
+    # a plain bool: pytest's diff of two long strings would take minutes
+    same = written(obj) == json.dumps(obj, indent=2) + "\n"
+    assert same
+
+
+def test_writer_converts_numpy_values_only():
+    obj = {"i": np.int64(3), "u": np.uint8(200), "f": np.float32(0.5),
+           "b": np.bool_(True), "a": np.arange(6).reshape(2, 3),
+           "list": [np.int32(1), np.arange(2)], "e": np.zeros((0, 4))}
+    plain = {"i": 3, "u": 200, "f": 0.5, "b": True, "a": [[0, 1, 2], [3, 4, 5]],
+             "list": [1, [0, 1]], "e": []}
+    assert written(obj) == json.dumps(plain, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        written({"bad": object()})
+    with pytest.raises(TypeError):
+        written({(1, 2): "tuple key"})
+
+
+def test_output_file_bytes_one_and_two_artifacts(files, capsys, tmp_path):
+    out_path = tmp_path / "heap.json"
+    code, _, _ = run(["-o", str(out_path), "construct", "heap", "--group",
+                      "symmetric:3"], capsys)
+    assert code == 0
+    assert out_path.read_text() == \
+        json.dumps(heap_op(symmetric_group(3)).as_json(), indent=2) + "\n"
+    out_path = tmp_path / "pair.json"
+    code, _, _ = run(["-o", str(out_path), "construct", "product-pair",
+                      "--op0", files["dih3"], "--op1", files["dih5"]], capsys)
+    assert code == 0
+    a, b = product_mutual_pair(affine_op(3, 2, (2,)), affine_op(5, 2, (2,)))
+    assert out_path.read_text() == \
+        json.dumps({"op0": a.as_json(), "op1": b.as_json()}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [5, 1 << 16])
+def test_inline_report_bytes(files, capsys, chunk, monkeypatch):
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    for argv in (["construct", "heap", "--group", "symmetric:3"],
+                 ["cohomology", "--op", files["dih3"], "--degree", "2",
+                  "--coeff", "3", "--generators"],
+                 ["check", "axioms", files["plus3"]],
+                 ["check", "axioms", files["broken"]]):
+        code, out, _ = run(["--format", "json"] + argv, capsys)
+        assert code in (0, 1, 2)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    code, out, _ = run(["--format", "json", "construct", "heap", "--group",
+                        "symmetric:3"], capsys)
+    content = json.loads(out)["artifacts"][0]["content"]
+    assert content == heap_op(symmetric_group(3)).as_json()
+
+
+def test_report_bytes_escape_paths(files, capsys, tmp_path):
+    path = tmp_path / "gr\u00fcppe \"S3\" \u2603.json"
+    path.write_text(json.dumps(symmetric_group(3).as_json()))
+    code, out, _ = run(["--format", "json", "construct", "heap", "--group",
+                        str(path)], capsys)
+    assert code == 0
+    assert str(path) in json.loads(out)["command"]
+    assert "\\u00fc" in out and "\\\"S3\\\"" in out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_human_summaries_unchanged(files, capsys):
+    code, out, _ = run(["construct", "heap", "--group", "cyclic:3"], capsys)
+    assert out.splitlines()[0] == \
+        "table: size 3 arity 3 012201120120012201201120012"
+    code, out, _ = run(["braid", "act", "--op", files["dih3"], "--word",
+                        "1,-2", "--input", "0,1,2"], capsys)
+    assert out.splitlines()[0] == \
+        'action: {"input": [0, 1, 2], "word": [1, -2], "output": [1, 2, 2]}'
+    assert cli._summary({"gens": np.arange(3), "n": np.int64(2)}) == \
+        '{"gens": [0, 1, 2], "n": 2}'

@@ -1,14 +1,16 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
-from selfdist import (InputError, PreconditionError, affine_op,
+from selfdist import (FiniteGroup, InputError, PreconditionError, affine_op,
                       affine_ternary_compat_conditions, are_compatible_ternary,
                       are_mutually_distributive, augmented_ternary,
                       commuting_automorphisms, compose_mn, conj_quandle,
-                      core_quandle, cyclic_group, dihedral_group, doubling_binary,
+                      core_quandle, cyclic_group, dihedral_group,
+                      direct_product, doubling_binary,
                       doubling_ternary, evaluate, f_functor, g_functor,
                       generalized_alexander, heap_op, is_nary_distributive,
                       is_quandle, is_rack, make_op_table, monoid_product,
@@ -95,6 +97,78 @@ def test_generalized_alexander():
         generalized_alexander(g, [1, 0, 2, 3, 4])   # not a homomorphism
     with pytest.raises(InputError):
         generalized_alexander(g, [0, 0, 1, 2, 3])   # not a permutation
+
+
+# per-entry reference formulas for the gather builders
+
+
+def conj_ref(g):
+    return make_op_table(g.size, 2, lambda a, b: g.mul(g.inv(b), g.mul(a, b)))
+
+
+def core_ref(g):
+    return make_op_table(g.size, 2, lambda a, b: g.mul(b, g.mul(g.inv(a), b)))
+
+
+def heap_ref(g):
+    return make_op_table(g.size, 3,
+                         lambda x, y0, y1: g.mul(g.mul(x, g.inv(y0)), y1))
+
+
+def alexander_ref(g, f):
+    return make_op_table(g.size, 2,
+                         lambda x, y: g.mul(int(f[g.mul(x, g.inv(y))]), y))
+
+
+def relabeled_group_json(g, seed):
+    """A group file whose identity is not 0: g's table under a seeded relabeling."""
+    p = list(range(g.size))
+    random.Random(seed).shuffle(p)
+    C = g.cayley.reshape(g.size, g.size)
+    cayley = [0] * (g.size * g.size)
+    for a in range(g.size):
+        for b in range(g.size):
+            cayley[p[a] * g.size + p[b]] = p[int(C[a, b])]
+    return FiniteGroup.from_json(json.loads(json.dumps(
+        {"size": g.size, "cayley": cayley})))
+
+
+def oracle_groups():
+    return ([cyclic_group(n) for n in range(1, 8)]
+            + [dihedral_group(n) for n in range(3, 7)]
+            + [symmetric_group(3), symmetric_group(4),
+               direct_product(symmetric_group(3), cyclic_group(4)),
+               relabeled_group_json(direct_product(symmetric_group(3),
+                                                   cyclic_group(2)), 5)])
+
+
+def inner_automorphism(g, h):
+    """x -> h^-1 x h as a permutation of the group."""
+    return [g.mul(g.mul(g.inv(h), x), h) for x in range(g.size)]
+
+
+def test_group_builders_match_per_entry_oracles():
+    groups = oracle_groups()
+    assert groups[-1].identity != 0
+    for g in groups:
+        for build, ref, name in ((conj_quandle, conj_ref, "conjugation"),
+                                 (core_quandle, core_ref, "core"),
+                                 (heap_op, heap_ref, "heap")):
+            op = build(g)
+            assert op == ref(g)
+            assert op.meta == {"construction": name}
+        # every element's inner automorphism, the identity map included
+        for h in range(g.size):
+            f = inner_automorphism(g, h)
+            op = generalized_alexander(g, f)
+            assert op == alexander_ref(g, f)
+            assert op.meta == {"construction": "generalized_alexander"}
+    s4 = symmetric_group(4)
+    assert inner_automorphism(s4, 5) != list(range(24))
+    # an outer automorphism: multiplication by the unit 3 on Z7
+    f = [(3 * x) % 7 for x in range(7)]
+    assert generalized_alexander(cyclic_group(7), f) == \
+        alexander_ref(cyclic_group(7), f)
 
 
 def test_power_op():

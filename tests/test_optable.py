@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from selfdist import (FiniteGroup, InputError, OpTable, are_compatible_ternary,
                       are_mutually_distributive, cyclic_group, dihedral_group,
-                      evaluate, exchange_holds, group_from_cayley,
+                      direct_product, evaluate, exchange_holds, group_from_cayley,
                       heap_vs_core_directional, inverse_translations,
                       is_nary_distributive, is_quandle, is_rack, make_op_table,
                       relabel, symmetric_group)
@@ -291,6 +292,72 @@ def test_group_validation():
         group_from_cayley([1, 0, 0, 0], size=2)    # no identity row/col pair
     with pytest.raises(InputError):
         group_from_cayley([0, 1, 2, 3], size=2)    # out of range
+
+
+def test_group_non_integer_entries_rejected():
+    # truncation would turn [0.0, 1.0, 1.0, 0.2] into the Z2 table
+    for cayley in ([0.0, 1.0, 1.0, 0.2], [0.0, 1.0, 1.0, 0.0],
+                   [False, True, True, False], ["0", "1", "1", "0"],
+                   [0, 1, 1, 10 ** 30]):
+        with pytest.raises(InputError, match="integers"):
+            group_from_cayley(cayley)
+    with pytest.raises(InputError, match="integers"):
+        FiniteGroup.from_json({"size": 2, "cayley": [0, 1, 1, 0.5]})
+    for dtype in (np.uint8, np.int32):
+        g = group_from_cayley(np.array([0, 1, 1, 0], dtype=dtype))
+        assert g.cayley.tolist() == [0, 1, 1, 0]
+
+
+# loop oracles for the broadcast group builders
+
+
+def symmetric_group_ref(n):
+    elems = list(itertools.permutations(range(n)))
+    idx = {p: i for i, p in enumerate(elems)}
+    return [idx[tuple(b[a[t]] for t in range(n))] for a in elems for b in elems]
+
+
+def dihedral_group_ref(n):
+    C = np.empty((2 * n, 2 * n), np.int64)
+    for i1, j1, i2, j2 in itertools.product(range(n), range(2), range(n), range(2)):
+        i = (i1 + (i2 if j1 == 0 else -i2)) % n
+        C[2 * i1 + j1, 2 * i2 + j2] = 2 * i + (j1 + j2) % 2
+    return C.ravel().tolist()
+
+
+def direct_product_ref(g, h):
+    n = g.size * h.size
+    C = np.empty((n, n), np.int64)
+    for a0, a1, b0, b1 in itertools.product(
+            range(g.size), range(h.size), range(g.size), range(h.size)):
+        C[a0 * h.size + a1, b0 * h.size + b1] = \
+            g.mul(a0, b0) * h.size + h.mul(a1, b1)
+    return C.ravel().tolist()
+
+
+def assert_inverses(g):
+    for a in range(g.size):
+        assert g.mul(a, g.inv(a)) == g.identity == g.mul(g.inv(a), a)
+
+
+def test_group_builders_match_loop_oracles():
+    for n in range(6):
+        g = symmetric_group(n)
+        assert g.cayley.tolist() == symmetric_group_ref(n)
+        assert_inverses(g)
+    for n in range(1, 9):
+        g = dihedral_group(n)
+        assert g.cayley.tolist() == dihedral_group_ref(n)
+        assert_inverses(g)
+    for g, h in ((symmetric_group(3), cyclic_group(4)),
+                 (dihedral_group(3), symmetric_group(3)),
+                 (cyclic_group(1), dihedral_group(4)),
+                 (cyclic_group(2), cyclic_group(3))):
+        gh = direct_product(g, h)
+        assert gh.cayley.tolist() == direct_product_ref(g, h)
+        assert_inverses(gh)
+    with pytest.raises(InputError):
+        dihedral_group(0)
 
 
 def test_group_product_convention():
