@@ -27,8 +27,8 @@ from . import kernels
 from .homology import _digit_grid, boundary_matrix, solve_mod
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
-                      index_to_tuple, is_nary_distributive, is_rack,
-                      tuple_to_index)
+                      index_to_tuple, integer_array, is_nary_distributive,
+                      is_rack, tuple_to_index)
 from .constructions import (PreconditionError, _require, doubling_binary,
                             doubling_ternary, f_functor, g_functor, power_op)
 
@@ -133,12 +133,7 @@ class Cochain:
         coeff = coeff_group(coeff)
         if size < 1 or nargs < 1:
             raise InputError("cochain needs size >= 1 and nargs >= 1")
-        raw = np.asarray(values)
-        if raw.size and raw.dtype.kind not in "iu":
-            # floats and bools would otherwise be truncated to other values
-            raise InputError(
-                f"cochain values must be integers, got {raw.dtype} values")
-        arr = np.asarray(raw, dtype=np.int64)
+        arr = integer_array(values, "cochain values")
         if arr.ndim == 1 and coeff.rank == 1:
             arr = arr[:, None]
         if arr.ndim != 2 or arr.shape[1] != coeff.rank:
@@ -244,33 +239,13 @@ def _same_coeff(*cochains):
 # ---------------------------------------------------------------------------
 # cocycle conditions
 
-def _degree2_witness(op, c, flat, factor):
-    k = op.arity
-    N = op.size
-    args = index_to_tuple(flat, N, 2 * k - 1)
-    x, ys, zs = args[0], args[1:k], args[k:]
-    d = c.coeff.factors[factor]
-
-    def f(*a):
-        return int(c.values[tuple_to_index(a, N), factor])
-
-    def w(*a):
-        return int(op.table[tuple_to_index(a, N)])
-
-    lhs = f(x, *ys) + f(w(x, *ys), *zs)
-    acted = tuple(w(y, *zs) for y in ys)
-    rhs = f(x, *zs) + f(w(x, *zs), *acted)
-    return Counterexample(args, lhs % d, rhs % d)
-
-
 def _degree2_check(c: Cochain, op: OpTable) -> CheckResult:
-    N = op.size
     for fi, d in enumerate(c.coeff.factors):
-        flat = kernels.nary_cocycle_scan(op.table,
-                                         np.ascontiguousarray(c.values[:, fi]),
-                                         N, op.arity, d)
+        args = (op.table, np.ascontiguousarray(c.values[:, fi]), op.size,
+                op.arity, d)
+        flat = kernels.nary_cocycle_scan(*args)
         if flat >= 0:
-            cex = _degree2_witness(op, c, flat, fi)
+            cex = Counterexample(*kernels.witness(kernels.cocycle_law(*args), flat))
             return CheckResult(False, cex,
                                f"cocycle condition fails in factor {fi}")
     return OK
@@ -307,23 +282,16 @@ def are_mutually_distributive_cocycles(phi0: Cochain, phi1: Cochain,
              "operations are mutually distributive")
     _require(is_binary_2cocycle(phi0, op0), "first cochain is a cocycle")
     _require(is_binary_2cocycle(phi1, op1), "second cochain is a cocycle")
-    N = op0.size
-    s0, s1 = op0.table.reshape(N, N), op1.table.reshape(N, N)
-    f0, f1 = phi0.values, phi1.values
     for fi, d in enumerate(phi0.coeff.factors):
         for which in (1, 2):
-            flat = kernels.mutual_cocycle_scan(
-                op0.table, op1.table,
-                np.ascontiguousarray(f0[:, fi]),
-                np.ascontiguousarray(f1[:, fi]), N, d, which)
+            args = (op0.table, op1.table,
+                    np.ascontiguousarray(phi0.values[:, fi]),
+                    np.ascontiguousarray(phi1.values[:, fi]), op0.size, d, which)
+            flat = kernels.mutual_cocycle_scan(*args)
             if flat >= 0:
-                x, y, z = index_to_tuple(flat, N, 3)
-                a, b = (f0, f1) if which == 1 else (f1, f0)
-                sa, sb = (s0, s1) if which == 1 else (s1, s0)
-                lhs = int(a[x * N + y, fi]) + int(b[sa[x, y] * N + z, fi])
-                rhs = int(b[x * N + z, fi]) + int(a[sb[x, z] * N + sb[y, z], fi])
+                law = kernels.mutual_cocycle_law(*args)
                 return CheckResult(
-                    False, Counterexample((x, y, z), lhs % d, rhs % d),
+                    False, Counterexample(*kernels.witness(law, flat)),
                     f"mixed condition {which} fails in factor {fi}")
     return OK
 
@@ -346,44 +314,19 @@ def are_compatible_ternary_cocycles(psi0: Cochain, psi1: Cochain,
     _require(are_compatible_ternary(T0, T1), "operations are compatible")
     _require(is_ternary_2cocycle(psi0, T0), "first cochain is a cocycle")
     _require(is_ternary_2cocycle(psi1, T1), "second cochain is a cocycle")
-    N = T0.size
     for fi, d in enumerate(psi0.coeff.factors):
         for which in (1, 2):
-            flat = kernels.compat_cocycle_scan(
-                T0.table, T1.table,
-                np.ascontiguousarray(psi0.values[:, fi]),
-                np.ascontiguousarray(psi1.values[:, fi]),
-                N, d, which, literal=literal)
+            args = (T0.table, T1.table,
+                    np.ascontiguousarray(psi0.values[:, fi]),
+                    np.ascontiguousarray(psi1.values[:, fi]), T0.size, d, which,
+                    literal)
+            flat = kernels.compat_cocycle_scan(*args)
             if flat >= 0:
-                args = index_to_tuple(flat, N, 6)
+                law = kernels.compat_cocycle_law(*args)
                 return CheckResult(
-                    False, _compat_witness(T0, T1, psi0, psi1, args, fi,
-                                           which, literal),
+                    False, Counterexample(*kernels.witness(law, flat)),
                     f"pair condition {which} fails in factor {fi}")
     return OK
-
-
-def _compat_witness(T0, T1, psi0, psi1, args, fi, which, literal):
-    N = T0.size
-    x0, x1, y0, y1, z0, z1 = args
-    d = psi0.coeff.factors[fi]
-
-    def v(c, *a):
-        return int(c.values[tuple_to_index(a, N), fi])
-
-    def t(op, *a):
-        return int(op.table[tuple_to_index(a, N)])
-
-    ay = t(T0, y0, z0, z1)
-    by = t(T1, y1, z0, z1)
-    if which == 1:
-        lhs = v(psi0, x0, y0, y1) + v(psi1, t(T1, x1, y0, y1), z0, z1)
-        rhs = v(psi1, x1, z0, z1) + v(psi0, t(T0, x0, z0, z1), ay, by)
-    else:
-        lead = x0 if literal else x1
-        lhs = v(psi1, x1, y0, y1) + v(psi0, t(T0, x0, y0, y1), z0, z1)
-        rhs = v(psi0, x0, z0, z1) + v(psi1, t(T1, lead, z0, z1), ay, by)
-    return Counterexample(args, lhs % d, rhs % d)
 
 
 # ---------------------------------------------------------------------------
@@ -551,14 +494,19 @@ class SES:
 
     def __init__(self, sub, total, quotient, inclusion, projection, section):
         sub, total, quotient = (coeff_group(g) for g in (sub, total, quotient))
-        inc = np.asarray(inclusion, dtype=np.int64)
-        proj = np.asarray(projection, dtype=np.int64)
-        sec = np.asarray(section, dtype=np.int64)
+        inc = integer_array(inclusion, "inclusion entries")
+        proj = integer_array(projection, "projection entries")
+        sec = integer_array(section, "section entries")
         if inc.shape != (sub.order,) or proj.shape != (total.order,) \
                 or sec.shape != (quotient.order,):
             raise InputError("map tables have wrong lengths")
         if total.order != sub.order * quotient.order:
             raise InputError("total order must be |sub| * |quotient|")
+        for what, arr, dst in (("inclusion", inc, total),
+                               ("projection", proj, quotient),
+                               ("section", sec, total)):
+            if arr.size and (arr.min() < 0 or arr.max() >= dst.order):
+                raise InputError(f"{what} entry outside 0..{dst.order - 1}")
         _check_hom(sub, total, inc, "inclusion")
         _check_hom(total, quotient, proj, "projection")
         if len(set(int(v) for v in inc)) != sub.order:

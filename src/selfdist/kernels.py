@@ -1,400 +1,260 @@
-"""Scan kernels for axiom and cocycle checks over finite operation tables.
+"""One numpy scan engine for the two-sided laws of finite operation tables.
 
-Every scan walks argument tuples in lexicographic order (first argument most
-significant) and returns the flat index of the first failing tuple, or -1 when
-the property holds everywhere.  Two interchangeable backends exist: numba
-jitted loops and vectorized numpy.  Set SELFDIST_PURE_NUMPY=1 to force the
-numpy path; both produce identical results, including the failure index.
+Every law checked here has one shape: x acted on by y, then by z, against x
+acted on by z, then by y acted on by z.  A `Law` states one instance of it:
+n-ary self-distributivity and the exchange law, ternary compatibility, the
+degree-2 cocycle condition, and the paired cocycle conditions.
+
+A law is evaluated in row form.  Given a block of leading coordinates
+(x.., y_1..y_{m-1}), `_sides` fills the (lhs, rhs) rows over every trailing
+z-tuple, so each inner lookup is a row gather of table.reshape(N, N**(k-1)).
+`_scan` walks the leading tuples in blocks of at most `_SLAB` row entries
+(at least one row), writing into three int64 buffers and a bool buffer of
+that size which it reuses from block to block.  A scan's memory beyond its
+tables is therefore bounded by `_SLAB`, not by the number of tuples.
+`witness` evaluates the same rows at one failing tuple.
+
+Scans return the flat index of the first failing tuple in lexicographic
+order (first coordinate most significant), or -1 when the law holds.
+Cocycle laws compare modulo d.  `_scan(law, jobs)` splits the range of the
+first coordinate over `jobs` threads, each with its own buffers; the exchange
+and compatibility scans take `jobs` from their callers.
+
+The gathers use np.take(mode="clip"), which is exact only for in-range
+indices, so each table is checked to hold entries in 0..N-1, and each
+cochain entries in 0..d-1, once per law.
 """
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
-_FORCE_NUMPY = bool(os.environ.get("SELFDIST_PURE_NUMPY"))
+# Numba is no longer a backend.  The flag stays because the benchmark's
+# machine block reads it on every run.
+USING_NUMBA = False
 
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numpy backend forced by SELFDIST_PURE_NUMPY")
-    from numba import njit
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        return wrap
+# most entries of one block of (lhs, rhs) rows; each worker holds three int64
+# buffers and one bool buffer of this many entries.  Buffers that stay in
+# cache scan the order-24..40 heaps fastest: on a 2-core Xeon with 4 MiB of
+# L2, 2^16 entries beat 2^21 by 1.4-1.8x.
+_SLAB = 1 << 16
 
 
-# slab size (elements) for the chunked numpy fallbacks
-_SLAB = 1 << 21
+class Law(NamedTuple):
+    """x acted on by y, then by z  ==  x acted on by z, then by y acted on by z.
+
+    A table law (d == 0) compares
+        opz(opy(x, y), z)  with  opy(opz(x, z), acts_1(y_1, z), ...)
+    exactly.  A cocycle law (d > 0) compares
+        cy(x, y) + cz(opy(x, y), z)  with  cz(x, z) + cy(opz(x, z), acts_1(y_1, z), ...)
+    modulo d.  Tuples are (x.., y_1, ..., y_{m-1}, z) with z an (n-1)-tail,
+    where m is the arity of opy and n that of opz and the acts.  With two x
+    coordinates, `pick` names the one read by (opy and cz, opz, cy).
+    """
+    N: int
+    opy: np.ndarray
+    opz: np.ndarray
+    acts: tuple
+    cy: np.ndarray | None = None
+    cz: np.ndarray | None = None
+    d: int = 0
+    pick: tuple = (0, 0, 0)
+
+    @property
+    def lead(self) -> int:
+        """Number of leading coordinates: the x coordinates, then y_1..y_{m-1}."""
+        return max(self.pick) + 1 + len(self.acts)
+
+    @property
+    def tail(self) -> int:
+        """Number of z-tuples, N^(n-1)."""
+        return len(self.opz) // self.N
+
+    @property
+    def heads(self) -> int:
+        """Number of y-tuples, N^(m-1)."""
+        return self.N ** len(self.acts)
 
 
-@njit(cache=True, nogil=True)
-def _exchange_range_njit(tm, tn, N, m, n, x_lo, x_hi):
-    Pm = N ** (m - 1)
-    Pn = N ** (n - 1)
-    ydig = np.empty(m - 1, np.int64)
-    for x in range(x_lo, x_hi):
-        for yi in range(Pm):
-            rem = yi
-            for j in range(m - 2, -1, -1):
-                ydig[j] = rem % N
-                rem //= N
-            a = tm[x * Pm + yi]
-            for zi in range(Pn):
-                lhs = tn[a * Pn + zi]
-                idx = tn[x * Pn + zi]
-                for j in range(m - 1):
-                    idx = idx * N + tn[ydig[j] * Pn + zi]
-                if lhs != tm[idx]:
-                    return (x * Pm + yi) * Pn + zi
+def _entries(values, length, hi, what):
+    """values as a contiguous int64 array of `length` entries in 0..hi-1."""
+    from .optable import InputError  # optable imports this module
+    arr = np.ascontiguousarray(values, dtype=np.int64).ravel()
+    if arr.shape[0] != length:
+        raise InputError(f"{what} has {arr.shape[0]} entries, expected {length}")
+    if arr.size and (arr.min() < 0 or arr.max() >= hi):
+        raise InputError(f"{what} has an entry outside 0..{hi - 1}")
+    return arr
+
+
+def exchange_law(tm, tn, N, m, n):
+    """tn(tm(x, y), z) == tm(tn(x, z), tn(y_1, z), ..., tn(y_{m-1}, z))."""
+    tm = _entries(tm, N ** m, N, "outer table")
+    tn = _entries(tn, N ** n, N, "acting table")
+    return Law(N, tm, tn, (tn,) * (m - 1))
+
+
+def compat_law(A, B, N, which):
+    """T(T(x, y0, y1), z) == T(T(x, z), A(y0, z), B(y1, z)), z = (z0, z1).
+
+    T is A for identity 1 and B for identity 2.
+    """
+    A = _entries(A, N ** 3, N, "first table")
+    B = _entries(B, N ** 3, N, "second table")
+    T = A if which == 1 else B
+    return Law(N, T, T, (A, B))
+
+
+def cocycle_law(W, phi, N, k, d):
+    """phi(x, y) + phi(W(x, y), z) == phi(x, z) + phi(W(x, z), W(y_1, z), ...) mod d."""
+    W = _entries(W, N ** k, N, "operation table")
+    phi = _entries(phi, N ** k, d, "cochain")
+    return Law(N, W, W, (W,) * (k - 1), phi, phi, d)
+
+
+def mutual_cocycle_law(t0, t1, p0, p1, N, d, which):
+    """Condition 1: p0(x, y) + p1(t0(x, y), z) == p1(x, z) + p0(t1(x, z), t1(y, z)) mod d.
+
+    Condition 2 swaps the roles of (t0, p0) and (t1, p1).
+    """
+    t0, t1 = (_entries(t, N * N, N, "operation table") for t in (t0, t1))
+    p0, p1 = (_entries(p, N * N, d, "cochain") for p in (p0, p1))
+    if which == 2:
+        t0, t1, p0, p1 = t1, t0, p1, p0
+    return Law(N, t0, t1, (t1,), p0, p1, d)
+
+
+def compat_cocycle_law(A, B, s0, s1, N, d, which, literal=False):
+    """Paired conditions on tuples (x0, x1, y0, y1, z0, z1), modulo d, y = (y0, y1):
+
+    1: s0(x0, y) + s1(B(x1, y), z) == s1(x1, z) + s0(A(x0, z), A(y0, z), B(y1, z))
+    2: s1(x1, y) + s0(A(x0, y), z) == s0(x0, z) + s1(B(x1, z), A(y0, z), B(y1, z))
+
+    `literal` reads B(x0, z) in place of B(x1, z) in condition 2.
+    """
+    A, B = (_entries(t, N ** 3, N, "operation table") for t in (A, B))
+    s0, s1 = (_entries(s, N ** 3, d, "cochain") for s in (s0, s1))
+    if which == 1:
+        return Law(N, B, A, (A, B), s0, s1, d, pick=(1, 0, 0))
+    return Law(N, A, B, (A, B), s1, s0, d, pick=(0, 0 if literal else 1, 1))
+
+
+def _digits(r, N, count):
+    """Base-N digits of the flat indices r, most significant first."""
+    return [r // N ** p % N for p in range(count - 1, -1, -1)]
+
+
+def _sides(law, r, L, R, T):
+    """(lhs, rhs) rows over every z for the leading tuples with flat indices r.
+
+    L, R and T are (len(r), tail) buffers; lhs is L and rhs is T.
+    """
+    N, rows, heads = law.N, law.tail, law.heads
+    lead = _digits(r, N, law.lead)
+    y = r % heads
+    xy, xz, xc = (lead[i] for i in law.pick)
+    # what each path reads last: the cochains of a cocycle law, else the tables
+    vz, vy = (law.cz, law.cy) if law.d else (law.opz, law.opy)
+    # x acted on by y, then by z
+    np.take(vz.reshape(N, rows), law.opy[xy * heads + y], axis=0, out=L,
+            mode="clip")
+    # x acted on by z, then by each y_j acted on by z
+    np.take(law.opz.reshape(N, rows), xz, axis=0, out=R, mode="clip")
+    for act, yj in zip(law.acts, lead[law.lead - len(law.acts):]):
+        R *= N
+        R += np.take(act.reshape(N, rows), yj, axis=0, out=T, mode="clip")
+    np.take(vy, R, out=T, mode="clip")
+    if law.d:
+        L += law.cy[xc * heads + y][:, None]
+        T += np.take(law.cz.reshape(N, rows), xy, axis=0, out=R, mode="clip")
+    return L, T
+
+
+def _scan_range(law, lo, hi):
+    """First failing flat index among leading tuples lo..hi-1, or -1."""
+    rows = law.tail
+    block = max(1, min(hi - lo, _SLAB // rows))
+    L, R, T = (np.empty((block, rows), np.int64) for _ in range(3))
+    bad = np.empty((block, rows), bool)
+    for start in range(lo, hi, block):
+        b = min(block, hi - start)
+        lhs, rhs = _sides(law, np.arange(start, start + b), L[:b], R[:b], T[:b])
+        if law.d:
+            lhs -= rhs
+            lhs %= law.d
+            rhs = 0
+        hit = np.not_equal(lhs, rhs, out=bad[:b])
+        i = int(hit.argmax())
+        if hit.flat[i]:
+            return start * rows + i
     return -1
 
 
-def _exchange_range_numpy(tm, tn, N, m, n, x_lo, x_hi):
-    Pm = N ** (m - 1)
-    Pn = N ** (n - 1)
-    inner_m = tm.reshape(N, Pm)
-    inner_n = tn.reshape(N, Pn)
-    ycap = max(1, _SLAB // Pn)
-    for x in range(x_lo, x_hi):
-        row_m = inner_m[x]
-        xz = inner_n[x]
-        for ylo in range(0, Pm, ycap):
-            yhi = min(ylo + ycap, Pm)
-            yis = np.arange(ylo, yhi)
-            lhs = inner_n[row_m[ylo:yhi]]
-            idx = np.empty((yhi - ylo, Pn), np.int64)
-            idx[:] = xz[None, :]
-            for j in range(m - 1):
-                p = N ** (m - 2 - j)
-                idx *= N
-                idx += inner_n[(yis // p) % N]
-            bad = np.flatnonzero(lhs != tm[idx])
-            if bad.size:
-                return (x * Pm + ylo) * Pn + int(bad[0])
-    return -1
+def _scan(law, jobs=1):
+    """First failing flat index of the law over all tuples, or -1."""
+    N = law.N
+    per_x = N ** (law.lead - 1)
+    jobs = min(jobs or 1, N)
+    if jobs <= 1:
+        return _scan_range(law, 0, N * per_x)
+    bounds = [N * i // jobs * per_x for i in range(jobs + 1)]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        hits = list(pool.map(lambda i: _scan_range(law, bounds[i], bounds[i + 1]),
+                             range(jobs)))
+    hits = [h for h in hits if h >= 0]
+    return min(hits) if hits else -1
+
+
+def witness(law, flat):
+    """(tuple, lhs, rhs) of the law at a flat tuple index; cocycle sides mod d."""
+    rows = law.tail
+    r, z = divmod(int(flat), rows)
+    L, R, T = (np.empty((1, rows), np.int64) for _ in range(3))
+    lhs, rhs = _sides(law, np.array([r]), L, R, T)
+    lhs, rhs = int(lhs[0, z]), int(rhs[0, z])
+    if law.d:
+        lhs, rhs = lhs % law.d, rhs % law.d
+    count = law.lead
+    while law.N ** (count - law.lead) < rows:
+        count += 1
+    return tuple(_digits(int(flat), law.N, count)), lhs, rhs
 
 
 def exchange_scan(tm, tn, N, m, n, jobs=1):
-    """First (x, y.., z..) tuple index violating the exchange law of tm over tn.
-
-    The law: tn(tm(x, y), z) == tm(tn(x, z), tn(y_1, z), ..., tn(y_{m-1}, z)).
-    """
-    tm = np.ascontiguousarray(tm, dtype=np.int64)
-    tn = np.ascontiguousarray(tn, dtype=np.int64)
-    rng = _exchange_range_njit if USING_NUMBA else _exchange_range_numpy
-    if jobs is None:
-        jobs = 1
-    if jobs > 1 and N >= 2:
-        bounds = np.linspace(0, N, min(jobs, N) + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = list(pool.map(
-                lambda b: int(rng(tm, tn, N, m, n, int(b[0]), int(b[1]))),
-                zip(bounds[:-1], bounds[1:])))
-        hits = [h for h in hits if h >= 0]
-        return min(hits) if hits else -1
-    return int(rng(tm, tn, N, m, n, 0, N))
+    """First (x, y.., z..) index violating `exchange_law`, or -1."""
+    return _scan(exchange_law(tm, tn, N, m, n), jobs)
 
 
-def exchange_sample(tm, tn, N, m, n, tuples):
-    """Exchange law checked only at the given (S, m+n-1) tuple rows.
-
-    Returns the first failing row index, or -1.  Pure numpy; sample sets are
-    small enough that no jitted path is needed.
-    """
-    tm = np.ascontiguousarray(tm, dtype=np.int64)
-    tn = np.ascontiguousarray(tn, dtype=np.int64)
-    tuples = np.asarray(tuples, dtype=np.int64)
-    Pm = N ** (m - 1)
-    Pn = N ** (n - 1)
-    x = tuples[:, 0]
-    yi = np.zeros(len(tuples), np.int64)
-    for j in range(m - 1):
-        yi = yi * N + tuples[:, 1 + j]
-    zi = np.zeros(len(tuples), np.int64)
-    for j in range(n - 1):
-        zi = zi * N + tuples[:, m + j]
-    lhs = tn[tm[x * Pm + yi] * Pn + zi]
-    idx = tn[x * Pn + zi]
-    for j in range(m - 1):
-        idx = idx * N + tn[tuples[:, 1 + j] * Pn + zi]
-    bad = np.flatnonzero(lhs != tm[idx])
-    return int(bad[0]) if bad.size else -1
-
-
-@njit(cache=True, nogil=True)
-def _translation_scan_njit(table, N, P):
-    seen = np.empty(N, np.int64)
-    for t in range(P):
-        for v in range(N):
-            seen[v] = 0
-        for x in range(N):
-            v = table[x * P + t]
-            if seen[v] == 1:
-                return t
-            seen[v] = 1
-    return -1
-
-
-def _translation_scan_numpy(table, N, P):
-    cols = np.sort(table.reshape(N, P), axis=0)
-    ok = (cols == np.arange(N)[:, None]).all(axis=0)
-    bad = np.flatnonzero(~ok)
-    return int(bad[0]) if bad.size else -1
-
-
-def translation_scan(table, N, k):
-    """First tail-tuple index whose translation x -> W(x, tail) is not a bijection."""
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    P = N ** (k - 1)
-    if USING_NUMBA:
-        return int(_translation_scan_njit(table, N, P))
-    return _translation_scan_numpy(table, N, P)
-
-
-@njit(cache=True, nogil=True)
-def _compat_scan_njit(A, B, N, which):
-    N2 = N * N
-    for x in range(N):
-        for y0 in range(N):
-            for y1 in range(N):
-                ay = A[(x * N + y0) * N + y1]
-                by = B[(x * N + y0) * N + y1]
-                for z0 in range(N):
-                    for z1 in range(N):
-                        az_y0 = A[(y0 * N + z0) * N + z1]
-                        bz_y1 = B[(y1 * N + z0) * N + z1]
-                        if which == 1:
-                            l = A[(ay * N + z0) * N + z1]
-                            r = A[(A[(x * N + z0) * N + z1] * N + az_y0) * N + bz_y1]
-                        else:
-                            l = B[(by * N + z0) * N + z1]
-                            r = B[(B[(x * N + z0) * N + z1] * N + az_y0) * N + bz_y1]
-                        if l != r:
-                            return ((x * N + y0) * N + y1) * N2 + z0 * N + z1
-    return -1
-
-
-def _compat_scan_numpy(A, B, N, which):
-    A3 = A.reshape(N, N, N)
-    B3 = B.reshape(N, N, N)
-    x = np.arange(N)[:, None, None, None, None]
-    y0 = np.arange(N)[None, :, None, None, None]
-    y1 = np.arange(N)[None, None, :, None, None]
-    z0 = np.arange(N)[None, None, None, :, None]
-    z1 = np.arange(N)[None, None, None, None, :]
-    T = A3 if which == 1 else B3
-    l = T[T[x, y0, y1], z0, z1]
-    r = T[T[x, z0, z1], A3[y0, z0, z1], B3[y1, z0, z1]]
-    bad = np.flatnonzero(l != r)
-    return int(bad[0]) if bad.size else -1
-
-
-def compat_scan(A, B, N, which):
-    """First (x, y0, y1, z0, z1) violating ternary compatibility identity 1 or 2."""
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    B = np.ascontiguousarray(B, dtype=np.int64)
-    if USING_NUMBA:
-        return int(_compat_scan_njit(A, B, N, which))
-    return _compat_scan_numpy(A, B, N, which)
-
-
-@njit(cache=True, nogil=True)
-def _nary_cocycle_scan_njit(W, phi, N, k, d):
-    P = N ** (k - 1)
-    ydig = np.empty(k - 1, np.int64)
-    for x in range(N):
-        for yi in range(P):
-            rem = yi
-            for j in range(k - 2, -1, -1):
-                ydig[j] = rem % N
-                rem //= N
-            a = W[x * P + yi]
-            pxy = phi[x * P + yi]
-            for zi in range(P):
-                lhs = pxy + phi[a * P + zi]
-                idx = W[x * P + zi]
-                for j in range(k - 1):
-                    idx = idx * N + W[ydig[j] * P + zi]
-                rhs = phi[x * P + zi] + phi[idx]
-                if (lhs - rhs) % d != 0:
-                    return (x * P + yi) * P + zi
-    return -1
-
-
-def _nary_cocycle_scan_numpy(W, phi, N, k, d):
-    P = N ** (k - 1)
-    innerW = W.reshape(N, P)
-    innerF = phi.reshape(N, P)
-    ycap = max(1, _SLAB // P)
-    for x in range(N):
-        rowW = innerW[x]
-        rowF = innerF[x]
-        xz = innerW[x]
-        for ylo in range(0, P, ycap):
-            yhi = min(ylo + ycap, P)
-            yis = np.arange(ylo, yhi)
-            lhs = rowF[ylo:yhi, None] + innerF[rowW[ylo:yhi]]
-            idx = np.empty((yhi - ylo, P), np.int64)
-            idx[:] = xz[None, :]
-            for j in range(k - 1):
-                p = N ** (k - 2 - j)
-                idx *= N
-                idx += innerW[(yis // p) % N]
-            rhs = rowF[None, :] + phi[idx]
-            bad = np.flatnonzero((lhs - rhs) % d != 0)
-            if bad.size:
-                return (x * P + ylo) * P + int(bad[0])
-    return -1
+def compat_scan(A, B, N, which, jobs=1):
+    """First (x, y0, y1, z0, z1) index violating `compat_law` identity 1 or 2, or -1."""
+    return _scan(compat_law(A, B, N, which), jobs)
 
 
 def nary_cocycle_scan(W, phi, N, k, d):
-    """First (x, y.., z..) violating the degree-2 cocycle condition of phi over W.
-
-    The condition: phi(x,y) + phi(W(x,y), z) == phi(x,z) + phi(W(x,z), W(y_j,z)..)
-    modulo d, scanned over all N^(2k-1) tuples.
-    """
-    W = np.ascontiguousarray(W, dtype=np.int64)
-    phi = np.ascontiguousarray(phi, dtype=np.int64)
-    if USING_NUMBA:
-        return int(_nary_cocycle_scan_njit(W, phi, N, k, d))
-    return _nary_cocycle_scan_numpy(W, phi, N, k, d)
-
-
-@njit(cache=True, nogil=True)
-def _mutual_cocycle_scan_njit(t0, t1, p0, p1, N, d, which):
-    for x in range(N):
-        for y in range(N):
-            for z in range(N):
-                if which == 1:
-                    l = p0[x * N + y] + p1[t0[x * N + y] * N + z]
-                    r = p1[x * N + z] + p0[t1[x * N + z] * N + t1[y * N + z]]
-                else:
-                    l = p1[x * N + y] + p0[t1[x * N + y] * N + z]
-                    r = p0[x * N + z] + p1[t0[x * N + z] * N + t0[y * N + z]]
-                if (l - r) % d != 0:
-                    return (x * N + y) * N + z
-    return -1
-
-
-def _mutual_cocycle_scan_numpy(t0, t1, p0, p1, N, d, which):
-    s0 = t0.reshape(N, N)
-    s1 = t1.reshape(N, N)
-    f0 = p0.reshape(N, N)
-    f1 = p1.reshape(N, N)
-    x = np.arange(N)[:, None, None]
-    y = np.arange(N)[None, :, None]
-    z = np.arange(N)[None, None, :]
-    if which == 1:
-        l = f0[x, y] + f1[s0[x, y], z]
-        r = f1[x, z] + f0[s1[x, z], s1[y, z]]
-    else:
-        l = f1[x, y] + f0[s1[x, y], z]
-        r = f0[x, z] + f1[s0[x, z], s0[y, z]]
-    bad = np.flatnonzero((l - r) % d != 0)
-    return int(bad[0]) if bad.size else -1
+    """First (x, y.., z..) index violating `cocycle_law` modulo d, or -1."""
+    return _scan(cocycle_law(W, phi, N, k, d))
 
 
 def mutual_cocycle_scan(t0, t1, p0, p1, N, d, which):
-    """First (x, y, z) violating one of the paired binary cocycle conditions."""
-    t0 = np.ascontiguousarray(t0, dtype=np.int64)
-    t1 = np.ascontiguousarray(t1, dtype=np.int64)
-    p0 = np.ascontiguousarray(p0, dtype=np.int64)
-    p1 = np.ascontiguousarray(p1, dtype=np.int64)
-    if USING_NUMBA:
-        return int(_mutual_cocycle_scan_njit(t0, t1, p0, p1, N, d, which))
-    return _mutual_cocycle_scan_numpy(t0, t1, p0, p1, N, d, which)
-
-
-@njit(cache=True, nogil=True)
-def _compat_cocycle_scan_njit(A, B, s0, s1, N, d, which, literal):
-    for x0 in range(N):
-        for x1 in range(N):
-            for y0 in range(N):
-                for y1 in range(N):
-                    for z0 in range(N):
-                        for z1 in range(N):
-                            a_y = A[(y0 * N + z0) * N + z1]
-                            b_y = B[(y1 * N + z0) * N + z1]
-                            if which == 1:
-                                l = s0[(x0 * N + y0) * N + y1] \
-                                    + s1[(B[(x1 * N + y0) * N + y1] * N + z0) * N + z1]
-                                r = s1[(x1 * N + z0) * N + z1] \
-                                    + s0[(A[(x0 * N + z0) * N + z1] * N + a_y) * N + b_y]
-                            else:
-                                l = s1[(x1 * N + y0) * N + y1] \
-                                    + s0[(A[(x0 * N + y0) * N + y1] * N + z0) * N + z1]
-                                lead = x0 if literal == 1 else x1
-                                r = s0[(x0 * N + z0) * N + z1] \
-                                    + s1[(B[(lead * N + z0) * N + z1] * N + a_y) * N + b_y]
-                            if (l - r) % d != 0:
-                                return ((((x0 * N + x1) * N + y0) * N + y1) * N + z0) * N + z1
-    return -1
-
-
-def _compat_cocycle_scan_numpy(A, B, s0, s1, N, d, which, literal):
-    A3 = A.reshape(N, N, N)
-    B3 = B.reshape(N, N, N)
-    S0 = s0.reshape(N, N, N)
-    S1 = s1.reshape(N, N, N)
-    x0 = np.arange(N)[:, None, None, None, None, None]
-    x1 = np.arange(N)[None, :, None, None, None, None]
-    y0 = np.arange(N)[None, None, :, None, None, None]
-    y1 = np.arange(N)[None, None, None, :, None, None]
-    z0 = np.arange(N)[None, None, None, None, :, None]
-    z1 = np.arange(N)[None, None, None, None, None, :]
-    ay = A3[y0, z0, z1]
-    by = B3[y1, z0, z1]
-    if which == 1:
-        l = S0[x0, y0, y1] + S1[B3[x1, y0, y1], z0, z1]
-        r = S1[x1, z0, z1] + S0[A3[x0, z0, z1], ay, by]
-    else:
-        l = S1[x1, y0, y1] + S0[A3[x0, y0, y1], z0, z1]
-        lead = x0 if literal else x1
-        r = S0[x0, z0, z1] + S1[B3[lead, z0, z1], ay, by]
-    bad = np.flatnonzero((l - r) % d != 0)
-    return int(bad[0]) if bad.size else -1
+    """First (x, y, z) index violating `mutual_cocycle_law` condition 1 or 2, or -1."""
+    return _scan(mutual_cocycle_law(t0, t1, p0, p1, N, d, which))
 
 
 def compat_cocycle_scan(A, B, s0, s1, N, d, which, literal=False):
-    """First (x0, x1, y0, y1, z0, z1) violating a paired ternary cocycle condition.
+    """First (x0, x1, y0, y1, z0, z1) index violating `compat_cocycle_law`, or -1.
 
     `literal=True` switches the second condition to the variant that feeds the
     first coordinate into both final terms; the default pairs coordinates the
     way the doubled-cocycle composite requires.
     """
-    A = np.ascontiguousarray(A, dtype=np.int64)
-    B = np.ascontiguousarray(B, dtype=np.int64)
-    s0 = np.ascontiguousarray(s0, dtype=np.int64)
-    s1 = np.ascontiguousarray(s1, dtype=np.int64)
-    if USING_NUMBA:
-        return int(_compat_cocycle_scan_njit(A, B, s0, s1, N, d, which,
-                                             1 if literal else 0))
-    return _compat_cocycle_scan_numpy(A, B, s0, s1, N, d, which, literal)
+    return _scan(compat_cocycle_law(A, B, s0, s1, N, d, which, literal))
 
 
-def warmup():
-    """Trigger jit compilation of every kernel on tiny inputs."""
-    if not USING_NUMBA:
-        return
-    t2 = np.zeros(4, np.int64)
-    t3 = np.zeros(8, np.int64)
-    _exchange_range_njit(t2, t2, 2, 2, 2, 0, 2)
-    _exchange_range_njit(t3, t3, 2, 3, 3, 0, 2)
-    _exchange_range_njit(t2, t3, 2, 2, 3, 0, 2)
-    _exchange_range_njit(t3, t2, 2, 3, 2, 0, 2)
-    _translation_scan_njit(t2, 2, 2)
-    _compat_scan_njit(t3, t3, 2, 1)
-    _compat_scan_njit(t3, t3, 2, 2)
-    _nary_cocycle_scan_njit(t2, t2, 2, 2, 2)
-    _nary_cocycle_scan_njit(t3, t3, 2, 3, 2)
-    _mutual_cocycle_scan_njit(t2, t2, t2, t2, 2, 2, 1)
-    _mutual_cocycle_scan_njit(t2, t2, t2, t2, 2, 2, 2)
-    _compat_cocycle_scan_njit(t3, t3, t3, t3, 2, 2, 1, 0)
-    _compat_cocycle_scan_njit(t3, t3, t3, t3, 2, 2, 2, 0)
-    _compat_cocycle_scan_njit(t3, t3, t3, t3, 2, 2, 2, 1)
+def translation_scan(table, N, k):
+    """First tail-tuple index whose translation x -> W(x, tail) is not a bijection."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    cols = np.sort(table.reshape(N, N ** (k - 1)), axis=0)
+    bad = np.flatnonzero(~(cols == np.arange(N)[:, None]).all(axis=0))
+    return int(bad[0]) if bad.size else -1

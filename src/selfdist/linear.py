@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import PreconditionError, _require
-from .optable import CheckResult, Counterexample, FiniteGroup, InputError
+from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
+                      integer_array)
 
 # dense-matrix guardrails: the distributivity check builds d^(2n-1) columns,
 # the explicit regrouping permutation d^(n^2) rows, Hopf validation d^6
@@ -40,6 +41,12 @@ def _is_prime(n: int) -> bool:
             return False
         i += 1
     return True
+
+
+def _rational(x) -> Fraction:
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise InputError(f"matrix entries must be integers or fractions, got {x!r}")
 
 
 class Field:
@@ -67,11 +74,15 @@ class Field:
         return f"Field({self.characteristic})"
 
     def reduce(self, arr) -> np.ndarray:
-        """Coerce an array to exact entries: int64 residues or Fractions."""
+        """Exact entries: int64 residues, or Fractions in characteristic 0.
+
+        Floats and bools are refused rather than rounded, and so are integers
+        beyond int64 and fractions in prime characteristic.
+        """
         if self.characteristic:
-            return np.asarray(arr, dtype=np.int64) % self.characteristic
+            return integer_array(arr, "matrix entries") % self.characteristic
         src = np.asarray(arr, dtype=object)
-        flat = [x if isinstance(x, Fraction) else Fraction(x)
+        flat = [x if isinstance(x, Fraction) else _rational(x)
                 for x in src.ravel()]
         out = np.empty(src.size, dtype=object)
         out[:] = flat
@@ -176,11 +187,9 @@ class LinMap:
     def from_json(obj: dict) -> "LinMap":
         try:
             field = Field(obj["field"])
-            mat = np.empty((len(obj["matrix"]), len(obj["matrix"][0])),
-                           dtype=object)
-            for i, row in enumerate(obj["matrix"]):
-                for j, v in enumerate(row):
-                    mat[i, j] = Fraction(v) if isinstance(v, str) else v
+            # a nested list, so integer entries keep an integer dtype
+            mat = [[Fraction(v) if isinstance(v, str) else v for v in row]
+                   for row in obj["matrix"]]
             return LinMap(field, obj["dim"], obj["src_power"],
                           obj["dst_power"], mat)
         except (KeyError, IndexError, TypeError, ValueError,

@@ -46,6 +46,37 @@ class CheckResult:
 OK = CheckResult(True)
 
 
+def _holds_bool(values) -> bool:
+    """True when a (nested) list or tuple has a bool anywhere in it."""
+    if not isinstance(values, (list, tuple)):
+        return False
+    types = set(map(type, values))
+    if bool in types:
+        return True
+    return not types.isdisjoint((list, tuple)) and any(map(_holds_bool, values))
+
+
+def integer_array(values, what: str) -> np.ndarray:
+    """values as an int64 array; floats, bools and integers beyond int64 refused.
+
+    np.asarray gives floats and bools their own dtypes and integers beyond
+    int64 the object or uint64 dtype, so the dtype decides without a cast
+    that would truncate or wrap them.  A list that mixes bools with
+    integers gets an integer dtype, so lists are searched for bools first.
+    """
+    if _holds_bool(values):
+        raise InputError(f"{what} must be integers, got booleans")
+    try:
+        raw = np.asarray(values)
+    except ValueError as exc:  # ragged nesting
+        raise InputError(f"{what} must be integers in a regular array: {exc}")
+    if raw.size and (raw.dtype.kind not in "iu" or raw.dtype.kind == "u"
+                     and raw.max() > np.iinfo(np.int64).max):
+        raise InputError(
+            f"{what} must be integers within int64, got {raw.dtype} values")
+    return raw.astype(np.int64, copy=False)
+
+
 class OpTable:
     """Immutable n-ary operation table on {0..N-1}."""
 
@@ -56,12 +87,7 @@ class OpTable:
             raise InputError(f"size must be positive, got {size}")
         if arity < 2:
             raise InputError(f"arity must be at least 2, got {arity}")
-        raw = np.asarray(table)
-        if raw.size and raw.dtype.kind not in "iu":
-            # floats and bools would otherwise be truncated to other tables
-            raise InputError(
-                f"table entries must be integers, got {raw.dtype} values")
-        arr = np.ascontiguousarray(raw, dtype=np.int64).ravel()
+        arr = np.ascontiguousarray(integer_array(table, "table entries")).ravel()
         if arr.shape[0] != size ** arity:
             raise InputError(
                 f"table length {arr.shape[0]} != size^arity = {size}^{arity}"
@@ -150,26 +176,6 @@ def evaluate(op: OpTable, args) -> int:
     return int(op.table[tuple_to_index(args, op.size)])
 
 
-def _decode_exchange_witness(op_m: OpTable, op_n: OpTable, flat: int):
-    """Turn a flat exchange-scan failure index into a Counterexample."""
-    N = op_m.size
-    m, n = op_m.arity, op_n.arity
-    Pm, Pn = N ** (m - 1), N ** (n - 1)
-    zi = flat % Pn
-    rest = flat // Pn
-    yi = rest % Pm
-    x = rest // Pm
-    y = index_to_tuple(yi, N, m - 1)
-    z = index_to_tuple(zi, N, n - 1)
-    a = int(op_m.table[x * Pm + yi])
-    lhs = int(op_n.table[a * Pn + zi])
-    idx = int(op_n.table[x * Pn + zi])
-    for yj in y:
-        idx = idx * N + int(op_n.table[yj * Pn + zi])
-    rhs = int(op_m.table[idx])
-    return Counterexample((x,) + y + z, lhs, rhs)
-
-
 def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:
     """One direction of the exchange law: op_n distributes over op_m.
 
@@ -178,11 +184,11 @@ def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:
     """
     if op_m.size != op_n.size:
         raise InputError(f"size mismatch: {op_m.size} vs {op_n.size}")
-    flat = kernels.exchange_scan(op_m.table, op_n.table, op_m.size,
-                                 op_m.arity, op_n.arity, jobs=jobs)
+    args = (op_m.table, op_n.table, op_m.size, op_m.arity, op_n.arity)
+    flat = kernels.exchange_scan(*args, jobs=jobs)
     if flat < 0:
         return OK
-    cex = _decode_exchange_witness(op_m, op_n, flat)
+    cex = Counterexample(*kernels.witness(kernels.exchange_law(*args), flat))
     return CheckResult(False, cex, "exchange law fails")
 
 
@@ -247,17 +253,6 @@ def are_mutually_distributive(op_a: OpTable, op_b: OpTable,
     return OK
 
 
-def _decode_compat_witness(T0: OpTable, T1: OpTable, flat: int, which: int):
-    N = T0.size
-    x, y0, y1, z0, z1 = index_to_tuple(flat, N, 5)
-    A = T0.table.reshape(N, N, N)
-    B = T1.table.reshape(N, N, N)
-    T = A if which == 1 else B
-    lhs = int(T[T[x, y0, y1], z0, z1])
-    rhs = int(T[T[x, z0, z1], A[y0, z0, z1], B[y1, z0, z1]])
-    return Counterexample((x, y0, y1, z0, z1), lhs, rhs)
-
-
 def are_compatible_ternary(T0: OpTable, T1: OpTable, jobs: int = 1) -> CheckResult:
     """Both ternary compatibility identities over all N^5 tuples.
 
@@ -269,9 +264,10 @@ def are_compatible_ternary(T0: OpTable, T1: OpTable, jobs: int = 1) -> CheckResu
     if T0.size != T1.size:
         raise InputError(f"size mismatch: {T0.size} vs {T1.size}")
     for which in (1, 2):
-        flat = kernels.compat_scan(T0.table, T1.table, T0.size, which)
+        args = (T0.table, T1.table, T0.size, which)
+        flat = kernels.compat_scan(*args, jobs=jobs)
         if flat >= 0:
-            cex = _decode_compat_witness(T0, T1, flat, which)
+            cex = Counterexample(*kernels.witness(kernels.compat_law(*args), flat))
             return CheckResult(False, cex, f"compatibility identity {which} fails")
     return OK
 
@@ -307,11 +303,7 @@ class FiniteGroup:
 
 def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     """Validate a flat multiplication table and derive identity and inverses."""
-    raw = np.asarray(cayley)
-    if raw.size and raw.dtype.kind not in "iu":
-        raise InputError(
-            f"cayley entries must be integers, got {raw.dtype} values")
-    flat = np.ascontiguousarray(raw, dtype=np.int64).ravel()
+    flat = np.ascontiguousarray(integer_array(cayley, "cayley entries")).ravel()
     if size is None:
         size = round(len(flat) ** 0.5)
     size = int(size)

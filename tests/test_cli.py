@@ -115,11 +115,20 @@ def test_construct_roundtrip_bit_identical(files, capsys, tmp_path):
     assert code == 0
     raw = out_path.read_text()
     loaded = OpTable.from_json(json.loads(raw))
-    t0 = OpTable.from_json(json.loads(open(files["z8"]).read()))
-    t1 = OpTable.from_json(json.loads(open(files["t1"]).read()))
+    with open(files["z8"]) as f0, open(files["t1"]) as f1:
+        t0, t1 = OpTable.from_json(json.load(f0)), OpTable.from_json(json.load(f1))
     assert loaded == doubling_ternary(t0, t1)
-    # re-serializing the loaded artifact reproduces the file byte for byte
-    assert json.dumps(json.loads(raw), indent=2) + "\n" == raw
+    # re-serializing the loaded artifact reproduces the file byte for byte;
+    # a mismatch is reported at its first offset, since a diff of the two
+    # 262,144-entry texts takes minutes
+    want = json.dumps(json.loads(raw), indent=2) + "\n"
+    if want != raw:
+        at = next((i for i, (a, b) in enumerate(zip(want, raw)) if a != b),
+                  min(len(want), len(raw)))
+        lo = max(0, at - 40)
+        pytest.fail(f"texts differ first at offset {at} (lengths {len(want)},"
+                    f" {len(raw)}): expected {want[lo:at + 40]!r},"
+                    f" written {raw[lo:at + 40]!r}")
 
 
 def test_construct_f_inline(files, capsys):
@@ -377,12 +386,37 @@ def test_enumerate_translations_refuses_other_kinds(capsys):
 
 
 def test_check_axioms_rejects_non_integer_entries(files, capsys):
-    for table in ([0.7, 1.2, 0, 1], [True, False, False, True]):
+    for table in ([0.7, 1.2, 0, 1], [True, False, False, True], [[0, 1], [0]],
+                  [0, True, 1, 0]):
         path = files["root"] / "non_integer.json"
         path.write_text(json.dumps({"size": 2, "arity": 2, "table": table}))
         code, _, err = run(["check", "axioms", str(path)], capsys)
         assert code == 2
         assert "integers" in err
+
+
+def test_non_integer_linear_maps_and_sequences_rejected(files, capsys,
+                                                       tmp_path):
+    code, rep = run_json(["linear", "heap", "--group", "cyclic:1",
+                          "--field", "3"], capsys)
+    assert code == 0
+    obj = rep["artifacts"][0]["content"]
+    for bad in ([[1.5]], [[1e30]]):
+        obj["w"]["matrix"] = bad
+        path = tmp_path / "obj.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(["linear", "check-sd", "--object", str(path)], capsys)
+        assert code == 2
+        assert "integers" in err
+    path = tmp_path / "ses.json"
+    path.write_text(json.dumps({"sub": [3], "total": [9], "quotient": [3],
+                                "inclusion": [0, 3, 6.0],
+                                "projection": [0, 1, 2] * 3,
+                                "section": [0, 1, 2]}))
+    code, _, err = run(["cocycle", "three-from-ses", "--op", files["triv3"],
+                        "--cochain", files["psi"], "--ses", str(path)], capsys)
+    assert code == 2
+    assert "integers" in err
 
 
 def test_non_integer_groups_and_cochains_rejected(files, capsys):

@@ -725,6 +725,23 @@ def test_ses_validation():
     with pytest.raises(InputError):
         SES(AbGroup((2,)), AbGroup((9,)), AbGroup((3,)),
             [0, 3], [0, 1, 2, 0, 1, 2, 0, 1, 2], [0, 1, 2])
+    # out-of-range map entries are refused, not used as indices
+    for maps in (([0, 2], [0, 1, 0, 9], [0, 1]), ([0, 2], [0, 1, 0, 1], [0, 5]),
+                 ([0, -2], [0, 1, 0, 1], [0, 1])):
+        with pytest.raises(InputError, match="outside"):
+            SES([2], [4], [2], *maps)
+
+
+def test_ses_rejects_non_integer_maps():
+    # floats would otherwise be truncated to a different, valid sequence
+    good = ([0, 2], [0, 1, 0, 1], [0, 1])
+    SES([2], [4], [2], *good)
+    for pos, bad in ((0, [0, 2.7]), (2, [0, 1.2]), (1, [False, True] * 2),
+                     (0, [0, 2 ** 64]), (0, [0, 10 ** 30])):
+        maps = list(good)
+        maps[pos] = bad
+        with pytest.raises(InputError, match="integers"):
+            SES([2], [4], [2], *maps)
 
 
 def test_ses_json_round_trip():

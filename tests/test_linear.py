@@ -85,6 +85,19 @@ def test_linmap_shape_validation():
         LinMap("GF(3)", 2, 2, 1, np.zeros((2, 4), np.int64))
 
 
+def test_linmap_rejects_inexact_entries():
+    # over F_p a float, bool, fraction or oversized integer would be
+    # truncated or overflow; over Q floats and bools are refused alike
+    for bad in ([[1.5]], [[1e30]], [[True]], [[10 ** 30]], [[Fraction(1, 2)]]):
+        with pytest.raises(InputError, match="integers"):
+            LinMap(F5, 1, 1, 1, bad)
+    for bad in ([[1.5]], [[True]]):
+        with pytest.raises(InputError, match="integers"):
+            LinMap(Field(0), 1, 1, 1, bad)
+    assert LinMap(Field(0), 1, 1, 1, [[10 ** 30]]).matrix[0, 0] == 10 ** 30
+    assert LinMap(F5, 1, 1, 1, [[-3]]).matrix.tolist() == [[2]]
+
+
 def test_linmap_compose_and_tensor():
     a = LinMap(F5, 2, 1, 1, [[1, 2], [3, 4]])
     b = LinMap(F5, 2, 1, 1, [[0, 1], [1, 0]])

@@ -32,7 +32,7 @@ def test_non_integer_entries_rejected():
     # truncation would turn [0.7, 1.2, 0, 1] into the different table [0, 1, 0, 1]
     for table in ([0.7, 1.2, 0, 1], [0.0, 1.0, 0.0, 1.0], [True, False, False, True],
                   np.array([0, 1, 0, 1], dtype=np.float32), ["0", "1", "0", "1"],
-                  [0, 1, 0, 10 ** 30]):
+                  [0, 1, 0, 10 ** 30], [0, True, 1, 0], [[0, 1], [False, 1]]):
         with pytest.raises(InputError, match="integers"):
             OpTable(2, 2, table)
     with pytest.raises(InputError):
