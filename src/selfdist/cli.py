@@ -4,9 +4,12 @@ Every run produces a report: the echoed command, one verdict per requested
 property (carrying a counterexample when one exists), any produced artifacts
 (inline, or on disk via --output), and wall time.  Exit status 0 means every
 requested property holds, 1 means some property failed, 2 means the input
-was malformed.  --format json prints the report as one JSON object tagged
-with a schema version; verdict content is deterministic, only the seconds
-field varies between runs.
+was malformed or over a resource budget or the --output file could not be
+written, and 3 means an internal error: any other exception, such as a
+failed allocation.  Its traceback goes into the
+JSON report; the human format prints one line on stderr.  --format json
+prints the report as one JSON object tagged with a schema version; verdict
+content is deterministic, only the seconds field varies between runs.
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ import json
 import os
 import sys
 import time
+import traceback
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,7 +59,10 @@ _SCALARS = frozenset((int, float, str, bool, type(None)))
 
 
 def _json_default(value):
-    """Numpy values as the Python values they hold; the encoders' fallback."""
+    """Numpy values as the Python values they hold, and fractions as text;
+    the encoders' fallback."""
+    if isinstance(value, Fraction):
+        return str(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
@@ -714,11 +722,29 @@ def _write_output(report: Report, path: str):
         payload = report.artifacts[0]["content"]
     else:
         payload = {a["name"]: a["content"] for a in report.artifacts}
-    with open(path, "w", encoding="utf-8") as fh:
-        _dump_json(payload, fh)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _dump_json(payload, fh)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
     for a in report.artifacts:
         a["path"] = path
         a["content"] = None
+
+
+def _fail(args, report: Report, start: float, code: int, message: str,
+          trace: str | None = None) -> int:
+    """Report a run that ended without verdicts; returns its exit status."""
+    report.seconds = time.perf_counter() - start
+    if args.format == "json":
+        out = report.as_json()
+        out["error"] = message
+        if trace is not None:
+            out["traceback"] = trace
+        _dump_json(out, sys.stdout)
+    else:
+        print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -740,14 +766,11 @@ def main(argv=None) -> int:
         else:
             report.verdict("construction hypothesis", False, detail=str(exc))
     except InputError as exc:
-        report.seconds = time.perf_counter() - start
-        if args.format == "json":
-            out = report.as_json()
-            out["error"] = str(exc)
-            _dump_json(out, sys.stdout)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(args, report, start, 2, str(exc))
+    except Exception as exc:
+        return _fail(args, report, start, 3,
+                     f"internal error: {type(exc).__name__}: {exc}",
+                     traceback.format_exc())
     report.seconds = time.perf_counter() - start
     if args.format == "json":
         _dump_json(report.as_json(), sys.stdout)

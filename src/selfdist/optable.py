@@ -301,6 +301,29 @@ class FiniteGroup:
             raise InputError(f"group JSON needs size/cayley: {exc}")
 
 
+def _generating_set(C: np.ndarray, ident: int) -> list:
+    """Greedy generators: with the identity they generate the whole table.
+
+    Each generator is the first element outside the submagma generated so
+    far.  In a group that submagma is a subgroup, which each generator at
+    least doubles, so there are at most log2(size) of them.
+    """
+    reached = np.zeros(len(C), bool)
+    reached[ident] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.array(gens[-1:])
+        while frontier.size:
+            # products of the new elements with everything reached, both ways
+            reached[frontier] = True
+            have = np.flatnonzero(reached)
+            products = np.concatenate((C[np.ix_(frontier, have)].ravel(),
+                                       C[np.ix_(have, frontier)].ravel()))
+            frontier = np.unique(products[~reached[products]])
+    return gens
+
+
 def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     """Validate a flat multiplication table and derive identity and inverses."""
     flat = np.ascontiguousarray(integer_array(cayley, "cayley entries")).ravel()
@@ -320,12 +343,16 @@ def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
             break
     if ident < 0:
         raise InputError("no two-sided identity element")
-    # associativity: C[C[a,b],c] == C[a,C[b,c]] via broadcasting
-    left = C[C][:, :, :]                      # left[a,b,c] = C[C[a,b],c]
-    right = C[:, C].transpose(0, 1, 2)        # right[a,b,c] = C[a,C[b,c]]
-    if not np.array_equal(left, right):
-        bad = np.argwhere(left != right)[0]
-        raise InputError(f"multiplication not associative at {tuple(int(v) for v in bad)}")
+    # associativity by Light's test: the elements a with (x·a)·y = x·(a·y)
+    # for all x, y form a submagma that holds the identity, so checking a
+    # generating set suffices, in O(size^2) memory per generator
+    for a in _generating_set(C, ident):
+        left = C[C[:, a]]                     # left[x, y] = (x·a)·y
+        right = C[:, C[a]]                    # right[x, y] = x·(a·y)
+        bad = np.argwhere(left != right)
+        if bad.size:
+            x, y = (int(v) for v in bad[0])
+            raise InputError(f"multiplication not associative at {(x, a, y)}")
     # inverses
     inv = np.full(size, -1, np.int64)
     for a in range(size):

@@ -548,6 +548,16 @@ def test_output_file_bytes_one_and_two_artifacts(files, capsys, tmp_path):
         json.dumps({"op0": a.as_json(), "op1": b.as_json()}, indent=2) + "\n"
 
 
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    # a bad --output path is the user's error, not an internal one
+    bad = tmp_path / "no" / "such" / "dir" / "heap.json"
+    code, rep = run_json(["-o", str(bad), "construct", "heap", "--group",
+                          "cyclic:3"], capsys)
+    assert code == 2
+    assert rep["error"].startswith(f"cannot write {bad}:")
+    assert "traceback" not in rep
+
+
 @pytest.mark.parametrize("chunk", [5, 1 << 16])
 def test_inline_report_bytes(files, capsys, chunk, monkeypatch):
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
@@ -586,3 +596,58 @@ def test_human_summaries_unchanged(files, capsys):
         'action: {"input": [0, 1, 2], "word": [1, -2], "output": [1, 2, 2]}'
     assert cli._summary({"gens": np.arange(3), "n": np.int64(2)}) == \
         '{"gens": [0, 1, 2], "n": 2}'
+
+
+# ---------------------------------------------------------------------------
+# internal errors and memory caps
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def broken(args, report, jobs):
+        raise RuntimeError("handler bug")
+    monkeypatch.setitem(cli.HANDLERS, "construct", broken)
+    code, rep = run_json(["construct", "heap", "--group", "cyclic:3"], capsys)
+    assert code == 3
+    assert rep["error"] == "internal error: RuntimeError: handler bug"
+    assert "Traceback" in rep["traceback"] and "handler bug" in rep["traceback"]
+    code, out, err = run(["construct", "heap", "--group", "cyclic:3"], capsys)
+    assert code == 3 and out == ""
+    assert err == "error: internal error: RuntimeError: handler bug\n"
+
+
+def test_failed_allocation_exits_3(run_fresh):
+    # a 74.5 GiB table: the allocation fails, which is not a verdict
+    proc = run_fresh(["-m", "selfdist.cli", "--format", "json", "construct",
+                      "affine", "--modulus", "100000", "--arity", "2",
+                      "--coeffs", "2"], cap_bytes=2 << 30)
+    assert proc.returncode == 3, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["error"].startswith("internal error: MemoryError")
+    assert "MemoryError" in rep["traceback"]
+
+
+def test_symmetric_6_fits_in_1gb(run_fresh):
+    code = ("from selfdist import symmetric_group; "
+            "assert symmetric_group(6).size == 720")
+    proc = run_fresh(["-c", code], cap_bytes=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_fresh(["-m", "selfdist.cli", "construct", "conj", "--group",
+                      "symmetric:6"], cap_bytes=1 << 30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("table: size 720 arity 2")
+
+
+def test_rational_counterexample_is_reported(files, capsys, tmp_path):
+    # a perturbed object over Q: its witness values are fractions, written
+    # as text like the map entries
+    code, rep = run_json(["linear", "heap", "--group", "cyclic:2",
+                          "--field", "0"], capsys)
+    assert code == 0
+    obj = rep["artifacts"][0]["content"]
+    obj["w"]["matrix"][0][0] = "1/3"
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(obj))
+    code, rep = run_json(["linear", "check-sd", "--object", str(path)], capsys)
+    assert code == 1
+    cex = rep["verdicts"][0]["counterexample"]
+    assert cex == {"witness": [0, [0, 0, 0, 0, 0]], "lhs": "1/9",
+                   "rhs": "1/81"}

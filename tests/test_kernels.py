@@ -1,12 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import selfdist
 from selfdist import (InputError, OpTable, affine_op, are_compatible_ternary,
                       index_to_tuple, make_op_table)
 from selfdist import kernels
@@ -420,7 +416,7 @@ def test_compat_known_pair():
 # ---------------------------------------------------------------------------
 # memory stays bounded by the slab, not by N^5
 
-def test_compat_check_memory_is_bounded():
+def test_compat_check_memory_is_bounded(run_fresh):
     code = (
         "import resource\n"
         "from selfdist import affine_op, are_compatible_ternary\n"
@@ -428,11 +424,7 @@ def test_compat_check_memory_is_bounded():
         " affine_op(32, 3, [5, 0]))\n"
         "print(bool(res), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    src = os.path.dirname(os.path.dirname(selfdist.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=300)
+    proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr
     holds, peak_kib = proc.stdout.split()
     assert holds == "True"

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from selfdist import (ComonoidObject, Field, HopfAlgebraObject, InputError,
-                      LieAlgebraObject, LinMap, PreconditionError, SDObject,
-                      augmented_operation, categorical_double,
+                      LieAlgebraObject, LinMap, OpTable, PreconditionError,
+                      SDObject, augmented_operation, categorical_double,
                       check_augmented_hopf, check_nary_sd, cyclic_group,
-                      group_algebra_hopf, hopf_adjoint_ternary, hopf_heap,
+                      dihedral_group, group_algebra_hopf,
+                      hopf_adjoint_ternary, hopf_heap, is_nary_distributive,
                       lie_to_binary_sd, shuffle_perm, shuffle_positions,
                       switching_lemmas_check, symmetric_group)
+from selfdist import linear as linear_mod
 from selfdist.constructions import conj_quandle, heap_op
 
 F2, F3, F5, F7, F0 = Field(2), Field(3), Field(5), Field(7), Field(0)
@@ -152,8 +154,14 @@ def test_shuffle_perm_involution():
 
 
 def test_shuffle_perm_guardrail():
-    with pytest.raises(InputError):
-        shuffle_perm(3, 3)
+    # 3^9 sparse entries fit the budget; 7^9 do not, and 10^25 basis
+    # vectors do not fit int64 at all
+    sp = shuffle_perm(3, 3, F2)
+    assert sp.nnz == 3 ** 9 and sp @ sp == LinMap.identity(F2, 3, 9)
+    with pytest.raises(InputError, match="budget"):
+        shuffle_perm(3, 7)
+    with pytest.raises(InputError, match="int64"):
+        shuffle_perm(5, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -256,33 +264,60 @@ def test_check_guardrail():
         check_nary_sd(SDObject(com, 3, w, verify=False))
 
 
+def test_check_refuses_many_term_combinations():
+    # the function comonoid of D7 copies delta_g into the 14^2 terms
+    # delta_h x delta_k x delta_l with hkl = g.  Its ternary check fits the
+    # dense budget (14^6 entries) but has 2744^2 term combinations, each a
+    # 14^4-entry block, so it is refused before any of them is formed.
+    g = dihedral_group(7)
+    d = g.size
+    delta = np.zeros((d * d, d), np.int64)
+    for h in range(d):
+        for k in range(d):
+            delta[h * d + k, g.mul(h, k)] = 1
+    counit = np.zeros((1, d), np.int64)
+    counit[0, g.identity] = 1
+    com = ComonoidObject(d, LinMap(F3, d, 1, 2, delta),
+                         LinMap(F3, d, 1, 0, counit))
+    assert com.delta_n(3).nnz == d ** 3
+    w = LinMap.identity(F3, d).tensor(com.counit).tensor(com.counit)
+    with pytest.raises(InputError, match="term combinations"):
+        check_nary_sd(SDObject(com, 3, w, verify=False))
+
+
 def test_basis_change_invariance():
     # conjugating every structure map by an invertible matrix preserves the
-    # verdict, both ways
-    obj = lie_to_binary_sd(nonabelian_lie())
-    d, p = obj.comonoid.dim, 5
+    # verdict, both ways; the conjugated comultiplication has terms with
+    # coefficients other than 1, which the ternary check multiplies
+    p = 5
     rng = random.Random(0xC4A)
-    for _ in range(4):
-        while True:
-            P = np.array([[rng.randrange(p) for _ in range(d)]
-                          for _ in range(d)], dtype=np.int64)
-            try:
-                Pi = inv_mod(P, p)
-                break
-            except StopIteration:
-                continue
-        Pm = LinMap(F5, d, 1, 1, P)
-        Pim = LinMap(F5, d, 1, 1, Pi)
-        delta = Pm.tensor(Pm) @ obj.comonoid.delta @ Pim
-        counit = obj.comonoid.counit @ Pim
-        com = ComonoidObject(d, delta, counit)
-        w = Pm @ obj.w @ Pim.tensor(Pim)
-        assert check_nary_sd(SDObject(com, 2, w, verify=False)).holds
-        bad = np.array(w.matrix)
-        bad[1, 2] = (bad[1, 2] + 1) % p
-        res = check_nary_sd(SDObject(com, 2, LinMap(F5, d, 2, 1, bad),
-                                     verify=False))
-        assert not res.holds
+    for obj in (lie_to_binary_sd(nonabelian_lie()),
+                hopf_heap(group_algebra_hopf(cyclic_group(2), F5))):
+        d, n = obj.comonoid.dim, obj.arity
+        for _ in range(4):
+            while True:
+                P = np.array([[rng.randrange(p) for _ in range(d)]
+                              for _ in range(d)], dtype=np.int64)
+                try:
+                    Pi = inv_mod(P, p)
+                    break
+                except StopIteration:
+                    continue
+            Pm = LinMap(F5, d, 1, 1, P)
+            Pim = LinMap(F5, d, 1, 1, Pi)
+            delta = Pm.tensor(Pm) @ obj.comonoid.delta @ Pim
+            counit = obj.comonoid.counit @ Pim
+            com = ComonoidObject(d, delta, counit)
+            spread = Pim
+            for _ in range(n - 1):
+                spread = spread.tensor(Pim)
+            w = Pm @ obj.w @ spread
+            assert check_nary_sd(SDObject(com, n, w, verify=False)).holds
+            bad = np.array(w.matrix)
+            bad[1, 2] = (bad[1, 2] + 1) % p
+            res = check_nary_sd(SDObject(com, n, LinMap(F5, d, n, 1, bad),
+                                         verify=False))
+            assert not res.holds
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +325,11 @@ def test_basis_change_invariance():
 
 def test_lie_validation():
     nonabelian_lie()
-    B = np.zeros((2, 4), np.int64)
-    B[0, 0] = 1                      # [e1, e1] nonzero
-    with pytest.raises(InputError):
-        LieAlgebraObject(2, LinMap(F5, 2, 2, 1, B))
+    for col in (0, 3):               # [e1, e1], then [e2, e2], nonzero
+        B = np.zeros((2, 4), np.int64)
+        B[0, col] = 1
+        with pytest.raises(InputError, match="with itself"):
+            LieAlgebraObject(2, LinMap(F5, 2, 2, 1, B))
     B = np.zeros((2, 4), np.int64)
     B[1, 1] = 1
     B[1, 2] = 1                      # [e1,e2] = [e2,e1], not antisymmetric
@@ -416,8 +452,12 @@ def test_hopf_validation_catches_bad_compat():
 
 
 def test_hopf_guardrail():
-    with pytest.raises(InputError):
-        group_algebra_hopf(cyclic_group(25), F3)
+    # the group algebra of C25 costs about 25^4 entries as sparse maps, once
+    # refused as 25^6 dense ones; C60's 60^4-entry tensor square is over
+    H = group_algebra_hopf(cyclic_group(25), F3)
+    assert H.dim == 25 and H.mult.nnz == 25 ** 2
+    with pytest.raises(InputError, match="budget"):
+        group_algebra_hopf(cyclic_group(60), F3)
 
 
 def test_hopf_json_round_trip():
@@ -507,14 +547,12 @@ def test_augmented_preconditions_are_distinct_errors():
 
 
 def test_augmented_guardrail(monkeypatch):
-    from selfdist import linear as linear_mod
-    monkeypatch.setattr(linear_mod, "MAX_AUGMENTED_ENTRIES", 100)
     H = z2_hopf()
     com = H.comonoid()
-    ident = LinMap.identity(F3, 2)
-    with pytest.raises(InputError):
-        check_augmented_hopf(H.mult @ H.antipode.tensor(ident), H, com,
-                             H.mult)
+    p_map = H.mult @ H.antipode.tensor(LinMap.identity(F3, 2))
+    monkeypatch.setattr(linear_mod, "ENTRY_BUDGET", 8)
+    with pytest.raises(InputError, match="budget"):
+        check_augmented_hopf(p_map, H, com, H.mult)
 
 
 def test_augmented_s3():
@@ -544,3 +582,286 @@ def test_switching_lemmas():
     assert switching_lemmas_check(obj).holds
     with pytest.raises(InputError):
         switching_lemmas_check(hopf_heap(z2_hopf()))
+
+
+# ---------------------------------------------------------------------------
+# sparse maps against dense arithmetic
+
+def random_map(rng, field, dim, src, dst, density):
+    p = field.characteristic
+    mat = field.zeros((dim ** dst, dim ** src))
+    for r, c in itertools.product(range(mat.shape[0]), range(mat.shape[1])):
+        if rng.random() < density:
+            mat[r, c] = (rng.randrange(1, p) if p
+                         else Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+    return mat, LinMap(field, dim, src, dst, mat)
+
+
+def dense_reduce(field, mat):
+    return mat % field.characteristic if field.characteristic else mat
+
+
+@pytest.mark.parametrize("field", [F2, F5, F0])
+def test_sparse_maps_match_dense_oracle(field):
+    rng = random.Random(0x5EED + field.characteristic)
+    for trial in range(12):
+        dim = rng.choice([1, 2, 3])
+        a_src, mid, b_dst = (rng.randrange(0, 3) for _ in range(3))
+        density = rng.choice([0.0, 0.1, 0.4, 1.0])
+        A, a = random_map(rng, field, dim, mid, b_dst, density)
+        B, b = random_map(rng, field, dim, a_src, mid, density)
+        assert np.array_equal(a.matrix, A) and np.array_equal(b.matrix, B)
+        assert a.nnz == int(np.count_nonzero(A != 0))
+        assert np.array_equal((a @ b).matrix, dense_reduce(field, np.dot(A, B)))
+        assert np.array_equal(a.tensor(b).matrix,
+                              dense_reduce(field, np.kron(A, B)))
+        assert a @ b == LinMap(field, dim, a_src, b_dst, np.dot(A, B))
+        assert (a + (-a)).nnz == 0
+        assert np.array_equal((a + a).matrix, dense_reduce(field, A + A))
+        if a.nnz:
+            bumped = np.array(A)
+            r, c = int(a.rows[0]), int(a.cols[0])
+            bumped[r, c] = bumped[r, c] + 1
+            assert LinMap(field, dim, mid, b_dst, bumped) != a
+            assert a.entry(r, c) == A[r, c]
+
+
+def test_sparse_storage_is_canonical():
+    # column-major order with zeros dropped, and read-only arrays
+    m = LinMap(F5, 2, 1, 1, [[0, 3], [5, 2]])
+    assert (m.rows.tolist(), m.cols.tolist(), m.vals.tolist()) == \
+        ([0, 1], [1, 1], [3, 2])
+    with pytest.raises(ValueError):
+        m.vals[0] = 1
+    swap = linear_mod._perm_map(F5, 2, 2, [1, 0])
+    assert swap.matrix.tolist() == [[1, 0, 0, 0], [0, 0, 1, 0],
+                                    [0, 1, 0, 0], [0, 0, 0, 1]]
+
+
+def test_budget_is_charged_before_allocation(monkeypatch):
+    ident = LinMap.identity(F2, 2, 20)          # 2^20 entries, sparse
+    with pytest.raises(InputError, match="dense matrix"):
+        ident.matrix                             # 2^40 dense entries
+    monkeypatch.setattr(linear_mod, "ENTRY_BUDGET", 1000)
+    with pytest.raises(InputError, match="tensor product"):
+        LinMap.identity(F2, 2, 5).tensor(LinMap.identity(F2, 2, 5))
+    with pytest.raises(InputError, match="composition"):
+        full = LinMap(F2, 2, 5, 5, np.ones((32, 32), np.int64))
+        full @ full                              # 32^3 products
+    # the copy of the monoid {e, a}, a·a = a, has 16 terms at arity 4, so
+    # 16^3 combinations, where the dense sides hold only 2^8 entries
+    com = monoid_dual_comonoid([[0, 1], [1, 1]], F2)
+    proj = LinMap.identity(F2, 2).tensor(com.counit).tensor(
+        com.counit).tensor(com.counit)
+    with pytest.raises(InputError, match="combinations"):
+        check_nary_sd(SDObject(com, 4, proj, verify=False))
+
+
+def dense_adjoint_w(H):
+    # the dense construction: spread the tails, reorder by transposing, apply
+    # the antipodes by tensordot, multiply out
+    d, field = H.dim, H.field
+    delta = H.delta.matrix
+    spread = np.kron(np.kron(np.eye(d, dtype=np.int64), delta), delta)
+    M = spread.reshape((d,) * 5 + (d ** 3,))
+    M = M.transpose(3, 1, 0, 2, 4, 5).reshape(d * d, d ** 3, d ** 3)
+    SS = np.kron(H.antipode.matrix, H.antipode.matrix)
+    M = field.reduce(np.tensordot(SS, M, axes=([1], [0])))
+    m_fold = H.mult.matrix
+    for _ in range(3):
+        m_fold = field.reduce(np.dot(
+            H.mult.matrix, np.kron(m_fold, np.eye(d, dtype=np.int64))))
+    return field.reduce(np.dot(m_fold, M.reshape(d ** 5, d ** 3)))
+
+
+def test_adjoint_matches_dense_oracle():
+    for g, field in ((cyclic_group(2), F3), (symmetric_group(3), F2),
+                     (dihedral_group(3), F3), (cyclic_group(6), F5),
+                     (cyclic_group(3), F0)):
+        H = group_algebra_hopf(g, field)
+        assert np.array_equal(hopf_adjoint_ternary(H).w.matrix,
+                              dense_adjoint_w(H))
+
+
+def test_adjoint_memory_is_small(run_fresh):
+    # a fresh process: building and verifying the order-6 adjoint object
+    # adds a few MB at most to the peak resident set
+    code = (
+        "import resource\n"
+        "from selfdist import Field, cyclic_group, group_algebra_hopf,"
+        " hopf_adjoint_ternary\n"
+        "g, field = cyclic_group(6), Field(5)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "hopf_adjoint_ternary(group_algebra_hopf(g, field))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 5 * 1024, f"added {int(proc.stdout)} KiB"
+
+
+# ---------------------------------------------------------------------------
+# Hopf objects against independent table scans
+
+ANCHOR_GROUPS = [cyclic_group(n) for n in range(2, 7)] + [symmetric_group(3),
+                                                         dihedral_group(4)]
+
+
+def iterated_conj_table(g):
+    conj = np.asarray(conj_quandle(g).table).reshape(g.size, g.size)
+    x, y, z = np.indices((g.size,) * 3)
+    return conj[conj[x, y], z].ravel()
+
+
+def basis_op(com, table, field):
+    d = com.dim
+    w = np.zeros((d, d ** 3), np.int64)
+    w[np.asarray(table), np.arange(d ** 3)] = 1
+    return SDObject(com, 3, LinMap(field, d, 3, 1, w), verify=False)
+
+
+def table_sides(table, d):
+    # both sides of ternary distributivity on every basis 5-tuple
+    T = np.asarray(table).reshape(d, d, d)
+    x1, x2, x3, y1, y2 = np.indices((d,) * 5).reshape(5, -1)
+    lhs = T[T[x1, x2, x3], y1, y2]
+    rhs = T[T[x1, y1, y2], T[x2, y1, y2], T[x3, y1, y2]]
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("g", ANCHOR_GROUPS, ids=lambda g: f"order{g.size}")
+def test_hopf_objects_agree_with_table_scans(g):
+    field = F5 if g.size % 5 else F3
+    H = group_algebra_hopf(g, field)
+    com = H.comonoid()
+    for obj, table in ((hopf_heap(H), heap_op(g).table),
+                       (hopf_adjoint_ternary(H), iterated_conj_table(g))):
+        assert basis_table(obj) == list(table)
+        op = OpTable(g.size, 3, table)
+        assert bool(check_nary_sd(obj)) == bool(is_nary_distributive(op))
+        assert check_nary_sd(obj).holds
+    # one seeded perturbed entry in each table: the verdicts agree (a
+    # perturbed projection can stay distributive, a perturbed heap cannot)
+    d = g.size
+    for name, table in (("heap", heap_op(g).table),
+                        ("conj", iterated_conj_table(g))):
+        rng = random.Random(0xA7C + d)
+        bad = np.array(table)
+        pos = rng.randrange(d ** 3)
+        bad[pos] = (bad[pos] + rng.randrange(1, d)) % d
+        res = check_nary_sd(basis_op(com, bad, field))
+        scan = is_nary_distributive(OpTable(d, 3, bad))
+        assert res.holds == scan.holds
+        assert res.holds or witnesses_agree(res, scan, bad, d)
+        assert name != "heap" or not res.holds
+
+
+def witnesses_agree(res, scan, bad, d):
+    # the first failing tuple in lexicographic order is the scan's witness;
+    # the first row-major entry of the basis-level difference, decoded from
+    # the same table sides, is the linear check's witness
+    lhs, rhs = table_sides(bad, d)
+    failing = np.flatnonzero(lhs != rhs)
+    assert tuple(scan.counterexample.witness) == tuple(
+        int(v) for v in np.unravel_index(failing[0], (d,) * 5))
+    row = int(np.minimum(lhs[failing], rhs[failing]).min())
+    col = int(failing[(lhs[failing] == row) | (rhs[failing] == row)][0])
+    want = (row, tuple(int(v) for v in np.unravel_index(col, (d,) * 5)))
+    assert res.counterexample.witness == want
+    assert (res.counterexample.lhs, res.counterexample.rhs) == (
+        int(lhs[col] == row), int(rhs[col] == row))
+    return True
+
+
+def test_large_prime_check_matches_rationals():
+    # for p = 2^26 - 5 products of residues pass 2^52 but stay exact in
+    # int64; the verdict and witness must be the rational ones reduced mod p
+    p = 67108859
+    Fp = Field(p)
+    for bump in (-2, 3):
+        sides = []
+        for field in (Fp, F0):
+            heap = hopf_heap(z2_hopf(field))
+            bad = np.array(heap.w.matrix)
+            bad[0, 1] = bad[0, 1] + bump
+            sides.append(check_nary_sd(SDObject(heap.comonoid, 3,
+                                                LinMap(field, 2, 3, 1, bad),
+                                                verify=False)))
+        mod_p, rational = sides
+        assert not mod_p.holds and not rational.holds
+        assert mod_p.counterexample.witness == rational.counterexample.witness
+        for got, want in ((mod_p.counterexample.lhs, rational.counterexample.lhs),
+                          (mod_p.counterexample.rhs, rational.counterexample.rhs)):
+            assert got == int(want) % p
+
+
+# ---------------------------------------------------------------------------
+# the distributivity check against the composite maps it abbreviates
+
+def monoid_dual_comonoid(table, field):
+    # functions on a finite monoid: e_m copies to the sum of e_x (x) e_y over
+    # x·y = m, and the counit reads off the identity (element 0)
+    M = np.asarray(table)
+    d = len(M)
+    delta = np.zeros((d * d, d), np.int64)
+    for x, y in itertools.product(range(d), repeat=2):
+        delta[x * d + y, M[x, y]] = 1
+    counit = np.zeros((1, d), np.int64)
+    counit[0, 0] = 1
+    return ComonoidObject(d, LinMap(field, d, 1, 2, delta),
+                          LinMap(field, d, 1, 0, counit))
+
+
+def composite_sides(obj):
+    # W (W (x) 1) against W W^(x)n P (1^n (x) copy_n^(n-1)), with P the
+    # regrouping permutation
+    com, n, w = obj.comonoid, obj.arity, obj.w
+    field, d = com.field, com.dim
+    lhs = w @ w.tensor(LinMap.identity(field, d, n - 1))
+    copies = LinMap.identity(field, d, n)
+    w_n = w
+    for _ in range(n - 1):
+        copies = copies.tensor(com.delta_n(n))
+        w_n = w_n.tensor(w)
+    rhs = w @ w_n @ shuffle_perm(n, d, field) @ copies
+    return lhs.matrix, rhs.matrix
+
+
+def test_check_matches_composite_oracle():
+    # the monoid {e, a, b} with a·x = a and b·x = b makes a comonoid that
+    # is not cocommutative, so the order of the copies matters
+    rng = random.Random(0xD15)
+    cases = []
+    for field in (F2, F3):
+        cases.append(monoid_dual_comonoid([[0, 1, 2], [1, 1, 1], [2, 2, 2]],
+                                          field))
+        cases.append(group_algebra_hopf(cyclic_group(3), field).comonoid())
+    cases.append(lie_to_binary_sd(nonabelian_lie()).comonoid)
+    for com in cases:
+        field, d = com.field, com.dim
+        p = field.characteristic
+        for n in (2, 3):
+            proj = LinMap.identity(field, d)
+            for _ in range(n - 1):
+                proj = proj.tensor(com.counit)
+            base = np.array(proj.matrix)
+            for trial in range(4):
+                W = np.array(base)
+                if trial == 1:
+                    W[rng.randrange(d), rng.randrange(d ** n)] += 1
+                elif trial > 1:
+                    W = np.array([[rng.randrange(p) for _ in range(d ** n)]
+                                  for _ in range(d)])
+                obj = SDObject(com, n, LinMap(field, d, n, 1, W), verify=False)
+                res = check_nary_sd(obj)
+                lhs, rhs = composite_sides(obj)
+                assert res.holds == np.array_equal(lhs, rhs)
+                if trial == 0:
+                    assert res.holds
+                if not res.holds:
+                    r, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
+                    want = (r, tuple(int(v) for v in
+                                     np.unravel_index(c, (d,) * (2 * n - 1))))
+                    assert res.counterexample.witness == want
+                    assert (res.counterexample.lhs, res.counterexample.rhs) \
+                        == (lhs[r, c], rhs[r, c])

@@ -294,6 +294,73 @@ def test_group_validation():
         group_from_cayley([0, 1, 2, 3], size=2)    # out of range
 
 
+def dense_associative(C):
+    # the N^3 oracle: (a·b)·c against a·(b·c) for every triple
+    return bool(np.array_equal(C[C], C[:, C]))
+
+
+def relabeled_cayley(g, rng):
+    perm = np.array(rng.sample(range(g.size), g.size))
+    C = np.empty((g.size, g.size), np.int64)
+    C[np.ix_(perm, perm)] = perm[g.cayley.reshape(g.size, g.size)]
+    return C
+
+
+def associativity_verdict(C):
+    """None for an accepted table, else the triple the error names, which
+    must fail."""
+    try:
+        group_from_cayley(C.ravel())
+    except InputError as exc:
+        x, a, y = map(int, str(exc).split("at (")[1].rstrip(")").split(", "))
+        assert C[C[x, a], y] != C[x, C[a, y]]
+        return x, a, y
+    return None
+
+
+def test_light_associativity_matches_dense_oracle():
+    rng = random.Random(0x119)
+    groups = [cyclic_group(n) for n in (1, 2, 7, 12, 60)] + [
+        symmetric_group(3), symmetric_group(4), dihedral_group(5),
+        dihedral_group(30), direct_product(symmetric_group(3), cyclic_group(4))]
+    failures = 0
+    for g in groups:
+        for trial in range(6):
+            C = relabeled_cayley(g, rng)
+            assert dense_associative(C)
+            assert group_from_cayley(C.ravel()).size == g.size
+            if g.size < 4:
+                continue
+            # swap two products in one row, keeping the identity row and
+            # column and every inverse: a loop that is usually not a group
+            e = int(np.flatnonzero((C == np.arange(g.size)).all(axis=1))[0])
+            a = rng.choice([x for x in range(g.size) if x != e])
+            b, c = rng.sample([y for y in range(g.size)
+                               if y != e and C[a, y] != e], 2)
+            C[a, b], C[a, c] = C[a, c], C[a, b]
+            verdict = associativity_verdict(C)
+            assert (verdict is None) == dense_associative(C)
+            if verdict is not None and g.size <= 30:
+                failures += 1
+                # times C2, labeled (l, c) -> 2l + c: the first generator,
+                # (identity, 1), is central and passes, so a later one
+                # must find the failure
+                c2 = (np.arange(2)[:, None] + np.arange(2)) % 2
+                P = (2 * C[:, None, :, None] + c2[None, :, None, :]).reshape(
+                    2 * g.size, 2 * g.size)
+                assert not dense_associative(P)
+                assert associativity_verdict(P) is not None
+    assert failures >= 20
+
+
+def test_light_test_needs_few_generators():
+    from selfdist.optable import _generating_set
+    g = symmetric_group(6)
+    gens = _generating_set(g.cayley.reshape(720, 720), g.identity)
+    assert len(gens) <= 9                      # log2(720) < 9.5
+    assert _generating_set(np.zeros((1, 1), np.int64), 0) == []
+
+
 def test_group_non_integer_entries_rejected():
     # truncation would turn [0.0, 1.0, 1.0, 0.2] into the Z2 table
     for cayley in ([0.0, 1.0, 1.0, 0.2], [0.0, 1.0, 1.0, 0.0],
