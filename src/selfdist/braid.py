@@ -18,6 +18,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import limits
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_mutually_distributive, index_to_tuple,
                       inverse_translations, is_nary_distributive, is_rack)
@@ -109,6 +110,9 @@ def verify_braid_relations(op: OpTable, m: int) -> CheckResult:
         raise InputError("braid actions act through a binary operation")
     if m < 2:
         raise InputError("need at least 2 strands")
+    # (m-1)(m-2)/2 relations, each compared on every tuple of X^m
+    limits.charge_steps(limits.power(op.size, m) * max(1, (m - 1) * (m - 2) // 2),
+                        f"braid relations on {m} strands over {op.size} points")
     table = op.table.reshape(op.size, op.size)
     relations = []
     for i in range(1, m - 1):
@@ -197,13 +201,15 @@ def twist_op(hat: OpTable, star: OpTable, beta: BraidWord,
     if beta.strands != k - 1:
         raise InputError(
             f"braid word needs {k - 1} strands for an arity-{k} operation")
+    N = star.size
+    P = N ** (k - 1)
+    limits.charge_steps(P * (len(beta.word) + k),
+                        f"a braid twist of {P} tails by {len(beta.word)} letters")
     if verify:
         _require(is_rack(star), "acting operation is a rack")
         _require(is_nary_distributive(hat), "operation is self-distributive")
         _require(are_mutually_distributive(star, hat),
                  "operations are mutually distributive")
-    N = star.size
-    P = N ** (k - 1)
     inv = None
     if beta.has_inverse_letters:
         inv = inverse_translations(star)

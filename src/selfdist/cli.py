@@ -7,7 +7,10 @@ requested property holds, 1 means some property failed, 2 means the input
 was malformed or over a resource budget or the --output file could not be
 written, and 3 means an internal error: any other exception, such as a
 failed allocation.  Its traceback goes into the
-JSON report; the human format prints one line on stderr.  --format json
+JSON report; the human format prints one line on stderr.  Every budget
+refusal comes from `selfdist.limits`, which charges a request's bytes and
+loop steps before any of it is built, and reads "refusing <what>: needs
+<n> bytes|steps, budget <b>".  --format json
 prints the report as one JSON object tagged with a schema version; verdict
 content is deterministic, only the seconds field varies between runs.
 """
@@ -247,12 +250,12 @@ def _load_group(spec: str) -> FiniteGroup:
 def _load_ses(spec: str) -> SES:
     kind, _, arg = spec.partition(":")
     if kind in ("cyclic", "split"):
-        parts = arg.split(",")
+        parts = _ints(arg)
         if len(parts) != 2:
             raise InputError(f"sequence spec {spec!r} needs sub,quotient orders")
         from .cocycles import cyclic_ses, split_ses
         build = cyclic_ses if kind == "cyclic" else split_ses
-        return build(int(parts[0]), int(parts[1]))
+        return build(*parts)
     return SES.from_json(_load_json(spec))
 
 

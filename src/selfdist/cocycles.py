@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
+from . import kernels, limits
 from .homology import _digit_grid, boundary_matrix, solve_mod
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
@@ -32,9 +33,6 @@ from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
 from .constructions import (PreconditionError, _require, doubling_binary,
                             doubling_ternary, f_functor, g_functor, power_op)
 
-# full fiber-permutation search refuses above this many candidates
-FULL_SEARCH_LIMIT = 300_000
-
 
 # ---------------------------------------------------------------------------
 # coefficient groups
@@ -42,8 +40,10 @@ FULL_SEARCH_LIMIT = 300_000
 @functools.lru_cache(maxsize=None)
 def _residue_table(factors: Tuple[int, ...]) -> np.ndarray:
     """(order, len(factors)) residue rows in index order, read-only."""
-    out = np.zeros((int(np.prod(factors, dtype=np.int64)) if factors else 1,
-                    len(factors)), dtype=np.int64)
+    order = math.prod(factors)
+    limits.charge_bytes(8 * order * len(factors),
+                        f"the residue table of a group of order {order}")
+    out = np.zeros((order, len(factors)), dtype=np.int64)
     for i in range(out.shape[0]):
         rem = i
         for j in range(len(factors) - 1, -1, -1):
@@ -64,8 +64,8 @@ class AbGroup:
 
     def __post_init__(self):
         facs = tuple(int(f) for f in self.factors)
-        if any(f < 1 for f in facs):
-            raise InputError(f"cyclic factors must be >= 1, got {facs}")
+        if any(f < 1 or f > np.iinfo(np.int64).max for f in facs):
+            raise InputError(f"cyclic factors must be in 1..2^63-1, got {facs}")
         object.__setattr__(self, "factors", facs)
 
     @property
@@ -139,7 +139,7 @@ class Cochain:
         if arr.ndim != 2 or arr.shape[1] != coeff.rank:
             raise InputError(
                 f"values must have shape (size^nargs, {coeff.rank})")
-        if arr.shape[0] != size ** nargs:
+        if arr.shape[0] != limits.power(size, nargs):
             raise InputError(
                 f"values length {arr.shape[0]} != {size}^{nargs}")
         arr = coeff.reduce(arr)
@@ -181,12 +181,12 @@ class Cochain:
             nargs = int(obj["nargs"])
             coeff = coeff_group(obj["coeff"])
             values = obj["values"]
-        except (KeyError, TypeError, InputError) as exc:
+            count = len(values)
+        except (KeyError, TypeError, ValueError, InputError) as exc:
             raise InputError(f"cochain JSON needs nargs/coeff/values: {exc}")
-        count = len(values)
-        size = round(count ** (1.0 / nargs)) if nargs else 1
+        size = round(count ** (1.0 / nargs)) if nargs > 0 else 1
         for cand in (size - 1, size, size + 1):
-            if cand >= 1 and cand ** nargs == count:
+            if cand >= 1 and limits.power(cand, nargs) == count:
                 return Cochain(cand, nargs, coeff, values)
         raise InputError(f"values length {count} is not a {nargs}-th power")
 
@@ -198,6 +198,9 @@ def make_cochain(size: int, nargs: int, coeff, entries, base=None) -> Cochain:
     integer when the group has a single factor)."""
     coeff = coeff_group(coeff)
     if callable(entries):
+        what = f"a size {size} cochain on {nargs} arguments from a callable"
+        limits.charge_steps(limits.power(size, nargs), what)
+        limits.charge_bytes(8 * limits.power(size, nargs) * coeff.rank, what)
         rows = []
         for args in itertools.product(range(size), repeat=nargs):
             v = entries(*args)
@@ -208,6 +211,8 @@ def make_cochain(size: int, nargs: int, coeff, entries, base=None) -> Cochain:
 
 def zero_cochain(size: int, nargs: int, coeff, base=None) -> Cochain:
     coeff = coeff_group(coeff)
+    limits.charge_bytes(8 * limits.power(size, nargs) * coeff.rank,
+                        f"a size {size} zero cochain on {nargs} arguments")
     return Cochain(size, nargs, coeff,
                    np.zeros((size ** nargs, coeff.rank), np.int64), base=base)
 
@@ -332,6 +337,22 @@ def are_compatible_ternary_cocycles(psi0: Cochain, psi1: Cochain,
 # ---------------------------------------------------------------------------
 # abelian extensions
 
+def _charge_digits(size: int, k: int, what: str) -> None:
+    """Charge the k int64 digit rows of every k-tuple on a carrier, the
+    largest arrays of the extension builders."""
+    limits.charge_bytes(8 * k * limits.power(size, k), what)
+
+
+def _fiber_digits(N: int, o: int, k: int):
+    """For every k-tuple on X x A, |X| = N and |A| = o: the flat index of its
+    X coordinates, and its A coordinates as one row per slot."""
+    grid = _digit_grid(N * o, k, (N * o) ** k)
+    base_idx = np.zeros(grid.shape[1], dtype=np.int64)
+    for x in grid // o:
+        base_idx = base_idx * N + x
+    return base_idx, grid % o
+
+
 def extend(op: OpTable, c: Cochain, verify: bool = True) -> OpTable:
     """Extension on X x A: first slot (x, a), result (op(x, ...), a + c(x, ...)).
 
@@ -339,19 +360,15 @@ def extend(op: OpTable, c: Cochain, verify: bool = True) -> OpTable:
     unverified table exists for exactly the tables that fail to be racks.
     """
     _match(op, c, op.arity, "extension")
-    if verify:
-        _require(_degree2_check(c, op), "cochain is a cocycle")
     A = c.coeff
     o = A.order
     N = op.size
     k = op.arity
     M = N * o
-    grid = _digit_grid(M, k, M ** k)
-    xs = grid // o
-    azs = grid % o
-    base_idx = np.zeros(M ** k, dtype=np.int64)
-    for j in range(k):
-        base_idx = base_idx * N + xs[j]
+    _charge_digits(M, k, f"an extension of a size {N} table by order {o}")
+    if verify:
+        _require(_degree2_check(c, op), "cochain is a cocycle")
+    base_idx, azs = _fiber_digits(N, o, k)
     res = A.residue_table()
     vals = res[azs[0]] + c.values[base_idx]
     out = op.table[base_idx] * o + A.index_array(vals)
@@ -379,6 +396,7 @@ def ternary_cocycle_from_pair(phi0: Cochain, phi1: Cochain,
                               verify: bool = True) -> Cochain:
     """psi(x, y, z) = phi0(x, y) + phi1(x *0 y, z), a ternary cocycle for the
     composite ternary operation of the pair."""
+    _charge_digits(op0.size, 3, "a ternary cocycle from a pair")
     if verify:
         _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
                  "pair cocycle conditions")
@@ -397,6 +415,7 @@ def binary_cocycle_from_ternary_pair(psi0: Cochain, psi1: Cochain,
                                      verify: bool = True) -> Cochain:
     """phi((x0,x1), (y0,y1)) = psi0(x0, y0, y1) + psi1(x1, y0, y1) on the
     square carrier, a binary cocycle for the pair-to-binary composite."""
+    _charge_digits(T0.size, 4, "a binary cocycle from a ternary pair")
     if verify:
         _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1,
                                                  literal=literal),
@@ -419,6 +438,7 @@ def doubled_binary_cocycle(phi0: Cochain, phi1: Cochain,
     Equals the square-carrier composite of the ternary cocycle of the pair
     with itself, which is how the doubling is proved to stay a cocycle.
     """
+    _charge_digits(op0.size, 4, "a doubled binary cocycle")
     if verify:
         _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
                  "pair cocycle conditions")
@@ -440,6 +460,7 @@ def doubled_ternary_cocycle(psi0: Cochain, psi1: Cochain,
                             verify: bool = True) -> Cochain:
     """Cocycle for the doubled ternary operation on the square carrier:
     psi0(x0,y) + psi1(x1,y) + psi0(T0(x0,y), z) + psi1(T1(x1,y), z)."""
+    _charge_digits(T0.size, 6, "a doubled ternary cocycle")
     if verify:
         _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1,
                                                  literal=literal),
@@ -464,6 +485,9 @@ def power_cocycle(phi: Cochain, op: OpTable, n: int,
     _match(op, phi, 2, "power cocycle")
     if n < 0:
         raise InputError("power must be nonnegative")
+    # n gathers of the N^2 pairs
+    limits.charge_steps(n * op.size ** 2,
+                        f"power cocycle {n} on a size {op.size} table")
     if verify:
         _require(is_binary_2cocycle(phi, op), "cochain is a cocycle")
     N = op.size
@@ -494,6 +518,7 @@ class SES:
 
     def __init__(self, sub, total, quotient, inclusion, projection, section):
         sub, total, quotient = (coeff_group(g) for g in (sub, total, quotient))
+        _charge_ses(total.order)
         inc = integer_array(inclusion, "inclusion entries")
         proj = integer_array(projection, "projection entries")
         sec = integer_array(section, "section entries")
@@ -546,6 +571,13 @@ class SES:
             raise InputError(f"sequence JSON incomplete: {exc}")
 
 
+def _charge_ses(order: int) -> None:
+    """Charge the homomorphism checks of a sequence: one pass over the total
+    group for each of its elements."""
+    limits.charge_steps(order * order,
+                        f"checking a sequence through a group of order {order}")
+
+
 def _check_hom(src: AbGroup, dst: AbGroup, table, what: str):
     res = src.residue_table()
     img = dst.residue_table()[table]
@@ -560,6 +592,7 @@ def cyclic_ses(sub_order: int, quotient_order: int) -> SES:
     """Z_h --times a--> Z_(h a) --mod a--> Z_a with the canonical lift."""
     h, a = int(sub_order), int(quotient_order)
     total = h * a
+    _charge_ses(total)
     return SES((h,), (total,), (a,),
                [k * a for k in range(h)],
                [e % a for e in range(total)],
@@ -569,6 +602,7 @@ def cyclic_ses(sub_order: int, quotient_order: int) -> SES:
 def split_ses(sub_order: int, quotient_order: int) -> SES:
     """Z_h --> Z_h x Z_a --> Z_a with the additive section a -> (0, a)."""
     h, a = int(sub_order), int(quotient_order)
+    _charge_ses(h * a)
     total = AbGroup((h, a))
     return SES((h,), total, (a,),
                [total.index((k, 0)) for k in range(h)],
@@ -587,11 +621,10 @@ def three_cocycle_from_ses(phi: Cochain, op: OpTable, ses: SES,
     _match(op, phi, 3, "degree-3 construction")
     if phi.coeff != ses.quotient:
         raise InputError("cochain coefficients must equal the quotient group")
+    N = op.size
+    _charge_digits(N, 5, f"a degree-3 cocycle on a size {N} carrier")
     if verify:
         _require(is_ternary_2cocycle(phi, op), "cochain is a cocycle")
-    N = op.size
-    if N ** 5 > 40_000_000:
-        raise InputError(f"carrier too large: {N}^5 tuples")
     E = ses.total
     lift_res = E.residue_table()[ses.section]           # quotient idx -> E residues
     a_idx = ses.quotient.index_array(phi.values)        # per 3-tuple
@@ -653,12 +686,8 @@ def _extract_cocycle(ext: OpTable, base: OpTable, A: AbGroup):
     if ext.size != N * o or ext.arity != base.arity:
         return None
     k = base.arity
-    grid = _digit_grid(N * o, k, (N * o) ** k)
-    xs = grid // o
-    azs = grid % o
-    base_idx = np.zeros((N * o) ** k, dtype=np.int64)
-    for j in range(k):
-        base_idx = base_idx * N + xs[j]
+    _charge_digits(N * o, k, f"reading the cochain of an extension by order {o}")
+    base_idx, azs = _fiber_digits(N, o, k)
     out = ext.table
     if not np.array_equal(out // o, base.table[base_idx]):
         return None
@@ -691,9 +720,10 @@ def extension_equivalent(ext0: OpTable, ext1: OpTable, base: OpTable,
             return CheckResult(True, detail="translation fiber map from coboundary")
     N = base.size
     o = A.order
-    import math
     candidates = math.factorial(o) ** N
-    if candidates <= FULL_SEARCH_LIMIT:
+    # each candidate bijection is tried on every tuple of the extension
+    search = candidates * limits.power(N * o, ext0.arity)
+    if search <= limits.STEPS:
         if _fiber_search(ext0, ext1, N, o):
             return CheckResult(True, detail="fiber permutation found by search")
         return CheckResult(False,

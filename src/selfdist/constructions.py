@@ -15,10 +15,12 @@ import math
 
 import numpy as np
 
+from . import limits
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       OpTable, are_compatible_ternary,
-                      are_mutually_distributive, exchange_holds,
-                      is_nary_distributive, is_rack)
+                      are_mutually_distributive, check_shape, exchange_holds,
+                      integer_array, is_nary_distributive, is_rack,
+                      table_bytes)
 
 
 class PreconditionError(ValueError):
@@ -38,6 +40,13 @@ def _require(result: CheckResult, what: str):
                                 result)
 
 
+def _charge_table(size: int, arity: int, what: str) -> None:
+    """Charge the int64 table a builder is about to make, before any
+    hypothesis is verified."""
+    limits.charge_bytes(table_bytes(size, arity),
+                        f"{what} (a size {size} arity {arity} table)")
+
+
 def affine_op(modulus: int, arity: int, coefficients) -> OpTable:
     """Linear operation sum(c_i * a_i) mod N with coefficients summing to 1.
 
@@ -46,10 +55,12 @@ def affine_op(modulus: int, arity: int, coefficients) -> OpTable:
     are invertible only when the leading coefficient is a unit mod N; a
     non-unit still builds, with a warning recorded in the table metadata.
     """
+    check_shape(modulus, arity)
     coeffs = [int(c) % modulus for c in coefficients]
     if len(coeffs) != arity - 1:
         raise InputError(
             f"need {arity - 1} coefficients for arity {arity}, got {len(coeffs)}")
+    _charge_table(modulus, arity, "an affine operation")
     coeffs.append((1 - sum(coeffs)) % modulus)
     total = np.zeros((modulus,) * arity, np.int64)
     for i, c in enumerate(coeffs):
@@ -66,6 +77,7 @@ def affine_op(modulus: int, arity: int, coefficients) -> OpTable:
 
 def conj_quandle(g: FiniteGroup) -> OpTable:
     """Conjugation a * b = b^-1 a b."""
+    _charge_table(g.size, 2, "a conjugation quandle")
     C = g.cayley.reshape(g.size, g.size)
     return OpTable(g.size, 2, C[g.inverse[None, :], C],
                    meta={"construction": "conjugation"})
@@ -73,6 +85,7 @@ def conj_quandle(g: FiniteGroup) -> OpTable:
 
 def core_quandle(g: FiniteGroup) -> OpTable:
     """Core operation a * b = b a^-1 b."""
+    _charge_table(g.size, 2, "a core quandle")
     C = g.cayley.reshape(g.size, g.size)
     return OpTable(g.size, 2, C[np.arange(g.size)[None, :], C[g.inverse]],
                    meta={"construction": "core"})
@@ -80,6 +93,7 @@ def core_quandle(g: FiniteGroup) -> OpTable:
 
 def heap_op(g: FiniteGroup) -> OpTable:
     """Heap T(x, y0, y1) = x y0^-1 y1, a ternary rack for every group."""
+    _charge_table(g.size, 3, "a heap")
     C = g.cayley.reshape(g.size, g.size)
     return OpTable(g.size, 3, C[C[:, g.inverse][:, :, None], np.arange(g.size)],
                    meta={"construction": "heap"})
@@ -97,7 +111,7 @@ def heap_vs_core_directional(group: FiniteGroup, jobs: int = 1):
 
 
 def _check_automorphism(g: FiniteGroup, perm) -> np.ndarray:
-    f = np.ascontiguousarray(perm, dtype=np.int64)
+    f = integer_array(perm, "automorphism entries")
     if f.shape != (g.size,) or not np.array_equal(np.sort(f), np.arange(g.size)):
         raise InputError("automorphism must be a permutation of the group")
     C = g.cayley.reshape(g.size, g.size)
@@ -111,6 +125,7 @@ def _check_automorphism(g: FiniteGroup, perm) -> np.ndarray:
 
 def generalized_alexander(g: FiniteGroup, f) -> OpTable:
     """Twisted operation x * y = f(x y^-1) y for an automorphism f."""
+    _charge_table(g.size, 2, "a generalized Alexander quandle")
     fv = _check_automorphism(g, f)
     C = g.cayley.reshape(g.size, g.size)
     return OpTable(g.size, 2, C[fv[C[:, g.inverse]], np.arange(g.size)[None, :]],
@@ -128,25 +143,37 @@ def power_op(op: OpTable, n: int, verify: bool = True) -> OpTable:
     """n-fold leftmost iterate x -> W(...W(W(x, y), y)..., y).
 
     n = 0 gives the projection onto the first argument, the identity of the
-    composition monoid.
+    composition monoid.  The iterate is the n-th power of each translation
+    x -> W(x, y), taken by repeated squaring: powers of one map commute, so
+    the squares of the translations are multiplied in along the bits of n.
     """
     if n < 0:
         raise InputError("power must be a nonnegative integer")
+    N, k = op.size, op.arity
+    # two gathers of the whole table per bit of n
+    limits.charge_steps(2 * int(n).bit_length() * len(op.table),
+                        f"power {n} of a size {N} arity {k} table")
     if verify:
         _require(is_nary_distributive(op), "operation is not self-distributive")
-    N, k = op.size, op.arity
     P = N ** (k - 1)
-    inner = op.table.reshape(N, P)
+    square = op.table.reshape(N, P)
     cur = np.broadcast_to(np.arange(N)[:, None], (N, P)).copy()
     cols = np.arange(P)[None, :]
-    for _ in range(n):
-        cur = inner[cur, np.broadcast_to(cols, (N, P))]
+    bits = int(n)
+    while bits:
+        if bits & 1:
+            cur = square[cur, cols]
+        bits >>= 1
+        if bits:
+            square = square[square, cols]
     return OpTable(N, k, cur.ravel(),
                    meta={"construction": "power", "exponent": n})
 
 
 def projection_op(size: int, arity: int) -> OpTable:
     """W(x, y...) = x, the identity of the composition monoid."""
+    check_shape(size, arity)
+    _charge_table(size, arity, "a projection")
     table = np.repeat(np.arange(size, dtype=np.int64), size ** (arity - 1))
     return OpTable(size, arity, table, meta={"construction": "projection"})
 
@@ -160,10 +187,13 @@ def product_mutual_pair(rack_x: OpTable, rack_y: OpTable,
     """
     if rack_x.arity != 2 or rack_y.arity != 2:
         raise InputError("product pair construction needs binary operations")
+    nx, ny = rack_x.size, rack_y.size
+    # two tables on the product carrier
+    limits.charge_bytes(2 * table_bytes(nx * ny, 2),
+                        f"a product pair of orders {nx} and {ny}")
     if verify:
         _require(is_rack(rack_x), "first operation is not a rack")
         _require(is_rack(rack_y), "second operation is not a rack")
-    nx, ny = rack_x.size, rack_y.size
     sx = rack_x.table.reshape(nx, nx)
     sy = rack_y.table.reshape(ny, ny)
     x0 = np.arange(nx)[:, None, None, None]
@@ -190,6 +220,7 @@ def doubling_binary(op0: OpTable, op1: OpTable, verify: bool = True) -> OpTable:
     """
     if op0.arity != 2 or op1.arity != 2 or op0.size != op1.size:
         raise InputError("doubling needs two binary operations of equal size")
+    _charge_table(op0.size ** 2, 2, "a binary doubling")
     if verify:
         _require(is_rack(op0), "first operation is not a rack")
         _require(is_rack(op1), "second operation is not a rack")
@@ -215,6 +246,7 @@ def doubling_ternary(T0: OpTable, T1: OpTable, verify: bool = True) -> OpTable:
     """
     if T0.arity != 3 or T1.arity != 3 or T0.size != T1.size:
         raise InputError("ternary doubling needs two ternary operations of equal size")
+    _charge_table(T0.size ** 2, 3, "a ternary doubling")
     if verify:
         _require(is_nary_distributive(T0), "first operation is not self-distributive")
         _require(is_nary_distributive(T1), "second operation is not self-distributive")
@@ -240,6 +272,7 @@ def f_functor(op0: OpTable, op1: OpTable, verify: bool = True) -> OpTable:
     """
     if op0.arity != 2 or op1.arity != 2 or op0.size != op1.size:
         raise InputError("the binary-to-ternary passage needs two binary operations")
+    _charge_table(op0.size, 3, "the binary-to-ternary passage")
     if verify:
         _require(is_rack(op0), "first operation is not a rack")
         _require(is_rack(op1), "second operation is not a rack")
@@ -263,6 +296,7 @@ def g_functor(T0: OpTable, T1: OpTable, verify: bool = True) -> OpTable:
     """
     if T0.arity != 3 or T1.arity != 3 or T0.size != T1.size:
         raise InputError("the ternary-to-binary passage needs two ternary operations")
+    _charge_table(T0.size ** 2, 2, "the ternary-to-binary passage")
     if verify:
         _require(is_rack(T0), "first operation is not a ternary rack")
         _require(is_rack(T1), "second operation is not a ternary rack")
@@ -307,6 +341,7 @@ def compose_mn(W_m: OpTable, W_n: OpTable, verify: bool = True) -> OpTable:
     """
     if W_m.size != W_n.size:
         raise InputError(f"size mismatch: {W_m.size} vs {W_n.size}")
+    _charge_table(W_m.size, W_m.arity + W_n.arity - 1, "a composite operation")
     if verify:
         _require(is_nary_distributive(W_m), "first operation is not self-distributive")
         _require(is_nary_distributive(W_n), "second operation is not self-distributive")
@@ -329,6 +364,7 @@ def monoid_product(W: OpTable, W_prime: OpTable) -> OpTable:
     if W.size != W_prime.size or W.arity != W_prime.arity:
         raise InputError("monoid product needs tables of identical size and arity")
     N, k = W.size, W.arity
+    _charge_table(N, k, "a monoid product")
     P = N ** (k - 1)
     inner = W.table.reshape(N, P)
     out = inner[W_prime.table.reshape(N, P),
@@ -347,14 +383,25 @@ def augmented_ternary(x_size: int, g: FiniteGroup, action, pairing,
     p(y0.g, y1.g) = g^-1 p(y0, y1) g.  Self-distributivity of the result then
     comes for free.
     """
-    act = np.ascontiguousarray(action, dtype=np.int64).reshape(x_size, g.size)
-    p = np.ascontiguousarray(pairing, dtype=np.int64).reshape(x_size, x_size)
+    act = integer_array(action, "action entries")
+    p = integer_array(pairing, "pairing entries")
+    if act.shape != (x_size, g.size):
+        raise InputError(f"action has shape {act.shape}, expected"
+                         f" {(x_size, g.size)}")
+    if p.shape != (x_size, x_size):
+        raise InputError(f"pairing has shape {p.shape}, expected"
+                         f" {(x_size, x_size)}")
+    _charge_table(x_size, 3, "an augmented ternary operation")
     if act.size and (act.min() < 0 or act.max() >= x_size):
         raise InputError("action values must lie in the carrier")
     if p.size and (p.min() < 0 or p.max() >= g.size):
         raise InputError("pairing values must lie in the group")
     C = g.cayley.reshape(g.size, g.size)
     if verify:
+        # the action law compares two x_size x |G| x |G| arrays
+        limits.charge_bytes(8 * x_size * g.size ** 2,
+                            f"verifying an action of order {g.size}"
+                            f" on {x_size} points")
         if not np.array_equal(act[:, g.identity], np.arange(x_size)):
             raise PreconditionError("action does not fix the identity")
         # act(act(x,a),b) == act(x, a*b)

@@ -19,13 +19,11 @@ import math
 
 import numpy as np
 
+from . import limits
 from .constructions import affine_op
-from .optable import InputError, OpTable, digit_map, tuple_to_index
+from .optable import (InputError, OpTable, check_shape, digit_map,
+                      tuple_to_index)
 
-FULL_SCAN_LIMIT = 2 ** 25         # tables in a full scan
-RACK_WORK_LIMIT = 2 ** 23         # table entries and checks in a translation scan
-AFFINE_SCAN_LIMIT = 2 ** 16       # coefficient vectors in an affine scan
-ISO_SIZE_LIMIT = 8                # carrier size for canonical forms
 ISO_BLOCK_ENTRIES = 2 ** 16       # relabeled entries held at once
 
 KINDS = ("all", "sd", "rack", "quandle")
@@ -36,14 +34,21 @@ def _check_kind(kind: str, allowed=KINDS):
         raise InputError(f"unknown predicate {kind!r}, expected one of {allowed}")
 
 
+def _charge_scan(count: int, size: int, arity: int, kind: str, what: str):
+    """Charge a scan of `count` stacked tables with its N^(k-1) tail tuples
+    and, unless every table is kept, the self-distributivity mask: one pass
+    per (2k-1)-tuple."""
+    tails = limits.power(size, arity - 1) * (arity - 1)
+    limits.charge_bytes(8 * (count * limits.power(size, arity) + tails), what)
+    if kind != "all":
+        limits.charge_steps(count * limits.power(size, 2 * arity - 1),
+                            f"the self-distributivity mask of {what}")
+
+
 def _full_tables(size: int, arity: int) -> np.ndarray:
     """All flat tables of the given shape, one per row, in lexicographic order."""
     entries = size ** arity
     count = size ** entries
-    if count > FULL_SCAN_LIMIT:
-        raise InputError(
-            f"refusing full scan: {size}^{entries} = {count} tables exceeds "
-            f"{FULL_SCAN_LIMIT}; use the affine or translation filters")
     codes = np.arange(count, dtype=np.int64)
     tables = np.empty((count, entries), dtype=np.int64)
     for pos in range(entries - 1, -1, -1):
@@ -115,9 +120,13 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> list:
     """Every table of the given shape passing the predicate, lex order.
 
     kind is one of "all", "sd", "rack", "quandle".  Refuses shapes whose
-    full scan would exceed FULL_SCAN_LIMIT tables.
+    full scan would not fit the budgets of `limits`.
     """
     _check_kind(kind)
+    check_shape(size, arity)
+    count = limits.power(size, limits.power(size, arity))
+    _charge_scan(count, size, arity, kind,
+                 f"a full scan of size {size} arity {arity}")
     tables = _full_tables(size, arity)
     return _wrap(_apply_kind(tables, size, arity, kind), size, arity, "full", kind)
 
@@ -131,11 +140,9 @@ def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> list:
     since the coefficients sum to 1).
     """
     _check_kind(kind)
-    heads = modulus ** (arity - 1)
-    if heads > AFFINE_SCAN_LIMIT:
-        raise InputError(
-            f"refusing affine scan: {modulus}^{arity - 1} = {heads} "
-            f"coefficient vectors exceeds {AFFINE_SCAN_LIMIT}")
+    check_shape(modulus, arity)
+    _charge_scan(limits.power(modulus, arity - 1), modulus, arity, kind,
+                 f"an affine scan of modulus {modulus} arity {arity}")
     tables = np.stack([
         affine_op(modulus, arity, head).table
         for head in itertools.product(range(modulus), repeat=arity - 1)])
@@ -150,27 +157,29 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> list:
     one permutation per tail; self-distributivity becomes a conjugation
     condition between those permutations, checked incrementally while the
     choices are assigned, so the 6^9 ternary size-3 space prunes quickly.
-    Refuses once the work exceeds RACK_WORK_LIMIT: the entries of the lookup
-    tables, charged before they are built, plus the most consistency checks
-    each search node can make.
+    Refuses once the work exceeds `limits.STEPS`: the entries of the lookup
+    tables plus the most consistency checks each search node can make.
+    Both the tables and the first descent of the search are charged before
+    anything is built: the first permutation is the identity and the
+    projection table is a rack, so that descent reaches every level.
     """
     _check_kind(kind, ("rack", "quandle"))
-    work = 0
+    check_shape(size, arity)
+    what = (f"a translation scan on size {size} arity {arity} (table entries"
+            " and consistency checks)")
+    # 21! exceeds 2^64, so the clamp only keeps the estimate cheap
+    n_perms = math.factorial(min(size, 21))
+    n_tails = limits.power(size, arity - 1)
+    work = n_perms ** 2 + 2 * n_perms * n_tails + n_tails * (arity - 1)
+    # n_perms * (3 * level + 1) checks at each level of the first descent
+    limits.charge_steps(
+        work + n_perms * (3 * n_tails * (n_tails - 1) // 2 + n_tails), what)
 
     def charge(count: int):
         nonlocal work
         work += count
-        if work > RACK_WORK_LIMIT:
-            raise InputError(
-                f"refusing translation scan on size {size} arity {arity}: "
-                f"more than {RACK_WORK_LIMIT} table entries and consistency "
-                f"checks")
+        limits.charge_steps(work, what)
 
-    # 13!^2 and 2^64 each exceed the budget on their own, so the clamps only
-    # keep the charge itself cheap
-    n_perms = math.factorial(min(size, 13))
-    n_tails = size ** min(arity - 1, 64)
-    charge(n_perms ** 2 + 2 * n_perms * n_tails + n_tails * (arity - 1))
     perms = list(itertools.permutations(range(size)))
     pindex = {p: i for i, p in enumerate(perms)}
     compose = [[pindex[tuple(a[b[v]] for v in range(size))] for b in perms]
@@ -291,10 +300,10 @@ def _check_iso_shape(op_a: OpTable, op_b: OpTable):
         raise InputError(
             f"shape mismatch: size {op_a.size} arity {op_a.arity} vs "
             f"size {op_b.size} arity {op_b.arity}")
-    if op_a.size > ISO_SIZE_LIMIT:
+    if op_a.size > limits.ISO_SIZE_LIMIT:
         raise InputError(
             f"refusing isomorphism search over {op_a.size}! relabelings "
-            f"(carrier size limit {ISO_SIZE_LIMIT})")
+            f"(carrier size limit {limits.ISO_SIZE_LIMIT})")
 
 
 def find_isomorphism(op_a: OpTable, op_b: OpTable):

@@ -32,6 +32,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import limits
 from .optable import (
     CheckResult,
     InputError,
@@ -41,19 +42,15 @@ from .optable import (
 )
 from .constructions import PreconditionError, _require
 
-# refuse boundary matrices with more entries than this (dense int64);
-# covers degree <= 4 on size <= 3 carriers (including ternary pairs) and
-# degree <= 3 on size <= 4
-MAX_MATRIX_ENTRIES = 20_000_000
-
 
 # ---------------------------------------------------------------------------
 # generator bookkeeping
 
 def ternary_generator_count(size: int, n: int) -> int:
+    """size^(2n-1), saturated like `limits.power`."""
     if n <= 0:
         return 0
-    return size ** (2 * n - 1)
+    return limits.power(size, 2 * n - 1)
 
 
 def _digit_grid(size, ndigits, count):
@@ -66,12 +63,11 @@ def _digit_grid(size, ndigits, count):
     return digits
 
 
-def _guard_matrix(rows, cols, what):
-    if rows * cols > MAX_MATRIX_ENTRIES:
-        raise InputError(
-            f"{what} needs a {rows} x {cols} matrix "
-            f"({rows * cols} entries); refusing above {MAX_MATRIX_ENTRIES}"
-        )
+def _charge_boundary(rows, cols, n, what):
+    """Charge a dense int64 boundary matrix and its assembly: about n^2
+    passes over the columns, which also covers tiny carriers of huge degree."""
+    limits.charge_bytes(8 * rows * cols, what)
+    limits.charge_steps(n * n * cols, what)
 
 
 def ternary_boundary(op: OpTable, n: int, verify: bool = True) -> np.ndarray:
@@ -84,14 +80,14 @@ def ternary_boundary(op: OpTable, n: int, verify: bool = True) -> np.ndarray:
         raise InputError("ternary complex needs an arity-3 operation")
     if n < 1:
         raise InputError("degree must be >= 1")
-    if verify:
-        _require(is_nary_distributive(op), "operation is self-distributive")
     N = op.size
-    if n == 1:
-        return np.zeros((0, N), dtype=np.int64)
     rows = ternary_generator_count(N, n - 1)
     cols = ternary_generator_count(N, n)
-    _guard_matrix(rows, cols, f"ternary boundary at degree {n}, size {N}")
+    _charge_boundary(rows, cols, n, f"the ternary boundary at degree {n}, size {N}")
+    if verify:
+        _require(is_nary_distributive(op), "operation is self-distributive")
+    if n == 1:
+        return np.zeros((0, N), dtype=np.int64)
     T = op.table
     dig = _digit_grid(N, 2 * n - 1, cols)
     M = np.zeros((rows, cols), dtype=np.int64)
@@ -147,8 +143,13 @@ def _label_vectors(k, length):
 
 
 def labeled_generator_count(system: Sequence[OpTable], n: int) -> int:
-    blocks = labeled_blocks(system, n)
-    return blocks[-1][1] + blocks[-1][2] if blocks else 0
+    """N * S^(n-1), saturated like `limits.power`, with S the sum of
+    N^(arity - 1) over the system: each of the n-1 tail slots takes any
+    operation's label and tail."""
+    if n <= 0:
+        return 0
+    N = system[0].size
+    return N * limits.power(sum(N ** (t.arity - 1) for t in system), n - 1)
 
 
 def _check_system(system):
@@ -158,6 +159,9 @@ def _check_system(system):
     for t in system:
         if t.size != N:
             raise InputError("system operations live on different carriers")
+
+
+def _require_system(system):
     for t in system:
         _require(is_nary_distributive(t), "every system operation is self-distributive")
     for a in range(len(system)):
@@ -178,18 +182,18 @@ def labeled_boundary(system: Sequence[OpTable], n: int,
     system = list(system)
     if n < 1:
         raise InputError("degree must be >= 1")
-    if verify:
-        _check_system(system)
+    _check_system(system)
     N = system[0].size
+    rows = labeled_generator_count(system, n - 1)
+    cols = labeled_generator_count(system, n)
+    _charge_boundary(rows, cols, n, f"the labeled boundary at degree {n}, size {N}")
+    if verify:
+        _require_system(system)
     arities = [t.arity for t in system]
     if n == 1:
         return np.zeros((0, N), dtype=np.int64)
     hi = labeled_blocks(system, n)
-    lo = labeled_blocks(system, n - 1)
-    lo_offset = {eps: off for eps, off, _ in lo}
-    rows = labeled_generator_count(system, n - 1)
-    cols = labeled_generator_count(system, n)
-    _guard_matrix(rows, cols, f"labeled boundary at degree {n}, size {N}")
+    lo_offset = {eps: off for eps, off, _ in labeled_blocks(system, n - 1)}
     M = np.zeros((rows, cols), dtype=np.int64)
 
     for eps, offset, count in hi:
@@ -288,6 +292,10 @@ def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
     if A.ndim != 2:
         raise InputError("matrix must be two-dimensional")
     if transforms:
+        # the matrix and both transforms as Python lists
+        rows, cols = A.shape
+        limits.charge_bytes(8 * (rows * cols + rows * rows + cols * cols),
+                            f"a {rows} x {cols} Smith reduction with transforms")
         return _smith_dense([[int(v) for v in row] for row in A], A.shape[1],
                             transforms=True)
     units, residual, cols = _eliminate_unit_pivots(A)
@@ -656,8 +664,13 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
     dn1 = boundary_matrix(target, n + 1, verify=verify)
     dn = boundary_matrix(target, n, verify=False)
     delta_n, delta_prev = dn1.T, dn.T    # n-cochains -> n+1, (n-1)-cochains -> n
-    betti, low, high = _integral_factors(target, n, dn, dn1)
     gens = _generator_count(target, n)
+    # per factor, a gens x factors vector for each of the gens kernel columns
+    # and the dn.shape[0] coboundary columns
+    vectors = len(factors) * (gens + dn.shape[0])
+    limits.charge_bytes(8 * vectors * gens * len(factors),
+                        f"degree-{n} cocycle and coboundary generators")
+    betti, low, high = _integral_factors(target, n, dn, dn1)
     cocycles = []
     coboundaries = []
     for fi, d in enumerate(factors):
@@ -707,19 +720,21 @@ def chain_map_F(op0: OpTable, op1: OpTable, n: int,
             raise InputError("chain map needs a pair of binary operations")
     if op0.size != op1.size:
         raise InputError("operations live on different carriers")
+    N = op0.size
+    system = [op0, op1]
+    cols = N ** (2 * n - 1)
+    rows = labeled_generator_count(system, n)
+    limits.charge_bytes(8 * rows * cols, f"the degree-{n} chain map on a size"
+                        f" {N} carrier ({rows} x {cols})")
     if verify:
         _require(exchange_holds(op0, op1), "pair satisfies the exchange law (0 over 1)")
         _require(exchange_holds(op1, op0), "pair satisfies the exchange law (1 over 0)")
         _require(is_nary_distributive(op0), "first operation is self-distributive")
         _require(is_nary_distributive(op1), "second operation is self-distributive")
-    N = op0.size
     if n == 1:
         return np.eye(N, dtype=np.int64)
-    system = [op0, op1]
     offs = {eps: off for eps, off, _ in labeled_blocks(system, n)}
     S0 = op0.table.reshape(N, N)
-    cols = N ** (2 * n - 1)
-    rows = labeled_generator_count(system, n)
     M = np.zeros((rows, cols), dtype=np.int64)
     colidx = np.arange(cols, dtype=np.int64)
     dig = _digit_grid(N, 2 * n - 1, cols)

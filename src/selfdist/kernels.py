@@ -31,6 +31,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import limits
+from .limits import InputError
+
 # Numba is no longer a backend.  The flag stays because the benchmark's
 # machine block reads it on every run.
 USING_NUMBA = False
@@ -80,7 +83,6 @@ class Law(NamedTuple):
 
 def _entries(values, length, hi, what):
     """values as a contiguous int64 array of `length` entries in 0..hi-1."""
-    from .optable import InputError  # optable imports this module
     arr = np.ascontiguousarray(values, dtype=np.int64).ravel()
     if arr.shape[0] != length:
         raise InputError(f"{what} has {arr.shape[0]} entries, expected {length}")
@@ -89,8 +91,19 @@ def _entries(values, length, hi, what):
     return arr
 
 
+def _charge_blocks(N, lead, tail, what):
+    """Charge a scan's Python-level work before its law is built: about
+    `lead` digit and gather steps for each block of leading tuples.  Only a
+    huge arity on a tiny carrier comes near the budget."""
+    per_block = max(1, _SLAB // max(1, tail))
+    blocks = -(-limits.power(N, lead) // per_block)
+    limits.charge_steps(lead * blocks, f"a scan of {what}")
+
+
 def exchange_law(tm, tn, N, m, n):
     """tn(tm(x, y), z) == tm(tn(x, z), tn(y_1, z), ..., tn(y_{m-1}, z))."""
+    _charge_blocks(N, m, limits.power(N, n - 1),
+                   f"arities {m} and {n} on {N} points")
     tm = _entries(tm, N ** m, N, "outer table")
     tn = _entries(tn, N ** n, N, "acting table")
     return Law(N, tm, tn, (tn,) * (m - 1))
@@ -109,6 +122,7 @@ def compat_law(A, B, N, which):
 
 def cocycle_law(W, phi, N, k, d):
     """phi(x, y) + phi(W(x, y), z) == phi(x, z) + phi(W(x, z), W(y_1, z), ...) mod d."""
+    _charge_blocks(N, k, limits.power(N, k - 1), f"arity {k} on {N} points")
     W = _entries(W, N ** k, N, "operation table")
     phi = _entries(phi, N ** k, d, "cochain")
     return Law(N, W, W, (W,) * (k - 1), phi, phi, d)

@@ -19,12 +19,13 @@ product is the outer product of the two maps' entries, and a permutation of
 tensor factors is arithmetic on the digits of basis indices.  The dense
 matrix is a read-only view built on demand.
 
-One budget, ENTRY_BUDGET, bounds every step, and it is charged before the
-step allocates: the term count of a composition, nnz x nnz of a tensor
-product, the block entries summed over the distributivity check's term
-combinations, and the entry count of any dense array.  A map whose dense shape
-(rows times columns) does not fit int64 is refused as well, since entries are
-keyed by their flat position.
+Every step is charged to the budgets of `limits` before it allocates: the
+terms of a composition or tensor product and the entries of any dense array
+to BYTES, the block entries summed over the distributivity check's term
+combinations to STEPS.  A map whose dense shape (rows times columns) does
+not fit int64 is refused as well, since entries are keyed by their flat
+position, and so is a prime whose residue products (p-1)^2 do not fit
+int64, since products are reduced only after they are formed.
 """
 from __future__ import annotations
 
@@ -33,20 +34,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import limits
 from .constructions import PreconditionError, _require
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       integer_array)
 
-# entries any one step may touch: terms of a composition or tensor product,
-# or dense matrix entries
-ENTRY_BUDGET = 10_000_000
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _charge(entries: int, what: str) -> None:
-    if entries > ENTRY_BUDGET:
-        raise InputError(f"refusing {what}: {entries} entries exceed the"
-                         f" budget of {ENTRY_BUDGET}")
+def _charge_terms(terms: int, what: str) -> None:
+    """Charge the rows, cols and vals arrays of `terms` sparse entries."""
+    limits.charge_bytes(24 * terms, what)
 
 
 def _shape(dim: int, src_power: int, dst_power: int) -> tuple:
@@ -82,6 +80,10 @@ class Field:
 
     def __init__(self, characteristic: int = 0):
         c = int(characteristic)
+        if c > 1 and (c - 1) ** 2 > _INT64_MAX:
+            raise InputError(
+                f"field characteristic {c} is too large: residue products"
+                " (p-1)^2 must fit int64")
         if c != 0 and not _is_prime(c):
             raise InputError(f"field characteristic must be 0 or a prime, got {c}")
         object.__setattr__(self, "characteristic", c)
@@ -215,7 +217,7 @@ class LinMap:
         """Dense read-only view, built on first use."""
         if self._dense is None:
             shape = _shape(self.dim, self.src_power, self.dst_power)
-            _charge(shape[0] * shape[1], "dense matrix")
+            limits.charge_bytes(8 * shape[0] * shape[1], "a dense matrix")
             mat = self.field.zeros(shape)
             mat[self.rows, self.cols] = self.vals
             mat.setflags(write=False)
@@ -279,7 +281,7 @@ class LinMap:
         first = np.searchsorted(self.cols, other.rows, "left")
         counts = np.searchsorted(self.cols, other.rows, "right") - first
         total = int(counts.sum())
-        _charge(total, "composition")
+        _charge_terms(total, "a composition")
         pick = np.repeat(np.arange(other.nnz), counts)
         take = (np.arange(total)
                 + np.repeat(first - (np.cumsum(counts) - counts), counts))
@@ -296,7 +298,7 @@ class LinMap:
         src, dst = (self.src_power + other.src_power,
                     self.dst_power + other.dst_power)
         _shape(self.dim, src, dst)
-        _charge(self.nnz * other.nnz, "tensor product")
+        _charge_terms(self.nnz * other.nnz, "a tensor product")
         orows, ocols = _shape(other.dim, other.src_power, other.dst_power)
         return LinMap._from_entries(
             self.field, self.dim, src, dst,
@@ -307,7 +309,7 @@ class LinMap:
     @staticmethod
     def identity(field: Field, dim: int, power: int = 1) -> "LinMap":
         size = _shape(dim, power, power)[0]
-        _charge(size, "identity map")
+        _charge_terms(size, "an identity map")
         diag = np.arange(size, dtype=np.int64)
         return LinMap._from_entries(field, dim, power, power, diag, diag,
                                     np.ones(size, np.int64))
@@ -339,6 +341,8 @@ def _permute_rows(m: LinMap, target_from_source) -> LinMap:
     """Left-compose a tensor-factor permutation by rewriting row digits:
     target slot i reads source slot target_from_source[i]."""
     d, power = m.dim, m.dst_power
+    limits.charge_bytes(8 * m.nnz * power,
+                        f"permuting {power} tensor factors of {m.nnz} terms")
     weights = d ** np.arange(power - 1, -1, -1, dtype=np.int64)
     digits = (m.rows[:, None] // weights) % d
     rows = digits[:, list(target_from_source)] @ weights
@@ -519,11 +523,19 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
     com, n, w = obj.comonoid, obj.arity, obj.w
     d, field = com.dim, com.field
     p = field.characteristic
+    # the two dense sides
+    limits.charge_bytes(16 * limits.power(d, 2 * n),
+                        f"a distributivity check at dimension {d}")
+    # a contraction sums d products of residues, an accumulation adds one
+    if p and (d + 1) * (p - 1) ** 2 > _INT64_MAX:
+        raise InputError(
+            f"refusing a distributivity check at dimension {d} over F_{p}:"
+            " sums of d + 1 products (p-1)^2 must fit int64")
     delta = com.delta_n(n)
-    _charge(d ** (2 * n), "distributivity check")
     # each combination of terms contracts a d x d^n block
-    _charge(delta.nnz ** (n - 1) * d ** (n + 1),
-            "distributivity check over comultiplication term combinations")
+    limits.charge_steps(delta.nnz ** (n - 1) * d ** (n + 1),
+                        "a distributivity check over comultiplication term"
+                        " combinations")
     Wm = w.matrix
     tails = d ** (n - 1)
     # left composite, laid out (output, head block, tail block)

@@ -9,15 +9,13 @@ pair (a, b) as a*|second factor|+b, and matrix row orderings inherit it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
-
-class InputError(ValueError):
-    """Malformed input: wrong shapes, out-of-range entries, bad arguments."""
+from . import kernels, limits
+from .limits import InputError
 
 
 @dataclass(frozen=True)
@@ -88,10 +86,13 @@ class OpTable:
         if arity < 2:
             raise InputError(f"arity must be at least 2, got {arity}")
         arr = np.ascontiguousarray(integer_array(table, "table entries")).ravel()
-        if arr.shape[0] != size ** arity:
+        # from arity 64 on only a one-point table can match, and the power
+        # itself may be huge
+        entries = size ** arity if arity < 64 else limits.power(size, arity)
+        if arr.shape[0] != entries:
             raise InputError(
                 f"table length {arr.shape[0]} != size^arity = {size}^{arity}"
-                f" = {size ** arity}")
+                + (f" = {entries}" if arity < 64 else ""))
         if arr.size and (arr.min() < 0 or arr.max() >= size):
             bad = int(np.flatnonzero((arr < 0) | (arr >= size))[0])
             raise InputError(
@@ -131,7 +132,24 @@ class OpTable:
             table = obj["table"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"operation table JSON needs size/arity/table: {exc}")
+        check_shape(size, arity)
         return OpTable(size, arity, table, meta=obj.get("provenance"))
+
+
+def check_shape(size, arity) -> None:
+    """Refuse a carrier size below 1, an arity below 2, or either not an int."""
+    for name, value in (("size", size), ("arity", arity)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InputError(f"{name} must be an integer, got {value!r}")
+    if size < 1:
+        raise InputError(f"size must be positive, got {size}")
+    if arity < 2:
+        raise InputError(f"arity must be at least 2, got {arity}")
+
+
+def table_bytes(size: int, arity: int) -> int:
+    """Bytes of an int64 table with size^arity entries, saturated."""
+    return 8 * limits.power(size, arity)
 
 
 def tuple_to_index(args, size: int) -> int:
@@ -157,6 +175,10 @@ def make_op_table(size: int, arity: int, entries) -> OpTable:
     raw integers.
     """
     if callable(entries):
+        check_shape(size, arity)
+        what = f"a size {size} arity {arity} table from a callable"
+        limits.charge_bytes(table_bytes(size, arity), what)
+        limits.charge_steps(limits.power(size, arity), what)
         flat = np.fromiter(
             (entries(*args) % size
              for args in itertools.product(range(size), repeat=arity)),
@@ -365,7 +387,12 @@ def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     return FiniteGroup(size, flat, inv, ident)
 
 
+def _charge_group(order: int, what: str) -> None:
+    limits.charge_bytes(table_bytes(order, 2), f"the Cayley table of {what}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
+    _charge_group(n, f"the cyclic group of order {n}")
     C = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return group_from_cayley(C.ravel(), size=n)
 
@@ -376,6 +403,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     The product of a and b is t -> b[a[t]].  Each product is ranked by its
     base-n code, which lexicographic order makes increasing along the list.
     """
+    # 21! exceeds 2^64, so the clamp only keeps the estimate cheap
+    _charge_group(math.factorial(min(max(n, 0), 21)),
+                  f"the symmetric group on {n} points")
     P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     m, n = P.shape
     weights = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
@@ -389,6 +419,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon; element r^i s^j encoded as 2*i+j."""
+    _charge_group(2 * n, f"the dihedral group of order {2 * n}")
     i1, j1, i2, j2 = np.ix_(np.arange(n), np.arange(2), np.arange(n), np.arange(2))
     # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + i2*(-1)^j1) s^(j1+j2)
     i = (i1 + np.where(j1 == 0, i2, -i2)) % n
@@ -398,6 +429,8 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Product group on pairs (a0, a1) encoded as a0*|h|+a1."""
+    _charge_group(g.size * h.size,
+                  f"a product group of order {g.size * h.size}")
     Cg = g.cayley.reshape(g.size, 1, g.size, 1)
     Ch = h.cayley.reshape(1, h.size, 1, h.size)
     return group_from_cayley((Cg * h.size + Ch).ravel(), size=g.size * h.size)

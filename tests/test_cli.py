@@ -599,6 +599,79 @@ def test_human_summaries_unchanged(files, capsys):
 
 
 # ---------------------------------------------------------------------------
+# resource budgets
+
+OVERSIZED = [
+    "construct affine --modulus 100000 --arity 2 --coeffs 2",
+    "construct conj --group symmetric:8",
+    "construct conj --group cyclic:60000",
+    "construct projection --size 100 --arity 5",
+    "construct heap --group cyclic:2000",
+    "construct double-binary --op0 A200 --op1 A200 --no-verify",
+    "enumerate --scan affine --size 300 --arity 2",
+    "enumerate --scan affine --size 40 --arity 3",
+    "enumerate --scan translations --size 3 --arity 12",
+]
+
+
+def test_oversized_requests_are_refused(run_fresh, tmp_path):
+    # each in well under a second, in one process under a 2 GiB cap
+    a200 = tmp_path / "a200.json"
+    a200.write_text(json.dumps(affine_op(200, 2, [2]).as_json()))
+    batch = [argv.replace("A200", str(a200)).split() for argv in OVERSIZED]
+    code = ("import contextlib, io, json, sys, time\n"
+            "from selfdist.cli import main\n"
+            "for argv in json.loads(sys.stdin.read()):\n"
+            "    err = io.StringIO()\n"
+            "    start = time.perf_counter()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        status = main(argv)\n"
+            "    print(json.dumps([status, time.perf_counter() - start,"
+            " err.getvalue()]))\n")
+    proc = run_fresh(["-c", code], cap_bytes=2 << 30, input=json.dumps(batch))
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == len(batch)
+    for argv, (status, seconds, err) in zip(OVERSIZED, runs):
+        assert status == 2, (argv, err)
+        assert err.startswith("error: refusing ") and ", budget " in err, err
+        assert seconds < 1, (argv, seconds)
+
+
+def test_huge_exponent_is_fast(tmp_path, capsys):
+    a200 = tmp_path / "a200.json"
+    a200.write_text(json.dumps(affine_op(200, 2, [2]).as_json()))
+    code, rep = run_json(["construct", "power", "--op", str(a200),
+                          "--exponent", "10000000"], capsys)
+    assert code == 0
+    assert rep["artifacts"][0]["content"]["table"] == \
+        affine_op(200, 2, [pow(2, 10 ** 7, 200)]).table.tolist()
+
+
+def test_prime_beyond_int64_exits_2(capsys):
+    code, _, err = run(["linear", "heap", "--group", "cyclic:2", "--field",
+                        "4611686018427387847"], capsys)
+    assert code == 2 and "int64" in err
+
+
+def test_augmented_input_is_checked(tmp_path, capsys):
+    def argv(action):
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(action))
+        pairing = tmp_path / "pairing.json"
+        pairing.write_text(json.dumps([[0, 1], [1, 0]]))
+        return ["construct", "augmented", "--size", "2", "--group", "cyclic:2",
+                "--action", str(path), "--pairing", str(pairing)]
+    code, _, _ = run(argv([[0, 1], [1, 0]]), capsys)
+    assert code == 0
+    # a float table was truncated, and a short one failed to reshape
+    for action, message in (([[0.7, 1.2], [1, 0]], "integers"),
+                            ([0, 1, 1], "shape")):
+        code, out, err = run(argv(action), capsys)
+        assert code == 2 and out == "" and message in err
+
+
+# ---------------------------------------------------------------------------
 # internal errors and memory caps
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -615,10 +688,13 @@ def test_internal_error_exits_3(monkeypatch, capsys):
 
 
 def test_failed_allocation_exits_3(run_fresh):
-    # a 74.5 GiB table: the allocation fails, which is not a verdict
-    proc = run_fresh(["-m", "selfdist.cli", "--format", "json", "construct",
-                      "affine", "--modulus", "100000", "--arity", "2",
-                      "--coeffs", "2"], cap_bytes=2 << 30)
+    # with the byte budget lifted, a 74.5 GiB table fails to allocate, which
+    # is not a verdict
+    argv = ["--format", "json", "construct", "affine", "--modulus", "100000",
+            "--arity", "2", "--coeffs", "2"]
+    code = ("import sys\nfrom selfdist import cli, limits\n"
+            f"limits.BYTES = 1 << 62\nsys.exit(cli.main({argv!r}))\n")
+    proc = run_fresh(["-c", code], cap_bytes=2 << 30)
     assert proc.returncode == 3, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["error"].startswith("internal error: MemoryError")

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from selfdist import (InputError, PreconditionError, affine_op, exchange_holds,
-                      is_nary_distributive, is_rack, make_op_table, relabel)
+                      is_nary_distributive, is_rack, make_op_table,
+                      projection_op, relabel)
 from selfdist.constructions import (doubling_binary, doubling_ternary,
                                     f_functor, g_functor, power_op)
 from selfdist.cocycles import (AbGroup, Cochain, SES,
@@ -666,6 +667,17 @@ def test_affine_family_extension_inequivalent():
     res = extension_equivalent(extend(TX, psi),
                                extend(TX, zero_cochain(9, 3, 3)), TX, 3)
     assert not res
+
+
+def test_fiber_search_is_charged_per_tuple():
+    # tables outside standard form go to the search; over 11 base points
+    # the 2^11 fiber maps times 22^2 tuples fit the step budget, over 14
+    # points 2^14 maps times 28^2 tuples do not
+    for n, holds in ((11, True), (14, False)):
+        table = make_op_table(2 * n, 2, lambda x, y: y)
+        res = extension_equivalent(table, table, projection_op(n, 2), 2)
+        assert res.holds == holds
+        assert ("search" if holds else "too large") in res.detail
 
 
 def test_extension_equivalent_positive():

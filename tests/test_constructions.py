@@ -16,6 +16,7 @@ from selfdist import (FiniteGroup, InputError, PreconditionError, affine_op,
                       is_quandle, is_rack, make_op_table, monoid_product,
                       power_op, product_mutual_pair, projection_op,
                       symmetric_group, verify_functor_identities)
+from selfdist.enumeration import enumerate_operations
 
 DIHEDRAL3 = [0, 2, 1, 2, 1, 0, 1, 0, 2]
 
@@ -182,6 +183,31 @@ def test_power_op():
         power_op(d, -1)
     with pytest.raises(PreconditionError):
         power_op(make_op_table(3, 2, lambda x, y: x + y), 2)
+
+
+def power_loop(op, n):
+    # the n-fold iterate one translation step at a time
+    N, k = op.size, op.arity
+    P = N ** (k - 1)
+    inner = op.table.reshape(N, P)
+    cur = np.broadcast_to(np.arange(N)[:, None], (N, P)).copy()
+    for _ in range(n):
+        cur = inner[cur, np.arange(P)[None, :]]
+    return cur.ravel()
+
+
+def test_power_by_squaring_matches_loop():
+    tables = (enumerate_operations(3, 2, "sd")
+              + enumerate_operations(2, 3, "sd"))
+    assert len(tables) == 280
+    for op in tables:
+        for n in range(40):
+            out = power_op(op, n, verify=False)
+            assert np.array_equal(out.table, power_loop(op, n)), (op.table, n)
+            assert out.meta["exponent"] == n
+    # a huge exponent costs about 67 squarings, not 10^20 steps
+    a200 = affine_op(200, 2, [2])
+    assert power_op(a200, 10 ** 20) == affine_op(200, 2, [pow(2, 10 ** 20, 200)])
 
 
 def test_power_pair_mutually_distributive():
@@ -367,6 +393,52 @@ def test_augmented_ternary_refusals():
     bad_act = [[(x + h) % n for h in range(n)] for x in range(n)]
     with pytest.raises(PreconditionError):
         augmented_ternary(n, g, bad_act, bad_pair)
+
+
+def test_augmented_ternary_input():
+    # tables of integers with the stated shapes, refused before any build
+    g = cyclic_group(2)
+    act = [[0, 1], [1, 0]]
+    pair = [[0, 1], [1, 0]]
+    assert augmented_ternary(2, g, act, pair).size == 2
+    for bad_act in ([[0.7, 1.2], [1, 0]], [[0, 1], [True, 0]], [0, 1, 1],
+                    [0, 1, 1, 0], [[0, 1], [1]], [[0, 1], [1, 2 ** 64]]):
+        with pytest.raises(InputError):
+            augmented_ternary(2, g, bad_act, pair)
+    for bad_pair in ([[0, 1.5], [1, 0]], [[0, 1, 0], [1, 0, 1]], [0, 1]):
+        with pytest.raises(InputError):
+            augmented_ternary(2, g, act, bad_pair)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: affine_op(100000, 2, [2]),
+    lambda: affine_op(3000, 3, [2, 1]),
+    lambda: projection_op(100, 5),
+    lambda: projection_op(2, 10 ** 12),
+    lambda: conj_quandle(symmetric_group(8)),
+    lambda: cyclic_group(60000),
+    lambda: dihedral_group(10 ** 9),
+    lambda: direct_product(cyclic_group(300), cyclic_group(300)),
+    lambda: heap_op(cyclic_group(2000)),
+    lambda: doubling_binary(*[affine_op(200, 2, [2])] * 2, verify=False),
+    lambda: doubling_ternary(*[affine_op(40, 3, [2, 2])] * 2),
+    lambda: f_functor(*[affine_op(600, 2, [2])] * 2),
+    lambda: g_functor(*[affine_op(70, 3, [2, 2])] * 2),
+    lambda: compose_mn(*[affine_op(60, 3, [2, 2])] * 2),
+    lambda: product_mutual_pair(affine_op(100, 2, [3]),
+                                affine_op(100, 2, [3])),
+    lambda: augmented_ternary(600, cyclic_group(1), [[0]] * 600,
+                              [[0] * 600] * 600),
+])
+def test_builders_refuse_oversized_tables_before_verifying(build):
+    with pytest.raises(InputError, match="refusing .*: needs .* bytes, budget"):
+        build()
+
+
+def test_affine_op_shape_is_checked():
+    for modulus, arity in ((0, 2), (-3, 2), (3, 1), (3, -2)):
+        with pytest.raises(InputError):
+            affine_op(modulus, arity, [1] * max(arity - 1, 0))
 
 
 def test_affine_compat_conditions_match_brute_force():

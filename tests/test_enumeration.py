@@ -9,7 +9,7 @@ from selfdist import (InputError, affine_op, are_mutually_distributive,
                       conj_quandle, core_quandle, cyclic_group, dihedral_group,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
                       make_op_table, projection_op, relabel, symmetric_group)
-from selfdist import enumeration
+from selfdist import enumeration, limits
 from selfdist.enumeration import (KINDS, enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks,
                                   find_isomorphism, isomorphism_classes,
@@ -94,6 +94,13 @@ def test_full_scan_guardrail():
         enumerate_operations(2, 2, kind="proper")
 
 
+def test_scans_charge_their_tail_tuples():
+    # one table on one point, but a billion-long tuple of tails to mask with
+    for scan in (enumerate_operations, enumerate_affine):
+        with pytest.raises(InputError, match="needs 8000000000 bytes"):
+            scan(1, 10 ** 9)
+
+
 # ---------------------------------------------------------------------------
 # affine scans
 
@@ -125,6 +132,16 @@ def test_affine_always_sd():
 def test_affine_guardrail():
     with pytest.raises(InputError):
         enumerate_affine(100000, 2)
+
+
+def test_affine_scan_budgets():
+    # the stacked tables fit, the self-distributivity mask does not
+    with pytest.raises(InputError, match="steps"):
+        enumerate_affine(150, 2)
+    assert len(enumerate_affine(150, 2, "all")) == 150
+    for modulus, arity in ((300, 2), (40, 3), (2, 40)):
+        with pytest.raises(InputError, match="bytes"):
+            enumerate_affine(modulus, arity)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +191,7 @@ def test_rack_scan_size_5():
 
 
 def test_rack_scan_work_budget():
-    assert enumeration.RACK_WORK_LIMIT == 2 ** 23
+    assert limits.STEPS == 2 ** 23
     # refused before any table is built: 7!^2 compositions, 10^7 tail digits
     with pytest.raises(InputError, match="consistency checks"):
         enumerate_racks(7, 2)
@@ -188,14 +205,45 @@ def test_rack_scan_work_budget():
             enumerate_racks(size, arity)
 
 
+def test_rack_scan_refuses_before_building(run_fresh):
+    # the first descent alone, 6 * (3 * 3^11 * (3^11 - 1) / 2 + 3^11) steps,
+    # is over the budget, so nothing is built.  The peak is read from
+    # VmHWM, which starts afresh at exec, unlike ru_maxrss.
+    code = ("from selfdist import InputError, enumerate_racks\n"
+            "try:\n"
+            "    enumerate_racks(3, 12)\n"
+            "except InputError as exc:\n"
+            "    print(exc)\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM')))\n")
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    message, peak = proc.stdout.splitlines()
+    assert "consistency checks" in message and "steps" in message
+    assert int(peak) < 60 * 1024, f"peak {int(peak)} KiB"
+
+
+def test_rack_scan_refusal_bound_is_the_first_descent(monkeypatch):
+    # order 2: 2^2 compositions, 2 * 2 * 2 tail actions and 2 one-digit
+    # tails (14), then the first descent: 2 checks at level 0 and
+    # 2 * (3 * 1 + 1) on entering level 1 (24 in all), refused up front
+    # below that; the second branch at level 1 brings the search to 32
+    for budget, need in ((23, 24), (24, 32), (31, 32)):
+        monkeypatch.setattr(limits, "STEPS", budget)
+        with pytest.raises(InputError, match=f"needs {need} steps"):
+            enumerate_racks(2, 2)
+    monkeypatch.setattr(limits, "STEPS", 32)
+    assert len(enumerate_racks(2, 2)) == 2
+
+
 def test_rack_scan_work_budget_is_counted(monkeypatch):
     # order 4: 24^2 compositions, 2 * 24 * 4 tail actions and 4 one-digit
     # tails up front, then 24 * (3 * level + 1) checks at each of the 241
     # inner nodes of the search
     need = 24 ** 2 + 2 * 24 * 4 + 4 + 45528
-    monkeypatch.setattr(enumeration, "RACK_WORK_LIMIT", need)
+    monkeypatch.setattr(limits, "STEPS", need)
     assert len(enumerate_racks(4, 2)) == 114
-    monkeypatch.setattr(enumeration, "RACK_WORK_LIMIT", need - 1)
+    monkeypatch.setattr(limits, "STEPS", need - 1)
     with pytest.raises(InputError):
         enumerate_racks(4, 2)
 

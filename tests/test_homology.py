@@ -78,6 +78,19 @@ def test_guard_refuses_oversized_matrices():
         ternary_boundary(T, 4)
 
 
+def test_boundaries_are_charged_before_verifying():
+    # 1728 x 20736 int64 entries are over the byte budget, even when the
+    # table would also fail its hypotheses
+    for op in (affine_op(12, 2, (5,)),
+               make_op_table(12, 2, lambda x, y: x + y)):
+        with pytest.raises(InputError, match="needs 286654464 bytes"):
+            labeled_boundary([op], 4)
+    # a one-point carrier has 1 x 1 matrices, but assembling degree 3000
+    # takes about 3000^2 steps
+    with pytest.raises(InputError, match="needs 9000000 steps"):
+        ternary_boundary(affine_op(1, 3, (0, 0)), 3000)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form and modular solving
 

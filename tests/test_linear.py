@@ -14,6 +14,7 @@ from selfdist import (ComonoidObject, Field, HopfAlgebraObject, InputError,
                       hopf_adjoint_ternary, hopf_heap, is_nary_distributive,
                       lie_to_binary_sd, shuffle_perm, shuffle_positions,
                       switching_lemmas_check, symmetric_group)
+from selfdist import limits
 from selfdist import linear as linear_mod
 from selfdist.constructions import conj_quandle, heap_op
 
@@ -550,7 +551,7 @@ def test_augmented_guardrail(monkeypatch):
     H = z2_hopf()
     com = H.comonoid()
     p_map = H.mult @ H.antipode.tensor(LinMap.identity(F3, 2))
-    monkeypatch.setattr(linear_mod, "ENTRY_BUDGET", 8)
+    monkeypatch.setattr(limits, "BYTES", 24 * 8)        # 8 sparse terms
     with pytest.raises(InputError, match="budget"):
         check_augmented_hopf(p_map, H, com, H.mult)
 
@@ -642,7 +643,8 @@ def test_budget_is_charged_before_allocation(monkeypatch):
     ident = LinMap.identity(F2, 2, 20)          # 2^20 entries, sparse
     with pytest.raises(InputError, match="dense matrix"):
         ident.matrix                             # 2^40 dense entries
-    monkeypatch.setattr(linear_mod, "ENTRY_BUDGET", 1000)
+    monkeypatch.setattr(limits, "BYTES", 24 * 1000)     # 1000 sparse terms
+    monkeypatch.setattr(limits, "STEPS", 1000)
     with pytest.raises(InputError, match="tensor product"):
         LinMap.identity(F2, 2, 5).tensor(LinMap.identity(F2, 2, 5))
     with pytest.raises(InputError, match="composition"):
@@ -793,6 +795,26 @@ def test_large_prime_check_matches_rationals():
         for got, want in ((mod_p.counterexample.lhs, rational.counterexample.lhs),
                           (mod_p.counterexample.rhs, rational.counterexample.rhs)):
             assert got == int(want) % p
+
+
+def test_primes_beyond_exact_int64_products_are_refused():
+    # refused before the trial-division primality test, which would take
+    # minutes on the second one
+    for p in (3037000507, 4294967311, 4611686018427387847):
+        with pytest.raises(InputError, match="int64"):
+            Field(p)
+    # the largest prime with (p-1)^2 < 2^63 composes exactly
+    p = 3037000493
+    F = Field(p)
+    m = LinMap(F, 1, 1, 1, [[p - 1]])
+    assert (m @ m).matrix.tolist() == [[1]]
+    assert m.tensor(m).matrix.tolist() == [[1]]
+    # a check sums d + 1 products, which no longer fit for that prime
+    com = ComonoidObject(1, LinMap(F, 1, 1, 2, [[1]]),
+                         LinMap(F, 1, 1, 0, [[1]]))
+    w = LinMap(F, 1, 2, 1, [[1]])
+    with pytest.raises(InputError, match="int64"):
+        check_nary_sd(SDObject(com, 2, w, verify=False))
 
 
 # ---------------------------------------------------------------------------
