@@ -23,8 +23,7 @@ from .constructions import (PreconditionError, affine_op,
 from .homology import (CohomologyResult, HomologyResult, SmithResult,
                        boundary_matrix, chain_map_F, cohomology_solve,
                        homology, labeled_boundary, pullback_labeled_2cocycle,
-                       smith_normal_form, solve_mod, ternary_boundary,
-                       verify_chain_map)
+                       smith_normal_form, solve_mod, verify_chain_map)
 from .braid import (BraidWord, braid_act, twist_op, verify_braid_relations,
                     verify_equivariance)
 from .linear import (ComonoidObject, Field, HopfAlgebraObject,

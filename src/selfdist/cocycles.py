@@ -28,8 +28,8 @@ from . import kernels, limits
 from .homology import _digit_grid, boundary_matrix, solve_mod
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
-                      index_to_tuple, integer_array, is_nary_distributive,
-                      is_rack, tuple_to_index)
+                      diagonal_indices, index_to_tuple, integer_array,
+                      is_nary_distributive, is_rack, tuple_to_index)
 from .constructions import (PreconditionError, _require, doubling_binary,
                             doubling_ternary, f_functor, g_functor, power_op)
 
@@ -219,8 +219,7 @@ def zero_cochain(size: int, nargs: int, coeff, base=None) -> Cochain:
 
 def is_normalized_cochain(c: Cochain) -> bool:
     """True when the cochain vanishes on every constant tuple (x, ..., x)."""
-    step = (c.size ** c.nargs - 1) // (c.size - 1) if c.size > 1 else 1
-    diag = c.values[np.arange(c.size) * step]
+    diag = c.values[diagonal_indices(c.size, c.nargs)]
     return not diag.any()
 
 

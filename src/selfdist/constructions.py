@@ -62,11 +62,10 @@ def affine_op(modulus: int, arity: int, coefficients) -> OpTable:
             f"need {arity - 1} coefficients for arity {arity}, got {len(coeffs)}")
     _charge_table(modulus, arity, "an affine operation")
     coeffs.append((1 - sum(coeffs)) % modulus)
-    total = np.zeros((modulus,) * arity, np.int64)
-    for i, c in enumerate(coeffs):
-        shape = [1] * arity
-        shape[i] = modulus
-        total = total + c * np.arange(modulus).reshape(shape)
+    total = np.zeros(1, np.int64)
+    for c in coeffs:
+        # append one argument: each partial sum, plus c times every value
+        total = (total[:, None] + c * np.arange(modulus)).ravel()
     meta = {"construction": "affine", "modulus": modulus,
             "coefficients": coeffs}
     if math.gcd(coeffs[0], modulus) != 1:

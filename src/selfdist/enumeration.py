@@ -8,6 +8,12 @@ Z_m, and tables whose first-argument translations are all permutations,
 which is the shape every rack must have and cuts the ternary size-3 space
 from 3^27 down to 6^9 candidates.
 
+No law is stated here.  Full scans and mutual pairs test their candidates
+with the checks `is_rack` and `is_quandle` use: the translation scan and
+the diagonal indices first, then self-distributivity or the exchange law
+through the scan engine of `kernels`, over the whole stack of candidates
+at once.  Affine scans test nothing, since the kinds follow from the form.
+
 All enumerators return tables sorted lexicographically by flat table, so
 output order is reproducible run to run and across worker counts.
 """
@@ -19,12 +25,13 @@ import math
 
 import numpy as np
 
-from . import limits
+from . import kernels, limits
 from .constructions import affine_op
-from .optable import (InputError, OpTable, check_shape, digit_map,
-                      tuple_to_index)
+from .optable import (InputError, OpTable, check_shape, diagonal_indices,
+                      digit_map)
 
 ISO_BLOCK_ENTRIES = 2 ** 16       # relabeled entries held at once
+PAIR_BLOCK_ENTRIES = 2 ** 16      # stacked pair-table entries held at once
 
 KINDS = ("all", "sd", "rack", "quandle")
 
@@ -34,15 +41,11 @@ def _check_kind(kind: str, allowed=KINDS):
         raise InputError(f"unknown predicate {kind!r}, expected one of {allowed}")
 
 
-def _charge_scan(count: int, size: int, arity: int, kind: str, what: str):
-    """Charge a scan of `count` stacked tables with its N^(k-1) tail tuples
-    and, unless every table is kept, the self-distributivity mask: one pass
-    per (2k-1)-tuple."""
+def _charge_scan(count: int, size: int, arity: int, what: str):
+    """Charge the bytes of `count` stacked tables and of N^(k-1) tail
+    tuples, which refuses a one-point carrier of huge arity up front."""
     tails = limits.power(size, arity - 1) * (arity - 1)
     limits.charge_bytes(8 * (count * limits.power(size, arity) + tails), what)
-    if kind != "all":
-        limits.charge_steps(count * limits.power(size, 2 * arity - 1),
-                            f"the self-distributivity mask of {what}")
 
 
 def _full_tables(size: int, arity: int) -> np.ndarray:
@@ -57,58 +60,19 @@ def _full_tables(size: int, arity: int) -> np.ndarray:
     return tables
 
 
-def _sd_mask(tables: np.ndarray, size: int, arity: int) -> np.ndarray:
-    """Vectorized self-distributivity test over all rows at once."""
-    m = tables.shape[0]
-    rows = np.arange(m)
-    mask = np.ones(m, dtype=bool)
-    tail_block = size ** (arity - 1)
-    tails = list(itertools.product(range(size), repeat=arity - 1))
-    for x in range(size):
-        for y in tails:
-            head = tables[:, tuple_to_index((x,) + y, size)]
-            for z in tails:
-                zoff = tuple_to_index(z, size)
-                lhs = tables[rows, head * tail_block + zoff]
-                rhs_idx = np.zeros(m, dtype=np.int64)
-                for a in (x,) + y:
-                    rhs_idx = rhs_idx * size + tables[:, tuple_to_index((a,) + z, size)]
-                mask &= lhs == tables[rows, rhs_idx]
-    return mask
-
-
-def _translation_mask(tables: np.ndarray, size: int, arity: int) -> np.ndarray:
-    """Rows whose first-argument translations are all bijections."""
-    m = tables.shape[0]
-    mask = np.ones(m, dtype=bool)
-    P = size ** (arity - 1)
-    full = (1 << size) - 1
-    for tail in range(P):
-        seen = np.zeros(m, dtype=np.int64)
-        for x in range(size):
-            seen |= np.int64(1) << tables[:, x * P + tail]
-        mask &= seen == full
-    return mask
-
-
-def _diagonal_mask(tables: np.ndarray, size: int, arity: int) -> np.ndarray:
-    """Rows with W(x, x, ..., x) == x for every x."""
-    mask = np.ones(tables.shape[0], dtype=bool)
-    step = (size ** arity - 1) // (size - 1) if size > 1 else 0
-    for x in range(size):
-        mask &= tables[:, x * step] == x
-    return mask
-
-
 def _apply_kind(tables: np.ndarray, size: int, arity: int, kind: str) -> np.ndarray:
+    """The rows passing the predicate: the translation and diagonal tests of
+    `is_rack` and `is_quandle` first, then self-distributivity on the rest."""
     if kind == "all":
         return tables
-    mask = _sd_mask(tables, size, arity)
     if kind in ("rack", "quandle"):
-        mask &= _translation_mask(tables, size, arity)
+        tables = tables[kernels.translation_scan_stack(tables, size, arity) < 0]
     if kind == "quandle":
-        mask &= _diagonal_mask(tables, size, arity)
-    return tables[mask]
+        diag = tables[:, diagonal_indices(size, arity)]
+        tables = tables[(diag == np.arange(size)).all(axis=1)]
+    law = kernels.exchange_law(tables, tables, size, arity, arity,
+                               batch=len(tables))
+    return tables[kernels.holds(law)]
 
 
 def _wrap(tables: np.ndarray, size: int, arity: int, scan: str, kind: str):
@@ -125,8 +89,11 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> list:
     _check_kind(kind)
     check_shape(size, arity)
     count = limits.power(size, limits.power(size, arity))
-    _charge_scan(count, size, arity, kind,
-                 f"a full scan of size {size} arity {arity}")
+    what = f"a full scan of size {size} arity {arity}"
+    _charge_scan(count, size, arity, what)
+    if kind != "all":
+        limits.charge_steps(count * limits.power(size, 2 * arity - 1),
+                            f"the self-distributivity scan of {what}")
     tables = _full_tables(size, arity)
     return _wrap(_apply_kind(tables, size, arity, kind), size, arity, "full", kind)
 
@@ -134,20 +101,32 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> list:
 def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> list:
     """Affine tables sum(c_i a_i) with sum(c_i) = 1 mod m, filtered, lex order.
 
-    Every coefficient choice yields a self-distributive table, so "all" and
-    "sd" agree here; "rack" keeps the tables whose leading coefficient is a
-    unit and "quandle" additionally asks for a fixed diagonal (automatic,
-    since the coefficients sum to 1).
+    The kinds follow from the form, so no table is scanned.  The first k-1
+    coefficients c_0..c_{k-2} range over Z_m and the last, c_{k-1}, is 1
+    minus their sum.  Writing T(x, y_1..y_{k-1}) = c_0 x + S(y) with
+    S(y) = sum_{i>=1} c_i y_i, both sides of self-distributivity are
+
+        T(T(x, y), z)                     = c_0 T(x, y) + S(z),
+        T(T(x, z), T(y_1, z), .., T(y_{k-1}, z))
+            = c_0 (c_0 x + S(z)) + sum_{i>=1} c_i (c_0 y_i + S(z))
+            = c_0 T(x, y) + (c_0 + sum_{i>=1} c_i) S(z),
+
+    and the coefficients sum to 1, so every table is self-distributive:
+    "all" and "sd" agree.  The translations are x -> c_0 x + const, which
+    are bijections exactly when c_0 is a unit mod m, and the diagonal is
+    (sum c_i) x = x.  So "rack" and "quandle" both keep the tables with
+    gcd(c_0, m) = 1.
     """
     _check_kind(kind)
     check_shape(modulus, arity)
-    _charge_scan(limits.power(modulus, arity - 1), modulus, arity, kind,
+    _charge_scan(limits.power(modulus, arity - 1), modulus, arity,
                  f"an affine scan of modulus {modulus} arity {arity}")
-    tables = np.stack([
-        affine_op(modulus, arity, head).table
-        for head in itertools.product(range(modulus), repeat=arity - 1)])
-    out = _apply_kind(tables, modulus, arity, kind)
-    return _wrap(out[np.lexsort(out.T[::-1])], modulus, arity, "affine", kind)
+    heads = itertools.product(range(modulus), repeat=arity - 1)
+    if kind in ("rack", "quandle"):
+        heads = (head for head in heads if math.gcd(head[0], modulus) == 1)
+    tables = np.stack([affine_op(modulus, arity, head).table for head in heads])
+    return _wrap(tables[np.lexsort(tables.T[::-1])], modulus, arity, "affine",
+                 kind)
 
 
 def enumerate_racks(size: int, arity: int, kind: str = "rack") -> list:
@@ -238,7 +217,8 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> list:
         for a in found)
     arr = np.asarray(tables, dtype=np.int64).reshape(len(tables), size ** arity)
     if kind == "quandle":
-        arr = arr[_diagonal_mask(arr, size, arity)]
+        diag = arr[:, diagonal_indices(size, arity)]
+        arr = arr[(diag == np.arange(size)).all(axis=1)]
     return _wrap(arr, size, arity, "translations", kind)
 
 
@@ -251,19 +231,18 @@ def enumerate_mutual_pairs(size: int) -> list:
     """
     ops = enumerate_operations(size, 2, "sd")
     S = np.stack([op.table for op in ops])
-    m, n = S.shape[0], size
-    mask = np.ones((m, m), dtype=bool)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                xy, xz, yz = x * n + y, x * n + z, y * n + z
-                pos = S[:, xy] * n + z
-                q = S[:, xz] * n + S[:, yz]
-                # (x *0 y) *1 z == (x *1 z) *0 (y *1 z): rows are *0, cols *1
-                mask &= S[:, pos].T == S[:, q]
-                # and with the roles swapped
-                mask &= S[:, pos] == S[:, q].T
-    return [(ops[i], ops[j]) for i, j in np.argwhere(mask)]
+    s = len(S)
+    # D[i, j]: does table j distribute over table i?  Scanned a band of
+    # rows i at a time, so the stacked pairs stay near PAIR_BLOCK_ENTRIES.
+    D = np.empty((s, s), bool)
+    band = max(1, PAIR_BLOCK_ENTRIES // S.size)
+    for i in range(0, s, band):
+        rows = S[i:i + band]
+        law = kernels.exchange_law(np.repeat(rows, s, axis=0),
+                                   np.tile(S, (len(rows), 1)), size, 2, 2,
+                                   batch=len(rows) * s)
+        D[i:i + band] = kernels.holds(law).reshape(len(rows), s)
+    return [(ops[i], ops[j]) for i, j in np.argwhere(D & D.T)]
 
 
 @functools.lru_cache(maxsize=None)

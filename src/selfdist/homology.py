@@ -1,13 +1,12 @@
 """Chain complexes and exact integer (co)homology for distributive operations.
 
-Two complexes are supported:
-
-* the ternary complex of a single ternary operation, where the degree-n
-  chain group is free on (2n-1)-tuples (x0, b1, ..., b_{n-1}) with each
-  b_i a pair; degree 0 is the zero group and the first differential is 0;
-* the labeled complex of a finite system of operations (any arities),
-  where generators carry a label vector selecting which operation acts
-  in each slot.
+One complex covers every case: the labeled complex of a finite system of
+operations (any arities), whose generators carry a label vector selecting
+which operation acts in each slot.  The ternary complex of one ternary
+operation is the labeled complex of that one operation: its label vectors
+are constant, so the degree-n chain group is free on the (2n-1)-tuples
+(x0, b1, ..., b_{n-1}) with each b_i a pair; degree 0 is the zero group
+and the first differential is 0.
 
 Boundary of a generator: sum over i of (-1)^i (acted tuple - tuple with
 slot i deleted), where "acted" applies the slot-i operation with tail b_i
@@ -46,13 +45,6 @@ from .constructions import PreconditionError, _require
 # ---------------------------------------------------------------------------
 # generator bookkeeping
 
-def ternary_generator_count(size: int, n: int) -> int:
-    """size^(2n-1), saturated like `limits.power`."""
-    if n <= 0:
-        return 0
-    return limits.power(size, 2 * n - 1)
-
-
 def _digit_grid(size, ndigits, count):
     """Array (ndigits, count) of base-`size` digits of 0..count-1, big-endian."""
     idx = np.arange(count, dtype=np.int64)
@@ -68,53 +60,6 @@ def _charge_boundary(rows, cols, n, what):
     passes over the columns, which also covers tiny carriers of huge degree."""
     limits.charge_bytes(8 * rows * cols, what)
     limits.charge_steps(n * n * cols, what)
-
-
-def ternary_boundary(op: OpTable, n: int, verify: bool = True) -> np.ndarray:
-    """Matrix of the degree-n differential of the ternary complex.
-
-    Columns are indexed by degree-n generators, rows by degree n-1.
-    Degree 1 returns the empty (0, size) matrix since degree 0 is zero.
-    """
-    if op.arity != 3:
-        raise InputError("ternary complex needs an arity-3 operation")
-    if n < 1:
-        raise InputError("degree must be >= 1")
-    N = op.size
-    rows = ternary_generator_count(N, n - 1)
-    cols = ternary_generator_count(N, n)
-    _charge_boundary(rows, cols, n, f"the ternary boundary at degree {n}, size {N}")
-    if verify:
-        _require(is_nary_distributive(op), "operation is self-distributive")
-    if n == 1:
-        return np.zeros((0, N), dtype=np.int64)
-    T = op.table
-    dig = _digit_grid(N, 2 * n - 1, cols)
-    M = np.zeros((rows, cols), dtype=np.int64)
-    colidx = np.arange(cols, dtype=np.int64)
-
-    def flat3(x, y, z):
-        return T[(x * N + y) * N + z]
-
-    for i in range(1, n):
-        by, bz = dig[2 * i - 1], dig[2 * i]
-        sign = (-1) ** i
-        acted = flat3(dig[0], by, bz)
-        for k in range(1, i):
-            acted = acted * N + flat3(dig[2 * k - 1], by, bz)
-            acted = acted * N + flat3(dig[2 * k], by, bz)
-        for k in range(i, n - 1):
-            acted = acted * N + dig[2 * k + 1]
-            acted = acted * N + dig[2 * k + 2]
-        deleted = dig[0]
-        for k in range(1, n):
-            if k == i:
-                continue
-            deleted = deleted * N + dig[2 * k - 1]
-            deleted = deleted * N + dig[2 * k]
-        np.add.at(M, (acted, colidx), sign)
-        np.add.at(M, (deleted, colidx), -sign)
-    return M
 
 
 def labeled_blocks(system: Sequence[OpTable], n: int):
@@ -176,8 +121,8 @@ def labeled_boundary(system: Sequence[OpTable], n: int,
                      verify: bool = True) -> np.ndarray:
     """Degree-n differential of the labeled complex of an operation system.
 
-    For a single binary operation this is the classical rack boundary;
-    for a single ternary operation it equals ternary_boundary.
+    For a single binary operation this is the classical rack boundary,
+    and for a single ternary operation the ternary boundary.
     """
     system = list(system)
     if n < 1:
@@ -233,22 +178,19 @@ def labeled_boundary(system: Sequence[OpTable], n: int,
     return M
 
 
+def _system(target) -> list:
+    """An OpTable as the system of that one operation, or the sequence as a list."""
+    return [target] if isinstance(target, OpTable) else list(target)
+
+
 def boundary_matrix(target, n: int, verify: bool = True) -> np.ndarray:
-    """Dispatch: OpTable of arity 3 -> ternary complex; any other OpTable or a
-    sequence of OpTables -> labeled complex."""
-    if isinstance(target, OpTable):
-        if target.arity == 3:
-            return ternary_boundary(target, n, verify=verify)
-        return labeled_boundary([target], n, verify=verify)
-    return labeled_boundary(list(target), n, verify=verify)
+    """Degree-n differential of the labeled complex of one OpTable or of a
+    sequence of them."""
+    return labeled_boundary(_system(target), n, verify=verify)
 
 
 def _generator_count(target, n):
-    if isinstance(target, OpTable):
-        if target.arity == 3:
-            return ternary_generator_count(target.size, n)
-        return labeled_generator_count([target], n)
-    return labeled_generator_count(list(target), n)
+    return labeled_generator_count(_system(target), n)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +635,7 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
                 coboundaries.append(vec)
     blocks = ()
     if not (isinstance(target, OpTable) and target.arity == 3):
-        system = [target] if isinstance(target, OpTable) else list(target)
-        blocks = tuple(labeled_blocks(system, n))
+        blocks = tuple(labeled_blocks(_system(target), n))
     shape = (len(cocycles), gens, len(factors))
     cz = np.array(cocycles, dtype=np.int64) if cocycles else np.zeros(shape, np.int64)
     cb = (np.array(coboundaries, dtype=np.int64) if coboundaries
@@ -762,7 +703,7 @@ def verify_chain_map(op0: OpTable, op1: OpTable) -> CheckResult:
     T = f_functor(op0, op1, verify=False)
     system = [op0, op1]
     for n in (2, 3):
-        lhs = F[n - 1] @ ternary_boundary(T, n, verify=False)
+        lhs = F[n - 1] @ labeled_boundary([T], n, verify=False)
         rhs = labeled_boundary(system, n, verify=False) @ F[n]
         if (lhs != rhs).any():
             col = int(np.argwhere((lhs != rhs).any(axis=0))[0][0])

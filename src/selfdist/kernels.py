@@ -8,7 +8,7 @@ degree-2 cocycle condition, and the paired cocycle conditions.
 A law is evaluated in row form.  Given a block of leading coordinates
 (x.., y_1..y_{m-1}), `_sides` fills the (lhs, rhs) rows over every trailing
 z-tuple, so each inner lookup is a row gather of table.reshape(N, N**(k-1)).
-`_scan` walks the leading tuples in blocks of at most `_SLAB` row entries
+`_blocks` walks the leading tuples in blocks of at most `_SLAB` row entries
 (at least one row), writing into three int64 buffers and a bool buffer of
 that size which it reuses from block to block.  A scan's memory beyond its
 tables is therefore bounded by `_SLAB`, not by the number of tuples.
@@ -19,6 +19,14 @@ order (first coordinate most significant), or -1 when the law holds.
 Cocycle laws compare modulo d.  `_scan(law, jobs)` splits the range of the
 first coordinate over `jobs` threads, each with its own buffers; the exchange
 and compatibility scans take `jobs` from their callers.
+
+A law may also range over a stack of `batch` candidate tables, one per
+row, with the candidate as one more leading coordinate, most significant.
+Candidate c's tables are rows c*N.. of the stacked row views, so `_sides`
+raises each coordinate, each looked-up row and the start of each
+right-hand index by c*N: the same gathers then read each candidate's own
+rows.  `holds` gives one verdict per candidate.  A law of one table skips
+the raising, so its blocks do the same work as without the batch axis.
 
 The gathers use np.take(mode="clip"), which is exact only for in-range
 indices, so each table is checked to hold entries in 0..N-1, and each
@@ -55,6 +63,8 @@ class Law(NamedTuple):
     modulo d.  Tuples are (x.., y_1, ..., y_{m-1}, z) with z an (n-1)-tail,
     where m is the arity of opy and n that of opz and the acts.  With two x
     coordinates, `pick` names the one read by (opy and cz, opz, cy).
+    A law over a stack of `batch` candidate tables is read by `holds`; the
+    scans and `witness` read laws of one table.
     """
     N: int
     opy: np.ndarray
@@ -64,6 +74,7 @@ class Law(NamedTuple):
     cz: np.ndarray | None = None
     d: int = 0
     pick: tuple = (0, 0, 0)
+    batch: int = 1
 
     @property
     def lead(self) -> int:
@@ -73,7 +84,7 @@ class Law(NamedTuple):
     @property
     def tail(self) -> int:
         """Number of z-tuples, N^(n-1)."""
-        return len(self.opz) // self.N
+        return len(self.opz) // (self.N * self.batch)
 
     @property
     def heads(self) -> int:
@@ -91,22 +102,26 @@ def _entries(values, length, hi, what):
     return arr
 
 
-def _charge_blocks(N, lead, tail, what):
+def _charge_blocks(N, lead, tail, what, batch=1):
     """Charge a scan's Python-level work before its law is built: about
     `lead` digit and gather steps for each block of leading tuples.  Only a
     huge arity on a tiny carrier comes near the budget."""
     per_block = max(1, _SLAB // max(1, tail))
-    blocks = -(-limits.power(N, lead) // per_block)
+    blocks = -(-batch * limits.power(N, lead) // per_block)
     limits.charge_steps(lead * blocks, f"a scan of {what}")
 
 
-def exchange_law(tm, tn, N, m, n):
-    """tn(tm(x, y), z) == tm(tn(x, z), tn(y_1, z), ..., tn(y_{m-1}, z))."""
+def exchange_law(tm, tn, N, m, n, batch=1):
+    """tn(tm(x, y), z) == tm(tn(x, z), tn(y_1, z), ..., tn(y_{m-1}, z)).
+
+    With `batch` > 1, tm and tn are stacks of that many tables, and
+    candidate c pairs tm[c] with tn[c].
+    """
     _charge_blocks(N, m, limits.power(N, n - 1),
-                   f"arities {m} and {n} on {N} points")
-    tm = _entries(tm, N ** m, N, "outer table")
-    tn = _entries(tn, N ** n, N, "acting table")
-    return Law(N, tm, tn, (tn,) * (m - 1))
+                   f"arities {m} and {n} on {N} points", batch)
+    tm = _entries(tm, batch * N ** m, N, "outer table")
+    tn = _entries(tn, batch * N ** n, N, "acting table")
+    return Law(N, tm, tn, (tn,) * (m - 1), batch=batch)
 
 
 def compat_law(A, B, N, which):
@@ -167,27 +182,38 @@ def _sides(law, r, L, R, T):
     """
     N, rows, heads = law.N, law.tail, law.heads
     lead = _digits(r, N, law.lead)
+    batched = law.batch > 1
+    if batched:
+        # each coordinate as a row of its candidate's block of N rows
+        base = r // N ** law.lead * N
+        lead = [digit + base for digit in lead]
     y = r % heads
     xy, xz, xc = (lead[i] for i in law.pick)
     # what each path reads last: the cochains of a cocycle law, else the tables
     vz, vy = (law.cz, law.cy) if law.d else (law.opz, law.opy)
     # x acted on by y, then by z
-    np.take(vz.reshape(N, rows), law.opy[xy * heads + y], axis=0, out=L,
-            mode="clip")
-    # x acted on by z, then by each y_j acted on by z
-    np.take(law.opz.reshape(N, rows), xz, axis=0, out=R, mode="clip")
+    xyz = law.opy[xy * heads + y]
+    if batched:
+        xyz += base
+    np.take(vz.reshape(-1, rows), xyz, axis=0, out=L, mode="clip")
+    # x acted on by z, then by each y_j acted on by z; a raised start
+    # carries c*N^m through the base-N digits
+    np.take(law.opz.reshape(-1, rows), xz, axis=0, out=R, mode="clip")
+    if batched:
+        R += base[:, None]
     for act, yj in zip(law.acts, lead[law.lead - len(law.acts):]):
         R *= N
-        R += np.take(act.reshape(N, rows), yj, axis=0, out=T, mode="clip")
+        R += np.take(act.reshape(-1, rows), yj, axis=0, out=T, mode="clip")
     np.take(vy, R, out=T, mode="clip")
     if law.d:
         L += law.cy[xc * heads + y][:, None]
-        T += np.take(law.cz.reshape(N, rows), xy, axis=0, out=R, mode="clip")
+        T += np.take(law.cz.reshape(-1, rows), xy, axis=0, out=R, mode="clip")
     return L, T
 
 
-def _scan_range(law, lo, hi):
-    """First failing flat index among leading tuples lo..hi-1, or -1."""
+def _blocks(law, lo, hi):
+    """(start, hit) for each block of the leading tuples lo..hi-1, where
+    hit[i, z] marks a failure of the law at tuple start + i and tail z."""
     rows = law.tail
     block = max(1, min(hi - lo, _SLAB // rows))
     L, R, T = (np.empty((block, rows), np.int64) for _ in range(3))
@@ -199,10 +225,15 @@ def _scan_range(law, lo, hi):
             lhs -= rhs
             lhs %= law.d
             rhs = 0
-        hit = np.not_equal(lhs, rhs, out=bad[:b])
+        yield start, np.not_equal(lhs, rhs, out=bad[:b])
+
+
+def _scan_range(law, lo, hi):
+    """First failing flat index among leading tuples lo..hi-1, or -1."""
+    for start, hit in _blocks(law, lo, hi):
         i = int(hit.argmax())
         if hit.flat[i]:
-            return start * rows + i
+            return start * law.tail + i
     return -1
 
 
@@ -219,6 +250,18 @@ def _scan(law, jobs=1):
                              range(jobs)))
     hits = [h for h in hits if h >= 0]
     return min(hits) if hits else -1
+
+
+def holds(law):
+    """Whether the law holds on every tuple, one bool per candidate table."""
+    ok = np.ones(law.batch, bool)
+    span = law.N ** law.lead          # leading tuples of one candidate
+    for start, hit in _blocks(law, 0, law.batch * span):
+        # a block may start and end inside a candidate
+        first, stop = start // span, -(-(start + len(hit)) // span)
+        cuts = np.maximum(np.arange(first, stop) * span - start, 0)
+        ok[first:stop] &= ~np.logical_or.reduceat(hit.ravel(), cuts * law.tail)
+    return ok
 
 
 def witness(law, flat):
@@ -266,9 +309,15 @@ def compat_cocycle_scan(A, B, s0, s1, N, d, which, literal=False):
     return _scan(compat_cocycle_law(A, B, s0, s1, N, d, which, literal))
 
 
+def translation_scan_stack(tables, N, k):
+    """`translation_scan` of each table of a stack, one table per row."""
+    tables = np.ascontiguousarray(tables, dtype=np.int64)
+    cols = np.sort(tables.reshape(-1, N, N ** (k - 1)), axis=1)
+    bad = ~(cols == np.arange(N)[:, None]).all(axis=1)
+    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
+
+
 def translation_scan(table, N, k):
-    """First tail-tuple index whose translation x -> W(x, tail) is not a bijection."""
-    table = np.ascontiguousarray(table, dtype=np.int64)
-    cols = np.sort(table.reshape(N, N ** (k - 1)), axis=0)
-    bad = np.flatnonzero(~(cols == np.arange(N)[:, None]).all(axis=0))
-    return int(bad[0]) if bad.size else -1
+    """First tail-tuple index whose translation x -> W(x, tail) is not a
+    bijection, or -1."""
+    return int(translation_scan_stack(table, N, k)[0])

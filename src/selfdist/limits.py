@@ -27,7 +27,8 @@ as JSON under a 2 GB `ulimit -v`.
 STEPS counts the iterations of a loop whose trip count comes from the
 input: nodes and consistency checks of the rack search together with the
 entries of its lookup tables, candidate tables times tuples in the
-self-distributivity masks of the full and affine scans, fiber bijections
+self-distributivity scan of a full scan (an affine scan checks no table:
+its kinds follow from the affine form), fiber bijections
 times tuples in the extension search, term combinations times block
 entries in the linear distributivity check, blocks times lead coordinates
 in the scan engine, and the Python-level loops of powers, braid relations,

@@ -187,6 +187,12 @@ def make_op_table(size: int, arity: int, entries) -> OpTable:
     return OpTable(size, arity, entries)
 
 
+def diagonal_indices(size: int, arity: int) -> np.ndarray:
+    """Flat indices of the constant tuples (x, ..., x), x = 0..size-1."""
+    step = (size ** arity - 1) // (size - 1) if size > 1 else 0
+    return np.arange(size, dtype=np.int64) * step
+
+
 def evaluate(op: OpTable, args) -> int:
     """Table lookup at an argument tuple."""
     args = tuple(int(a) for a in args)
@@ -244,14 +250,13 @@ def is_quandle(op: OpTable, jobs: int = 1) -> CheckResult:
     rk = is_rack(op, jobs=jobs)
     if not rk:
         return rk
-    N, k = op.size, op.arity
-    diag_idx = np.arange(N) * ((N ** k - 1) // (N - 1)) if N > 1 else np.zeros(1, np.int64)
-    diag = op.table[diag_idx.astype(np.int64)]
-    bad = np.flatnonzero(diag != np.arange(N) if N > 1 else diag != 0)
+    N = op.size
+    diag = op.table[diagonal_indices(N, op.arity)]
+    bad = np.flatnonzero(diag != np.arange(N))
     if bad.size == 0:
         return OK
     x = int(bad[0])
-    cex = Counterexample((x,) * k, int(diag[x]), x)
+    cex = Counterexample((x,) * op.arity, int(diag[x]), x)
     return CheckResult(False, cex, "diagonal is not fixed")
 
 
@@ -443,12 +448,11 @@ def digit_map(maps, size: int, arity: int) -> np.ndarray:
     where i is the flat index of (a_1, ..., a_k).
     """
     maps = np.asarray(maps, dtype=np.intp)
-    out = np.zeros((len(maps),) + (1,) * arity, dtype=np.intp)
-    for pos in range(arity):
-        # broadcast digit `pos` along its own axis of the argument grid
-        out = out * size + maps.reshape((len(maps),) + (1,) * pos + (size,)
-                                        + (1,) * (arity - 1 - pos))
-    return out.reshape(len(maps), -1)
+    out = np.zeros((len(maps), 1), dtype=np.intp)
+    for _ in range(arity):
+        # append one digit: each index so far, followed by every image
+        out = (out[:, :, None] * size + maps[:, None, :]).reshape(len(maps), -1)
+    return out
 
 
 def relabel(op: OpTable, perm) -> OpTable:

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -601,17 +602,10 @@ def test_human_summaries_unchanged(files, capsys):
 # ---------------------------------------------------------------------------
 # resource budgets
 
-OVERSIZED = [
-    "construct affine --modulus 100000 --arity 2 --coeffs 2",
-    "construct conj --group symmetric:8",
-    "construct conj --group cyclic:60000",
-    "construct projection --size 100 --arity 5",
-    "construct heap --group cyclic:2000",
-    "construct double-binary --op0 A200 --op1 A200 --no-verify",
-    "enumerate --scan affine --size 300 --arity 2",
-    "enumerate --scan affine --size 40 --arity 3",
-    "enumerate --scan translations --size 3 --arity 12",
-]
+# one command line per line; A200 stands for a JSON file holding
+# affine_op(200, 2, [2]).  The CI workflow runs the same list.
+OVERSIZED = (pathlib.Path(__file__).with_name("oversized.txt")
+             .read_text().splitlines())
 
 
 def test_oversized_requests_are_refused(run_fresh, tmp_path):

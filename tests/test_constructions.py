@@ -16,7 +16,8 @@ from selfdist import (FiniteGroup, InputError, PreconditionError, affine_op,
                       is_quandle, is_rack, make_op_table, monoid_product,
                       power_op, product_mutual_pair, projection_op,
                       symmetric_group, verify_functor_identities)
-from selfdist.enumeration import enumerate_operations
+from selfdist.enumeration import (enumerate_affine, enumerate_mutual_pairs,
+                                  enumerate_operations, enumerate_racks)
 
 DIHEDRAL3 = [0, 2, 1, 2, 1, 0, 1, 0, 2]
 
@@ -317,6 +318,36 @@ def test_functor_identities():
         verify_functor_identities(d3, A)
 
 
+def test_doublings_of_enumerated_mutual_rack_pairs():
+    # every mutually distributive pair of racks on 2 and 3 points: its
+    # doubling is a rack, and the F/G round trip reproduces the doubling
+    pairs = [(a, b) for size in (2, 3) for a, b in enumerate_mutual_pairs(size)
+             if is_rack(a) and is_rack(b)]
+    assert len(pairs) == 61
+    for a, b in pairs:
+        assert is_rack(doubling_binary(a, b))
+        assert verify_functor_identities(a, b)
+
+
+def test_doublings_of_enumerated_compatible_ternary_racks():
+    # every compatible pair of ternary racks on 2 points, and the first 100
+    # compatible pairs on 3 points in a seeded order of all 129^2 ordered
+    # pairs (970 of them are compatible)
+    small = enumerate_racks(2, 3)
+    pairs = [(a, b) for a in small for b in small if are_compatible_ternary(a, b)]
+    assert len(pairs) == 6
+    racks = enumerate_racks(3, 3)
+    order = random.Random(0xD0B).sample(range(len(racks) ** 2), len(racks) ** 2)
+    sample = (divmod(i, len(racks)) for i in order)
+    sample = ((racks[i], racks[j]) for i, j in sample
+              if are_compatible_ternary(racks[i], racks[j]))
+    pairs += list(itertools.islice(sample, 100))
+    assert len(pairs) == 106
+    for a, b in pairs:
+        assert is_rack(doubling_ternary(a, b))
+        assert verify_functor_identities(a, b)
+
+
 def test_compose_mn():
     d = affine_op(3, 2, (2,))
     assert compose_mn(d, d) == f_functor(d, d)
@@ -439,6 +470,10 @@ def test_affine_op_shape_is_checked():
     for modulus, arity in ((0, 2), (-3, 2), (3, 1), (3, -2)):
         with pytest.raises(InputError):
             affine_op(modulus, arity, [1] * max(arity - 1, 0))
+    # more arguments than numpy has array dimensions
+    assert affine_op(1, 70, [0] * 69).table.tolist() == [0]
+    for kind in ("all", "sd", "rack", "quandle"):
+        assert [op.table.tolist() for op in enumerate_affine(1, 70, kind)] == [[0]]
 
 
 def test_affine_compat_conditions_match_brute_force():

@@ -5,10 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from selfdist import (InputError, affine_op, are_mutually_distributive,
+from selfdist import (InputError, OpTable, affine_op, are_mutually_distributive,
                       conj_quandle, core_quandle, cyclic_group, dihedral_group,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
-                      make_op_table, projection_op, relabel, symmetric_group)
+                      make_op_table, projection_op, relabel, symmetric_group,
+                      tuple_to_index)
 from selfdist import enumeration, limits
 from selfdist.enumeration import (KINDS, enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks,
@@ -18,6 +19,132 @@ from selfdist.enumeration import (KINDS, enumerate_affine, enumerate_mutual_pair
 
 def flat(op):
     return tuple(int(v) for v in op.table)
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: row masks and an exchange-law loop that share no code
+# with the scan engine
+
+def _sd_mask(tables: np.ndarray, size: int, arity: int) -> np.ndarray:
+    """Vectorized self-distributivity test over all rows at once."""
+    m = tables.shape[0]
+    rows = np.arange(m)
+    mask = np.ones(m, dtype=bool)
+    tail_block = size ** (arity - 1)
+    tails = list(itertools.product(range(size), repeat=arity - 1))
+    for x in range(size):
+        for y in tails:
+            head = tables[:, tuple_to_index((x,) + y, size)]
+            for z in tails:
+                zoff = tuple_to_index(z, size)
+                lhs = tables[rows, head * tail_block + zoff]
+                rhs_idx = np.zeros(m, dtype=np.int64)
+                for a in (x,) + y:
+                    rhs_idx = rhs_idx * size + tables[:, tuple_to_index((a,) + z, size)]
+                mask &= lhs == tables[rows, rhs_idx]
+    return mask
+
+
+def _translation_mask(tables: np.ndarray, size: int, arity: int) -> np.ndarray:
+    """Rows whose first-argument translations are all bijections."""
+    m = tables.shape[0]
+    mask = np.ones(m, dtype=bool)
+    P = size ** (arity - 1)
+    full = (1 << size) - 1
+    for tail in range(P):
+        seen = np.zeros(m, dtype=np.int64)
+        for x in range(size):
+            seen |= np.int64(1) << tables[:, x * P + tail]
+        mask &= seen == full
+    return mask
+
+
+def _diagonal_mask(tables: np.ndarray, size: int, arity: int) -> np.ndarray:
+    """Rows with W(x, x, ..., x) == x for every x."""
+    mask = np.ones(tables.shape[0], dtype=bool)
+    step = (size ** arity - 1) // (size - 1) if size > 1 else 0
+    for x in range(size):
+        mask &= tables[:, x * step] == x
+    return mask
+
+
+def kind_masks_ref(tables, size, arity):
+    """The rows each kind keeps, by kind, from the three mask oracles."""
+    sd = _sd_mask(tables, size, arity)
+    rack = sd & _translation_mask(tables, size, arity)
+    return {"all": np.ones(len(tables), bool), "sd": sd, "rack": rack,
+            "quandle": rack & _diagonal_mask(tables, size, arity)}
+
+
+def mutual_mask_ref(S: np.ndarray, n: int) -> np.ndarray:
+    """mask[i, j]: rows i and j of S satisfy both exchange laws."""
+    m = S.shape[0]
+    mask = np.ones((m, m), dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                xy, xz, yz = x * n + y, x * n + z, y * n + z
+                pos = S[:, xy] * n + z
+                q = S[:, xz] * n + S[:, yz]
+                # (x *0 y) *1 z == (x *1 z) *0 (y *1 z): rows are *0, cols *1
+                mask &= S[:, pos].T == S[:, q]
+                # and with the roles swapped
+                mask &= S[:, pos] == S[:, q].T
+    return mask
+
+
+def all_tables(size, arity):
+    """Every flat table of the shape, one per row, in lexicographic order."""
+    entries = size ** arity
+    codes = np.arange(size ** entries)
+    return np.stack([codes // size ** p % size
+                     for p in range(entries - 1, -1, -1)], axis=1)
+
+
+def stacked(ops):
+    return np.stack([op.table for op in ops])
+
+
+# every full-scan shape that fits the budgets, apart from one-point carriers
+# of larger arity, which hold a single table
+FULL_SHAPES = [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 4), (3, 2)]
+# the affine shapes of the benchmark's classify workload
+CLASSIFY_AFFINE = [(5, 2), (7, 2), (4, 3), (5, 3), (3, 4), (9, 2), (6, 2), (8, 2),
+                   (11, 2), (13, 2), (3, 3)]
+
+
+def test_full_scans_match_mask_oracles():
+    for size, arity in FULL_SHAPES:
+        tables = all_tables(size, arity)
+        for kind, mask in kind_masks_ref(tables, size, arity).items():
+            got = stacked(enumerate_operations(size, arity, kind))
+            assert np.array_equal(got, tables[mask]), (size, arity, kind)
+
+
+def test_mutual_pairs_match_loop_oracle(monkeypatch):
+    for size in (1, 2, 3):
+        ops = enumerate_operations(size, 2, "sd")
+        S = np.stack([op.table for op in ops])
+        want = [(flat(ops[i]), flat(ops[j]))
+                for i, j in np.argwhere(mutual_mask_ref(S, size))]
+        # the default bands, bands of one row, and on 3 points (224 tables
+        # of 9 entries) bands of five rows with a shorter last band
+        for entries in (enumeration.PAIR_BLOCK_ENTRIES, 1, 5 * 224 * 9):
+            monkeypatch.setattr(enumeration, "PAIR_BLOCK_ENTRIES", entries)
+            got = [(flat(a), flat(b)) for a, b in enumerate_mutual_pairs(size)]
+            assert got == want, (size, entries)
+
+
+def test_affine_closed_form_matches_mask_oracles():
+    for modulus, arity in CLASSIFY_AFFINE:
+        tables = np.stack([
+            affine_op(modulus, arity, head).table
+            for head in itertools.product(range(modulus), repeat=arity - 1)])
+        for kind, mask in kind_masks_ref(tables, modulus, arity).items():
+            want = tables[mask]
+            want = want[np.lexsort(want.T[::-1])]
+            got = stacked(enumerate_affine(modulus, arity, kind))
+            assert np.array_equal(got, want), (modulus, arity, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +262,9 @@ def test_affine_guardrail():
 
 
 def test_affine_scan_budgets():
-    # the stacked tables fit, the self-distributivity mask does not
-    with pytest.raises(InputError, match="steps"):
-        enumerate_affine(150, 2)
-    assert len(enumerate_affine(150, 2, "all")) == 150
+    # no table is scanned, so only the stacked tables are charged
+    sd, every = (stacked(enumerate_affine(150, 2, kind)) for kind in ("sd", "all"))
+    assert np.array_equal(sd, every) and len(every) == 150
     for modulus, arity in ((300, 2), (40, 3), (2, 40)):
         with pytest.raises(InputError, match="bytes"):
             enumerate_affine(modulus, arity)
@@ -448,6 +574,11 @@ def test_find_isomorphism_positive():
     b = make_op_table(3, 2, [1, 1, 0, 0, 0, 1, 2, 2, 2])
     assert find_isomorphism(a, b) == (2, 0, 1)
     assert tables_isomorphic(b, a)
+    # more arguments than numpy has array dimensions
+    one = OpTable(1, 70, [0])
+    assert relabel(one, [0]) == one
+    assert find_isomorphism(one, one) == (0,)
+    assert isomorphism_classes([one, one]) == [[0, 1]]
 
 
 def test_functor_order_matters_up_to_isomorphism():

@@ -10,7 +10,7 @@ from selfdist.homology import (HomologyResult, boundary_matrix, chain_map_F,
                                cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
                                labeled_boundary, smith_normal_form, solve_mod,
-                               ternary_boundary, verify_chain_map, xgcd)
+                               verify_chain_map, xgcd)
 
 
 def dih3():
@@ -23,20 +23,60 @@ def tern3():
 
 
 # ---------------------------------------------------------------------------
-# ternary complex
+# ternary complex: the labeled complex of one ternary operation
+
+def ternary_boundary_ref(op, n):
+    """The degree-n ternary differential assembled on its own.
+
+    Columns are indexed by degree-n generators, the (2n-1)-tuples
+    (x0, b1, ..., b_{n-1}) with each b_i a pair, rows by degree n-1.
+    Degree 1 returns the empty (0, size) matrix since degree 0 is zero.
+    """
+    N = op.size
+    if n == 1:
+        return np.zeros((0, N), dtype=np.int64)
+    rows, cols = N ** (2 * n - 3), N ** (2 * n - 1)
+    T = op.table
+    dig = np.indices((N,) * (2 * n - 1)).reshape(2 * n - 1, -1)
+    M = np.zeros((rows, cols), dtype=np.int64)
+    colidx = np.arange(cols, dtype=np.int64)
+
+    def flat3(x, y, z):
+        return T[(x * N + y) * N + z]
+
+    for i in range(1, n):
+        by, bz = dig[2 * i - 1], dig[2 * i]
+        sign = (-1) ** i
+        acted = flat3(dig[0], by, bz)
+        for k in range(1, i):
+            acted = acted * N + flat3(dig[2 * k - 1], by, bz)
+            acted = acted * N + flat3(dig[2 * k], by, bz)
+        for k in range(i, n - 1):
+            acted = acted * N + dig[2 * k + 1]
+            acted = acted * N + dig[2 * k + 2]
+        deleted = dig[0]
+        for k in range(1, n):
+            if k == i:
+                continue
+            deleted = deleted * N + dig[2 * k - 1]
+            deleted = deleted * N + dig[2 * k]
+        np.add.at(M, (acted, colidx), sign)
+        np.add.at(M, (deleted, colidx), -sign)
+    return M
+
 
 def test_ternary_boundary_shapes_and_degree_one():
     T = tern3()
-    assert ternary_boundary(T, 1).shape == (0, 3)
-    assert ternary_boundary(T, 2).shape == (3, 27)
-    assert ternary_boundary(T, 3).shape == (27, 243)
-    assert ternary_boundary(T, 4).shape == (243, 2187)
+    assert boundary_matrix(T, 1).shape == (0, 3)
+    assert boundary_matrix(T, 2).shape == (3, 27)
+    assert boundary_matrix(T, 3).shape == (27, 243)
+    assert boundary_matrix(T, 4).shape == (243, 2187)
 
 
 def test_ternary_boundary_entries():
     # column of the generator (0, 1, 2): boundary (x0) - (T(x0, b1))
     T = tern3()
-    d2 = ternary_boundary(T, 2)
+    d2 = boundary_matrix(T, 2)
     assert d2[:, 5].tolist() == [1, 0, -1]   # T(0,1,2) = 0+1+4 = 2
     # every degree-2 column sums to zero
     assert not d2.sum(axis=0).any()
@@ -44,7 +84,7 @@ def test_ternary_boundary_entries():
 
 def test_ternary_boundary_squares_to_zero():
     T = tern3()
-    d2, d3, d4 = (ternary_boundary(T, n) for n in (2, 3, 4))
+    d2, d3, d4 = (boundary_matrix(T, n) for n in (2, 3, 4))
     assert not (d2 @ d3).any()
     assert not (d3 @ d4).any()
 
@@ -56,26 +96,26 @@ def test_ternary_boundary_random_tables_square_to_zero():
         size = rng.choice((2, 3))
         coeffs = [rng.randrange(size) for _ in range(2)]
         T = affine_op(size, 3, coeffs)
-        d2, d3, d4 = (ternary_boundary(T, n) for n in (2, 3, 4))
+        d2, d3, d4 = (boundary_matrix(T, n) for n in (2, 3, 4))
         assert not (d2 @ d3).any()
         assert not (d3 @ d4).any()
+        for n, d in ((2, d2), (3, d3), (4, d4)):
+            assert np.array_equal(d, ternary_boundary_ref(T, n))
         seen += 1
 
 
 def test_ternary_boundary_rejects_bad_input():
     with pytest.raises(InputError):
-        ternary_boundary(dih3(), 2)          # wrong arity
-    with pytest.raises(InputError):
-        ternary_boundary(tern3(), 0)
+        boundary_matrix(tern3(), 0)
     not_sd = make_op_table(2, 3, lambda x, y, z: x ^ (y & z))
     with pytest.raises(PreconditionError):
-        ternary_boundary(not_sd, 2)
+        boundary_matrix(not_sd, 2)
 
 
 def test_guard_refuses_oversized_matrices():
     T = affine_op(9, 3, (1, 1))
     with pytest.raises(InputError, match="refusing"):
-        ternary_boundary(T, 4)
+        boundary_matrix(T, 4)
 
 
 def test_boundaries_are_charged_before_verifying():
@@ -88,7 +128,7 @@ def test_boundaries_are_charged_before_verifying():
     # a one-point carrier has 1 x 1 matrices, but assembling degree 3000
     # takes about 3000^2 steps
     with pytest.raises(InputError, match="needs 9000000 steps"):
-        ternary_boundary(affine_op(1, 3, (0, 0)), 3000)
+        boundary_matrix(affine_op(1, 3, (0, 0)), 3000)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +274,7 @@ def _suite_boundaries():
     """Builders of every boundary matrix the suite uses, by label."""
     R3 = core_quandle(cyclic_group(3))
     triv = make_op_table(3, 2, lambda x, y: x)
-    out = {f"T3 d{n}": (lambda n=n: ternary_boundary(tern3(), n)) for n in (2, 3, 4)}
+    out = {f"T3 d{n}": (lambda n=n: boundary_matrix(tern3(), n)) for n in (2, 3, 4)}
     out.update({f"R3 d{n}": (lambda n=n: boundary_matrix(R3, n)) for n in (2, 3, 4, 5)})
     for name, system in (("dih3 pair", [dih3(), dih3()]),
                          ("triv-dih3 pair", [triv, dih3()]),
@@ -307,15 +347,15 @@ def test_integral_homology_of_ternary_affine():
 def test_trivial_ternary_homology():
     triv = make_op_table(2, 3, lambda x, y, z: x)
     for n in (2, 3, 4):
-        assert not ternary_boundary(triv, n).any()
+        assert not boundary_matrix(triv, n).any()
     assert homology(triv, 2) == HomologyResult(8, ())   # free of rank 2^3
 
 
 def test_singleton_carrier():
     one = make_op_table(1, 3, [0])
-    assert ternary_boundary(one, 1).shape == (0, 1)
+    assert boundary_matrix(one, 1).shape == (0, 1)
     for n in (2, 3):
-        d = ternary_boundary(one, n)
+        d = boundary_matrix(one, n)
         assert d.shape == (1, 1) and not d.any()
 
 
@@ -413,9 +453,9 @@ def test_finite_coefficient_homology_matches_universal_coefficients():
 # labeled complex
 
 def test_labeled_single_ternary_equals_ternary_complex():
-    T = tern3()
-    for n in (2, 3):
-        assert np.array_equal(labeled_boundary([T], n), ternary_boundary(T, n))
+    for T, degrees in ((tern3(), (1, 2, 3, 4)), (affine_op(5, 3, (2, 4)), (2, 3))):
+        for n in degrees:
+            assert np.array_equal(labeled_boundary([T], n), ternary_boundary_ref(T, n))
 
 
 def test_labeled_single_binary_is_classical_rack_boundary():
@@ -462,7 +502,7 @@ def test_labeled_boundary_precondition():
 
 def test_boundary_matrix_dispatch():
     T = tern3()
-    assert np.array_equal(boundary_matrix(T, 2), ternary_boundary(T, 2))
+    assert np.array_equal(boundary_matrix(T, 2), labeled_boundary([T], 2))
     op = dih3()
     assert np.array_equal(boundary_matrix(op, 2), labeled_boundary([op], 2))
     assert np.array_equal(boundary_matrix([op, op], 2),
@@ -496,6 +536,8 @@ def test_ternary_cohomology_dimensions():
     assert _rank_mod_p(list(res.cocycles), 3) == 5
     assert _rank_mod_p(list(res.coboundaries), 3) == 2
     assert res.invariants == (3, 3, 3)
+    # one ternary operation reports no label blocks
+    assert res.blocks == ()
     delta = boundary_matrix(T, 3, verify=False).T
     for v in res.cocycles:
         assert not ((delta @ v[:, 0]) % 3).any()

@@ -277,6 +277,11 @@ def test_translation_backends_agree():
     for table, size, arity in cases:
         assert translation_scan(table, size, arity) == translation_oracle(
             table, size, size ** (arity - 1))
+    # a stack of same-shape tables, one per row, gets one index per table
+    for size, arity in ((3, 2), (2, 3), (3, 3)):
+        stack = np.array([t for t, n, k in cases if (n, k) == (size, arity)])
+        want = [translation_oracle(t, size, size ** (arity - 1)) for t in stack]
+        assert kernels.translation_scan_stack(stack, size, arity).tolist() == want
 
 
 def test_compat_backends_agree():
@@ -305,6 +310,25 @@ def _mid_x_slab(law):
     return block * law.tail
 
 
+def assert_batches_match_oracle(monkeypatch):
+    """The exchange cases of each shape, stacked into one batched law, get
+    one verdict per case: whether the oracle finds no failure."""
+    groups = {}
+    for (tm, tn, N, m, n), (flat, _, _) in zip(SCANS["exchange"][3],
+                                               ORACLE_HITS["exchange"]):
+        groups.setdefault((N, m, n), []).append((tm, tn, flat < 0))
+    for (N, m, n), group in groups.items():
+        tm, tn, want = zip(*group)
+        law = kernels.exchange_law(np.concatenate(tm), np.concatenate(tn),
+                                   N, m, n, batch=len(group))
+        span = N ** law.lead
+        # blocks of one leading tuple, and blocks of span + 1 leading tuples,
+        # which start and end inside candidates
+        for slab in (1, (span + 1) * law.tail):
+            monkeypatch.setattr(kernels, "_SLAB", slab)
+            assert kernels.holds(law).tolist() == list(want), (N, m, n, slab)
+
+
 @pytest.mark.parametrize("name", sorted(SCANS))
 def test_slab_and_jobs_invariance(name, monkeypatch):
     _, law, _, cases = SCANS[name]
@@ -318,6 +342,8 @@ def test_slab_and_jobs_invariance(name, monkeypatch):
         monkeypatch.setattr(kernels, "_SLAB", slab)
         for jobs in (1, 2, 3):
             assert_matches_oracle(name, jobs=jobs)
+    if name == "exchange":
+        assert_batches_match_oracle(monkeypatch)
 
 
 def test_compatible_ternary_passes_jobs_on(monkeypatch):
@@ -417,12 +443,14 @@ def test_compat_known_pair():
 # memory stays bounded by the slab, not by N^5
 
 def test_compat_check_memory_is_bounded(run_fresh):
+    # the peak is read from VmHWM, which starts afresh at exec; ru_maxrss
+    # is carried across fork and exec, so it may report the test run's peak
     code = (
-        "import resource\n"
         "from selfdist import affine_op, are_compatible_ternary\n"
         "res = are_compatible_ternary(affine_op(32, 3, [3, -2]),"
         " affine_op(32, 3, [5, 0]))\n"
-        "print(bool(res), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(bool(res), next(line.split()[1] for line in"
+        " open('/proc/self/status') if line.startswith('VmHWM')))\n"
     )
     proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr

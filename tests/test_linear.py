@@ -687,15 +687,19 @@ def test_adjoint_matches_dense_oracle():
 
 def test_adjoint_memory_is_small(run_fresh):
     # a fresh process: building and verifying the order-6 adjoint object
-    # adds a few MB at most to the peak resident set
+    # adds a few MB at most to the peak resident set.  The peak is read from
+    # VmHWM, which starts afresh at exec; ru_maxrss is carried across fork
+    # and exec, so it may report the test run's own peak.
     code = (
-        "import resource\n"
         "from selfdist import Field, cyclic_group, group_algebra_hopf,"
         " hopf_adjoint_ternary\n"
+        "def peak():\n"
+        "    return next(int(line.split()[1]) for line in"
+        " open('/proc/self/status') if line.startswith('VmHWM'))\n"
         "g, field = cyclic_group(6), Field(5)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
         "hopf_adjoint_ternary(group_algebra_hopf(g, field))\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        "print(peak() - before)\n"
     )
     proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr
