@@ -43,10 +43,9 @@ from .linear import (Field, LinMap, LieAlgebraObject, SDObject,
                      augmented_operation, check_augmented_hopf, check_nary_sd,
                      group_algebra_hopf, hopf_adjoint_ternary, hopf_heap,
                      lie_to_binary_sd)
-from .optable import (CheckResult, FiniteGroup, InputError, OpTable,
+from .optable import (Axioms, CheckResult, FiniteGroup, InputError, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
-                      cyclic_group, dihedral_group, is_nary_distributive,
-                      is_quandle, is_rack, symmetric_group)
+                      cyclic_group, dihedral_group, symmetric_group)
 
 SCHEMA = "selfdist-report/1"
 
@@ -287,14 +286,14 @@ def _cmd_check(args, report, jobs):
     if args.what == "axioms":
         op = _load_op(args.op)
         props = args.props.split(",") if args.props else ["sd", "rack", "quandle"]
+        axioms = Axioms(op, jobs)
         for p in props:
             if p == "sd":
-                report.verdict("self-distributive",
-                               is_nary_distributive(op, jobs=jobs))
+                report.verdict("self-distributive", axioms.sd)
             elif p == "rack":
-                report.verdict(_rack_word(op.arity), is_rack(op, jobs=jobs))
+                report.verdict(_rack_word(op.arity), axioms.rack)
             elif p == "quandle":
-                report.verdict("quandle", is_quandle(op, jobs=jobs))
+                report.verdict("quandle", axioms.quandle)
             else:
                 raise InputError(f"unknown property {p!r}")
     elif args.what == "mutual":

@@ -30,9 +30,10 @@ entries of its lookup tables, candidate tables times tuples in the
 self-distributivity scan of a full scan (an affine scan checks no table:
 its kinds follow from the affine form), fiber bijections
 times tuples in the extension search, term combinations times block
-entries in the linear distributivity check, blocks times lead coordinates
-in the scan engine, and the Python-level loops of powers, braid relations,
-twists, cochain builders and boundary assembly.  Its value is the budget
+entries in the linear distributivity check, 75 steps for each lead
+coordinate of each block in the scan engine (the measured cost of the
+numpy calls one coordinate takes), and the Python-level loops of powers,
+braid relations, twists, cochain builders and boundary assembly.  Its value is the budget
 the rack search had: the search spends all of it in about a second on a
 2-core Xeon, so every refusal and every accepted run stays short.
 

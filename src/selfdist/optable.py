@@ -8,6 +8,7 @@ pair (a, b) as a*|second factor|+b, and matrix row orderings inherit it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,13 +46,22 @@ OK = CheckResult(True)
 
 
 def _holds_bool(values) -> bool:
-    """True when a (nested) list or tuple has a bool anywhere in it."""
-    if not isinstance(values, (list, tuple)):
-        return False
-    types = set(map(type, values))
-    if bool in types:
-        return True
-    return not types.isdisjoint((list, tuple)) and any(map(_holds_bool, values))
+    """True when a (nested) list or tuple has a bool anywhere in it.
+
+    The nesting is walked one level at a time, so a table of many short
+    rows costs a few calls per level, not one call per row.
+    """
+    level = values if isinstance(values, (list, tuple)) else ()
+    while level:
+        types = set(map(type, level))
+        if bool in types:
+            return True
+        if types.isdisjoint((list, tuple)):
+            return False
+        if not types <= {list, tuple}:
+            level = [v for v in level if isinstance(v, (list, tuple))]
+        level = list(itertools.chain.from_iterable(level))
+    return False
 
 
 def integer_array(values, what: str) -> np.ndarray:
@@ -232,32 +242,56 @@ def is_nary_distributive(op: OpTable, jobs: int = 1) -> CheckResult:
     return CheckResult(False, res.counterexample, "self-distributivity fails")
 
 
+class Axioms:
+    """The rack axioms of one table, each checked at most once.
+
+    A quandle is a rack, and a rack is self-distributive, so each verdict
+    past the first is read only when the one before it holds: one
+    self-distributivity scan, one translation scan and one diagonal read,
+    however many verdicts are asked for.
+    """
+
+    def __init__(self, op: OpTable, jobs: int = 1):
+        self.op, self.jobs = op, jobs
+
+    @functools.cached_property
+    def sd(self) -> CheckResult:
+        return is_nary_distributive(self.op, jobs=self.jobs)
+
+    @functools.cached_property
+    def rack(self) -> CheckResult:
+        if not self.sd:
+            return self.sd
+        op = self.op
+        t = kernels.translation_scan(op.table, op.size, op.arity)
+        if t < 0:
+            return OK
+        tail = index_to_tuple(t, op.size, op.arity - 1)
+        return CheckResult(False, None,
+                           f"translation by tail {tail} is not a bijection")
+
+    @functools.cached_property
+    def quandle(self) -> CheckResult:
+        if not self.rack:
+            return self.rack
+        op, N = self.op, self.op.size
+        diag = op.table[diagonal_indices(N, op.arity)]
+        bad = np.flatnonzero(diag != np.arange(N))
+        if bad.size == 0:
+            return OK
+        x = int(bad[0])
+        cex = Counterexample((x,) * op.arity, int(diag[x]), x)
+        return CheckResult(False, cex, "diagonal is not fixed")
+
+
 def is_rack(op: OpTable, jobs: int = 1) -> CheckResult:
     """Self-distributive with every translation x -> W(x, tail) a bijection."""
-    sd = is_nary_distributive(op, jobs=jobs)
-    if not sd:
-        return sd
-    t = kernels.translation_scan(op.table, op.size, op.arity)
-    if t < 0:
-        return OK
-    tail = index_to_tuple(t, op.size, op.arity - 1)
-    return CheckResult(False, None,
-                       f"translation by tail {tail} is not a bijection")
+    return Axioms(op, jobs).rack
 
 
 def is_quandle(op: OpTable, jobs: int = 1) -> CheckResult:
     """Rack whose full diagonal is fixed: W(x, x, ..., x) == x for all x."""
-    rk = is_rack(op, jobs=jobs)
-    if not rk:
-        return rk
-    N = op.size
-    diag = op.table[diagonal_indices(N, op.arity)]
-    bad = np.flatnonzero(diag != np.arange(N))
-    if bad.size == 0:
-        return OK
-    x = int(bad[0])
-    cex = Counterexample((x,) * op.arity, int(diag[x]), x)
-    return CheckResult(False, cex, "diagonal is not fixed")
+    return Axioms(op, jobs).quandle
 
 
 def are_mutually_distributive(op_a: OpTable, op_b: OpTable,

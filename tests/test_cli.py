@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from selfdist import (OpTable, affine_op, doubling_ternary, f_functor,
-                      heap_op, make_op_table, product_mutual_pair,
-                      symmetric_group, twist_op)
-from selfdist import cli
+                      heap_op, is_nary_distributive, is_quandle, is_rack,
+                      make_op_table, product_mutual_pair, symmetric_group,
+                      twist_op)
+from selfdist import cli, kernels
 from selfdist.braid import BraidWord
 from selfdist.cli import SCHEMA, main
 from selfdist.cocycles import extend, make_cochain
@@ -75,6 +76,48 @@ def test_check_axioms_failure_carries_witness(files, capsys):
     first = rep["verdicts"][0]
     assert first["holds"] is False
     assert first["counterexample"]["witness"] == [0, 0, 1]
+
+
+def test_check_axioms_scans_once(files, capsys, monkeypatch, tmp_path):
+    # a quandle, a rack with a moved diagonal, a self-distributive op with
+    # constant translations, and a table that is not self-distributive
+    tables = {"dih5": files["dih5"], "plus3": files["plus3"]}
+    for name, op in (("shift3", make_op_table(3, 2, lambda x, y: x + 1)),
+                     ("second3", make_op_table(3, 2, lambda x, y: y))):
+        tables[name] = str(tmp_path / f"{name}.json")
+        pathlib.Path(tables[name]).write_text(json.dumps(op.as_json()))
+    calls = []
+    scan = kernels.exchange_scan
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    def verdict(prop, res):
+        c = res.counterexample
+        cex = c and {"witness": list(c.witness), "lhs": c.lhs, "rhs": c.rhs}
+        return {"property": prop, "holds": bool(res), "counterexample": cex,
+                "detail": res.detail}
+
+    holds = {}
+    for name, path in tables.items():
+        op = OpTable.from_json(json.loads(pathlib.Path(path).read_text()))
+        want = [verdict("self-distributive", is_nary_distributive(op)),
+                verdict("rack", is_rack(op)), verdict("quandle", is_quandle(op))]
+        monkeypatch.setattr(kernels, "exchange_scan", spy)
+        calls.clear()
+        code, rep = run_json(["check", "axioms", path], capsys)
+        assert len(calls) == 1, name
+        assert rep["verdicts"] == want, name
+        assert code == (0 if all(v["holds"] for v in want) else 1)
+        code, rep = run_json(["check", "axioms", path, "--props",
+                              "quandle,sd,rack,quandle"], capsys)
+        assert len(calls) == 2, name
+        assert rep["verdicts"] == [want[2], want[0], want[1], want[2]], name
+        monkeypatch.setattr(kernels, "exchange_scan", scan)
+        holds[name] = [v["holds"] for v in want]
+    assert holds == {"dih5": [True] * 3, "plus3": [False] * 3,
+                     "shift3": [True, True, False], "second3": [True, False, False]}
 
 
 def test_check_axioms_malformed_input(files, capsys):
@@ -612,7 +655,11 @@ def test_oversized_requests_are_refused(run_fresh, tmp_path):
     # each in well under a second, in one process under a 2 GiB cap
     a200 = tmp_path / "a200.json"
     a200.write_text(json.dumps(affine_op(200, 2, [2]).as_json()))
-    batch = [argv.replace("A200", str(a200)).split() for argv in OVERSIZED]
+    # one point at arity 2^22: one table entry, millions of coordinates
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"size": 1, "arity": 1 << 22, "table": [0]}))
+    batch = [argv.replace("A200", str(a200)).replace("ONE", str(one)).split()
+             for argv in OVERSIZED]
     code = ("import contextlib, io, json, sys, time\n"
             "from selfdist.cli import main\n"
             "for argv in json.loads(sys.stdin.read()):\n"

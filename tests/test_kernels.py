@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from selfdist import (InputError, OpTable, affine_op, are_compatible_ternary,
-                      index_to_tuple, make_op_table)
+                      cyclic_group, heap_op, index_to_tuple, make_op_table,
+                      product_mutual_pair, symmetric_group)
 from selfdist import kernels
 from selfdist.kernels import (compat_cocycle_scan, compat_scan, exchange_scan,
                               mutual_cocycle_scan, nary_cocycle_scan,
@@ -42,6 +43,17 @@ LAST3 = np.array([0, 0, 0, 0, 0, 0, 0, 1, 2], np.int64)
 # mutually distributive Alexander quandles 2x - y and 3x - 2y over Z5
 AL2 = as_i64(affine_op(5, 2, (2,)).table)
 AL3 = as_i64(affine_op(5, 2, (3,)).table)
+
+# laws that read equal columns at many tails, so the engine scans one tail
+# per class: heaps x y0^-1 y1, whose translations by (z0, z1) depend only
+# on z0^-1 z1; the compatible pair 2x - y0, 5x - 4y0 over Z6, which ignores
+# z1; and a product pair, whose operations each ignore one factor of z
+HEAP_S3 = as_i64(heap_op(symmetric_group(3)).table)
+HEAP_Z4 = as_i64(heap_op(cyclic_group(4)).table)
+FA6 = as_i64(affine_op(6, 3, (2, -1)).table)
+FB6 = as_i64(affine_op(6, 3, (5, -4)).table)
+PROD0, PROD1 = (as_i64(op.table) for op in product_mutual_pair(
+    OpTable(3, 2, DIH3), OpTable(3, 2, DIH3)))
 
 
 def perturbed(values, modulus, at):
@@ -178,7 +190,14 @@ def _exchange_cases():
              (DIH5, DIH5, 5, 2, 2),
              (perturbed(DIH5, 5, 23), DIH5, 5, 2, 2), (AL2, AL3, 5, 2, 2),
              (Z8, Z8, 8, 3, 3), (Z8, T1, 8, 3, 3), (T1, Z8, 8, 3, 3),
-             (perturbed(Z8, 8, 383), Z8, 8, 3, 3)]
+             (perturbed(Z8, 8, 383), Z8, 8, 3, 3),
+             (HEAP_S3, HEAP_S3, 6, 3, 3), (HEAP_Z4, HEAP_Z4, 4, 3, 3),
+             # one tail leaves its class: (x, z0, z1) = (2, 3, 1)
+             (HEAP_S3, perturbed(HEAP_S3, 6, 91), 6, 3, 3),
+             (perturbed(HEAP_S3, 6, 91), perturbed(HEAP_S3, 6, 91), 6, 3, 3),
+             (perturbed(HEAP_Z4, 4, 38), HEAP_Z4, 4, 3, 3),
+             (PROD0, PROD1, 9, 2, 2), (PROD1, PROD0, 9, 2, 2),
+             (PROD0, perturbed(PROD1, 9, 67), 9, 2, 2)]
     for m, n in ((2, 2), (3, 3), (2, 3), (3, 2)):
         for size in (2, 3):
             for _ in range(6):
@@ -189,7 +208,8 @@ def _exchange_cases():
 
 def _compat_cases():
     cases = [(Z8, T1), (T1, Z8), (TRIV3, PSI3), (CA5, CB5),
-             (perturbed(CA5, 5, 115), CB5), (CA5, perturbed(CB5, 5, 117))]
+             (perturbed(CA5, 5, 115), CB5), (CA5, perturbed(CB5, 5, 117)),
+             (FA6, FB6), (perturbed(FA6, 6, 200), FB6), (FA6, perturbed(FB6, 6, 133))]
     for _ in range(6):
         cases.append((rand_table(2, 3), rand_table(2, 3)))
         cases.append((rand_table(3, 3), rand_table(3, 3)))
@@ -203,6 +223,9 @@ def _cocycle_cases():
     cases = [(DIH3, np.zeros(9, np.int64), 3, 2, 3), (TRIV3, PSI3 % 3, 3, 3, 3),
              (DIH5, phi5, 5, 2, 3), (DIH5, perturbed(phi5, 3, 17), 5, 2, 3),
              (Z8, phi8, 8, 3, 3), (Z8, perturbed(phi8, 3, 383), 8, 3, 3)]
+    for heap, size in ((HEAP_S3, 6), (HEAP_Z4, 4)):
+        phi = coboundary(heap, size, 3, 4)
+        cases += [(heap, phi, size, 3, 4), (heap, perturbed(phi, 4, 2 * size + 1), size, 3, 4)]
     for size, arity in ((2, 2), (3, 2), (2, 3)):
         for d in (2, 3, 5):
             for _ in range(4):
@@ -215,6 +238,8 @@ def _mutual_cocycle_cases():
     p2, p3 = coboundary(AL2, 5, 2, 4), coboundary(AL3, 5, 2, 4)
     cases = [(AL2, AL3, p2, p3, 5, 4), (AL2, AL3, perturbed(p2, 4, 14), p3, 5, 4),
              (AL2, AL3, p2, perturbed(p3, 4, 21), 5, 4)]
+    q0, q1 = coboundary(PROD0, 9, 2, 3), coboundary(PROD1, 9, 2, 3)
+    cases += [(PROD0, PROD1, q0, q1, 9, 3), (PROD0, PROD1, q0, perturbed(q1, 3, 71), 9, 3)]
     for _ in range(10):
         size = rng.choice((2, 3))
         d = rng.choice((2, 3, 5))
@@ -227,6 +252,8 @@ def _compat_cocycle_cases():
     zero = np.zeros(125, np.int64)
     cases = [(CA5, CB5, zero, zero, 5, 3), (CA5, CB5, perturbed(zero, 3, 98), zero, 5, 3),
              (CA5, CB5, zero, perturbed(zero, 3, 111), 5, 3)]
+    zero6 = np.zeros(216, np.int64)
+    cases += [(FA6, FB6, zero6, zero6, 6, 2), (FA6, FB6, perturbed(zero6, 2, 150), zero6, 6, 2)]
     for _ in range(8):
         size = rng.choice((2, 3))
         d = rng.choice((2, 3))
@@ -344,6 +371,28 @@ def test_slab_and_jobs_invariance(name, monkeypatch):
             assert_matches_oracle(name, jobs=jobs)
     if name == "exchange":
         assert_batches_match_oracle(monkeypatch)
+
+
+def test_heap_scans_one_tail_per_class(monkeypatch):
+    # the heap of a group of order N has N^2 tails but N translations
+    tails = []
+    scan_range = kernels._scan_range
+
+    def spy(law, lo, hi):
+        tails.append(law.tail)
+        return scan_range(law, lo, hi)
+
+    monkeypatch.setattr(kernels, "_scan_range", spy)
+    for heap, N in ((HEAP_S3, 6), (HEAP_Z4, 4)):
+        for jobs in (1, 2):
+            tails.clear()
+            assert kernels._scan(kernels.exchange_law(heap, heap, N, 3, 3), jobs) == -1
+            assert tails == [N] * jobs
+    # one changed entry moves one tail out of its class
+    tails.clear()
+    bad = perturbed(HEAP_S3, 6, 91)
+    assert exchange_scan(bad, bad, 6, 3, 3) == exchange_oracle(bad, bad, 6, 3, 3)[0]
+    assert tails == [7]
 
 
 def test_compatible_ternary_passes_jobs_on(monkeypatch):

@@ -37,6 +37,13 @@ def test_non_integer_entries_rejected():
             OpTable(2, 2, table)
     with pytest.raises(InputError):
         OpTable.from_json({"size": 2, "arity": 2, "table": [0.7, 1.2, 0, 1]})
+    # a bool is found at any depth, behind mixed lists and tuples, and in a
+    # row after rows without one; the same nesting without it is accepted
+    for table in ([[[0], [1]], [[0], [True]]], ([0, 1], (1, False)),
+                  [[0, 1], [[1], False]], [(0, 1), [[1, 0]], [[[[True]]]]]):
+        with pytest.raises(InputError, match="integers, got booleans"):
+            OpTable(2, 2, table)
+    assert OpTable(2, 2, [[[0], [1]], ([0], [1])]) == make_op_table(2, 2, [0, 1, 0, 1])
     for dtype in (np.uint8, np.int32, np.uint64):
         assert make_op_table(2, 2, np.array([0, 1, 0, 1], dtype=dtype)) == \
             make_op_table(2, 2, [0, 1, 0, 1])
