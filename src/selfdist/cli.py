@@ -97,14 +97,32 @@ def _json_key(key) -> str:
     return _compact(key)
 
 
+def _labelled(value) -> bool:
+    """Whether value is a nonempty 1-d integer array with entries in
+    0..len(value)-1, which `_iter_json` writes by label lookup."""
+    return (value.ndim == 1 and value.dtype.kind in "iu" and value.size > 0
+            and value.min() >= 0 and value.max() < value.size)
+
+
 def _iter_json(value, depth: int = 0):
     """The text of json.dumps(value, indent=2), in pieces of bounded size.
 
     Lists are taken JSON_CHUNK items at a time; a chunk of plain scalars is
-    encoded in one call of the C encoder, anything else item by item.
+    encoded in one call of the C encoder, anything else item by item.  A
+    1-d integer array with entries in 0..len-1, such as a table's entries,
+    is taken JSON_CHUNK entries at a time too: each entry's text is looked
+    up in a list of one label per value, which holds at most len(array)
+    labels.  Any other array is written as its list.
     """
     pad = "\n" + "  " * (depth + 1)
-    if isinstance(value, dict):
+    if isinstance(value, np.ndarray) and _labelled(value):
+        labels = np.array(["," + pad + str(i) for i in range(int(value.max()) + 1)],
+                          dtype=object)
+        for start in range(0, len(value), JSON_CHUNK):
+            text = "".join(labels[value[start:start + JSON_CHUNK]].tolist())
+            yield "[" + text[1:] if start == 0 else text
+        yield "\n" + "  " * depth + "]"
+    elif isinstance(value, dict):
         if not value:
             yield "{}"
             return
@@ -365,8 +383,8 @@ def _cmd_construct(args, report, jobs):
         a, b = product_mutual_pair(_load_op(need("op0", args.op0)),
                                    _load_op(need("op1", args.op1)),
                                    verify=verify)
-        report.artifact("op0", a.as_json())
-        report.artifact("op1", b.as_json())
+        report.artifact("op0", a.json_fields())
+        report.artifact("op1", b.json_fields())
         return
     elif name == "augmented":
         g = _load_group(need("group", args.group))
@@ -384,8 +402,8 @@ def _cmd_construct(args, report, jobs):
                                   _load_cochain(need("cochain0", args.cochain0)),
                                   _load_cochain(need("cochain1", args.cochain1)),
                                   verify=verify)
-        report.artifact("op0", a.as_json())
-        report.artifact("op1", b.as_json())
+        report.artifact("op0", a.json_fields())
+        report.artifact("op1", b.json_fields())
         return
     elif name == "twist":
         hat = _load_op(need("op", args.op))
@@ -394,7 +412,7 @@ def _cmd_construct(args, report, jobs):
         out = braid_mod.twist_op(hat, star, word, verify=verify)
     else:
         raise InputError(f"unknown construction {name!r}")
-    report.artifact("table", out.as_json())
+    report.artifact("table", out.json_fields())
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +472,7 @@ def _cmd_cocycle(args, report, jobs):
     elif args.what == "extend":
         out = extend(_load_op(args.op), _load_cochain(args.cochain),
                      verify=not args.no_verify)
-        report.artifact("table", out.as_json())
+        report.artifact("table", out.json_fields())
     elif args.what == "three-from-ses":
         alpha = three_cocycle_from_ses(_load_cochain(args.cochain),
                                        _load_op(args.op), _load_ses(args.ses),
@@ -495,7 +513,7 @@ def _cmd_braid(args, report, jobs):
         star = _load_op(args.star)
         word = braid_mod.BraidWord(hat.arity - 1, _ints(args.word))
         out = braid_mod.twist_op(hat, star, word, verify=not args.no_verify)
-        report.artifact("table", out.as_json())
+        report.artifact("table", out.json_fields())
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +591,13 @@ HANDLERS = {"check": _cmd_check, "construct": _cmd_construct,
             "enumerate": _cmd_enumerate}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The parser of every command line, built once per process, on the
+    first call of `main`: building its 27 subparsers costs more than many of
+    the jobs it parses.  Each parse fills a fresh namespace, so no call sees
+    another's arguments, and `main` reads SELFDIST_JOBS, the default of
+    --jobs, on every call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json"),
                         default=argparse.SUPPRESS)
@@ -584,10 +608,8 @@ def _build_parser():
         prog="selfdist",
         description="Self-distributive operations: check, construct, compute.")
     top.add_argument("--format", choices=("human", "json"), default="human")
-    # a string default goes through type=int, so a bad SELFDIST_JOBS is a
-    # usage error like a bad --jobs
-    top.add_argument("--jobs", type=int,
-                     default=os.environ.get("SELFDIST_JOBS", "1"))
+    # its default is SELFDIST_JOBS, set by `main` on every call
+    top.add_argument("--jobs", type=int)
     top.add_argument("-o", "--output", default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -752,6 +774,9 @@ def _fail(args, report: Report, start: float, code: int, message: str,
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    # SELFDIST_JOBS is read on every call.  A string default goes through
+    # type=int, so a bad value is a usage error like a bad --jobs.
+    parser.set_defaults(jobs=os.environ.get("SELFDIST_JOBS", "1"))
     args = parser.parse_args(argv)
     report = Report(argv)
     start = time.perf_counter()

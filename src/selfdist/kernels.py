@@ -31,7 +31,8 @@ restricted to one tail per class.  Its first hit (lead, k) maps back to
 (lead, first tail of class k): at the least failing lead tuple the failing
 tails are whole classes, the least of them is the first tail of the first
 failing class, and so the result is still the first failing tuple.  `witness`
-and the batched laws of `holds` read every tail.
+and the batched laws of `holds` read every tail.  A scan's step charge
+counts the classes, so a heap is charged for N tails, not N^2.
 
 A law may also range over a stack of `batch` candidate tables, one per
 row, with the candidate as one more leading coordinate, most significant.
@@ -115,20 +116,24 @@ def _entries(values, length, hi, what):
     return arr
 
 
-# steps charged for one leading coordinate of one block: `_sides` spends
-# five numpy calls on it, 6.4-9.0 us on a 2-core Xeon with numpy 2.4, and
-# the rack search takes one step per 0.12 us on the same machine
+# Steps charged for a scan, against the 0.12 us a step takes in the rack
+# search, measured on a 2-core Xeon with numpy 2.4.  `_sides` spends five
+# numpy calls on each leading coordinate of a block, 6.4-9.0 us; the blocks
+# spend 7-10 ns on each tuple (the heap of C80, 41M tuples in 0.27-0.37 s;
+# of S5, 207M in 2.05 s); `np.unique` groups the tails at 150-540 ns a row.
 _LEAD_STEPS = 75
+_TUPLES_PER_STEP = 12
+_ROW_STEPS = 4
 
 
 def _charge_blocks(N, lead, tail, what, batch=1):
-    """Charge a scan's Python-level work before its law is built: `lead`
-    digit and gather calls for each block of leading tuples.  Only a huge
-    arity on a tiny carrier, or a carrier of 75 points or more at arity 3,
-    reaches the budget."""
-    per_block = max(1, _SLAB // max(1, tail))
-    blocks = -(-batch * limits.power(N, lead) // per_block)
-    limits.charge_steps(_LEAD_STEPS * lead * blocks, f"a scan of {what}")
+    """Charge a scan's work before it starts: `lead` digit and gather calls
+    for each block of leading tuples, and the tuples the blocks evaluate.
+    `tail` counts the tails scanned for each leading tuple."""
+    leads = batch * limits.power(N, lead)
+    blocks = -(-leads // max(1, _SLAB // max(1, tail)))
+    limits.charge_steps(_LEAD_STEPS * lead * blocks + leads * tail // _TUPLES_PER_STEP,
+                        f"a scan of {what}")
 
 
 def exchange_law(tm, tn, N, m, n, batch=1):
@@ -137,8 +142,9 @@ def exchange_law(tm, tn, N, m, n, batch=1):
     With `batch` > 1, tm and tn are stacks of that many tables, and
     candidate c pairs tm[c] with tn[c].
     """
-    _charge_blocks(N, m, limits.power(N, n - 1),
-                   f"arities {m} and {n} on {N} points", batch)
+    # before the tails are grouped, the least any scan of the law can cost:
+    # a huge arity is refused here, before its m-1 acts are listed
+    _charge_blocks(N, m, 1, f"arities {m} and {n} on {N} points", batch)
     tm = _entries(tm, batch * N ** m, N, "outer table")
     tn = _entries(tn, batch * N ** n, N, "acting table")
     return Law(N, tm, tn, (tn,) * (m - 1), batch=batch)
@@ -157,7 +163,7 @@ def compat_law(A, B, N, which):
 
 def cocycle_law(W, phi, N, k, d):
     """phi(x, y) + phi(W(x, y), z) == phi(x, z) + phi(W(x, z), W(y_1, z), ...) mod d."""
-    _charge_blocks(N, k, limits.power(N, k - 1), f"arity {k} on {N} points")
+    _charge_blocks(N, k, 1, f"arity {k} on {N} points")
     W = _entries(W, N ** k, N, "operation table")
     phi = _entries(phi, N ** k, d, "cochain")
     return Law(N, W, W, (W,) * (k - 1), phi, phi, d)
@@ -268,6 +274,7 @@ def _tail_classes(law):
     rows are grouped as opaque byte strings, which is exact.
     """
     rows = law.tail
+    limits.charge_steps(_ROW_STEPS * rows, f"grouping {rows} tails of a scan")
     read = []
     for a in (law.opz, *law.acts, law.cz):
         if a is not None and not any(a is b for b in read):
@@ -294,6 +301,7 @@ def _scan(law, jobs=1):
     tail = law.tail
     law, first = _tail_classes(law)
     N = law.N
+    _charge_blocks(N, law.lead, law.tail, f"{law.tail} tail classes on {N} points")
     per_x = N ** (law.lead - 1)
     jobs = min(jobs or 1, N)
     if jobs <= 1:
@@ -312,6 +320,8 @@ def _scan(law, jobs=1):
 
 def holds(law):
     """Whether the law holds on every tuple, one bool per candidate table."""
+    _charge_blocks(law.N, law.lead, law.tail,
+                   f"{law.batch} candidate tables on {law.N} points", law.batch)
     ok = np.ones(law.batch, bool)
     span = law.N ** law.lead          # leading tuples of one candidate
     for start, hit in _blocks(law, 0, law.batch * span):

@@ -17,9 +17,10 @@ BYTES counts the arrays one step builds whose size comes from the input:
 the int64 entries of a table, a boundary matrix or a digit grid, the three
 coordinate arrays of a sparse linear map (24 bytes a term), the stacked
 candidate tables of a scan, the Python lists of a dense Smith reduction
-(8 bytes an entry).  Its value is the 20M int64 entries of the boundary
-matrix cap it replaced, so every homology verdict stands; it admits a
-table of 20M entries.  A step holds a few temporaries of about the charged
+(8 bytes an entry), and the int64 columns of the braid action and of its
+images.  Its value is the 20M int64 entries of the boundary matrix cap it
+replaced, so every homology verdict stands; it admits a table of 20M
+entries.  A step holds a few temporaries of about the charged
 size besides (operands, gathers, the JSON list of a result): the largest
 affine table that fits peaks at 0.9 GiB resident and is built and written
 as JSON under a 2 GB `ulimit -v`.
@@ -30,10 +31,16 @@ entries of its lookup tables, candidate tables times tuples in the
 self-distributivity scan of a full scan (an affine scan checks no table:
 its kinds follow from the affine form), fiber bijections
 times tuples in the extension search, term combinations times block
-entries in the linear distributivity check, 75 steps for each lead
-coordinate of each block in the scan engine (the measured cost of the
-numpy calls one coordinate takes), and the Python-level loops of powers,
-braid relations, twists, cochain builders and boundary assembly.  Its value is the budget
+entries in the linear distributivity check, and the Python-level loops of
+powers, cochain builders and boundary assembly.  Numpy work is charged at
+its measured cost in steps.  The scan engine charges 75 steps for each
+lead coordinate of each block and one step per 12 tuples it evaluates,
+counted on the classes of equal tails once `_scan` has grouped them (4
+steps a tail for the grouping); a law's builder first charges the least
+any scan of it can cost, one class, so a huge arity is refused before the
+law is built.  The braid action charges 150 steps for each relation it
+checks and 25 for each letter of a twist, plus one step per tuple or tail
+each one gathers and, for a relation, one per strand.  Its value is the budget
 the rack search had: the search spends all of it in about a second on a
 2-core Xeon, so every refusal and every accepted run stays short.
 

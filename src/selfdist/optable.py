@@ -127,11 +127,18 @@ class OpTable:
     def __repr__(self):
         return f"OpTable(size={self.size}, arity={self.arity})"
 
-    def as_json(self) -> dict:
-        out = {"size": self.size, "arity": self.arity,
-               "table": self.table.tolist()}
+    def json_fields(self) -> dict:
+        """The fields of `as_json` with the entries as the int64 table
+        itself, for a writer that prints arrays without a list."""
+        out = {"size": self.size, "arity": self.arity, "table": self.table}
         if self.meta:
             out["provenance"] = dict(self.meta)
+        return out
+
+    def as_json(self) -> dict:
+        """size, arity, the entries as a list and any provenance."""
+        out = self.json_fields()
+        out["table"] = self.table.tolist()
         return out
 
     @staticmethod

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from selfdist import (InputError, PreconditionError, affine_op,
-                      are_mutually_distributive, f_functor,
-                      is_nary_distributive, make_op_table)
+from selfdist import (InputError, OpTable, PreconditionError, affine_op,
+                      are_mutually_distributive, conj_quandle, core_quandle,
+                      cyclic_group, f_functor, heap_op, inverse_translations,
+                      is_nary_distributive, make_op_table, symmetric_group)
 from selfdist.braid import (BraidWord, braid_act, twist_op,
                             verify_braid_relations, verify_equivariance)
 
@@ -21,6 +22,129 @@ def dih5():
 
 def sigma1_power(m):
     return BraidWord(2, (1,) * m if m >= 0 else (-1,) * (-m))
+
+
+# ---------------------------------------------------------------------------
+# loop oracles: the action one tuple and one letter at a time
+
+def act_oracle(table, inv, word, x):
+    """x under the word; `table` is the N x N operation, `inv` its inverse
+    translations (read only for negative letters)."""
+    cur = list(x)
+    for letter in word:
+        i = abs(letter) - 1
+        a, b = cur[i], cur[i + 1]
+        if letter > 0:
+            cur[i], cur[i + 1] = b, int(table[a, b])
+        else:
+            cur[i], cur[i + 1] = int(inv[a, b]), a
+    return tuple(cur)
+
+
+def relations_oracle(op, m):
+    """(holds, witness, lhs, rhs, detail) of the braid relations on X^m, from
+    the first failing tuple and the first relation failing there."""
+    table = op.table.reshape(op.size, op.size)
+    relations = []
+    for i in range(1, m - 1):
+        relations.append(((i, i + 1, i), (i + 1, i, i + 1),
+                          f"braid relation for generators {i}, {i + 1}"))
+        for j in range(i + 2, m):
+            relations.append(((i, j), (j, i),
+                              f"commutation of generators {i}, {j}"))
+    for x in itertools.product(range(op.size), repeat=m):
+        for left, right, name in relations:
+            a = act_oracle(table, None, left, x)
+            b = act_oracle(table, None, right, x)
+            if a != b:
+                return False, x, a, b, f"{name} fails"
+    return True, None, None, None, ""
+
+
+def twist_oracle(hat, star, beta):
+    N, k = hat.size, hat.arity
+    table = star.table.reshape(N, N)
+    inv = inverse_translations(star) if beta.has_inverse_letters else None
+    out = np.empty(N ** k, np.int64)
+    for x in range(N):
+        for tail in itertools.product(range(N), repeat=k - 1):
+            image = act_oracle(table, inv, beta.word, tail)
+            out[np.ravel_multi_index((x,) + tail, (N,) * k)] = \
+                hat.table[np.ravel_multi_index((x,) + image, (N,) * k)]
+    return out
+
+
+def perturbed_table(op, rng):
+    table = op.table.copy()
+    table[rng.randrange(len(table))] = rng.randrange(op.size)
+    return OpTable(op.size, op.arity, table)
+
+
+def relation_cases():
+    rng = random.Random(1905)
+    sd = [dih3(), dih5(), core_quandle(cyclic_group(4)),
+          conj_quandle(symmetric_group(3)), make_op_table(3, 2, lambda x, y: x)]
+    cases = [(op, m) for op in sd for m in range(2, 6) if op.size ** m <= 1296]
+    for op in sd:
+        for _ in range(3):
+            cases.append((perturbed_table(op, rng), rng.randrange(2, 6)))
+    for _ in range(30):
+        N = rng.randrange(1, 5)
+        op = OpTable(N, 2, [rng.randrange(N) for _ in range(N * N)])
+        cases.append((op, rng.randrange(2, 6)))
+    return cases
+
+
+@pytest.mark.parametrize("op, m", relation_cases())
+def test_relations_match_the_loop(op, m):
+    res = verify_braid_relations(op, m)
+    holds, x, a, b, detail = relations_oracle(op, m)
+    assert bool(res) == holds
+    if holds:
+        assert res.counterexample is None
+        return
+    w = res.counterexample
+    assert (w.witness, w.lhs, w.rhs, res.detail) == (x, a, b, detail)
+    assert all(type(v) is int for v in w.witness + w.lhs + w.rhs)
+
+
+def test_relation_cases_reach_both_choices():
+    # distant generators move disjoint entries, so only braid relations
+    # fail.  The cases have a first failing tuple where a later relation is
+    # the first to fail, and one where several relations fail at once.
+    later, several = False, False
+    for op, m in relation_cases():
+        holds, x, _, _, detail = relations_oracle(op, m)
+        if holds:
+            continue
+        table = op.table.reshape(op.size, op.size)
+        failing = [i for i in range(1, m - 1)
+                   if act_oracle(table, None, (i, i + 1, i), x)
+                   != act_oracle(table, None, (i + 1, i, i + 1), x)]
+        later |= not detail.startswith("braid relation for generators 1, 2")
+        several |= len(failing) > 1
+    assert later and several
+
+
+def test_act_and_twist_match_the_loop():
+    rng = random.Random(2019)
+    for star, hat in ((dih3(), f_functor(dih3(), dih3())),
+                      (dih5(), affine_op(5, 3, (2, 2))),
+                      (core_quandle(cyclic_group(4)), heap_op(cyclic_group(4))),
+                      (dih3(), affine_op(3, 4, (1, 1, 2)))):
+        N, k = star.size, hat.arity
+        table = star.table.reshape(N, N)
+        inv = inverse_translations(star)
+        for signs in ((1,), (1, -1)):
+            for _ in range(6):
+                word = tuple(rng.choice(signs) * rng.randrange(1, k - 1)
+                             for _ in range(rng.randrange(0, 6)))
+                beta = BraidWord(k - 1, word)
+                out = twist_op(hat, star, beta, verify=False)
+                assert np.array_equal(out.table, twist_oracle(hat, star, beta)), word
+                for _ in range(5):
+                    x = tuple(rng.randrange(N) for _ in range(k - 1))
+                    assert braid_act(star, beta, x) == act_oracle(table, inv, word, x)
 
 
 # ---------------------------------------------------------------------------

@@ -547,20 +547,65 @@ WRITER_CASES = [
 ]
 
 
+# integer arrays: the table entries of a command's artifacts take the
+# label lookup; negative entries, entries of len(array) or more, empty and
+# 2-d arrays take the list
+WRITER_ARRAYS = [
+    np.array([2, 0, 1, 1, 0, 2, 2]), np.array([3, 1, 0, 2, 3], np.uint8),
+    np.array([], np.int64), np.array([0]), np.array([0, 1, -1, 2]),
+    np.array([0, 1, 9]), np.array([[0, 1], [1, 0]]),
+    {"size": 3, "table": np.array([1, 2, 0, 0, 0, 1]), "meta": {"a": 1}},
+    [np.array([1, 0]), 3, [np.array([2, 2, 0])]],
+]
+
+
+def plain(value):
+    """json.dumps's fallback for the arrays of WRITER_ARRAYS."""
+    return value.tolist()
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
-@pytest.mark.parametrize("obj", WRITER_CASES)
+@pytest.mark.parametrize("obj", WRITER_CASES + WRITER_ARRAYS)
 def test_writer_matches_json_dumps(obj, chunk, monkeypatch):
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
-    assert written(obj) == json.dumps(obj, indent=2) + "\n"
+    assert written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
 
 
 def test_writer_long_list_spans_chunks():
     table = list(range(300)) * (cli.JSON_CHUNK // 150 + 1)
     assert len(table) > 2 * cli.JSON_CHUNK
-    obj = {"size": 300, "arity": 2, "table": table, "tail": [table[:5]]}
-    # a plain bool: pytest's diff of two long strings would take minutes
-    same = written(obj) == json.dumps(obj, indent=2) + "\n"
-    assert same
+    for entries in (table, np.array(table)):
+        obj = {"size": 300, "arity": 2, "table": entries, "tail": [table[:5]]}
+        # a plain bool: pytest's diff of two long strings would take minutes
+        same = written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
+        assert same
+
+
+def test_parser_keeps_no_state_between_calls(files, capsys, tmp_path, monkeypatch):
+    # the parser is built once per process; each call parses afresh
+    out_path = tmp_path / "heap.json"
+    argv = ["construct", "heap", "--group", "cyclic:3"]
+    assert run(["-o", str(out_path)] + argv, capsys)[0] == 0
+    written_once = out_path.read_text()
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.startswith("table: size 3 arity 3 ")
+    assert out_path.read_text() == written_once
+    code, out, _ = run(["--format", "json"] + argv, capsys)
+    assert json.loads(out)["artifacts"][0]["path"] is None
+    code, out, _ = run(argv, capsys)
+    assert out.startswith("table: ")
+    seen = []
+    monkeypatch.setattr(cli, "HANDLERS", dict(
+        cli.HANDLERS, check=lambda args, report, jobs: seen.append(jobs)))
+    for env, flag, want in (("2", [], 2), ("3", [], 3), ("3", ["--jobs", "5"], 5),
+                            ("4", [], 4)):
+        monkeypatch.setenv("SELFDIST_JOBS", env)
+        assert run(flag + ["check", "axioms", files["z8"]], capsys)[0] == 0
+        assert seen[-1] == want
+    monkeypatch.delenv("SELFDIST_JOBS")
+    run(["check", "axioms", files["z8"]], capsys)
+    assert seen[-1] == 1
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_writer_converts_numpy_values_only():

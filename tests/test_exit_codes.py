@@ -1,7 +1,7 @@
 """Every command line ends in exit 0, 1 or 2, whatever its input.
 
-Hypothesis draws argument vectors over the construct, check, homology and
-enumerate subcommands: random shapes, huge moduli and exponents, group
+Hypothesis draws argument vectors over the construct, check, homology,
+enumerate and braid subcommands: random shapes, huge moduli and exponents, group
 specs, and JSON inputs that are well formed, malformed (floats, bools,
 ragged lists, integers beyond int64) or not JSON at all.  A batch of them
 runs in one fresh process under a 2 GiB address-space cap, so an
@@ -184,9 +184,30 @@ ENUMERATE = joined(
     opt("--kind", st.sampled_from(["all", "sd", "rack", "quandle"])),
     st.sampled_from([[], ["--pairs"]]))
 
+def small_text(values, min_size=0):
+    return st.lists(values, min_size=min_size, max_size=5).map(
+        lambda v: ",".join(map(str, v)))
+
+
+# braid words and tuples, often valid for a small binary table
+LETTERS = st.one_of(ints_text(st.integers(0, 5)),
+                    small_text(st.sampled_from([1, -1, 2, -2, 0, 3])))
+ENTRIES = st.one_of(ints_text(st.integers(0, 5)),
+                    small_text(st.integers(-1, 3), min_size=2))
+
+BRAID = st.one_of(
+    joined(st.just(["braid", "relations", "--op"]), file_(TABLE).map(lambda f: [f]),
+           opt("--strands", INTS)),
+    joined(st.just(["braid", "act", "--op"]), file_(TABLE).map(lambda f: [f]),
+           st.tuples(st.just("--word"), LETTERS, st.just("--input"), ENTRIES).map(list)),
+    joined(st.just(["braid", "twist", "--op"]), file_(TABLE).map(lambda f: [f]),
+           st.tuples(st.just("--star"), file_(TABLE), st.just("--word"), LETTERS).map(list),
+           NO_VERIFY),
+)
+
 INVOCATION = joined(
     st.sampled_from([[], ["--format", "json"]]),
-    st.one_of(CONSTRUCT, CHECK, HOMOLOGY, ENUMERATE))
+    st.one_of(CONSTRUCT, CHECK, HOMOLOGY, ENUMERATE, BRAID))
 
 
 # no shrinking: the assertion already names the failing command line, and

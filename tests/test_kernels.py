@@ -395,6 +395,18 @@ def test_heap_scans_one_tail_per_class(monkeypatch):
     assert tails == [7]
 
 
+def test_scan_is_charged_on_its_tail_classes():
+    # the heap of C80 has 6400 tails in 80 classes: its scan is admitted on
+    # the classes, where a charge on every tail would refuse it
+    heap = heap_op(cyclic_group(80))
+    assert exchange_scan(heap.table, heap.table, 80, 3, 3) == -1
+    # the heap of S5 stays refused on its 120 classes, for the 207M tuples
+    # they leave
+    heap = heap_op(symmetric_group(5))
+    with pytest.raises(InputError, match="refusing a scan of 120 tail classes"):
+        exchange_scan(heap.table, heap.table, 120, 3, 3)
+
+
 def test_compatible_ternary_passes_jobs_on(monkeypatch):
     A, B = OpTable(5, 3, perturbed(CA5, 5, 115)), OpTable(5, 3, CB5)
     base = are_compatible_ternary(A, B)
