@@ -6,7 +6,7 @@ and finite-coefficient (co)homology, braid actions, and linear-algebra
 instances over prime fields.
 """
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
-                      OpTable, are_compatible_ternary,
+                      OpTable, TableStack, are_compatible_ternary,
                       are_mutually_distributive, cyclic_group, dihedral_group,
                       direct_product, evaluate, exchange_holds,
                       group_from_cayley, index_to_tuple, inverse_translations,

@@ -18,7 +18,6 @@ with a braid action on its last n-1 arguments yields a family of twisted
 operations that are again self-distributive and pairwise mutually
 distributive.
 """
-import random
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -26,11 +25,9 @@ import numpy as np
 
 from . import limits
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
-                      are_mutually_distributive, index_to_tuple,
-                      inverse_translations, is_nary_distributive, is_rack)
+                      are_mutually_distributive, inverse_translations,
+                      is_nary_distributive, is_rack)
 from .constructions import _require
-
-_RANDOM_WORD_SEED = 0x1A2
 
 # Steps charged for the column action, against the 0.12 us a step takes in
 # the rack search, measured on a 2-core Xeon with numpy 2.4.  A relation
@@ -176,12 +173,16 @@ def verify_braid_relations(op: OpTable, m: int) -> CheckResult:
                        f"{name} fails")
 
 
-def verify_equivariance(star: OpTable, hat: OpTable,
-                        trials: int = 60) -> CheckResult:
+def verify_equivariance(star: OpTable, hat: OpTable) -> CheckResult:
     """Acting entrywise by hat commutes with the braid action through star.
 
-    The generator case is checked exhaustively on pairs with every tail;
-    seeded random longer words on 2 to 4 strands guard the general case.
+    A generator moves (a, b) to (b, a * b), so at a tail t it commutes with
+    hat exactly when hat(a * b, t) = hat(a, t) * hat(b, t): hat distributes
+    over star, one of the two exchange laws of a mutually distributive
+    pair.  An inverse generator undoes a generator, and a word composes its
+    letters, so every word follows by induction.  The three hypotheses are
+    therefore the whole check: the result is OK, or a PreconditionError
+    names the one that fails.
     """
     if star.arity != 2:
         raise InputError("the acting operation must be binary")
@@ -191,42 +192,6 @@ def verify_equivariance(star: OpTable, hat: OpTable,
     _require(is_nary_distributive(hat), "acted operation is self-distributive")
     _require(are_mutually_distributive(star, hat),
              "operations are mutually distributive")
-    N = star.size
-    P = N ** (hat.arity - 1)
-    table = star.table.reshape(N, N)
-    H = hat.table.reshape(N, P)
-    for x1 in range(N):
-        for x2 in range(N):
-            sx = int(table[x1, x2])
-            for t in range(P):
-                lhs = (int(H[x2, t]), int(H[sx, t]))
-                rhs = (int(H[x2, t]), int(table[H[x1, t], H[x2, t]]))
-                if lhs != rhs:
-                    tail = index_to_tuple(t, N, hat.arity - 1)
-                    return CheckResult(
-                        False, Counterexample((x1, x2) + tail, lhs, rhs),
-                        "generator equivariance fails")
-    rng = random.Random(_RANDOM_WORD_SEED)
-    invertible = bool(is_rack(star))
-    inv = inverse_translations(star) if invertible else None
-    for _ in range(trials):
-        m = rng.randrange(2, 5)
-        letters = []
-        for _ in range(rng.randrange(1, 5)):
-            g = rng.randrange(1, m)
-            if invertible and rng.random() < 0.4:
-                g = -g
-            letters.append(g)
-        beta = BraidWord(m, tuple(letters))
-        xs = tuple(rng.randrange(N) for _ in range(m))
-        t = rng.randrange(P)
-        cols = [np.array([v]) for v in xs]
-        lhs = tuple(int(H[c[0], t]) for c in _action(star, inv, beta.word, cols))
-        rhs = tuple(int(c[0]) for c in _action(star, inv, beta.word, [H[c, t] for c in cols]))
-        if lhs != rhs:
-            tail = index_to_tuple(t, N, hat.arity - 1)
-            return CheckResult(False, Counterexample(xs + tail, lhs, rhs),
-                               f"equivariance fails for the word {beta.word}")
     return OK
 
 

@@ -566,7 +566,7 @@ def _cmd_enumerate(args, report, jobs):
         pairs = enumeration.enumerate_mutual_pairs(args.size)
         report.artifact("pairs", {
             "count": len(pairs),
-            "pairs": [[a.as_json(), b.as_json()] for a, b in pairs]})
+            "pairs": [[a.json_fields(), b.json_fields()] for a, b in pairs]})
         return
     kind = args.kind or ("rack" if args.scan == "translations" else "sd")
     if args.scan == "full":
@@ -577,8 +577,12 @@ def _cmd_enumerate(args, report, jobs):
         ops = enumeration.enumerate_racks(args.size, args.arity, kind)
     else:
         raise InputError(f"unknown scan {args.scan!r}")
-    report.artifact("tables", {"count": len(ops),
-                               "tables": [o.as_json() for o in ops]})
+    # the fields of `as_json` for each row, the entries left as the row
+    # itself for the writer
+    head = {"size": ops.size, "arity": ops.arity}
+    tail = {"provenance": ops.meta} if ops.meta else {}
+    report.artifact("tables", {"count": len(ops), "tables": [
+        {**head, "table": row, **tail} for row in ops.tables]})
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ the diagonal indices first, then self-distributivity or the exchange law
 through the scan engine of `kernels`, over the whole stack of candidates
 at once.  Affine scans test nothing, since the kinds follow from the form.
 
-All enumerators return tables sorted lexicographically by flat table, so
-output order is reproducible run to run and across worker counts.
+The table enumerators return one read-only `TableStack`: the surviving
+tables as rows of a single int64 array, sorted lexicographically, so output
+order is reproducible run to run.  Indexing the stack gives an `OpTable`,
+built only when it is asked for.  Mutual pairs come as a list of OpTable
+pairs, each table built once.
 """
 from __future__ import annotations
 
@@ -26,9 +29,8 @@ import math
 import numpy as np
 
 from . import kernels, limits
-from .constructions import affine_op
-from .optable import (InputError, OpTable, check_shape, diagonal_indices,
-                      digit_map)
+from .optable import (InputError, OpTable, TableStack, check_shape,
+                      diagonal_indices, digit_map)
 
 ISO_BLOCK_ENTRIES = 2 ** 16       # relabeled entries held at once
 PAIR_BLOCK_ENTRIES = 2 ** 16      # stacked pair-table entries held at once
@@ -48,16 +50,15 @@ def _charge_scan(count: int, size: int, arity: int, what: str):
     limits.charge_bytes(8 * (count * limits.power(size, arity) + tails), what)
 
 
-def _full_tables(size: int, arity: int) -> np.ndarray:
-    """All flat tables of the given shape, one per row, in lexicographic order."""
-    entries = size ** arity
-    count = size ** entries
-    codes = np.arange(count, dtype=np.int64)
-    tables = np.empty((count, entries), dtype=np.int64)
-    for pos in range(entries - 1, -1, -1):
-        tables[:, pos] = codes % size
+def _tuples(size: int, length: int) -> np.ndarray:
+    """All tuples of `length` digits in 0..size-1, one per row, in
+    lexicographic order."""
+    codes = np.arange(size ** length, dtype=np.int64)
+    out = np.empty((len(codes), length), dtype=np.int64)
+    for pos in range(length - 1, -1, -1):
+        out[:, pos] = codes % size
         codes //= size
-    return tables
+    return out
 
 
 def _apply_kind(tables: np.ndarray, size: int, arity: int, kind: str) -> np.ndarray:
@@ -75,13 +76,15 @@ def _apply_kind(tables: np.ndarray, size: int, arity: int, kind: str) -> np.ndar
     return tables[kernels.holds(law)]
 
 
-def _wrap(tables: np.ndarray, size: int, arity: int, scan: str, kind: str):
-    meta = {"construction": "enumeration", "scan": scan, "predicate": kind}
-    return [OpTable(size, arity, row, meta=meta) for row in tables]
+def _stack(tables: np.ndarray, size: int, arity: int, scan: str,
+           kind: str) -> TableStack:
+    return TableStack(size, arity, tables, meta={
+        "construction": "enumeration", "scan": scan, "predicate": kind})
 
 
-def enumerate_operations(size: int, arity: int, kind: str = "sd") -> list:
-    """Every table of the given shape passing the predicate, lex order.
+def enumerate_operations(size: int, arity: int, kind: str = "sd") -> TableStack:
+    """Every table of the given shape passing the predicate, as a stack in
+    lex order.
 
     kind is one of "all", "sd", "rack", "quandle".  Refuses shapes whose
     full scan would not fit the budgets of `limits`.
@@ -94,12 +97,13 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> list:
     if kind != "all":
         limits.charge_steps(count * limits.power(size, 2 * arity - 1),
                             f"the self-distributivity scan of {what}")
-    tables = _full_tables(size, arity)
-    return _wrap(_apply_kind(tables, size, arity, kind), size, arity, "full", kind)
+    tables = _tuples(size, size ** arity)
+    return _stack(_apply_kind(tables, size, arity, kind), size, arity, "full", kind)
 
 
-def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> list:
-    """Affine tables sum(c_i a_i) with sum(c_i) = 1 mod m, filtered, lex order.
+def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> TableStack:
+    """Affine tables sum(c_i a_i) with sum(c_i) = 1 mod m, filtered, as a
+    stack in lex order.
 
     The kinds follow from the form, so no table is scanned.  The first k-1
     coefficients c_0..c_{k-2} range over Z_m and the last, c_{k-1}, is 1
@@ -116,21 +120,39 @@ def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> list:
     are bijections exactly when c_0 is a unit mod m, and the diagonal is
     (sum c_i) x = x.  So "rack" and "quandle" both keep the tables with
     gcd(c_0, m) = 1.
+
+    All tables come from one product: the coefficient rows times the
+    carrier digits, mod m.  The entry at the unit tuple e_j is c_j, and
+    every entry before it reads only c_{j+1}..c_{k-1}, so the tables sort
+    as their coefficient rows read from the last coefficient back.
     """
     _check_kind(kind)
     check_shape(modulus, arity)
-    _charge_scan(limits.power(modulus, arity - 1), modulus, arity,
-                 f"an affine scan of modulus {modulus} arity {arity}")
-    heads = itertools.product(range(modulus), repeat=arity - 1)
+    what = f"an affine scan of modulus {modulus} arity {arity}"
+    entries = limits.power(modulus, arity)
+    heads = limits.power(modulus, arity - 1)
+    # the carrier digits are built first, which refuses a huge arity alone;
+    # then, besides them and their codes, the coefficient rows twice while
+    # they are sorted, the sort order, and the tables
+    limits.charge_bytes(8 * arity * entries, f"the carrier digits of {what}")
+    limits.charge_bytes(8 * ((arity + 1) * entries + heads * (2 * arity + 1)
+                             + heads * entries), what)
+    digits = _tuples(modulus, arity)
+    # the first k-1 coefficients run over every head in lex order: the
+    # digit rows whose last digit is 0
+    coeffs = digits[::modulus].copy()
+    coeffs[:, -1] = (1 - coeffs[:, :-1].sum(axis=1)) % modulus
     if kind in ("rack", "quandle"):
-        heads = (head for head in heads if math.gcd(head[0], modulus) == 1)
-    tables = np.stack([affine_op(modulus, arity, head).table for head in heads])
-    return _wrap(tables[np.lexsort(tables.T[::-1])], modulus, arity, "affine",
-                 kind)
+        coeffs = coeffs[np.gcd(coeffs[:, 0], modulus) == 1]
+    coeffs = coeffs[np.lexsort(coeffs.T)]
+    tables = coeffs @ digits.T
+    tables %= modulus
+    return _stack(tables, modulus, arity, "affine", kind)
 
 
-def enumerate_racks(size: int, arity: int, kind: str = "rack") -> list:
-    """Backtracking scan over tables built from translation permutations.
+def enumerate_racks(size: int, arity: int, kind: str = "rack") -> TableStack:
+    """Backtracking scan over tables built from translation permutations,
+    returning the racks or quandles found as a stack in lex order.
 
     A table whose first-argument translations are bijections is a choice of
     one permutation per tail; self-distributivity becomes a conjugation
@@ -219,7 +241,21 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> list:
     if kind == "quandle":
         diag = arr[:, diagonal_indices(size, arity)]
         arr = arr[(diag == np.arange(size)).all(axis=1)]
-    return _wrap(arr, size, arity, "translations", kind)
+    return _stack(arr, size, arity, "translations", kind)
+
+
+def _exchange_holds(S: np.ndarray, outer: np.ndarray, acting: np.ndarray,
+                    size: int) -> np.ndarray:
+    """Whether table S[acting[c]] distributes over table S[outer[c]], for
+    each candidate pair c.  Scanned a band of pairs at a time, so the
+    stacked pair tables stay near PAIR_BLOCK_ENTRIES entries."""
+    ok = np.empty(len(outer), bool)
+    band = max(1, PAIR_BLOCK_ENTRIES // S.shape[1])
+    for lo in range(0, len(outer), band):
+        a, b = outer[lo:lo + band], acting[lo:lo + band]
+        law = kernels.exchange_law(S[a], S[b], size, 2, 2, batch=len(a))
+        ok[lo:lo + band] = kernels.holds(law)
+    return ok
 
 
 def enumerate_mutual_pairs(size: int) -> list:
@@ -227,22 +263,22 @@ def enumerate_mutual_pairs(size: int) -> list:
     exchange laws, in lexicographic order on (first table, second table).
 
     Diagonal pairs (t, t) appear for every self-distributive t, since the
-    exchange laws then restate self-distributivity.
+    exchange laws then restate self-distributivity.  Both laws together are
+    symmetric in the pair, so one law is scanned on the pairs i <= j, and
+    the other only where the first holds off the diagonal.
     """
-    ops = enumerate_operations(size, 2, "sd")
-    S = np.stack([op.table for op in ops])
-    s = len(S)
-    # D[i, j]: does table j distribute over table i?  Scanned a band of
-    # rows i at a time, so the stacked pairs stay near PAIR_BLOCK_ENTRIES.
-    D = np.empty((s, s), bool)
-    band = max(1, PAIR_BLOCK_ENTRIES // S.size)
-    for i in range(0, s, band):
-        rows = S[i:i + band]
-        law = kernels.exchange_law(np.repeat(rows, s, axis=0),
-                                   np.tile(S, (len(rows), 1)), size, 2, 2,
-                                   batch=len(rows) * s)
-        D[i:i + band] = kernels.holds(law).reshape(len(rows), s)
-    return [(ops[i], ops[j]) for i, j in np.argwhere(D & D.T)]
+    stack = enumerate_operations(size, 2, "sd")
+    S = stack.tables
+    i, j = np.triu_indices(len(S))
+    keep = _exchange_holds(S, i, j, size)
+    i, j = i[keep], j[keep]
+    off = np.flatnonzero(i != j)
+    keep = np.ones(len(i), bool)
+    keep[off] = _exchange_holds(S, j[off], i[off], size)
+    mutual = np.zeros((len(S), len(S)), bool)
+    mutual[i[keep], j[keep]] = mutual[j[keep], i[keep]] = True
+    ops = list(stack)
+    return [(ops[a], ops[b]) for a, b in np.argwhere(mutual).tolist()]
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,15 +310,19 @@ def _relabelings(tables: np.ndarray, size: int, arity: int):
             yield lo, t, chunk.ravel()[tables[t:t + rows, src] + offsets]
 
 
+def _check_iso_size(size: int):
+    if size > limits.ISO_SIZE_LIMIT:
+        raise InputError(
+            f"refusing isomorphism search over {size}! relabelings "
+            f"(carrier size limit {limits.ISO_SIZE_LIMIT})")
+
+
 def _check_iso_shape(op_a: OpTable, op_b: OpTable):
     if op_a.size != op_b.size or op_a.arity != op_b.arity:
         raise InputError(
             f"shape mismatch: size {op_a.size} arity {op_a.arity} vs "
             f"size {op_b.size} arity {op_b.arity}")
-    if op_a.size > limits.ISO_SIZE_LIMIT:
-        raise InputError(
-            f"refusing isomorphism search over {op_a.size}! relabelings "
-            f"(carrier size limit {limits.ISO_SIZE_LIMIT})")
+    _check_iso_size(op_a.size)
 
 
 def find_isomorphism(op_a: OpTable, op_b: OpTable):
@@ -303,20 +343,26 @@ def tables_isomorphic(op_a: OpTable, op_b: OpTable) -> bool:
 
 
 def isomorphism_classes(ops) -> list:
-    """Partition a list of same-shape tables into isomorphism classes.
+    """Partition a stack, or a list of same-shape tables, into isomorphism
+    classes.
 
     Each table's key is its canonical form, the lexicographically least of
     its N! relabelings, and two tables are isomorphic exactly when their
     keys agree.  Returns a list of lists of indices into ops, each sorted,
     ordered by their smallest member.
     """
-    ops = list(ops)
+    if isinstance(ops, TableStack):
+        tables = ops.tables
+    else:
+        ops = list(ops)
+        for op in ops[1:]:
+            _check_iso_shape(ops[0], op)
+        tables = [op.table for op in ops]
     if len(ops) < 2:
         return [[i] for i in range(len(ops))]
-    for op in ops[1:]:
-        _check_iso_shape(ops[0], op)
     size, arity = ops[0].size, ops[0].arity
-    tables = np.stack([op.table for op in ops]).astype(np.uint8)
+    _check_iso_size(size)
+    tables = np.asarray(tables).astype(np.uint8)
     # a row viewed as one opaque item sorts by its bytes, lexicographically
     row = f"V{size ** arity}"
     least = tables.view(row)[:, 0].copy()

@@ -440,13 +440,27 @@ def _matmul_obj(A, B):
     return A @ B
 
 
+# Residues modulo d are held as int64 entries, and `solve_mod` and
+# `kernel_lattice_mod` take each invariant factor's gcd with d by np.gcd,
+# which converts both to int64; so a modulus may be at most 2^63 - 1.
+MODULUS_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_modulus(modulus: int, what: str):
+    if modulus > MODULUS_MAX:
+        raise InputError(
+            f"refusing {what} modulo {modulus}: residues and their gcds are"
+            f" int64 values, budget {MODULUS_MAX}")
+
+
 def solve_mod(matrix, rhs, modulus: int):
     """One solution x of matrix @ x = rhs (mod modulus), or None.
 
-    Works for any modulus >= 1 via Smith normal form.
+    Works for any modulus from 1 to MODULUS_MAX via Smith normal form.
     """
     if modulus < 1:
         raise InputError("modulus must be >= 1")
+    _check_modulus(modulus, "a linear solve")
     A = np.asarray(matrix)
     b = np.asarray(rhs).reshape(-1)
     if A.shape[0] != b.shape[0]:
@@ -474,6 +488,7 @@ def solve_mod(matrix, rhs, modulus: int):
 def kernel_lattice_mod(matrix, modulus: int) -> np.ndarray:
     """Columns generate {x : matrix @ x = 0 (mod modulus)} together with
     modulus * Z^n (the returned square matrix has full rank)."""
+    _check_modulus(modulus, "a kernel lattice")
     A = np.asarray(matrix)
     cols = A.shape[1]
     if modulus == 1:
@@ -603,6 +618,8 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
         raise InputError("cohomology_solve needs finite coefficients")
     if 0 in factors:
         raise InputError("cochain coefficients must be finite")
+    for d in factors:
+        _check_modulus(d, "cochain coefficients")
     dn1 = boundary_matrix(target, n + 1, verify=verify)
     dn = boundary_matrix(target, n, verify=False)
     delta_n, delta_prev = dn1.T, dn.T    # n-cochains -> n+1, (n-1)-cochains -> n

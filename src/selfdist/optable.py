@@ -8,9 +8,11 @@ pair (a, b) as a*|second factor|+b, and matrix row orderings inherit it.
 """
 from __future__ import annotations
 
+import collections.abc
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +115,13 @@ class OpTable:
         object.__setattr__(self, "table", arr)
         object.__setattr__(self, "meta", dict(meta or {}))
 
+    @classmethod
+    def _trusted(cls, size: int, arity: int, table: np.ndarray, meta: dict):
+        """A table over a read-only int64 row already validated for this
+        shape, such as a row of a `TableStack`, kept as it is."""
+        return _fill(object.__new__(cls), size=size, arity=arity, table=table,
+                     meta=meta)
+
     def __setattr__(self, name, value):
         raise AttributeError("OpTable is immutable")
 
@@ -151,6 +160,61 @@ class OpTable:
             raise InputError(f"operation table JSON needs size/arity/table: {exc}")
         check_shape(size, arity)
         return OpTable(size, arity, table, meta=obj.get("provenance"))
+
+
+class TableStack(collections.abc.Sequence):
+    """Read-only stack of tables of one shape, one flat table per row.
+
+    `tables` is a (count, size^arity) int64 array that cannot be written.
+    Its shape and entries are checked once, when the stack is built.  An
+    int index gives an OpTable over a view of that row, with its own copy
+    of `meta`, which is not checked again; a slice gives a stack.
+    """
+
+    __slots__ = ("size", "arity", "tables", "meta")
+
+    def __init__(self, size: int, arity: int, tables, meta: dict | None = None):
+        check_shape(size, arity)
+        arr = np.ascontiguousarray(integer_array(tables, "table entries"))
+        entries = limits.power(size, arity)
+        if arr.ndim != 2 or arr.shape[1] != entries:
+            raise InputError(
+                f"a stack of size {size} arity {arity} tables needs one row of"
+                f" {entries} entries per table, got shape {arr.shape}")
+        if arr.size and (arr.min() < 0 or arr.max() >= size):
+            raise InputError(f"table entry outside 0..{size - 1}")
+        arr.setflags(write=False)
+        _fill(self, size=int(size), arity=int(arity), tables=arr,
+              meta=dict(meta or {}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TableStack is immutable")
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _fill(object.__new__(TableStack), size=self.size,
+                         arity=self.arity, tables=self.tables[index],
+                         meta=dict(self.meta))
+        return OpTable._trusted(self.size, self.arity,
+                                self.tables[operator.index(index)], dict(self.meta))
+
+    def __iter__(self):
+        for row in self.tables:
+            yield OpTable._trusted(self.size, self.arity, row, dict(self.meta))
+
+    def __repr__(self):
+        return (f"TableStack(size={self.size}, arity={self.arity},"
+                f" count={len(self)})")
+
+
+def _fill(obj, **slots):
+    """Set the slots of an immutable OpTable or TableStack; returns obj."""
+    for name, value in slots.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def check_shape(size, arity) -> None:

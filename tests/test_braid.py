@@ -6,8 +6,10 @@ import pytest
 
 from selfdist import (InputError, OpTable, PreconditionError, affine_op,
                       are_mutually_distributive, conj_quandle, core_quandle,
-                      cyclic_group, f_functor, heap_op, inverse_translations,
-                      is_nary_distributive, make_op_table, symmetric_group)
+                      cyclic_group, enumerate_mutual_pairs, enumerate_operations,
+                      exchange_holds, f_functor, heap_op, inverse_translations,
+                      is_nary_distributive, is_rack, make_op_table,
+                      symmetric_group)
 from selfdist.braid import (BraidWord, braid_act, twist_op,
                             verify_braid_relations, verify_equivariance)
 
@@ -72,6 +74,39 @@ def twist_oracle(hat, star, beta):
             out[np.ravel_multi_index((x,) + tail, (N,) * k)] = \
                 hat.table[np.ravel_multi_index((x,) + image, (N,) * k)]
     return out
+
+
+def equivariance_oracle(star, hat, words=0, seed=0x1A2):
+    """(holds, witness) of acting entrywise by hat commuting with the braid
+    action through star: every generator at every pair (x1, x2) and tail t,
+    then `words` seeded random words on 2 to 4 strands, with inverse letters
+    when star is a rack."""
+    N = star.size
+    P = N ** (hat.arity - 1)
+    table = star.table.reshape(N, N)
+    H = hat.table.reshape(N, P)
+    for x1 in range(N):
+        for x2 in range(N):
+            for t in range(P):
+                # the generator sends (x1, x2) to (x2, x1 * x2); the first
+                # entries agree, so the second decides
+                if H[table[x1, x2], t] != table[H[x1, t], H[x2, t]]:
+                    return False, (x1, x2, t)
+    rng = random.Random(seed)
+    inv = inverse_translations(star) if is_rack(star) else None
+    for _ in range(words):
+        m = rng.randrange(2, 5)
+        word = []
+        for _ in range(rng.randrange(1, 5)):
+            g = rng.randrange(1, m)
+            word.append(-g if inv is not None and rng.random() < 0.4 else g)
+        x = tuple(rng.randrange(N) for _ in range(m))
+        t = rng.randrange(P)
+        lhs = tuple(int(H[v, t]) for v in act_oracle(table, inv, word, x))
+        rhs = act_oracle(table, inv, word, tuple(int(H[v, t]) for v in x))
+        if lhs != rhs:
+            return False, (x, t, tuple(word))
+    return True, None
 
 
 def perturbed_table(op, rng):
@@ -283,6 +318,34 @@ def test_equivariance_binary_self():
 
 def test_equivariance_affine_z5():
     assert verify_equivariance(dih5(), affine_op(5, 3, (2, 1)))
+
+
+def test_equivariance_oracle_holds_on_enumerated_mutual_pairs():
+    # the generator case on every mutual pair on 2 and 3 points, and random
+    # words, inverse letters included for racks, on a seeded sample of 100
+    pairs = [pair for size in (2, 3) for pair in enumerate_mutual_pairs(size)]
+    assert len(pairs) == 43 + 4868
+    for star, hat in pairs:
+        assert equivariance_oracle(star, hat) == (True, None)
+    sample = random.Random(0xB4A1D).sample(pairs, 100)
+    assert any(is_rack(star) for star, _ in sample)
+    for star, hat in sample:
+        assert verify_equivariance(star, hat)
+        assert equivariance_oracle(star, hat, words=60) == (True, None)
+
+
+def test_generator_equivariance_is_the_exchange_law():
+    # over pairs of self-distributive tables, the generator case holds
+    # exactly where hat distributes over star
+    sd2 = enumerate_operations(2, 2, "sd")
+    cases = [(a, b) for a in sd2 for b in sd2]
+    sd3 = enumerate_operations(3, 2, "sd")
+    rng = random.Random(0xE9)
+    cases += [(rng.choice(sd3), rng.choice(sd3)) for _ in range(300)]
+    verdicts = [bool(exchange_holds(star, hat)) for star, hat in cases]
+    assert 0 < sum(verdicts) < len(cases)
+    for (star, hat), want in zip(cases, verdicts):
+        assert equivariance_oracle(star, hat)[0] == want
 
 
 def test_equivariance_requires_mutual_pair():

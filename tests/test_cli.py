@@ -9,7 +9,7 @@ from selfdist import (OpTable, affine_op, doubling_ternary, f_functor,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
                       make_op_table, product_mutual_pair, symmetric_group,
                       twist_op)
-from selfdist import cli, kernels
+from selfdist import cli, enumeration, kernels
 from selfdist.braid import BraidWord
 from selfdist.cli import SCHEMA, main
 from selfdist.cocycles import extend, make_cochain
@@ -392,6 +392,44 @@ def test_enumerate_pairs(files, capsys):
     code, rep = run_json(["enumerate", "--size", "2", "--pairs"], capsys)
     assert code == 0
     assert rep["artifacts"][0]["content"]["count"] == 43
+
+
+@pytest.mark.parametrize("argv", [
+    ["--size", "3", "--kind", "rack"],
+    ["--size", "2", "--arity", "3", "--kind", "all"],
+    ["--scan", "affine", "--size", "5", "--arity", "3"],
+    ["--scan", "translations", "--size", "3", "--arity", "3", "--kind", "quandle"],
+    ["--size", "1", "--kind", "quandle"],
+    ["--size", "2", "--pairs"],
+    ["--size", "3", "--pairs"],
+])
+def test_enumerate_writes_the_json_of_table_lists(argv, tmp_path, capsys):
+    # the tables are written from the stack's array, as the text
+    # json.dumps gives the list of each table's as_json
+    size, arity = int(argv[argv.index("--size") + 1]), 2
+    if "--arity" in argv:
+        arity = int(argv[argv.index("--arity") + 1])
+    kind = argv[argv.index("--kind") + 1] if "--kind" in argv else "sd"
+    if "--pairs" in argv:
+        pairs = enumeration.enumerate_mutual_pairs(size)
+        name, old = "pairs", {"count": len(pairs), "pairs": [
+            [a.as_json(), b.as_json()] for a, b in pairs]}
+    else:
+        scan = {"full": enumeration.enumerate_operations,
+                "affine": enumeration.enumerate_affine,
+                "translations": enumeration.enumerate_racks}[
+            argv[argv.index("--scan") + 1] if "--scan" in argv else "full"]
+        ops = list(scan(size, arity, kind))
+        name, old = "tables", {"count": len(ops),
+                               "tables": [o.as_json() for o in ops]}
+    path = tmp_path / "out.json"
+    assert run(["-o", str(path), "enumerate"] + argv, capsys)[0] == 0
+    assert path.read_text() == json.dumps(old, indent=2) + "\n"
+    code, out, _ = run(["--format", "json", "enumerate"] + argv, capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["artifacts"] == [{"name": name, "content": old, "path": None}]
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_enumerate_guardrail(files, capsys):

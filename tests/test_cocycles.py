@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from selfdist import (InputError, PreconditionError, affine_op, exchange_holds,
-                      is_nary_distributive, is_rack, make_op_table,
-                      projection_op, relabel)
+from selfdist import (InputError, PreconditionError, affine_op,
+                      are_mutually_distributive, enumerate_mutual_pairs,
+                      exchange_holds, is_nary_distributive, is_rack,
+                      make_op_table, projection_op, relabel)
 from selfdist.constructions import (doubling_binary, doubling_ternary,
                                     f_functor, g_functor, power_op)
 from selfdist.cocycles import (AbGroup, Cochain, SES,
@@ -508,6 +509,28 @@ def test_extend_mutual_pair():
     E0, E1 = extend_mutual_pair(dih3(), dih3(), phi0, phi1)
     assert is_nary_distributive(E0) and is_nary_distributive(E1)
     assert exchange_holds(E0, E1) and exchange_holds(E1, E0)
+
+
+def coboundary(f, op, d):
+    """The cochain (x, y) -> f(x * y) - f(x) mod d of a function f on the carrier."""
+    x = np.arange(op.size ** 2) // op.size
+    return Cochain(op.size, 2, d, (f[op.table] - f[x]) % d)
+
+
+def test_extensions_of_enumerated_pairs_by_coboundaries():
+    # the paper's theorem on every mutual pair on 2 points and a seeded
+    # sample of 200 on 3: coboundaries f o op_i - f satisfy the pair
+    # conditions by the exchange laws, so the extended pair is mutual
+    rng = random.Random(0xC0B)
+    pairs = enumerate_mutual_pairs(2) + rng.sample(enumerate_mutual_pairs(3), 200)
+    for op0, op1 in pairs:
+        for d in (2, 3):
+            f = np.array([rng.randrange(d) for _ in range(op0.size)])
+            phi0, phi1 = coboundary(f, op0, d), coboundary(f, op1, d)
+            E0, E1 = extend_mutual_pair(op0, op1, phi0, phi1)
+            assert E0.size == E1.size == op0.size * d
+            assert are_mutually_distributive(E0, E1)
+            assert is_nary_distributive(E0) and is_nary_distributive(E1)
 
 
 def test_extend_ternary_iff_cocycle():

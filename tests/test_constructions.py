@@ -198,8 +198,8 @@ def power_loop(op, n):
 
 
 def test_power_by_squaring_matches_loop():
-    tables = (enumerate_operations(3, 2, "sd")
-              + enumerate_operations(2, 3, "sd"))
+    tables = (list(enumerate_operations(3, 2, "sd"))
+              + list(enumerate_operations(2, 3, "sd")))
     assert len(tables) == 280
     for op in tables:
         for n in range(40):

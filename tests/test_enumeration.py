@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from selfdist import (InputError, OpTable, affine_op, are_mutually_distributive,
+from selfdist import (InputError, OpTable, TableStack, affine_op,
+                      are_mutually_distributive,
                       conj_quandle, core_quandle, cyclic_group, dihedral_group,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
                       make_op_table, projection_op, relabel, symmetric_group,
@@ -145,6 +147,140 @@ def test_affine_closed_form_matches_mask_oracles():
             want = want[np.lexsort(want.T[::-1])]
             got = stacked(enumerate_affine(modulus, arity, kind))
             assert np.array_equal(got, want), (modulus, arity, kind)
+
+
+# ---------------------------------------------------------------------------
+# stacks, against the lists of validated tables the enumerators once returned
+
+# the shapes of the translation scan tests
+RACK_SHAPES = [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2), (5, 2)]
+
+
+def old_list(rows, size, arity, scan, kind):
+    """One validated OpTable per row, with the scan's provenance."""
+    meta = {"construction": "enumeration", "scan": scan, "predicate": kind}
+    return [OpTable(size, arity, row, meta=meta) for row in rows]
+
+
+def assert_stack_is(stack, want):
+    """The stack holds the tables of `want` in order, read-only, with the
+    same provenance, whether iterated or indexed."""
+    assert isinstance(stack, TableStack) and len(stack) == len(want)
+    assert not stack.tables.flags.writeable
+    for got in (list(stack), [stack[i] for i in range(len(stack))]):
+        for op, exp in zip(got, want):
+            assert op == exp and op.meta == exp.meta
+            assert not op.table.flags.writeable
+    if want:
+        assert stack[-1] == want[-1]
+
+
+def affine_rows_ref(modulus, arity, kind):
+    """affine_op at every head, filtered by the mask oracles, lex order."""
+    tables = np.stack([
+        affine_op(modulus, arity, head).table
+        for head in itertools.product(range(modulus), repeat=arity - 1)])
+    want = tables[kind_masks_ref(tables, modulus, arity)[kind]]
+    return want[np.lexsort(want.T[::-1])]
+
+
+def test_stacks_match_old_lists():
+    for size, arity in FULL_SHAPES:
+        tables = all_tables(size, arity)
+        for kind, mask in kind_masks_ref(tables, size, arity).items():
+            assert_stack_is(enumerate_operations(size, arity, kind),
+                            old_list(tables[mask], size, arity, "full", kind))
+    for modulus, arity in CLASSIFY_AFFINE:
+        for kind in KINDS:
+            assert_stack_is(enumerate_affine(modulus, arity, kind),
+                            old_list(affine_rows_ref(modulus, arity, kind),
+                                     modulus, arity, "affine", kind))
+    for size, arity in RACK_SHAPES:
+        for kind in ("rack", "quandle"):
+            stack = enumerate_racks(size, arity, kind)
+            if size ** size ** arity <= 3 ** 9:
+                rows = all_tables(size, arity)
+                rows = rows[kind_masks_ref(rows, size, arity)[kind]]
+            else:
+                # beyond a full scan: strictly increasing rows, each of the kind
+                rows = stack.tables
+                assert all(tuple(a) < tuple(b) for a, b in zip(rows, rows[1:]))
+                check = is_rack if kind == "rack" else is_quandle
+                assert all(check(OpTable(size, arity, row)) for row in rows)
+            assert_stack_is(stack, old_list(rows, size, arity, "translations", kind))
+
+
+def test_stack_is_a_read_only_sequence():
+    stack = enumerate_racks(3, 3)
+    with pytest.raises(ValueError):
+        stack.tables[0, 0] = 1
+    with pytest.raises(ValueError):
+        stack[0].table[0] = 1
+    with pytest.raises(AttributeError):
+        stack.meta = {}
+    # each table owns its provenance
+    stack[0].meta["scan"] = "changed"
+    assert stack[0].meta["scan"] == stack.meta["scan"] == "translations"
+    part = stack[5:17]
+    assert isinstance(part, TableStack) and len(part) == 12
+    assert np.array_equal(part.tables, stack.tables[5:17]) and part.meta == stack.meta
+    assert part[0] == stack[5] and part[-1] == stack[16]
+    assert list(stack[::-1]) == list(stack)[::-1]
+    assert len(stack[200:]) == 0 and list(stack[200:]) == []
+    for bad in (len(stack), -len(stack) - 1):
+        with pytest.raises(IndexError):
+            stack[bad]
+    with pytest.raises(TypeError):
+        stack[1.0]
+    assert stack[np.int64(3)] == stack[3] and stack[3] in stack
+    assert random.Random(3).sample(stack, 3) == [stack[i] for i in
+                                                 random.Random(3).sample(range(len(stack)), 3)]
+    assert repr(stack) == "TableStack(size=3, arity=3, count=129)"
+
+
+def test_stack_validates_once_when_built():
+    rows = np.array([[0, 0, 1, 1], [0, 1, 0, 1]])
+    stack = TableStack(2, 2, rows, meta={"k": 1})
+    assert [op.table.tolist() for op in stack] == rows.tolist()
+    assert stack[1].meta == {"k": 1} and len(TableStack(2, 2, np.zeros((0, 4)))) == 0
+    for bad in ([[0, 0, 1]], [[0, 0, 1, 2]], [[0, 0, 1, -1]], [0, 0, 1, 1],
+                [[0.0, 0, 1, 1]], [[True, False, True, False]]):
+        with pytest.raises(InputError):
+            TableStack(2, 2, bad)
+    for size, arity in ((0, 2), (2, 1), (2.0, 2)):
+        with pytest.raises(InputError):
+            TableStack(size, arity, [[0]])
+
+
+def test_isomorphism_classes_read_stacks():
+    for name, stack in enumerated_lists().items():
+        assert isinstance(stack, TableStack)
+        assert isomorphism_classes(stack) == isomorphism_classes(list(stack)), name
+    empty = enumerate_operations(2, 2, "quandle")[:0]
+    assert isomorphism_classes(empty) == [] == isomorphism_classes([])
+    with pytest.raises(InputError, match="refusing isomorphism search"):
+        isomorphism_classes(enumerate_affine(9, 2, "rack"))
+    assert isomorphism_classes(enumerate_affine(9, 2, "rack")[:1]) == [[0]]
+
+
+def test_affine_charge_covers_its_arrays(monkeypatch):
+    # the numpy arrays the broadcast builds stay within the bytes it
+    # charged; the allowance is for the few Python objects of a call
+    charged = []
+    charge = limits.charge_bytes
+    monkeypatch.setattr(limits, "charge_bytes",
+                        lambda need, what: charged.append(need) or charge(need, what))
+    for modulus, arity, kind in [(150, 2, "sd"), (40, 2, "rack"), (12, 3, "all"),
+                                 (6, 5, "sd"), (2, 12, "sd"), (3, 8, "quandle"),
+                                 (7, 4, "sd")]:
+        charged.clear()
+        tracemalloc.start()
+        try:
+            enumerate_affine(modulus, arity, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(charged) + 64 * 1024, (modulus, arity, kind, peak)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Every command line ends in exit 0, 1 or 2, whatever its input.
 
 Hypothesis draws argument vectors over the construct, check, homology,
-enumerate and braid subcommands: random shapes, huge moduli and exponents, group
+cohomology, enumerate and braid subcommands: random shapes, huge moduli and exponents, group
 specs, and JSON inputs that are well formed, malformed (floats, bools,
 ragged lists, integers beyond int64) or not JSON at all.  A batch of them
 runs in one fresh process under a 2 GiB address-space cap, so an
@@ -167,14 +167,15 @@ CHECK = st.one_of(
            st.tuples(file_(TABLE), file_(COCHAIN)).map(list)),
 )
 
+COEFF = st.sampled_from(["Z", "0", "2", "3,5", "-2", str(2 ** 70), "x", "2,4"])
+# cohomology requires --coeff, so its lines always carry one
 HOMOLOGY = joined(
-    st.just(["homology"]),
+    st.one_of(joined(st.just(["homology"]), opt("--coeff", COEFF)),
+              joined(st.just(["cohomology", "--coeff"]), COEFF.map(lambda c: [c]))),
     st.one_of(file_(TABLE).map(lambda f: ["--op", f]),
               st.tuples(st.just("--pair"), file_(TABLE), file_(TABLE)).map(list)),
     st.tuples(st.just("--degree"), st.one_of(
-        st.sampled_from([-1, 0, 1, 2, 3]), HUGE).map(str)).map(list),
-    opt("--coeff", st.sampled_from(["Z", "0", "2", "3,5", "-2", str(2 ** 70),
-                                    "x", "2,4"])))
+        st.sampled_from([-1, 0, 1, 2, 3]), HUGE).map(str)).map(list))
 
 ENUMERATE = joined(
     st.just(["enumerate"]),

@@ -430,6 +430,29 @@ def test_coefficient_factors_validated():
         homology(T, 2, coeff="3")
 
 
+def test_moduli_beyond_int64_refused_before_any_matrix():
+    # residues and gcds are int64: 2^63 - 1 is the largest modulus
+    top = 2 ** 63 - 1
+    R3 = core_quandle(cyclic_group(3))
+    res = cohomology_solve(R3, 2, top)
+    assert res.invariants == (top,)
+    assert res.cocycles.min() >= 0 and res.cocycles.max() < top
+    assert solve_mod(np.array([[2]]), np.array([4]), top).tolist() == [2]
+    assert kernel_lattice_mod(np.array([[2]]), top).tolist() == [[top]]
+    for big in (top + 1, 10 ** 20 - 1):
+        for coeff in (big, [2, big]):
+            with pytest.raises(InputError, match="refusing cochain coefficients"):
+                cohomology_solve(R3, 2, coeff)
+        with pytest.raises(InputError, match="refusing a linear solve"):
+            solve_mod(np.array([[2]]), np.array([4]), big)
+        with pytest.raises(InputError, match="refusing a kernel lattice"):
+            kernel_lattice_mod(np.array([[2]]), big)
+    # 200 points: the coefficient is refused before the degree-3 boundary
+    # would be charged
+    with pytest.raises(InputError, match="refusing cochain coefficients"):
+        cohomology_solve(affine_op(200, 2, (2,)), 2, 10 ** 20 - 1)
+
+
 def test_homology_with_huge_prime_coefficient():
     p = 2305843009213693951            # the Mersenne prime 2^61 - 1
     R3 = core_quandle(cyclic_group(3))
