@@ -24,6 +24,7 @@ from typing import Tuple
 import numpy as np
 
 from . import limits
+from .kernels import digits
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_mutually_distributive, inverse_translations,
                       is_nary_distributive, is_rack)
@@ -97,12 +98,6 @@ def _action(op, inv, word, cols):
     return cols
 
 
-def _tuples(N, m):
-    """Every tuple of X^m in lexicographic order, as m columns."""
-    r = np.arange(N ** m)
-    return [r // N ** (m - 1 - p) % N for p in range(m)]
-
-
 def braid_act(op: OpTable, beta: BraidWord, x) -> tuple:
     """Image of the tuple x under the braid word, acting through op.
 
@@ -152,7 +147,7 @@ def verify_braid_relations(op: OpTable, m: int) -> CheckResult:
         for j in range(i + 2, m):
             relations.append(((i, j), (j, i),
                               f"commutation of generators {i}, {j}"))
-    cols = _tuples(N, m)
+    cols = digits(np.arange(count), N, m)
     # (first failing tuple, relation order, name, both images there)
     fails = []
     for order, (left, right, name) in enumerate(relations):
@@ -227,7 +222,7 @@ def twist_op(hat: OpTable, star: OpTable, beta: BraidWord,
     if beta.has_inverse_letters:
         inv = inverse_translations(star)
     perm = 0
-    for col in _action(star, inv, beta.word, _tuples(N, k - 1)):
+    for col in _action(star, inv, beta.word, digits(np.arange(P), N, k - 1)):
         perm = perm * N + col
     out = hat.table.reshape(N, P)[:, perm].reshape(-1)
     return OpTable(N, k, out, meta={"construction": "braid_twist",

@@ -225,8 +225,13 @@ def _summary(content) -> str:
             return body
         if "group" in content:
             return content["group"]
-        text = json.dumps(content, default=_json_default)
-        return text if len(text) <= 400 else text[:400] + "..."
+        # the compact JSON text, encoded only as far as the cut
+        text = ""
+        for piece in json.JSONEncoder(default=_json_default).iterencode(content):
+            text += piece
+            if len(text) > 400:
+                return text[:400] + "..."
+        return text
     return str(content)
 
 
@@ -323,14 +328,20 @@ def _cmd_check(args, report, jobs):
         report.verdict("compatible ternary pair",
                        are_compatible_ternary(t0, t1, jobs=jobs))
     elif args.what == "cocycle":
-        op = _load_op(args.op)
-        c = _load_cochain(args.cochain)
-        if op.arity == 2:
-            report.verdict("binary 2-cocycle", is_binary_2cocycle(c, op))
-        elif op.arity == 3:
-            report.verdict("ternary 2-cocycle", is_ternary_2cocycle(c, op))
-        else:
-            raise InputError("cocycle conditions cover arity 2 and 3 only")
+        _cocycle_verdict(args, report)
+
+
+def _cocycle_verdict(args, report):
+    """The 2-cocycle condition of --cochain over --op, for `check cocycle`
+    and `cocycle check`."""
+    op = _load_op(args.op)
+    c = _load_cochain(args.cochain)
+    if op.arity == 2:
+        report.verdict("binary 2-cocycle", is_binary_2cocycle(c, op))
+    elif op.arity == 3:
+        report.verdict("ternary 2-cocycle", is_ternary_2cocycle(c, op))
+    else:
+        raise InputError("cocycle conditions cover arity 2 and 3 only")
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +470,7 @@ def _cmd_cohomology(args, report, jobs):
 
 def _cmd_cocycle(args, report, jobs):
     if args.what == "check":
-        op = _load_op(args.op)
-        c = _load_cochain(args.cochain)
-        if op.arity == 2:
-            report.verdict("binary 2-cocycle", is_binary_2cocycle(c, op))
-        elif op.arity == 3:
-            report.verdict("ternary 2-cocycle", is_ternary_2cocycle(c, op))
-        else:
-            raise InputError("cocycle conditions cover arity 2 and 3 only")
+        _cocycle_verdict(args, report)
     elif args.what == "solve":
         _cmd_cohomology(args, report, jobs)
     elif args.what == "extend":

@@ -25,10 +25,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels, limits
-from .homology import _digit_grid, boundary_matrix, solve_mod
+from .enumeration import ISO_BLOCK_ENTRIES, _permutations
+from .homology import boundary_matrix, solve_mod
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
-                      diagonal_indices, index_to_tuple, integer_array,
+                      diagonal_indices, digit_map, index_to_tuple, integer_array,
                       is_nary_distributive, is_rack, tuple_to_index)
 from .constructions import (PreconditionError, _require, doubling_binary,
                             doubling_ternary, f_functor, g_functor, power_op)
@@ -345,11 +346,11 @@ def _charge_digits(size: int, k: int, what: str) -> None:
 def _fiber_digits(N: int, o: int, k: int):
     """For every k-tuple on X x A, |X| = N and |A| = o: the flat index of its
     X coordinates, and its A coordinates as one row per slot."""
-    grid = _digit_grid(N * o, k, (N * o) ** k)
-    base_idx = np.zeros(grid.shape[1], dtype=np.int64)
-    for x in grid // o:
-        base_idx = base_idx * N + x
-    return base_idx, grid % o
+    grid = kernels.digits(np.arange((N * o) ** k, dtype=np.int64), N * o, k)
+    base_idx = 0
+    for v in grid:
+        base_idx = base_idx * N + v // o
+    return base_idx, np.stack([v % o for v in grid])
 
 
 def extend(op: OpTable, c: Cochain, verify: bool = True) -> OpTable:
@@ -629,8 +630,7 @@ def three_cocycle_from_ses(phi: Cochain, op: OpTable, ses: SES,
     a_idx = ses.quotient.index_array(phi.values)        # per 3-tuple
     sphi = lift_res[a_idx]                              # (N^3, rankE)
     T = op.table
-    dig = _digit_grid(N, 5, N ** 5)
-    x1, x2, x3, x4, x5 = dig
+    x1, x2, x3, x4, x5 = kernels.digits(np.arange(N ** 5, dtype=np.int64), N, 5)
 
     def t(a, b, c):
         return T[(a * N + b) * N + c]
@@ -679,11 +679,11 @@ def cocycles_cohomologous(c1: Cochain, c2: Cochain, op: OpTable):
 
 
 def _extract_cocycle(ext: OpTable, base: OpTable, A: AbGroup):
-    """Recover the cochain of a standard-form extension table, or None."""
+    """Recover the cochain of a standard-form extension table, or None.
+
+    The caller has checked that ext has the size and arity of an extension."""
     o = A.order
     N = base.size
-    if ext.size != N * o or ext.arity != base.arity:
-        return None
     k = base.arity
     _charge_digits(N * o, k, f"reading the cochain of an extension by order {o}")
     base_idx, azs = _fiber_digits(N, o, k)
@@ -711,6 +711,12 @@ def extension_equivalent(ext0: OpTable, ext1: OpTable, base: OpTable,
     small cases; larger cases report the translation-map verdict.
     """
     A = coeff_group(coeff)
+    for ext in (ext0, ext1):
+        if ext.size != base.size * A.order or ext.arity != base.arity:
+            raise InputError(
+                f"an extension of a size {base.size} arity {base.arity} table"
+                f" by order {A.order} has size {base.size * A.order} and arity"
+                f" {base.arity}, got size {ext.size} arity {ext.arity}")
     c0 = _extract_cocycle(ext0, base, A)
     c1 = _extract_cocycle(ext1, base, A)
     if c0 is not None and c1 is not None:
@@ -737,18 +743,22 @@ def extension_equivalent(ext0: OpTable, ext1: OpTable, base: OpTable,
 
 
 def _fiber_search(ext0: OpTable, ext1: OpTable, N: int, o: int) -> bool:
-    k = ext0.arity
-    perms = list(itertools.permutations(range(o)))
-    tuples = list(itertools.product(range(N * o), repeat=k))
-    for assign in itertools.product(perms, repeat=N):
-        ok = True
-        for args in tuples:
-            u = int(ext0.table[tuple_to_index(args, N * o)])
-            fu = (u // o) * o + assign[u // o][u % o]
-            mapped = tuple((v // o) * o + assign[v // o][v % o] for v in args)
-            if fu != int(ext1.table[tuple_to_index(mapped, N * o)]):
-                ok = False
-                break
-        if ok:
+    """Whether a fiber-preserving bijection f has f(ext0(args)) = ext1(f(args))
+    at every tuple.
+
+    Candidate c sends (x, a) to (x, p(a)), with p the permutation that the
+    base-o! digit x of c numbers.  A block of candidates is relabeled by the
+    gathers of `relabel`, about ISO_BLOCK_ENTRIES entries at a time.
+    """
+    M, k = N * o, ext0.arity
+    perms = _permutations(o).astype(np.int64)
+    starts = np.arange(0, M, o)[:, None]
+    count = len(perms) ** N
+    step = max(1, ISO_BLOCK_ENTRIES // M ** k)
+    for lo in range(0, count, step):
+        c = np.arange(lo, min(lo + step, count), dtype=np.int64)
+        f = starts + perms[np.stack(kernels.digits(c, len(perms), N), axis=1)]
+        f = f.reshape(len(c), M)
+        if (f[:, ext0.table] == ext1.table[digit_map(f, M, k)]).all(axis=1).any():
             return True
     return False

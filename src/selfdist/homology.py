@@ -19,19 +19,23 @@ Python integers (no overflow), nothing is floating point.  Invariant
 factors come from unit-pivot elimination on a sparse copy of the matrix,
 then a dense Smith reduction of the small residual.  When unimodular
 transforms are needed (modular solving, cocycle generators), the dense
-reduction runs on the whole matrix.  Homology and cohomology with Z/d
-coefficients are read off the integral invariant factors through the
-universal coefficient theorem.
+reduction runs on the whole matrix, and the transforms ride along as
+appended identity blocks: an identity right of the matrix rows becomes U
+under the row operations, and an identity below them becomes V under the
+column operations, so each operation is written once.  Homology and
+cohomology with Z/d coefficients are read off the integral invariant
+factors through the universal coefficient theorem.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import limits
+from .kernels import digits
 from .optable import (
     CheckResult,
     InputError,
@@ -44,16 +48,6 @@ from .constructions import PreconditionError, _require
 
 # ---------------------------------------------------------------------------
 # generator bookkeeping
-
-def _digit_grid(size, ndigits, count):
-    """Array (ndigits, count) of base-`size` digits of 0..count-1, big-endian."""
-    idx = np.arange(count, dtype=np.int64)
-    digits = np.empty((ndigits, count), dtype=np.int64)
-    for pos in range(ndigits - 1, -1, -1):
-        digits[pos] = idx % size
-        idx //= size
-    return digits
-
 
 def _charge_boundary(rows, cols, n, what):
     """Charge a dense int64 boundary matrix and its assembly: about n^2
@@ -144,8 +138,9 @@ def labeled_boundary(system: Sequence[OpTable], n: int,
     for eps, offset, count in hi:
         tails = [arities[e] - 1 for e in eps]
         ndig = 1 + sum(tails)
-        dig = _digit_grid(N, ndig, count)
-        colidx = offset + np.arange(count, dtype=np.int64)
+        local = np.arange(count, dtype=np.int64)
+        dig = digits(local, N, ndig)
+        colidx = offset + local
         starts = [1]
         for L in tails:
             starts.append(starts[-1] + L)
@@ -227,8 +222,11 @@ def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
     """Invariant factors of an integer matrix, optionally with transforms.
 
     Without transforms, unit pivots are first eliminated on a sparse copy
-    and only the residual is reduced densely.  Reduction runs on Python
-    integers, so intermediates never overflow.
+    and only the residual is reduced densely.  With them, each matrix row
+    carries a row of the identity, which the row operations turn into U,
+    and the rows of a second identity below the matrix, which the column
+    operations turn into V.  Reduction runs on Python integers, so
+    intermediates never overflow.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
@@ -238,10 +236,17 @@ def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
         rows, cols = A.shape
         limits.charge_bytes(8 * (rows * cols + rows * rows + cols * cols),
                             f"a {rows} x {cols} Smith reduction with transforms")
-        return _smith_dense([[int(v) for v in row] for row in A], A.shape[1],
-                            transforms=True)
+        M = [[int(v) for v in row] + [int(i == j) for j in range(rows)]
+             for i, row in enumerate(A)]
+        M += [[int(i == j) for j in range(cols)] for i in range(cols)]
+        factors = _smith_dense(M, rows, cols)
+        for row in M[:rows]:
+            del row[:cols]          # drop the reduced matrix, leaving U
+        U = np.array(M[:rows], dtype=object).reshape(rows, rows)
+        V = np.array(M[rows:], dtype=object).reshape(cols, cols)
+        return SmithResult(factors, U, V)
     units, residual, cols = _eliminate_unit_pivots(A)
-    return SmithResult((1,) * units + _smith_dense(residual, cols).factors)
+    return SmithResult((1,) * units + _smith_dense(residual, len(residual), cols))
 
 
 def _eliminate_unit_pivots(A):
@@ -308,48 +313,31 @@ def _eliminate_unit_pivots(A):
     return units, residual, len(position)
 
 
-def _smith_dense(M, cols: int, transforms: bool = False) -> SmithResult:
-    """Smith reduction of the dense row lists M (modified in place)."""
-    rows = len(M)
-    U = [[int(i == j) for j in range(rows)] for i in range(rows)] if transforms else None
-    V = [[int(i == j) for j in range(cols)] for i in range(cols)] if transforms else None
+def _smith_dense(M, rows: int, cols: int) -> Tuple[int, ...]:
+    """Invariant factors of the top-left rows x cols block of the row lists M.
 
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
+    M is modified in place.  Row operations act on whole rows and column
+    operations on every row of M, so whatever M holds right of the block or
+    below it records them.
+    """
 
     def swap_cols(i, j):
         for row in M:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
 
     def row_combine(r, i, s, t, u, v):
         # (row_r, row_i) <- (s row_r + t row_i, u row_r + v row_i), sv - tu = 1
         Mr, Mi = M[r], M[i]
-        for j in range(cols):
+        for j in range(len(Mr)):
             a, b = Mr[j], Mi[j]
             Mr[j] = s * a + t * b
             Mi[j] = u * a + v * b
-        if U is not None:
-            Ur, Ui = U[r], U[i]
-            for j in range(rows):
-                a, b = Ur[j], Ui[j]
-                Ur[j] = s * a + t * b
-                Ui[j] = u * a + v * b
 
     def col_combine(r, j, s, t, u, v):
         for row in M:
             a, b = row[r], row[j]
             row[r] = s * a + t * b
             row[j] = u * a + v * b
-        if V is not None:
-            for row in V:
-                a, b = row[r], row[j]
-                row[r] = s * a + t * b
-                row[j] = u * a + v * b
 
     factors = []
     r = 0
@@ -370,7 +358,7 @@ def _smith_dense(M, cols: int, transforms: bool = False) -> SmithResult:
                 break
         if piv is None:
             break
-        swap_rows(r, piv[0])
+        M[r], M[piv[0]] = M[piv[0]], M[r]
         swap_cols(r, piv[1])
         while True:
             # one xgcd step per entry: pivot becomes gcd, entry becomes 0
@@ -400,24 +388,14 @@ def _smith_dense(M, cols: int, transforms: bool = False) -> SmithResult:
                 break
         d = M[r][r]
         if d < 0:
-            for j in range(cols):
-                M[r][j] = -M[r][j]
-            if U is not None:
-                for j in range(rows):
-                    U[r][j] = -U[r][j]
+            M[r] = [-v for v in M[r]]
             d = -d
         folded = False
         for i in range(r + 1, rows):
             Mi = M[i]
             for j in range(r + 1, cols):
                 if Mi[j] % d:
-                    Mr = M[r]
-                    for jj in range(cols):
-                        Mr[jj] += Mi[jj]
-                    if U is not None:
-                        Ur, Ui = U[r], U[i]
-                        for jj in range(rows):
-                            Ur[jj] += Ui[jj]
+                    M[r] = [a + b for a, b in zip(M[r], Mi)]
                     folded = True
                     break
             if folded:
@@ -426,11 +404,7 @@ def _smith_dense(M, cols: int, transforms: bool = False) -> SmithResult:
             continue
         factors.append(d)
         r += 1
-    if transforms:
-        Ua = np.array(U, dtype=object) if rows else np.zeros((0, 0), dtype=object)
-        Va = np.array(V, dtype=object) if cols else np.zeros((0, 0), dtype=object)
-        return SmithResult(tuple(factors), Ua, Va)
-    return SmithResult(tuple(factors))
+    return tuple(factors)
 
 
 def _matmul_obj(A, B):
@@ -695,7 +669,7 @@ def chain_map_F(op0: OpTable, op1: OpTable, n: int,
     S0 = op0.table.reshape(N, N)
     M = np.zeros((rows, cols), dtype=np.int64)
     colidx = np.arange(cols, dtype=np.int64)
-    dig = _digit_grid(N, 2 * n - 1, cols)
+    dig = digits(colidx, N, 2 * n - 1)
     if n == 2:
         x, y0, y1 = dig
         np.add.at(M, (offs[(0,)] + x * N + y0, colidx), 1)

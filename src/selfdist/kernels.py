@@ -45,6 +45,12 @@ the raising, so its blocks do the same work as without the batch axis.
 The gathers use np.take(mode="clip"), which is exact only for in-range
 indices, so each table is checked to hold entries in 0..N-1, and each
 cochain entries in 0..d-1, once per law.
+
+`digits` is the package's one base-N decoder: every table, cochain and
+boundary indexes an argument tuple by its base-N digits, first argument most
+significant, and every module that needs the digits of an array of flat
+indices (the scan rows, boundary columns, braid tuples, extension fibers and
+candidate fiber maps) reads them from it.
 """
 from __future__ import annotations
 
@@ -196,7 +202,7 @@ def compat_cocycle_law(A, B, s0, s1, N, d, which, literal=False):
     return Law(N, A, B, (A, B), s1, s0, d, pick=(0, 0 if literal else 1, 1))
 
 
-def _digits(r, N, count):
+def digits(r, N, count):
     """Base-N digits of the flat indices r, most significant first."""
     return [r // N ** p % N for p in range(count - 1, -1, -1)]
 
@@ -207,7 +213,7 @@ def _sides(law, r, L, R, T):
     L, R and T are (len(r), tail) buffers; lhs is L and rhs is T.
     """
     N, rows, heads = law.N, law.tail, law.heads
-    lead = _digits(r, N, law.lead)
+    lead = digits(r, N, law.lead)
     batched = law.batch > 1
     if batched:
         # each coordinate as a row of its candidate's block of N rows
@@ -344,7 +350,7 @@ def witness(law, flat):
     count = law.lead
     while law.N ** (count - law.lead) < rows:
         count += 1
-    return tuple(_digits(int(flat), law.N, count)), lhs, rhs
+    return tuple(digits(int(flat), law.N, count)), lhs, rhs
 
 
 def exchange_scan(tm, tn, N, m, n, jobs=1):

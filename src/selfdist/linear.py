@@ -37,7 +37,7 @@ import numpy as np
 from . import limits
 from .constructions import PreconditionError, _require
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
-                      integer_array)
+                      index_to_tuple, integer_array)
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -48,11 +48,13 @@ def _charge_terms(terms: int, what: str) -> None:
 
 
 def _shape(dim: int, src_power: int, dst_power: int) -> tuple:
-    rows, cols = dim ** dst_power, dim ** src_power
+    # saturated, so a huge power is refused without being computed
+    rows, cols = limits.power(dim, dst_power), limits.power(dim, src_power)
     if rows * cols > _INT64_MAX:
         raise InputError(
             f"refusing a power {src_power} -> {dst_power} map at dimension"
-            f" {dim}: {rows} x {cols} positions do not fit int64")
+            f" {dim}: {dim}^{dst_power} x {dim}^{src_power} positions do not"
+            " fit int64")
     return rows, cols
 
 
@@ -356,21 +358,12 @@ def _perm_map(field: Field, dim: int, power: int, target_from_source) -> LinMap:
     return _permute_rows(LinMap.identity(field, dim, power), target_from_source)
 
 
-def _decode_basis(index: int, dim: int, power: int) -> tuple:
-    digits = []
-    for _ in range(power):
-        digits.append(index % dim)
-        index //= dim
-    digits.reverse()
-    return tuple(digits)
-
-
 def _mismatch(lhs: LinMap, rhs: LinMap, detail: str) -> CheckResult:
     """Failure at the first row-major entry where two maps differ."""
     diff = lhs + (-rhs)
     ncols = lhs.dim ** lhs.src_power
     r, c = divmod(int((diff.rows * ncols + diff.cols).min()), ncols)
-    witness = (r, _decode_basis(c, lhs.dim, lhs.src_power))
+    witness = (r, index_to_tuple(c, lhs.dim, lhs.src_power))
     return CheckResult(False, Counterexample(witness, lhs.entry(r, c),
                                              rhs.entry(r, c)), detail)
 
@@ -546,7 +539,7 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
     # the terms of column t are delta.rows[starts[t]:starts[t + 1]]
     starts = np.searchsorted(delta.cols, np.arange(d + 1))
     vals = delta.vals.tolist()
-    digits = [_decode_basis(r, d, n) for r in delta.rows.tolist()]
+    digits = [index_to_tuple(r, d, n) for r in delta.rows.tolist()]
     rhs = field.zeros((d, d ** n, tails))
     for tflat, tail in enumerate(itertools.product(range(d), repeat=n - 1)):
         for combo in itertools.product(
@@ -694,7 +687,8 @@ class HopfAlgebraObject:
     """Unit, multiplication, comultiplication, counit and antipode, with
     every axiom checked as an exact matrix identity on construction."""
 
-    __slots__ = ("field", "dim", "unit", "mult", "delta", "counit", "antipode")
+    __slots__ = ("field", "dim", "unit", "mult", "delta", "counit", "antipode",
+                 "_comonoid")
 
     def __init__(self, dim: int, unit: LinMap, mult: LinMap, delta: LinMap,
                  counit: LinMap, antipode: LinMap):
@@ -717,7 +711,7 @@ class HopfAlgebraObject:
             raise InputError("multiplication is not associative")
         if mult @ unit.tensor(ident) != ident or mult @ ident.tensor(unit) != ident:
             raise InputError("unit laws fail")
-        ComonoidObject(dim, delta, counit)
+        comonoid = ComonoidObject(dim, delta, counit)
         # compatibility through the four-factor middle swap
         swapped = _permute_rows(delta.tensor(delta), [0, 2, 1, 3])
         if delta @ mult != mult.tensor(mult) @ swapped:
@@ -739,12 +733,14 @@ class HopfAlgebraObject:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "counit", counit)
         object.__setattr__(self, "antipode", antipode)
+        object.__setattr__(self, "_comonoid", comonoid)
 
     def __setattr__(self, name, value):
         raise AttributeError("HopfAlgebraObject is immutable")
 
     def comonoid(self) -> ComonoidObject:
-        return ComonoidObject(self.dim, self.delta, self.counit)
+        """The comonoid of delta and counit, validated once on construction."""
+        return self._comonoid
 
     def as_json(self) -> dict:
         return {"dim": self.dim,

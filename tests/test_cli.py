@@ -149,6 +149,23 @@ def test_check_cocycle(files, capsys):
     assert code == 0 and "ternary 2-cocycle: yes" in out
 
 
+def test_check_cocycle_and_cocycle_check_agree(files, capsys):
+    # psi is a cocycle over triv3 and fails over T3 at (0, 0, 1, 0, 0)
+    for op, status in (("triv3", 0), ("T3", 1)):
+        lines = (["check", "cocycle", files[op], files["psi"]],
+                 ["cocycle", "check", "--op", files[op], "--cochain", files["psi"]])
+        reports = [run_json(argv, capsys) for argv in lines]
+        assert [code for code, _ in reports] == [status, status]
+        assert reports[0][1]["verdicts"] == reports[1][1]["verdicts"]
+        assert reports[0][1]["artifacts"] == reports[1][1]["artifacts"] == []
+        # the human text, less its timing line
+        human = [run(argv, capsys) for argv in lines]
+        assert [code for code, _, _ in human] == [status, status]
+        assert human[0][1].splitlines()[:-1] == human[1][1].splitlines()[:-1]
+    assert reports[0][1]["verdicts"][0]["counterexample"]["witness"] == \
+        [0, 0, 1, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # construct
 
@@ -713,7 +730,7 @@ def test_report_bytes_escape_paths(files, capsys, tmp_path):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_human_summaries_unchanged(files, capsys):
+def test_human_summaries_unchanged(files, capsys, monkeypatch):
     code, out, _ = run(["construct", "heap", "--group", "cyclic:3"], capsys)
     assert out.splitlines()[0] == \
         "table: size 3 arity 3 012201120120012201201120012"
@@ -723,6 +740,31 @@ def test_human_summaries_unchanged(files, capsys):
         'action: {"input": [0, 1, 2], "word": [1, -2], "output": [1, 2, 2]}'
     assert cli._summary({"gens": np.arange(3), "n": np.int64(2)}) == \
         '{"gens": [0, 1, 2], "n": 2}'
+
+    # long artifacts: the first 400 characters of their compact JSON text
+    def cut(content):
+        text = json.dumps(content, default=cli._json_default)
+        return text if len(text) <= 400 else text[:400] + "..."
+
+    contents = []
+    artifact = cli.Report.artifact
+
+    def record(self, name, content):
+        contents.append((name, content))
+        artifact(self, name, content)
+
+    # compact texts of 399, 400 and 401 characters
+    for n in (390, 391, 392):
+        assert cli._summary({"s": "x" * n}) == cut({"s": "x" * n})
+    monkeypatch.setattr(cli.Report, "artifact", record)
+    for argv in (["enumerate", "--size", "3", "--kind", "all"],
+                 ["enumerate", "--size", "3", "--pairs"],
+                 ["linear", "heap", "--group", "cyclic:3", "--field", "3"]):
+        contents.clear()
+        _, out, _ = run(argv, capsys)
+        (name, content), = contents
+        assert len(json.dumps(content, default=cli._json_default)) > 400
+        assert f"{name}: {cut(content)}" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

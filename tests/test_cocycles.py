@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from selfdist import (InputError, PreconditionError, affine_op,
-                      are_mutually_distributive, enumerate_mutual_pairs,
-                      exchange_holds, is_nary_distributive, is_rack,
-                      make_op_table, projection_op, relabel)
+                      are_mutually_distributive, conj_quandle, core_quandle,
+                      cyclic_group, enumerate_mutual_pairs, exchange_holds,
+                      is_nary_distributive, is_rack, make_op_table,
+                      projection_op, relabel, symmetric_group, tuple_to_index)
+from selfdist import cocycles
 from selfdist.constructions import (doubling_binary, doubling_ternary,
                                     f_functor, g_functor, power_op)
 from selfdist.cocycles import (AbGroup, Cochain, SES,
@@ -716,6 +720,117 @@ def test_extension_equivalent_positive():
     # the witness satisfies delta eta = phi - shifted
     diff = (phi.values[:, 0] - shifted.values[:, 0]) % 3
     assert np.array_equal((d2t @ eta.values[:, 0]) % 3, diff)
+
+
+def fiber_search_loop(ext0, ext1, N, o):
+    """Oracle: try every fiber bijection f(x, a) = (x, h_x(a)) on every
+    tuple, one tuple at a time, as the package did before its search became
+    a gather."""
+    k = ext0.arity
+    perms = list(itertools.permutations(range(o)))
+    tuples = list(itertools.product(range(N * o), repeat=k))
+    for assign in itertools.product(perms, repeat=N):
+        ok = True
+        for args in tuples:
+            u = int(ext0.table[tuple_to_index(args, N * o)])
+            fu = (u // o) * o + assign[u // o][u % o]
+            mapped = tuple((v // o) * o + assign[v // o][v % o] for v in args)
+            if fu != int(ext1.table[tuple_to_index(mapped, N * o)]):
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def _fiber_relabel(ext, N, o, rng):
+    """ext transported along a random fiber-preserving bijection."""
+    perm = [x * o + h for x in range(N) for h in rng.permutation(o)]
+    return relabel(ext, perm)
+
+
+def _perturbed(ext, rng):
+    tab = ext.table.copy()
+    i = int(rng.integers(tab.size))
+    tab[i] = (tab[i] + 1 + int(rng.integers(ext.size - 1))) % ext.size
+    return make_op_table(ext.size, ext.arity, tab)
+
+
+def test_fiber_search_matches_the_loop_oracle():
+    rng = np.random.default_rng(7)
+    cases = [(dih3(), 2), (dih3(), 3), (core_quandle(cyclic_group(4)), 2),
+             (tern3(), 2), (heap2(), 3), (projection_op(2, 2), 3)]
+    compared = {True: 0, False: 0}
+    for base, o in cases:
+        N, k = base.size, base.arity
+        zero = extend(base, zero_cochain(N, k, o))
+        sols = [Cochain(N, k, o, v[:, 0])
+                for v in cohomology_solve(base, 2, o).cocycles]
+        exts = [zero] + [extend(base, c) for c in sols[:2]]
+        for e0 in exts:
+            for e1 in exts + [_fiber_relabel(e, N, o, rng) for e in exts]:
+                for other in (e1, _perturbed(e1, rng)):
+                    want = fiber_search_loop(e0, other, N, o)
+                    assert cocycles._fiber_search(e0, other, N, o) == want
+                    assert extension_equivalent(e0, other, base, o).holds == want
+                    compared[want] += 1
+    assert compared[True] and compared[False]
+
+
+def test_fiber_search_on_the_affine_family_matches_the_oracle():
+    _, TX, psi = affine_family(3, 1)
+    E1 = extend(TX, psi)
+    E0 = extend(TX, zero_cochain(3, 3, 3))
+    rng = np.random.default_rng(11)
+    for a, b in ((E1, E0), (E0, E1), (E1, _fiber_relabel(E1, 3, 3, rng))):
+        assert cocycles._fiber_search(a, b, 3, 3) == fiber_search_loop(a, b, 3, 3)
+    assert cocycles._fiber_search(E1, _fiber_relabel(E1, 3, 3, rng), 3, 3)
+    assert not cocycles._fiber_search(E1, E0, 3, 3)
+
+
+@pytest.mark.parametrize("N,o", [(3, 4), (2, 5), (5, 3)])
+def test_full_fiber_search_is_fast(N, o):
+    # every fiber map carries the right projection to itself, so the
+    # per-tuple loop read every tuple of every candidate before failing at
+    # the changed last entry: 3-4 s, against well under one here
+    M = N * o
+    right = make_op_table(M, 2, lambda x, y: y)
+    tab = right.table.copy()
+    tab[-1] = (tab[-1] + 1) % M
+    start = time.perf_counter()
+    res = extension_equivalent(right, make_op_table(M, 2, tab),
+                               projection_op(N, 2), o)
+    assert time.perf_counter() - start < 1
+    candidates = math.factorial(o) ** N
+    assert not res and res.detail == f"no fiber bijection among all {candidates}"
+
+
+def test_extension_equivalent_refuses_mismatched_shapes():
+    good = extend(dih3(), zero_cochain(3, 2, 2))
+    for bad in (dih3(), extend(dih3(), zero_cochain(3, 2, 3)),
+                make_op_table(6, 3, lambda x, y, z: x)):
+        for pair in ((good, bad), (bad, good)):
+            with pytest.raises(InputError, match="extension"):
+                extension_equivalent(*pair, dih3(), 2)
+
+
+@pytest.mark.parametrize("name,d", [("R3", 3), ("R4", 2), ("R5", 5),
+                                    ("S3", 2), ("A5t2", 5), ("T3", 3)])
+def test_solved_cocycles_extend_to_racks(name, d):
+    # the paper's extension theorem on every degree-2 generator the solver
+    # returns: each is a cocycle, and its extension is again a rack
+    op = {"R3": core_quandle(cyclic_group(3)), "R4": core_quandle(cyclic_group(4)),
+          "R5": core_quandle(cyclic_group(5)),
+          "S3": conj_quandle(symmetric_group(3)),
+          "A5t2": affine_op(5, 2, [2]), "T3": tern3()}[name]
+    N, k = op.size, op.arity
+    is_cocycle = is_binary_2cocycle if k == 2 else is_ternary_2cocycle
+    gens = cohomology_solve(op, 2, d).cocycles
+    assert len(gens)
+    for v in gens:
+        c = Cochain(N, k, d, v[:, 0])
+        assert is_cocycle(c, op)
+        assert is_rack(extend(op, c, verify=False))
 
 
 def test_cohomologous_is_reflexive_and_symmetric():

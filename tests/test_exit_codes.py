@@ -1,8 +1,9 @@
 """Every command line ends in exit 0, 1 or 2, whatever its input.
 
 Hypothesis draws argument vectors over the construct, check, homology,
-cohomology, enumerate and braid subcommands: random shapes, huge moduli and exponents, group
-specs, and JSON inputs that are well formed, malformed (floats, bools,
+cohomology, cocycle, chainmap, enumerate, braid and linear subcommands:
+random shapes, huge moduli and exponents, group specs, fields, short exact
+sequences, and JSON inputs that are well formed, malformed (floats, bools,
 ragged lists, integers beyond int64) or not JSON at all.  A batch of them
 runs in one fresh process under a 2 GiB address-space cap, so an
 allocation that escaped the budgets of `limits` shows up as a failure, and
@@ -12,8 +13,10 @@ import json
 
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
-from selfdist import (affine_op, conj_quandle, core_quandle, cyclic_group,
-                      heap_op, symmetric_group)
+from selfdist import (Field, LieAlgebraObject, LinMap, affine_op,
+                      conj_quandle, core_quandle, cyclic_group,
+                      group_algebra_hopf, heap_op, hopf_heap, split_ses,
+                      symmetric_group)
 
 # exit status and stderr of each invocation, one JSON line each; files are
 # written into a temporary directory, and {"file": text} in an argument
@@ -206,9 +209,101 @@ BRAID = st.one_of(
            NO_VERIFY),
 )
 
+SES = st.one_of(
+    st.builds(lambda kind, parts: f"{kind}:{parts}",
+              st.sampled_from(["cyclic", "split", "bogus"]),
+              st.one_of(ints_text(), st.sampled_from(["3,3", "2,3", "x"]))),
+    file_(st.one_of(st.just(_text(split_ses(3, 3).as_json())),
+                    st.sampled_from(["{", "[]", '{"sub": [3]}']),
+                    BAD_ENTRIES.map(_text))))
+
+COCYCLE = st.one_of(
+    joined(st.just(["cocycle", "check", "--op"]), file_(TABLE).map(lambda f: [f]),
+           st.tuples(st.just("--cochain"), file_(COCHAIN)).map(list)),
+    joined(st.just(["cocycle", "solve", "--coeff"]), COEFF.map(lambda c: [c]),
+           st.one_of(file_(TABLE).map(lambda f: ["--op", f]),
+                     st.tuples(st.just("--pair"), file_(TABLE),
+                               file_(TABLE)).map(list)),
+           st.tuples(st.just("--degree"), st.one_of(
+               st.sampled_from([-1, 0, 1, 2]), HUGE).map(str)).map(list),
+           st.sampled_from([[], ["--generators"]])),
+    joined(st.just(["cocycle", "extend", "--op"]), file_(TABLE).map(lambda f: [f]),
+           st.tuples(st.just("--cochain"), file_(COCHAIN)).map(list), NO_VERIFY),
+    joined(st.just(["cocycle", "three-from-ses", "--op"]),
+           file_(TABLE).map(lambda f: [f]),
+           st.tuples(st.just("--cochain"), file_(COCHAIN), st.just("--ses"),
+                     SES).map(list), NO_VERIFY),
+    joined(st.just(["cocycle", "cohomologous", "--op"]),
+           file_(TABLE).map(lambda f: [f]),
+           st.tuples(st.just("--c1"), file_(COCHAIN), st.just("--c2"),
+                     file_(COCHAIN)).map(list)),
+)
+
+CHAINMAP = st.tuples(st.just("chainmap"), st.just("verify"), st.just("--pair"),
+                     file_(TABLE), file_(TABLE)).map(list)
+
+
+def _lie_bracket(field):
+    # the two-dimensional nonabelian algebra: [e0, e1] = e1
+    matrix = [[0] * 4, [0, 1, field - 1, 0]]
+    return LinMap(Field(field), 2, 2, 1, matrix)
+
+
+GOOD_OBJECTS = [_text(hopf_heap(group_algebra_hopf(cyclic_group(2), Field(p)))
+                      .as_json()) for p in (2, 3)]
+GOOD_LIE = [_text(LieAlgebraObject(2, _lie_bracket(p)).as_json()) for p in (3, 5)]
+GOOD_MAPS = [_text(LinMap(Field(p), 2, 2, 1, [[1, 0, 0, 1], [0, 1, 1, 0]]).as_json())
+             for p in (2, 3)]
+
+
+def _break_map(obj, key, value):
+    """A linear map JSON (or an object's nested map) with one field replaced."""
+    obj = json.loads(obj)
+    target = obj
+    for k in ("w", "bracket"):
+        if k in target:
+            target = target[k]
+    target[key] = value
+    return _text(obj)
+
+
+MAP_FIELDS = st.tuples(
+    st.sampled_from(["field", "dim", "src_power", "dst_power", "matrix"]),
+    st.one_of(SMALL, HUGE, BAD_ENTRIES, st.sampled_from(["1/0", "x", 2.5])))
+
+
+def linear_json(good, junk):
+    """A well-formed JSON text, one with a map field replaced, or junk."""
+    return st.one_of(
+        st.sampled_from(good),
+        st.builds(lambda obj, kv: _break_map(obj, *kv), st.sampled_from(good),
+                  MAP_FIELDS),
+        st.sampled_from(junk))
+
+
+OBJECT = linear_json(GOOD_OBJECTS, ["{", "[]", "{}", '{"arity": 2}'])
+LIE = linear_json(GOOD_LIE, ["{", "[]", "{}", '{"dim": 2}'])
+PAIRING = linear_json(GOOD_MAPS, ["{", "[]", "{}"])
+FIELD = st.one_of(st.sampled_from([0, 2, 3, 4, -1, 1, 2 ** 61 - 1, "x"]), HUGE)
+
+LINEAR = st.one_of(
+    st.tuples(st.just("linear"), st.just("check-sd"), st.just("--object"),
+              file_(OBJECT)).map(list),
+    st.tuples(st.just("linear"), st.just("lie"), st.just("--object"),
+              file_(LIE)).map(list),
+    joined(st.sampled_from([["linear", "heap"], ["linear", "adjoint"]]),
+           st.tuples(st.just("--group"), GROUP, st.just("--field"),
+                     FIELD.map(str)).map(list)),
+    joined(st.just(["linear", "augmented"]),
+           st.tuples(st.just("--group"), GROUP, st.just("--field"),
+                     FIELD.map(str)).map(list),
+           st.one_of(st.just([]), file_(PAIRING).map(lambda f: ["--pairing", f]))),
+)
+
 INVOCATION = joined(
     st.sampled_from([[], ["--format", "json"]]),
-    st.one_of(CONSTRUCT, CHECK, HOMOLOGY, ENUMERATE, BRAID))
+    st.one_of(CONSTRUCT, CHECK, HOMOLOGY, COCYCLE, CHAINMAP, ENUMERATE, BRAID,
+              LINEAR))
 
 
 # no shrinking: the assertion already names the failing command line, and

@@ -165,6 +165,16 @@ def test_shuffle_perm_guardrail():
         shuffle_perm(5, 10)
 
 
+def test_huge_tensor_power_is_refused_without_computing_it():
+    # 2^(2^63) basis vectors: refused from saturated powers, not computed
+    obj = {"field": 3, "dim": 2, "src_power": 2 ** 63, "dst_power": 1,
+           "matrix": [[0, 0, 0, 0], [0, 1, 2, 0]]}
+    with pytest.raises(InputError, match="int64"):
+        LinMap.from_json(obj)
+    with pytest.raises(InputError, match="int64"):
+        LinMap.identity(F3, 2, 2 ** 70)
+
+
 # ---------------------------------------------------------------------------
 # comonoids
 
@@ -172,6 +182,8 @@ def test_comonoid_validation():
     H = z2_hopf()
     com = H.comonoid()
     assert com.dim == 2
+    # validated once, when the Hopf algebra was built
+    assert H.comonoid() is com
     # a non-coassociative delta: send both basis vectors to e0 x e1
     bad = np.zeros((4, 2), np.int64)
     bad[1, 0] = bad[1, 1] = 1
