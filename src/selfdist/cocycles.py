@@ -26,7 +26,7 @@ import numpy as np
 
 from . import kernels, limits
 from .enumeration import ISO_BLOCK_ENTRIES, _permutations
-from .homology import boundary_matrix, solve_mod
+from .homology import Elimination, boundary_matrix
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
                       diagonal_indices, digit_map, index_to_tuple, integer_array,
@@ -666,11 +666,12 @@ def cocycles_cohomologous(c1: Cochain, c2: Cochain, op: OpTable):
     _match(op, c1, op.arity, "cohomology comparison")
     _match(op, c2, op.arity, "cohomology comparison")
     A = _same_coeff(c1, c2)
-    delta = boundary_matrix(op, 2, verify=False).T
+    # delta is reduced once for every coefficient factor
+    delta = Elimination(boundary_matrix(op, 2, verify=False).T)
     diff = A.reduce(c1.values.astype(np.int64) - c2.values)
     cols = []
     for fi, d in enumerate(A.factors):
-        sol = solve_mod(delta, diff[:, fi], d)
+        sol = delta.solve_mod(diff[:, fi], d)
         if sol is None:
             return False, None
         cols.append(sol % d)

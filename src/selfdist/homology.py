@@ -15,16 +15,22 @@ to every earlier entry.  Generators are enumerated lexicographically
 per generator of the higher degree.
 
 All arithmetic is exact: matrices are int64, Smith reduction runs on
-Python integers (no overflow), nothing is floating point.  Invariant
-factors come from unit-pivot elimination on a sparse copy of the matrix,
-then a dense Smith reduction of the small residual.  When unimodular
-transforms are needed (modular solving, cocycle generators), the dense
-reduction runs on the whole matrix, and the transforms ride along as
-appended identity blocks: an identity right of the matrix rows becomes U
-under the row operations, and an identity below them becomes V under the
-column operations, so each operation is written once.  Homology and
-cohomology with Z/d coefficients are read off the integral invariant
-factors through the universal coefficient theorem.
+Python integers (no overflow), nothing is floating point.  Every exact
+linear-algebra answer comes from one `Elimination` of the matrix: unit
+pivots are eliminated on a sparse copy and recorded as (column, unit,
+pivot row at elimination, row operations), and the small residual left
+over gets one dense Smith reduction.  That reduction carries only the
+transforms a question needs, as appended identity blocks: an identity
+right of the residual rows becomes U under the row operations, and an
+identity below them becomes V under the column operations, so each
+operation is written once.  The invariant factors are a 1 per pivot plus
+the residual's; a kernel lattice mod d lifts V's columns through the
+pivots by back-substitution; a solve mod d carries the right side through
+the recorded row operations, solves the residual with U and V and
+back-substitutes.  `cohomology_solve` reduces the coboundary once for its
+factors and every coefficient.  Homology and cohomology with Z/d
+coefficients are read off the integral invariant factors through the
+universal coefficient theorem.
 """
 
 import heapq
@@ -221,43 +227,52 @@ class SmithResult:
 def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
     """Invariant factors of an integer matrix, optionally with transforms.
 
-    Without transforms, unit pivots are first eliminated on a sparse copy
-    and only the residual is reduced densely.  With them, each matrix row
-    carries a row of the identity, which the row operations turn into U,
-    and the rows of a second identity below the matrix, which the column
-    operations turn into V.  Reduction runs on Python integers, so
-    intermediates never overflow.
+    Without transforms the factors come from an `Elimination`: one 1 for
+    each unit pivot eliminated on a sparse copy, then the factors of the
+    small residual.  With them, the whole matrix is reduced densely: each
+    matrix row carries a row of the identity, which the row operations turn
+    into U, and the rows of a second identity below the matrix, which the
+    column operations turn into V.  No caller in the package needs U and V
+    of a whole matrix; the dense path stays public and is the tests'
+    oracle.  Reduction runs on Python integers, so intermediates never
+    overflow.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise InputError("matrix must be two-dimensional")
-    if transforms:
-        # the matrix and both transforms as Python lists
-        rows, cols = A.shape
-        limits.charge_bytes(8 * (rows * cols + rows * rows + cols * cols),
-                            f"a {rows} x {cols} Smith reduction with transforms")
-        M = [[int(v) for v in row] + [int(i == j) for j in range(rows)]
-             for i, row in enumerate(A)]
-        M += [[int(i == j) for j in range(cols)] for i in range(cols)]
-        factors = _smith_dense(M, rows, cols)
-        for row in M[:rows]:
-            del row[:cols]          # drop the reduced matrix, leaving U
-        U = np.array(M[:rows], dtype=object).reshape(rows, rows)
-        V = np.array(M[rows:], dtype=object).reshape(cols, cols)
-        return SmithResult(factors, U, V)
-    units, residual, cols = _eliminate_unit_pivots(A)
-    return SmithResult((1,) * units + _smith_dense(residual, len(residual), cols))
+    if not transforms:
+        return SmithResult(Elimination(A).factors)
+    # the matrix and both transforms as Python lists
+    rows, cols = A.shape
+    limits.charge_bytes(8 * (rows * cols + rows * rows + cols * cols),
+                        f"a {rows} x {cols} Smith reduction with transforms")
+    M = [[int(v) for v in row] + [int(i == j) for j in range(rows)]
+         for i, row in enumerate(A)]
+    M += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    factors = _smith_dense(M, rows, cols)
+    for row in M[:rows]:
+        del row[:cols]          # drop the reduced matrix, leaving U
+    U = np.array(M[:rows], dtype=object).reshape(rows, rows)
+    V = np.array(M[rows:], dtype=object).reshape(cols, cols)
+    return SmithResult(factors, U, V)
 
 
 def _eliminate_unit_pivots(A):
     """Split +-1 pivots off A, working on a sparse dict-of-rows copy.
 
-    Each step takes a sparsest column holding a unit and, in it, the unit of
-    the shortest row; row operations clear the rest of that column, and the
-    pivot row and column leave as one invariant factor 1.  Columns re-enter
-    the queue whenever fill-in changes them.  Returns (pivots eliminated,
-    residual rows as dense lists, residual column count); all-zero rows and
-    columns are dropped, which changes no invariant factor.
+    Each step takes a sparsest column c holding a unit and, in it, the unit
+    u of the shortest row p; the row operations row_i -= f * row_p clear the
+    rest of column c, and row p and column c leave as one invariant factor
+    1.  Columns re-enter the queue whenever fill-in changes them.  A column
+    never comes back once it is cleared, so each pivot row involves only
+    its own column and columns that are eliminated later or never.
+
+    Returns (pivots, residual, residual rows, residual columns).  Each
+    pivot is recorded in elimination order as (c, u, p, rest of row p as
+    {column: entry}, the operations as (i, f) pairs).  The residual is the
+    rows left over, as dense lists over the columns left over; both index
+    lists are sorted.  Rows and columns that became all zero are dropped,
+    which changes no invariant factor.
     """
     ri, ci = np.nonzero(A)
     rows, cols = {}, {}
@@ -268,25 +283,27 @@ def _eliminate_unit_pivots(A):
             cols.setdefault(j, set()).add(i)
     queue = [(len(members), j) for j, members in cols.items()]
     heapq.heapify(queue)
-    units = 0
+    pivots = []
     while queue:
         count, c = heapq.heappop(queue)
         col = cols.get(c)
         if col is None or len(col) != count:
             continue            # stale entry; a fresh one was queued
-        pivots = [i for i in col if rows[i][c] in (1, -1)]
-        if not pivots:
+        candidates = [i for i in col if rows[i][c] in (1, -1)]
+        if not candidates:
             continue            # queued again if fill-in changes the column
-        p = min(pivots, key=lambda i: (len(rows[i]), i))
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(p)
         u = prow.pop(c)
         del cols[c]
         col.discard(p)
         for j in prow:
             cols[j].discard(p)
+        ops = []
         for i in col:
             row = rows[i]
             f = row.pop(c) * u
+            ops.append((i, f))
             for j, v in prow.items():
                 w = row.get(j, 0) - f * v
                 if w:
@@ -302,15 +319,144 @@ def _eliminate_unit_pivots(A):
                 heapq.heappush(queue, (len(cols[j]), j))
             else:
                 del cols[j]
-        units += 1
-    position = {j: k for k, j in enumerate(sorted(cols))}
+        pivots.append((c, u, p, prow, ops))
+    res_cols = sorted(cols)
+    position = {j: k for k, j in enumerate(res_cols)}
+    res_rows = sorted(rows)
     residual = []
-    for i in sorted(rows):
+    for i in res_rows:
         dense = [0] * len(position)
         for j, v in rows[i].items():
             dense[position[j]] = v
         residual.append(dense)
-    return units, residual, len(position)
+    return pivots, residual, res_rows, res_cols
+
+
+class Elimination:
+    """An integer matrix A with its unit pivots eliminated once and recorded.
+
+    Row operations change neither the invariant factors nor the kernel, and
+    the recorded pivots make A x = b block triangular: pivot (c, u, p, prow)
+    reads u x_c + sum(prow[j] x_j) = b_p, with b carried through the
+    recorded row operations, and the residual R involves only the columns
+    that were never pivots.  So every answer is built from the record plus
+    one dense Smith reduction U R V = D of the small residual, and then
+    the pivot columns are back-substituted in reverse order,
+    x_c = u (b_p - sum(prow[j] x_j)).  The residual reduction carries only
+    the transforms a question needs, and each one runs at most once, so the
+    factors, every kernel lattice and every solve of one matrix share it.
+    """
+
+    def __init__(self, matrix):
+        A = np.asarray(matrix)
+        if A.ndim != 2:
+            raise InputError("matrix must be two-dimensional")
+        self.shape = A.shape
+        (self.pivots, self.residual,
+         self.res_rows, self.res_cols) = _eliminate_unit_pivots(A)
+        self._reduced = {}
+
+    def _reduce(self, left: bool, right: bool):
+        """(factors, U, V) of the residual; U and V are None unless asked for."""
+        key = (left, right)
+        if key not in self._reduced:
+            rows, cols = len(self.res_rows), len(self.res_cols)
+            limits.charge_bytes(
+                8 * (rows * cols + left * rows * rows + right * cols * cols),
+                f"a {rows} x {cols} residual Smith reduction")
+            M = [row + [int(i == j) for j in range(rows if left else 0)]
+                 for i, row in enumerate(self.residual)]
+            if right:
+                M += [[int(i == j) for j in range(cols)] for i in range(cols)]
+            factors = _smith_dense(M, rows, cols)
+            U = [row[cols:] for row in M[:rows]] if left else None
+            V = M[rows:] if right else None
+            self._reduced[key] = (factors, U, V)
+        return self._reduced[key]
+
+    @property
+    def factors(self) -> Tuple[int, ...]:
+        """Invariant factors of A: a 1 for each unit pivot, then the residual's,
+        read off whichever residual reduction has already run."""
+        if not self._reduced:
+            self._reduce(False, False)
+        return (1,) * len(self.pivots) + next(iter(self._reduced.values()))[0]
+
+    def kernel_lattice_mod(self, modulus: int) -> np.ndarray:
+        """Columns generate {x : A x = 0 (mod modulus)} together with
+        modulus * Z^n; the square matrix has full rank.
+
+        Column j is, for a pivot column, modulus * e_j; for a column that
+        is neither a pivot nor in the residual, e_j lifted; for the k-th
+        residual column, V's column k scaled by modulus / gcd(d_k, modulus)
+        and lifted.  Lifting back-substitutes the pivot entries, reduced
+        mod modulus.
+        """
+        _check_modulus(modulus, "a kernel lattice")
+        n = self.shape[1]
+        limits.charge_bytes(8 * n * n, f"a {n} x {n} kernel lattice")
+        if modulus == 1:
+            return np.eye(n, dtype=object)
+        factors, _, V = self._reduce(False, True)
+        pivot_cols = [c for c, *_ in self.pivots]
+        lifted = sorted(set(range(n)).difference(pivot_cols))
+        position = {j: k for k, j in enumerate(lifted)}
+        G = np.zeros((n, len(lifted)), dtype=object)
+        G[lifted, range(len(lifted))] = 1
+        if self.res_cols:
+            scale = [modulus // math.gcd(factors[k] if k < len(factors) else 0,
+                                         modulus)
+                     for k in range(len(self.res_cols))]
+            G[np.ix_(self.res_cols, [position[j] for j in self.res_cols])] = (
+                np.array(V, dtype=object) * np.array(scale, dtype=object))
+        for c, u, _, prow, _ in reversed(self.pivots):
+            acc = 0
+            for j, v in prow.items():
+                acc = acc + v * G[j]
+            G[c] = (-u * acc) % modulus
+        K = np.zeros((n, n), dtype=object)
+        K[:, lifted] = G
+        K[pivot_cols, pivot_cols] = modulus
+        return K
+
+    def solve_mod(self, rhs, modulus: int):
+        """One solution x of A x = rhs (mod modulus) as int64 residues, or None."""
+        if modulus < 1:
+            raise InputError("modulus must be >= 1")
+        _check_modulus(modulus, "a linear solve")
+        b = np.asarray(rhs).reshape(-1)
+        rows, cols = self.shape
+        if b.shape[0] != rows:
+            raise InputError("rhs length does not match matrix rows")
+        if modulus == 1:
+            return np.zeros(cols, dtype=np.int64)
+        b = [int(v) % modulus for v in b.tolist()]
+        for _, _, p, _, ops in self.pivots:
+            if b[p]:
+                for i, f in ops:
+                    b[i] = (b[i] - f * b[p]) % modulus
+        # rows that became zero are consistent only with a zero right side
+        kept = set(self.res_rows).union(p for _, _, p, _, _ in self.pivots)
+        if any(b[i] for i in range(rows) if i not in kept):
+            return None
+        factors, U, V = self._reduce(True, True)
+        res_b = [b[i] for i in self.res_rows]
+        x = [0] * cols
+        y = [0] * len(self.res_cols)
+        for i, Ui in enumerate(U):
+            target = sum(a * v for a, v in zip(Ui, res_b)) % modulus
+            di = factors[i] if i < len(factors) else 0
+            g = math.gcd(di, modulus)       # gcd(0, m) = m
+            if target % g:
+                return None
+            if di and g != modulus:
+                mm = modulus // g
+                y[i] = (target // g) * pow((di // g) % mm, -1, mm) % mm
+        for j, Vj in zip(self.res_cols, V):
+            x[j] = sum(a * v for a, v in zip(Vj, y)) % modulus
+        for c, u, p, prow, _ in reversed(self.pivots):
+            x[c] = u * (b[p] - sum(v * x[j] for j, v in prow.items())) % modulus
+        return np.array(x, dtype=np.int64)
 
 
 def _smith_dense(M, rows: int, cols: int) -> Tuple[int, ...]:
@@ -407,16 +553,8 @@ def _smith_dense(M, rows: int, cols: int) -> Tuple[int, ...]:
     return tuple(factors)
 
 
-def _matmul_obj(A, B):
-    """Exact product of object/int matrices as python ints."""
-    A = np.asarray(A, dtype=object)
-    B = np.asarray(B, dtype=object)
-    return A @ B
-
-
-# Residues modulo d are held as int64 entries, and `solve_mod` and
-# `kernel_lattice_mod` take each invariant factor's gcd with d by np.gcd,
-# which converts both to int64; so a modulus may be at most 2^63 - 1.
+# Residues modulo d are returned as int64 entries (solutions, cocycle and
+# coboundary vectors), so a modulus may be at most 2^63 - 1.
 MODULUS_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -430,51 +568,22 @@ def _check_modulus(modulus: int, what: str):
 def solve_mod(matrix, rhs, modulus: int):
     """One solution x of matrix @ x = rhs (mod modulus), or None.
 
-    Works for any modulus from 1 to MODULUS_MAX via Smith normal form.
+    Works for any modulus from 1 to MODULUS_MAX.  The right side is carried
+    through the matrix's recorded unit-pivot elimination, the residual is
+    solved through its Smith form, and the pivot entries are
+    back-substituted; see `Elimination`.
     """
-    if modulus < 1:
-        raise InputError("modulus must be >= 1")
-    _check_modulus(modulus, "a linear solve")
-    A = np.asarray(matrix)
-    b = np.asarray(rhs).reshape(-1)
-    if A.shape[0] != b.shape[0]:
-        raise InputError("rhs length does not match matrix rows")
-    if modulus == 1:
-        return np.zeros(A.shape[1], dtype=np.int64)
-    snf = smith_normal_form(A, transforms=True)
-    d = snf.factors
-    Ub = _matmul_obj(snf.U, b.astype(object))
-    rows, cols = A.shape
-    y = [0] * cols
-    for i in range(rows):
-        target = int(Ub[i]) % modulus
-        di = d[i] if i < len(d) else 0
-        g = int(np.gcd(di, modulus))  # gcd(0, m) = m
-        if target % g:
-            return None
-        if di and g != modulus:
-            mm = modulus // g
-            y[i] = (target // g) * pow((di // g) % mm, -1, mm) % mm
-    x = _matmul_obj(snf.V, np.array(y, dtype=object))
-    return np.array([int(v) % modulus for v in x], dtype=np.int64)
+    return Elimination(matrix).solve_mod(rhs, modulus)
 
 
 def kernel_lattice_mod(matrix, modulus: int) -> np.ndarray:
     """Columns generate {x : matrix @ x = 0 (mod modulus)} together with
-    modulus * Z^n (the returned square matrix has full rank)."""
-    _check_modulus(modulus, "a kernel lattice")
-    A = np.asarray(matrix)
-    cols = A.shape[1]
-    if modulus == 1:
-        return np.eye(cols, dtype=object)
-    snf = smith_normal_form(A, transforms=True)
-    scale = []
-    for i in range(cols):
-        di = snf.factors[i] if i < len(snf.factors) else 0
-        g = int(np.gcd(di, modulus)) if di else modulus
-        scale.append(modulus // g)
-    V = np.asarray(snf.V, dtype=object)
-    return V * np.array(scale, dtype=object)[None, :]
+    modulus * Z^n (the returned square matrix has full rank).
+
+    Built from the matrix's recorded unit-pivot elimination and the V of
+    its residual's Smith form; see `Elimination.kernel_lattice_mod`.
+    """
+    return Elimination(matrix).kernel_lattice_mod(modulus)
 
 
 def combine_invariant_factors(groups: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -540,11 +649,9 @@ def _coeff_factors(coeff) -> Tuple[int, ...]:
     return factors
 
 
-def _integral_factors(target, n, dn, dn1):
-    """(b_n, invariant factors of d_n and of d_{n+1}), all factors kept."""
-    low = smith_normal_form(dn).factors
-    high = smith_normal_form(dn1).factors
-    return _generator_count(target, n) - len(low) - len(high), low, high
+def _betti(target, n, low, high):
+    """b_n from the invariant factors of d_n and of d_{n+1}, all kept."""
+    return _generator_count(target, n) - len(low) - len(high)
 
 
 def _finite_invariants(betti, factors, coeffs) -> Tuple[int, ...]:
@@ -572,7 +679,9 @@ def homology(target, n: int, coeff=None, verify: bool = True) -> HomologyResult:
         raise InputError("infinite cyclic coefficients are only valid integrally")
     dn = boundary_matrix(target, n, verify=verify)
     dn1 = boundary_matrix(target, n + 1, verify=False)
-    betti, low, high = _integral_factors(target, n, dn, dn1)
+    low = smith_normal_form(dn).factors
+    high = smith_normal_form(dn1).factors
+    betti = _betti(target, n, low, high)
     if not coeffs:
         return HomologyResult(betti, tuple(f for f in high if f > 1))
     return HomologyResult(0, _finite_invariants(betti, low + high, coeffs))
@@ -603,36 +712,36 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
     vectors = len(factors) * (gens + dn.shape[0])
     limits.charge_bytes(8 * vectors * gens * len(factors),
                         f"degree-{n} cocycle and coboundary generators")
-    betti, low, high = _integral_factors(target, n, dn, dn1)
-    cocycles = []
-    coboundaries = []
+    # d_{n+1}^T is reduced once: its factors are d_{n+1}'s, and every
+    # coefficient factor's kernel lattice reuses its residual reduction
+    reduced = Elimination(delta_n)
+    k = len(factors)
+    cocycles = [np.zeros((0, gens, k), dtype=np.int64)]
+    coboundaries = [np.zeros((0, gens, k), dtype=np.int64)]
     for fi, d in enumerate(factors):
         if d == 1:
             continue
-        K = kernel_lattice_mod(delta_n, d)
-        # generating set: nonzero columns of K mod d
-        for j in range(K.shape[1]):
-            col = np.array([int(v) % d for v in K[:, j]], dtype=np.int64)
-            if col.any():
-                vec = np.zeros((gens, len(factors)), dtype=np.int64)
-                vec[:, fi] = col
-                cocycles.append(vec)
+        # generating sets: the columns nonzero mod d
+        K = (reduced.kernel_lattice_mod(d) % d).astype(np.int64)
+        cocycles.append(_factor_vectors(K[:, K.any(axis=0)], fi, k))
         img = delta_prev % d
-        for j in range(img.shape[1]):
-            col = img[:, j]
-            if col.any():
-                vec = np.zeros((gens, len(factors)), dtype=np.int64)
-                vec[:, fi] = col
-                coboundaries.append(vec)
+        coboundaries.append(_factor_vectors(img[:, img.any(axis=0)], fi, k))
+    low = smith_normal_form(dn).factors
+    high = reduced.factors
     blocks = ()
     if not (isinstance(target, OpTable) and target.arity == 3):
         blocks = tuple(labeled_blocks(_system(target), n))
-    shape = (len(cocycles), gens, len(factors))
-    cz = np.array(cocycles, dtype=np.int64) if cocycles else np.zeros(shape, np.int64)
-    cb = (np.array(coboundaries, dtype=np.int64) if coboundaries
-          else np.zeros((0, gens, len(factors)), np.int64))
-    return CohomologyResult(cz, cb, _finite_invariants(betti, low + high, factors),
-                            blocks)
+    return CohomologyResult(
+        np.concatenate(cocycles), np.concatenate(coboundaries),
+        _finite_invariants(_betti(target, n, low, high), low + high, factors),
+        blocks)
+
+
+def _factor_vectors(columns, fi, k):
+    """Each column as a (generators, k) residue array supported on factor fi."""
+    out = np.zeros((columns.shape[1], columns.shape[0], k), dtype=np.int64)
+    out[:, :, fi] = columns.T
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ entries of its lookup tables, candidate tables times tuples in the
 self-distributivity scan of a full scan (an affine scan checks no table:
 its kinds follow from the affine form), fiber bijections
 times tuples in the extension search, term combinations times block
-entries in the linear distributivity check, and the Python-level loops of
+entries in the linear distributivity check (over Q, its Fraction
+multiply-adds at 40 steps each), and the Python-level loops of
 powers, cochain builders and boundary assembly.  Numpy work is charged at
 its measured cost in steps.  The scan engine charges 75 steps for each
 lead coordinate of each block and one step per 12 tuples it evaluates,

@@ -40,6 +40,9 @@ from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       index_to_tuple, integer_array)
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Budget steps per multiply-add of Fractions: one takes about 5 us on a
+# 2-core Xeon, where the whole step budget runs in about a second.
+_FRACTION_STEPS = 40
 
 
 def _charge_terms(terms: int, what: str) -> None:
@@ -525,10 +528,13 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
             f"refusing a distributivity check at dimension {d} over F_{p}:"
             " sums of d + 1 products (p-1)^2 must fit int64")
     delta = com.delta_n(n)
-    # each combination of terms contracts a d x d^n block
-    limits.charge_steps(delta.nnz ** (n - 1) * d ** (n + 1),
-                        "a distributivity check over comultiplication term"
-                        " combinations")
+    # each combination of terms contracts a d x d^n block; numpy does that
+    # at about a step an entry over F_p, but over Q each of its n d^(n+2)
+    # multiply-adds is a Fraction operation
+    combos = delta.nnz ** (n - 1)
+    limits.charge_steps(
+        combos * d ** (n + 1) if p else combos * n * d ** (n + 2) * _FRACTION_STEPS,
+        "a distributivity check over comultiplication term combinations")
     Wm = w.matrix
     tails = d ** (n - 1)
     # left composite, laid out (output, head block, tail block)

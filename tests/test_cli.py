@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -802,6 +803,23 @@ def test_oversized_requests_are_refused(run_fresh, tmp_path):
         assert status == 2, (argv, err)
         assert err.startswith("error: refusing ") and ", budget " in err, err
         assert seconds < 1, (argv, seconds)
+
+
+def test_rational_linear_check_within_budget_is_fast(capsys):
+    # over Q each multiply-add of the distributivity check is charged as a
+    # Fraction operation: order 4 is the largest group algebra whose heap
+    # the budget admits, and it runs in about half a second; the heap of
+    # the order-8 dihedral group (65 s when it was charged per block
+    # entry) is refused in oversized.txt
+    start = time.perf_counter()
+    code, out, _ = run(["linear", "heap", "--group", "cyclic:4", "--field", "0"],
+                       capsys)
+    assert code == 0
+    assert out.startswith("linear self-distributivity: yes")
+    assert time.perf_counter() - start < 5
+    code, _, err = run(["linear", "heap", "--group", "cyclic:5", "--field", "0"],
+                       capsys)
+    assert code == 2 and "refusing a distributivity check" in err
 
 
 def test_huge_exponent_is_fast(tmp_path, capsys):

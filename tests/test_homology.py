@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,8 +9,8 @@ import pytest
 
 from selfdist import (InputError, PreconditionError, affine_op, conj_quandle,
                       core_quandle, cyclic_group, make_op_table, symmetric_group)
-from selfdist.homology import (HomologyResult, boundary_matrix, chain_map_F,
-                               cohomology_solve, combine_invariant_factors,
+from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
+                               chain_map_F, cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
                                labeled_boundary, smith_normal_form, solve_mod,
                                verify_chain_map, xgcd)
@@ -287,12 +290,74 @@ def _suite_boundaries():
 SUITE_BOUNDARIES = _suite_boundaries()
 
 
+def _mod_product(A, X, d):
+    """A @ X mod d, exactly: int64 while no sum can overflow, else Python ints."""
+    A, X = np.asarray(A), np.asarray(X)
+    if A.size and X.size and d < 2 ** 31 and np.abs(A).max() < 2 ** 16:
+        return (A.astype(np.int64) @ (X % d).astype(np.int64)) % d
+    return (A.astype(object) @ X.astype(object)) % d
+
+
+def _dense_kernel_count(oracle, d):
+    """Kernel generators nonzero mod d on the dense path: the columns of V
+    scaled by d / gcd(f_j, d)."""
+    count = 0
+    for j in range(oracle.V.shape[1]):
+        f = oracle.factors[j] if j < len(oracle.factors) else 0
+        count += any((d // math.gcd(f, d)) * int(v) % d for v in oracle.V[:, j])
+    return count
+
+
+def _dense_solvable(oracle, Ub, d):
+    """Whether A x = b (mod d) is solvable, from U b and the dense factors."""
+    return all(int(v) % math.gcd(oracle.factors[i] if i < len(oracle.factors)
+                                 else 0, d) == 0 for i, v in enumerate(Ub))
+
+
+def _check_recorded_elimination(A, oracle, moduli, rhs):
+    """The recorded elimination of A against the dense transforms oracle:
+    factors, kernel lattices and solves for each modulus and right side."""
+    red = Elimination(A)
+    assert red.factors == oracle.factors
+    rows, cols = A.shape
+    dense_Ub = [oracle.U.dot(np.asarray(b, dtype=object)) if rows else []
+                for b in rhs]
+    for d in moduli:
+        K = red.kernel_lattice_mod(d)
+        assert K.shape == (cols, cols)
+        assert not _mod_product(A, K, d).any()
+        nonzero = int((np.asarray(K % d, dtype=object) != 0).any(axis=0).sum())
+        assert nonzero == _dense_kernel_count(oracle, d)
+        if cols <= 8:
+            # the columns lie in the lattice and span it exactly: |det K| is
+            # its index in Z^n, the product of d / gcd(f, d) over the factors
+            assert abs(_det_exact(K.tolist())) == math.prod(
+                d // math.gcd(f, d) for f in oracle.factors)
+        for b, Ub in zip(rhs, dense_Ub):
+            x = red.solve_mod(b, d)
+            assert (x is not None) == _dense_solvable(oracle, Ub, d)
+            if x is not None:
+                assert x.shape == (cols,) and x.min(initial=0) >= 0
+                assert not ((_mod_product(A, x, d) - np.asarray(b, dtype=object))
+                            % d).any()
+    return red
+
+
 @pytest.mark.parametrize("label", sorted(SUITE_BOUNDARIES))
 def test_unit_pivot_smith_matches_dense_oracle_on_boundaries(label):
     matrix = SUITE_BOUNDARIES[label]()
     # the oracle reduces the transpose: same factors, and the faster
     # orientation of the dense transforms path on these wide matrices
-    assert smith_normal_form(matrix).factors == _smith_oracle(matrix.T)
+    oracle = smith_normal_form(matrix.T, transforms=True)
+    assert smith_normal_form(matrix).factors == oracle.factors
+    # the coboundary is the transpose; right sides in its image and at random
+    delta = matrix.T
+    rng = random.Random(label)
+    image = delta @ np.array([rng.randrange(36) for _ in range(delta.shape[1])],
+                             dtype=np.int64)
+    drawn = np.array([rng.randrange(36) for _ in range(delta.shape[0])],
+                     dtype=np.int64)
+    _check_recorded_elimination(delta, oracle, (2, 3, 4, 6), (image, drawn))
 
 
 def _random_matrix(rng, rows, cols, entries):
@@ -312,6 +377,37 @@ def test_unit_pivot_smith_matches_dense_oracle_on_random_matrices():
         if cols and trial % 4 == 2:
             M[:, rng.randrange(cols)] = 0         # an all-zero column
         assert smith_normal_form(M).factors == _smith_oracle(M), M
+
+
+MODULI = (2, 3, 4, 6, 8, 9, 12, 2 ** 61 - 1, 2 ** 63 - 1)
+
+
+def test_recorded_elimination_matches_dense_oracle_on_random_matrices():
+    rng = random.Random(31)
+    sparse = (0, 0, 0, 0, 1, -1, 2, -2, 3, 6)
+    no_unit = (0, 0, 2, -2, 3, 4, -6, 9)
+    spans = 0
+    for trial in range(240):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        M = _random_matrix(rng, rows, cols, no_unit if trial % 3 == 0 else sparse)
+        moduli = rng.sample(MODULI, 3)
+        image = (M @ np.array([rng.randrange(50) for _ in range(cols)],
+                              dtype=np.int64).reshape(cols)).reshape(rows)
+        drawn = [rng.randrange(MODULI[-1]) for _ in range(rows)]
+        red = _check_recorded_elimination(M, smith_normal_form(M, transforms=True),
+                                          moduli, (image, drawn))
+        # the kernel spans, by brute force on small cases
+        for d in moduli:
+            if d ** cols > 729:
+                continue
+            K = red.kernel_lattice_mod(d)
+            brute = {c for c in itertools.product(range(d), repeat=cols)
+                     if not ((M @ np.array(c, dtype=np.int64).reshape(cols)) % d).any()}
+            spanned = {tuple(int(v) % d for v in K.dot(np.array(c, dtype=object)))
+                       for c in itertools.product(range(d), repeat=cols)}
+            assert spanned == brute, (M, d)
+            spans += 1
+    assert spans > 100
 
 
 def test_unit_pivot_smith_on_degenerate_shapes():
@@ -588,6 +684,46 @@ def test_cohomology_multi_factor_coefficients():
     # each basis vector is supported on exactly one factor column
     for v in res.cocycles:
         assert (v[:, 0].any()) != (v[:, 1].any())
+
+
+def test_ternary_degree_three_cohomology_pinned():
+    # counts from the dense transforms reduction of d4, which took 11.6 s
+    # on a 2-core Xeon
+    T = tern3()
+    start = time.perf_counter()
+    res = cohomology_solve(T, 3, 3)
+    assert time.perf_counter() - start < 1.0
+    assert res.invariants == (3,) * 9
+    assert (len(res.cocycles), len(res.coboundaries)) == (31, 27)
+    delta = boundary_matrix(T, 4, verify=False).T
+    assert not ((delta @ res.cocycles[:, :, 0].T) % 3).any()
+
+
+# The cohomology lines of the homology benchmark: (input, degree, prime d,
+# rank mod d of the cocycle generators that the dense path reported)
+BENCH_COHOMOLOGY = [("R3", 2, 3, 3), ("R3", 3, 3, 8), ("R4", 2, 2, 8),
+                    ("R5", 2, 5, 5), ("R6", 2, 2, 8), ("A5t2", 2, 5, 5),
+                    ("S3", 2, 3, 13)]
+
+
+@pytest.mark.parametrize("cmd", [["cohomology"], ["cocycle", "solve"]])
+@pytest.mark.parametrize("name,n,d,rank", BENCH_COHOMOLOGY)
+def test_cli_cocycle_generators_are_cocycles(name, n, d, rank, cmd, tmp_path,
+                                              capsys):
+    import json
+    from selfdist.cli import main
+
+    op = affine_op(5, 2, (2,)) if name == "A5t2" else _anchor_op(name)
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(op.as_json()))
+    assert main(["--format", "json"] + cmd + ["--op", str(path), "--degree",
+                 str(n), "--coeff", str(d), "--generators"]) == 0
+    content = json.loads(capsys.readouterr().out)["artifacts"][0]["content"]
+    vectors = np.array(content["cocycle_generators"], dtype=np.int64)
+    assert len(vectors) == content["cocycles"]
+    delta = boundary_matrix(op, n + 1, verify=False).T
+    assert not ((delta @ vectors[:, :, 0].T) % d).any()
+    assert _rank_mod_p(list(vectors), d) == rank
 
 
 def test_cohomology_trivial_coefficients():
