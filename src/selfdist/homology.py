@@ -229,13 +229,11 @@ def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
 
     Without transforms the factors come from an `Elimination`: one 1 for
     each unit pivot eliminated on a sparse copy, then the factors of the
-    small residual.  With them, the whole matrix is reduced densely: each
-    matrix row carries a row of the identity, which the row operations turn
-    into U, and the rows of a second identity below the matrix, which the
-    column operations turn into V.  No caller in the package needs U and V
-    of a whole matrix; the dense path stays public and is the tests'
-    oracle.  Reduction runs on Python integers, so intermediates never
-    overflow.
+    small residual.  With them, the whole matrix takes the dense reduction
+    that an `Elimination` gives its residual, carrying both transforms.  No
+    caller in the package needs U and V of a whole matrix; the dense path
+    stays public and is the tests' oracle.  Reduction runs on Python
+    integers, so intermediates never overflow.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
@@ -246,15 +244,10 @@ def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
     rows, cols = A.shape
     limits.charge_bytes(8 * (rows * cols + rows * rows + cols * cols),
                         f"a {rows} x {cols} Smith reduction with transforms")
-    M = [[int(v) for v in row] + [int(i == j) for j in range(rows)]
-         for i, row in enumerate(A)]
-    M += [[int(i == j) for j in range(cols)] for i in range(cols)]
-    factors = _smith_dense(M, rows, cols)
-    for row in M[:rows]:
-        del row[:cols]          # drop the reduced matrix, leaving U
-    U = np.array(M[:rows], dtype=object).reshape(rows, rows)
-    V = np.array(M[rows:], dtype=object).reshape(cols, cols)
-    return SmithResult(factors, U, V)
+    factors, U, V = _smith_transforms([[int(v) for v in row] for row in A],
+                                      rows, cols, True, True)
+    return SmithResult(factors, np.array(U, dtype=object).reshape(rows, rows),
+                       np.array(V, dtype=object).reshape(cols, cols))
 
 
 def _eliminate_unit_pivots(A):
@@ -364,14 +357,8 @@ class Elimination:
             limits.charge_bytes(
                 8 * (rows * cols + left * rows * rows + right * cols * cols),
                 f"a {rows} x {cols} residual Smith reduction")
-            M = [row + [int(i == j) for j in range(rows if left else 0)]
-                 for i, row in enumerate(self.residual)]
-            if right:
-                M += [[int(i == j) for j in range(cols)] for i in range(cols)]
-            factors = _smith_dense(M, rows, cols)
-            U = [row[cols:] for row in M[:rows]] if left else None
-            V = M[rows:] if right else None
-            self._reduced[key] = (factors, U, V)
+            self._reduced[key] = _smith_transforms(self.residual, rows, cols,
+                                                   left, right)
         return self._reduced[key]
 
     @property
@@ -457,6 +444,24 @@ class Elimination:
         for c, u, p, prow, _ in reversed(self.pivots):
             x[c] = u * (b[p] - sum(v * x[j] for j, v in prow.items())) % modulus
         return np.array(x, dtype=np.int64)
+
+
+def _smith_transforms(A, rows: int, cols: int, left: bool, right: bool):
+    """(factors, U, V) of the rows x cols integer row lists A, which stay
+    unchanged; U and V are lists of rows, or None unless asked for.
+
+    An identity right of A's rows becomes U under the row operations, and
+    an identity below them becomes V under the column operations.
+    """
+    M = [row + [int(i == j) for j in range(rows if left else 0)]
+         for i, row in enumerate(A)]
+    if right:
+        M += [[int(i == j) for j in range(cols)] for i in range(cols)]
+    factors = _smith_dense(M, rows, cols)
+    if left:
+        for row in M[:rows]:
+            del row[:cols]          # drop the reduced block, leaving U
+    return factors, M[:rows] if left else None, M[rows:] if right else None
 
 
 def _smith_dense(M, rows: int, cols: int) -> Tuple[int, ...]:

@@ -30,10 +30,11 @@ input: nodes and consistency checks of the rack search together with the
 entries of its lookup tables, candidate tables times tuples in the
 self-distributivity scan of a full scan (an affine scan checks no table:
 its kinds follow from the affine form), fiber bijections
-times tuples in the extension search, term combinations times block
-entries in the linear distributivity check (over Q, its Fraction
-multiply-adds at 40 steps each), and the Python-level loops of
-powers, cochain builders and boundary assembly.  Numpy work is charged at
+times tuples in the extension search, and the Python-level loops of
+powers, cochain builders and boundary assembly.  The linear distributivity
+check, now a chain of sparse gathers, keeps the bound of the dense
+contraction it replaced: term combinations times block entries, and over Q
+40 steps for each Fraction multiply-add.  Numpy work is charged at
 its measured cost in steps.  The scan engine charges 75 steps for each
 lead coordinate of each block and one step per 12 tuples it evaluates,
 counted on the classes of equal tails once `_scan` has grouped them (4

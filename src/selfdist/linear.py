@@ -13,23 +13,28 @@ tables are direct.
 
 A map is stored as sparse columns: coordinate arrays (rows, cols, vals)
 sorted column-major, with zeros dropped and duplicate entries summed, so a
-group-algebra map costs its nonzeros rather than its dense size.  Composition
-gathers the left map's columns at the right map's row indices, a tensor
-product is the outer product of the two maps' entries, and a permutation of
-tensor factors is arithmetic on the digits of basis indices.  The dense
-matrix is a read-only view built on demand.
+group-algebra map costs its nonzeros rather than its dense size.  One
+gather applies a map to a run of tensor factors of another map's target:
+each row index is split into the digits before the run, the run (a column
+of the applied map) and the digits after it, and pulls in that column.
+Composition is its whole-target case, and the distributivity check applies
+the operation to each regrouped block of factors in turn.  A tensor product
+is the outer product of the two maps' entries, and a permutation of tensor
+factors is arithmetic on the digits of basis indices.  The dense matrix is
+a read-only view built on demand.
 
 Every step is charged to the budgets of `limits` before it allocates: the
 terms of a composition or tensor product and the entries of any dense array
-to BYTES, the block entries summed over the distributivity check's term
-combinations to STEPS.  A map whose dense shape (rows times columns) does
-not fit int64 is refused as well, since entries are keyed by their flat
-position, and so is a prime whose residue products (p-1)^2 do not fit
-int64, since products are reduced only after they are formed.
+to BYTES.  The distributivity check is charged up front with the bound of
+the dense contraction it replaced: 16 bytes for each of the d^(2n) entries
+of its two sides, and its term combinations times block entries in STEPS.
+A map whose dense shape (rows times columns) does not fit int64 is refused
+as well, since entries are keyed by their flat position, and so is a prime
+whose residue products (p-1)^2 do not fit int64, since products are reduced
+only after they are formed.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -276,24 +281,13 @@ class LinMap:
                                     -self.vals)
 
     def compose(self, other: "LinMap") -> "LinMap":
-        """self after other: each entry (j, k) of other pulls in column j of
-        self, scaled; the products are then summed by position."""
+        """self after other: self applied to the whole target of other."""
         self._same_space(other, "compose with")
         if other.dst_power != self.src_power:
             raise InputError(
                 f"composition power mismatch: need {self.src_power},"
                 f" got {other.dst_power}")
-        first = np.searchsorted(self.cols, other.rows, "left")
-        counts = np.searchsorted(self.cols, other.rows, "right") - first
-        total = int(counts.sum())
-        _charge_terms(total, "a composition")
-        pick = np.repeat(np.arange(other.nnz), counts)
-        take = (np.arange(total)
-                + np.repeat(first - (np.cumsum(counts) - counts), counts))
-        return LinMap._from_entries(
-            self.field, self.dim, other.src_power, self.dst_power,
-            self.rows[take], other.cols[pick],
-            self.field.product(self.vals[take], other.vals[pick]))
+        return _act(other, self, 0)
 
     def __matmul__(self, other):
         return self.compose(other)
@@ -342,15 +336,51 @@ class LinMap:
             raise InputError(f"bad linear map JSON: {exc}")
 
 
+def _act(m: LinMap, w: LinMap, first: int) -> LinMap:
+    """w applied to the target factors first .. first + w.src_power - 1 of m.
+
+    Each row of m is read as (high digits, a column of w, low digits) and
+    pulls in that column of w, scaled: the new rows keep the high and low
+    digits around w's rows.  The products are then summed by position.
+    """
+    d = m.dim
+    out_power = m.dst_power - w.src_power + w.dst_power
+    low = d ** (m.dst_power - first - w.src_power)
+    ncols = d ** w.src_power
+    high, rest = np.divmod(m.rows, ncols * low)
+    col, lo = np.divmod(rest, low)
+    if w.nnz == ncols and (w.cols[1:] > w.cols[:-1]).all():
+        # one term per column: the column index is the entry index
+        _charge_terms(m.nnz, "a composition")
+        pick, take = slice(None), col
+    else:
+        start = np.searchsorted(w.cols, col, "left")
+        counts = np.searchsorted(w.cols, col, "right") - start
+        total = int(counts.sum())
+        _charge_terms(total, "a composition")
+        pick = np.repeat(np.arange(m.nnz), counts)
+        take = (np.arange(total)
+                + np.repeat(start - (np.cumsum(counts) - counts), counts))
+    rows = (high[pick] * d ** w.dst_power + w.rows[take]) * low + lo[pick]
+    return LinMap._from_entries(
+        m.field, d, m.src_power, out_power, rows, m.cols[pick],
+        m.field.product(m.vals[pick], w.vals[take]))
+
+
 def _permute_rows(m: LinMap, target_from_source) -> LinMap:
     """Left-compose a tensor-factor permutation by rewriting row digits:
     target slot i reads source slot target_from_source[i]."""
     d, power = m.dim, m.dst_power
     limits.charge_bytes(8 * m.nnz * power,
                         f"permuting {power} tensor factors of {m.nnz} terms")
-    weights = d ** np.arange(power - 1, -1, -1, dtype=np.int64)
-    digits = (m.rows[:, None] // weights) % d
-    rows = digits[:, list(target_from_source)] @ weights
+    digits, rest = [], m.rows
+    for _ in range(power):
+        rest, digit = np.divmod(rest, d)
+        digits.append(digit)
+    digits.reverse()                    # first factor first
+    rows = np.zeros_like(m.rows)
+    for source in target_from_source:
+        rows = rows * d + digits[source]
     return LinMap._from_entries(m.field, d, m.src_power, power, rows, m.cols,
                                 m.vals)
 
@@ -392,11 +422,10 @@ class ComonoidObject:
             raise InputError("delta must map power 1 to power 2")
         if (counit.src_power, counit.dst_power) != (1, 0):
             raise InputError("counit must map power 1 to power 0")
-        ident = LinMap.identity(delta.field, dim)
-        if delta.tensor(ident) @ delta != ident.tensor(delta) @ delta:
+        if _act(delta, delta, 0) != _act(delta, delta, 1):
             raise InputError("comultiplication is not coassociative")
-        if (counit.tensor(ident) @ delta != ident
-                or ident.tensor(counit) @ delta != ident):
+        ident = LinMap.identity(delta.field, dim)
+        if _act(delta, counit, 0) != ident or _act(delta, counit, 1) != ident:
             raise InputError("counit laws fail for the given comultiplication")
         object.__setattr__(self, "field", delta.field)
         object.__setattr__(self, "dim", dim)
@@ -417,12 +446,8 @@ class ComonoidObject:
         if n == 0:
             return self.counit
         out = LinMap.identity(self.field, self.dim)
-        for k in range(2, n + 1):
-            step = self.delta
-            if k > 2:
-                step = self.delta.tensor(
-                    LinMap.identity(self.field, self.dim, k - 2))
-            out = step @ out
+        for _ in range(n - 1):
+            out = _act(out, self.delta, 0)     # copy the first factor
         return out
 
     def as_json(self) -> dict:
@@ -509,72 +534,44 @@ def shuffle_perm(n: int, d: int, field: Field | None = None) -> LinMap:
 def check_nary_sd(obj: SDObject) -> CheckResult:
     """Exact comparison of the two sides of the distributive law.
 
-    Left side: apply the operation to the head block, then once more with the
-    tails.  Right side: copy each tail with the iterated comultiplication,
-    regroup one copy to each head, apply the operation n times, then once.
-    The right side is assembled per tail column from the terms of the
-    iterated comultiplication's sparse columns, one contraction per term
-    combination, so the n^2-th tensor power is never materialized.
+    Left side: W (W x 1^(n-1)), the operation on the head block, then once
+    more with the tails.  Right side: copy each tail with the iterated
+    comultiplication, regroup one copy to each head by rewriting row digits,
+    apply the operation to each of the n groups of n factors, then once.
+    Both sides are sparse maps out of the (2n-1)-th tensor power.  The
+    up-front charges are the bound of the dense contraction this replaced,
+    so every input that one refused is still refused before any work.
     """
     com, n, w = obj.comonoid, obj.arity, obj.w
     d, field = com.dim, com.field
     p = field.characteristic
-    # the two dense sides
+    # the dense contraction's bound: its two sides
     limits.charge_bytes(16 * limits.power(d, 2 * n),
                         f"a distributivity check at dimension {d}")
-    # a contraction sums d products of residues, an accumulation adds one
+    # and its sums of d + 1 products of residues
     if p and (d + 1) * (p - 1) ** 2 > _INT64_MAX:
         raise InputError(
             f"refusing a distributivity check at dimension {d} over F_{p}:"
             " sums of d + 1 products (p-1)^2 must fit int64")
     delta = com.delta_n(n)
-    # each combination of terms contracts a d x d^n block; numpy does that
-    # at about a step an entry over F_p, but over Q each of its n d^(n+2)
-    # multiply-adds is a Fraction operation
+    # and its term combinations, each a d x d^n block contracted at about
+    # a step an entry over F_p, or n d^(n+2) Fraction multiply-adds over Q
     combos = delta.nnz ** (n - 1)
     limits.charge_steps(
         combos * d ** (n + 1) if p else combos * n * d ** (n + 2) * _FRACTION_STEPS,
         "a distributivity check over comultiplication term combinations")
-    Wm = w.matrix
-    tails = d ** (n - 1)
-    # left composite, laid out (output, head block, tail block)
-    Wr = Wm.reshape(d, d, tails)
-    lhs = np.tensordot(Wr, Wm, axes=([1], [0])).transpose(0, 2, 1)
-    if p:
-        lhs = lhs % p
-    # the terms of column t are delta.rows[starts[t]:starts[t + 1]]
-    starts = np.searchsorted(delta.cols, np.arange(d + 1))
-    vals = delta.vals.tolist()
-    digits = [index_to_tuple(r, d, n) for r in delta.rows.tolist()]
-    rhs = field.zeros((d, d ** n, tails))
-    for tflat, tail in enumerate(itertools.product(range(d), repeat=n - 1)):
-        for combo in itertools.product(
-                *(range(starts[t], starts[t + 1]) for t in tail)):
-            coeff = 1
-            for k in combo:
-                coeff = coeff * vals[k]
-            if p:
-                coeff %= p
-            # block axes: (output, inputs not yet contracted, heads so far)
-            block = Wm
-            for j in range(n):
-                off = 0
-                for k in combo:
-                    off = off * d + digits[k][j]
-                block = (block.reshape(d, d, -1).transpose(0, 2, 1)
-                         @ Wr[:, :, off])
-                if p:
-                    block = block % p
-            rhs[:, :, tflat] = (rhs[:, :, tflat]
-                                + coeff * block.reshape(d, d ** n))
-            if p:
-                rhs[:, :, tflat] %= p
-    if np.array_equal(lhs, rhs):
+    lhs = w @ w.tensor(LinMap.identity(field, d, n - 1))
+    rhs = LinMap.identity(field, d, n)
+    for _ in range(n - 1):
+        rhs = rhs.tensor(delta)
+    rhs = _permute_rows(rhs, shuffle_positions(n))
+    # group j is factor j once the groups before it are single factors;
+    # the last pass applies the operation to the n results
+    for first in [*range(n), 0]:
+        rhs = _act(rhs, w, first)
+    if lhs == rhs:
         return CheckResult(True)
-    cols = d ** (2 * n - 1)
-    return _mismatch(LinMap(field, d, 2 * n - 1, 1, lhs.reshape(d, cols)),
-                     LinMap(field, d, 2 * n - 1, 1, rhs.reshape(d, cols)),
-                     "self-distributivity fails on a basis input")
+    return _mismatch(lhs, rhs, "self-distributivity fails on a basis input")
 
 
 def switching_lemmas_check(obj: SDObject) -> CheckResult:

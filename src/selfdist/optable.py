@@ -501,7 +501,14 @@ def _charge_group(order: int, what: str) -> None:
     limits.charge_bytes(table_bytes(order, 2), f"the Cayley table of {what}")
 
 
+def _require_order(n: int, least: int, what: str) -> None:
+    if n < least:
+        raise InputError(f"there is no {what}: the parameter must be at"
+                         f" least {least}, got {n}")
+
+
 def cyclic_group(n: int) -> FiniteGroup:
+    _require_order(n, 1, f"cyclic group of order {n}")
     _charge_group(n, f"the cyclic group of order {n}")
     C = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return group_from_cayley(C.ravel(), size=n)
@@ -513,8 +520,9 @@ def symmetric_group(n: int) -> FiniteGroup:
     The product of a and b is t -> b[a[t]].  Each product is ranked by its
     base-n code, which lexicographic order makes increasing along the list.
     """
+    _require_order(n, 0, f"symmetric group on {n} points")
     # 21! exceeds 2^64, so the clamp only keeps the estimate cheap
-    _charge_group(math.factorial(min(max(n, 0), 21)),
+    _charge_group(math.factorial(min(n, 21)),
                   f"the symmetric group on {n} points")
     P = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     m, n = P.shape
@@ -529,6 +537,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Symmetries of the regular n-gon; element r^i s^j encoded as 2*i+j."""
+    _require_order(n, 1, f"dihedral group of order {2 * n}")
     _charge_group(2 * n, f"the dihedral group of order {2 * n}")
     i1, j1, i2, j2 = np.ix_(np.arange(n), np.arange(2), np.arange(n), np.arange(2))
     # (r^i1 s^j1)(r^i2 s^j2) = r^(i1 + i2*(-1)^j1) s^(j1+j2)

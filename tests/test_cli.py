@@ -450,6 +450,14 @@ def test_enumerate_writes_the_json_of_table_lists(argv, tmp_path, capsys):
     assert out == json.dumps(report, indent=2) + "\n"
 
 
+@pytest.mark.parametrize("spec", ["symmetric:-1", "cyclic:-3", "cyclic:0",
+                                  "dihedral:-2", "dihedral:0"])
+def test_groups_of_impossible_order_exit_2(spec, capsys):
+    code, out, err = run(["construct", "conj", "--group", spec], capsys)
+    assert (code, out) == (2, "")
+    assert "there is no " in err and "Traceback" not in err
+
+
 def test_enumerate_guardrail(files, capsys):
     code, _, err = run(["enumerate", "--size", "4", "--arity", "2"], capsys)
     assert code == 2
@@ -603,9 +611,9 @@ WRITER_CASES = [
 ]
 
 
-# integer arrays: the table entries of a command's artifacts take the
-# label lookup; negative entries, entries of len(array) or more, empty and
-# 2-d arrays take the list
+# integer arrays: table entries longer than JSON_LABEL_MIN take the label
+# lookup, and so do these under a least length of 0; short, negative, empty
+# and 2-d arrays and entries of len(array) or more take the list
 WRITER_ARRAYS = [
     np.array([2, 0, 1, 1, 0, 2, 2]), np.array([3, 1, 0, 2, 3], np.uint8),
     np.array([], np.int64), np.array([0]), np.array([0, 1, -1, 2]),
@@ -625,6 +633,15 @@ def plain(value):
 def test_writer_matches_json_dumps(obj, chunk, monkeypatch):
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
     assert written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+def test_writer_label_lookup_matches_json_dumps(chunk, monkeypatch):
+    # every array of WRITER_ARRAYS that qualifies takes the label lookup
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    monkeypatch.setattr(cli, "JSON_LABEL_MIN", 0)
+    for obj in WRITER_ARRAYS:
+        assert written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
 
 
 def test_writer_long_list_spans_chunks():

@@ -903,3 +903,129 @@ def test_check_matches_composite_oracle():
                     assert res.counterexample.witness == want
                     assert (res.counterexample.lhs, res.counterexample.rhs) \
                         == (lhs[r, c], rhs[r, c])
+
+
+# ---------------------------------------------------------------------------
+# the sparse distributivity check against the dense contraction it replaced
+
+def dense_check_nary_sd(obj):
+    # per tail column and per combination of the iterated comultiplication's
+    # terms, contract the operation densely: block axes (output, inputs not
+    # yet contracted, heads so far); the verdict and witness of check_nary_sd
+    com, n, w = obj.comonoid, obj.arity, obj.w
+    d, field = com.dim, com.field
+    p = field.characteristic
+    delta = com.delta_n(n)
+    Wm = w.matrix
+    tails = d ** (n - 1)
+    # left composite, laid out (output, head block, tail block)
+    Wr = Wm.reshape(d, d, tails)
+    lhs = np.tensordot(Wr, Wm, axes=([1], [0])).transpose(0, 2, 1)
+    if p:
+        lhs = lhs % p
+    # the terms of column t are delta.rows[starts[t]:starts[t + 1]]
+    starts = np.searchsorted(delta.cols, np.arange(d + 1))
+    vals = delta.vals.tolist()
+    digits = [np.unravel_index(r, (d,) * n) for r in delta.rows.tolist()]
+    rhs = field.zeros((d, d ** n, tails))
+    for tflat, tail in enumerate(itertools.product(range(d), repeat=n - 1)):
+        for combo in itertools.product(
+                *(range(starts[t], starts[t + 1]) for t in tail)):
+            coeff = 1
+            for k in combo:
+                coeff = coeff * vals[k]
+            if p:
+                coeff %= p
+            block = Wm
+            for j in range(n):
+                off = 0
+                for k in combo:
+                    off = off * d + int(digits[k][j])
+                block = (block.reshape(d, d, -1).transpose(0, 2, 1)
+                         @ Wr[:, :, off])
+                if p:
+                    block = block % p
+            rhs[:, :, tflat] = (rhs[:, :, tflat]
+                                + coeff * block.reshape(d, d ** n))
+            if p:
+                rhs[:, :, tflat] %= p
+    if np.array_equal(lhs, rhs):
+        return True, None
+    cols = d ** (2 * n - 1)
+    res = linear_mod._mismatch(
+        LinMap(field, d, 2 * n - 1, 1, lhs.reshape(d, cols)),
+        LinMap(field, d, 2 * n - 1, 1, rhs.reshape(d, cols)), "")
+    return False, res.counterexample
+
+
+def lie_over(field):
+    # the two-dimensional nonabelian algebra [e1, e2] = e2 over any field
+    B = field.zeros((2, 4))
+    B[1, 1] = 1
+    B[1, 2] = -1
+    return LieAlgebraObject(2, LinMap(field, 2, 2, 1, field.reduce(B)))
+
+
+def random_operation(rng, field, d, n, density):
+    p = field.characteristic
+    W = field.zeros((d, d ** n))
+    for r, c in itertools.product(range(d), range(d ** n)):
+        if rng.random() < density:
+            W[r, c] = (rng.randrange(1, p) if p
+                       else Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)))
+    return LinMap(field, d, n, 1, W)
+
+
+def oracle_objects():
+    # drawn operations on grouplike (C2, C3) and primitive (Lie) comonoids,
+    # arities 2 and 3, over F2, F5 and Q: a projection through the counits,
+    # the same with one entry bumped, and random sparse operations
+    rng = random.Random(0x5D0)
+    for field in (F2, F5, F0):
+        for com in (group_algebra_hopf(cyclic_group(2), field).comonoid(),
+                    group_algebra_hopf(cyclic_group(3), field).comonoid(),
+                    lie_to_binary_sd(lie_over(field)).comonoid):
+            d = com.dim
+            for n in (2, 3):
+                proj = LinMap.identity(field, d)
+                for _ in range(n - 1):
+                    proj = proj.tensor(com.counit)
+                bumped = field.reduce(np.array(proj.matrix))
+                bumped[rng.randrange(d), rng.randrange(d ** n)] += 1
+                yield SDObject(com, n, proj, verify=False)
+                yield SDObject(com, n, LinMap(field, d, n, 1, bumped),
+                               verify=False)
+                for density in (0.2, 0.6):
+                    yield SDObject(com, n,
+                                   random_operation(rng, field, d, n, density),
+                                   verify=False)
+    # objects that hold by construction
+    for g, field in ((cyclic_group(3), F5), (symmetric_group(3), F2),
+                     (cyclic_group(2), F0)):
+        H = group_algebra_hopf(g, field)
+        com = H.comonoid()
+        ident = LinMap.identity(field, g.size)
+        yield hopf_heap(H)
+        yield hopf_adjoint_ternary(H)
+        yield SDObject(com, 3, ident.tensor(com.counit).tensor(com.counit))
+        yield augmented_operation(H.mult @ H.antipode.tensor(ident), H, com,
+                                  H.mult)
+    for field in (F2, F5, F0):
+        binary = lie_to_binary_sd(lie_over(field))
+        yield binary
+        yield categorical_double(binary)
+    yield lie_to_binary_sd(nonabelian_lie())
+
+
+def test_check_matches_dense_contraction_oracle():
+    count = failing = 0
+    for obj in oracle_objects():
+        holds, witness = dense_check_nary_sd(obj)
+        res = check_nary_sd(obj)
+        assert res.holds == holds
+        if not holds:
+            failing += 1
+            assert res.counterexample == witness
+            assert res.detail == "self-distributivity fails on a basis input"
+        count += 1
+    assert (count, failing) == (91, 48)

@@ -434,6 +434,24 @@ def test_group_builders_match_loop_oracles():
         dihedral_group(0)
 
 
+@pytest.mark.parametrize("build, n, name", [
+    (cyclic_group, 0, "cyclic group of order 0"),
+    (cyclic_group, -3, "cyclic group of order -3"),
+    (dihedral_group, 0, "dihedral group of order 0"),
+    (dihedral_group, -2, "dihedral group of order -4"),
+    (symmetric_group, -1, "symmetric group on -1 points")])
+def test_group_orders_below_the_least_are_refused(build, n, name):
+    with pytest.raises(InputError, match=f"there is no {name}"):
+        build(n)
+
+
+def test_smallest_groups():
+    # S_0 is the trivial group, as are C_1 and S_1; D_1 has order 2
+    for g in (symmetric_group(0), symmetric_group(1), cyclic_group(1)):
+        assert (g.size, g.cayley.tolist(), g.identity) == (1, [0], 0)
+    assert dihedral_group(1).cayley.tolist() == [0, 1, 1, 0]
+
+
 def test_group_product_convention():
     # "a then b": with a=(0,2,1) (index 1) and b=(1,0,2) (index 2),
     # r(i) = b(a(i)) gives (1,2,0), index 3
