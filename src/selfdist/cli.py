@@ -57,7 +57,7 @@ SCHEMA = "selfdist-report/1"
 JSON_CHUNK = 1 << 16   # list items per piece of streamed JSON output
 # integer arrays up to this length are written faster as their list than by
 # label lookup, whose fixed cost is a label table and a join
-JSON_LABEL_MIN = 64
+_LABEL_MIN = 64
 
 _compact = json.JSONEncoder().encode
 _SCALARS = frozenset((int, float, str, bool, type(None)))
@@ -101,10 +101,10 @@ def _json_key(key) -> str:
 
 
 def _labelled(value) -> bool:
-    """Whether value is a 1-d integer array longer than JSON_LABEL_MIN with
+    """Whether value is a 1-d integer array longer than _LABEL_MIN with
     entries in 0..len(value)-1, which `_iter_json` writes by label lookup."""
     return (value.ndim == 1 and value.dtype.kind in "iu"
-            and value.size > JSON_LABEL_MIN
+            and value.size > _LABEL_MIN
             and value.min() >= 0 and value.max() < value.size)
 
 
@@ -113,7 +113,7 @@ def _iter_json(value, depth: int = 0):
 
     Lists are taken JSON_CHUNK items at a time; a chunk of plain scalars is
     encoded in one call of the C encoder, anything else item by item.  A
-    1-d integer array longer than JSON_LABEL_MIN with entries in 0..len-1,
+    1-d integer array longer than _LABEL_MIN with entries in 0..len-1,
     such as a table's entries, is taken JSON_CHUNK entries at a time too:
     each entry's text is looked up in a list of one label per value, which
     holds at most len(array) labels.  Any other array, short ones included,

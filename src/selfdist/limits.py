@@ -32,9 +32,10 @@ self-distributivity scan of a full scan (an affine scan checks no table:
 its kinds follow from the affine form), fiber bijections
 times tuples in the extension search, and the Python-level loops of
 powers, cochain builders and boundary assembly.  The linear distributivity
-check, now a chain of sparse gathers, keeps the bound of the dense
-contraction it replaced: term combinations times block entries, and over Q
-40 steps for each Fraction multiply-add.  Numpy work is charged at
+check, now a chain of sparse gathers over blocks of its inputs, keeps the
+bound of the dense contraction it replaced: term combinations times block
+entries, and over Q 40 steps for each Fraction multiply-add; each of its
+gathers is charged to BYTES before it runs.  Numpy work is charged at
 its measured cost in steps.  The scan engine charges 75 steps for each
 lead coordinate of each block and one step per 12 tuples it evaluates,
 counted on the classes of equal tails once `_scan` has grouped them (4

@@ -18,20 +18,24 @@ gather applies a map to a run of tensor factors of another map's target:
 each row index is split into the digits before the run, the run (a column
 of the applied map) and the digits after it, and pulls in that column.
 Composition is its whole-target case, and the distributivity check applies
-the operation to each regrouped block of factors in turn.  A tensor product
-is the outer product of the two maps' entries, and a permutation of tensor
-factors is arithmetic on the digits of basis indices.  The dense matrix is
-a read-only view built on demand.
+the operation to each group of a head and its tails' copies in turn.
+Duplicate positions are summed by counting into an array where they are
+dense and by a sort elsewhere.  A tensor product is the outer product of
+the two maps' entries, and a permutation of tensor factors is arithmetic on
+the digits of basis indices.  The dense matrix is a read-only view built on
+demand.
 
 Every step is charged to the budgets of `limits` before it allocates: the
-terms of a composition or tensor product and the entries of any dense array
+products of a gather or tensor product and the entries of any dense array
 to BYTES.  The distributivity check is charged up front with the bound of
 the dense contraction it replaced: 16 bytes for each of the d^(2n) entries
 of its two sides, and its term combinations times block entries in STEPS.
-A map whose dense shape (rows times columns) does not fit int64 is refused
-as well, since entries are keyed by their flat position, and so is a prime
-whose residue products (p-1)^2 do not fit int64, since products are reduced
-only after they are formed.
+It then runs over blocks of tails, so that its gathers stay small: about
+_BLOCK products each, or one tail's where that is more.  A map whose dense
+shape (rows times columns) does not fit int64 is refused as well, since
+entries are keyed by their flat position, and so is a prime whose residue
+products (p-1)^2 do not fit int64, since products are reduced only after
+they are formed.
 """
 from __future__ import annotations
 
@@ -48,6 +52,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 # Budget steps per multiply-add of Fractions: one takes about 5 us on a
 # 2-core Xeon, where the whole step budget runs in about a second.
 _FRACTION_STEPS = 40
+# Products of the largest gather of one block of the distributivity check,
+# as estimated before it runs: 2^16 of them hold about 6 MB of temporaries.
+_BLOCK = 1 << 16
 
 
 def _charge_terms(terms: int, what: str) -> None:
@@ -144,10 +151,6 @@ class Field:
         out[:] = [Fraction(int(v)) for v in vals]
         return out
 
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = a * b
-        return out % self.characteristic if self.characteristic else out
-
 
 class LinMap:
     """Linear map between tensor powers of one base dimension.
@@ -198,15 +201,32 @@ class LinMap:
         """Map from coordinate entries in any order; duplicates are summed."""
         nrows = _shape(dim, src_power, dst_power)[0]
         key = np.asarray(cols, np.int64) * nrows + np.asarray(rows, np.int64)
+        return cls._from_keys(field, dim, src_power, dst_power, key, vals)
+
+    @classmethod
+    def _from_keys(cls, field: Field, dim: int, src_power: int,
+                   dst_power: int, key: np.ndarray, vals) -> "LinMap":
+        """Map from entries keyed column * rows + row; duplicates are summed."""
+        nrows = _shape(dim, src_power, dst_power)[0]
         vals = field.scalars(vals)
-        if not (key[1:] > key[:-1]).all():
-            order = np.argsort(key, kind="stable")
-            key, vals = key[order], vals[order]
-            starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-            if starts.size < key.size - 1:
-                starts = np.concatenate(([0], starts))
-                key = key[starts]
-                vals = field.scalars(np.add.reduceat(vals, starts))
+        if key.size and not (key[1:] > key[:-1]).all():
+            low = int(key.min())
+            span = int(key.max()) - low + 1
+            if span <= 2 * key.size:
+                # positions dense enough to count into, no larger than a sort
+                acc = field.zeros(span)
+                np.add.at(acc, key - low, vals)
+                key = np.flatnonzero(acc)
+                vals = field.scalars(acc[key])
+                key += low
+            else:
+                order = np.argsort(key)
+                key, vals = key[order], vals[order]
+                starts = np.flatnonzero(key[1:] != key[:-1]) + 1
+                if starts.size < key.size - 1:
+                    starts = np.concatenate(([0], starts))
+                    key = key[starts]
+                    vals = field.scalars(np.add.reduceat(vals, starts))
         keep = vals != 0
         if not keep.all():
             key, vals = key[keep], vals[keep]
@@ -303,15 +323,12 @@ class LinMap:
             self.field, self.dim, src, dst,
             (self.rows[:, None] * orows + other.rows).ravel(),
             (self.cols[:, None] * ocols + other.cols).ravel(),
-            self.field.product(self.vals[:, None], other.vals).ravel())
+            (self.vals[:, None] * other.vals).ravel())
 
     @staticmethod
     def identity(field: Field, dim: int, power: int = 1) -> "LinMap":
-        size = _shape(dim, power, power)[0]
-        _charge_terms(size, "an identity map")
-        diag = np.arange(size, dtype=np.int64)
-        return LinMap._from_entries(field, dim, power, power, diag, diag,
-                                    np.ones(size, np.int64))
+        return _identity_columns(field, dim, power, 0,
+                                 _shape(dim, power, power)[0])
 
     def as_json(self) -> dict:
         if self.field.characteristic:
@@ -336,35 +353,55 @@ class LinMap:
             raise InputError(f"bad linear map JSON: {exc}")
 
 
-def _act(m: LinMap, w: LinMap, first: int) -> LinMap:
-    """w applied to the target factors first .. first + w.src_power - 1 of m.
+def _act(m: LinMap, w: LinMap, first: int, gap: int = 0) -> LinMap:
+    """w applied to the target factors first .. first + w.src_power - 1 of m,
+    or with a gap, w's last input `gap` factors further on.
 
     Each row of m is read as (high digits, a column of w, low digits) and
     pulls in that column of w, scaled: the new rows keep the high and low
-    digits around w's rows.  The products are then summed by position.
+    digits around w's rows, which take the place of w's first input.  The
+    products are then summed by position.
     """
     d = m.dim
     out_power = m.dst_power - w.src_power + w.dst_power
-    low = d ** (m.dst_power - first - w.src_power)
+    low = d ** (m.dst_power - first - w.src_power - gap)
     ncols = d ** w.src_power
-    high, rest = np.divmod(m.rows, ncols * low)
-    col, lo = np.divmod(rest, low)
+    high, rest = np.divmod(m.rows, ncols * d ** gap * low)
+    if gap:
+        # w's leading inputs, the gap, w's last input, the low digits
+        lead, rest = np.divmod(rest, d ** (gap + 1) * low)
+        mid, rest = np.divmod(rest, d * low)
+        col, lo = np.divmod(rest, low)
+        col += lead * d
+        lo += mid * low
+        low *= d ** gap
+    else:
+        col, lo = np.divmod(rest, low)
+    # each entry's output key, less the term of w's row
+    base = (m.cols * _shape(d, m.src_power, out_power)[0]
+            + high * d ** w.dst_power * low + lo)
+    w_rows = w.rows * low
+    # residue products fit int64; the sums reduce them
     if w.nnz == ncols and (w.cols[1:] > w.cols[:-1]).all():
         # one term per column: the column index is the entry index
         _charge_terms(m.nnz, "a composition")
-        pick, take = slice(None), col
+        return LinMap._from_keys(m.field, d, m.src_power, out_power,
+                                 base + w_rows[col], m.vals * w.vals[col])
+    if ncols <= m.nnz:
+        # where each column of w starts, and its term counts
+        table = np.searchsorted(w.cols, np.arange(ncols + 1))
+        start = table[col]
+        counts = table[col + 1] - start
     else:
         start = np.searchsorted(w.cols, col, "left")
         counts = np.searchsorted(w.cols, col, "right") - start
-        total = int(counts.sum())
-        _charge_terms(total, "a composition")
-        pick = np.repeat(np.arange(m.nnz), counts)
-        take = (np.arange(total)
-                + np.repeat(start - (np.cumsum(counts) - counts), counts))
-    rows = (high[pick] * d ** w.dst_power + w.rows[take]) * low + lo[pick]
-    return LinMap._from_entries(
-        m.field, d, m.src_power, out_power, rows, m.cols[pick],
-        m.field.product(m.vals[pick], w.vals[take]))
+    total = int(counts.sum())
+    _charge_terms(total, "a composition")
+    take = (np.arange(total)
+            + np.repeat(start - (np.cumsum(counts) - counts), counts))
+    return LinMap._from_keys(m.field, d, m.src_power, out_power,
+                             np.repeat(base, counts) + w_rows[take],
+                             np.repeat(m.vals, counts) * w.vals[take])
 
 
 def _permute_rows(m: LinMap, target_from_source) -> LinMap:
@@ -383,6 +420,15 @@ def _permute_rows(m: LinMap, target_from_source) -> LinMap:
         rows = rows * d + digits[source]
     return LinMap._from_entries(m.field, d, m.src_power, power, rows, m.cols,
                                 m.vals)
+
+
+def _identity_columns(field: Field, dim: int, power: int, lo: int,
+                      hi: int) -> LinMap:
+    """The identity on the basis vectors lo .. hi - 1 of a tensor power."""
+    diag = np.arange(lo, hi, dtype=np.int64)
+    _charge_terms(diag.size, "an identity map")
+    return LinMap._from_entries(field, dim, power, power, diag, diag,
+                                np.ones(diag.size, np.int64))
 
 
 def _perm_map(field: Field, dim: int, power: int, target_from_source) -> LinMap:
@@ -534,13 +580,18 @@ def shuffle_perm(n: int, d: int, field: Field | None = None) -> LinMap:
 def check_nary_sd(obj: SDObject) -> CheckResult:
     """Exact comparison of the two sides of the distributive law.
 
-    Left side: W (W x 1^(n-1)), the operation on the head block, then once
-    more with the tails.  Right side: copy each tail with the iterated
-    comultiplication, regroup one copy to each head by rewriting row digits,
-    apply the operation to each of the n groups of n factors, then once.
-    Both sides are sparse maps out of the (2n-1)-th tensor power.  The
-    up-front charges are the bound of the dense contraction this replaced,
-    so every input that one refused is still refused before any work.
+    Left side: W (W x 1^(n-1)), the operation on the heads, then once more
+    with the tails.  Right side, one group at a time: the group's head
+    joins, each remaining tail is copied once with the comultiplication,
+    and the operation reads the head and the first copies; the last group
+    takes the remaining tails whole, and the operation is applied once more
+    to the n results.  No map has more than 3n-3 target factors (2n-1 for
+    n = 2), and no head waits as an identity factor while an earlier group
+    is computed.  Both sides are sparse maps out of the (2n-1)-th power,
+    computed over blocks of tails; a failure reports the first row-major
+    entry over all blocks.  The up-front charges are the bound of the dense
+    contraction this replaced, so every input that one refused is still
+    refused before any work.
     """
     com, n, w = obj.comonoid, obj.arity, obj.w
     d, field = com.dim, com.field
@@ -560,18 +611,59 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
     limits.charge_steps(
         combos * d ** (n + 1) if p else combos * n * d ** (n + 2) * _FRACTION_STEPS,
         "a distributivity check over comultiplication term combinations")
-    lhs = w @ w.tensor(LinMap.identity(field, d, n - 1))
-    rhs = LinMap.identity(field, d, n)
-    for _ in range(n - 1):
-        rhs = rhs.tensor(delta)
-    rhs = _permute_rows(rhs, shuffle_positions(n))
-    # group j is factor j once the groups before it are single factors;
-    # the last pass applies the operation to the n results
-    for first in [*range(n), 0]:
-        rhs = _act(rhs, w, first)
-    if lhs == rhs:
-        return CheckResult(True)
-    return _mismatch(lhs, rhs, "self-distributivity fails on a basis input")
+    # Both sides read their inputs as (tails, heads), so that each group's
+    # head joins as the least significant factor when the group is formed.
+    # w_last is the operation reading (copies, head); split copies every
+    # tail once, first copies before second ones.  Where it is small, outer
+    # applies the last group's operation and then the outer one in a single
+    # gather.
+    ident = LinMap.identity(field, d)
+    w_last = w @ _perm_map(field, d, n, [n - 1, *range(n - 1)])
+    split = com.delta
+    for _ in range(n - 2):
+        split = split.tensor(com.delta)
+    split = _permute_rows(split, [*range(0, 2 * n - 2, 2),
+                                  *range(1, 2 * n - 2, 2)])
+    outer = None
+    if d ** (n - 1) * w.nnz <= _BLOCK:
+        outer = w @ LinMap.identity(field, d, n - 1).tensor(w_last)
+    # blocks of whole tails, each with about _BLOCK products in its last
+    # gather if nothing cancels: the heads and copies of the expanded right
+    # side, times the terms of a column of w for each of the last two
+    # operations
+    tails, size = d ** (n - 1), d ** (2 * n - 1)
+    terms = int(np.bincount(w.cols).max()) if w.nnz else 1
+    per = -(-tails * _BLOCK // (combos * d ** n * terms ** 2))
+    found = None
+    for t in range(0, tails, per):
+        end = min(t + per, tails)
+        # left: the operation on the heads, then on (tails, result)
+        lhs = _identity_columns(field, d, 2 * n - 1, t * d ** n, end * d ** n)
+        lhs = _act(_act(lhs, w, n - 1), w_last, 0)
+        # right: before group j, (r_0 .. r_(j-1), remaining tails) out of
+        # (tails, x_0 .. x_(j-1)); the head x_j joins, the tails are copied
+        # and the operation reads x_j and the first copies
+        rhs = _identity_columns(field, d, n - 1, t, end)
+        for j in range(n - 1):
+            rhs = _act(_act(rhs.tensor(ident), split, j), w_last, j, n - 1)
+        rhs = rhs.tensor(ident)
+        rhs = (_act(_act(rhs, w_last, n - 1), w, 0) if outer is None
+               else outer @ rhs)
+        if lhs != rhs:
+            # the first differing entry, row-major in the usual (heads,
+            # tails) order of the inputs
+            diff = lhs + (-rhs)
+            tail, head = np.divmod(diff.cols, d ** n)
+            key = int((diff.rows * size + head * tails + tail).min())
+            if found is None or key < found[0]:
+                r, c = divmod(key, size)
+                head, tail = divmod(c, tails)
+                c_here = tail * d ** n + head
+                found = key, CheckResult(False, Counterexample(
+                    (r, index_to_tuple(c, d, 2 * n - 1)), lhs.entry(r, c_here),
+                    rhs.entry(r, c_here)),
+                    "self-distributivity fails on a basis input")
+    return CheckResult(True) if found is None else found[1]
 
 
 def switching_lemmas_check(obj: SDObject) -> CheckResult:

@@ -611,7 +611,7 @@ WRITER_CASES = [
 ]
 
 
-# integer arrays: table entries longer than JSON_LABEL_MIN take the label
+# integer arrays: table entries longer than _LABEL_MIN take the label
 # lookup, and so do these under a least length of 0; short, negative, empty
 # and 2-d arrays and entries of len(array) or more take the list
 WRITER_ARRAYS = [
@@ -639,7 +639,7 @@ def test_writer_matches_json_dumps(obj, chunk, monkeypatch):
 def test_writer_label_lookup_matches_json_dumps(chunk, monkeypatch):
     # every array of WRITER_ARRAYS that qualifies takes the label lookup
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
-    monkeypatch.setattr(cli, "JSON_LABEL_MIN", 0)
+    monkeypatch.setattr(cli, "_LABEL_MIN", 0)
     for obj in WRITER_ARRAYS:
         assert written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
 

@@ -976,6 +976,19 @@ def random_operation(rng, field, d, n, density):
     return LinMap(field, d, n, 1, W)
 
 
+def projection_and_bumped(rng, com, n):
+    # the projection through the counits, which holds, and the same with
+    # one entry bumped
+    field, d = com.field, com.dim
+    proj = LinMap.identity(field, d)
+    for _ in range(n - 1):
+        proj = proj.tensor(com.counit)
+    bumped = field.reduce(np.array(proj.matrix))
+    bumped[rng.randrange(d), rng.randrange(d ** n)] += 1
+    yield SDObject(com, n, proj, verify=False)
+    yield SDObject(com, n, LinMap(field, d, n, 1, bumped), verify=False)
+
+
 def oracle_objects():
     # drawn operations on grouplike (C2, C3) and primitive (Lie) comonoids,
     # arities 2 and 3, over F2, F5 and Q: a projection through the counits,
@@ -987,14 +1000,7 @@ def oracle_objects():
                     lie_to_binary_sd(lie_over(field)).comonoid):
             d = com.dim
             for n in (2, 3):
-                proj = LinMap.identity(field, d)
-                for _ in range(n - 1):
-                    proj = proj.tensor(com.counit)
-                bumped = field.reduce(np.array(proj.matrix))
-                bumped[rng.randrange(d), rng.randrange(d ** n)] += 1
-                yield SDObject(com, n, proj, verify=False)
-                yield SDObject(com, n, LinMap(field, d, n, 1, bumped),
-                               verify=False)
+                yield from projection_and_bumped(rng, com, n)
                 for density in (0.2, 0.6):
                     yield SDObject(com, n,
                                    random_operation(rng, field, d, n, density),
@@ -1015,17 +1021,28 @@ def oracle_objects():
         yield binary
         yield categorical_double(binary)
     yield lie_to_binary_sd(nonabelian_lie())
+    # high arities, where the n^2-th power of the regrouped copies would
+    # have more positions than int64 holds
+    for g, n, field in ((7, 4, F2), (4, 5, F5), (3, 6, F2)):
+        com = group_algebra_hopf(cyclic_group(g), field).comonoid()
+        yield from projection_and_bumped(rng, com, n)
 
 
-def test_check_matches_dense_contraction_oracle():
+def test_check_matches_dense_contraction_oracle(monkeypatch):
     count = failing = 0
+    blocks = (linear_mod._BLOCK, 1)
     for obj in oracle_objects():
         holds, witness = dense_check_nary_sd(obj)
-        res = check_nary_sd(obj)
-        assert res.holds == holds
-        if not holds:
-            failing += 1
-            assert res.counterexample == witness
-            assert res.detail == "self-distributivity fails on a basis input"
+        # the default blocks, and up to arity 3 one tail a block, so that a
+        # failure is the first over several blocks
+        for block in blocks[:1 + (obj.arity <= 3)]:
+            monkeypatch.setattr(linear_mod, "_BLOCK", block)
+            res = check_nary_sd(obj)
+            assert res.holds == holds
+            if not holds:
+                assert res.counterexample == witness
+                assert res.detail == \
+                    "self-distributivity fails on a basis input"
+        failing += not holds
         count += 1
-    assert (count, failing) == (91, 48)
+    assert (count, failing) == (97, 51)
