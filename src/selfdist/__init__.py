@@ -30,8 +30,7 @@ from .linear import (ComonoidObject, Field, HopfAlgebraObject,
                      LieAlgebraObject, LinMap, SDObject, augmented_operation,
                      categorical_double, check_augmented_hopf, check_nary_sd,
                      group_algebra_hopf, hopf_adjoint_ternary, hopf_heap,
-                     lie_to_binary_sd, shuffle_perm, shuffle_positions,
-                     switching_lemmas_check)
+                     lie_to_binary_sd, switching_lemmas_check)
 from .cocycles import (AbGroup, Cochain, SES,
                        are_compatible_ternary_cocycles,
                        are_mutually_distributive_cocycles,
@@ -48,4 +47,49 @@ from .enumeration import (enumerate_affine, enumerate_mutual_pairs,
                           find_isomorphism, isomorphism_classes,
                           tables_isomorphic)
 
-__all__ = [n for n in dir() if not n.startswith("_")]
+__all__ = [
+    # the submodules, which importing the package binds
+    "braid", "cocycles", "constructions", "enumeration", "kernels", "limits",
+    "linear", "optable",
+    # optable
+    "CheckResult", "Counterexample", "FiniteGroup", "InputError", "OpTable",
+    "TableStack", "are_compatible_ternary", "are_mutually_distributive",
+    "cyclic_group", "dihedral_group", "direct_product", "evaluate",
+    "exchange_holds", "group_from_cayley", "index_to_tuple",
+    "inverse_translations", "is_nary_distributive", "is_quandle", "is_rack",
+    "make_op_table", "relabel", "symmetric_group", "tuple_to_index",
+    # constructions
+    "PreconditionError", "affine_op", "affine_ternary_compat_conditions",
+    "augmented_ternary", "commuting_automorphisms", "compose_mn",
+    "conj_quandle", "core_quandle", "doubling_binary", "doubling_ternary",
+    "f_functor", "g_functor", "generalized_alexander", "heap_op",
+    "heap_vs_core_directional", "monoid_product", "power_op",
+    "product_mutual_pair", "projection_op", "verify_functor_identities",
+    # homology
+    "CohomologyResult", "HomologyResult", "SmithResult", "boundary_matrix",
+    "chain_map_F", "cohomology_solve", "homology", "labeled_boundary",
+    "pullback_labeled_2cocycle", "smith_normal_form", "solve_mod",
+    "verify_chain_map",
+    # braid
+    "BraidWord", "braid_act", "twist_op", "verify_braid_relations",
+    "verify_equivariance",
+    # linear
+    "ComonoidObject", "Field", "HopfAlgebraObject", "LieAlgebraObject",
+    "LinMap", "SDObject", "augmented_operation", "categorical_double",
+    "check_augmented_hopf", "check_nary_sd", "group_algebra_hopf",
+    "hopf_adjoint_ternary", "hopf_heap", "lie_to_binary_sd",
+    "switching_lemmas_check",
+    # cocycles
+    "AbGroup", "Cochain", "SES", "are_compatible_ternary_cocycles",
+    "are_mutually_distributive_cocycles", "binary_cocycle_from_ternary_pair",
+    "coeff_group", "cocycles_cohomologous", "cyclic_ses",
+    "doubled_binary_cocycle", "doubled_ternary_cocycle", "extend",
+    "extend_mutual_pair", "extension_equivalent", "is_binary_2cocycle",
+    "is_normalized_cochain", "is_ternary_2cocycle", "make_cochain",
+    "power_cocycle", "split_ses", "ternary_cocycle_from_pair",
+    "three_cocycle_from_ses", "zero_cochain",
+    # enumeration
+    "enumerate_affine", "enumerate_mutual_pairs", "enumerate_operations",
+    "enumerate_racks", "find_isomorphism", "isomorphism_classes",
+    "tables_isomorphic",
+]

@@ -13,6 +13,15 @@ loop steps before any of it is built, and reads "refusing <what>: needs
 <n> bytes|steps, budget <b>".  --format json
 prints the report as one JSON object tagged with a schema version; verdict
 content is deterministic, only the seconds field varies between runs.
+
+Input files are decoded by `json`, with one exception.  In a file read as
+an operation table, a cochain or a group, the top-level object's `table`,
+`values` or `cayley` member is read straight into an int64 array when it is
+an array of integers, flat or in rows of one length, written in at least
+_ARRAY_MIN characters; the library takes such arrays as it takes lists.
+Every other value, any array whose text is not plainly valid, a top-level
+value that is not an object, and every decode error come from `json`, so
+results and messages are those of `json.load`.
 """
 from __future__ import annotations
 
@@ -20,6 +29,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -247,10 +257,151 @@ def _summary(content) -> str:
 # input parsing helpers
 
 
-def _load_json(path: str):
+# An array written in fewer characters than this goes to json.  The int64
+# path costs about 40 us however short the array, json and np.asarray 0.04
+# (flat) to 0.08 (rows) us a character, so they cross between 0.6 and 1.5 KB.
+_ARRAY_MIN = 1024
+_scan_value = json.JSONDecoder().scan_once
+_blanks = json.decoder.WHITESPACE.match
+_ROWS_END = re.compile(r"\][ \t\n\r]*\]")
+_COMMA, _MINUS, _ZERO, _NINE, _CLOSE = b",-09]"
+_SIGNED_DIGITS = bytes.maketrans(b"0123456789-", b"d" * 11)
+
+
+def _int64_array(text: str, start: int):
+    """(values, end) for the JSON array of integers that opens at
+    text[start], as a 1-d int64 array or, for rows of equal length, a 2-d
+    one; end is the index after its closing bracket.
+
+    None when the array is shorter than _ARRAY_MIN characters, or its text
+    is anything but a valid flat or rectangular array of integers of at
+    most 18 characters each.  Those checks run on the text, before
+    np.fromstring reads it: that parser reads "01", "+1", an empty field, a
+    lone "-" and "- 1" as numbers, passes over a trailing comma, and reads
+    any overflow, of either sign, as the int64 maximum.
+    """
+    first = _blanks(text, start + 1).end()
+    rows = text.startswith("[", first)
+    if rows:
+        close = _ROWS_END.search(text, first)
+        end = close.end() if close else 0
+    else:
+        end = text.find("]", first) + 1
+    if end == 0 or end - start < _ARRAY_MIN:
+        return None
+    # a character beyond ASCII becomes "?", which no integer array holds
+    raw = text[start + 1:end - 1].encode("ascii", "replace")
+    if raw.translate(None, b"0123456789,-[] \t\n\r"):
+        return None
+    tight = raw.translate(None, b" \t\n\r")
+    if rows:
+        # [..],[..],..,[..]: tight opens with "[" and closes with "]", and
+        # every other bracket is in a "],[", so no row holds a bracket
+        count = tight.count(b"[")
+        if (tight.count(b"]") != count
+                or tight.count(b"],[") != count - 1):
+            return None
+        flat = tight.translate(None, b"[]")
+    elif b"[" in tight:
+        return None
+    else:
+        flat = tight
+    fields = flat.count(b",") + 1
+    # a blank inside a number, as in "- 1" or "1 2", is gone from flat but
+    # splits a run of digits and signs of raw in two
+    if (not _plain_fields(flat)
+            or (len(tight) != len(raw) and _runs(raw) != fields)):
+        return None
+    values = np.fromstring(flat, dtype=np.int64, sep=",")
+    if not rows:
+        return values, end
+    if fields % count:
+        return None
+    width = fields // count
+    if width > 1:
+        # before the close of row i come (i + 1) * width - 1 commas
+        t = np.frombuffer(tight, np.uint8)
+        before = np.searchsorted(np.flatnonzero(t == _COMMA),
+                                 np.flatnonzero(t == _CLOSE))
+        if (before != width * np.arange(1, count + 1) - 1).any():
+            return None
+    return values.reshape(count, width), end
+
+
+def _plain_fields(flat: bytes) -> bool:
+    """Whether each comma-separated field of flat, a text of digits, signs
+    and commas, reads -?(0|[1-9][0-9]*) in at most 18 characters, which
+    int64 holds."""
+    if b"d" * 19 in flat.translate(_SIGNED_DIGITS):
+        return False
+    g = np.frombuffer(b"," + flat + b",", np.uint8)
+    comma = g == _COMMA
+    minus = g == _MINUS
+    sep = g <= _MINUS
+    return not ((comma[1:] & comma[:-1]).any()        # an empty field
+                or (minus[1:] & ~comma[:-1]).any()    # a sign inside a field
+                or (minus[:-1] & comma[1:]).any()     # a sign and no digit
+                or ((g[1:-1] == _ZERO) & sep[:-2] & ~sep[2:]).any())  # "01"
+
+
+def _runs(raw: bytes) -> int:
+    """The number of runs of digits and signs in raw."""
+    b = np.frombuffer(raw, np.uint8)
+    digit = (b >= _MINUS) & (b <= _NINE)
+    return int(np.count_nonzero(digit[1:] > digit[:-1]) + digit[0])
+
+
+def _decode_members(text: str, arrays) -> dict:
+    """The top-level object of text, its members named in `arrays` taken
+    by `_int64_array` where it can.  Raises ValueError, IndexError,
+    StopIteration or json's RecursionError on anything else."""
+    pos = _blanks(text, 0).end()
+    if text[pos] != "{":
+        raise ValueError("not an object")
+    pos = _blanks(text, pos + 1).end()
+    obj = {}
+    while text[pos] != "}":
+        if text[pos] != '"':
+            raise ValueError("expected a member name")
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = _blanks(text, pos).end()
+        if text[pos] != ":":
+            raise ValueError("expected ':'")
+        pos = _blanks(text, pos + 1).end()
+        found = (_int64_array(text, pos)
+                 if key in arrays and text[pos] == "[" else None)
+        obj[key], pos = found or _scan_value(text, pos)
+        pos = _blanks(text, pos).end()
+        if text[pos] == ",":
+            pos = _blanks(text, pos + 1).end()
+            if text[pos] != '"':
+                raise ValueError("expected a member name")
+        elif text[pos] != "}":
+            raise ValueError("expected ',' or '}'")
+    if _blanks(text, pos + 1).end() != len(text):
+        raise ValueError("extra data")
+    return obj
+
+
+def _decode(text: str, arrays=()):
+    """json.loads(text), except that the members of a top-level object
+    named in `arrays` that are integer arrays of at least _ARRAY_MIN
+    characters come as int64 arrays.  Text the walk of `_decode_members`
+    doubts, malformed text included, goes to json.loads whole, so every
+    other value and every error is json's."""
+    if not arrays or len(text) < _ARRAY_MIN:
+        return json.loads(text)
+    try:
+        return _decode_members(text, arrays)
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        return json.loads(text)
+
+
+def _load_json(path: str, arrays=()):
+    """The JSON document at path, decoded by `_decode`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _decode(fh.read(), arrays)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -258,11 +409,11 @@ def _load_json(path: str):
 
 
 def _load_op(path: str) -> OpTable:
-    return OpTable.from_json(_load_json(path))
+    return OpTable.from_json(_load_json(path, ("table",)))
 
 
 def _load_cochain(path: str) -> Cochain:
-    return Cochain.from_json(_load_json(path))
+    return Cochain.from_json(_load_json(path, ("values",)))
 
 
 def _load_group(spec: str) -> FiniteGroup:
@@ -274,7 +425,7 @@ def _load_group(spec: str) -> FiniteGroup:
             raise InputError(f"group spec {spec!r} needs an integer parameter")
         return {"cyclic": cyclic_group, "dihedral": dihedral_group,
                 "symmetric": symmetric_group}[kind](n)
-    return FiniteGroup.from_json(_load_json(spec))
+    return FiniteGroup.from_json(_load_json(spec, ("cayley",)))
 
 
 def _load_ses(spec: str) -> SES:

@@ -554,29 +554,6 @@ class SDObject:
             raise InputError(f"bad SD object JSON: {exc}")
 
 
-def shuffle_positions(n: int) -> list:
-    """Source slot order regrouping n heads and n-1 copied tails.
-
-    Source order: x_1..x_n followed by n-1 blocks a_k1..a_kn (the k-th copy
-    block); target order: the n groups (x_j, a_1j, ..., a_(n-1)j).  Returned
-    as 0-based source slots listed in target order.
-    """
-    if n < 2:
-        raise InputError(f"need n >= 2, got {n}")
-    out = []
-    for j in range(n):
-        out.append(j)
-        for k in range(n - 1):
-            out.append(n + k * n + j)
-    return out
-
-
-def shuffle_perm(n: int, d: int, field: Field | None = None) -> LinMap:
-    """The regrouping permutation on the n^2-th power."""
-    field = field if field is not None else Field(0)
-    return _perm_map(field, d, n * n, shuffle_positions(n))
-
-
 def check_nary_sd(obj: SDObject) -> CheckResult:
     """Exact comparison of the two sides of the distributive law.
 

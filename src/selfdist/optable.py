@@ -159,7 +159,11 @@ class OpTable:
         except (KeyError, TypeError) as exc:
             raise InputError(f"operation table JSON needs size/arity/table: {exc}")
         check_shape(size, arity)
-        return OpTable(size, arity, table, meta=obj.get("provenance"))
+        meta = obj.get("provenance")
+        if meta is not None and not isinstance(meta, dict):
+            raise InputError("provenance must be a JSON object or null, got "
+                             f"{type(meta).__name__}")
+        return OpTable(size, arity, table, meta=meta)
 
 
 class TableStack(collections.abc.Sequence):

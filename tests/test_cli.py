@@ -2,12 +2,16 @@ import io
 import json
 import pathlib
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from selfdist import (OpTable, affine_op, doubling_ternary, f_functor,
-                      heap_op, is_nary_distributive, is_quandle, is_rack,
+from selfdist import (Cochain, FiniteGroup, OpTable, affine_op,
+                      dihedral_group, doubling_ternary, f_functor, heap_op,
+                      is_nary_distributive, is_quandle, is_rack,
                       make_op_table, product_mutual_pair, symmetric_group,
                       twist_op)
 from selfdist import cli, enumeration, kernels
@@ -586,6 +590,209 @@ def test_flags_accepted_after_subcommand(files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["schema"] == SCHEMA
+
+
+# ---------------------------------------------------------------------------
+# input decoding: large integer arrays as int64 arrays, all else as json
+
+
+@pytest.mark.parametrize("provenance", ['"core"', "5", '[["a", 1]]', "[]",
+                                        "true", "2.5"])
+def test_provenance_that_is_not_an_object_exits_2(provenance, tmp_path,
+                                                  capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"size": 3, "arity": 2, "table": [0, 2, 1, 2, 1, 0, 1, '
+                    f'0, 2], "provenance": {provenance}}}')
+    code, _, err = run(["check", "axioms", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: provenance must be a JSON object or null")
+
+
+@pytest.mark.parametrize("provenance", ["null", "{}", '{"construction": "x"}'])
+def test_provenance_object_or_null_is_kept(provenance, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text('{"size": 3, "arity": 2, "table": [0, 2, 1, 2, 1, 0, 1, '
+                    f'0, 2], "provenance": {provenance}}}')
+    code, _, _ = run(["check", "axioms", str(path)], capsys)
+    assert code == 0
+    op = OpTable.from_json(json.loads(path.read_text()))
+    assert op.meta == (json.loads(provenance) or {})
+
+
+DUMPS = [{}, {"separators": (",", ":")}, {"indent": 2}]
+
+
+def _scan_cochain(size):
+    # the rank-one form the scan benchmark writes: a one-entry row for each
+    # argument tuple
+    rows = [[(3 * i + 1) % 7] for i in range(size * size)]
+    return {"nargs": 2, "coeff": [7], "values": rows}
+
+
+# (document, member, loader, decoder of json.loads's document)
+WRITTEN = [
+    (heap_op(dihedral_group(6)).as_json(), "table", cli._load_op,
+     OpTable.from_json),
+    (_scan_cochain(20), "values", cli._load_cochain, Cochain.from_json),
+    (Cochain(16, 2, (2, 3), [[(i * 5) % 2, i % 3] for i in range(256)])
+     .as_json(), "values", cli._load_cochain, Cochain.from_json),
+    (symmetric_group(4).as_json(), "cayley", cli._load_group,
+     FiniteGroup.from_json),
+]
+
+
+@pytest.mark.parametrize("dumps", DUMPS)
+@pytest.mark.parametrize("doc, member, load, from_json", WRITTEN)
+def test_loaders_read_the_package_writers(doc, member, load, from_json, dumps,
+                                          tmp_path):
+    text = json.dumps(doc, **dumps)
+    assert isinstance(cli._decode(text, (member,))[member], np.ndarray)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    got, want = load(str(path)), from_json(json.loads(text))
+    assert got == want
+    if member == "cayley":      # groups compare by size and identity
+        assert np.array_equal(got.cayley, want.cayley)
+
+
+def test_short_arrays_and_other_documents_stay_lists():
+    short = json.dumps({"size": 3, "arity": 2, "table": [0] * 9})
+    assert cli._decode(short, ("table",))["table"] == [0] * 9
+    long = [1, 2] * cli._ARRAY_MIN
+    # a top-level array, and members not named, keep their lists
+    assert cli._decode(json.dumps(long), ("table",)) == long
+    doc = cli._decode(json.dumps({"size": long, "table": long}), ("table",))
+    assert doc["size"] == long and isinstance(doc["table"], np.ndarray)
+
+
+def test_long_size_array_is_quoted_as_a_list(tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps({"size": [3, 3], "arity": 2,
+                                "table": [0, 1] * cli._ARRAY_MIN}))
+    code, _, err = run(["check", "axioms", str(path)], capsys)
+    assert code == 2
+    assert err == "error: size must be an integer, got [3, 3]\n"
+
+
+INT_TOKENS = st.one_of(
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["0", "-0", "7", "-12", str(2 ** 63 - 1), str(-2 ** 63),
+                     "999999999999999999", "-99999999999999999"]))
+# np.fromstring, which reads the arrays `_int64_array` takes, reads each of
+# these as a number, and none is valid JSON
+LAX_TOKENS = st.sampled_from([
+    "01", "00", "-01", "", " ", "-", "- 1", "+1", "99999999999999999999",
+    "-9223372036854775809", "9223372036854775808", "1 2", "1-", "--1"])
+NOT_INTEGERS = st.sampled_from(["true", "null", "1.5", "1e3", "-0.0", '"]]"',
+                                '"[1]"', '"]"', "[]", "[[1]]"])
+# "" runs two numbers together, and two rows into text that is not JSON
+SEPARATORS = st.sampled_from([",", ", ", " , ", ",\n  ", " ,", ""])
+BLANKS = st.sampled_from(["", " ", "\n", "\t ", "\r\n"])
+
+
+@st.composite
+def array_text(draw):
+    """A flat, rectangular, ragged or depth-3 array of integer tokens, one
+    of which is most often replaced by a lax or non-integer token, or
+    followed by an empty field."""
+    shape = draw(st.sampled_from(["flat", "rows", "ragged", "deep"]))
+    count, width = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    lengths = {"flat": [], "rows": [width] * count, "deep": [1] * count,
+               "ragged": draw(st.lists(st.integers(0, 4), min_size=count,
+                                       max_size=count))}[shape]
+    total = sum(lengths) if lengths else count
+    tokens = draw(st.lists(INT_TOKENS, min_size=total, max_size=total))
+    if tokens and draw(st.integers(0, 2)):
+        at = draw(st.integers(0, total - 1))
+        tokens[at] = draw(st.one_of(LAX_TOKENS, NOT_INTEGERS,
+                                    st.just(tokens[at] + ",")))
+    sep, blank = draw(SEPARATORS), draw(BLANKS)
+
+    def wrap(items):
+        return "[" + blank + sep.join(items) + draw(BLANKS) + "]"
+    if not lengths:
+        return wrap(tokens)
+    rows, pos = [], 0
+    for n in lengths:
+        row = wrap(tokens[pos:pos + n])
+        rows.append(wrap([row]) if shape == "deep" else row)
+        pos += n
+    return wrap(rows)
+
+
+@st.composite
+def documents(draw):
+    """A document whose "table" member is an `array_text`, among other
+    members, now and then framed badly or cut short."""
+    arr = draw(array_text())
+    head = draw(st.sampled_from(['{"table": ', '{"size": 3, "table": ',
+                                 '{"tables": [1], "table":', ' {"table":',
+                                 '[', '']))
+    tail = draw(st.sampled_from(["}", ', "arity": 2}', ', "x": "]"}',
+                                 ',"table": [1]}', "} ", "}\n", "}}",
+                                 ", }", ""]))
+    text = head + arr + tail
+    if draw(st.integers(0, 9)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "[01, , 0]", "[ , 00]", "[1, -]", "[- 1]", "[1 2]", "[+1]", "[1,]",
+    "[1,,2]", "[,1]", "[1-2]", "[--1]", "[99999999999999999999]",
+    "[-9223372036854775809]", "[9223372036854775807]", "[[1]2,[3]]",
+    "[[1][2,3]]", "[[1,[2],3,4]]", "[[1]1]2]]", "[[1, 2], [3]]",
+    "[[1, 2, 3], [4]]", "[[1], 2]", "[1, [2]]", "[[[1]]]", "[]", "[[]]",
+    "[1.0]", "[true]", '["1"]', "[1e3]", "[0x10]", "[\uff11]", "[1, \u00e9]",
+    "[1, \ud800]", "[1, 2", "[[1], [2]"])
+def test_int64_path_refuses_all_but_plain_integer_arrays(text):
+    # None, never an exception, so json decides these;
+    # [9223372036854775807] is valid but has 19 characters
+    with mock.patch.object(cli, "_ARRAY_MIN", 0):
+        assert cli._int64_array(text, 0) is None
+
+
+def loads_or_message(text):
+    """json.loads's document, or the message of its JSONDecodeError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=1000, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(documents())
+@example('{"table": [01, , 0]}')
+@example('{"table": [ , 00]}')
+@example('{"table": [1, -]}')
+@example('{"table": [- 1]}')
+@example('{"table": [99999999999999999999]}')
+@example('{"table": [-9223372036854775809]}')
+@example('{"table": [[1, 2], [3]]}')
+@example('{"table": [[1, 2, 3], [4]]}')
+@example('{"table": [[[1]]]}')
+@example('{"table": [1, true]}')
+@example('{"table": [1, 2.5]}')
+@example('{"table": ["]]", 1]}')
+@example('{"table": [[1, 2], [3, 4]], "size": 2}')
+def test_fast_decode_matches_json_loads_then_asarray(text):
+    # every array takes the int64 path, however short
+    with mock.patch.object(cli, "_ARRAY_MIN", 0), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = cli._decode(text, ("table",))
+        except json.JSONDecodeError as exc:
+            got = str(exc)
+    want = loads_or_message(text)
+    if isinstance(got, dict) and isinstance(got.get("table"), np.ndarray):
+        table = got.pop("table")
+        entries = want.pop("table")
+        assert table.dtype == np.int64
+        assert np.asarray(entries).shape == table.shape
+        # json's text tells true from 1, as == would not
+        assert json.dumps(table.tolist()) == json.dumps(entries)
+    assert got == want and type(got) is type(want)
 
 
 # ---------------------------------------------------------------------------

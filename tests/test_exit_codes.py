@@ -4,10 +4,10 @@ Hypothesis draws argument vectors over the construct, check, homology,
 cohomology, cocycle, chainmap, enumerate, braid and linear subcommands:
 random shapes, huge moduli and exponents, group specs, fields, short exact
 sequences, and JSON inputs that are well formed, malformed (floats, bools,
-ragged lists, integers beyond int64) or not JSON at all.  A batch of them
-runs in one fresh process under a 2 GiB address-space cap, so an
-allocation that escaped the budgets of `limits` shows up as a failure, and
-a run that misses its deadline fails the test.
+ragged lists, integers beyond int64, a provenance that is not an object) or
+not JSON at all.  A batch of them runs in one fresh process under a 2 GiB
+address-space cap, so an allocation that escaped the budgets of `limits`
+shows up as a failure, and a run that misses its deadline fails the test.
 """
 import json
 
@@ -83,7 +83,12 @@ MALFORMED_TABLES = st.one_of(
         BAD_ENTRIES),
     st.sampled_from(["not json {", "[1, 2]", "3", "{}", '{"size": 2}',
                      '{"size": 10, "arity": 1000000000, "table": [0]}',
-                     '{"size": 1, "arity": 100000000000, "table": [0]}']))
+                     '{"size": 1, "arity": 100000000000, "table": [0]}']),
+    # a provenance that is not an object is refused, null is kept
+    st.builds(lambda prov: _text({"size": 3, "arity": 2,
+                                  "table": [0, 2, 1, 2, 1, 0, 1, 0, 2],
+                                  "provenance": prov}),
+              st.sampled_from(["core", 5, [["a", 1]], [], True, 2.5, None])))
 
 TABLE = st.one_of(st.sampled_from(GOOD_TABLES), random_table(), MALFORMED_TABLES)
 

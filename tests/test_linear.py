@@ -12,8 +12,8 @@ from selfdist import (ComonoidObject, Field, HopfAlgebraObject, InputError,
                       check_augmented_hopf, check_nary_sd, cyclic_group,
                       dihedral_group, group_algebra_hopf,
                       hopf_adjoint_ternary, hopf_heap, is_nary_distributive,
-                      lie_to_binary_sd, shuffle_perm, shuffle_positions,
-                      switching_lemmas_check, symmetric_group)
+                      lie_to_binary_sd, switching_lemmas_check,
+                      symmetric_group)
 from selfdist import limits
 from selfdist import linear as linear_mod
 from selfdist.constructions import conj_quandle, heap_op
@@ -138,7 +138,31 @@ def test_linmap_json_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# the regrouping permutation
+# the regrouping permutation, which the composite oracle below applies
+
+
+def shuffle_positions(n: int) -> list:
+    """Source slot order regrouping n heads and n-1 copied tails.
+
+    Source order: x_1..x_n followed by n-1 blocks a_k1..a_kn (the k-th copy
+    block); target order: the n groups (x_j, a_1j, ..., a_(n-1)j).  Returned
+    as 0-based source slots listed in target order.
+    """
+    if n < 2:
+        raise InputError(f"need n >= 2, got {n}")
+    out = []
+    for j in range(n):
+        out.append(j)
+        for k in range(n - 1):
+            out.append(n + k * n + j)
+    return out
+
+
+def shuffle_perm(n: int, d: int, field: Field | None = None) -> LinMap:
+    """The regrouping permutation on the n^2-th power."""
+    field = field if field is not None else F0
+    return linear_mod._perm_map(field, d, n * n, shuffle_positions(n))
+
 
 def test_shuffle_positions_frozen():
     assert shuffle_positions(2) == [0, 2, 1, 3]
