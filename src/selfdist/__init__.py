@@ -10,8 +10,8 @@ from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       are_mutually_distributive, cyclic_group, dihedral_group,
                       direct_product, evaluate, exchange_holds,
                       group_from_cayley, index_to_tuple, inverse_translations,
-                      is_nary_distributive, is_quandle, is_rack,
-                      make_op_table, relabel, symmetric_group, tuple_to_index)
+                      is_nary_distributive, is_quandle, is_rack, relabel,
+                      symmetric_group, tuple_to_index)
 from .constructions import (PreconditionError, affine_op,
                             affine_ternary_compat_conditions, augmented_ternary,
                             commuting_automorphisms, compose_mn, conj_quandle,
@@ -39,9 +39,9 @@ from .cocycles import (AbGroup, Cochain, SES,
                        doubled_binary_cocycle, doubled_ternary_cocycle,
                        extend, extend_mutual_pair, extension_equivalent,
                        is_binary_2cocycle, is_normalized_cochain,
-                       is_ternary_2cocycle, make_cochain, power_cocycle,
-                       split_ses, ternary_cocycle_from_pair,
-                       three_cocycle_from_ses, zero_cochain)
+                       is_ternary_2cocycle, power_cocycle, split_ses,
+                       ternary_cocycle_from_pair, three_cocycle_from_ses,
+                       zero_cochain)
 from .enumeration import (enumerate_affine, enumerate_mutual_pairs,
                           enumerate_operations, enumerate_racks,
                           find_isomorphism, isomorphism_classes,
@@ -57,7 +57,7 @@ __all__ = [
     "cyclic_group", "dihedral_group", "direct_product", "evaluate",
     "exchange_holds", "group_from_cayley", "index_to_tuple",
     "inverse_translations", "is_nary_distributive", "is_quandle", "is_rack",
-    "make_op_table", "relabel", "symmetric_group", "tuple_to_index",
+    "relabel", "symmetric_group", "tuple_to_index",
     # constructions
     "PreconditionError", "affine_op", "affine_ternary_compat_conditions",
     "augmented_ternary", "commuting_automorphisms", "compose_mn",
@@ -85,7 +85,7 @@ __all__ = [
     "coeff_group", "cocycles_cohomologous", "cyclic_ses",
     "doubled_binary_cocycle", "doubled_ternary_cocycle", "extend",
     "extend_mutual_pair", "extension_equivalent", "is_binary_2cocycle",
-    "is_normalized_cochain", "is_ternary_2cocycle", "make_cochain",
+    "is_normalized_cochain", "is_ternary_2cocycle",
     "power_cocycle", "split_ses", "ternary_cocycle_from_pair",
     "three_cocycle_from_ses", "zero_cochain",
     # enumeration

@@ -398,13 +398,17 @@ def _decode(text: str, arrays=()):
 
 
 def _load_json(path: str, arrays=()):
-    """The JSON document at path, decoded by `_decode`."""
+    """The JSON document at path, decoded by `_decode`.
+
+    Text that is not UTF-8, an integer literal past Python's digit limit
+    and nesting past the recursion limit are refused like malformed JSON.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return _decode(fh.read(), arrays)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}")
 
 

@@ -17,7 +17,6 @@ composites below stay cocycles.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -28,9 +27,10 @@ from . import kernels, limits
 from .enumeration import ISO_BLOCK_ENTRIES, _permutations
 from .homology import Elimination, boundary_matrix
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
-                      are_compatible_ternary, are_mutually_distributive,
-                      diagonal_indices, digit_map, index_to_tuple, integer_array,
-                      is_nary_distributive, is_rack, tuple_to_index)
+                      _checked_index, are_compatible_ternary,
+                      are_mutually_distributive, diagonal_indices, digit_map,
+                      index_to_tuple, integer_array, is_nary_distributive,
+                      is_rack)
 from .constructions import (PreconditionError, _require, doubling_binary,
                             doubling_ternary, f_functor, g_functor, power_op)
 
@@ -168,7 +168,7 @@ class Cochain:
                 f"coeff={self.coeff.factors})")
 
     def __call__(self, *args) -> tuple:
-        idx = tuple_to_index(args, self.size)
+        idx = _checked_index(args, self.size, self.nargs)
         return tuple(int(v) for v in self.values[idx])
 
     def as_json(self) -> dict:
@@ -190,24 +190,6 @@ class Cochain:
             if cand >= 1 and limits.power(cand, nargs) == count:
                 return Cochain(cand, nargs, coeff, values)
         raise InputError(f"values length {count} is not a {nargs}-th power")
-
-
-def make_cochain(size: int, nargs: int, coeff, entries, base=None) -> Cochain:
-    """Build a cochain from a flat sequence or a callable on argument tuples.
-
-    A callable must return one group element (residue sequence, or a bare
-    integer when the group has a single factor)."""
-    coeff = coeff_group(coeff)
-    if callable(entries):
-        what = f"a size {size} cochain on {nargs} arguments from a callable"
-        limits.charge_steps(limits.power(size, nargs), what)
-        limits.charge_bytes(8 * limits.power(size, nargs) * coeff.rank, what)
-        rows = []
-        for args in itertools.product(range(size), repeat=nargs):
-            v = entries(*args)
-            rows.append([v] if np.isscalar(v) else list(v))
-        return Cochain(size, nargs, coeff, rows, base=base)
-    return Cochain(size, nargs, coeff, entries, base=base)
 
 
 def zero_cochain(size: int, nargs: int, coeff, base=None) -> Cochain:

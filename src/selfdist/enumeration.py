@@ -54,11 +54,7 @@ def _tuples(size: int, length: int) -> np.ndarray:
     """All tuples of `length` digits in 0..size-1, one per row, in
     lexicographic order."""
     codes = np.arange(size ** length, dtype=np.int64)
-    out = np.empty((len(codes), length), dtype=np.int64)
-    for pos in range(length - 1, -1, -1):
-        out[:, pos] = codes % size
-        codes //= size
-    return out
+    return np.stack(kernels.digits(codes, size, length), axis=1)
 
 
 def _apply_kind(tables: np.ndarray, size: int, arity: int, kind: str) -> np.ndarray:

@@ -27,16 +27,17 @@ operation is written once.  The invariant factors are a 1 per pivot plus
 the residual's; a kernel lattice mod d lifts V's columns through the
 pivots by back-substitution; a solve mod d carries the right side through
 the recorded row operations, solves the residual with U and V and
-back-substitutes.  `cohomology_solve` reduces the coboundary once for its
-factors and every coefficient.  Homology and cohomology with Z/d
-coefficients are read off the integral invariant factors through the
-universal coefficient theorem.
+back-substitutes.  `smith_normal_form` returns the invariant factors
+alone; U and V of a whole matrix are the tests' dense oracle.
+`cohomology_solve` reduces the coboundary once for its factors and every
+coefficient.  Homology and cohomology with Z/d coefficients are read off
+the integral invariant factors through the universal coefficient theorem.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -214,40 +215,22 @@ def xgcd(a: int, b: int):
 
 @dataclass(frozen=True)
 class SmithResult:
-    """U @ M @ V = diag(factors) with U, V unimodular (when requested)."""
+    """The invariant factors of an integer matrix."""
     factors: Tuple[int, ...]
-    U: Optional[np.ndarray] = None
-    V: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:
         return len(self.factors)
 
 
-def smith_normal_form(matrix, transforms: bool = False) -> SmithResult:
-    """Invariant factors of an integer matrix, optionally with transforms.
+def smith_normal_form(matrix) -> SmithResult:
+    """Invariant factors of an integer matrix.
 
-    Without transforms the factors come from an `Elimination`: one 1 for
-    each unit pivot eliminated on a sparse copy, then the factors of the
-    small residual.  With them, the whole matrix takes the dense reduction
-    that an `Elimination` gives its residual, carrying both transforms.  No
-    caller in the package needs U and V of a whole matrix; the dense path
-    stays public and is the tests' oracle.  Reduction runs on Python
-    integers, so intermediates never overflow.
+    The factors come from an `Elimination`: one 1 for each unit pivot
+    eliminated on a sparse copy, then the factors of the small residual,
+    reduced on Python integers so intermediates never overflow.
     """
-    A = np.asarray(matrix)
-    if A.ndim != 2:
-        raise InputError("matrix must be two-dimensional")
-    if not transforms:
-        return SmithResult(Elimination(A).factors)
-    # the matrix and both transforms as Python lists
-    rows, cols = A.shape
-    limits.charge_bytes(8 * (rows * cols + rows * rows + cols * cols),
-                        f"a {rows} x {cols} Smith reduction with transforms")
-    factors, U, V = _smith_transforms([[int(v) for v in row] for row in A],
-                                      rows, cols, True, True)
-    return SmithResult(factors, np.array(U, dtype=object).reshape(rows, rows),
-                       np.array(V, dtype=object).reshape(cols, cols))
+    return SmithResult(Elimination(matrix).factors)
 
 
 def _eliminate_unit_pivots(A):
@@ -408,8 +391,6 @@ class Elimination:
 
     def solve_mod(self, rhs, modulus: int):
         """One solution x of A x = rhs (mod modulus) as int64 residues, or None."""
-        if modulus < 1:
-            raise InputError("modulus must be >= 1")
         _check_modulus(modulus, "a linear solve")
         b = np.asarray(rhs).reshape(-1)
         rows, cols = self.shape
@@ -564,6 +545,9 @@ MODULUS_MAX = int(np.iinfo(np.int64).max)
 
 
 def _check_modulus(modulus: int, what: str):
+    """Refuse a modulus below 1 or beyond MODULUS_MAX."""
+    if modulus < 1:
+        raise InputError(f"{what} needs a modulus >= 1, got {modulus}")
     if modulus > MODULUS_MAX:
         raise InputError(
             f"refusing {what} modulo {modulus}: residues and their gcds are"

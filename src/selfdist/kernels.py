@@ -48,9 +48,11 @@ cochain entries in 0..d-1, once per law.
 
 `digits` is the package's one base-N decoder: every table, cochain and
 boundary indexes an argument tuple by its base-N digits, first argument most
-significant, and every module that needs the digits of an array of flat
-indices (the scan rows, boundary columns, braid tuples, extension fibers and
-candidate fiber maps) reads them from it.
+significant, and every module that needs the digits of a flat index or an
+array of them reads them from it: the scan rows and witnesses, the tuples of
+`optable.index_to_tuple`, boundary columns, braid tuples, extension fibers,
+candidate fiber maps, the enumerated candidate tables and affine carrier
+digits, and the tensor factors that linear maps permute.
 """
 from __future__ import annotations
 

@@ -44,6 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits
+from .kernels import digits
 from .constructions import PreconditionError, _require
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       index_to_tuple, integer_array)
@@ -410,14 +411,10 @@ def _permute_rows(m: LinMap, target_from_source) -> LinMap:
     d, power = m.dim, m.dst_power
     limits.charge_bytes(8 * m.nnz * power,
                         f"permuting {power} tensor factors of {m.nnz} terms")
-    digits, rest = [], m.rows
-    for _ in range(power):
-        rest, digit = np.divmod(rest, d)
-        digits.append(digit)
-    digits.reverse()                    # first factor first
+    factors = digits(m.rows, d, power)          # first factor first
     rows = np.zeros_like(m.rows)
     for source in target_from_source:
-        rows = rows * d + digits[source]
+        rows = rows * d + factors[source]
     return LinMap._from_entries(m.field, d, m.src_power, power, rows, m.cols,
                                 m.vals)
 

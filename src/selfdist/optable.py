@@ -245,31 +245,20 @@ def tuple_to_index(args, size: int) -> int:
 
 
 def index_to_tuple(index: int, size: int, arity: int) -> tuple:
-    digits = []
-    for _ in range(arity):
-        digits.append(index % size)
-        index //= size
-    return tuple(reversed(digits))
+    """The argument tuple at a flat index, as Python ints."""
+    return tuple(kernels.digits(int(index), size, arity))
 
 
-def make_op_table(size: int, arity: int, entries) -> OpTable:
-    """Build a validated table from a flat sequence or a callable on tuples.
-
-    A callable receives one argument tuple per carrier point and must return a
-    carrier element; values are reduced mod size so formula lambdas can return
-    raw integers.
-    """
-    if callable(entries):
-        check_shape(size, arity)
-        what = f"a size {size} arity {arity} table from a callable"
-        limits.charge_bytes(table_bytes(size, arity), what)
-        limits.charge_steps(limits.power(size, arity), what)
-        flat = np.fromiter(
-            (entries(*args) % size
-             for args in itertools.product(range(size), repeat=arity)),
-            dtype=np.int64, count=size ** arity)
-        return OpTable(size, arity, flat)
-    return OpTable(size, arity, entries)
+def _checked_index(args, size: int, arity: int) -> int:
+    """Flat index of an argument tuple, refusing a wrong argument count or
+    an argument outside 0..size-1."""
+    args = tuple(int(a) for a in args)
+    if len(args) != arity:
+        raise InputError(f"expected {arity} arguments, got {len(args)}")
+    for a in args:
+        if not 0 <= a < size:
+            raise InputError(f"argument {a} outside 0..{size - 1}")
+    return tuple_to_index(args, size)
 
 
 def diagonal_indices(size: int, arity: int) -> np.ndarray:
@@ -280,13 +269,7 @@ def diagonal_indices(size: int, arity: int) -> np.ndarray:
 
 def evaluate(op: OpTable, args) -> int:
     """Table lookup at an argument tuple."""
-    args = tuple(int(a) for a in args)
-    if len(args) != op.arity:
-        raise InputError(f"expected {op.arity} arguments, got {len(args)}")
-    for a in args:
-        if not 0 <= a < op.size:
-            raise InputError(f"argument {a} outside 0..{op.size - 1}")
-    return int(op.table[tuple_to_index(args, op.size)])
+    return int(op.table[_checked_index(args, op.size, op.arity)])
 
 
 def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:

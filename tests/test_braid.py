@@ -8,10 +8,10 @@ from selfdist import (InputError, OpTable, PreconditionError, affine_op,
                       are_mutually_distributive, conj_quandle, core_quandle,
                       cyclic_group, enumerate_mutual_pairs, enumerate_operations,
                       exchange_holds, f_functor, heap_op, inverse_translations,
-                      is_nary_distributive, is_rack, make_op_table,
-                      symmetric_group)
+                      is_nary_distributive, is_rack, symmetric_group)
 from selfdist.braid import (BraidWord, braid_act, twist_op,
                             verify_braid_relations, verify_equivariance)
+from formulas import make_op_table
 
 
 def dih3():

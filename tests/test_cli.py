@@ -12,12 +12,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from selfdist import (Cochain, FiniteGroup, OpTable, affine_op,
                       dihedral_group, doubling_ternary, f_functor, heap_op,
                       is_nary_distributive, is_quandle, is_rack,
-                      make_op_table, product_mutual_pair, symmetric_group,
-                      twist_op)
+                      product_mutual_pair, symmetric_group, twist_op)
 from selfdist import cli, enumeration, kernels
 from selfdist.braid import BraidWord
 from selfdist.cli import SCHEMA, main
-from selfdist.cocycles import extend, make_cochain
+from selfdist.cocycles import extend
+from formulas import make_cochain, make_op_table
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +135,24 @@ def test_check_axioms_missing_file(files, capsys):
     code, _, err = run(["check", "axioms", str(files["root"] / "no.json")],
                        capsys)
     assert code == 2
+
+
+UNDECODABLE = {
+    "not UTF-8": b'{"size": 2, "arity": 2, "table": [0, 1, 1, 0], "x": "\xff"}',
+    "5000 digits": (b'{"size": 2, "arity": 2, "table": [0, 1, 1, '
+                    + b"1" * 5000 + b"]}"),
+    "nested 100000 deep": b"[" * 100000 + b"]" * 100000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_check_axioms_undecodable_input(name, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(UNDECODABLE[name])
+    code, out, err = run(["check", "axioms", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not valid JSON" in err and "Traceback" not in err
 
 
 def test_check_mutual_and_compat(files, capsys):

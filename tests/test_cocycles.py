@@ -9,8 +9,8 @@ import pytest
 from selfdist import (InputError, PreconditionError, affine_op,
                       are_mutually_distributive, conj_quandle, core_quandle,
                       cyclic_group, enumerate_mutual_pairs, exchange_holds,
-                      is_nary_distributive, is_rack, make_op_table,
-                      projection_op, relabel, symmetric_group, tuple_to_index)
+                      is_nary_distributive, is_rack, projection_op, relabel,
+                      symmetric_group, tuple_to_index)
 from selfdist import cocycles
 from selfdist.constructions import (doubling_binary, doubling_ternary,
                                     f_functor, g_functor, power_op)
@@ -23,11 +23,12 @@ from selfdist.cocycles import (AbGroup, Cochain, SES,
                                extend, extend_mutual_pair,
                                extension_equivalent, is_binary_2cocycle,
                                is_normalized_cochain, is_ternary_2cocycle,
-                               make_cochain, power_cocycle, split_ses,
+                               power_cocycle, split_ses,
                                ternary_cocycle_from_pair,
                                three_cocycle_from_ses, zero_cochain)
 from selfdist.homology import (boundary_matrix, cohomology_solve,
                                pullback_labeled_2cocycle)
+from formulas import make_cochain, make_op_table
 
 
 def dih3():
@@ -141,6 +142,15 @@ def test_make_cochain_callable_and_flat():
         c.values[0, 0] = 1
     with pytest.raises(AttributeError):
         c.size = 5
+
+
+def test_cochain_call_checks_its_arguments():
+    c = make_cochain(3, 2, 3, lambda x, y: x * y)
+    for args, message in (((0, 5), "argument 5 outside 0..2"),
+                          ((0, -1), "argument -1 outside 0..2"),
+                          ((0,), "expected 2 arguments, got 1")):
+        with pytest.raises(InputError, match=message):
+            c(*args)
 
 
 def test_cochain_multifactor_values():

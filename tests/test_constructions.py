@@ -13,11 +13,12 @@ from selfdist import (FiniteGroup, InputError, PreconditionError, affine_op,
                       direct_product, doubling_binary,
                       doubling_ternary, evaluate, f_functor, g_functor,
                       generalized_alexander, heap_op, is_nary_distributive,
-                      is_quandle, is_rack, make_op_table, monoid_product,
+                      is_quandle, is_rack, monoid_product,
                       power_op, product_mutual_pair, projection_op,
                       symmetric_group, verify_functor_identities)
 from selfdist.enumeration import (enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks)
+from formulas import make_op_table
 
 DIHEDRAL3 = [0, 2, 1, 2, 1, 0, 1, 0, 2]
 

@@ -10,13 +10,13 @@ from selfdist import (InputError, OpTable, TableStack, affine_op,
                       are_mutually_distributive,
                       conj_quandle, core_quandle, cyclic_group, dihedral_group,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
-                      make_op_table, projection_op, relabel, symmetric_group,
-                      tuple_to_index)
+                      projection_op, relabel, symmetric_group, tuple_to_index)
 from selfdist import enumeration, limits
 from selfdist.enumeration import (KINDS, enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks,
                                   find_isomorphism, isomorphism_classes,
                                   tables_isomorphic)
+from formulas import make_op_table
 
 
 def flat(op):

@@ -3,17 +3,19 @@ import math
 import random
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from selfdist import (InputError, PreconditionError, affine_op, conj_quandle,
-                      core_quandle, cyclic_group, make_op_table, symmetric_group)
+                      core_quandle, cyclic_group, symmetric_group)
 from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
                                chain_map_F, cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
                                labeled_boundary, smith_normal_form, solve_mod,
-                               verify_chain_map, xgcd)
+                               verify_chain_map, xgcd, _smith_transforms)
+from formulas import make_op_table
 
 
 def dih3():
@@ -178,13 +180,31 @@ def _det_exact(M):
     return d
 
 
+class DenseSmith(NamedTuple):
+    """U @ M @ V = diag(factors) with U, V unimodular."""
+    factors: tuple
+    U: np.ndarray
+    V: np.ndarray
+
+
+def dense_smith(M) -> DenseSmith:
+    """The dense transforms oracle: the whole matrix through the Smith
+    reduction that an `Elimination` gives its residual, carrying U and V."""
+    A = np.asarray(M)
+    rows, cols = A.shape
+    factors, U, V = _smith_transforms([[int(v) for v in row] for row in A],
+                                      rows, cols, True, True)
+    return DenseSmith(factors, np.array(U, dtype=object).reshape(rows, rows),
+                      np.array(V, dtype=object).reshape(cols, cols))
+
+
 def test_smith_normal_form_transforms_random():
     rng = random.Random(11)
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         M = np.array([[rng.randint(-40, 40) for _ in range(cols)]
                       for _ in range(rows)])
-        res = smith_normal_form(M, transforms=True)
+        res = dense_smith(M)
         D = np.zeros((rows, cols), dtype=object)
         for i, f in enumerate(res.factors):
             D[i, i] = f
@@ -199,7 +219,7 @@ def test_smith_handles_large_intermediates():
     # Hilbert-like integer matrix with huge reduction intermediates
     n = 6
     M = [[(i + j + 1) ** 5 for j in range(n)] for i in range(n)]
-    res = smith_normal_form(M, transforms=True)
+    res = dense_smith(M)
     D = np.zeros((n, n), dtype=object)
     for i, f in enumerate(res.factors):
         D[i, i] = f
@@ -270,7 +290,7 @@ def test_combine_invariant_factors_huge_prime_is_fast():
 
 
 def _smith_oracle(M):
-    return smith_normal_form(M, transforms=True).factors
+    return dense_smith(M).factors
 
 
 def _suite_boundaries():
@@ -348,7 +368,7 @@ def test_unit_pivot_smith_matches_dense_oracle_on_boundaries(label):
     matrix = SUITE_BOUNDARIES[label]()
     # the oracle reduces the transpose: same factors, and the faster
     # orientation of the dense transforms path on these wide matrices
-    oracle = smith_normal_form(matrix.T, transforms=True)
+    oracle = dense_smith(matrix.T)
     assert smith_normal_form(matrix).factors == oracle.factors
     # the coboundary is the transpose; right sides in its image and at random
     delta = matrix.T
@@ -394,7 +414,7 @@ def test_recorded_elimination_matches_dense_oracle_on_random_matrices():
         image = (M @ np.array([rng.randrange(50) for _ in range(cols)],
                               dtype=np.int64).reshape(cols)).reshape(rows)
         drawn = [rng.randrange(MODULI[-1]) for _ in range(rows)]
-        red = _check_recorded_elimination(M, smith_normal_form(M, transforms=True),
+        red = _check_recorded_elimination(M, dense_smith(M),
                                           moduli, (image, drawn))
         # the kernel spans, by brute force on small cases
         for d in moduli:
@@ -547,6 +567,18 @@ def test_moduli_beyond_int64_refused_before_any_matrix():
     # would be charged
     with pytest.raises(InputError, match="refusing cochain coefficients"):
         cohomology_solve(affine_op(200, 2, (2,)), 2, 10 ** 20 - 1)
+
+
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_moduli_below_one_refused_by_every_entry_point(modulus):
+    A, b = np.array([[2, 2]]), np.array([4])
+    red = Elimination(A)
+    for call in (lambda: kernel_lattice_mod(A, modulus),
+                 lambda: solve_mod(A, b, modulus),
+                 lambda: red.kernel_lattice_mod(modulus),
+                 lambda: red.solve_mod(b, modulus)):
+        with pytest.raises(InputError, match=f"modulus >= 1, got {modulus}"):
+            call()
 
 
 def test_homology_with_huge_prime_coefficient():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from selfdist import (InputError, OpTable, affine_op, are_compatible_ternary,
-                      cyclic_group, heap_op, index_to_tuple, make_op_table,
+                      cyclic_group, heap_op, index_to_tuple,
                       product_mutual_pair, symmetric_group)
 from selfdist import kernels
 from selfdist.kernels import (compat_cocycle_scan, compat_scan, exchange_scan,
                               mutual_cocycle_scan, nary_cocycle_scan,
                               translation_scan)
+from formulas import make_op_table
 
 rng = random.Random(20260823)
 

@@ -10,7 +10,7 @@ from selfdist import (ComonoidObject, Field, HopfAlgebraObject, InputError,
                       LieAlgebraObject, LinMap, OpTable, PreconditionError,
                       SDObject, augmented_operation, categorical_double,
                       check_augmented_hopf, check_nary_sd, cyclic_group,
-                      dihedral_group, group_algebra_hopf,
+                      dihedral_group, enumerate_operations, group_algebra_hopf,
                       hopf_adjoint_ternary, hopf_heap, is_nary_distributive,
                       lie_to_binary_sd, switching_lemmas_check,
                       symmetric_group)
@@ -1070,3 +1070,39 @@ def test_check_matches_dense_contraction_oracle(monkeypatch):
         failing += not holds
         count += 1
     assert (count, failing) == (97, 51)
+
+
+def linearized(op, field=F3):
+    """k[X] for a table: the grouplike comonoid, delta(x) = x (x) x and
+    counit(x) = 1, with the operation as a map of one term per column."""
+    d, k = op.size, op.arity
+    every = np.arange(d)
+    delta = np.zeros((d * d, d), np.int64)
+    delta[every * (d + 1), every] = 1
+    w = np.zeros((d, d ** k), np.int64)
+    w[op.table, np.arange(d ** k)] = 1
+    com = ComonoidObject(d, LinMap(field, d, 1, 2, delta),
+                         LinMap(field, d, 1, 0, np.ones((1, d), np.int64)))
+    return SDObject(com, k, LinMap(field, d, k, 1, w), verify=False)
+
+
+def _non_sd_sample(count, seed):
+    every = enumerate_operations(3, 2, "all")
+    sd = {row.tobytes() for row in enumerate_operations(3, 2, "sd").tables}
+    rows = [i for i, row in enumerate(every.tables) if row.tobytes() not in sd]
+    return [every[i] for i in sorted(random.Random(seed).sample(rows, count))]
+
+
+@pytest.mark.parametrize("tables", [
+    lambda: enumerate_operations(2, 2, "all"),
+    lambda: enumerate_operations(2, 3, "all"),
+    lambda: enumerate_operations(3, 2, "sd"),
+    lambda: _non_sd_sample(200, 17),
+], ids=["2 points arity 2", "2 points arity 3", "SD on 3 points",
+        "non-SD sample on 3 points"])
+def test_scan_and_linear_check_agree_on_linearized_tables(tables):
+    # the verdicts only: the linear witness is ordered by output row first
+    ops = list(tables())
+    scan = [bool(is_nary_distributive(op)) for op in ops]
+    linear = [bool(check_nary_sd(linearized(op))) for op in ops]
+    assert linear == scan

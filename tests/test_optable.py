@@ -8,8 +8,9 @@ from selfdist import (FiniteGroup, InputError, OpTable, are_compatible_ternary,
                       are_mutually_distributive, cyclic_group, dihedral_group,
                       direct_product, evaluate, exchange_holds, group_from_cayley,
                       heap_vs_core_directional, inverse_translations,
-                      is_nary_distributive, is_quandle, is_rack, make_op_table,
-                      relabel, symmetric_group)
+                      is_nary_distributive, is_quandle, is_rack, relabel,
+                      symmetric_group)
+from formulas import make_op_table
 
 DIHEDRAL3 = [0, 2, 1, 2, 1, 0, 1, 0, 2]  # x*y = 2y-x mod 3
 
