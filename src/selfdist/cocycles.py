@@ -38,18 +38,25 @@ from .constructions import (PreconditionError, _require, doubling_binary,
 # ---------------------------------------------------------------------------
 # coefficient groups
 
+def _mixed_digits(index, factors):
+    """Residues of `index` (an int or an int64 array) in the mixed radix of
+    `factors`, first factor most significant."""
+    out = []
+    for f in reversed(factors):
+        index, r = divmod(index, f)
+        out.append(r)
+    return out[::-1]
+
+
 @functools.lru_cache(maxsize=None)
 def _residue_table(factors: Tuple[int, ...]) -> np.ndarray:
     """(order, len(factors)) residue rows in index order, read-only."""
     order = math.prod(factors)
     limits.charge_bytes(8 * order * len(factors),
                         f"the residue table of a group of order {order}")
-    out = np.zeros((order, len(factors)), dtype=np.int64)
-    for i in range(out.shape[0]):
-        rem = i
-        for j in range(len(factors) - 1, -1, -1):
-            out[i, j] = rem % factors[j]
-            rem //= factors[j]
+    out = np.empty((order, len(factors)), dtype=np.int64)
+    for j, col in enumerate(_mixed_digits(np.arange(order, dtype=np.int64), factors)):
+        out[:, j] = col
     out.setflags(write=False)
     return out
 
@@ -91,7 +98,7 @@ class AbGroup:
     def residues(self, index: int) -> tuple:
         if not 0 <= index < self.order:
             raise InputError(f"index {index} outside 0..{self.order - 1}")
-        return tuple(int(v) for v in _residue_table(self.factors)[index])
+        return tuple(_mixed_digits(int(index), self.factors))
 
     def residue_table(self) -> np.ndarray:
         return _residue_table(self.factors)

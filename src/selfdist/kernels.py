@@ -5,14 +5,31 @@ acted on by z, then by y acted on by z.  A `Law` states one instance of it:
 n-ary self-distributivity and the exchange law, ternary compatibility, the
 degree-2 cocycle condition, and the paired cocycle conditions.
 
-A law is evaluated in row form.  Given a block of leading coordinates
-(x.., y_1..y_{m-1}), `_sides` fills the (lhs, rhs) rows over every trailing
-z-tuple, so each inner lookup is a row gather of table.reshape(N, N**(k-1)).
-`_blocks` walks the leading tuples in blocks of at most `_SLAB` row entries
-(at least one row), writing into three int64 buffers and a bool buffer of
-that size which it reuses from block to block.  A scan's memory beyond its
-tables is therefore bounded by `_SLAB`, not by the number of tuples.
-`witness` evaluates the same rows at one failing tuple.
+A law is evaluated in blocks of x-prefixes.  For a prefix x, Q[k] is the row
+of the array the right side reads last (opy, or cy for a cocycle law) at
+opz(x, z_k), one row gather of its (N, N^(m-1)) view.  The right side at
+(x, y, z_k) is Q[k][h] with h = sum_j act_j(y_j, z_k) N^(m-1-j), so one int64
+index table IDX[y, k] = k N^(m-1) + h, built once per scan, reads every right
+side of every prefix out of Q in one gather.  The left side is one row gather
+of opz (or cz) at opy's values.  A tuple costs four passes: the gather of Q,
+the read through IDX, the left gather and the comparison.  Where the table
+over all y would pass `_SLAB` entries, it covers the last t y-coordinates,
+the most that fit, and the leading y-digits join x in choosing the rows of
+Q; an x-prefix with those digits is a unit.  `_blocks` walks the units in
+blocks of at most `_SLAB` entries (at least one unit), into three value
+buffers sized to the block and reused from block to block.  A worker's
+memory beyond its tables is therefore three value buffers and one int64
+index table of at most `_SLAB` entries each, whatever the number of tuples;
+only a law with more than `_SLAB` tail classes exceeds that, by holding one
+unit's row of classes.
+`witness` evaluates the block of one failing tuple.
+
+Values are held in the narrowest unsigned dtype that holds what a block
+forms: table entries 0..N-1, one byte up to N = 256, and for a cocycle law
+sums of two residues, 0..2d-2, in at least 1 + log2(d) bits.  Each side of
+a cocycle law is reduced into 0..d-1 without overflow: s = a + b fits, and
+s - d wraps past s exactly when s < d, so min(s, s - d) is s mod d.  The
+comparison is exact for every modulus up to 2^63 - 1.
 
 Scans return the flat index of the first failing tuple in lexicographic
 order (first coordinate most significant), or -1 when the law holds.
@@ -36,11 +53,12 @@ counts the classes, so a heap is charged for N tails, not N^2.
 
 A law may also range over a stack of `batch` candidate tables, one per
 row, with the candidate as one more leading coordinate, most significant.
-Candidate c's tables are rows c*N.. of the stacked row views, so `_sides`
-raises each coordinate, each looked-up row and the start of each
-right-hand index by c*N: the same gathers then read each candidate's own
-rows.  `holds` gives one verdict per candidate.  A law of one table skips
-the raising, so its blocks do the same work as without the batch axis.
+Candidate c's tables are rows c*N.. of the stacked row views, so the blocks
+raise each looked-up row by c*N, and the index table adds each candidate's
+own head sums, broadcast from its act rows.  A block holds whole candidates
+when one candidate fits in `_SLAB` entries, and otherwise lies inside one
+candidate; a block of other candidates than the last builds its own index
+table.  `holds` gives one verdict per candidate.
 
 The gathers use np.take(mode="clip"), which is exact only for in-range
 indices, so each table is checked to hold entries in 0..N-1, and each
@@ -68,10 +86,10 @@ from .limits import InputError
 # machine block reads it on every run.
 USING_NUMBA = False
 
-# most entries of one block of (lhs, rhs) rows; each worker holds three int64
-# buffers and one bool buffer of this many entries.  Buffers that stay in
-# cache scan the order-24..40 heaps fastest: on a 2-core Xeon with 4 MiB of
-# L2, 2^16 entries beat 2^21 by 1.4-1.8x.
+# most entries of one block of (lhs, rhs) rows, and of the index table; each
+# worker holds three value buffers and the comparison of at most this many.
+# Buffers that stay in cache scan the order-24..40 heaps fastest: on a
+# 2-core Xeon with 4 MiB of L2, 2^16 entries beat 2^21 by 1.4-1.8x.
 _SLAB = 1 << 16
 
 
@@ -125,10 +143,12 @@ def _entries(values, length, hi, what):
 
 
 # Steps charged for a scan, against the 0.12 us a step takes in the rack
-# search, measured on a 2-core Xeon with numpy 2.4.  `_sides` spends five
-# numpy calls on each leading coordinate of a block, 6.4-9.0 us; the blocks
-# spend 7-10 ns on each tuple (the heap of C80, 41M tuples in 0.27-0.37 s;
-# of S5, 207M in 2.05 s); `np.unique` groups the tails at 150-540 ns a row.
+# search, measured on a 2-core Xeon with numpy 2.4.  A block of a binary or
+# ternary law makes 10-15 numpy calls, 24-35 us, near the 9 us charged for
+# each leading coordinate.  The blocks spend 1.8-2.0 ns on each tuple (the
+# heap of C80, 41M tuples in 0.083 s; of S5, 207M in 0.39 s), a fifth of the
+# 10 ns charged, which was their cost in int64 and stays so that no refusal
+# moves.  `np.unique` groups the tails at 150-540 ns a row.
 _LEAD_STEPS = 75
 _TUPLES_PER_STEP = 12
 _ROW_STEPS = 4
@@ -209,62 +229,123 @@ def digits(r, N, count):
     return [r // N ** p % N for p in range(count - 1, -1, -1)]
 
 
-def _sides(law, r, L, R, T):
-    """(lhs, rhs) rows over every z for the leading tuples with flat indices r.
+def _narrow(law):
+    """The narrowest unsigned dtype of a block's values.  A table law forms
+    table entries, 0..N-1.  A cocycle law forms sums of two residues,
+    0..2d-2, in a dtype of at least 1 + log2(d) bits, so that s - d wraps
+    above s exactly when s < d."""
+    return np.min_scalar_type(2 * law.d - 1 if law.d else law.N - 1)
 
-    L, R and T are (len(r), tail) buffers; lhs is L and rhs is T.
-    """
-    N, rows, heads = law.N, law.tail, law.heads
-    lead = digits(r, N, law.lead)
-    batched = law.batch > 1
-    if batched:
-        # each coordinate as a row of its candidate's block of N rows
-        base = r // N ** law.lead * N
-        lead = [digit + base for digit in lead]
-    y = r % heads
-    xy, xz, xc = (lead[i] for i in law.pick)
-    # what each path reads last: the cochains of a cocycle law, else the tables
-    vz, vy = (law.cz, law.cy) if law.d else (law.opz, law.opy)
-    # x acted on by y, then by z
-    xyz = law.opy[xy * heads + y]
-    if batched:
-        xyz += base
-    np.take(vz.reshape(-1, rows), xyz, axis=0, out=L, mode="clip")
-    # x acted on by z, then by each y_j acted on by z; a raised start
-    # carries c*N^m through the base-N digits
-    np.take(law.opz.reshape(-1, rows), xz, axis=0, out=R, mode="clip")
-    if batched:
-        R += base[:, None]
-    for act, yj in zip(law.acts, lead[law.lead - len(law.acts):]):
-        R *= N
-        R += np.take(act.reshape(-1, rows), yj, axis=0, out=T, mode="clip")
-    np.take(vy, R, out=T, mode="clip")
-    if law.d:
-        L += law.cy[xc * heads + y][:, None]
-        T += np.take(law.cz.reshape(-1, rows), xy, axis=0, out=R, mode="clip")
-    return L, T
+
+def _reduce(s, d, tmp):
+    """s mod d in place, for s in 0..2d-2 in `_narrow`'s dtype."""
+    np.subtract(s, s.dtype.type(d), out=tmp)
+    np.minimum(s, tmp, out=s)
+
+
+def _head_sums(law, c0, c1, t):
+    """(c1 - c0, N^t, K) sums of act_j(y_j, z_k) N^(t-1-j) over the last t
+    y-coordinates, one table per candidate c0..c1-1, built by broadcasting
+    each candidate's act rows."""
+    N, K = law.N, law.tail
+    acts = [a.reshape(-1, N, K)[c0:c1] for a in law.acts[len(law.acts) - t:]]
+    if not acts:
+        return np.zeros((c1 - c0, 1, K), np.int64)
+    S = acts[0]
+    for rows in acts[1:]:
+        S = (S[:, :, None, :] * N + rows[:, None]).reshape(c1 - c0, -1, K)
+    return S
 
 
 def _blocks(law, lo, hi):
-    """(start, hit) for each block of the leading tuples lo..hi-1, where
-    hit[i, z] marks a failure of the law at tuple start + i and tail z."""
-    rows = law.tail
-    block = max(1, min(hi - lo, _SLAB // rows))
-    L, R, T = (np.empty((block, rows), np.int64) for _ in range(3))
-    bad = np.empty((block, rows), bool)
-    for start in range(lo, hi, block):
-        b = min(block, hi - start)
-        lhs, rhs = _sides(law, np.arange(start, start + b), L[:b], R[:b], T[:b])
+    """(start, lhs, rhs) for each block of the leading tuples lo..hi-1,
+    widened to whole units, where lhs[i, k] and rhs[i, k] are the sides of
+    the law at leading tuple start + i and tail k; cocycle sides mod d.
+
+    A unit is one x-prefix and the y-digits above the last t, where t is the
+    most y-digits whose N^t x K index table fits in `_SLAB`.  A block of a
+    batched law holds whole candidates when one candidate's units fit in
+    `_SLAB`, and otherwise lies inside one candidate.
+    """
+    N, K, acts, batched = law.N, law.tail, law.acts, law.batch > 1
+    nx = max(law.pick) + 1
+    t = len(acts)
+    while t and N ** t * K > _SLAB:
+        t -= 1
+    T, head = N ** t, len(acts) - t
+    HH = N ** head
+    U = N ** nx * HH                   # units of one candidate
+    E = T * K                          # entries of one unit
+    g = max(1, _SLAB // E)             # units of one block
+    whole = batched and U <= g
+    if whole:
+        g -= g % U
+    # what each side reads last, in the narrow dtype: the cochains of a
+    # cocycle law, else the tables.  Z has rows c*N + v and Y rows
+    # (c*N + v)*HH + yh, as have the int64 reads opz and opy.
+    dtype = _narrow(law)
+    vz, vy = (law.cz, law.cy) if law.d else (law.opz, law.opy)
+    Z, Y = vz.astype(dtype).reshape(-1, K), vy.astype(dtype).reshape(-1, T)
+    opz, opy = law.opz.reshape(-1, K), law.opy.reshape(-1, T)
+    heads = [a.reshape(-1, K) for a in acts[:head]]
+    ulo, uhi = lo // T, -(-hi // T)
+    size = min(g, uhi - ulo) * E
+    Qb, Lb, Rb = np.empty((3, size), dtype)
+    key = None
+    u0 = ulo
+    while u0 < uhi:
+        u1 = min(uhi, u0 + g) if whole else min(uhi, u0 + g, (u0 // U + 1) * U)
+        n = u1 - u0
+        c0, c1 = u0 // U, -(-u1 // U)
+        if key != (c0, c1):
+            # flat index into Q of the right side at (unit, y tail, class):
+            # (unit*K + k)*T plus the candidate's head sums, reused by every
+            # later block of the same candidates, none of which is longer
+            idx = np.repeat(_head_sums(law, c0, c1, t) + np.arange(K) * T,
+                            n // (c1 - c0), axis=0)
+            units = idx.reshape(n, E)
+            units += (np.arange(n) * E)[:, None]
+            key = (c0, c1)
+        # each unit's x-digits and head y-digits, as rows of its candidate
+        r = np.arange(u0, u1)
+        if batched:
+            r, base = r % U, r // U * N
+        dig = digits(r, N, nx + head) if nx + head > 1 else [r]
+        if batched:
+            dig = [a + base for a in dig]
+        xy, xz, xc = (dig[i] for i in law.pick)
+        # row u, k of Q is the row of Y at opz(x, z_k) and the head acts at z_k
+        rows = opz.take(xz, axis=0)
+        if batched:
+            rows += base[:, None]
+        for act, y in zip(heads, dig[nx:]):
+            rows *= N
+            rows += act.take(y, axis=0)
+        Q = Y.take(rows, axis=0, out=Qb[:n * E].reshape(n, K, T), mode="clip")
+        R = Rb[:n * E].reshape(n, T, K)
         if law.d:
-            lhs -= rhs
-            lhs %= law.d
-            rhs = 0
-        yield start, np.not_equal(lhs, rhs, out=bad[:b])
+            Q += Z.take(xy, axis=0)[:, :, None]
+            _reduce(Q, law.d, R.reshape(n, K, T))
+        Q.reshape(-1).take(idx[:n], out=R, mode="clip")
+        # the left side: the rows of Z at opy's values
+        if head:
+            yh = r % HH
+            xy, xc = xy * HH + yh, xc * HH + yh
+        v = opy.take(xy, axis=0)
+        if batched:
+            v += base[:, None]
+        L = Z.take(v, axis=0, out=Lb[:n * E].reshape(n, T, K), mode="clip")
+        if law.d:
+            L += Y.take(xc, axis=0)[:, :, None]
+            _reduce(L, law.d, Qb[:n * E].reshape(n, T, K))
+        yield u0 * T, L.reshape(-1, K), R.reshape(-1, K)
+        u0 = u1
 
 
 def _scan_range(law, lo, hi):
     """First failing flat index among leading tuples lo..hi-1, or -1."""
-    for start, hit in _blocks(law, lo, hi):
+    for start, lhs, rhs in _blocks(law, lo, hi):
+        hit = lhs != rhs
         i = int(hit.argmax())
         if hit.flat[i]:
             return start * law.tail + i
@@ -332,11 +413,11 @@ def holds(law):
                    f"{law.batch} candidate tables on {law.N} points", law.batch)
     ok = np.ones(law.batch, bool)
     span = law.N ** law.lead          # leading tuples of one candidate
-    for start, hit in _blocks(law, 0, law.batch * span):
-        # a block may start and end inside a candidate
-        first, stop = start // span, -(-(start + len(hit)) // span)
-        cuts = np.maximum(np.arange(first, stop) * span - start, 0)
-        ok[first:stop] &= ~np.logical_or.reduceat(hit.ravel(), cuts * law.tail)
+    for start, lhs, rhs in _blocks(law, 0, law.batch * span):
+        # whole candidates, or a part of one
+        count = max(1, len(lhs) // span)
+        c = start // span
+        ok[c:c + count] &= ~(lhs != rhs).reshape(count, -1).any(axis=1)
     return ok
 
 
@@ -344,11 +425,8 @@ def witness(law, flat):
     """(tuple, lhs, rhs) of the law at a flat tuple index; cocycle sides mod d."""
     rows = law.tail
     r, z = divmod(int(flat), rows)
-    L, R, T = (np.empty((1, rows), np.int64) for _ in range(3))
-    lhs, rhs = _sides(law, np.array([r]), L, R, T)
-    lhs, rhs = int(lhs[0, z]), int(rhs[0, z])
-    if law.d:
-        lhs, rhs = lhs % law.d, rhs % law.d
+    start, lhs, rhs = next(_blocks(law, r, r + 1))
+    lhs, rhs = int(lhs[r - start, z]), int(rhs[r - start, z])
     count = law.lead
     while law.N ** (count - law.lead) < rows:
         count += 1

@@ -14,8 +14,8 @@ InputError, which the command line reports with exit status 2:
     refusing <what>: needs <n> steps, budget <STEPS>
 
 BYTES counts the arrays one step builds whose size comes from the input:
-the int64 entries of a table, a boundary matrix or a digit grid, the three
-coordinate arrays of a sparse linear map (24 bytes a term), the stacked
+the int64 entries of a table, a boundary matrix or a digit grid, the
+terms a sparse linear map is built from (64 bytes a term), the stacked
 candidate tables of a scan, the Python lists of a dense Smith reduction
 (8 bytes an entry), and the int64 columns of the braid action and of its
 images.  Its value is the 20M int64 entries of the boundary matrix cap it

@@ -58,9 +58,17 @@ _FRACTION_STEPS = 40
 _BLOCK = 1 << 16
 
 
+# Bytes a map built from its terms holds at its peak, a term: its keys and
+# values, the sum's temporaries and the result.  Measured by VmHWM on a
+# 2-core Xeon with numpy 2.4: a compose that counts its sums holds about 40,
+# one that sorts them about 60, and a tensor product, which keeps every
+# term, about 63.
+_TERM_BYTES = 64
+
+
 def _charge_terms(terms: int, what: str) -> None:
-    """Charge the rows, cols and vals arrays of `terms` sparse entries."""
-    limits.charge_bytes(24 * terms, what)
+    """Charge building a map from `terms` products."""
+    limits.charge_bytes(_TERM_BYTES * terms, what)
 
 
 def _shape(dim: int, src_power: int, dst_power: int) -> tuple:
@@ -317,14 +325,15 @@ class LinMap:
         self._same_space(other, "tensor with")
         src, dst = (self.src_power + other.src_power,
                     self.dst_power + other.dst_power)
-        _shape(self.dim, src, dst)
+        nrows = _shape(self.dim, src, dst)[0]
         _charge_terms(self.nnz * other.nnz, "a tensor product")
         orows, ocols = _shape(other.dim, other.src_power, other.dst_power)
-        return LinMap._from_entries(
-            self.field, self.dim, src, dst,
-            (self.rows[:, None] * orows + other.rows).ravel(),
-            (self.cols[:, None] * ocols + other.cols).ravel(),
-            (self.vals[:, None] * other.vals).ravel())
+        # the key (c * ocols + oc) * nrows + r * orows + o splits into a term
+        # of each map's entry
+        key = ((self.cols * ocols * nrows + self.rows * orows)[:, None]
+               + (other.cols * nrows + other.rows)).ravel()
+        return LinMap._from_keys(self.field, self.dim, src, dst, key,
+                                 (self.vals[:, None] * other.vals).ravel())
 
     @staticmethod
     def identity(field: Field, dim: int, power: int = 1) -> "LinMap":

@@ -189,6 +189,22 @@ def test_check_cocycle_and_cocycle_check_agree(files, capsys):
         [0, 0, 1, 0, 0]
 
 
+def test_check_cocycle_near_int64_modulus(tmp_path, capsys):
+    # phi(0, 1) + phi(W(0, 1), 0) = 3 + (d - 1) = d + 2, which wraps past
+    # 2^63 in int64; modulo d it is 2, against phi(0, 0) + phi(0, 0) = 0
+    d = 2 ** 63 - 1
+    op = tmp_path / "op.json"
+    op.write_text(json.dumps({"size": 2, "arity": 2, "table": [0, 1, 0, 1]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"nargs": 2, "coeff": [d],
+                               "values": [[0], [3], [d - 1], [0]]}))
+    code, out, _ = run(["check", "cocycle", str(op), str(phi)], capsys)
+    assert code == 1 and "binary 2-cocycle: no" in out
+    code, rep = run_json(["check", "cocycle", str(op), str(phi)], capsys)
+    cex = rep["verdicts"][0]["counterexample"]
+    assert code == 1 and cex["witness"] == [0, 1, 0]
+
+
 # ---------------------------------------------------------------------------
 # construct
 

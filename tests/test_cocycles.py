@@ -116,6 +116,33 @@ def test_abgroup_basics():
     assert G.reduce(np.array([[3, 5]])).tolist() == [[1, 1]]
 
 
+def loop_residue_table(factors):
+    """The residue rows by a plain loop over every index."""
+    rows = []
+    for i in range(math.prod(factors)):
+        row = []
+        for f in reversed(factors):
+            i, r = divmod(i, f)
+            row.append(r)
+        rows.append(row[::-1])
+    return rows
+
+
+def test_residue_table_matches_loop():
+    for factors in ((1,), (7,), (2, 4), (3, 1, 5), (2, 3, 2, 2), ()):
+        G = AbGroup(factors)
+        want = loop_residue_table(factors)
+        assert G.residue_table().shape == (G.order, len(factors))
+        assert G.residue_table().tolist() == want
+        assert [list(G.residues(i)) for i in range(G.order)] == want
+    # one element of a large group is decoded without building its table
+    G = AbGroup((2 ** 20,))
+    start = time.perf_counter()
+    assert G.residues(5) == (5,) and G.residues(2 ** 20 - 1) == (2 ** 20 - 1,)
+    assert time.perf_counter() - start < 0.01
+    assert AbGroup((2 ** 63 - 1, 3)).residues(3 * 2 ** 62 + 2) == (2 ** 62, 2)
+
+
 def test_abgroup_rejects_bad_factors():
     with pytest.raises(InputError):
         AbGroup((2, 0))

@@ -71,9 +71,15 @@ def coboundary(table, size, arity, d):
 
 # ---------------------------------------------------------------------------
 # reference oracles: plain loops over every tuple in lexicographic order,
-# each returning (flat index, lhs, rhs) at the first failure or (-1, None, None)
+# each returning (flat index, lhs, rhs) at the first failure or (-1, None, None).
+# They read Python ints, whose sums do not wrap at any modulus.
+
+def ints(*arrays):
+    return [np.asarray(a).tolist() for a in arrays]
+
 
 def exchange_oracle(tm, tn, N, m, n):
+    tm, tn = ints(tm, tn)
     Pm = N ** (m - 1)
     Pn = N ** (n - 1)
     for x in range(N):
@@ -125,6 +131,7 @@ def compat_oracle(A, B, N, which):
 
 
 def cocycle_oracle(W, phi, N, k, d):
+    W, phi = ints(W, phi)
     P = N ** (k - 1)
     for x in range(N):
         for yi in range(P):
@@ -143,6 +150,7 @@ def cocycle_oracle(W, phi, N, k, d):
 
 
 def mutual_cocycle_oracle(t0, t1, p0, p1, N, d, which):
+    t0, t1, p0, p1 = ints(t0, t1, p0, p1)
     for x in range(N):
         for y in range(N):
             for z in range(N):
@@ -158,6 +166,7 @@ def mutual_cocycle_oracle(t0, t1, p0, p1, N, d, which):
 
 
 def compat_cocycle_oracle(A, B, s0, s1, N, d, which, literal):
+    A, B, s0, s1 = ints(A, B, s0, s1)
     for x0 in range(N):
         for x1 in range(N):
             for y0 in range(N):
@@ -338,6 +347,13 @@ def _mid_x_slab(law):
     return block * law.tail
 
 
+def _head_slabs(law):
+    """Slabs between one row of tails and one x-prefix's heads x tails, so
+    that blocks split a prefix's heads: two rows, and N rows."""
+    per_x = law.heads * law.tail
+    return [s for s in (2 * law.tail, law.N * law.tail) if law.tail < s < per_x]
+
+
 def assert_batches_match_oracle(monkeypatch):
     """The exchange cases of each shape, stacked into one batched law, get
     one verdict per case: whether the oracle finds no failure."""
@@ -350,9 +366,10 @@ def assert_batches_match_oracle(monkeypatch):
         law = kernels.exchange_law(np.concatenate(tm), np.concatenate(tn),
                                    N, m, n, batch=len(group))
         span = N ** law.lead
-        # blocks of one leading tuple, and blocks of span + 1 leading tuples,
-        # which start and end inside candidates
-        for slab in (1, (span + 1) * law.tail):
+        # blocks of one leading tuple; blocks that split one candidate's
+        # heads; and blocks of one and of three whole candidates
+        for slab in (1, *_head_slabs(law), (span + 1) * law.tail,
+                     3 * span * law.tail):
             monkeypatch.setattr(kernels, "_SLAB", slab)
             assert kernels.holds(law).tolist() == list(want), (N, m, n, slab)
 
@@ -366,7 +383,9 @@ def test_slab_and_jobs_invariance(name, monkeypatch):
     # (or past x = 0), and when some case holds everywhere
     flats = [flat for flat, _, _ in ORACLE_HITS[name]]
     assert -1 in flats and max(flats) > mid
-    for slab in (1, mid):
+    heads = _head_slabs(law(*big))
+    assert heads
+    for slab in (1, mid, *heads):
         monkeypatch.setattr(kernels, "_SLAB", slab)
         for jobs in (1, 2, 3):
             assert_matches_oracle(name, jobs=jobs)
@@ -519,3 +538,82 @@ def test_compat_check_memory_is_bounded(run_fresh):
     holds, peak_kib = proc.stdout.split()
     assert holds == "True"
     assert int(peak_kib) < 200 * 1024, f"peak RSS {int(peak_kib) / 1024:.0f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# narrow values: the blocks hold table entries in uint8 up to N = 256 and
+# residue sums in the least unsigned dtype above 2d - 2
+
+# (row, column) of a changed entry whose first failure has both sides at
+# least 128, and for N = 257 one whose first failure, (0, 255, 0), lies past
+# the first block of 255 leading tuples
+CHANGED = {255: [(253, 63)], 256: [(255, 253)], 257: [(255, 63), (255, 0)]}
+
+
+@pytest.mark.parametrize("N", sorted(CHANGED))
+def test_alexander_quandles_at_dtype_boundaries(N):
+    # -x + 2y is a quandle on Z/N for every N
+    tab = as_i64(affine_op(N, 2, (N - 1,)).table)
+    assert exchange_scan(tab, tab, N, 2, 2) == -1
+    firsts = []
+    for row, col in CHANGED[N]:
+        bad = perturbed(tab, N, row * N + col)
+        flat, lhs, rhs = exchange_oracle(bad, bad, N, 2, 2)
+        law = kernels.exchange_law(bad, bad, N, 2, 2)
+        for jobs in (1, 2):
+            assert kernels._scan(law, jobs) == flat
+        args, l, r = kernels.witness(law, flat)
+        assert args == index_to_tuple(flat, N, 3) and (l, r) == (lhs, rhs)
+        firsts.append((min(lhs, rhs) >= 128, flat))
+    assert firsts[0][0]
+    if N == 257:
+        assert firsts[1][1] == 255 * N
+
+
+def near(d, count):
+    """`count` residues mod d, drawn from the ends of 0..d-1 and between."""
+    pool = [0, 1, d // 2, d - 2, d - 1]
+    return np.array([rng.choice(pool) if rng.random() < 0.7 else rng.randrange(d)
+                     for _ in range(count)], np.int64) % d
+
+
+def big_coboundary(table, size, arity, d):
+    """`coboundary` with f(x) = d - 1 - x, whose sides sum past 2^63 at d
+    near it."""
+    f = [(d - 1 - x) % d for x in range(size)]
+    P = size ** (arity - 1)
+    return np.array([(f[i // P] - f[int(v)]) % d for i, v in enumerate(table)],
+                    np.int64)
+
+
+MODULI = [127, 128, 255, 256, 32767, 32768, 2 ** 31 + 11, 2 ** 63 - 1]
+
+
+@pytest.mark.parametrize("d", MODULI)
+def test_cocycle_laws_at_dtype_boundaries(d):
+    cases = {"cocycle": [], "mutual_cocycle": [], "compat_cocycle": []}
+    for W, N, k in ((DIH3, 3, 2), (DIH5, 5, 2), (Z8, 8, 3)):
+        phi = big_coboundary(W, N, k, d)
+        cases["cocycle"] += [(W, phi, N, k, d), (W, perturbed(phi, d, len(W) - 2), N, k, d)]
+    for size, arity in ((2, 2), (3, 2), (2, 3)):
+        for _ in range(3):
+            cases["cocycle"].append((rand_table(size, arity), near(d, size ** arity),
+                                     size, arity, d))
+    p2, p3 = big_coboundary(AL2, 5, 2, d), big_coboundary(AL3, 5, 2, d)
+    for pair in ((p2, p3), (perturbed(p2, d, 14), p3), (near(d, 25), near(d, 25))):
+        cases["mutual_cocycle"] += [(AL2, AL3, *pair, 5, d, w) for w in (1, 2)]
+    s = (np.full(125, d - 1, np.int64), np.full(125, d - 1, np.int64))
+    for pair in (s, (perturbed(s[0], d, 98), s[1]), (near(d, 125), near(d, 125))):
+        cases["compat_cocycle"] += [(CA5, CB5, *pair, 5, d, w, lit)
+                                    for w, lit in ((1, False), (2, False), (2, True))]
+    holding = 0
+    for name, group in cases.items():
+        scan, law, oracle, _ = SCANS[name]
+        for case in group:
+            flat, lhs, rhs = oracle(*case)
+            assert scan(*case) == flat, (name, case)
+            holding += flat < 0
+            if flat >= 0:
+                args, l, r = kernels.witness(law(*case), flat)
+                assert (l, r) == (lhs, rhs), (name, case)
+    assert holding >= 7

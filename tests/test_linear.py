@@ -742,6 +742,52 @@ def test_adjoint_memory_is_small(run_fresh):
     assert int(proc.stdout) < 5 * 1024, f"added {int(proc.stdout)} KiB"
 
 
+# each builds a map of about 1.5M-1.9M products from random sparse maps over
+# F7: a compose whose keys are dense enough to count, one whose keys are
+# spread so that it sorts, and a tensor product, which keeps every term
+TERM_PATHS = {
+    "counted": "m, w = rand(6, 3, 3, 23000), rand(6, 3, 3, 23000)\n"
+               "call = lambda: m.compose(w)\n",
+    "sorted": "m, w = rand(8, 4, 4, 50000), rand(8, 4, 4, 8 ** 4 * 30)\n"
+              "call = lambda: m.compose(w)\n",
+    "tensor": "m, w = rand(6, 2, 2, 1100), rand(6, 3, 3, 1400)\n"
+              "call = lambda: m.tensor(w)\n",
+}
+
+
+@pytest.mark.parametrize("path", sorted(TERM_PATHS))
+def test_term_charge_covers_peak_growth(path, run_fresh):
+    # in a fresh process, the peak resident growth of one build stays within
+    # 1.5 times the bytes `_charge_terms` charged for it.  VmHWM starts
+    # afresh at exec; the inputs are small, so the build sets the peak.
+    code = (
+        "import numpy as np\n"
+        "from selfdist import Field, LinMap, limits\n"
+        "def status(key):\n"
+        "    return next(int(line.split()[1]) * 1024 for line in"
+        " open('/proc/self/status') if line.startswith(key))\n"
+        "rng = np.random.default_rng(5)\n"
+        "def rand(d, src, dst, nnz):\n"
+        "    rows = rng.integers(0, d ** dst, nnz)\n"
+        "    cols = rng.integers(0, d ** src, nnz)\n"
+        "    return LinMap._from_entries(Field(7), d, src, dst, rows, cols,\n"
+        "                                rng.integers(1, 7, nnz))\n"
+        + TERM_PATHS[path] +
+        "charged = []\n"
+        "charge = limits.charge_bytes\n"
+        "limits.charge_bytes = lambda need, what: (charged.append(need),"
+        " charge(need, what))\n"
+        "before, start = status('VmHWM'), status('VmRSS')\n"
+        "call()\n"
+        "print(max(charged), start, before, status('VmHWM'))\n"
+    )
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    charged, start, before, peak = map(int, proc.stdout.split())
+    assert peak > before and before - start < charged / 10
+    assert peak - start <= 1.5 * charged, (path, charged, peak - start)
+
+
 # ---------------------------------------------------------------------------
 # Hopf objects against independent table scans
 
