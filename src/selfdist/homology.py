@@ -32,6 +32,23 @@ alone; U and V of a whole matrix are the tests' dense oracle.
 `cohomology_solve` reduces the coboundary once for its factors and every
 coefficient.  Homology and cohomology with Z/d coefficients are read off
 the integral invariant factors through the universal coefficient theorem.
+
+`homology` cuts d_{n+1} down before its elimination by two identities,
+both resting on d o d = 0 (Kaczynski-Mrozek-Slusarek, Comput. Math. Appl.
+35, 1998), and assembles only what survives:
+- Columns.  With b the last slot of a degree-(n+1) generator (r, b),
+  d_{n+1}(r, b) = d_n(r) (x) b + (-1)^n (R_b r - r), where (x) b appends b
+  and R_b applies b's operation and tail to every entry of r.  Applying
+  d_{n+1} to d_{n+2}(r, b*) puts col(r) - col(R_{b*} r) in the span of the
+  columns whose last slot is b*, so those columns and the least generator
+  of each forward orbit of R_{b*} span the same lattice as all columns.
+- Rows.  The rows of d_{n+1} at the unit-pivot columns of d_n's
+  elimination are integer combinations of its other rows, since d_n
+  d_{n+1} = 0, so dropping them keeps the invariant factors.
+`verify=True` establishes d o d = 0 from the self-distributive and
+exchange laws; with `verify=False` the caller vouches for it.  The charge
+of d_{n+1} stays that of the whole matrix on purpose, so no refusal moves;
+pricing the work that actually runs is ROADMAP item 4.
 """
 
 import heapq
@@ -118,6 +135,16 @@ def _require_system(system):
                      f"system operations {a} and {b} satisfy the exchange law")
 
 
+def _charge_labeled(system, n):
+    """Charge the degree-n differential of the system at its full size, and
+    return its (rows, cols)."""
+    rows = labeled_generator_count(system, n - 1)
+    cols = labeled_generator_count(system, n)
+    _charge_boundary(rows, cols, n, f"the labeled boundary at degree {n}, size"
+                     f" {system[0].size}")
+    return rows, cols
+
+
 def labeled_boundary(system: Sequence[OpTable], n: int,
                      verify: bool = True) -> np.ndarray:
     """Degree-n differential of the labeled complex of an operation system.
@@ -129,25 +156,31 @@ def labeled_boundary(system: Sequence[OpTable], n: int,
     if n < 1:
         raise InputError("degree must be >= 1")
     _check_system(system)
-    N = system[0].size
-    rows = labeled_generator_count(system, n - 1)
-    cols = labeled_generator_count(system, n)
-    _charge_boundary(rows, cols, n, f"the labeled boundary at degree {n}, size {N}")
+    rows, cols = _charge_labeled(system, n)
     if verify:
         _require_system(system)
-    arities = [t.arity for t in system]
-    if n == 1:
-        return np.zeros((0, N), dtype=np.int64)
-    hi = labeled_blocks(system, n)
-    lo_offset = {eps: off for eps, off, _ in labeled_blocks(system, n - 1)}
-    M = np.zeros((rows, cols), dtype=np.int64)
+    return _assemble(system, n, np.arange(cols), np.arange(rows))
 
-    for eps, offset, count in hi:
+
+def _assemble(system, n, columns, rows) -> np.ndarray:
+    """The degree-n differential on the given generator columns and rows:
+    sorted index arrays into the degree-n and degree-(n-1) generators.
+    Entries in rows left out are dropped."""
+    N = system[0].size
+    arities = [t.arity for t in system]
+    position = np.full(labeled_generator_count(system, n - 1), -1, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
+    lo_offset = {eps: off for eps, off, _ in labeled_blocks(system, n - 1)}
+    M = np.zeros((len(rows), len(columns)), dtype=np.int64)
+
+    for eps, offset, count in labeled_blocks(system, n):
+        first, stop = np.searchsorted(columns, (offset, offset + count))
+        if first == stop:
+            continue
         tails = [arities[e] - 1 for e in eps]
         ndig = 1 + sum(tails)
-        local = np.arange(count, dtype=np.int64)
-        dig = digits(local, N, ndig)
-        colidx = offset + local
+        dig = digits(columns[first:stop] - offset, N, ndig)
+        colidx = np.arange(first, stop)
         starts = [1]
         for L in tails:
             starts.append(starts[-1] + L)
@@ -175,9 +208,94 @@ def labeled_boundary(system: Sequence[OpTable], n: int,
                     acted = acted * N + (act(comp) if k < i else comp)
                     deleted = deleted * N + comp
             base = lo_offset[new_eps]
-            np.add.at(M, (base + acted, colidx), sign)
-            np.add.at(M, (base + deleted, colidx), -sign)
+            for target, value in ((acted, sign), (deleted, -sign)):
+                row = position[base + target]
+                hit = row >= 0
+                np.add.at(M, (row[hit], colidx[hit]), value)
     return M
+
+
+def _translations(system) -> np.ndarray:
+    """One row per slot value (label, tail), labels first and tails in
+    generator order: the translation v -> T_label(v, tail) of the carrier."""
+    N = system[0].size
+    return np.concatenate([t.table.reshape(N, -1).T for t in system])
+
+
+def _least_in_orbit(f, rounds):
+    """(least point of each forward orbit, f^(2^rounds)) for a map f of
+    range(len(f)) into itself whose forward orbits have at most 2^rounds
+    points, by pointer doubling: after k rounds `least` is the least of x,
+    f(x), ..., f^(2^k - 1)(x)."""
+    least = np.arange(len(f))
+    for _ in range(rounds):
+        least = np.minimum(least, least[f])
+        f = f[f]
+    return least, f
+
+
+def _cheapest_slot(system) -> int:
+    """The slot value whose translation has the fewest cycles on the
+    carrier, the first one on ties.  Fewer cycles leave fewer orbits of
+    generators, so fewer columns (see `_spanning_columns`)."""
+    S = _translations(system)
+    slots, N = S.shape
+    least, power = _least_in_orbit((S + N * np.arange(slots)[:, None]).ravel(),
+                                   N.bit_length())
+    # the power maps onto the periodic points, and `least` names each one's cycle
+    cycles = np.bincount(np.unique(least[power]) // N, minlength=slots)
+    return int(np.argmin(cycles))
+
+
+def _spanning_columns(system, n, slot) -> np.ndarray:
+    """Sorted degree-n generators whose columns of d_n span the same lattice
+    as all of d_n's columns, given d_n d_{n+1} = 0.
+
+    Write a degree-n generator as (r, b), b its last slot.  The degree-(n+1)
+    generator (r, b*), b* the slot value `slot`, has boundary
+    d_n(r) (x) b* +- (R r - r), where R applies b*'s translation to every
+    entry of r and keeps the labels, and d_n(r) (x) b* sums generators
+    whose last slot is b*.  Applying d_n shows d_n(r) - d_n(R r) lies in
+    the span of those generators' columns.  So those columns, plus the
+    least generator of each forward orbit of R, span all of them.
+    """
+    N = system[0].size
+    sigma = _translations(system)[slot]
+    label, tail = 0, slot
+    while tail >= N ** (system[label].arity - 1):
+        tail -= N ** (system[label].arity - 1)
+        label += 1
+    step = N ** (system[label].arity - 1)
+    blocks = labeled_blocks(system, n)
+    total = blocks[-1][1] + blocks[-1][2]
+    R = np.empty(total, dtype=np.int64)
+    keep = np.zeros(total, dtype=bool)
+    lifted = [sigma]                    # R on k digits at lifted[k - 1]
+    for eps, offset, count in blocks:
+        ndig = 1 + sum(system[e].arity - 1 for e in eps)
+        while len(lifted) < ndig:
+            lifted.append((lifted[-1][:, None] * N + sigma).ravel())
+        R[offset:offset + count] = offset + lifted[ndig - 1]
+        if eps[-1] == label:
+            keep[offset + tail:offset + count:step] = True
+    least, _ = _least_in_orbit(R, total.bit_length())
+    keep[least] = True
+    return np.flatnonzero(keep)
+
+
+def _reduced_boundary(system, n, low: "Elimination", slot) -> np.ndarray:
+    """d_n on `_spanning_columns`, without the rows at the unit-pivot
+    columns of d_{n-1}'s elimination `low`: it has d_n's invariant factors.
+
+    low's row operations turn the pivot rows of d_{n-1} into a unit
+    triangular block on its pivot columns P plus entries on the other
+    columns, so d_{n-1} d_n = 0 writes the rows P of d_n as integer
+    combinations of its other rows, and row operations clear them.
+    """
+    rows = np.ones(low.shape[1], dtype=bool)
+    rows[[c for c, *_ in low.pivots]] = False
+    return _assemble(system, n, _spanning_columns(system, n, slot),
+                     np.flatnonzero(rows))
 
 
 def _system(target) -> list:
@@ -660,16 +778,30 @@ def homology(target, n: int, coeff=None, verify: bool = True) -> HomologyResult:
     torsion subgroup).  A positive int d, a sequence of them, or an AbGroup
     computes the finite group H_n(X; coeff) from the integral factors by
     universal coefficients, reported with betti 0 and the cyclic
-    decomposition in `torsion` (factors > 1)."""
+    decomposition in `torsion` (factors > 1).
+
+    d_{n+1} is reduced on fewer columns and rows with the same invariant
+    factors, by two identities that rest on d o d = 0 (see the module
+    notes).  Columns: col(r) - col(R_{b*} r) lies in the span of the
+    columns whose last slot is b*, the slot value whose translation has
+    the fewest cycles, so those columns and the least generator of each
+    forward orbit of R_{b*} suffice.  Rows: the rows at the unit-pivot
+    columns of d_n's elimination are combinations of the others.  With
+    verify=True the laws that give d o d = 0 are checked; with verify=False
+    the caller vouches for them.  d_{n+1} is still charged at its full
+    size, on purpose; re-pricing it is ROADMAP item 4."""
     if n < 1:
         raise InputError("degree must be >= 1")
     coeffs = _coeff_factors(coeff)
     if 0 in coeffs:
         raise InputError("infinite cyclic coefficients are only valid integrally")
-    dn = boundary_matrix(target, n, verify=verify)
-    dn1 = boundary_matrix(target, n + 1, verify=False)
-    low = smith_normal_form(dn).factors
-    high = smith_normal_form(dn1).factors
+    system = _system(target)
+    dn = boundary_matrix(system, n, verify=verify)
+    _charge_labeled(system, n + 1)
+    reduced = Elimination(dn)
+    high = smith_normal_form(_reduced_boundary(system, n + 1, reduced,
+                                               _cheapest_slot(system))).factors
+    low = reduced.factors
     betti = _betti(target, n, low, high)
     if not coeffs:
         return HomologyResult(betti, tuple(f for f in high if f > 1))

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import random
@@ -14,7 +15,10 @@ from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
                                chain_map_F, cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
                                labeled_boundary, smith_normal_form, solve_mod,
-                               verify_chain_map, xgcd, _smith_transforms)
+                               verify_chain_map, xgcd, _assemble,
+                               _cheapest_slot, _reduced_boundary,
+                               _smith_transforms, _translations)
+from selfdist.enumeration import enumerate_mutual_pairs, enumerate_operations
 from formulas import make_op_table
 
 
@@ -519,6 +523,26 @@ def test_integral_homology_anchors(name, n):
     assert homology(_anchor_op(name), n) == HomologyResult(*INTEGRAL_ANCHORS[name, n])
 
 
+# Groups read from the package while every homology reduced the full
+# d_{n+1}; each took 0.3-4 s then on a 2-core Xeon and is far cheaper once
+# d_{n+1} is cut down through d o d = 0.  (input, degree): (betti, torsion,
+# orbits of the rack), and b_n = |orbits|^n (Etingof-Grana, JPAA 2003).
+REDUCED_ANCHORS = {
+    ("R4", 5): (32, (2,) * 66, 2),
+    ("S3", 4): (81, (3,) * 22 + (9,) * 6, 3),
+    ("R6", 4): (16, (3,) * 8, 2),
+    ("R5", 4): (1, (5, 5), 1),
+    ("R3", 6): (1, (3,) * 7, 1),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(REDUCED_ANCHORS))
+def test_reduced_homology_anchors(name, n):
+    betti, torsion, orbits = REDUCED_ANCHORS[name, n]
+    assert betti == orbits ** n
+    assert homology(_anchor_op(name), n) == HomologyResult(betti, torsion)
+
+
 @pytest.mark.parametrize("name,n,d", sorted(FINITE_ANCHORS))
 def test_finite_coefficient_anchors(name, n, d):
     invariants, cocycles, coboundaries = FINITE_ANCHORS[name, n, d]
@@ -598,6 +622,92 @@ def test_finite_coefficient_homology_matches_universal_coefficients():
         factors = (2, 4)
 
     assert homology(T, 2, coeff=G) == HomologyResult(0, (2, 2, 2, 4, 4, 4))
+
+
+# ---------------------------------------------------------------------------
+# d_{n+1} cut down through d o d = 0
+
+def _check_reduced_boundaries(system, degrees):
+    """For each degree n and each slot value b*, d_{n+1} on the columns b*
+    keeps and without the rows at d_n's unit pivots has the invariant
+    factors of the whole d_{n+1}; returns the count of comparisons."""
+    checked = 0
+    for n in degrees:
+        low = Elimination(labeled_boundary(system, n, verify=False))
+        want = smith_normal_form(labeled_boundary(system, n + 1, verify=False))
+        for slot in range(len(_translations(system))):
+            got = Elimination(_reduced_boundary(system, n + 1, low, slot))
+            assert got.factors == want.factors, (system, n, slot)
+            checked += 1
+    return checked
+
+
+def test_reduced_boundary_keeps_invariant_factors():
+    rng = random.Random(19)
+    checked = 0
+    for size in (2, 3):
+        for op in enumerate_operations(size, 2, "sd"):     # non-racks too
+            checked += _check_reduced_boundaries([op], (1, 2, 3))
+    for op in enumerate_operations(2, 3, "sd"):
+        checked += _check_reduced_boundaries([op], (1, 2, 3))
+    for a, b in enumerate_mutual_pairs(2):
+        checked += _check_reduced_boundaries([a, b], (1, 2, 3))
+    pairs = enumerate_mutual_pairs(3)
+    for a, b in rng.sample(pairs, 60):
+        checked += _check_reduced_boundaries([a, b], (1, 2, 3))
+    checked += _check_reduced_boundaries([dih3(), tern3()], (1, 2))
+    for arity in (2, 3):
+        checked += _check_reduced_boundaries([make_op_table(1, arity, [0])],
+                                             (1, 2, 3))
+    assert checked == 4368
+
+
+def test_reduced_boundary_shape(monkeypatch):
+    # homology(T3, 3) assembles d_4 on 243 rows less d_3's unit pivots and on
+    # the columns the cheapest slot keeps, and never the whole 243 x 2187 d_4
+    pivots = len(Elimination(boundary_matrix(tern3(), 3)).pivots)
+    shapes = []
+
+    def spy(system, n, columns, rows):
+        shapes.append((n, len(rows), len(columns)))
+        return _assemble(system, n, columns, rows)
+
+    monkeypatch.setattr(importlib.import_module("selfdist.homology"),
+                        "_assemble", spy)
+    assert homology(tern3(), 3) == HomologyResult(9, ())
+    (d3,) = [s for s in shapes if s[0] == 3]
+    (d4,) = [s for s in shapes if s[0] == 4]
+    assert d3 == (3, 27, 243)
+    assert d4[1] == 243 - pivots == 221
+    assert d4[2] == 891
+
+
+def _best_of(f, repeat=15):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        f()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("op", [core_quandle(cyclic_group(5)),
+                                affine_op(5, 2, (2,))], ids=["R5", "A5t2"])
+def test_reduction_pays_for_itself_on_small_boundaries(op):
+    # the degree-2 jobs of five-point quandles: a 25 x 125 d_3 whose
+    # reduction must cost less than the Smith work it saves
+    system = [op]
+    low = Elimination(labeled_boundary(system, 2))
+
+    def full():
+        return Elimination(labeled_boundary(system, 3, verify=False)).factors
+
+    def reduced():
+        return Elimination(_reduced_boundary(system, 3, low,
+                                             _cheapest_slot(system))).factors
+
+    assert reduced() == full()
+    assert _best_of(reduced) < _best_of(full)
 
 
 # ---------------------------------------------------------------------------
