@@ -8,6 +8,22 @@ operations from group actions.
 Every builder validates the hypotheses its construction needs (`verify=True`)
 and refuses with the failing counterexample otherwise; pass `verify=False` to
 build unchecked tables for experimentation.
+
+The group-derived and composite tables are built by whole-row gathers.
+Indexing a table reshaped to (N, N^(k-1)) by an array of elements puts
+the row of each element x, the table with x as first argument, in x's
+place.  With C the Cayley table, inv the inverses, s0, s1 binary and A, B
+ternary tables reshaped to (N, N) and (N, N, N), and a pair (x0, x1)
+encoded as x0 N + x1:
+
+    heap              x y0^-1 y1       = C[C[:, inv]]
+    f_functor         (x *0 y0) *1 y1  = s1[s0]
+    g_functor         with A, B        = A[:, None] * N + B[None, :]
+    doubling_binary   with F = s1[s0]  = F[:, None] * N + F[None, :]
+    doubling_ternary  with A[A], B[B]  = A[A][:, None] * N + B[B][None, :]
+
+Row (x, y0) of C[:, inv] is x y0^-1, so row (x, y0) of the heap is the row
+of C there; likewise A[A] holds A(A(x, y0, y1), z0, z1).
 """
 from __future__ import annotations
 
@@ -94,8 +110,7 @@ def heap_op(g: FiniteGroup) -> OpTable:
     """Heap T(x, y0, y1) = x y0^-1 y1, a ternary rack for every group."""
     _charge_table(g.size, 3, "a heap")
     C = g.cayley.reshape(g.size, g.size)
-    return OpTable(g.size, 3, C[C[:, g.inverse][:, :, None], np.arange(g.size)],
-                   meta={"construction": "heap"})
+    return OpTable(g.size, 3, C[C[:, g.inverse]], meta={"construction": "heap"})
 
 
 def heap_vs_core_directional(group: FiniteGroup, jobs: int = 1):
@@ -226,13 +241,8 @@ def doubling_binary(op0: OpTable, op1: OpTable, verify: bool = True) -> OpTable:
         _require(are_mutually_distributive(op0, op1),
                  "operations are not mutually distributive")
     N = op0.size
-    s0 = op0.table.reshape(N, N)
-    s1 = op1.table.reshape(N, N)
-    x0 = np.arange(N)[:, None, None, None]
-    x1 = np.arange(N)[None, :, None, None]
-    y0 = np.arange(N)[None, None, :, None]
-    y1 = np.arange(N)[None, None, None, :]
-    out = s1[s0[x0, y0], y1] * N + s1[s0[x1, y0], y1]
+    F = op1.table.reshape(N, N)[op0.table.reshape(N, N)]
+    out = F[:, None] * N + F[None, :]
     return OpTable(N * N, 2, out.ravel(),
                    meta=_pair_meta("doubling_binary", op0, op1))
 
@@ -253,13 +263,7 @@ def doubling_ternary(T0: OpTable, T1: OpTable, verify: bool = True) -> OpTable:
     N = T0.size
     A = T0.table.reshape(N, N, N)
     B = T1.table.reshape(N, N, N)
-    x0 = np.arange(N)[:, None, None, None, None, None]
-    x1 = np.arange(N)[None, :, None, None, None, None]
-    y0 = np.arange(N)[None, None, :, None, None, None]
-    y1 = np.arange(N)[None, None, None, :, None, None]
-    z0 = np.arange(N)[None, None, None, None, :, None]
-    z1 = np.arange(N)[None, None, None, None, None, :]
-    out = A[A[x0, y0, y1], z0, z1] * N + B[B[x1, y0, y1], z0, z1]
+    out = A[A][:, None] * N + B[B][None, :]
     return OpTable(N * N, 3, out.ravel(),
                    meta=_pair_meta("doubling_ternary", T0, T1))
 
@@ -278,12 +282,7 @@ def f_functor(op0: OpTable, op1: OpTable, verify: bool = True) -> OpTable:
         _require(are_mutually_distributive(op0, op1),
                  "operations are not mutually distributive")
     N = op0.size
-    s0 = op0.table.reshape(N, N)
-    s1 = op1.table.reshape(N, N)
-    x = np.arange(N)[:, None, None]
-    y0 = np.arange(N)[None, :, None]
-    y1 = np.arange(N)[None, None, :]
-    out = s1[s0[x, y0], y1]
+    out = op1.table.reshape(N, N)[op0.table.reshape(N, N)]
     return OpTable(N, 3, out.ravel(), meta=_pair_meta("binary_pair_to_ternary",
                                                       op0, op1))
 
@@ -303,11 +302,7 @@ def g_functor(T0: OpTable, T1: OpTable, verify: bool = True) -> OpTable:
     N = T0.size
     A = T0.table.reshape(N, N, N)
     B = T1.table.reshape(N, N, N)
-    x0 = np.arange(N)[:, None, None, None]
-    x1 = np.arange(N)[None, :, None, None]
-    y0 = np.arange(N)[None, None, :, None]
-    y1 = np.arange(N)[None, None, None, :]
-    out = A[x0, y0, y1] * N + np.broadcast_to(B[x1, y0, y1], (N, N, N, N))
+    out = A[:, None] * N + B[None, :]
     return OpTable(N * N, 2, out.ravel(), meta=_pair_meta("ternary_pair_to_binary",
                                                           T0, T1))
 

@@ -455,9 +455,11 @@ class Elimination:
         key = (left, right)
         if key not in self._reduced:
             rows, cols = len(self.res_rows), len(self.res_cols)
+            what = f"a {rows} x {cols} residual Smith reduction"
             limits.charge_bytes(
                 8 * (rows * cols + left * rows * rows + right * cols * cols),
-                f"a {rows} x {cols} residual Smith reduction")
+                what)
+            limits.charge_steps(rows * cols * min(rows, cols) // 2, what)
             self._reduced[key] = _smith_transforms(self.residual, rows, cols,
                                                    left, right)
         return self._reduced[key]

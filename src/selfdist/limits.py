@@ -31,12 +31,15 @@ entries of its lookup tables, candidate tables times tuples in the
 self-distributivity scan of a full scan (an affine scan checks no table:
 its kinds follow from the affine form), fiber bijections
 times tuples in the extension search, and the Python-level loops of
-powers, cochain builders and boundary assembly.  The linear distributivity
-check, now a chain of sparse gathers over blocks of its inputs, keeps the
-bound of the dense contraction it replaced: term combinations times block
-entries, and over Q 40 steps for each Fraction multiply-add; each of its
-gathers is charged to BYTES before it runs.  Numpy work is charged at
-its measured cost in steps.  The scan engine charges 75 steps for each
+powers, cochain builders and boundary assembly, and the dense Smith
+reduction of an elimination's rows x cols residual, charged half a step
+per rows * cols * min(rows, cols) as measured on the residuals of H5 of
+R4 and H4 of conj(S3).  The linear distributivity check, now a chain of
+sparse gathers over blocks of its inputs, keeps the bound of the dense
+contraction it replaced: term combinations times block entries, and
+over Q 40 steps for each Fraction multiply-add; each of its gathers is
+charged to BYTES before it runs.  Numpy work is charged at its measured
+cost in steps.  The scan engine charges 75 steps for each
 lead coordinate of each block and one step per 12 tuples it evaluates,
 counted on the classes of equal tails once `_scan` has grouped them (4
 steps a tail for the grouping); a law's builder first charges the least

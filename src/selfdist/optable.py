@@ -454,14 +454,12 @@ def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     if flat.size and (flat.min() < 0 or flat.max() >= size):
         raise InputError("cayley entry outside the carrier")
     C = flat.reshape(size, size)
-    # two-sided identity
-    ident = -1
-    for e in range(size):
-        if np.array_equal(C[e], np.arange(size)) and np.array_equal(C[:, e], np.arange(size)):
-            ident = e
-            break
-    if ident < 0:
+    # the two-sided identity: row e and column e both read 0..size-1
+    points = np.arange(size)
+    both = (C == points).all(axis=1) & (C == points[:, None]).all(axis=0)
+    if not both.any():
         raise InputError("no two-sided identity element")
+    ident = int(np.argmax(both))
     # associativity by Light's test: the elements a with (x·a)·y = x·(a·y)
     # for all x, y form a submagma that holds the identity, so checking a
     # generating set suffices, in O(size^2) memory per generator
@@ -472,13 +470,12 @@ def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
         if bad.size:
             x, y = (int(v) for v in bad[0])
             raise InputError(f"multiplication not associative at {(x, a, y)}")
-    # inverses
-    inv = np.full(size, -1, np.int64)
-    for a in range(size):
-        hits = np.flatnonzero(C[a] == ident)
-        if hits.size != 1 or C[int(hits[0]), a] != ident:
-            raise InputError(f"element {a} has no two-sided inverse")
-        inv[a] = int(hits[0])
+    # a's inverse is the one b with a·b = e, which must also give b·a = e
+    hits = C == ident
+    inv = np.argmax(hits, axis=1)
+    bad = np.flatnonzero((hits.sum(axis=1) != 1) | (C[inv, points] != ident))
+    if bad.size:
+        raise InputError(f"element {int(bad[0])} has no two-sided inverse")
     inv.setflags(write=False)
     flat.setflags(write=False)
     return FiniteGroup(size, flat, inv, ident)
@@ -582,9 +579,6 @@ def inverse_translations(op: OpTable) -> np.ndarray:
     if t >= 0:
         tail = index_to_tuple(t, N, k - 1)
         raise InputError(f"translation by tail {tail} is not invertible")
-    cols = op.table.reshape(N, P)
     inv = np.empty((P, N), np.int64)
-    rows = np.arange(N)
-    for tail in range(P):
-        inv[tail, cols[:, tail]] = rows
+    inv[np.arange(P), op.table.reshape(N, P)] = np.arange(N)[:, None]
     return inv

@@ -15,7 +15,7 @@ from selfdist import (FiniteGroup, InputError, PreconditionError, affine_op,
                       generalized_alexander, heap_op, is_nary_distributive,
                       is_quandle, is_rack, monoid_product,
                       power_op, product_mutual_pair, projection_op,
-                      symmetric_group, verify_functor_identities)
+                      relabel, symmetric_group, verify_functor_identities)
 from selfdist.enumeration import (enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks)
 from formulas import make_op_table
@@ -347,6 +347,92 @@ def test_doublings_of_enumerated_compatible_ternary_racks():
     for a, b in pairs:
         assert is_rack(doubling_ternary(a, b))
         assert verify_functor_identities(a, b)
+
+
+# per-entry formulas for the pair builders, read straight off their
+# definitions on an N x N or N x N x N array of each input table
+
+
+def doubling_binary_ref(op0, op1):
+    N = op0.size
+    s0, s1 = op0.table.reshape(N, N), op1.table.reshape(N, N)
+
+    def entry(x, y):
+        (x0, x1), (y0, y1) = divmod(x, N), divmod(y, N)
+        return s1[s0[x0, y0], y1] * N + s1[s0[x1, y0], y1]
+    return make_op_table(N * N, 2, entry)
+
+
+def f_functor_ref(op0, op1):
+    N = op0.size
+    s0, s1 = op0.table.reshape(N, N), op1.table.reshape(N, N)
+    return make_op_table(N, 3, lambda x, y0, y1: s1[s0[x, y0], y1])
+
+
+def doubling_ternary_ref(T0, T1):
+    N = T0.size
+    A, B = T0.table.reshape(N, N, N), T1.table.reshape(N, N, N)
+
+    def entry(x, y, z):
+        (x0, x1), (y0, y1), (z0, z1) = divmod(x, N), divmod(y, N), divmod(z, N)
+        return A[A[x0, y0, y1], z0, z1] * N + B[B[x1, y0, y1], z0, z1]
+    return make_op_table(N * N, 3, entry)
+
+
+def g_functor_ref(T0, T1):
+    N = T0.size
+    A, B = T0.table.reshape(N, N, N), T1.table.reshape(N, N, N)
+
+    def entry(x, y):
+        (x0, x1), (y0, y1) = divmod(x, N), divmod(y, N)
+        return A[x0, y0, y1] * N + B[x1, y0, y1]
+    return make_op_table(N * N, 2, entry)
+
+
+def relabeled_by(op, seed):
+    perm = list(range(op.size))
+    random.Random(seed).shuffle(perm)
+    return relabel(op, perm)
+
+
+def test_pair_builders_match_per_entry_formulas():
+    # mutually distributive pairs of racks from nonabelian groups, the
+    # conj(S4)/power pair relabeled as the construct benchmark builds it,
+    # and an affine pair; with verify off, any two tables must build too
+    rng = np.random.default_rng(20)
+    conj_s4 = relabeled_by(conj_quandle(symmetric_group(4)), 4)
+    conj_d4 = conj_quandle(dihedral_group(4))
+    binary = [(conj_quandle(symmetric_group(3)),) * 2,
+              (conj_s4, power_op(conj_s4, 2)),
+              (conj_d4, power_op(conj_d4, 3)),
+              (affine_op(7, 2, [3]), affine_op(7, 2, [5]))]
+    for op0, op1 in binary:
+        assert is_rack(op0) and is_rack(op1)
+        assert are_mutually_distributive(op0, op1)
+    loose = [(make_op_table(4, 2, rng.integers(0, 4, 16)),
+              make_op_table(4, 2, rng.integers(0, 4, 16)))]
+    for pairs, verify in ((binary, True), (binary + loose, False)):
+        for op0, op1 in pairs:
+            for build, ref in ((doubling_binary, doubling_binary_ref),
+                               (f_functor, f_functor_ref)):
+                got = build(op0, op1, verify=verify)
+                assert got == ref(op0, op1)
+                assert got.table.dtype == np.int64
+    heap_s3 = relabeled_by(heap_op(symmetric_group(3)), 3)
+    heap_d4 = heap_op(dihedral_group(4))
+    ternary = [(heap_s3, heap_s3), (heap_d4, heap_d4),
+               (affine_op(5, 3, [2, 4]), affine_op(5, 3, [3, 0]))]
+    for T0, T1 in ternary:
+        assert is_rack(T0) and is_rack(T1) and are_compatible_ternary(T0, T1)
+    loose = [(make_op_table(3, 3, rng.integers(0, 3, 27)),
+              make_op_table(3, 3, rng.integers(0, 3, 27)))]
+    for pairs, verify in ((ternary, True), (ternary + loose, False)):
+        for T0, T1 in pairs:
+            for build, ref in ((doubling_ternary, doubling_ternary_ref),
+                               (g_functor, g_functor_ref)):
+                got = build(T0, T1, verify=verify)
+                assert got == ref(T0, T1)
+                assert got.table.dtype == np.int64
 
 
 def test_compose_mn():

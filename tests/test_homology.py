@@ -455,6 +455,30 @@ def test_unit_pivot_smith_on_entries_above_int64():
                                       dtype=object)).factors == (big, 2 * big)
 
 
+def test_residual_reduction_is_charged_before_it_runs(monkeypatch):
+    # even entries leave no unit pivot, so the whole matrix is the residual;
+    # its reduction costs half a step per rows * cols * min(rows, cols)
+    reduced = []
+    monkeypatch.setattr(importlib.import_module("selfdist.homology"),
+                        "_smith_transforms",
+                        lambda A, rows, cols, left, right:
+                        reduced.append((rows, cols)) or ((), None, None))
+    rng = np.random.default_rng(19)
+    big = Elimination(2 * rng.integers(1, 50, (260, 260)))
+    assert (len(big.res_rows), len(big.res_cols), big.pivots) == (260, 260, [])
+    message = "refusing a 260 x 260 residual Smith reduction: needs 8788000 steps"
+    with pytest.raises(InputError, match=message):
+        big.factors
+    with pytest.raises(InputError, match=message):
+        big.solve_mod(np.zeros(260, np.int64), 7)
+    with pytest.raises(InputError, match=message):
+        big.kernel_lattice_mod(7)
+    assert reduced == []
+    # 200 * 400 * 200 / 2 = 8,000,000 steps fit the budget
+    Elimination(2 * rng.integers(1, 50, (200, 400))).factors
+    assert reduced == [(200, 400)]
+
+
 # ---------------------------------------------------------------------------
 # homology groups
 

@@ -7,9 +7,10 @@ import pytest
 from selfdist import (FiniteGroup, InputError, OpTable, are_compatible_ternary,
                       are_mutually_distributive, cyclic_group, dihedral_group,
                       direct_product, evaluate, exchange_holds, group_from_cayley,
-                      heap_vs_core_directional, inverse_translations,
+                      heap_op, heap_vs_core_directional, inverse_translations,
                       is_nary_distributive, is_quandle, is_rack, relabel,
                       symmetric_group)
+from selfdist.enumeration import enumerate_racks
 from formulas import make_op_table
 
 DIHEDRAL3 = [0, 2, 1, 2, 1, 0, 1, 0, 2]  # x*y = 2y-x mod 3
@@ -282,6 +283,27 @@ def test_inverse_translations_roundtrip():
         inverse_translations(make_op_table(4, 2, lambda x, y: 2 * y))
 
 
+def inverse_translations_loop(op):
+    """The per-tail loop: inv[tail, W(x, tail)] = x for every x."""
+    N, P = op.size, op.size ** (op.arity - 1)
+    cols = op.table.reshape(N, P)
+    inv = np.empty((P, N), np.int64)
+    for tail in range(P):
+        inv[tail, cols[:, tail]] = np.arange(N)
+    return inv
+
+
+def test_inverse_translations_match_the_loop():
+    ops = [op for size in (1, 2, 3) for arity in (2, 3)
+           for op in enumerate_racks(size, arity)]
+    assert len(ops) == 1 + 1 + 2 + 4 + 13 + 129
+    ops.append(heap_op(symmetric_group(3)))
+    for op in ops:
+        got = inverse_translations(op)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, inverse_translations_loop(op))
+
+
 def test_exchange_jobs_independent():
     table = make_op_table(5, 2, lambda x, y: x + y)  # fails in many places
     results = [is_nary_distributive(table, jobs=j) for j in (1, 2, 3, 4)]
@@ -300,6 +322,41 @@ def test_group_validation():
         group_from_cayley([1, 0, 0, 0], size=2)    # no identity row/col pair
     with pytest.raises(InputError):
         group_from_cayley([0, 1, 2, 3], size=2)    # out of range
+
+
+def test_group_names_least_element_without_inverse():
+    # multiplication mod 6 is an associative table with identity 1, where
+    # 0, 2, 3 and 4 have no inverse; relabeled, the least of their labels
+    # is named, not the label of the least old element
+    C = np.arange(6)[:, None] * np.arange(6) % 6
+    for perm in ([5, 0, 3, 2, 4, 1], [3, 4, 0, 1, 2, 5], [0, 1, 2, 3, 4, 5]):
+        p = np.array(perm)
+        D = np.empty_like(C)
+        D[np.ix_(p, p)] = p[C]
+        least = min(p[[0, 2, 3, 4]])
+        with pytest.raises(InputError,
+                           match=rf"^element {least} has no two-sided inverse$"):
+            group_from_cayley(D.ravel())
+    # two elements without inverses in a monoid on 3 points: 1 is the
+    # identity and 0, 2 are absorbing on the left
+    with pytest.raises(InputError, match="^element 0 has no two-sided inverse$"):
+        group_from_cayley([0, 0, 0, 0, 1, 2, 2, 2, 2])
+
+
+def test_group_finds_identity_not_at_zero():
+    # a o b = a + b - 2 mod 5 has identity 2 and inverse 4 - a
+    g = group_from_cayley(((np.arange(5)[:, None] + np.arange(5) - 2) % 5).ravel())
+    assert g.identity == 2
+    assert g.inverse.tolist() == [4, 3, 2, 1, 0]
+    assert g.inverse.dtype == np.int64
+    rng = random.Random(20)
+    for h in (symmetric_group(4), dihedral_group(5)):
+        C = relabeled_cayley(h, rng)
+        k = group_from_cayley(C.ravel())
+        e = int(np.flatnonzero((C == np.arange(h.size)).all(axis=1))[0])
+        assert k.identity == e
+        assert (C[np.arange(h.size), k.inverse] == e).all()
+        assert (C[k.inverse, np.arange(h.size)] == e).all()
 
 
 def dense_associative(C):
