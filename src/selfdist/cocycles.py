@@ -24,11 +24,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels, limits
-from .enumeration import ISO_BLOCK_ENTRIES, _permutations
 from .homology import Elimination, boundary_matrix
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       _checked_index, are_compatible_ternary,
-                      are_mutually_distributive, diagonal_indices, digit_map,
+                      are_mutually_distributive, diagonal_indices,
                       index_to_tuple, integer_array, is_nary_distributive,
                       is_rack)
 from .constructions import (PreconditionError, _require, doubling_binary,
@@ -693,12 +692,15 @@ def _extract_cocycle(ext: OpTable, base: OpTable, A: AbGroup):
 
 def extension_equivalent(ext0: OpTable, ext1: OpTable, base: OpTable,
                          coeff) -> CheckResult:
-    """Whether two extension tables differ by a fiber-preserving bijection.
+    """Whether two abelian extensions of base by A are equivalent.
 
-    Standard-form tables are compared through their cochains: translation
-    maps (x, a) -> (x, a + eta(x)) realize exactly the coboundary relation.
-    When that fails, a full search over per-point fiber permutations decides
-    small cases; larger cases report the translation-map verdict.
+    An equivalence of extensions is an isomorphism over the base that
+    commutes with the action of A, a map (x, a) -> (x, a + eta(x)).  It
+    carries the extension by c0 to the extension by c1 exactly when
+    c0 - c1 is the coboundary of eta, so the two are equivalent exactly when
+    their cochains are cohomologous (Carter-Elhamdadi-Nikiforou-Saito, JKTR
+    12, 2003).  Both tables must be in the standard form that `extend`
+    builds, (x, a) * .. = (x * .., a + c(x, ..)); other tables are refused.
     """
     A = coeff_group(coeff)
     for ext in (ext0, ext1):
@@ -707,48 +709,13 @@ def extension_equivalent(ext0: OpTable, ext1: OpTable, base: OpTable,
                 f"an extension of a size {base.size} arity {base.arity} table"
                 f" by order {A.order} has size {base.size * A.order} and arity"
                 f" {base.arity}, got size {ext.size} arity {ext.arity}")
-    c0 = _extract_cocycle(ext0, base, A)
-    c1 = _extract_cocycle(ext1, base, A)
-    if c0 is not None and c1 is not None:
-        ok, eta = cocycles_cohomologous(c0, c1, base)
-        if ok:
-            return CheckResult(True, detail="translation fiber map from coboundary")
-    N = base.size
-    o = A.order
-    candidates = math.factorial(o) ** N
-    # each candidate bijection is tried on every tuple of the extension
-    search = candidates * limits.power(N * o, ext0.arity)
-    if search <= limits.STEPS:
-        if _fiber_search(ext0, ext1, N, o):
-            return CheckResult(True, detail="fiber permutation found by search")
-        return CheckResult(False,
-                           detail=f"no fiber bijection among all {candidates}")
-    if c0 is not None and c1 is not None:
-        return CheckResult(False, detail=(
-            "cochains not cohomologous; equivalences of standard-form "
-            "extensions are translation maps, so none exists"))
-    return CheckResult(False, detail=(
-        "tables not in standard extension form and search space "
-        f"{candidates} too large"))
-
-
-def _fiber_search(ext0: OpTable, ext1: OpTable, N: int, o: int) -> bool:
-    """Whether a fiber-preserving bijection f has f(ext0(args)) = ext1(f(args))
-    at every tuple.
-
-    Candidate c sends (x, a) to (x, p(a)), with p the permutation that the
-    base-o! digit x of c numbers.  A block of candidates is relabeled by the
-    gathers of `relabel`, about ISO_BLOCK_ENTRIES entries at a time.
-    """
-    M, k = N * o, ext0.arity
-    perms = _permutations(o).astype(np.int64)
-    starts = np.arange(0, M, o)[:, None]
-    count = len(perms) ** N
-    step = max(1, ISO_BLOCK_ENTRIES // M ** k)
-    for lo in range(0, count, step):
-        c = np.arange(lo, min(lo + step, count), dtype=np.int64)
-        f = starts + perms[np.stack(kernels.digits(c, len(perms), N), axis=1)]
-        f = f.reshape(len(c), M)
-        if (f[:, ext0.table] == ext1.table[digit_map(f, M, k)]).all(axis=1).any():
-            return True
-    return False
+    cochains = [_extract_cocycle(ext, base, A) for ext in (ext0, ext1)]
+    for name, c in zip(("first", "second"), cochains):
+        if c is None:
+            raise InputError(
+                f"the {name} table is not a standard-form extension of the base"
+                f" by order {A.order}")
+    if cocycles_cohomologous(*cochains, base)[0]:
+        return CheckResult(True, detail="cochains cohomologous: a translation"
+                           " (x, a) -> (x, a + eta(x)) carries one to the other")
+    return CheckResult(False, detail="cochains not cohomologous")

@@ -1,18 +1,24 @@
 """Exhaustive searches for self-distributive tables on tiny carriers.
 
-A full scan visits every table of the requested shape, so it is only
-feasible while size^(size^arity) stays small: binary carriers up to size 3
-(3^9 tables) and ternary carriers up to size 2 (2^8 tables).  Larger
-carriers need a structural filter.  Two are provided: affine tables over
-Z_m, and tables whose first-argument translations are all permutations,
-which is the shape every rack must have and cuts the ternary size-3 space
-from 3^27 down to 6^9 candidates.
+A full scan of kind "all" or "sd" visits every table of the requested
+shape, so it is only feasible while size^(size^arity) stays small: binary
+carriers up to size 3 (3^9 tables) and ternary carriers up to size 2 (2^8
+tables).  A rack's translations x -> W(x, tail) are permutations, so a full
+scan of kind "rack" or "quandle" builds only the N!^(N^(k-1)) tables made
+of one permutation per tail: 216 binary tables on 3 points, 16 ternary
+ones on 2.  Larger carriers need a structural filter.  Two are provided:
+affine tables over Z_m, and a backtracking search over the same
+permutation tables, which cuts the ternary size-3 space from 3^27 down to
+6^9 candidates and prunes most of those.
 
-No law is stated here.  Full scans and mutual pairs test their candidates
-with the checks `is_rack` and `is_quandle` use: the translation scan and
-the diagonal indices first, then self-distributivity or the exchange law
-through the scan engine of `kernels`, over the whole stack of candidates
-at once.  Affine scans test nothing, since the kinds follow from the form.
+No law is stated here.  Full scans test their candidates for
+self-distributivity, after the diagonal indices for quandles, through the
+scan engine of `kernels`, over the whole stack of candidates at once.
+Mutual pairs read the exchange law through translations: it says that
+every right translation of one table is an endomorphism of the other, so
+one batched unary exchange law decides every self-distributive table
+against every translation column.  Affine scans test nothing, since the
+kinds follow from the form.
 
 The table enumerators return one read-only `TableStack`: the surviving
 tables as rows of a single int64 array, sorted lexicographically, so output
@@ -33,7 +39,6 @@ from .optable import (InputError, OpTable, TableStack, check_shape,
                       diagonal_indices, digit_map)
 
 ISO_BLOCK_ENTRIES = 2 ** 16       # relabeled entries held at once
-PAIR_BLOCK_ENTRIES = 2 ** 16      # stacked pair-table entries held at once
 
 KINDS = ("all", "sd", "rack", "quandle")
 
@@ -43,13 +48,6 @@ def _check_kind(kind: str, allowed=KINDS):
         raise InputError(f"unknown predicate {kind!r}, expected one of {allowed}")
 
 
-def _charge_scan(count: int, size: int, arity: int, what: str):
-    """Charge the bytes of `count` stacked tables and of N^(k-1) tail
-    tuples, which refuses a one-point carrier of huge arity up front."""
-    tails = limits.power(size, arity - 1) * (arity - 1)
-    limits.charge_bytes(8 * (count * limits.power(size, arity) + tails), what)
-
-
 def _tuples(size: int, length: int) -> np.ndarray:
     """All tuples of `length` digits in 0..size-1, one per row, in
     lexicographic order."""
@@ -57,19 +55,16 @@ def _tuples(size: int, length: int) -> np.ndarray:
     return np.stack(kernels.digits(codes, size, length), axis=1)
 
 
-def _apply_kind(tables: np.ndarray, size: int, arity: int, kind: str) -> np.ndarray:
-    """The rows passing the predicate: the translation and diagonal tests of
-    `is_rack` and `is_quandle` first, then self-distributivity on the rest."""
-    if kind == "all":
-        return tables
-    if kind in ("rack", "quandle"):
-        tables = tables[kernels.translation_scan_stack(tables, size, arity) < 0]
-    if kind == "quandle":
-        diag = tables[:, diagonal_indices(size, arity)]
-        tables = tables[(diag == np.arange(size)).all(axis=1)]
-    law = kernels.exchange_law(tables, tables, size, arity, arity,
-                               batch=len(tables))
-    return tables[kernels.holds(law)]
+def _permutation_tables(size: int, arity: int) -> np.ndarray:
+    """Every table whose translations x -> W(x, tail) are all permutations,
+    one per row: one carrier permutation chosen for each of the N^(k-1)
+    tails, in the order of the choices, not of the tables."""
+    perms = _permutations(size)
+    choice = _tuples(len(perms), size ** (arity - 1))
+    # entry (x, tail) of a table is its tail's permutation at x; gathered
+    # as bytes, widened once laid out
+    tables = perms[choice].transpose(0, 2, 1).reshape(len(choice), size ** arity)
+    return tables.astype(np.int64)
 
 
 def _stack(tables: np.ndarray, size: int, arity: int, scan: str,
@@ -82,19 +77,51 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> TableStack:
     """Every table of the given shape passing the predicate, as a stack in
     lex order.
 
-    kind is one of "all", "sd", "rack", "quandle".  Refuses shapes whose
-    full scan would not fit the budgets of `limits`.
+    kind is one of "all", "sd", "rack", "quandle".  "all" and "sd" visit
+    all N^(N^k) tables.  A rack's translations are permutations, so "rack"
+    and "quandle" visit only the N!^(N^(k-1)) tables built from one
+    permutation per tail (216 of the 3^9 binary tables on 3 points, 16 of
+    the 2^8 ternary ones on 2), quandles only those fixing the diagonal.
+    Self-distributivity is then one batched law of `kernels` over the
+    candidates.  Refuses shapes whose scan would not fit the budgets of
+    `limits`, charged on the candidates it visits.
     """
     _check_kind(kind)
     check_shape(size, arity)
-    count = limits.power(size, limits.power(size, arity))
+    racks = kind in ("rack", "quandle")
+    if racks:
+        # 21! exceeds 2^64, so the clamp only keeps the estimate cheap
+        count = limits.power(math.factorial(min(size, 21)),
+                             limits.power(size, arity - 1))
+    else:
+        count = limits.power(size, limits.power(size, arity))
     what = f"a full scan of size {size} arity {arity}"
-    _charge_scan(count, size, arity, what)
+    # the stacked int64 tables and N^(k-1) tail tuples, which refuses a
+    # one-point carrier of huge arity up front; then a second copy of the
+    # tables, as they are built from their digit rows or choices and as a
+    # filter or the sort copies them, and N + 1 values apiece, their codes
+    # or diagonals
+    entries = limits.power(size, arity)
+    tails = limits.power(size, arity - 1) * (arity - 1)
+    limits.charge_bytes(8 * (count * entries + tails), what)
+    limits.charge_bytes(8 * count * (entries + size + 1), f"building {what}")
     if kind != "all":
         limits.charge_steps(count * limits.power(size, 2 * arity - 1),
                             f"the self-distributivity scan of {what}")
-    tables = _tuples(size, size ** arity)
-    return _stack(_apply_kind(tables, size, arity, kind), size, arity, "full", kind)
+    if racks:
+        tables = _permutation_tables(size, arity)
+    else:
+        tables = _tuples(size, size ** arity)
+    if kind == "quandle":
+        diag = tables[:, diagonal_indices(size, arity)]
+        tables = tables[(diag == np.arange(size)).all(axis=1)]
+    if kind != "all":
+        law = kernels.exchange_law(tables, tables, size, arity, arity,
+                                   batch=len(tables))
+        tables = tables[kernels.holds(law)]
+    if racks:
+        tables = tables[np.lexsort(tables.T[::-1])]
+    return _stack(tables, size, arity, "full", kind)
 
 
 def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> TableStack:
@@ -240,41 +267,45 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> TableStack:
     return _stack(arr, size, arity, "translations", kind)
 
 
-def _exchange_holds(S: np.ndarray, outer: np.ndarray, acting: np.ndarray,
-                    size: int) -> np.ndarray:
-    """Whether table S[acting[c]] distributes over table S[outer[c]], for
-    each candidate pair c.  Scanned a band of pairs at a time, so the
-    stacked pair tables stay near PAIR_BLOCK_ENTRIES entries."""
-    ok = np.empty(len(outer), bool)
-    band = max(1, PAIR_BLOCK_ENTRIES // S.shape[1])
-    for lo in range(0, len(outer), band):
-        a, b = outer[lo:lo + band], acting[lo:lo + band]
-        law = kernels.exchange_law(S[a], S[b], size, 2, 2, batch=len(a))
-        ok[lo:lo + band] = kernels.holds(law)
-    return ok
+def _endomorphisms(tables: np.ndarray, maps: np.ndarray, size: int,
+                   arity: int) -> np.ndarray:
+    """endo[i, f]: f(t(x, y..)) == t(f(x), f(y)..) for table t = tables[i]
+    and map f = maps[f], every table against every map in one batched
+    unary exchange law."""
+    n, count = len(tables), len(maps)
+    batch = n * count
+    limits.charge_bytes(8 * batch * (size ** arity + size),
+                        f"the endomorphism table of {n} tables and {count} maps")
+    law = kernels.exchange_law(np.repeat(tables, count, axis=0),
+                               np.tile(maps, (n, 1)), size, arity, 1, batch=batch)
+    return kernels.holds(law).reshape(n, count)
 
 
 def enumerate_mutual_pairs(size: int) -> list:
     """All ordered pairs of self-distributive binary tables satisfying both
     exchange laws, in lexicographic order on (first table, second table).
 
-    Diagonal pairs (t, t) appear for every self-distributive t, since the
-    exchange laws then restate self-distributivity.  Both laws together are
-    symmetric in the pair, so one law is scanned on the pairs i <= j, and
-    the other only where the first holds off the diagonal.
+    The law (x *0 y) *1 z == (x *1 z) *0 (y *1 z) reads *1 only through its
+    right translations R_z: x -> x *1 z, and says that each is an
+    endomorphism of *0.  So the distinct translation columns of the
+    self-distributive tables are listed once (all 27 maps on 3 points), and
+    `_endomorphisms` decides every table against every column at once.
+    Table j acts on table i when each of j's columns is an endomorphism of
+    i, and a pair is mutual when each acts on the other.  Diagonal pairs
+    (t, t) appear for every self-distributive t, since the exchange laws
+    then restate self-distributivity.
     """
     stack = enumerate_operations(size, 2, "sd")
     S = stack.tables
-    i, j = np.triu_indices(len(S))
-    keep = _exchange_holds(S, i, j, size)
-    i, j = i[keep], j[keep]
-    off = np.flatnonzero(i != j)
-    keep = np.ones(len(i), bool)
-    keep[off] = _exchange_holds(S, j[off], i[off], size)
-    mutual = np.zeros((len(S), len(S)), bool)
-    mutual[i[keep], j[keep]] = mutual[j[keep], i[keep]] = True
+    n = len(S)
+    # column z of table j, read down x, as one base-N code
+    cols = S.reshape(n, size, size).transpose(0, 2, 1).reshape(n * size, size)
+    _, first, col = np.unique(cols @ size ** np.arange(size - 1, -1, -1),
+                              return_index=True, return_inverse=True)
+    endo = _endomorphisms(S, cols[first], size, 2)
+    acts = endo[:, col.reshape(n, size)].all(axis=-1)
     ops = list(stack)
-    return [(ops[a], ops[b]) for a, b in np.argwhere(mutual).tolist()]
+    return [(ops[a], ops[b]) for a, b in np.argwhere(acts & acts.T).tolist()]
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,7 +19,8 @@ Q; an x-prefix with those digits is a unit.  `_blocks` walks the units in
 blocks of at most `_SLAB` entries (at least one unit), into three value
 buffers sized to the block and reused from block to block.  A worker's
 memory beyond its tables is therefore three value buffers and one int64
-index table of at most `_SLAB` entries each, whatever the number of tuples;
+index table of at most `_SLAB` entries each, and the int64 rows and digits
+a block gathers through, whatever the number of tuples;
 only a law with more than `_SLAB` tail classes exceeds that, by holding one
 unit's row of classes.
 `witness` evaluates the block of one failing tuple.
@@ -69,7 +70,7 @@ boundary indexes an argument tuple by its base-N digits, first argument most
 significant, and every module that needs the digits of a flat index or an
 array of them reads them from it: the scan rows and witnesses, the tuples of
 `optable.index_to_tuple`, boundary columns, braid tuples, extension fibers,
-candidate fiber maps, the enumerated candidate tables and affine carrier
+the enumerated candidate tables and permutation choices, affine carrier
 digits, and the tensor factors that linear maps permute.
 """
 from __future__ import annotations
@@ -91,6 +92,11 @@ USING_NUMBA = False
 # Buffers that stay in cache scan the order-24..40 heaps fastest: on a
 # 2-core Xeon with 4 MiB of L2, 2^16 entries beat 2^21 by 1.4-1.8x.
 _SLAB = 1 << 16
+# bytes `holds` charges for each entry of its largest block: the value
+# buffers, the int64 index table, rows and digits, and the comparison.
+# Batched binary, ternary and unary laws held 15-36 bytes an entry of
+# blocks of at least 512 entries, plus about 5 KB of Python objects.
+_BLOCK_BYTES = 48
 
 
 class Law(NamedTuple):
@@ -167,7 +173,9 @@ def _charge_blocks(N, lead, tail, what, batch=1):
 def exchange_law(tm, tn, N, m, n, batch=1):
     """tn(tm(x, y), z) == tm(tn(x, z), tn(y_1, z), ..., tn(y_{m-1}, z)).
 
-    With `batch` > 1, tm and tn are stacks of that many tables, and
+    With n = 1, tn is a map f of N entries and there is no z: the law
+    f(tm(x, y..)) == tm(f(x), f(y_1), ..) says that f is an endomorphism
+    of tm.  With `batch` > 1, tm and tn are stacks of that many tables, and
     candidate c pairs tm[c] with tn[c].
     """
     # before the tails are grouped, the least any scan of the law can cost:
@@ -408,9 +416,16 @@ def _scan(law, jobs=1):
 
 
 def holds(law):
-    """Whether the law holds on every tuple, one bool per candidate table."""
-    _charge_blocks(law.N, law.lead, law.tail,
-                   f"{law.batch} candidate tables on {law.N} points", law.batch)
+    """Whether the law holds on every tuple, one bool per candidate table.
+
+    Charges the bytes it holds besides the law's arrays: their copies in
+    the narrow dtype and `_BLOCK_BYTES` for each entry of its largest block.
+    """
+    what = f"{law.batch} candidate tables on {law.N} points"
+    _charge_blocks(law.N, law.lead, law.tail, what, law.batch)
+    block = min(law.batch * law.N ** law.lead * law.tail, max(_SLAB, law.tail))
+    limits.charge_bytes(_narrow(law).itemsize * (len(law.opz) + len(law.opy))
+                        + _BLOCK_BYTES * block, f"a scan of {what}")
     ok = np.ones(law.batch, bool)
     span = law.N ** law.lead          # leading tuples of one candidate
     for start, lhs, rhs in _blocks(law, 0, law.batch * span):

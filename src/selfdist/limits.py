@@ -16,11 +16,12 @@ InputError, which the command line reports with exit status 2:
 BYTES counts the arrays one step builds whose size comes from the input:
 the int64 entries of a table, a boundary matrix or a digit grid, the
 terms a sparse linear map is built from (64 bytes a term), the stacked
-candidate tables of a scan, the Python lists of a dense Smith reduction
-(8 bytes an entry), and the int64 columns of the braid action and of its
-images.  Its value is the 20M int64 entries of the boundary matrix cap it
-replaced, so every homology verdict stands; it admits a table of 20M
-entries.  A step holds a few temporaries of about the charged
+candidate tables of a scan (twice, with the codes they are built from),
+the narrow copies and the largest block of a batched scan, the Python
+lists of a dense Smith reduction (8 bytes an entry), and the int64 columns
+of the braid action and of its images.  Its value is the 20M int64
+entries of the boundary matrix cap it replaced, so every homology verdict
+stands; it admits a table of 20M entries.  A step holds a few temporaries of about the charged
 size besides (operands, gathers, the JSON list of a result): the largest
 affine table that fits peaks at 0.9 GiB resident and is built and written
 as JSON under a 2 GB `ulimit -v`.
@@ -29,8 +30,7 @@ STEPS counts the iterations of a loop whose trip count comes from the
 input: nodes and consistency checks of the rack search together with the
 entries of its lookup tables, candidate tables times tuples in the
 self-distributivity scan of a full scan (an affine scan checks no table:
-its kinds follow from the affine form), fiber bijections
-times tuples in the extension search, and the Python-level loops of
+its kinds follow from the affine form), and the Python-level loops of
 powers, cochain builders and boundary assembly, and the dense Smith
 reduction of an elimination's rows x cols residual, charged half a step
 per rows * cols * min(rows, cols) as measured on the residuals of H5 of

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import pathlib
+import re
 import time
 import warnings
 from unittest import mock
@@ -486,6 +488,31 @@ def test_enumerate_writes_the_json_of_table_lists(argv, tmp_path, capsys):
     report = json.loads(out)
     assert report["artifacts"] == [{"name": name, "content": old, "path": None}]
     assert out == json.dumps(report, indent=2) + "\n"
+
+
+# sha256 of the JSON report with its seconds masked, pinned from the full
+# scans that tested every table and the mutual pairs that scanned every pair
+# of tables for both exchange laws
+ENUMERATE_DIGESTS = [
+    (["--size", "3", "--kind", "rack"],
+     "b30c436643c43499b6e44c0177b46e1dc1b378d817303de574538667a92a4e82"),
+    (["--size", "3", "--kind", "quandle"],
+     "86fdb1454087275ef78e6c7aa46039478ee2487d5048a55c955db75d192a8ea7"),
+    (["--size", "2", "--arity", "3", "--kind", "rack"],
+     "f941604ef958c234c76b4301ef012440325688ed4a90e48342c2e752d90a2a69"),
+    (["--size", "2", "--arity", "3", "--kind", "quandle"],
+     "33dfbfcce6be936121c254fc4231c09c17c8691d26839c79e370f67aa8b9d7a0"),
+    (["--size", "3", "--pairs"],
+     "7739d5ffb9f5dcaa5431bad107a1896e4800d0c26d8b679a1ff35ec4ea6f433b"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ENUMERATE_DIGESTS)
+def test_enumerate_reports_keep_their_bytes(argv, digest, capsys):
+    code, out, _ = run(["--format", "json", "enumerate"] + argv, capsys)
+    assert code == 0
+    masked = re.sub(r'"seconds": [^,\n}]+', '"seconds": 0', out)
+    assert hashlib.sha256(masked.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec", ["symmetric:-1", "cyclic:-3", "cyclic:0",

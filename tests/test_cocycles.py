@@ -11,7 +11,6 @@ from selfdist import (InputError, PreconditionError, affine_op,
                       cyclic_group, enumerate_mutual_pairs, exchange_holds,
                       is_nary_distributive, is_rack, projection_op, relabel,
                       symmetric_group, tuple_to_index)
-from selfdist import cocycles
 from selfdist.constructions import (doubling_binary, doubling_ternary,
                                     f_functor, g_functor, power_op)
 from selfdist.cocycles import (AbGroup, Cochain, SES,
@@ -718,30 +717,30 @@ def test_affine_family_not_cohomologous_to_zero(p, m):
 
 
 def test_affine_family_extension_inequivalent():
-    # (3,1): settled by the full fiber-bijection search over all 6^3 maps
-    _, TX, psi = affine_family(3, 1)
-    E1 = extend(TX, psi)
-    E0 = extend(TX, zero_cochain(3, 3, 3))
-    res = extension_equivalent(E1, E0, TX, 3)
-    assert not res
-    assert "216" in res.detail
-    # (3,2): the carrier is too big for the full search; the standard-form
-    # route settles it through the cohomologous test
-    _, TX, psi = affine_family(3, 2)
-    res = extension_equivalent(extend(TX, psi),
-                               extend(TX, zero_cochain(9, 3, 3)), TX, 3)
-    assert not res
+    # psi is not cohomologous to zero (above), so no translation
+    # (x, a) -> (x, a + eta(x)) carries its extension to the trivial one
+    for p, m in ((3, 1), (3, 2)):
+        _, TX, psi = affine_family(p, m)
+        res = extension_equivalent(extend(TX, psi),
+                                   extend(TX, zero_cochain(TX.size, 3, p)), TX, p)
+        assert not res and res.detail == "cochains not cohomologous"
 
 
-def test_fiber_search_is_charged_per_tuple():
-    # tables outside standard form go to the search; over 11 base points
-    # the 2^11 fiber maps times 22^2 tuples fit the step budget, over 14
-    # points 2^14 maps times 28^2 tuples do not
-    for n, holds in ((11, True), (14, False)):
+def test_extension_equivalent_refuses_tables_outside_standard_form():
+    # the right projection on X x Z2 is not an extension of the left
+    # projection of X, though the identity is a fiber bijection: no verdict
+    # is given, at any size
+    for n in (2, 11, 14):
         table = make_op_table(2 * n, 2, lambda x, y: y)
-        res = extension_equivalent(table, table, projection_op(n, 2), 2)
-        assert res.holds == holds
-        assert ("search" if holds else "too large") in res.detail
+        with pytest.raises(InputError, match="first table is not a standard-form"):
+            extension_equivalent(table, table, projection_op(n, 2), 2)
+    good = extend(dih3(), zero_cochain(3, 2, 3))
+    # the image of one tuple moved within its fiber, and into another fiber
+    for i, shift in ((4, 1), (4, 3)):
+        tab = good.table.copy()
+        tab[i] = (tab[i] + shift) % 9
+        with pytest.raises(InputError, match="second table is not a standard-form"):
+            extension_equivalent(good, make_op_table(9, 2, tab), dih3(), 3)
 
 
 def test_extension_equivalent_positive():
@@ -759,31 +758,25 @@ def test_extension_equivalent_positive():
     assert np.array_equal((d2t @ eta.values[:, 0]) % 3, diff)
 
 
-def fiber_search_loop(ext0, ext1, N, o):
-    """Oracle: try every fiber bijection f(x, a) = (x, h_x(a)) on every
-    tuple, one tuple at a time, as the package did before its search became
-    a gather."""
+def translation_loop(ext0, ext1, N, o):
+    """Oracle: try every translation f(x, a) = (x, a + eta(x)) over Z_o on
+    every tuple, one tuple at a time."""
     k = ext0.arity
-    perms = list(itertools.permutations(range(o)))
     tuples = list(itertools.product(range(N * o), repeat=k))
-    for assign in itertools.product(perms, repeat=N):
-        ok = True
-        for args in tuples:
-            u = int(ext0.table[tuple_to_index(args, N * o)])
-            fu = (u // o) * o + assign[u // o][u % o]
-            mapped = tuple((v // o) * o + assign[v // o][v % o] for v in args)
-            if fu != int(ext1.table[tuple_to_index(mapped, N * o)]):
-                ok = False
-                break
-        if ok:
+    for eta in itertools.product(range(o), repeat=N):
+        f = [v // o * o + (v + eta[v // o]) % o for v in range(N * o)]
+        if all(f[int(ext0.table[tuple_to_index(args, N * o)])]
+               == ext1.table[tuple_to_index(tuple(f[v] for v in args), N * o)]
+               for args in tuples):
             return True
     return False
 
 
-def _fiber_relabel(ext, N, o, rng):
-    """ext transported along a random fiber-preserving bijection."""
-    perm = [x * o + h for x in range(N) for h in rng.permutation(o)]
-    return relabel(ext, perm)
+def _translated(ext, N, o, rng):
+    """ext transported along a random translation (x, a) -> (x, a + eta(x))."""
+    eta = rng.integers(0, o, N)
+    return relabel(ext, [x * o + (a + int(eta[x])) % o
+                         for x in range(N) for a in range(o)])
 
 
 def _perturbed(ext, rng):
@@ -793,7 +786,7 @@ def _perturbed(ext, rng):
     return make_op_table(ext.size, ext.arity, tab)
 
 
-def test_fiber_search_matches_the_loop_oracle():
+def test_extension_equivalent_matches_the_translation_oracle():
     rng = np.random.default_rng(7)
     cases = [(dih3(), 2), (dih3(), 3), (core_quandle(cyclic_group(4)), 2),
              (tern3(), 2), (heap2(), 3), (projection_op(2, 2), 3)]
@@ -804,42 +797,67 @@ def test_fiber_search_matches_the_loop_oracle():
         sols = [Cochain(N, k, o, v[:, 0])
                 for v in cohomology_solve(base, 2, o).cocycles]
         exts = [zero] + [extend(base, c) for c in sols[:2]]
+        exts += [_translated(e, N, o, rng) for e in exts]
         for e0 in exts:
-            for e1 in exts + [_fiber_relabel(e, N, o, rng) for e in exts]:
-                for other in (e1, _perturbed(e1, rng)):
-                    want = fiber_search_loop(e0, other, N, o)
-                    assert cocycles._fiber_search(e0, other, N, o) == want
-                    assert extension_equivalent(e0, other, base, o).holds == want
-                    compared[want] += 1
+            for e1 in exts:
+                want = translation_loop(e0, e1, N, o)
+                assert extension_equivalent(e0, e1, base, o).holds == want
+                compared[want] += 1
+            # a changed entry leaves standard form, with o > 1 points a fiber
+            with pytest.raises(InputError, match="second table is not"):
+                extension_equivalent(e0, _perturbed(e0, rng), base, o)
     assert compared[True] and compared[False]
 
 
-def test_fiber_search_on_the_affine_family_matches_the_oracle():
+def test_affine_family_equivalence_matches_the_translation_oracle():
     _, TX, psi = affine_family(3, 1)
     E1 = extend(TX, psi)
     E0 = extend(TX, zero_cochain(3, 3, 3))
     rng = np.random.default_rng(11)
-    for a, b in ((E1, E0), (E0, E1), (E1, _fiber_relabel(E1, 3, 3, rng))):
-        assert cocycles._fiber_search(a, b, 3, 3) == fiber_search_loop(a, b, 3, 3)
-    assert cocycles._fiber_search(E1, _fiber_relabel(E1, 3, 3, rng), 3, 3)
-    assert not cocycles._fiber_search(E1, E0, 3, 3)
+    moved = _translated(E1, 3, 3, rng)
+    for a, b, want in ((E1, E0, False), (E0, E1, False), (E1, moved, True),
+                       (moved, E0, False)):
+        assert translation_loop(a, b, 3, 3) == want
+        assert extension_equivalent(a, b, TX, 3).holds == want
+
+
+@pytest.mark.parametrize("base,d", [("R3", 3), ("R5", 5)])
+def test_extension_equivalence_is_cohomology(base, d):
+    # phi against 2 phi: the fiber bijection (x, a) -> (x, 2a) carries one
+    # extension to the other but does not commute with the action of Z_d,
+    # and the cochains are not cohomologous, so the extensions are not
+    # equivalent; phi against phi plus a coboundary is
+    op = core_quandle(cyclic_group(d))
+    zero = zero_cochain(d, 2, d)
+    phi = next(c for c in (Cochain(d, 2, d, v[:, 0])
+                           for v in cohomology_solve(op, 2, d).cocycles)
+               if not cocycles_cohomologous(c, zero, op)[0])
+    twice = Cochain(d, 2, d, 2 * phi.values[:, 0] % d)
+    E1, E2 = extend(op, phi), extend(op, twice)
+    assert relabel(E1, [x * d + 2 * a % d for x in range(d) for a in range(d)]) == E2
+    res = extension_equivalent(E1, E2, op, d)
+    assert not res and res.detail == "cochains not cohomologous"
+    d2t = np.asarray(boundary_matrix(op, 2, verify=False)).T
+    eta = np.arange(1, d + 1) ** 2 % d
+    shifted = Cochain(d, 2, d, (phi.values[:, 0] + d2t @ eta) % d)
+    assert shifted != phi
+    res = extension_equivalent(E1, extend(op, shifted), op, d)
+    assert res and "cohomologous" in res.detail
 
 
 @pytest.mark.parametrize("N,o", [(3, 4), (2, 5), (5, 3)])
-def test_full_fiber_search_is_fast(N, o):
-    # every fiber map carries the right projection to itself, so the
-    # per-tuple loop read every tuple of every candidate before failing at
-    # the changed last entry: 3-4 s, against well under one here
+def test_nonstandard_extensions_are_refused_fast(N, o):
+    # every fiber map carries the right projection to itself, so a search
+    # over fiber bijections read every tuple of every candidate; the right
+    # projection is no standard-form extension, and is refused at once
     M = N * o
     right = make_op_table(M, 2, lambda x, y: y)
     tab = right.table.copy()
     tab[-1] = (tab[-1] + 1) % M
     start = time.perf_counter()
-    res = extension_equivalent(right, make_op_table(M, 2, tab),
-                               projection_op(N, 2), o)
+    with pytest.raises(InputError, match="not a standard-form extension"):
+        extension_equivalent(right, make_op_table(M, 2, tab), projection_op(N, 2), o)
     assert time.perf_counter() - start < 1
-    candidates = math.factorial(o) ** N
-    assert not res and res.detail == f"no fiber bijection among all {candidates}"
 
 
 def test_extension_equivalent_refuses_mismatched_shapes():

@@ -123,18 +123,43 @@ def test_full_scans_match_mask_oracles():
             assert np.array_equal(got, tables[mask]), (size, arity, kind)
 
 
-def test_mutual_pairs_match_loop_oracle(monkeypatch):
+def test_mutual_pairs_match_loop_oracle():
     for size in (1, 2, 3):
         ops = enumerate_operations(size, 2, "sd")
         S = np.stack([op.table for op in ops])
         want = [(flat(ops[i]), flat(ops[j]))
                 for i, j in np.argwhere(mutual_mask_ref(S, size))]
-        # the default bands, bands of one row, and on 3 points (224 tables
-        # of 9 entries) bands of five rows with a shorter last band
-        for entries in (enumeration.PAIR_BLOCK_ENTRIES, 1, 5 * 224 * 9):
-            monkeypatch.setattr(enumeration, "PAIR_BLOCK_ENTRIES", entries)
-            got = [(flat(a), flat(b)) for a, b in enumerate_mutual_pairs(size)]
-            assert got == want, (size, entries)
+        got = [(flat(a), flat(b)) for a, b in enumerate_mutual_pairs(size)]
+        assert got == want, size
+
+
+def endomorphism_ref(table, f, size, arity):
+    """Whether f(t(a..)) == t(f(a)..) at every argument tuple, one at a time."""
+    return all(f[table[tuple_to_index(a, size)]]
+               == table[tuple_to_index(tuple(f[v] for v in a), size)]
+               for a in itertools.product(range(size), repeat=arity))
+
+
+def test_endomorphism_table_matches_loop():
+    rng = np.random.default_rng(0xE4D0)
+    cases = [(stacked(enumerate_operations(size, 2, "sd")), size, 2)
+             for size in (1, 2, 3)]
+    # drawn binary and ternary tables, with the affine and projection tables
+    # whose endomorphisms are many
+    for size, arity in ((3, 2), (4, 2), (2, 3), (3, 3)):
+        drawn = rng.integers(0, size, (12, size ** arity))
+        known = [affine_op(size, arity, [1] * (arity - 1)).table,
+                 projection_op(size, arity).table]
+        cases.append((np.concatenate([drawn, known]), size, arity))
+    seen = {True: 0, False: 0}
+    for tables, size, arity in cases:
+        maps = all_tables(size, 1)
+        got = enumeration._endomorphisms(tables, maps, size, arity)
+        want = [[endomorphism_ref(t, f, size, arity) for f in maps] for t in tables]
+        assert got.tolist() == want, (size, arity)
+        for v in got.ravel().tolist():
+            seen[v] += 1
+    assert seen[True] > 100 and seen[False] > 100
 
 
 def test_affine_closed_form_matches_mask_oracles():
@@ -283,6 +308,28 @@ def test_affine_charge_covers_its_arrays(monkeypatch):
         assert peak <= max(charged) + 64 * 1024, (modulus, arity, kind, peak)
 
 
+def test_scan_charges_cover_their_arrays(monkeypatch):
+    # a full scan charges its stacked tables, the batched scan its narrow
+    # copies and its largest block, and mutual pairs their endomorphism
+    # table; together they bound what the call holds at its peak
+    charged = []
+    charge = limits.charge_bytes
+    monkeypatch.setattr(limits, "charge_bytes",
+                        lambda need, what: charged.append(need) or charge(need, what))
+    calls = [((size, arity, kind), enumerate_operations)
+             for size, arity in FULL_SHAPES for kind in KINDS]
+    calls += [((size,), enumerate_mutual_pairs) for size in (1, 2, 3)]
+    for args, call in calls:
+        charged.clear()
+        tracemalloc.start()
+        try:
+            call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(charged) + 64 * 1024, (args, peak, charged)
+
+
 # ---------------------------------------------------------------------------
 # full scans, frozen against an independent pure-python oracle
 
@@ -353,8 +400,24 @@ def test_full_scan_guardrail():
         enumerate_operations(4, 2)
     with pytest.raises(InputError):
         enumerate_operations(3, 3)
+    # 24^4 and 2^16 permutation tables, too many tuples to scan
+    for size, arity, kind in ((4, 2, "rack"), (2, 5, "quandle")):
+        with pytest.raises(InputError, match="steps"):
+            enumerate_operations(size, arity, kind)
     with pytest.raises(InputError):
         enumerate_operations(2, 2, kind="proper")
+
+
+def test_rack_full_scans_charge_their_candidates(monkeypatch):
+    # 3!^3 = 216 permutation tables of 27 tuples each on 3 points, 2!^4 = 16
+    # of 32 tuples each in the ternary scan on 2, racks and quandles alike
+    for size, arity, need in ((3, 2, 216 * 27), (2, 3, 16 * 32)):
+        for kind in ("rack", "quandle"):
+            monkeypatch.setattr(limits, "STEPS", need)
+            enumerate_operations(size, arity, kind)
+            monkeypatch.setattr(limits, "STEPS", need - 1)
+            with pytest.raises(InputError, match=f"needs {need} steps"):
+                enumerate_operations(size, arity, kind)
 
 
 def test_scans_charge_their_tail_tuples():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -478,6 +479,60 @@ def test_exchange_known_values():
     assert exchange_scan(Z8, Z8, 8, 3, 3) == -1
     # x + y fails self-distributivity first at (0, 0, 1), flat index 1
     assert exchange_scan(PLUS3, PLUS3, 3, 2, 2) == 1
+
+
+def unary_exchange_ref(tm, f, N, m):
+    """First tuple (x, y..) with f(tm(x, y..)) != tm(f(x), f(y)..), with both
+    sides, or None: the direct formula, one tuple at a time."""
+    for args in itertools.product(range(N), repeat=m):
+        lhs = int(f[tm[index_of(args, N)]])
+        rhs = int(tm[index_of(tuple(f[v] for v in args), N)])
+        if lhs != rhs:
+            return args, lhs, rhs
+    return None
+
+
+def index_of(args, N):
+    flat = 0
+    for v in args:
+        flat = flat * N + int(v)
+    return flat
+
+
+def test_unary_exchange_law_is_the_endomorphism_law():
+    # with n = 1 the acting table is a map f, and the law says that f is an
+    # endomorphism of tm; drawn tables against drawn maps mostly fail, and
+    # identities, idempotent constants and unit multiples of an affine
+    # table hold
+    draw = np.random.default_rng(0xE1D0)
+    seen = {True: 0, False: 0}
+    for N, m in ((2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (4, 3)):
+        tables = [draw.integers(0, N, N ** m) for _ in range(6)]
+        tables.append(as_i64(affine_op(N, m, [N - 1] + [1] * (m - 2)).table))
+        for tm in tables:
+            maps = [draw.integers(0, N, N) for _ in range(6)]
+            maps.append(np.arange(N))
+            maps += [np.full(N, x) for x in range(N) if tm[index_of((x,) * m, N)] == x]
+            maps += [np.arange(N) * u % N for u in range(2, N)]
+            for f in maps:
+                f = as_i64(f)
+                want = unary_exchange_ref(tm, f, N, m)
+                law = kernels.exchange_law(tm, f, N, m, 1)
+                assert bool(kernels.holds(law)[0]) == (want is None)
+                flat = exchange_scan(tm, f, N, m, 1)
+                if want is None:
+                    assert flat == -1
+                else:
+                    assert flat == index_of(want[0], N)
+                    assert kernels.witness(law, flat) == want
+                seen[want is None] += 1
+    assert seen[True] > 20 and seen[False] > 20
+    # a map must have one entry per point
+    for bad in (np.arange(2), np.arange(4), np.arange(9)):
+        with pytest.raises(InputError, match="acting table has"):
+            kernels.exchange_law(DIH3, bad, 3, 2, 1)
+        with pytest.raises(InputError, match="acting table has"):
+            exchange_scan(DIH3, bad, 3, 2, 1)
 
 
 def test_translation_known_values():
