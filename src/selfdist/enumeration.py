@@ -1,24 +1,30 @@
 """Exhaustive searches for self-distributive tables on tiny carriers.
 
-A full scan of kind "all" or "sd" visits every table of the requested
-shape, so it is only feasible while size^(size^arity) stays small: binary
-carriers up to size 3 (3^9 tables) and ternary carriers up to size 2 (2^8
-tables).  A rack's translations x -> W(x, tail) are permutations, so a full
-scan of kind "rack" or "quandle" builds only the N!^(N^(k-1)) tables made
-of one permutation per tail: 216 binary tables on 3 points, 16 ternary
-ones on 2.  Larger carriers need a structural filter.  Two are provided:
-affine tables over Z_m, and a backtracking search over the same
-permutation tables, which cuts the ternary size-3 space from 3^27 down to
-6^9 candidates and prunes most of those.
+A full scan of kind "all" lays out every table of the requested shape, so
+it is only feasible while size^(size^arity) stays small: binary carriers up
+to size 3 (3^9 tables) and ternary carriers up to size 2 (2^8 tables).  The
+other kinds search over translations.  A table is one translation
+R_t: x -> W(x, t) for each of the N^(k-1) tails t, and self-distributivity
+says that every R_z is an endomorphism: R_z o R_y = R_{R_z.y} o R_z, where
+R_z.y moves the tail y digit by digit.  That condition involves three
+translations at a time, so a search that assigns the tails in order can drop
+a partial table as soon as the three tails of a failing condition are all
+assigned.  A full scan of kind "sd", "rack" or "quandle" runs that search
+level by level, over every surviving partial table at once, with any map,
+any permutation, or a permutation fixing x at the diagonal tail (x, .., x)
+as the candidates of a tail: it builds 4,590 partial tables on the way to
+the 224 self-distributive binary tables on 3 points, of 3^9.
+`enumerate_racks` runs the same search depth-first, holding one path, so
+it reaches 5-point racks and ternary racks on 3 points.  Affine tables over
+Z_m are a third, structural filter.
 
-No law is stated here.  Full scans test their candidates for
-self-distributivity, after the diagonal indices for quandles, through the
-scan engine of `kernels`, over the whole stack of candidates at once.
-Mutual pairs read the exchange law through translations: it says that
-every right translation of one table is an endomorphism of the other, so
-one batched unary exchange law decides every self-distributive table
-against every translation column.  Affine scans test nothing, since the
-kinds follow from the form.
+No law is stated here.  The survivors of a full scan take their verdict
+from the batched self-distributivity law of `kernels`, over the whole stack
+of them at once.  Mutual pairs read the exchange law through translations:
+it says that every right translation of one table is an endomorphism of
+the other, so one batched unary exchange law decides every
+self-distributive table against every translation column.  Affine scans
+test nothing, since the kinds follow from the form.
 
 The table enumerators return one read-only `TableStack`: the surviving
 tables as rows of a single int64 array, sorted lexicographically, so output
@@ -50,21 +56,109 @@ def _check_kind(kind: str, allowed=KINDS):
 
 def _tuples(size: int, length: int) -> np.ndarray:
     """All tuples of `length` digits in 0..size-1, one per row, in
-    lexicographic order."""
-    codes = np.arange(size ** length, dtype=np.int64)
-    return np.stack(kernels.digits(codes, size, length), axis=1)
+    lexicographic order, laid out in one int64 array: column j repeats each
+    digit size^(length-1-j) times, a pattern written by broadcasting."""
+    out = np.empty((size ** length, length), dtype=np.int64)
+    for j in range(length):
+        out.reshape(size ** j, size, -1, length)[..., j] = np.arange(size)[:, None]
+    return out
 
 
-def _permutation_tables(size: int, arity: int) -> np.ndarray:
-    """Every table whose translations x -> W(x, tail) are all permutations,
-    one per row: one carrier permutation chosen for each of the N^(k-1)
-    tails, in the order of the choices, not of the tables."""
-    perms = _permutations(size)
-    choice = _tuples(len(perms), size ** (arity - 1))
-    # entry (x, tail) of a table is its tail's permutation at x; gathered
-    # as bytes, widened once laid out
-    tables = perms[choice].transpose(0, 2, 1).reshape(len(choice), size ** arity)
-    return tables.astype(np.int64)
+def _translations(size: int, arity: int, kind: str, what: str):
+    """The lookup tables of a search over translations, charged before they
+    are built.
+
+    A table is one translation R_t: x -> W(x, t) for each of the N^(k-1)
+    tails t, and is self-distributive exactly when R_z o R_y equals
+    R_{R_z.y} o R_z for all tails y and z, where R_z.y is y moved digit by
+    digit.  Returns (maps, compose, act, cands):
+      maps[a]        a candidate translation, as its N images; every map for
+                     "sd", every permutation in lexicographic order otherwise;
+      compose[a, b]  the base-N code of maps[a] o maps[b];
+      act[a, y]      the tail y moved digit-wise by maps[a];
+      cands[t]       the indices of the maps tail t may take: all of them,
+                     except that a quandle's diagonal tail (x, .., x) takes
+                     only the permutations that fix x.
+    """
+    n_maps = limits.power(size, size) if kind == "sd" else math.factorial(min(size, 21))
+    n_tails = limits.power(size, arity - 1)
+    # the maps, their compositions gathered as n_maps^2 maps before they are
+    # read as codes, and three n_maps x n_tails arrays while act is built
+    limits.charge_bytes(8 * (n_maps * size + n_maps * n_maps * (size + 1)
+                             + 3 * n_maps * n_tails),
+                        f"the translation tables of {what}")
+    maps = _tuples(size, size) if kind == "sd" else _permutations(size).astype(np.int64)
+    compose = maps[:, maps] @ size ** np.arange(size - 1, -1, -1)
+    act = digit_map(maps, size, arity - 1)
+    cands = [range(len(maps))] * n_tails
+    if kind == "quandle":
+        for x, t in enumerate(diagonal_indices(size, arity - 1).tolist()):
+            cands[t] = np.flatnonzero(maps[:, x] == x).tolist()
+    return maps, compose, act, cands
+
+
+def _sorted_tables(maps: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """The flat tables whose translations are maps[chosen[r, t]], sorted
+    lexicographically: entry (x, t) of row r is maps[chosen[r, t], x]."""
+    entries = maps.shape[1] * chosen.shape[1]
+    tables = maps.T[:, chosen].transpose(1, 0, 2).reshape(len(chosen), entries)
+    return tables[np.lexsort(tables.T[::-1])]
+
+
+# bytes charged for each pair a level checks: the int64 grids of tails,
+# of their assigned maps and of both sides, the indices that gather them,
+# and the masks
+_PAIR_BYTES = 48
+
+
+def _consistent(chosen: np.ndarray, compose: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Rows of partial tables, one map index for each of the tails 0..j, on
+    which R_z o R_y == R_{R_z.y} o R_z wherever z, y and R_z.y are all
+    assigned."""
+    rows, j1 = chosen.shape
+    flat = compose.ravel()
+    at_row = chosen * len(compose)                # where each map's row starts
+    t = act[:, :j1][chosen]                       # t[r, z, y] = R_z.y
+    free = t >= j1
+    # the row of the map at R_z.y, read from the flat rows; an unassigned
+    # tail reads a masked-out entry
+    np.minimum(t, j1 - 1, out=t)
+    t += np.arange(0, rows * j1, j1)[:, None, None]
+    t = at_row.ravel()[t]
+    t += chosen[:, :, None]
+    same = flat[at_row[:, :, None] + chosen[:, None, :]] == flat[t]
+    same |= free
+    return same.reshape(rows, -1).all(axis=1)
+
+
+def _search(size: int, arity: int, kind: str, what: str) -> np.ndarray:
+    """Every table of the kind whose translations pass `_consistent`, built
+    level by level: level j appends a candidate translation for tail j to
+    every surviving partial table and drops the rows that fail a condition
+    whose three tails are now assigned.  Each level is charged before it is
+    built: its rows, and one step and `_PAIR_BYTES` for each pair it
+    checks, (j + 1)^2 a row.  Level 0's one pair sets R_0 o R_0 against
+    itself, so it is charged but not evaluated."""
+    maps, compose, act, cands = _translations(size, arity, kind, what)
+    chosen = np.zeros((1, 0), dtype=np.int64)
+    work = 0
+    for j, cand in enumerate(cands):
+        parents = len(chosen)
+        rows = parents * len(cand)
+        work += rows * (j + 1) ** 2
+        limits.charge_steps(work, f"the translation search of {what}")
+        limits.charge_bytes(8 * (parents * j + rows * (j + 1))
+                            + _PAIR_BYTES * rows * (j + 1) ** 2,
+                            f"level {j} of the translation search of {what}")
+        grown = np.empty((parents, len(cand), j + 1), dtype=np.int64)
+        grown[:, :, :j] = chosen[:, None]
+        grown[:, :, j] = cand
+        chosen = grown.reshape(rows, j + 1)
+        if j:
+            chosen = chosen[_consistent(chosen, compose, act)]
+    # the last level's charge, for N^(k-1) >= N pairs an entry of each of
+    # its rows, covers the tables it leaves, gathered and sorted
+    return _sorted_tables(maps, chosen)
 
 
 def _stack(tables: np.ndarray, size: int, arity: int, scan: str,
@@ -77,51 +171,35 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> TableStack:
     """Every table of the given shape passing the predicate, as a stack in
     lex order.
 
-    kind is one of "all", "sd", "rack", "quandle".  "all" and "sd" visit
-    all N^(N^k) tables.  A rack's translations are permutations, so "rack"
-    and "quandle" visit only the N!^(N^(k-1)) tables built from one
-    permutation per tail (216 of the 3^9 binary tables on 3 points, 16 of
-    the 2^8 ternary ones on 2), quandles only those fixing the diagonal.
-    Self-distributivity is then one batched law of `kernels` over the
-    candidates.  Refuses shapes whose scan would not fit the budgets of
-    `limits`, charged on the candidates it visits.
+    kind is one of "all", "sd", "rack", "quandle".  "all" lays out all
+    N^(N^k) tables.  The others search over translations: a table is one
+    translation x -> W(x, tail) for each of the N^(k-1) tails, any of the
+    N^N maps for "sd", a permutation for "rack", and for "quandle" a
+    permutation that fixes x at the diagonal tail (x, .., x).  Tails are
+    assigned one level at a time, over every surviving partial table at
+    once, and a row is dropped as soon as R_z o R_y != R_{R_z.y} o R_z
+    for tails z, y and R_z.y that are all assigned.  The survivors still
+    take their verdict from one batched law of `kernels`.  Refuses shapes
+    whose scan would not fit the budgets of `limits`: the tables of "all",
+    and each lookup table and each level of a search, are charged before
+    they are built.
     """
     _check_kind(kind)
     check_shape(size, arity)
-    racks = kind in ("rack", "quandle")
-    if racks:
-        # 21! exceeds 2^64, so the clamp only keeps the estimate cheap
-        count = limits.power(math.factorial(min(size, 21)),
-                             limits.power(size, arity - 1))
-    else:
-        count = limits.power(size, limits.power(size, arity))
     what = f"a full scan of size {size} arity {arity}"
-    # the stacked int64 tables and N^(k-1) tail tuples, which refuses a
-    # one-point carrier of huge arity up front; then a second copy of the
-    # tables, as they are built from their digit rows or choices and as a
-    # filter or the sort copies them, and N + 1 values apiece, their codes
-    # or diagonals
+    # every table of "all", or one table of a search, and the N^(k-1) tails
+    # of k-1 digits that a search moves digit by digit: this refuses a
+    # one-point carrier of huge arity before anything is built
     entries = limits.power(size, arity)
     tails = limits.power(size, arity - 1) * (arity - 1)
+    count = limits.power(size, entries) if kind == "all" else 1
     limits.charge_bytes(8 * (count * entries + tails), what)
-    limits.charge_bytes(8 * count * (entries + size + 1), f"building {what}")
-    if kind != "all":
-        limits.charge_steps(count * limits.power(size, 2 * arity - 1),
-                            f"the self-distributivity scan of {what}")
-    if racks:
-        tables = _permutation_tables(size, arity)
-    else:
-        tables = _tuples(size, size ** arity)
-    if kind == "quandle":
-        diag = tables[:, diagonal_indices(size, arity)]
-        tables = tables[(diag == np.arange(size)).all(axis=1)]
-    if kind != "all":
-        law = kernels.exchange_law(tables, tables, size, arity, arity,
-                                   batch=len(tables))
-        tables = tables[kernels.holds(law)]
-    if racks:
-        tables = tables[np.lexsort(tables.T[::-1])]
-    return _stack(tables, size, arity, "full", kind)
+    if kind == "all":
+        return _stack(_tuples(size, size ** arity), size, arity, "full", kind)
+    tables = _search(size, arity, kind, what)
+    law = kernels.exchange_law(tables, tables, size, arity, arity,
+                               batch=len(tables))
+    return _stack(tables[kernels.holds(law)], size, arity, "full", kind)
 
 
 def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> TableStack:
@@ -155,10 +233,10 @@ def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> TableStack:
     entries = limits.power(modulus, arity)
     heads = limits.power(modulus, arity - 1)
     # the carrier digits are built first, which refuses a huge arity alone;
-    # then, besides them and their codes, the coefficient rows twice while
-    # they are sorted, the sort order, and the tables
+    # then, besides them, the coefficient rows twice while they are
+    # sorted, the sort order, and the tables
     limits.charge_bytes(8 * arity * entries, f"the carrier digits of {what}")
-    limits.charge_bytes(8 * ((arity + 1) * entries + heads * (2 * arity + 1)
+    limits.charge_bytes(8 * (arity * entries + heads * (2 * arity + 1)
                              + heads * entries), what)
     digits = _tuples(modulus, arity)
     # the first k-1 coefficients run over every head in lex order: the
@@ -181,11 +259,14 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> TableStack:
     one permutation per tail; self-distributivity becomes a conjugation
     condition between those permutations, checked incrementally while the
     choices are assigned, so the 6^9 ternary size-3 space prunes quickly.
-    Refuses once the work exceeds `limits.STEPS`: the entries of the lookup
-    tables plus the most consistency checks each search node can make.
-    Both the tables and the first descent of the search are charged before
-    anything is built: the first permutation is the identity and the
-    projection table is a rack, so that descent reaches every level.
+    The search holds one path at a time, and takes the candidates of
+    `_translations`: a quandle's diagonal tail (x, .., x) only tries the
+    permutations that fix x.  Refuses once the work exceeds `limits.STEPS`:
+    the entries of the lookup tables plus the most consistency checks each
+    search node can make.  Both the tables and the first descent of the
+    search are charged before anything is built: the first candidate of
+    every tail is the identity and the projection table is a quandle, so
+    that descent reaches every level.
     """
     _check_kind(kind, ("rack", "quandle"))
     check_shape(size, arity)
@@ -195,29 +276,26 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> TableStack:
     n_perms = math.factorial(min(size, 21))
     n_tails = limits.power(size, arity - 1)
     work = n_perms ** 2 + 2 * n_perms * n_tails + n_tails * (arity - 1)
-    # n_perms * (3 * level + 1) checks at each level of the first descent
-    limits.charge_steps(
-        work + n_perms * (3 * n_tails * (n_tails - 1) // 2 + n_tails), what)
+    # candidates * (3 * level + 1) checks at each level of the first descent,
+    # N! candidates a level but (N - 1)! at a quandle's diagonal tails, the
+    # levels x (N^(k-1) - 1) / (N - 1)
+    descent = n_perms * (3 * n_tails * (n_tails - 1) // 2 + n_tails)
+    if kind == "quandle":
+        descent -= (n_perms - n_perms // size) * (3 * size * (n_tails - 1) // 2 + size)
+    limits.charge_steps(work + descent, what)
 
     def charge(count: int):
         nonlocal work
         work += count
         limits.charge_steps(work, what)
 
-    perms = list(itertools.permutations(range(size)))
-    pindex = {p: i for i, p in enumerate(perms)}
-    compose = [[pindex[tuple(a[b[v]] for v in range(size))] for b in perms]
-               for a in perms]
-    tails = list(itertools.product(range(size), repeat=arity - 1))
-    tindex = {t: i for i, t in enumerate(tails)}
-    nt = len(tails)
-    # act[s][y]: tail y moved digit-wise by permutation s; back inverts it
-    act = [[tindex[tuple(p[c] for c in t)] for t in tails] for p in perms]
-    back = [[0] * nt for _ in perms]
-    for s, row in enumerate(act):
-        for y, t in enumerate(row):
-            back[s][t] = y
+    maps, compose, act, cands = _translations(size, arity, kind, what)
+    # back[s][t]: the tail that permutation s moves to t
+    back = np.argsort(act, axis=1).tolist()
+    compose, act = compose.tolist(), act.tolist()
+    nt = len(cands)
     assign = [0] * nt
+    untried = [None] * nt
     found = []
 
     def holds(zi: int, yi: int, ti: int) -> bool:
@@ -244,27 +322,21 @@ def enumerate_racks(size: int, arity: int, kind: str = "rack") -> TableStack:
 
     # iterative backtracking: a search may run as deep as nt levels
     level = 0
-    assign[0] = -1
-    charge(len(perms))
+    untried[0] = iter(cands[0])
+    charge(len(cands[0]))
     while level >= 0:
-        assign[level] += 1
-        if assign[level] == len(perms):
+        assign[level] = next(untried[level], -1)
+        if assign[level] < 0:
             level -= 1
         elif consistent(level):
             if level + 1 == nt:
                 found.append(tuple(assign))
             else:
                 level += 1
-                assign[level] = -1
-                charge(len(perms) * (3 * level + 1))
-    tables = sorted(
-        tuple(perms[a[ti]][x] for x in range(size) for ti in range(nt))
-        for a in found)
-    arr = np.asarray(tables, dtype=np.int64).reshape(len(tables), size ** arity)
-    if kind == "quandle":
-        diag = arr[:, diagonal_indices(size, arity)]
-        arr = arr[(diag == np.arange(size)).all(axis=1)]
-    return _stack(arr, size, arity, "translations", kind)
+                untried[level] = iter(cands[level])
+                charge(len(cands[level]) * (3 * level + 1))
+    chosen = np.array(found, dtype=np.int64).reshape(len(found), nt)
+    return _stack(_sorted_tables(maps, chosen), size, arity, "translations", kind)
 
 
 def _endomorphisms(tables: np.ndarray, maps: np.ndarray, size: int,

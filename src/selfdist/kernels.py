@@ -70,8 +70,9 @@ boundary indexes an argument tuple by its base-N digits, first argument most
 significant, and every module that needs the digits of a flat index or an
 array of them reads them from it: the scan rows and witnesses, the tuples of
 `optable.index_to_tuple`, boundary columns, braid tuples, extension fibers,
-the enumerated candidate tables and permutation choices, affine carrier
-digits, and the tensor factors that linear maps permute.
+and the tensor factors that linear maps permute.  Enumeration decodes no
+index: it writes every tuple in lexicographic order straight into one
+array, a digit column at a time, by broadcasting.
 """
 from __future__ import annotations
 

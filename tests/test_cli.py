@@ -491,8 +491,9 @@ def test_enumerate_writes_the_json_of_table_lists(argv, tmp_path, capsys):
 
 
 # sha256 of the JSON report with its seconds masked, pinned from the full
-# scans that tested every table and the mutual pairs that scanned every pair
-# of tables for both exchange laws
+# scans that tested every table (or every permutation table), the
+# translation scans that filtered racks for quandles, and the mutual pairs
+# that scanned every pair of tables for both exchange laws
 ENUMERATE_DIGESTS = [
     (["--size", "3", "--kind", "rack"],
      "b30c436643c43499b6e44c0177b46e1dc1b378d817303de574538667a92a4e82"),
@@ -504,6 +505,14 @@ ENUMERATE_DIGESTS = [
      "33dfbfcce6be936121c254fc4231c09c17c8691d26839c79e370f67aa8b9d7a0"),
     (["--size", "3", "--pairs"],
      "7739d5ffb9f5dcaa5431bad107a1896e4800d0c26d8b679a1ff35ec4ea6f433b"),
+    (["--size", "3", "--kind", "sd"],
+     "5568f0c404a5f8913fa88d09b10089a075660f2cb1fcd412bc84cd37bbb77439"),
+    (["--size", "2", "--arity", "4", "--kind", "sd"],
+     "f5f0997d80f8458a3d14612fd67d47ba426dab52976f3f29d91c29f628809f3d"),
+    (["--size", "4", "--scan", "translations", "--kind", "quandle"],
+     "c7f2f6293a44b1d6c645fffe5f00e8b13a03f849980d521920141e1a05d14ff3"),
+    (["--size", "3", "--arity", "3", "--scan", "translations", "--kind", "quandle"],
+     "632460e28bc41d277bebb952543e1272cea4f9e6552b21f901462f4fea2e6b20"),
 ]
 
 

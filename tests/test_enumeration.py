@@ -123,6 +123,18 @@ def test_full_scans_match_mask_oracles():
             assert np.array_equal(got, tables[mask]), (size, arity, kind)
 
 
+def test_full_scans_take_their_verdict_from_the_scan_engine(monkeypatch):
+    # with no row dropped by the search, the batched law alone still keeps
+    # exactly the tables of the kind
+    monkeypatch.setattr(enumeration, "_consistent",
+                        lambda chosen, compose, act: np.ones(len(chosen), bool))
+    for size, arity in ((2, 2), (2, 3), (3, 2)):
+        tables = all_tables(size, arity)
+        for kind, mask in kind_masks_ref(tables, size, arity).items():
+            got = stacked(enumerate_operations(size, arity, kind))
+            assert np.array_equal(got, tables[mask]), (size, arity, kind)
+
+
 def test_mutual_pairs_match_loop_oracle():
     for size in (1, 2, 3):
         ops = enumerate_operations(size, 2, "sd")
@@ -309,15 +321,19 @@ def test_affine_charge_covers_its_arrays(monkeypatch):
 
 
 def test_scan_charges_cover_their_arrays(monkeypatch):
-    # a full scan charges its stacked tables, the batched scan its narrow
-    # copies and its largest block, and mutual pairs their endomorphism
-    # table; together they bound what the call holds at its peak
+    # each charge covers everything the call holds until the next: the
+    # tables of "all"; a search's lookup tables while they are built, and
+    # each level with its parents and check grids, the last one also with
+    # the tables it leaves; the verdict's narrow copies and largest block;
+    # and the endomorphism table of mutual pairs
     charged = []
     charge = limits.charge_bytes
     monkeypatch.setattr(limits, "charge_bytes",
                         lambda need, what: charged.append(need) or charge(need, what))
     calls = [((size, arity, kind), enumerate_operations)
              for size, arity in FULL_SHAPES for kind in KINDS]
+    calls += [((size, arity, kind), enumerate_operations)
+              for size, arity in ((4, 2), (3, 3)) for kind in ("rack", "quandle")]
     calls += [((size,), enumerate_mutual_pairs) for size in (1, 2, 3)]
     for args, call in calls:
         charged.clear()
@@ -327,7 +343,20 @@ def test_scan_charges_cover_their_arrays(monkeypatch):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sum(charged) + 64 * 1024, (args, peak, charged)
+        assert peak <= max(charged) + 64 * 1024, (args, peak, charged)
+
+
+def test_all_tables_are_laid_out_once():
+    # the 2^16 tables of 16 entries of the arity-4 scan on 2 points are
+    # written into one int64 array, 8 MiB, with no second copy
+    tracemalloc.start()
+    try:
+        stack = enumerate_operations(2, 4, "all")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.tables.nbytes == 8 * 2 ** 16 * 16
+    assert peak <= stack.tables.nbytes + 64 * 1024, peak
 
 
 # ---------------------------------------------------------------------------
@@ -396,28 +425,39 @@ def test_full_scan_complement_fails():
 
 
 def test_full_scan_guardrail():
-    with pytest.raises(InputError):
-        enumerate_operations(4, 2)
-    with pytest.raises(InputError):
-        enumerate_operations(3, 3)
-    # 24^4 and 2^16 permutation tables, too many tuples to scan
-    for size, arity, kind in ((4, 2, "rack"), (2, 5, "quandle")):
-        with pytest.raises(InputError, match="steps"):
+    # the searches that outgrow the budgets: level 2 of the binary sd search
+    # on 4 points would check 26M pairs, and level 3 of the ternary one on
+    # 3 points and level 2 of the 5-point rack search would hold over BYTES
+    for size, arity, kind, unit in ((4, 2, "sd", "steps"), (3, 3, "sd", "bytes"),
+                                    (5, 2, "rack", "bytes")):
+        with pytest.raises(InputError, match=f"translation search .* {unit}"):
             enumerate_operations(size, arity, kind)
+    # the compositions of the 3125 maps on 5 points, before they are built
+    with pytest.raises(InputError, match="translation tables .* bytes"):
+        enumerate_operations(5, 2, "sd")
+    # 24^4 and 2^16 permutation tables were too many tuples to scan; level
+    # by level, the searches grow at most 2880 and 256 rows
+    assert len(enumerate_operations(4, 2, "rack")) == 114
+    assert len(enumerate_operations(2, 5, "quandle")) == 128
     with pytest.raises(InputError):
         enumerate_operations(2, 2, kind="proper")
 
 
 def test_rack_full_scans_charge_their_candidates(monkeypatch):
-    # 3!^3 = 216 permutation tables of 27 tuples each on 3 points, 2!^4 = 16
-    # of 32 tuples each in the ternary scan on 2, racks and quandles alike
-    for size, arity, need in ((3, 2, 216 * 27), (2, 3, 16 * 32)):
-        for kind in ("rack", "quandle"):
-            monkeypatch.setattr(limits, "STEPS", need)
+    # level j checks (j + 1)^2 pairs on each of its rows, a survivor of
+    # level j - 1 extended by each candidate of tail j.  Racks on 3 points:
+    # 6 rows, 6 * 6, then 11 survivors * 6.  Racks on 4: 24, 24 * 24,
+    # 120 * 24, 96 * 24.  Quandles on 4, the 6 permutations fixing each
+    # tail: 6, 6 * 6, 28 * 6, 28 * 6.
+    for size, arity, kind, rows in ((3, 2, "rack", (6, 36, 66)),
+                                    (4, 2, "rack", (24, 576, 2880, 2304)),
+                                    (4, 2, "quandle", (6, 36, 168, 168))):
+        need = sum(r * (j + 1) ** 2 for j, r in enumerate(rows))
+        monkeypatch.setattr(limits, "STEPS", need)
+        enumerate_operations(size, arity, kind)
+        monkeypatch.setattr(limits, "STEPS", need - 1)
+        with pytest.raises(InputError, match=f"needs {need} steps"):
             enumerate_operations(size, arity, kind)
-            monkeypatch.setattr(limits, "STEPS", need - 1)
-            with pytest.raises(InputError, match=f"needs {need} steps"):
-                enumerate_operations(size, arity, kind)
 
 
 def test_scans_charge_their_tail_tuples():
@@ -473,10 +513,12 @@ def test_affine_scan_budgets():
 # translation-structured scans
 
 def test_rack_scan_matches_full_scan():
-    for size, arity in [(2, 2), (3, 2), (2, 3)]:
-        struct = [flat(o) for o in enumerate_racks(size, arity)]
-        full = [flat(o) for o in enumerate_operations(size, arity, "rack")]
-        assert struct == full
+    # the depth-first search and the batched one, each the other's oracle
+    for size, arity in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (2, 5)]:
+        for kind in ("rack", "quandle"):
+            struct = enumerate_racks(size, arity, kind).tables
+            full = enumerate_operations(size, arity, kind).tables
+            assert np.array_equal(struct, full), (size, arity, kind)
 
 
 def test_rack_scan_ternary_size_3():
@@ -559,6 +601,13 @@ def test_rack_scan_refusal_bound_is_the_first_descent(monkeypatch):
             enumerate_racks(2, 2)
     monkeypatch.setattr(limits, "STEPS", 32)
     assert len(enumerate_racks(2, 2)) == 2
+    # a quandle's diagonal tails take only the identity: 14, then 1 check at
+    # level 0 and 1 * (3 * 1 + 1) at level 1, the whole search
+    monkeypatch.setattr(limits, "STEPS", 18)
+    with pytest.raises(InputError, match="needs 19 steps"):
+        enumerate_racks(2, 2, "quandle")
+    monkeypatch.setattr(limits, "STEPS", 19)
+    assert len(enumerate_racks(2, 2, "quandle")) == 1
 
 
 def test_rack_scan_work_budget_is_counted(monkeypatch):
