@@ -112,22 +112,84 @@ def _json_key(key) -> str:
 
 def _labelled(value) -> bool:
     """Whether value is a 1-d integer array longer than _LABEL_MIN with
-    entries in 0..len(value)-1, which `_iter_json` writes by label lookup."""
+    entries in 0..len(value)-1, which `_iter_json` writes from one label
+    per value."""
     return (value.ndim == 1 and value.dtype.kind in "iu"
             and value.size > _LABEL_MIN
             and value.min() >= 0 and value.max() < value.size)
+
+
+def _row_weights(width: int) -> np.ndarray:
+    """Fixed int64 weights for row keys: splitmix64 of 1..width, computed
+    in wrapping integer arithmetic, so numpy.random is never imported."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64)
+
+
+def _repeated_rows(rows):
+    """(first, inverse) of the rows grouped by their keys: the first row of
+    each key, and each row's key as an index into first; None when more
+    than half of the rows have distinct keys."""
+    keys = rows.astype(np.int64, copy=False) @ _row_weights(rows.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return (first, inverse) if 2 * len(first) <= len(rows) else None
+
+
+def _entry_texts(value, labels):
+    """The text "," + pad + label of each entry of a labelled array, in
+    pieces of at most JSON_CHUNK entries, or of one row when a row is
+    longer: by label lookup, or by the row path that `_iter_json`
+    describes.  The entries after the last whole row are looked up."""
+    def looked_up(entries):
+        for start in range(0, len(entries), JSON_CHUNK):
+            yield "".join(labels[entries[start:start + JSON_CHUNK]].tolist())
+
+    width = len(labels)
+    count = len(value) // width
+    rows = value[:count * width].reshape(count, width)
+    grouped = _repeated_rows(rows) if count >= 2 * width else None
+    if grouped is None:
+        yield from looked_up(value)
+        return
+    first, inverse = grouped
+    texts = np.array(["".join(labels[rows[i]].tolist()) for i in first.tolist()],
+                     dtype=object)
+    representative = first[inverse]
+    step = max(1, JSON_CHUNK // width)
+    for start in range(0, count, step):
+        block = rows[start:start + step]
+        if np.array_equal(block, rows[representative[start:start + step]]):
+            yield "".join(texts[inverse[start:start + step]].tolist())
+        else:
+            yield from looked_up(block.ravel())
+    yield from looked_up(value[count * width:])
 
 
 def _iter_json(value, depth: int = 0):
     """The text of json.dumps(value, indent=2), in pieces of bounded size.
 
     Lists are taken JSON_CHUNK items at a time; a chunk of plain scalars is
-    encoded in one call of the C encoder, anything else item by item.  A
-    1-d integer array longer than _LABEL_MIN with entries in 0..len-1,
-    such as a table's entries, is taken JSON_CHUNK entries at a time too:
-    each entry's text is looked up in a list of one label per value, which
-    holds at most len(array) labels.  Any other array, short ones included,
-    is written as its list.
+    encoded in one call of the C encoder, anything else item by item.
+    Arrays are written in one of three ways:
+
+    - a 1-d integer array longer than _LABEL_MIN with entries in 0..len-1,
+      such as a table's entries, is labelled: each entry's text is looked
+      up, JSON_CHUNK entries at a time, in a list of one label per value
+      0..max, which holds at most len(array) labels;
+    - a labelled array that, cut into rows of one entry per label, has at
+      least twice as many rows as labels, of which at most half are
+      distinct, takes the row path of `_entry_texts`: rows are keyed by a
+      fixed 64-bit weighted sum and grouped by their keys, each distinct
+      row's text is built once, and rows are joined a JSON_CHUNK of
+      entries at a time.  Rows that repeat are the property it rests on,
+      as in a heap's table, each of whose rows depends only on x y^-1.
+      The fallback is exact: a piece in which any row differs from its
+      key's representative is written by label lookup, so a collision of
+      keys costs time and never changes bytes.  A binary table, N rows of
+      N entries, never takes it;
+    - any other array, short ones included, is written as its list.
     """
     pad = "\n" + "  " * (depth + 1)
     if isinstance(value, np.ndarray):
@@ -136,9 +198,9 @@ def _iter_json(value, depth: int = 0):
             return
         labels = np.array(["," + pad + str(i) for i in range(int(value.max()) + 1)],
                           dtype=object)
-        for start in range(0, len(value), JSON_CHUNK):
-            text = "".join(labels[value[start:start + JSON_CHUNK]].tolist())
-            yield "[" + text[1:] if start == 0 else text
+        pieces = _entry_texts(value, labels)
+        yield "[" + next(pieces)[1:]
+        yield from pieces
         yield "\n" + "  " * depth + "]"
     elif isinstance(value, dict):
         if not value:

@@ -459,7 +459,10 @@ class Elimination:
             limits.charge_bytes(
                 8 * (rows * cols + left * rows * rows + right * cols * cols),
                 what)
-            limits.charge_steps(rows * cols * min(rows, cols) // 2, what)
+            # the reduction works on the residual bordered by an identity
+            # for each transform it carries: U adds rows columns, V cols rows
+            limits.charge_steps((rows + right * cols) * (cols + left * rows)
+                                * min(rows, cols) // 2, what)
             self._reduced[key] = _smith_transforms(self.residual, rows, cols,
                                                    left, right)
         return self._reduced[key]

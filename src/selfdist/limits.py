@@ -36,9 +36,12 @@ on a 2-core Xeon, 60 ns a pair), and its tables' verdict from the scan
 engine (an affine scan checks no table: its kinds follow from the affine
 form), and the Python-level loops of powers, cochain builders and
 boundary assembly, and the dense Smith reduction of an elimination's
-rows x cols residual, charged half a step
-per rows * cols * min(rows, cols) as measured on the residuals of H5 of
-R4 and H4 of conj(S3).  The linear distributivity check, now a chain of
+rows x cols residual, charged half a step per entry of the matrix it
+reduces times min(rows, cols), as measured on the residuals of H5 of R4
+and H4 of conj(S3).  That matrix is the residual bordered by the
+transforms the reduction carries: rows more columns for U, cols more rows
+for V, so (rows + cols) * (cols + rows) entries with both.  The linear
+distributivity check, now a chain of
 sparse gathers over blocks of its inputs, keeps the bound of the dense
 contraction it replaced: term combinations times block entries, and
 over Q 40 steps for each Fraction multiply-add; each of its gathers is

@@ -3,7 +3,9 @@ import io
 import json
 import pathlib
 import re
+import sys
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -905,20 +907,102 @@ def plain(value):
     return value.tolist()
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+WRITER_CHUNKS = [1, 2, 3, 7, 1 << 16]
+
+
+@pytest.mark.parametrize("chunk", WRITER_CHUNKS)
 @pytest.mark.parametrize("obj", WRITER_CASES + WRITER_ARRAYS)
 def test_writer_matches_json_dumps(obj, chunk, monkeypatch):
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
     assert written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1 << 16])
+@pytest.mark.parametrize("chunk", WRITER_CHUNKS)
 def test_writer_label_lookup_matches_json_dumps(chunk, monkeypatch):
     # every array of WRITER_ARRAYS that qualifies takes the label lookup
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
     monkeypatch.setattr(cli, "_LABEL_MIN", 0)
     for obj in WRITER_ARRAYS:
         assert written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
+
+
+def writer_rows():
+    """(array, whether it takes the row path): heap tables, whose N^2 rows
+    of N entries repeat N times each, and arrays near the path's edges."""
+    h3, h4 = (heap_op(symmetric_group(n)).table for n in (3, 4))
+    changed = h4.copy()
+    changed[5000] = (changed[5000] + 1) % 24
+    return [
+        (h3, True), (h4, True),
+        (changed, True),                        # 25 distinct rows of 576
+        (np.concatenate([h3, h3[:5]]), True),   # 5 entries after the last row
+        (h3[:12 * 6], True),                    # 2M rows, M of them distinct
+        (np.tile(h3[:6], 11), False),           # 2M - 1 rows, all equal
+        (np.tile(np.arange(24), 48), True),     # one row, repeated
+        (np.array([np.roll(np.arange(24), r)[::way]         # 48 distinct rows
+                   for way in (1, -1) for r in range(24)]).ravel(), False),
+    ]
+
+
+@pytest.mark.parametrize("chunk", WRITER_CHUNKS)
+@pytest.mark.parametrize("zero_weights", [False, True])
+def test_writer_row_path_matches_json_dumps(chunk, zero_weights, monkeypatch):
+    # with all-zero weights every key collides: each piece holds a row that
+    # differs from its key's representative and is written by label lookup
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    if zero_weights:
+        monkeypatch.setattr(cli, "_row_weights",
+                            lambda width: np.zeros(width, np.int64))
+    grouped = []
+    group = cli._repeated_rows
+    monkeypatch.setattr(cli, "_repeated_rows",
+                        lambda rows: grouped.append(group(rows)) or grouped[-1])
+    for entries, takes_rows in writer_rows():
+        for obj in (entries, {"heap": {"table": entries}, "size": 24}):
+            grouped.clear()
+            same = written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
+            assert same
+            if not zero_weights:
+                assert any(g is not None for g in grouped) == takes_rows
+
+
+def test_writer_row_path_keeps_the_label_path_peak(monkeypatch):
+    # the row path holds each distinct row's text once and otherwise works a
+    # piece at a time, as the label lookup does; a gather of every row's
+    # representative at once would add the table's 13.8 MB
+    class Sink:
+        def write(self, text):
+            pass
+
+        def writelines(self, pieces):
+            for _ in pieces:
+                pass
+
+    fields = heap_op(symmetric_group(5)).json_fields()
+
+    def peak():
+        tracemalloc.start()
+        try:
+            cli._dump_json(fields, Sink())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    rows = peak()
+    monkeypatch.setattr(cli, "_repeated_rows", lambda rows: None)
+    labels = peak()
+    texts = sum(sys.getsizeof("".join(",\n    " + str(v) for v in row))
+                for row in np.unique(fields["table"].reshape(-1, 120), axis=0).tolist())
+    assert texts < 200_000
+    assert rows <= labels + texts, (rows, labels, texts)
+
+
+def test_cli_import_leaves_numpy_random_out(run_fresh):
+    proc = run_fresh(["-c", "import sys, selfdist, selfdist.cli; "
+                            "print(sorted(m for m in sys.modules "
+                            "if m.startswith('numpy.random')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_writer_long_list_spans_chunks():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from selfdist import (InputError, PreconditionError, affine_op, conj_quandle,
-                      core_quandle, cyclic_group, symmetric_group)
+                      core_quandle, cyclic_group, limits, symmetric_group)
 from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
                                chain_map_F, cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
@@ -457,26 +457,54 @@ def test_unit_pivot_smith_on_entries_above_int64():
 
 def test_residual_reduction_is_charged_before_it_runs(monkeypatch):
     # even entries leave no unit pivot, so the whole matrix is the residual;
-    # its reduction costs half a step per rows * cols * min(rows, cols)
+    # its reduction costs half a step per rows * cols * min(rows, cols) of
+    # the residual bordered by U's rows columns and V's cols rows
+    homology_mod = importlib.import_module("selfdist.homology")
     reduced = []
-    monkeypatch.setattr(importlib.import_module("selfdist.homology"),
-                        "_smith_transforms",
-                        lambda A, rows, cols, left, right:
-                        reduced.append((rows, cols)) or ((), None, None))
+
+    def spy(A, rows, cols, left, right):
+        reduced.append((rows, cols, left, right))
+        return ((), [[0] * rows for _ in range(rows)] if left else None,
+                [[0] * cols for _ in range(cols)] if right else None)
+    monkeypatch.setattr(homology_mod, "_smith_transforms", spy)
     rng = np.random.default_rng(19)
-    big = Elimination(2 * rng.integers(1, 50, (260, 260)))
+    entries = 2 * rng.integers(1, 50, (260, 260))
+    big = Elimination(entries)
     assert (len(big.res_rows), len(big.res_cols), big.pivots) == (260, 260, [])
-    message = "refusing a 260 x 260 residual Smith reduction: needs 8788000 steps"
-    with pytest.raises(InputError, match=message):
-        big.factors
-    with pytest.raises(InputError, match=message):
-        big.solve_mod(np.zeros(260, np.int64), 7)
-    with pytest.raises(InputError, match=message):
-        big.kernel_lattice_mod(7)
-    assert reduced == []
+    questions = [
+        (lambda e: e.factors, 260 * 260 * 260 // 2, (False, False)),
+        (lambda e: e.kernel_lattice_mod(7), 520 * 260 * 260 // 2, (False, True)),
+        (lambda e: e.solve_mod(np.zeros(260, np.int64), 7), 520 * 520 * 260 // 2,
+         (True, True)),
+    ]
+    assert [need for _, need, _ in questions] == [8_788_000, 17_576_000, 35_152_000]
+    budget = limits.STEPS
+    for ask, need, sides in questions:
+        message = (f"refusing a 260 x 260 residual Smith reduction: "
+                   f"needs {need} steps")
+        with pytest.raises(InputError, match=message):
+            ask(big)
+        monkeypatch.setattr(limits, "STEPS", need - 1)
+        with pytest.raises(InputError, match=message):
+            ask(Elimination(entries))
+        assert reduced == []
+        monkeypatch.setattr(limits, "STEPS", need)
+        ask(Elimination(entries))
+        assert reduced == [(260, 260) + sides]
+        reduced.clear()
+        monkeypatch.setattr(limits, "STEPS", budget)
     # 200 * 400 * 200 / 2 = 8,000,000 steps fit the budget
     Elimination(2 * rng.integers(1, 50, (200, 400))).factors
-    assert reduced == [(200, 400)]
+    assert reduced == [(200, 400, False, False)]
+    reduced.clear()
+    # carrying V doubles a square residual's charge: factors are admitted at
+    # 220^3 / 2 = 5,324,000 steps and a kernel lattice refused at 10,648,000
+    middle = Elimination(2 * rng.integers(1, 50, (220, 220)))
+    with pytest.raises(InputError, match="needs 10648000 steps"):
+        middle.kernel_lattice_mod(7)
+    assert reduced == []
+    middle.factors
+    assert reduced == [(220, 220, False, False)]
 
 
 # ---------------------------------------------------------------------------
