@@ -30,8 +30,8 @@ from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       is_nary_distributive, is_rack)
 from .constructions import _require
 
-# Steps charged for the column action, against the 0.12 us a step takes in
-# the rack search, measured on a 2-core Xeon with numpy 2.4.  A relation
+# Steps charged for the column action, against 0.12 us a step, about a
+# second for all of STEPS, on a 2-core Xeon with numpy 2.4.  A relation
 # check spends 12-40 us of numpy calls on each relation at one point, about
 # 0.07 us more for each strand it lists and compares, and 21-95 ns on each
 # tuple and relation at 10^4 to 2.7e7 tuples.  So a relation costs

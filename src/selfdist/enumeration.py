@@ -12,15 +12,14 @@ a partial table as soon as the three tails of a failing condition are all
 assigned.  A full scan of kind "sd", "rack" or "quandle" runs that search
 level by level, over every surviving partial table at once, with any map,
 any permutation, or a permutation fixing x at the diagonal tail (x, .., x)
-as the candidates of a tail: it builds 4,590 partial tables on the way to
-the 224 self-distributive binary tables on 3 points, of 3^9.
-`enumerate_racks` runs the same search depth-first, holding one path, so
-it reaches 5-point racks and ternary racks on 3 points.  Affine tables over
-Z_m are a third, structural filter.
+as the candidates of a tail, and checks at each level only the conditions
+that its tail decides.  `enumerate_racks` is the same search under the
+label "translations"; it reaches the 1708 racks on 5 points and the 129
+ternary racks on 3.  Affine tables over Z_m are a third, structural filter.
 
-No law is stated here.  The survivors of a full scan take their verdict
-from the batched self-distributivity law of `kernels`, over the whole stack
-of them at once.  Mutual pairs read the exchange law through translations:
+No law is stated here.  The survivors of a search take their verdict from
+the batched self-distributivity law of `kernels`, over the whole stack of
+them at once.  Mutual pairs read the exchange law through translations:
 it says that every right translation of one table is an endomorphism of
 the other, so one batched unary exchange law decides every
 self-distributive table against every translation column.  Affine scans
@@ -64,101 +63,161 @@ def _tuples(size: int, length: int) -> np.ndarray:
     return out
 
 
-def _translations(size: int, arity: int, kind: str, what: str):
-    """The lookup tables of a search over translations, charged before they
-    are built.
+def _translations(size: int, arity: int, kind: str):
+    """The lookup tables of a search over translations.
 
     A table is one translation R_t: x -> W(x, t) for each of the N^(k-1)
     tails t, and is self-distributive exactly when R_z o R_y equals
     R_{R_z.y} o R_z for all tails y and z, where R_z.y is y moved digit by
-    digit.  Returns (maps, compose, act, cands):
+    digit.  Returns (maps, compose, act, least, cands):
       maps[a]        a candidate translation, as its N images; every map for
                      "sd", every permutation in lexicographic order otherwise;
       compose[a, b]  the base-N code of maps[a] o maps[b];
-      act[a, y]      the tail y moved digit-wise by maps[a];
+      act[y, a]      the tail y moved digit-wise by maps[a];
+      least[t, a]    the least tail y with act[y, a] == t, or N^(k-1) when
+                     there is none: the inverse of act[:, a] for a
+                     permutation;
       cands[t]       the indices of the maps tail t may take: all of them,
                      except that a quandle's diagonal tail (x, .., x) takes
                      only the permutations that fix x.
     """
-    n_maps = limits.power(size, size) if kind == "sd" else math.factorial(min(size, 21))
-    n_tails = limits.power(size, arity - 1)
-    # the maps, their compositions gathered as n_maps^2 maps before they are
-    # read as codes, and three n_maps x n_tails arrays while act is built
-    limits.charge_bytes(8 * (n_maps * size + n_maps * n_maps * (size + 1)
-                             + 3 * n_maps * n_tails),
-                        f"the translation tables of {what}")
     maps = _tuples(size, size) if kind == "sd" else _permutations(size).astype(np.int64)
     compose = maps[:, maps] @ size ** np.arange(size - 1, -1, -1)
-    act = digit_map(maps, size, arity - 1)
-    cands = [range(len(maps))] * n_tails
+    act = digit_map(maps, size, arity - 1).T.copy()
+    n_tails, n_maps = act.shape
+    least = np.full_like(act, n_tails)
+    np.minimum.at(least, (act, np.arange(n_maps)), np.arange(n_tails)[:, None])
+    cands = [np.arange(n_maps)] * n_tails
     if kind == "quandle":
+        # (N - 1)! permutations fix each point
+        fixing = np.nonzero((maps == np.arange(size)).T)[1].reshape(size, -1)
         for x, t in enumerate(diagonal_indices(size, arity - 1).tolist()):
-            cands[t] = np.flatnonzero(maps[:, x] == x).tolist()
-    return maps, compose, act, cands
+            cands[t] = fixing[x]
+    return maps, compose, act, least, cands
 
 
 def _sorted_tables(maps: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-    """The flat tables whose translations are maps[chosen[r, t]], sorted
-    lexicographically: entry (x, t) of row r is maps[chosen[r, t], x]."""
-    entries = maps.shape[1] * chosen.shape[1]
-    tables = maps.T[:, chosen].transpose(1, 0, 2).reshape(len(chosen), entries)
+    """The flat tables whose translations are maps[chosen[t, r]], sorted
+    lexicographically: entry (x, t) of table r is maps[chosen[t, r], x]."""
+    tails, count = chosen.shape
+    tables = maps.T[:, chosen].transpose(2, 0, 1).reshape(count, -1)
     return tables[np.lexsort(tables.T[::-1])]
 
 
-# bytes charged for each pair a level checks: the int64 grids of tails,
-# of their assigned maps and of both sides, the indices that gather them,
-# and the masks
+# bytes charged for each condition a level checks: the int64 grids of the
+# tails it reads, of the maps at them, of both sides' indices into compose
+# and of the codes read there, and the masks
 _PAIR_BYTES = 48
 
 
-def _consistent(chosen: np.ndarray, compose: np.ndarray, act: np.ndarray) -> np.ndarray:
-    """Rows of partial tables, one map index for each of the tails 0..j, on
-    which R_z o R_y == R_{R_z.y} o R_z wherever z, y and R_z.y are all
-    assigned."""
-    rows, j1 = chosen.shape
+def _consistent(chosen: np.ndarray, compose: np.ndarray, act: np.ndarray,
+                least: np.ndarray) -> np.ndarray:
+    """The partial tables, chosen[t, r] the map index of tail t in table r
+    for the tails 0..j, that pass the 3j + 1 conditions
+    R_z o R_y == R_{R_z.y} o R_z that tail j newly decides, each wherever
+    z, y and R_z.y are all assigned: the row z = j, the column y = j, and
+    for each z < j the pair whose R_z.y is j, its y read from `least`.  A
+    permutation moves exactly one tail to j, so a table of permutations
+    whose parent passed every condition on the tails 0..j-1 is kept exactly
+    when it passes every condition on 0..j.  Other maps may move several
+    tails to j and only the least is checked, so a kept table may still
+    fail; the verdict of `_search` drops it.
+
+    Conditions, like tails, are rows over the tables, so that each step
+    runs along whole rows."""
+    j1, count = chosen.shape
+    j = j1 - 1
+    m = len(compose)
+    new, old = chosen[j], chosen[:j]
+    # the tail each condition reads: R_j.y for every y <= j, then R_z.j and
+    # the y with R_z.y = j for every z < j
+    tail = np.concatenate([act[:j1].take(new, axis=1), act[j].take(old),
+                           least[j].take(old)])
+    # an unassigned tail reads some other entry, and its condition holds
+    ok = tail > j
+    tail *= count
+    tail += np.arange(count)
+    got = chosen.take(tail, mode="clip")
+    del tail
+    # both sides, z m + y and t m + z, as flat indices into compose: (j, y,
+    # got) for y <= j, then (z, j, got) and (z, got, j) for z < j
+    at = chosen * m
+    left = np.empty_like(got)
+    np.add(at[j], chosen, out=left[:j1])
+    np.add(at[:j], new, out=left[j1:2 * j + 1])
+    np.add(at[:j], got[2 * j + 1:], out=left[2 * j + 1:])
+    got[:2 * j + 1] *= m
+    got[:j1] += new
+    got[j1:2 * j + 1] += old
+    np.add(at[j], old, out=got[2 * j + 1:])
     flat = compose.ravel()
-    at_row = chosen * len(compose)                # where each map's row starts
-    t = act[:, :j1][chosen]                       # t[r, z, y] = R_z.y
-    free = t >= j1
-    # the row of the map at R_z.y, read from the flat rows; an unassigned
-    # tail reads a masked-out entry
-    np.minimum(t, j1 - 1, out=t)
-    t += np.arange(0, rows * j1, j1)[:, None, None]
-    t = at_row.ravel()[t]
-    t += chosen[:, :, None]
-    same = flat[at_row[:, :, None] + chosen[:, None, :]] == flat[t]
-    same |= free
-    return same.reshape(rows, -1).all(axis=1)
+    left = flat.take(left)
+    ok |= left == flat.take(got)
+    return ok.all(axis=0)
 
 
 def _search(size: int, arity: int, kind: str, what: str) -> np.ndarray:
-    """Every table of the kind whose translations pass `_consistent`, built
-    level by level: level j appends a candidate translation for tail j to
-    every surviving partial table and drops the rows that fail a condition
-    whose three tails are now assigned.  Each level is charged before it is
-    built: its rows, and one step and `_PAIR_BYTES` for each pair it
-    checks, (j + 1)^2 a row.  Level 0's one pair sets R_0 o R_0 against
-    itself, so it is charged but not evaluated."""
-    maps, compose, act, cands = _translations(size, arity, kind, what)
-    chosen = np.zeros((1, 0), dtype=np.int64)
-    work = 0
+    """The tables of the kind, sorted lexicographically: every choice of one
+    candidate translation a tail (see `_translations`) that the batched
+    self-distributivity law of `kernels` accepts.
+
+    Tails are assigned one level at a time, over every surviving partial
+    table at once, held as chosen[t, r], the map index of tail t in table
+    r: level j appends each candidate of tail j to every survivor of level
+    j - 1 and drops the tables that fail one of the 3j + 1 conditions of
+    `_consistent`.  Level 0's one condition sets R_0 o R_0 against itself,
+    so it is not evaluated.  The survivors of the last level take their
+    verdict from the law.
+
+    Everything is charged before it is built.  Up front: the lookup tables'
+    bytes, then as steps their entries (n_maps^2 compositions, 2 n_maps
+    N^(k-1) tail actions and preimages, N^(k-1) (k - 1) tail digits) plus
+    the first descent, |cands_j| (3j + 1) summed over the levels.  Level j
+    holds at least |cands_j| tables, since the first candidates of all
+    tails, the constant map 0 or the identity, make a self-distributive
+    table.  Then, at each level, (3j + 1) more steps a table, and in bytes
+    its parents, its tables and `_PAIR_BYTES` a condition; the last level's
+    charge, N^(k-1) >= N conditions an entry of each of its tables, covers
+    the tables it leaves, gathered and sorted.
+    """
+    n_maps = limits.power(size, size) if kind == "sd" else math.factorial(min(size, 21))
+    n_tails = limits.power(size, arity - 1)
+    # the maps, their compositions gathered as n_maps^2 maps before they are
+    # read as codes, and four n_maps x n_tails arrays while act and least
+    # are built
+    limits.charge_bytes(8 * (n_maps * size + n_maps * n_maps * (size + 1)
+                             + 4 * n_maps * n_tails),
+                        f"the translation tables of {what}")
+    searched = f"the translation search of {what}"
+    work = n_maps ** 2 + 2 * n_maps * n_tails + n_tails * (arity - 1)
+    # 3j + 1 checks a candidate at level j, over the levels 0..N^(k-1) - 1;
+    # a quandle's N diagonal tails, at the levels x (N^(k-1) - 1) / (N - 1),
+    # take only the n_maps / N permutations fixing x
+    descent = n_maps * (3 * n_tails * (n_tails - 1) // 2 + n_tails)
+    if kind == "quandle":
+        descent -= (n_maps - n_maps // size) * (3 * size * (n_tails - 1) // 2 + size)
+    limits.charge_steps(work + descent, searched)
+    maps, compose, act, least, cands = _translations(size, arity, kind)
+    chosen = np.zeros((0, 1), dtype=np.int64)
     for j, cand in enumerate(cands):
-        parents = len(chosen)
-        rows = parents * len(cand)
-        work += rows * (j + 1) ** 2
-        limits.charge_steps(work, f"the translation search of {what}")
-        limits.charge_bytes(8 * (parents * j + rows * (j + 1))
-                            + _PAIR_BYTES * rows * (j + 1) ** 2,
-                            f"level {j} of the translation search of {what}")
-        grown = np.empty((parents, len(cand), j + 1), dtype=np.int64)
-        grown[:, :, :j] = chosen[:, None]
-        grown[:, :, j] = cand
-        chosen = grown.reshape(rows, j + 1)
-        if j:
-            chosen = chosen[_consistent(chosen, compose, act)]
-    # the last level's charge, for N^(k-1) >= N pairs an entry of each of
-    # its rows, covers the tables it leaves, gathered and sorted
-    return _sorted_tables(maps, chosen)
+        parents = chosen.shape[1]
+        count = parents * len(cand)
+        work += count * (3 * j + 1)
+        limits.charge_steps(work, searched)
+        limits.charge_bytes(8 * (parents * j + count * (j + 1))
+                            + _PAIR_BYTES * count * (3 * j + 1),
+                            f"level {j} of {searched}")
+        if not j:
+            chosen = cand[None]
+            continue
+        grown = np.empty((j + 1, parents, len(cand)), dtype=np.int64)
+        grown[:j] = chosen[:, :, None]
+        grown[j] = cand
+        chosen = grown.reshape(j + 1, count)
+        chosen = chosen[:, _consistent(chosen, compose, act, least)]
+    tables = _sorted_tables(maps, chosen)
+    law = kernels.exchange_law(tables, tables, size, arity, arity, batch=len(tables))
+    return tables[kernels.holds(law)]
 
 
 def _stack(tables: np.ndarray, size: int, arity: int, scan: str,
@@ -175,14 +234,16 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> TableStack:
     N^(N^k) tables.  The others search over translations: a table is one
     translation x -> W(x, tail) for each of the N^(k-1) tails, any of the
     N^N maps for "sd", a permutation for "rack", and for "quandle" a
-    permutation that fixes x at the diagonal tail (x, .., x).  Tails are
-    assigned one level at a time, over every surviving partial table at
-    once, and a row is dropped as soon as R_z o R_y != R_{R_z.y} o R_z
-    for tails z, y and R_z.y that are all assigned.  The survivors still
-    take their verdict from one batched law of `kernels`.  Refuses shapes
-    whose scan would not fit the budgets of `limits`: the tables of "all",
-    and each lookup table and each level of a search, are charged before
-    they are built.
+    permutation that fixes x at the diagonal tail (x, .., x).  `_search`
+    assigns the tails one level at a time, over every surviving partial
+    table at once, drops the partial tables on which
+    R_z o R_y != R_{R_z.y} o R_z for tails z, y and R_z.y that are all
+    assigned (for "sd", as far as `_consistent` looks), and takes the
+    survivors' verdict from one batched law of `kernels`; `enumerate_racks`
+    runs the same search.  Refuses shapes whose scan would not fit the
+    budgets of `limits`: the tables of "all", and the lookup tables, the
+    first descent and each level of a search, are charged before they are
+    built.
     """
     _check_kind(kind)
     check_shape(size, arity)
@@ -196,10 +257,7 @@ def enumerate_operations(size: int, arity: int, kind: str = "sd") -> TableStack:
     limits.charge_bytes(8 * (count * entries + tails), what)
     if kind == "all":
         return _stack(_tuples(size, size ** arity), size, arity, "full", kind)
-    tables = _search(size, arity, kind, what)
-    law = kernels.exchange_law(tables, tables, size, arity, arity,
-                               batch=len(tables))
-    return _stack(tables[kernels.holds(law)], size, arity, "full", kind)
+    return _stack(_search(size, arity, kind, what), size, arity, "full", kind)
 
 
 def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> TableStack:
@@ -252,91 +310,23 @@ def enumerate_affine(modulus: int, arity: int, kind: str = "sd") -> TableStack:
 
 
 def enumerate_racks(size: int, arity: int, kind: str = "rack") -> TableStack:
-    """Backtracking scan over tables built from translation permutations,
-    returning the racks or quandles found as a stack in lex order.
+    """The racks or quandles of the given shape, as a stack in lex order.
 
     A table whose first-argument translations are bijections is a choice of
-    one permutation per tail; self-distributivity becomes a conjugation
-    condition between those permutations, checked incrementally while the
-    choices are assigned, so the 6^9 ternary size-3 space prunes quickly.
-    The search holds one path at a time, and takes the candidates of
-    `_translations`: a quandle's diagonal tail (x, .., x) only tries the
-    permutations that fix x.  Refuses once the work exceeds `limits.STEPS`:
-    the entries of the lookup tables plus the most consistency checks each
-    search node can make.  Both the tables and the first descent of the
-    search are charged before anything is built: the first candidate of
-    every tail is the identity and the projection table is a quandle, so
-    that descent reaches every level.
+    one permutation a tail, and self-distributivity a condition between
+    three of them.  This is the search of a full scan of the same kind,
+    labelled "translations": the ternary racks on 3 points are 6^9 tables,
+    of which the search builds a few thousand, and a quandle's diagonal
+    tail (x, .., x) only takes the permutations that fix x.  Refuses when
+    the budgets of `limits` do not cover the lookup tables, the levels and
+    consistency checks of the search, or the verdict; the lookup tables and
+    the first descent of the search are charged before anything is built.
     """
     _check_kind(kind, ("rack", "quandle"))
     check_shape(size, arity)
     what = (f"a translation scan on size {size} arity {arity} (table entries"
             " and consistency checks)")
-    # 21! exceeds 2^64, so the clamp only keeps the estimate cheap
-    n_perms = math.factorial(min(size, 21))
-    n_tails = limits.power(size, arity - 1)
-    work = n_perms ** 2 + 2 * n_perms * n_tails + n_tails * (arity - 1)
-    # candidates * (3 * level + 1) checks at each level of the first descent,
-    # N! candidates a level but (N - 1)! at a quandle's diagonal tails, the
-    # levels x (N^(k-1) - 1) / (N - 1)
-    descent = n_perms * (3 * n_tails * (n_tails - 1) // 2 + n_tails)
-    if kind == "quandle":
-        descent -= (n_perms - n_perms // size) * (3 * size * (n_tails - 1) // 2 + size)
-    limits.charge_steps(work + descent, what)
-
-    def charge(count: int):
-        nonlocal work
-        work += count
-        limits.charge_steps(work, what)
-
-    maps, compose, act, cands = _translations(size, arity, kind, what)
-    # back[s][t]: the tail that permutation s moves to t
-    back = np.argsort(act, axis=1).tolist()
-    compose, act = compose.tolist(), act.tolist()
-    nt = len(cands)
-    assign = [0] * nt
-    untried = [None] * nt
-    found = []
-
-    def holds(zi: int, yi: int, ti: int) -> bool:
-        return compose[assign[zi]][assign[yi]] == compose[assign[ti]][assign[zi]]
-
-    def consistent(level: int) -> bool:
-        # check every conjugation condition that first becomes decidable now:
-        # sigma_{sigma_z . y} o sigma_z == sigma_z o sigma_y, with z, y and
-        # sigma_z . y assigned and one of the three at this level; that is at
-        # most 3 * level + 1 checks
-        s = assign[level]
-        for yi in range(level + 1):
-            ti = act[s][yi]
-            if ti <= level and not holds(level, yi, ti):
-                return False
-        for zi in range(level):
-            ti = act[assign[zi]][level]
-            if ti <= level and not holds(zi, level, ti):
-                return False
-            yi = back[assign[zi]][level]
-            if yi < level and not holds(zi, yi, level):
-                return False
-        return True
-
-    # iterative backtracking: a search may run as deep as nt levels
-    level = 0
-    untried[0] = iter(cands[0])
-    charge(len(cands[0]))
-    while level >= 0:
-        assign[level] = next(untried[level], -1)
-        if assign[level] < 0:
-            level -= 1
-        elif consistent(level):
-            if level + 1 == nt:
-                found.append(tuple(assign))
-            else:
-                level += 1
-                untried[level] = iter(cands[level])
-                charge(len(cands[level]) * (3 * level + 1))
-    chosen = np.array(found, dtype=np.int64).reshape(len(found), nt)
-    return _stack(_sorted_tables(maps, chosen), size, arity, "translations", kind)
+    return _stack(_search(size, arity, kind, what), size, arity, "translations", kind)
 
 
 def _endomorphisms(tables: np.ndarray, maps: np.ndarray, size: int,

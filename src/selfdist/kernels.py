@@ -149,8 +149,8 @@ def _entries(values, length, hi, what):
     return arr
 
 
-# Steps charged for a scan, against the 0.12 us a step takes in the rack
-# search, measured on a 2-core Xeon with numpy 2.4.  A block of a binary or
+# Steps charged for a scan, against 0.12 us a step, about a second for all
+# of STEPS, on a 2-core Xeon with numpy 2.4.  A block of a binary or
 # ternary law makes 10-15 numpy calls, 24-35 us, near the 9 us charged for
 # each leading coordinate.  The blocks spend 1.8-2.0 ns on each tuple (the
 # heap of C80, 41M tuples in 0.083 s; of S5, 207M in 0.39 s), a fifth of the

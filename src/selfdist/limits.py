@@ -17,28 +17,28 @@ BYTES counts the arrays one step builds whose size comes from the input:
 the int64 entries of a table, a boundary matrix or a digit grid, the
 terms a sparse linear map is built from (64 bytes a term), the tables of
 a full scan, the lookup tables of a translation search and each of its
-levels (the rows it grows and 48 bytes for each pair it checks), the
-narrow copies and the largest block of a batched scan, the Python
-lists of a dense Smith reduction (8 bytes an entry), and the int64 columns
-of the braid action and of its images.  Its value is the 20M int64
+levels (the partial tables it grows and 48 bytes for each condition it
+checks), the narrow copies and the largest block of a batched scan, the
+Python lists of a dense Smith reduction (8 bytes an entry), and the int64
+columns of the braid action and of its images.  Its value is the 20M int64
 entries of the boundary matrix cap it replaced, so every homology verdict
-stands; it admits a table of 20M entries.  A step holds a few temporaries of about the charged
-size besides (operands, gathers, the JSON list of a result): the largest
-affine table that fits peaks at 0.9 GiB resident and is built and written
-as JSON under a 2 GB `ulimit -v`.
+stands; it admits a table of 20M entries.  A step holds a few temporaries
+of about the charged size besides (operands, gathers, the JSON list of a
+result): the largest affine table that fits peaks at 0.9 GiB resident and
+is built and written as JSON under a 2 GB `ulimit -v`.
 
 STEPS counts the iterations of a loop whose trip count comes from the
-input: nodes and consistency checks of the depth-first rack search
-together with the entries of its lookup tables, the pair checks of the
-levels of a full scan's batched search, one step a pair, summed over the
-levels (the sd search of arity 4 on 2 points checks 596K pairs in 35 ms
-on a 2-core Xeon, 60 ns a pair), and its tables' verdict from the scan
-engine (an affine scan checks no table: its kinds follow from the affine
-form), and the Python-level loops of powers, cochain builders and
-boundary assembly, and the dense Smith reduction of an elimination's
-rows x cols residual, charged half a step per entry of the matrix it
-reduces times min(rows, cols), as measured on the residuals of H5 of R4
-and H4 of conj(S3).  That matrix is the residual bordered by the
+input: the one translation search behind the rack scans and the sd, rack
+and quandle full scans, charged the entries of its lookup tables and one
+step for each condition its levels check, 3j + 1 a partial table at
+level j (the racks on 5 points take 7.9M steps in 0.3 s on a 2-core Xeon,
+40 ns a step), and its tables' verdict from the scan engine (an affine
+scan checks no table: its kinds follow from the affine form), and the
+Python-level loops of powers, cochain builders and boundary assembly, and
+the dense Smith reduction of an elimination's rows x cols residual,
+charged half a step per entry of the matrix it reduces times
+min(rows, cols), as measured on the residuals of H5 of R4 and H4 of
+conj(S3).  That matrix is the residual bordered by the
 transforms the reduction carries: rows more columns for U, cols more rows
 for V, so (rows + cols) * (cols + rows) entries with both.  The linear
 distributivity check, now a chain of
@@ -53,9 +53,9 @@ steps a tail for the grouping); a law's builder first charges the least
 any scan of it can cost, one class, so a huge arity is refused before the
 law is built.  The braid action charges 150 steps for each relation it
 checks and 25 for each letter of a twist, plus one step per tuple or tail
-each one gathers and, for a relation, one per strand.  Its value is the budget
-the rack search had: the search spends all of it in about a second on a
-2-core Xeon, so every refusal and every accepted run stays short.
+each one gathers and, for a relation, one per strand.  At 40 ns a step the
+translation search spends all of STEPS in about a third of a second, so
+every refusal and every accepted run stays short.
 
 ISO_SIZE_LIMIT bounds the carrier size of isomorphism searches.  It stays
 a size, not a step count: the N! relabelings of one table cost N! * N^k

@@ -125,14 +125,85 @@ def test_full_scans_match_mask_oracles():
 
 def test_full_scans_take_their_verdict_from_the_scan_engine(monkeypatch):
     # with no row dropped by the search, the batched law alone still keeps
-    # exactly the tables of the kind
+    # exactly the tables of the kind, through either entry point
     monkeypatch.setattr(enumeration, "_consistent",
-                        lambda chosen, compose, act: np.ones(len(chosen), bool))
+                        lambda chosen, *lookups: np.ones(chosen.shape[1], bool))
     for size, arity in ((2, 2), (2, 3), (3, 2)):
         tables = all_tables(size, arity)
         for kind, mask in kind_masks_ref(tables, size, arity).items():
             got = stacked(enumerate_operations(size, arity, kind))
             assert np.array_equal(got, tables[mask]), (size, arity, kind)
+            if kind in ("rack", "quandle"):
+                got = stacked(enumerate_racks(size, arity, kind))
+                assert np.array_equal(got, tables[mask]), (size, arity, kind)
+
+
+def consistent_grid_ref(chosen, compose, act):
+    """Rows of partial tables, chosen[r, t] the map index of tail t for the
+    tails 0..j, on which R_z o R_y == R_{R_z.y} o R_z wherever z, y and
+    R_z.y are all assigned, with R_z.y = act[chosen[r, z], y]: the whole
+    (j + 1)^2 grid of pairs, one pair at a time."""
+    j1 = chosen.shape[1]
+    keep = np.ones(len(chosen), bool)
+    for z in range(j1):
+        for y in range(j1):
+            t = act[chosen[:, z], y]
+            ok = compose[chosen[:, z], chosen[:, y]] == compose[
+                chosen[np.arange(len(chosen)), np.minimum(t, j1 - 1)], chosen[:, z]]
+            keep &= ok | (t >= j1)
+    return keep
+
+
+def test_least_preimages_match_a_loop():
+    # least[t, a] is the least tail that map a moves to t, or N^(k-1): the
+    # inverse for permutations, one of several preimages or none for maps
+    for size, arity, kind in ((3, 2, "sd"), (2, 3, "sd"), (2, 4, "sd"), (3, 3, "rack")):
+        maps, _, act, least, _ = enumeration._translations(size, arity, kind)
+        tails = len(act)
+        for a in range(len(maps)):
+            moved = act[:, a].tolist()
+            want = [moved.index(t) if t in moved else tails for t in range(tails)]
+            assert least[:, a].tolist() == want, (size, arity, kind, a)
+        if kind == "sd":
+            assert (least == tails).any()
+
+
+def test_level_checks_match_the_whole_grid(monkeypatch):
+    # at every level of a search, the conditions that tail j decides keep
+    # exactly the rows of permutations that the whole grid keeps, and for
+    # the arbitrary maps of "sd", which are checked at one preimage, at
+    # least those rows
+    consistent = enumeration._consistent
+    seen = []
+
+    def spy(chosen, compose, act, least):
+        keep = consistent(chosen, compose, act, least)
+        grid = consistent_grid_ref(chosen.T, compose, act.T)
+        seen.append((chosen.shape[0], int(keep.sum()), int(grid.sum()), len(keep)))
+        if kind == "sd":
+            assert (keep >= grid).all()
+        else:
+            assert np.array_equal(keep, grid)
+        return keep
+    monkeypatch.setattr(enumeration, "_consistent", spy)
+    cases = [(shape, kind) for shape in ((2, 2), (3, 2), (2, 3), (4, 2), (3, 3))
+             for kind in ("rack", "quandle")]
+    cases += [(shape, "sd") for shape in ((3, 2), (2, 4))]
+    dropped = {kind: 0 for kind in ("sd", "rack", "quandle")}
+    passed = 0
+    for (size, arity), kind in cases:
+        seen.clear()
+        stack = enumerate_operations(size, arity, kind)
+        # one check at each level after the first
+        assert len(seen) == size ** (arity - 1) - 1, (size, arity, kind)
+        dropped[kind] += sum(rows - keep for _, keep, _, rows in seen)
+        if kind == "sd":
+            assert len(stack) == {(3, 2): 224, (2, 4): 3254}[size, arity]
+            passed += sum(keep - grid for _, keep, grid, _ in seen)
+    assert min(dropped.values()) > 0, dropped
+    # the single preimage lets through rows that the grid drops (2 on the
+    # last level of (3, 2)), which the verdict then drops
+    assert passed > 0
 
 
 def test_mutual_pairs_match_loop_oracle():
@@ -425,13 +496,20 @@ def test_full_scan_complement_fails():
 
 
 def test_full_scan_guardrail():
-    # the searches that outgrow the budgets: level 2 of the binary sd search
-    # on 4 points would check 26M pairs, and level 3 of the ternary one on
-    # 3 points and level 2 of the 5-point rack search would hold over BYTES
-    for size, arity, kind, unit in ((4, 2, "sd", "steps"), (3, 3, "sd", "bytes"),
-                                    (5, 2, "rack", "bytes")):
+    # the searches that outgrow the budgets: the binary sd search on 4
+    # points and the ternary one on 3 would need 20.6M and 9.7M steps, and
+    # level 16 of the quandle search of arity 6 on 2 points would hold over
+    # BYTES
+    for size, arity, kind, unit in ((4, 2, "sd", "steps"), (3, 3, "sd", "steps"),
+                                    (2, 6, "quandle", "bytes")):
         with pytest.raises(InputError, match=f"translation search .* {unit}"):
             enumerate_operations(size, arity, kind)
+    with pytest.raises(InputError, match="level 16 .* needs 167247872 bytes"):
+        enumerate_operations(2, 6, "quandle")
+    # the racks on 5 points fit, and the two entry points share the search
+    racks = enumerate_operations(5, 2, "rack")
+    assert len(racks) == 1708
+    assert np.array_equal(racks.tables, enumerate_racks(5, 2).tables)
     # the compositions of the 3125 maps on 5 points, before they are built
     with pytest.raises(InputError, match="translation tables .* bytes"):
         enumerate_operations(5, 2, "sd")
@@ -444,15 +522,19 @@ def test_full_scan_guardrail():
 
 
 def test_rack_full_scans_charge_their_candidates(monkeypatch):
-    # level j checks (j + 1)^2 pairs on each of its rows, a survivor of
-    # level j - 1 extended by each candidate of tail j.  Racks on 3 points:
-    # 6 rows, 6 * 6, then 11 survivors * 6.  Racks on 4: 24, 24 * 24,
-    # 120 * 24, 96 * 24.  Quandles on 4, the 6 permutations fixing each
-    # tail: 6, 6 * 6, 28 * 6, 28 * 6.
+    # the lookup tables, N!^2 compositions, 2 N! N tail actions and
+    # preimages and N one-digit tails, then 3j + 1 conditions on each row
+    # of level j, a survivor of level j - 1 extended by each candidate of
+    # tail j.  Racks on 3 points: 6 rows, 6 * 6, then 11 survivors * 6.
+    # Racks on 4: 24, 24 * 24, 120 * 24, 96 * 24.  Quandles on 4, the 6
+    # permutations fixing each tail: 6, 6 * 6, 28 * 6, 28 * 6.  The
+    # verdict's own charge is below each.
     for size, arity, kind, rows in ((3, 2, "rack", (6, 36, 66)),
                                     (4, 2, "rack", (24, 576, 2880, 2304)),
                                     (4, 2, "quandle", (6, 36, 168, 168))):
-        need = sum(r * (j + 1) ** 2 for j, r in enumerate(rows))
+        perms = math.factorial(size)
+        need = perms ** 2 + 2 * perms * size + size
+        need += sum(r * (3 * j + 1) for j, r in enumerate(rows))
         monkeypatch.setattr(limits, "STEPS", need)
         enumerate_operations(size, arity, kind)
         monkeypatch.setattr(limits, "STEPS", need - 1)
@@ -513,8 +595,8 @@ def test_affine_scan_budgets():
 # translation-structured scans
 
 def test_rack_scan_matches_full_scan():
-    # the depth-first search and the batched one, each the other's oracle
-    for size, arity in [(2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (2, 4), (2, 5)]:
+    # both entry points run one search, and label its tables apart
+    for size, arity in RACK_SHAPES + [(2, 4), (2, 5)]:
         for kind in ("rack", "quandle"):
             struct = enumerate_racks(size, arity, kind).tables
             full = enumerate_operations(size, arity, kind).tables
@@ -559,14 +641,15 @@ def test_rack_scan_size_5():
 
 def test_rack_scan_work_budget():
     assert limits.STEPS == 2 ** 23
-    # refused before any table is built: 7!^2 compositions, 10^7 tail digits
+    # refused before any table is built: the bytes of 7!^2 compositions,
+    # the steps of 10^7 tail digits
     with pytest.raises(InputError, match="consistency checks"):
         enumerate_racks(7, 2)
     with pytest.raises(InputError, match="consistency checks"):
         enumerate_racks(1, 10 ** 7)
-    # refused while searching: the tables fit, the search does not; with
-    # 1024 and 2187 tails the all-identity branch is consistent at every
-    # level, so (2, 11) and (3, 8) run deep before the budget stops them
+    # refused by the first descent or while searching: the tables fit, the
+    # search does not; with 1024 tails the all-identity row is consistent
+    # at every level, so (2, 11) runs deep before the budget stops it
     for size, arity in [(6, 2), (2, 6), (4, 3), (2, 11), (3, 8)]:
         with pytest.raises(InputError, match="consistency checks"):
             enumerate_racks(size, arity)
@@ -590,30 +673,54 @@ def test_rack_scan_refuses_before_building(run_fresh):
     assert int(peak) < 60 * 1024, f"peak {int(peak)} KiB"
 
 
+def test_rack_search_peak_stays_under_its_largest_level(run_fresh):
+    # the 5-point rack search's resident peak grows by less than the
+    # largest level it charged (about 143 MB), read from VmHWM before and
+    # after the search in a fresh process
+    code = ("from selfdist import enumerate_operations, limits\n"
+            "charged = []\n"
+            "charge = limits.charge_bytes\n"
+            "limits.charge_bytes = lambda need, what: ("
+            "charged.append(need), charge(need, what))\n"
+            "def peak():\n"
+            "    return next(int(line.split()[1]) for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM'))\n"
+            "before = peak()\n"
+            "print(len(enumerate_operations(5, 2, 'rack')), before, peak(), max(charged))\n")
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    count, before, after, largest = map(int, proc.stdout.split())
+    assert count == 1708 and largest > 100 * 10 ** 6
+    assert (after - before) * 1024 < largest, (before, after, largest)
+
+
 def test_rack_scan_refusal_bound_is_the_first_descent(monkeypatch):
-    # order 2: 2^2 compositions, 2 * 2 * 2 tail actions and 2 one-digit
-    # tails (14), then the first descent: 2 checks at level 0 and
-    # 2 * (3 * 1 + 1) on entering level 1 (24 in all), refused up front
-    # below that; the second branch at level 1 brings the search to 32
-    for budget, need in ((23, 24), (24, 32), (31, 32)):
+    # order 2: 2^2 compositions, 2 * 2 * 2 tail actions and preimages and
+    # 2 one-digit tails (14), then the first descent: 2 checks at level 0
+    # and 2 * (3 * 1 + 1) at level 1 (24 in all), refused up front below
+    # that; level 1 holds 2 * 2 rows, which brings the search to 32.  The
+    # verdict then charges 150 and 151 steps on its own.
+    for budget, need in ((23, 24), (24, 32), (31, 32), (32, 150), (150, 151)):
         monkeypatch.setattr(limits, "STEPS", budget)
         with pytest.raises(InputError, match=f"needs {need} steps"):
             enumerate_racks(2, 2)
-    monkeypatch.setattr(limits, "STEPS", 32)
+    monkeypatch.setattr(limits, "STEPS", 151)
     assert len(enumerate_racks(2, 2)) == 2
     # a quandle's diagonal tails take only the identity: 14, then 1 check at
-    # level 0 and 1 * (3 * 1 + 1) at level 1, the whole search
-    monkeypatch.setattr(limits, "STEPS", 18)
-    with pytest.raises(InputError, match="needs 19 steps"):
-        enumerate_racks(2, 2, "quandle")
-    monkeypatch.setattr(limits, "STEPS", 19)
+    # level 0 and 1 * (3 * 1 + 1) at level 1, the whole search; its verdict
+    # charges 150 steps
+    for budget, need in ((18, 19), (149, 150)):
+        monkeypatch.setattr(limits, "STEPS", budget)
+        with pytest.raises(InputError, match=f"needs {need} steps"):
+            enumerate_racks(2, 2, "quandle")
+    monkeypatch.setattr(limits, "STEPS", 150)
     assert len(enumerate_racks(2, 2, "quandle")) == 1
 
 
 def test_rack_scan_work_budget_is_counted(monkeypatch):
-    # order 4: 24^2 compositions, 2 * 24 * 4 tail actions and 4 one-digit
-    # tails up front, then 24 * (3 * level + 1) checks at each of the 241
-    # inner nodes of the search
+    # order 4: 24^2 compositions, 2 * 24 * 4 tail actions and preimages and
+    # 4 one-digit tails up front, then 24 * (3 * level + 1) checks for each
+    # of the 241 survivors that a level extends (1 + 24 + 120 + 96)
     need = 24 ** 2 + 2 * 24 * 4 + 4 + 45528
     monkeypatch.setattr(limits, "STEPS", need)
     assert len(enumerate_racks(4, 2)) == 114
