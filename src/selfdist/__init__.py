@@ -22,8 +22,8 @@ from .constructions import (PreconditionError, affine_op,
                             verify_functor_identities)
 from .homology import (CohomologyResult, HomologyResult, SmithResult,
                        boundary_matrix, chain_map_F, cohomology_solve,
-                       homology, labeled_boundary, pullback_labeled_2cocycle,
-                       smith_normal_form, solve_mod, verify_chain_map)
+                       homology, labeled_boundary, smith_normal_form,
+                       solve_mod, verify_chain_map)
 from .braid import (BraidWord, braid_act, twist_op, verify_braid_relations,
                     verify_equivariance)
 from .linear import (ComonoidObject, Field, HopfAlgebraObject,
@@ -68,8 +68,7 @@ __all__ = [
     # homology
     "CohomologyResult", "HomologyResult", "SmithResult", "boundary_matrix",
     "chain_map_F", "cohomology_solve", "homology", "labeled_boundary",
-    "pullback_labeled_2cocycle", "smith_normal_form", "solve_mod",
-    "verify_chain_map",
+    "smith_normal_form", "solve_mod", "verify_chain_map",
     # braid
     "BraidWord", "braid_act", "twist_op", "verify_braid_relations",
     "verify_equivariance",

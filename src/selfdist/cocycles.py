@@ -9,10 +9,16 @@ order as operation tables.  Extensions live on the product carrier with
 The checks mirror the table-level layer: a single operation has a cocycle
 condition, a mutually distributive binary pair has a pair of mixed
 conditions, and a compatible ternary pair has a six-variable pair of
-conditions.  The second six-variable condition has a printed variant that
-feeds the first pair coordinate into the final term; `literal=True`
-selects it, the default is the variant under which the binary and ternary
-composites below stay cocycles.
+conditions.  The second six-variable condition pairs each x coordinate
+with its own operation, the form under which the binary passage below
+gives a cocycle; the printed form, which feeds the first pair coordinate
+into the final term, is not checked.
+
+Each passage is stated once.  `ternary_cocycle_from_pair` takes a binary
+pair to a ternary cocycle and `binary_cocycle_from_ternary_pair` a ternary
+pair to a binary cocycle on the square carrier; the doubled cocycles are
+their round trips, as the doubled tables are the round trips of the table
+passages.
 """
 from __future__ import annotations
 
@@ -30,8 +36,8 @@ from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
                       are_mutually_distributive, diagonal_indices,
                       index_to_tuple, integer_array, is_nary_distributive,
                       is_rack)
-from .constructions import (PreconditionError, _require, doubling_binary,
-                            doubling_ternary, f_functor, g_functor, power_op)
+from .constructions import (PreconditionError, _require, f_functor, g_functor,
+                            power_op)
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +296,13 @@ def are_mutually_distributive_cocycles(phi0: Cochain, phi1: Cochain,
 
 
 def are_compatible_ternary_cocycles(psi0: Cochain, psi1: Cochain,
-                                    T0: OpTable, T1: OpTable,
-                                    literal: bool = False) -> CheckResult:
-    """Six-variable pair conditions for cocycles over a compatible ternary pair.
+                                    T0: OpTable, T1: OpTable) -> CheckResult:
+    """Six-variable pair conditions for cocycles over a compatible ternary pair,
+    those of `kernels.compat_cocycle_law`, under which the pair-to-binary
+    composite is a cocycle.
 
     Hypotheses checked up front: each cochain is a cocycle for its operation
-    and the operations are compatible.  `literal=True` selects the printed
-    variant of the second condition (leading first coordinate); the default
-    variant is the one under which the pair-to-binary composite is a cocycle.
+    and the operations are compatible.
     """
     _match(T0, psi0, 3, "ternary cocycle pair check")
     _match(T1, psi1, 3, "ternary cocycle pair check")
@@ -311,8 +316,7 @@ def are_compatible_ternary_cocycles(psi0: Cochain, psi1: Cochain,
         for which in (1, 2):
             args = (T0.table, T1.table,
                     np.ascontiguousarray(psi0.values[:, fi]),
-                    np.ascontiguousarray(psi1.values[:, fi]), T0.size, d, which,
-                    literal)
+                    np.ascontiguousarray(psi1.values[:, fi]), T0.size, d, which)
             flat = kernels.compat_cocycle_scan(*args)
             if flat >= 0:
                 law = kernels.compat_cocycle_law(*args)
@@ -379,41 +383,46 @@ def extend_mutual_pair(op0: OpTable, op1: OpTable,
 # ---------------------------------------------------------------------------
 # passages between arities and carriers
 
+def _charge_passage(size: int, k: int, rank: int, what: str) -> None:
+    """Charge what a passage to k-argument cochains on `size` points holds
+    at once: the values it sums, their reduction into a Cochain, and its
+    base table."""
+    limits.charge_bytes(8 * (2 * rank + 1) * limits.power(size, k), what)
+
+
 def ternary_cocycle_from_pair(phi0: Cochain, phi1: Cochain,
                               op0: OpTable, op1: OpTable,
                               verify: bool = True) -> Cochain:
     """psi(x, y, z) = phi0(x, y) + phi1(x *0 y, z), a ternary cocycle for the
     composite ternary operation of the pair."""
-    _charge_digits(op0.size, 3, "a ternary cocycle from a pair")
+    N = op0.size
+    A = _same_coeff(phi0, phi1)
+    _charge_passage(N, 3, A.rank, "a ternary cocycle from a pair")
     if verify:
         _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
                  "pair cocycle conditions")
-    N = op0.size
-    A = _same_coeff(phi0, phi1)
-    s0 = op0.table.reshape(N, N)
-    x, y, z = np.indices((N,) * 3)
-    vals = phi0.values[(x * N + y).ravel()] + phi1.values[(s0[x, y] * N + z).ravel()]
-    return Cochain(N, 3, A, A.reduce(vals),
+    # row x * N + y of phi1's (N, N) view at x *0 y is phi1(x *0 y, z) over z
+    vals = phi1.values.reshape(N, N, A.rank)[op0.table]
+    vals += phi0.values[:, None]
+    return Cochain(N, 3, A, vals.reshape(-1, A.rank),
                    base=f_functor(op0, op1, verify=False))
 
 
 def binary_cocycle_from_ternary_pair(psi0: Cochain, psi1: Cochain,
                                      T0: OpTable, T1: OpTable,
-                                     literal: bool = False,
                                      verify: bool = True) -> Cochain:
     """phi((x0,x1), (y0,y1)) = psi0(x0, y0, y1) + psi1(x1, y0, y1) on the
     square carrier, a binary cocycle for the pair-to-binary composite."""
-    _charge_digits(T0.size, 4, "a binary cocycle from a ternary pair")
-    if verify:
-        _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1,
-                                                 literal=literal),
-                 "pair cocycle conditions")
     N = T0.size
     A = _same_coeff(psi0, psi1)
-    x0, x1, y0, y1 = np.indices((N,) * 4)
-    vals = (psi0.values[((x0 * N + y0) * N + y1).ravel()]
-            + psi1.values[((x1 * N + y0) * N + y1).ravel()])
-    return Cochain(N * N, 2, A, A.reduce(vals),
+    _charge_passage(N * N, 2, A.rank, "a binary cocycle from a ternary pair")
+    if verify:
+        _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1),
+                 "pair cocycle conditions")
+    # (x0, x1, (y0, y1)) in the order of the square carrier's pairs
+    vals = (psi0.values.reshape(N, 1, N * N, A.rank)
+            + psi1.values.reshape(1, N, N * N, A.rank))
+    return Cochain(N * N, 2, A, vals.reshape(-1, A.rank),
                    base=g_functor(T0, T1, verify=False))
 
 
@@ -423,47 +432,29 @@ def doubled_binary_cocycle(phi0: Cochain, phi1: Cochain,
     """Cocycle for the doubled binary operation on the square carrier:
     phi0(x0,y0) + phi1(x0 *0 y0, y1) + phi0(x1,y0) + phi1(x1 *0 y0, y1).
 
-    Equals the square-carrier composite of the ternary cocycle of the pair
-    with itself, which is how the doubling is proved to stay a cocycle.
+    The round trip of the passages: the ternary cocycle of the pair, taken
+    with itself through the binary passage.  That is how the doubling is
+    proved to stay a cocycle, and its base is the round trip of the tables,
+    equal to the binary doubling.
     """
-    _charge_digits(op0.size, 4, "a doubled binary cocycle")
-    if verify:
-        _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
-                 "pair cocycle conditions")
-    N = op0.size
-    A = _same_coeff(phi0, phi1)
-    s0 = op0.table.reshape(N, N)
-    x0, x1, y0, y1 = np.indices((N,) * 4)
-    vals = (phi0.values[(x0 * N + y0).ravel()]
-            + phi1.values[(s0[x0, y0] * N + y1).ravel()]
-            + phi0.values[(x1 * N + y0).ravel()]
-            + phi1.values[(s0[x1, y0] * N + y1).ravel()])
-    return Cochain(N * N, 2, A, A.reduce(vals),
-                   base=doubling_binary(op0, op1, verify=False))
+    psi = ternary_cocycle_from_pair(phi0, phi1, op0, op1, verify=verify)
+    return binary_cocycle_from_ternary_pair(psi, psi, psi.base, psi.base,
+                                            verify=False)
 
 
 def doubled_ternary_cocycle(psi0: Cochain, psi1: Cochain,
                             T0: OpTable, T1: OpTable,
-                            literal: bool = False,
                             verify: bool = True) -> Cochain:
     """Cocycle for the doubled ternary operation on the square carrier:
-    psi0(x0,y) + psi1(x1,y) + psi0(T0(x0,y), z) + psi1(T1(x1,y), z)."""
-    _charge_digits(T0.size, 6, "a doubled ternary cocycle")
-    if verify:
-        _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1,
-                                                 literal=literal),
-                 "pair cocycle conditions")
-    N = T0.size
-    A = _same_coeff(psi0, psi1)
-    t0 = T0.table.reshape(N, N, N)
-    t1 = T1.table.reshape(N, N, N)
-    x0, x1, y0, y1, z0, z1 = np.indices((N,) * 6)
-    vals = (psi0.values[((x0 * N + y0) * N + y1).ravel()]
-            + psi1.values[((x1 * N + y0) * N + y1).ravel()]
-            + psi0.values[((t0[x0, y0, y1] * N + z0) * N + z1).ravel()]
-            + psi1.values[((t1[x1, y0, y1] * N + z0) * N + z1).ravel()])
-    return Cochain(N * N, 3, A, A.reduce(vals),
-                   base=doubling_ternary(T0, T1, verify=False))
+    psi0(x0,y) + psi1(x1,y) + psi0(T0(x0,y), z) + psi1(T1(x1,y), z).
+
+    The round trip of the passages the other way: the binary cocycle of the
+    pair, taken with itself through the ternary passage.  Its base is the
+    round trip of the tables, equal to the ternary doubling.
+    """
+    phi = binary_cocycle_from_ternary_pair(psi0, psi1, T0, T1, verify=verify)
+    return ternary_cocycle_from_pair(phi, phi, phi.base, phi.base,
+                                     verify=False)
 
 
 def power_cocycle(phi: Cochain, op: OpTable, n: int,

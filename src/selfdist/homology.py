@@ -938,19 +938,3 @@ def verify_chain_map(op0: OpTable, op1: OpTable) -> CheckResult:
                 f"chain map identity fails at degree {n}, generator column {col}")
     return CheckResult(True)
 
-
-def pullback_labeled_2cocycle(phi0, phi1, op0: OpTable, op1: OpTable,
-                              verify: bool = True):
-    """Pull a labeled 2-cocycle pair back to a ternary 2-cochain through the
-    degree-2 chain map (transpose composition).  The result equals the
-    ternary cochain phi0(x,y0) + phi1(x *0 y0, y1)."""
-    from .cocycles import Cochain, are_mutually_distributive_cocycles
-
-    if verify:
-        _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
-                 "labeled 2-cocycle conditions")
-    F2 = chain_map_F(op0, op1, 2, verify=False)
-    vals = np.concatenate([phi0.values, phi1.values], axis=0)
-    mods = np.array(phi0.coeff.factors, dtype=np.int64)
-    out = (F2.T @ vals) % mods[None, :]
-    return Cochain(op0.size, 3, phi0.coeff, out)

@@ -182,8 +182,11 @@ def exchange_law(tm, tn, N, m, n, batch=1):
     # before the tails are grouped, the least any scan of the law can cost:
     # a huge arity is refused here, before its m-1 acts are listed
     _charge_blocks(N, m, 1, f"arities {m} and {n} on {N} points", batch)
+    # a table against itself, as in every self-distributivity verdict, is
+    # validated once and stays one array
+    same = tm is tn and m == n
     tm = _entries(tm, batch * N ** m, N, "outer table")
-    tn = _entries(tn, batch * N ** n, N, "acting table")
+    tn = tm if same else _entries(tn, batch * N ** n, N, "acting table")
     return Law(N, tm, tn, (tn,) * (m - 1), batch=batch)
 
 
@@ -218,19 +221,21 @@ def mutual_cocycle_law(t0, t1, p0, p1, N, d, which):
     return Law(N, t0, t1, (t1,), p0, p1, d)
 
 
-def compat_cocycle_law(A, B, s0, s1, N, d, which, literal=False):
+def compat_cocycle_law(A, B, s0, s1, N, d, which):
     """Paired conditions on tuples (x0, x1, y0, y1, z0, z1), modulo d, y = (y0, y1):
 
     1: s0(x0, y) + s1(B(x1, y), z) == s1(x1, z) + s0(A(x0, z), A(y0, z), B(y1, z))
     2: s1(x1, y) + s0(A(x0, y), z) == s0(x0, z) + s1(B(x1, z), A(y0, z), B(y1, z))
 
-    `literal` reads B(x0, z) in place of B(x1, z) in condition 2.
+    Each condition pairs each x coordinate with its own table and cochain,
+    the pairing under which the binary cocycle of the pair on the square
+    carrier is a cocycle.
     """
     A, B = (_entries(t, N ** 3, N, "operation table") for t in (A, B))
     s0, s1 = (_entries(s, N ** 3, d, "cochain") for s in (s0, s1))
     if which == 1:
         return Law(N, B, A, (A, B), s0, s1, d, pick=(1, 0, 0))
-    return Law(N, A, B, (A, B), s1, s0, d, pick=(0, 0 if literal else 1, 1))
+    return Law(N, A, B, (A, B), s1, s0, d, pick=(0, 1, 1))
 
 
 def digits(r, N, count):
@@ -290,11 +295,14 @@ def _blocks(law, lo, hi):
     if whole:
         g -= g % U
     # what each side reads last, in the narrow dtype: the cochains of a
-    # cocycle law, else the tables.  Z has rows c*N + v and Y rows
-    # (c*N + v)*HH + yh, as have the int64 reads opz and opy.
+    # cocycle law, else the tables, cast once when both sides read one array.
+    # Z has rows c*N + v and Y rows (c*N + v)*HH + yh, as have the int64
+    # reads opz and opy.
     dtype = _narrow(law)
     vz, vy = (law.cz, law.cy) if law.d else (law.opz, law.opy)
-    Z, Y = vz.astype(dtype).reshape(-1, K), vy.astype(dtype).reshape(-1, T)
+    Z = vz.astype(dtype)
+    Y = Z if vy is vz else vy.astype(dtype)
+    Z, Y = Z.reshape(-1, K), Y.reshape(-1, T)
     opz, opy = law.opz.reshape(-1, K), law.opy.reshape(-1, T)
     heads = [a.reshape(-1, K) for a in acts[:head]]
     ulo, uhi = lo // T, -(-hi // T)
@@ -469,14 +477,10 @@ def mutual_cocycle_scan(t0, t1, p0, p1, N, d, which):
     return _scan(mutual_cocycle_law(t0, t1, p0, p1, N, d, which))
 
 
-def compat_cocycle_scan(A, B, s0, s1, N, d, which, literal=False):
-    """First (x0, x1, y0, y1, z0, z1) index violating `compat_cocycle_law`, or -1.
-
-    `literal=True` switches the second condition to the variant that feeds the
-    first coordinate into both final terms; the default pairs coordinates the
-    way the doubled-cocycle composite requires.
-    """
-    return _scan(compat_cocycle_law(A, B, s0, s1, N, d, which, literal))
+def compat_cocycle_scan(A, B, s0, s1, N, d, which):
+    """First (x0, x1, y0, y1, z0, z1) index violating `compat_cocycle_law`
+    condition 1 or 2, or -1."""
+    return _scan(compat_cocycle_law(A, B, s0, s1, N, d, which))
 
 
 def translation_scan_stack(tables, N, k):

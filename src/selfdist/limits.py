@@ -15,6 +15,7 @@ InputError, which the command line reports with exit status 2:
 
 BYTES counts the arrays one step builds whose size comes from the input:
 the int64 entries of a table, a boundary matrix or a digit grid, the
+values a cocycle passage sums and reduces with its base table, the
 terms a sparse linear map is built from (64 bytes a term), the tables of
 a full scan, the lookup tables of a translation search and each of its
 levels (the partial tables it grows and 48 bytes for each condition it

@@ -397,14 +397,9 @@ def _act(m: LinMap, w: LinMap, first: int, gap: int = 0) -> LinMap:
         _charge_terms(m.nnz, "a composition")
         return LinMap._from_keys(m.field, d, m.src_power, out_power,
                                  base + w_rows[col], m.vals * w.vals[col])
-    if ncols <= m.nnz:
-        # where each column of w starts, and its term counts
-        table = np.searchsorted(w.cols, np.arange(ncols + 1))
-        start = table[col]
-        counts = table[col + 1] - start
-    else:
-        start = np.searchsorted(w.cols, col, "left")
-        counts = np.searchsorted(w.cols, col, "right") - start
+    # where each entry's column of w starts, and its term count
+    start = np.searchsorted(w.cols, col, "left")
+    counts = np.searchsorted(w.cols, col, "right") - start
     total = int(counts.sum())
     _charge_terms(total, "a composition")
     take = (np.arange(total)

@@ -2,11 +2,12 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from selfdist import (InputError, PreconditionError, affine_op,
+from selfdist import (InputError, PreconditionError, affine_op, limits,
                       are_mutually_distributive, conj_quandle, core_quandle,
                       cyclic_group, enumerate_mutual_pairs, exchange_holds,
                       is_nary_distributive, is_rack, projection_op, relabel,
@@ -25,8 +26,7 @@ from selfdist.cocycles import (AbGroup, Cochain, SES,
                                power_cocycle, split_ses,
                                ternary_cocycle_from_pair,
                                three_cocycle_from_ses, zero_cochain)
-from selfdist.homology import (boundary_matrix, cohomology_solve,
-                               pullback_labeled_2cocycle)
+from selfdist.homology import boundary_matrix, chain_map_F, cohomology_solve
 from formulas import make_cochain, make_op_table
 
 
@@ -259,14 +259,37 @@ def test_heap_z2_cocycle_count():
         if is_ternary_2cocycle(c, T):
             good.append(c)
     assert len(good) == 8
-    # compatible ordered pairs among them: 32 with the default pairing,
-    # 16 with the literal variant
+    # compatible ordered pairs among them: 32 with the checker's pairing,
+    # 16 with the printed variant, which only this oracle states
     default = sum(bool(are_compatible_ternary_cocycles(a, b, T, T))
                   for a in good for b in good)
-    literal = sum(bool(are_compatible_ternary_cocycles(a, b, T, T, literal=True))
-                  for a in good for b in good)
     assert default == 32
-    assert literal == 16
+    assert sum(compatible_pair_oracle(a, b, T, T, False)
+               for a in good for b in good) == 32
+    assert sum(compatible_pair_oracle(a, b, T, T, True)
+               for a in good for b in good) == 16
+
+
+def compatible_pair_oracle(psi0, psi1, T0, T1, printed):
+    """Both six-variable pair conditions, tuple by tuple; `printed` reads the
+    final term of condition 2 at T1(x0, z), as the printed form does, in
+    place of T1(x1, z)."""
+    N = T0.size
+    d = psi0.coeff.factors[0]
+    A = T0.table.reshape(N, N, N)
+    B = T1.table.reshape(N, N, N)
+    s0 = psi0.values[:, 0].reshape(N, N, N)
+    s1 = psi1.values[:, 0].reshape(N, N, N)
+    for x0, x1, y0, y1, z0, z1 in itertools.product(range(N), repeat=6):
+        ay, by = A[y0, z0, z1], B[y1, z0, z1]
+        one = (s0[x0, y0, y1] + s1[B[x1, y0, y1], z0, z1]
+               - s1[x1, z0, z1] - s0[A[x0, z0, z1], ay, by])
+        lead = x0 if printed else x1
+        two = (s1[x1, y0, y1] + s0[A[x0, y0, y1], z0, z1]
+               - s0[x0, z0, z1] - s1[B[lead, z0, z1], ay, by])
+        if one % d or two % d:
+            return False
+    return True
 
 
 def test_multifactor_cocycle_check():
@@ -354,13 +377,15 @@ def test_ternary_passage_values():
 
 
 def test_pullback_matches_direct_passage():
-    # the chain-map pullback of a labeled pair cocycle equals the pointwise
-    # construction, on a full basis of the pair space
+    # the pullback of a labeled pair cocycle through the degree-2 chain map,
+    # F_2^T [phi0; phi1] mod d, equals the pointwise passage, on a full
+    # basis of the pair space
+    F2 = chain_map_F(dih3(), dih3(), 2)
     for v in pair_basis():
         phi0, phi1 = split_pair(v)
-        via_chain = pullback_labeled_2cocycle(phi0, phi1, dih3(), dih3())
+        via_chain = F2.T @ np.concatenate([phi0.values, phi1.values]) % 3
         direct = ternary_cocycle_from_pair(phi0, phi1, dih3(), dih3())
-        assert via_chain == direct
+        assert np.array_equal(via_chain, direct.values)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +395,10 @@ def z4_pair():
     return affine_op(4, 3, (1, 2)), affine_op(4, 3, (3, 0))
 
 
-def z4_pair_system(literal):
-    """Stacked GF(2) conditions on (psi0, psi1), each flat on 4^3 entries."""
+def z4_pair_system(printed):
+    """Stacked GF(2) conditions on (psi0, psi1), each flat on 4^3 entries;
+    `printed` states condition 2 in its printed form, as
+    `compatible_pair_oracle` does."""
     T0, T1 = z4_pair()
     N = 4
     A3 = T0.table.reshape(N, N, N)
@@ -400,7 +427,7 @@ def z4_pair_system(literal):
     blocks.append(scatter(
         [idx(x0, y0, y1), 64 + idx(B3[x1, y0, y1], z0, z1)],
         [64 + idx(x1, z0, z1), idx(A3[x0, z0, z1], ay, by)]))
-    lead = x0 if literal else x1
+    lead = x0 if printed else x1
     blocks.append(scatter(
         [64 + idx(x1, y0, y1), idx(A3[x0, y0, y1], z0, z1)],
         [idx(x0, z0, z1), 64 + idx(B3[lead, z0, z1], ay, by)]))
@@ -440,9 +467,24 @@ def test_z4_pair_checker_agrees_with_system():
     assert not res
 
 
+def doubled_ternary_formula(psi0, psi1, T0, T1):
+    """psi0(x0,y) + psi1(x1,y) + psi0(T0(x0,y), z) + psi1(T1(x1,y), z), one
+    residue row per tuple of the square carrier."""
+    N = T0.size
+    A = T0.table.reshape(N, N, N)
+    B = T1.table.reshape(N, N, N)
+    s0 = psi0.values.reshape(N, N, N, -1)
+    s1 = psi1.values.reshape(N, N, N, -1)
+    return np.array([s0[x0, y0, y1] + s1[x1, y0, y1]
+                     + s0[A[x0, y0, y1], z0, z1] + s1[B[x1, y0, y1], z0, z1]
+                     for x0, x1, y0, y1, z0, z1
+                     in itertools.product(range(N), repeat=6)]) % psi0.coeff.factors
+
+
 def test_doubled_ternary_cocycle_and_route():
-    # doubling a compatible pair gives a cocycle of the doubled operation and
-    # factors through the binary passage: double == pair(from_pair o to_binary)
+    # doubling a compatible pair gives a cocycle of the doubled operation,
+    # equal to the four-term formula, and its binary passage is a cocycle
+    # on the way; unchecked, the formula holds for any cochains
     T0, T1 = z4_pair()
     G = g_functor(T0, T1)
     DT = doubling_ternary(T0, T1)
@@ -454,7 +496,11 @@ def test_doubled_ternary_cocycle_and_route():
         phi = binary_cocycle_from_ternary_pair(psi0, psi1, T0, T1)
         assert is_binary_2cocycle(phi, G)
         assert are_mutually_distributive_cocycles(phi, phi, G, G)
-        assert ternary_cocycle_from_pair(phi, phi, G, G) == dbl
+        assert np.array_equal(dbl.values, doubled_ternary_formula(psi0, psi1, T0, T1))
+    rng = np.random.default_rng(11)
+    psi0, psi1 = (Cochain(4, 3, (2, 3), rng.integers(0, 6, (64, 2))) for _ in range(2))
+    dbl = doubled_ternary_cocycle(psi0, psi1, T0, T1, verify=False)
+    assert np.array_equal(dbl.values, doubled_ternary_formula(psi0, psi1, T0, T1))
 
 
 def test_binary_passage_values():
@@ -470,17 +516,63 @@ def test_binary_passage_values():
         assert phi(x0 * 4 + x1, y0 * 4 + y1) == (want,)
 
 
+def doubled_binary_formula(phi0, phi1, op0):
+    """phi0(x0,y0) + phi1(x0 *0 y0, y1) + phi0(x1,y0) + phi1(x1 *0 y0, y1),
+    one residue row per pair of the square carrier."""
+    N = op0.size
+    s = op0.table.reshape(N, N)
+    p0 = phi0.values.reshape(N, N, -1)
+    p1 = phi1.values.reshape(N, N, -1)
+    return np.array([p0[x0, y0] + p1[s[x0, y0], y1] + p0[x1, y0] + p1[s[x1, y0], y1]
+                     for x0, x1, y0, y1 in itertools.product(range(N), repeat=4)]
+                    ) % phi0.coeff.factors
+
+
 def test_doubled_binary_cocycle_and_route():
     # binary doubling on the dihedral pair: valid on the doubled rack and
-    # equal to the composite binary passage of the ternary passage
+    # equal to the four-term formula; unchecked, the formula holds for any
+    # cochains over two different operations
     DR = doubling_binary(dih3(), dih3())
-    TF = f_functor(dih3(), dih3())
     for v in pair_basis():
         phi0, phi1 = split_pair(v)
         dbl = doubled_binary_cocycle(phi0, phi1, dih3(), dih3())
         assert is_binary_2cocycle(dbl, DR)
-        psi = ternary_cocycle_from_pair(phi0, phi1, dih3(), dih3())
-        assert binary_cocycle_from_ternary_pair(psi, psi, TF, TF) == dbl
+        assert np.array_equal(dbl.values, doubled_binary_formula(phi0, phi1, dih3()))
+    rng = np.random.default_rng(12)
+    op0, op1 = affine_op(4, 2, (3,)), affine_op(4, 2, (1,))
+    phi0, phi1 = (Cochain(4, 2, (2, 3), rng.integers(0, 6, (16, 2))) for _ in range(2))
+    dbl = doubled_binary_cocycle(phi0, phi1, op0, op1, verify=False)
+    assert np.array_equal(dbl.values, doubled_binary_formula(phi0, phi1, op0))
+
+
+def test_passage_charges_cover_what_they_hold(monkeypatch):
+    # each passage charges its summed values, their reduction and its base
+    # table before it starts, and a doubled cocycle's second passage holds
+    # the first one's result besides; constant cochains satisfy every pair
+    # condition, so the hypotheses are checked too
+    charged = []
+    charge = limits.charge_bytes
+    monkeypatch.setattr(limits, "charge_bytes",
+                        lambda need, what: charged.append(need) or charge(need, what))
+    R24, R16 = core_quandle(cyclic_group(24)), core_quandle(cyclic_group(16))
+    T8, T16 = affine_op(8, 3, (3, 6)), affine_op(16, 3, (2, 0))
+
+    def const(op):
+        return Cochain(op.size, op.arity, 5, np.ones(op.table.size, np.int64))
+
+    calls = [(ternary_cocycle_from_pair, R24), (binary_cocycle_from_ternary_pair, T16),
+             (doubled_binary_cocycle, R16), (doubled_ternary_cocycle, T8)]
+    for passage, op in calls:
+        args = (const(op), const(op), op, op)
+        passage(*args)
+        charged.clear()
+        tracemalloc.start()
+        try:
+            passage(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * max(charged), (passage.__name__, peak, charged)
 
 
 def test_self_pair_compatibility_is_not_automatic():
