@@ -22,6 +22,11 @@ _ARRAY_MIN characters; the library takes such arrays as it takes lists.
 Every other value, any array whose text is not plainly valid, a top-level
 value that is not an object, and every decode error come from `json`, so
 results and messages are those of `json.load`.
+
+Every process runs one command, so this module imports at load only what
+every command needs: tables, groups, constructions and homology.  Each
+handler imports the rest of what it runs, from `cocycles`, `linear`,
+`enumeration` or `braid`, when it is called.
 """
 from __future__ import annotations
 
@@ -37,11 +42,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import braid as braid_mod
-from . import enumeration
-from .cocycles import (Cochain, SES, cocycles_cohomologous, extend,
-                       extend_mutual_pair, is_binary_2cocycle,
-                       is_ternary_2cocycle, three_cocycle_from_ses)
 from .constructions import (PreconditionError, affine_op, augmented_ternary,
                             compose_mn, conj_quandle, core_quandle,
                             doubling_binary, doubling_ternary, f_functor,
@@ -49,10 +49,6 @@ from .constructions import (PreconditionError, affine_op, augmented_ternary,
                             monoid_product, power_op, product_mutual_pair,
                             projection_op)
 from .homology import cohomology_solve, homology, verify_chain_map
-from .linear import (Field, LinMap, LieAlgebraObject, SDObject,
-                     augmented_operation, check_augmented_hopf, check_nary_sd,
-                     group_algebra_hopf, hopf_adjoint_ternary, hopf_heap,
-                     lie_to_binary_sd)
 from .optable import (Axioms, CheckResult, FiniteGroup, InputError, OpTable,
                       are_compatible_ternary, are_mutually_distributive,
                       cyclic_group, dihedral_group, symmetric_group)
@@ -68,6 +64,11 @@ JSON_CHUNK = 1 << 16   # list items per piece of streamed JSON output
 # integer arrays up to this length are written faster as their list than by
 # label lookup, whose fixed cost is a label table and a join
 _LABEL_MIN = 64
+# labelled arrays shorter than this are looked up, never taken by the row
+# path, whose keys, grouping and checks cost 0.12-0.15 ms whatever the size.
+# On the heaps of C_n and D_n, on a 2-core Xeon, label lookup was faster up
+# to 10,648 entries, the two were level at 13,824, and rows won from 17,576.
+_ROWS_MIN = 12_000
 
 _compact = json.JSONEncoder().encode
 _SCALARS = frozenset((int, float, str, bool, type(None)))
@@ -149,7 +150,8 @@ def _entry_texts(value, labels):
     width = len(labels)
     count = len(value) // width
     rows = value[:count * width].reshape(count, width)
-    grouped = _repeated_rows(rows) if count >= 2 * width else None
+    grouped = (_repeated_rows(rows)
+               if count >= 2 * width and len(value) >= _ROWS_MIN else None)
     if grouped is None:
         yield from looked_up(value)
         return
@@ -178,9 +180,10 @@ def _iter_json(value, depth: int = 0):
       such as a table's entries, is labelled: each entry's text is looked
       up, JSON_CHUNK entries at a time, in a list of one label per value
       0..max, which holds at most len(array) labels;
-    - a labelled array that, cut into rows of one entry per label, has at
-      least twice as many rows as labels, of which at most half are
-      distinct, takes the row path of `_entry_texts`: rows are keyed by a
+    - a labelled array of at least _ROWS_MIN entries that, cut into rows of
+      one entry per label, has at least twice as many rows as labels, of
+      which at most half are distinct, takes the row path of
+      `_entry_texts`: rows are keyed by a
       fixed 64-bit weighted sum and grouped by their keys, each distinct
       row's text is built once, and rows are joined a JSON_CHUNK of
       entries at a time.  Rows that repeat are the property it rests on,
@@ -478,7 +481,8 @@ def _load_op(path: str) -> OpTable:
     return OpTable.from_json(_load_json(path, ("table",)))
 
 
-def _load_cochain(path: str) -> Cochain:
+def _load_cochain(path: str):
+    from .cocycles import Cochain
     return Cochain.from_json(_load_json(path, ("values",)))
 
 
@@ -494,13 +498,13 @@ def _load_group(spec: str) -> FiniteGroup:
     return FiniteGroup.from_json(_load_json(spec, ("cayley",)))
 
 
-def _load_ses(spec: str) -> SES:
+def _load_ses(spec: str):
+    from .cocycles import SES, cyclic_ses, split_ses
     kind, _, arg = spec.partition(":")
     if kind in ("cyclic", "split"):
         parts = _ints(arg)
         if len(parts) != 2:
             raise InputError(f"sequence spec {spec!r} needs sub,quotient orders")
-        from .cocycles import cyclic_ses, split_ses
         build = cyclic_ses if kind == "cyclic" else split_ses
         return build(*parts)
     return SES.from_json(_load_json(spec))
@@ -559,6 +563,7 @@ def _cmd_check(args, report, jobs):
 def _cocycle_verdict(args, report):
     """The 2-cocycle condition of --cochain over --op, for `check cocycle`
     and `cocycle check`."""
+    from .cocycles import is_binary_2cocycle, is_ternary_2cocycle
     op = _load_op(args.op)
     c = _load_cochain(args.cochain)
     if op.arity == 2:
@@ -629,10 +634,12 @@ def _cmd_construct(args, report, jobs):
                                 _load_json(need("pairing", args.pairing)),
                                 verify=verify)
     elif name == "extend":
+        from .cocycles import extend
         out = extend(_load_op(need("op", args.op)),
                      _load_cochain(need("cochain", args.cochain)),
                      verify=verify)
     elif name == "extend-pair":
+        from .cocycles import extend_mutual_pair
         a, b = extend_mutual_pair(_load_op(need("op0", args.op0)),
                                   _load_op(need("op1", args.op1)),
                                   _load_cochain(need("cochain0", args.cochain0)),
@@ -642,10 +649,11 @@ def _cmd_construct(args, report, jobs):
         report.artifact("op1", b.json_fields())
         return
     elif name == "twist":
+        from .braid import BraidWord, twist_op
         hat = _load_op(need("op", args.op))
         star = _load_op(need("star", args.star))
-        word = braid_mod.BraidWord(hat.arity - 1, _ints(need("word", args.word)))
-        out = braid_mod.twist_op(hat, star, word, verify=verify)
+        word = BraidWord(hat.arity - 1, _ints(need("word", args.word)))
+        out = twist_op(hat, star, word, verify=verify)
     else:
         raise InputError(f"unknown construction {name!r}")
     report.artifact("table", out.json_fields())
@@ -694,6 +702,7 @@ def _cmd_cohomology(args, report, jobs):
 
 
 def _cmd_cocycle(args, report, jobs):
+    from .cocycles import cocycles_cohomologous, extend, three_cocycle_from_ses
     if args.what == "check":
         _cocycle_verdict(args, report)
     elif args.what == "solve":
@@ -726,22 +735,23 @@ def _cmd_chainmap(args, report, jobs):
 
 
 def _cmd_braid(args, report, jobs):
+    from .braid import BraidWord, braid_act, twist_op, verify_braid_relations
     if args.what == "act":
         op = _load_op(args.op)
         xs = _ints(args.input)
-        word = braid_mod.BraidWord(len(xs), _ints(args.word))
-        out = braid_mod.braid_act(op, word, xs)
+        word = BraidWord(len(xs), _ints(args.word))
+        out = braid_act(op, word, xs)
         report.artifact("action", {"input": list(xs), "word": list(word.word),
                                    "output": list(out)})
     elif args.what == "relations":
         op = _load_op(args.op)
         report.verdict(f"braid relations on X^{args.strands}",
-                       braid_mod.verify_braid_relations(op, args.strands))
+                       verify_braid_relations(op, args.strands))
     elif args.what == "twist":
         hat = _load_op(args.op)
         star = _load_op(args.star)
-        word = braid_mod.BraidWord(hat.arity - 1, _ints(args.word))
-        out = braid_mod.twist_op(hat, star, word, verify=not args.no_verify)
+        word = BraidWord(hat.arity - 1, _ints(args.word))
+        out = twist_op(hat, star, word, verify=not args.no_verify)
         report.artifact("table", out.json_fields())
 
 
@@ -749,12 +759,17 @@ def _cmd_braid(args, report, jobs):
 # linear
 
 
-def _default_pairing(H) -> LinMap:
+def _default_pairing(H):
+    from .linear import LinMap
     ident = LinMap.identity(H.unit.field, H.dim)
     return H.mult @ H.antipode.tensor(ident)
 
 
 def _cmd_linear(args, report, jobs):
+    from .linear import (Field, LieAlgebraObject, LinMap, SDObject,
+                         augmented_operation, check_augmented_hopf,
+                         check_nary_sd, group_algebra_hopf,
+                         hopf_adjoint_ternary, hopf_heap, lie_to_binary_sd)
     if args.what == "check-sd":
         obj = SDObject.from_json(_load_json(args.object), verify=False)
         report.verdict("linear self-distributivity", check_nary_sd(obj))
@@ -791,6 +806,7 @@ def _cmd_linear(args, report, jobs):
 
 
 def _cmd_enumerate(args, report, jobs):
+    from . import enumeration
     if args.pairs:
         pairs = enumeration.enumerate_mutual_pairs(args.size)
         report.artifact("pairs", {

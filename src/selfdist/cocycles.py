@@ -113,7 +113,11 @@ class AbGroup:
         return np.asarray(arr, dtype=np.int64) % mods
 
     def index_array(self, residue_rows) -> np.ndarray:
-        """Flat indices of residue rows with shape (..., rank)."""
+        """Flat indices of residue rows with shape (..., rank); refused for
+        an order of 2^63 or more, whose indices int64 cannot hold."""
+        if self.order >> 63:
+            raise InputError(f"a group of order {self.order} has flat "
+                             "indices past int64")
         arr = self.reduce(residue_rows)
         idx = np.zeros(arr.shape[:-1], dtype=np.int64)
         for j, f in enumerate(self.factors):
@@ -402,8 +406,8 @@ def ternary_cocycle_from_pair(phi0: Cochain, phi1: Cochain,
         _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
                  "pair cocycle conditions")
     # row x * N + y of phi1's (N, N) view at x *0 y is phi1(x *0 y, z) over z
-    vals = phi1.values.reshape(N, N, A.rank)[op0.table]
-    vals += phi0.values[:, None]
+    vals = kernels.add_mod(phi1.values.reshape(N, N, A.rank)[op0.table],
+                           phi0.values[:, None], A.factors)
     return Cochain(N, 3, A, vals.reshape(-1, A.rank),
                    base=f_functor(op0, op1, verify=False))
 
@@ -420,8 +424,8 @@ def binary_cocycle_from_ternary_pair(psi0: Cochain, psi1: Cochain,
         _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1),
                  "pair cocycle conditions")
     # (x0, x1, (y0, y1)) in the order of the square carrier's pairs
-    vals = (psi0.values.reshape(N, 1, N * N, A.rank)
-            + psi1.values.reshape(1, N, N * N, A.rank))
+    vals = kernels.add_mod(psi0.values.reshape(N, 1, N * N, A.rank),
+                           psi1.values.reshape(1, N, N * N, A.rank), A.factors)
     return Cochain(N * N, 2, A, vals.reshape(-1, A.rank),
                    base=g_functor(T0, T1, verify=False))
 
@@ -476,9 +480,9 @@ def power_cocycle(phi: Cochain, op: OpTable, n: int,
     cur = x
     total = np.zeros((N * N, A.rank), dtype=np.int64)
     for _ in range(n):
-        total += phi.values[(cur * N + y).ravel()]
+        total = kernels.add_mod(total, phi.values[(cur * N + y).ravel()], A.factors)
         cur = s[cur, y]
-    return Cochain(N, 2, A, A.reduce(total), base=power_op(op, n, verify=False))
+    return Cochain(N, 2, A, total, base=power_op(op, n, verify=False))
 
 
 # ---------------------------------------------------------------------------

@@ -242,8 +242,11 @@ def _cheapest_slot(system) -> int:
     slots, N = S.shape
     least, power = _least_in_orbit((S + N * np.arange(slots)[:, None]).ravel(),
                                    N.bit_length())
-    # the power maps onto the periodic points, and `least` names each one's cycle
-    cycles = np.bincount(np.unique(least[power]) // N, minlength=slots)
+    # the power maps onto the periodic points, and `least` names each one's
+    # cycle; flatnonzero of the bincount lists the distinct names, as
+    # np.unique would without loading numpy.ma
+    cycles = np.bincount(np.flatnonzero(np.bincount(least[power])) // N,
+                         minlength=slots)
     return int(np.argmin(cycles))
 
 

@@ -30,13 +30,16 @@ forms: table entries 0..N-1, one byte up to N = 256, and for a cocycle law
 sums of two residues, 0..2d-2, in at least 1 + log2(d) bits.  Each side of
 a cocycle law is reduced into 0..d-1 without overflow: s = a + b fits, and
 s - d wraps past s exactly when s < d, so min(s, s - d) is s mod d.  The
-comparison is exact for every modulus up to 2^63 - 1.
+comparison is exact for every modulus up to 2^63 - 1.  `add_mod` is the same
+sum for the cochain builders of `cocycles`, formed in uint64.
 
 Scans return the flat index of the first failing tuple in lexicographic
 order (first coordinate most significant), or -1 when the law holds.
 Cocycle laws compare modulo d.  `_scan(law, jobs)` splits the range of the
 first coordinate over `jobs` threads, each with its own buffers; the exchange
-and compatibility scans take `jobs` from their callers.
+and compatibility scans take `jobs` from their callers.  The thread pool is
+imported only on that `jobs > 1` branch: `concurrent.futures` loads
+`logging` and `queue`, a few milliseconds of every process's start-up.
 
 A law reads its tail z only through columns: the column of opz, of each act
 and of cz at z.  Tails whose columns are all equal form a class, and the law
@@ -76,7 +79,6 @@ array, a digit column at a time, by broadcasting.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -252,9 +254,29 @@ def _narrow(law):
 
 
 def _reduce(s, d, tmp):
-    """s mod d in place, for s in 0..2d-2 in `_narrow`'s dtype."""
-    np.subtract(s, s.dtype.type(d), out=tmp)
+    """s mod d in place, for s in 0..2d-2 in an unsigned dtype that holds
+    2d - 1, such as `_narrow`'s; d is a modulus or moduli that broadcast
+    against s."""
+    np.subtract(s, np.asarray(d, s.dtype), out=tmp)
     np.minimum(s, tmp, out=s)
+
+
+def add_mod(a, b, d):
+    """(a + b) mod d as int64, exactly, for int64 residues a and b in
+    0..d-1 and moduli d up to 2^63 - 1 that broadcast against the last axis
+    of a + b: the one sum of residues of the cochain builders.  The sum is
+    formed in uint64, where two residues cannot wrap, and `_reduce` brings
+    it into 0..d-1 a block of at most `_SLAB` entries at a time, so that
+    the scratch it holds beside the sum stays one block."""
+    s = np.add(np.asarray(a, np.int64).view(np.uint64),
+               np.asarray(b, np.int64).view(np.uint64))
+    rows = s.reshape(-1, max(1, s.shape[-1]) if s.ndim else 1)
+    step = max(1, _SLAB // rows.shape[1])
+    tmp = np.empty((min(step, len(rows)), rows.shape[1]), np.uint64)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        _reduce(block, d, tmp[:len(block)])
+    return s.view(np.int64)
 
 
 def _head_sums(law, c0, c1, t):
@@ -413,6 +435,7 @@ def _scan(law, jobs=1):
     if jobs <= 1:
         hit = _scan_range(law, 0, N * per_x)
     else:
+        from concurrent.futures import ThreadPoolExecutor
         bounds = [N * i // jobs * per_x for i in range(jobs + 1)]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             hits = list(pool.map(lambda i: _scan_range(law, bounds[i], bounds[i + 1]),

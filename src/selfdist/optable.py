@@ -439,7 +439,8 @@ def _generating_set(C: np.ndarray, ident: int) -> list:
             have = np.flatnonzero(reached)
             products = np.concatenate((C[np.ix_(frontier, have)].ravel(),
                                        C[np.ix_(have, frontier)].ravel()))
-            frontier = np.unique(products[~reached[products]])
+            # the new products, sorted and distinct; np.unique would load numpy.ma
+            frontier = np.flatnonzero(np.bincount(products[~reached[products]]))
     return gens
 
 

@@ -948,8 +948,11 @@ def writer_rows():
 @pytest.mark.parametrize("zero_weights", [False, True])
 def test_writer_row_path_matches_json_dumps(chunk, zero_weights, monkeypatch):
     # with all-zero weights every key collides: each piece holds a row that
-    # differs from its key's representative and is written by label lookup
+    # differs from its key's representative and is written by label lookup.
+    # The edges of the row path's shape are tested on small arrays, so the
+    # size floor is lifted here; test_writer_row_floor keeps it.
     monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_ROWS_MIN", 0)
     if zero_weights:
         monkeypatch.setattr(cli, "_row_weights",
                             lambda width: np.zeros(width, np.int64))
@@ -964,6 +967,25 @@ def test_writer_row_path_matches_json_dumps(chunk, zero_weights, monkeypatch):
             assert same
             if not zero_weights:
                 assert any(g is not None for g in grouped) == takes_rows
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_writer_row_floor(chunk, monkeypatch):
+    # a table of repeated rows takes the row path from _ROWS_MIN entries on,
+    # and is looked up below; the bytes are json's on both sides of the floor
+    monkeypatch.setattr(cli, "JSON_CHUNK", chunk)
+    grouped = []
+    group = cli._repeated_rows
+    monkeypatch.setattr(cli, "_repeated_rows",
+                        lambda rows: grouped.append(group(rows)) or grouped[-1])
+    row = np.roll(np.arange(20), 3)
+    for length in (cli._ROWS_MIN - 1, cli._ROWS_MIN, cli._ROWS_MIN + 1):
+        entries = np.resize(row, length)
+        grouped.clear()
+        obj = {"table": entries}
+        same = written(obj) == json.dumps(obj, indent=2, default=plain) + "\n"
+        assert same
+        assert [g is not None for g in grouped] == ([True] if length >= cli._ROWS_MIN else [])
 
 
 def test_writer_row_path_keeps_the_label_path_peak(monkeypatch):
@@ -1003,6 +1025,74 @@ def test_cli_import_leaves_numpy_random_out(run_fresh):
                             "if m.startswith('numpy.random')))"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_the_deferred_modules_out(run_fresh):
+    # the package and the CLI load linear, cocycles, enumeration and braid
+    # on first use, and kernels its thread pool only for --jobs above 1
+    proc = run_fresh(["-c", "import sys\n"
+                            "before = set(sys.modules)\n"
+                            "import selfdist, selfdist.cli\n"
+                            "print(sorted(m for m in set(sys.modules) - before if m in ("
+                            "'selfdist.linear', 'selfdist.cocycles', 'selfdist.enumeration', "
+                            "'selfdist.braid', 'concurrent.futures')))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# one command of each family, and each construct branch that imports a
+# deferred module, with the exit status each has today
+FRESH_COMMANDS = [
+    (0, ["check", "axioms", "dih5"]),
+    (1, ["check", "axioms", "plus3"]),
+    (2, ["check", "axioms", "broken"]),
+    (0, ["check", "cocycle", "triv3", "psi"]),
+    (0, ["construct", "heap", "--group", "cyclic:6"]),
+    (0, ["construct", "extend", "--op", "triv3", "--cochain", "zero"]),
+    (0, ["construct", "twist", "--op", "T5", "--star", "dih5", "--word", "1,1"]),
+    (0, ["homology", "--op", "dih5", "--degree", "2"]),
+    (0, ["cohomology", "--op", "dih3", "--degree", "2", "--coeff", "3"]),
+    (0, ["cocycle", "three-from-ses", "--op", "triv3", "--cochain", "psi",
+         "--ses", "cyclic:3,3"]),
+    (0, ["chainmap", "verify", "--pair", "dih3", "dih3"]),
+    (1, ["braid", "relations", "--op", "plus3", "--strands", "3"]),
+    (0, ["linear", "heap", "--group", "cyclic:3", "--field", "5"]),
+    (0, ["enumerate", "--size", "3", "--kind", "quandle"]),
+]
+
+
+@pytest.mark.parametrize("code,argv", FRESH_COMMANDS,
+                         ids=[f"{' '.join(argv[:2])}-{code}" for code, argv in FRESH_COMMANDS])
+def test_command_in_a_fresh_process(code, argv, files, run_fresh, capsys):
+    # a fresh process loads only what the command imports, so a handler
+    # that misses an import fails here and nowhere else
+    argv = ["--format", "json"] + [files.get(a, a) for a in argv]
+    assert main(argv) == code
+    here = capsys.readouterr().out
+    proc = run_fresh(["-m", "selfdist.cli"] + argv)
+    assert proc.returncode == code, proc.stderr
+    seconds = re.compile(r'"seconds": [0-9.e+-]+')
+    assert seconds.sub("", proc.stdout) == seconds.sub("", here)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "heap", "--group", "cyclic:6"],
+    ["homology", "--op", "dih5", "--degree", "2"],
+])
+def test_command_leaves_numpy_ma_unloaded(argv, files, run_fresh):
+    # numpy 1.x loads numpy.ma on import, so compare with import numpy alone
+    argv = [files.get(a, a) for a in argv]
+    proc = run_fresh(["-c", "import contextlib, io, json, sys\n"
+                            "import numpy\n"
+                            "before = 'numpy.ma' in sys.modules\n"
+                            "from selfdist.cli import main\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            "    code = main(%r)\n"
+                            "print(json.dumps([code, before, 'numpy.ma' in sys.modules]))"
+                            % (argv,)])
+    assert proc.returncode == 0, proc.stderr
+    code, before, after = json.loads(proc.stdout)
+    assert code == 0 and after == before
 
 
 def test_writer_long_list_spans_chunks():

@@ -1133,3 +1133,88 @@ def test_projection_op_extension_class_count():
                     for f, inv in maps)
         seen.add(canon)
     assert len(seen) == order == 256
+
+
+# ---------------------------------------------------------------------------
+# residue sums past 2^62, against Python-int oracles
+
+BIG_FACTORS = [(2 ** 62 + 1,), (2 ** 63 - 25,), (2 ** 63 - 1,), (2, 2 ** 63 - 1)]
+
+
+def big_cochain(rng, size, nargs, factors):
+    """Residues mostly within 3 of each factor's top, where a sum of two
+    wraps int64, and otherwise anywhere."""
+    return Cochain(size, nargs, factors, [
+        [f - 1 - rng.randrange(min(f, 3)) if rng.random() < 0.8 else rng.randrange(f)
+         for f in factors] for _ in range(size ** nargs)])
+
+
+def summed(factors, *terms):
+    """The residue row of the sum of residue rows, in Python ints."""
+    return [sum(col) % f for col, f in zip(zip(*terms), factors)]
+
+
+def ternary_pair_oracle(phi0, phi1, op0):
+    N, t = op0.size, op0.table.tolist()
+    p0, p1 = phi0.values.tolist(), phi1.values.tolist()
+    return [summed(phi0.coeff.factors, p0[x * N + y], p1[t[x * N + y] * N + z])
+            for x, y, z in itertools.product(range(N), repeat=3)]
+
+
+def binary_pair_oracle(psi0, psi1, N):
+    s0, s1 = psi0.values.tolist(), psi1.values.tolist()
+    return [summed(psi0.coeff.factors, s0[(x0 * N + y0) * N + y1], s1[(x1 * N + y0) * N + y1])
+            for x0, x1, y0, y1 in itertools.product(range(N), repeat=4)]
+
+
+def power_oracle(phi, op, n):
+    N, t, p = op.size, op.table.tolist(), phi.values.tolist()
+    out = []
+    for x, y in itertools.product(range(N), repeat=2):
+        terms, cur = [], x
+        for _ in range(n):
+            terms.append(p[cur * N + y])
+            cur = t[cur * N + y]
+        out.append(summed(phi.coeff.factors, [0] * phi.coeff.rank, *terms))
+    return out
+
+
+@pytest.mark.parametrize("factors", BIG_FACTORS)
+def test_passages_sum_residues_exactly(factors):
+    rng = random.Random(repr(factors))
+    R3, A3 = dih3(), affine_op(3, 2, (1,))
+    T0, T1 = affine_op(3, 3, (1, 1)), affine_op(3, 3, (2, 2))
+    phi0, phi1 = (big_cochain(rng, 3, 2, factors) for _ in range(2))
+    psi0, psi1 = (big_cochain(rng, 3, 3, factors) for _ in range(2))
+    got = ternary_cocycle_from_pair(phi0, phi1, R3, A3, verify=False)
+    assert got.values.tolist() == ternary_pair_oracle(phi0, phi1, R3)
+    got = binary_cocycle_from_ternary_pair(psi0, psi1, T0, T1, verify=False)
+    assert got.values.tolist() == binary_pair_oracle(psi0, psi1, 3)
+    for n in (0, 1, 2, 3, 5):
+        assert power_cocycle(phi0, R3, n, verify=False).values.tolist() == \
+            power_oracle(phi0, R3, n)
+    # the round trips compose the two passages, each checked above
+    got = doubled_binary_cocycle(phi0, phi1, R3, A3, verify=False)
+    psi = ternary_cocycle_from_pair(phi0, phi1, R3, A3, verify=False)
+    assert got.values.tolist() == binary_pair_oracle(psi, psi, 3)
+    got = doubled_ternary_cocycle(psi0, psi1, T0, T1, verify=False)
+    phi = binary_cocycle_from_ternary_pair(psi0, psi1, T0, T1, verify=False)
+    assert got.values.tolist() == ternary_pair_oracle(phi, phi, phi.base)
+
+
+@pytest.mark.parametrize("d", [2 ** 62 + 1, 2 ** 63 - 25, 2 ** 63 - 1])
+def test_checked_passages_of_a_top_cochain(d):
+    # phi = d - 1 passes every hypothesis; int64 sums of it wrapped
+    R3 = dih3()
+    phi = Cochain(3, 2, d, [d - 1] * 9)
+    assert ternary_cocycle_from_pair(phi, phi, R3, R3).values.ravel().tolist() == [d - 2] * 27
+    assert power_cocycle(phi, R3, 2).values.ravel().tolist() == [d - 2] * 9
+    assert power_cocycle(phi, R3, 3).values.ravel().tolist() == [d - 3] * 9
+    assert doubled_binary_cocycle(phi, phi, R3, R3).values.ravel().tolist() == [d - 4] * 81
+
+
+def test_index_array_refuses_orders_past_int64():
+    assert AbGroup((2 ** 63 - 1,)).index_array(np.array([[2 ** 63 - 2]])).tolist() == [2 ** 63 - 2]
+    for factors in ((2 ** 40, 2 ** 40), (2, 2 ** 62), (2 ** 63 - 1, 3)):
+        with pytest.raises(InputError, match="past int64"):
+            AbGroup(factors).index_array(np.zeros((1, 2), np.int64))
