@@ -38,7 +38,6 @@ import re
 import sys
 import time
 import traceback
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,7 +76,8 @@ _SCALARS = frozenset((int, float, str, bool, type(None)))
 def _json_default(value):
     """Numpy values as the Python values they hold, and fractions as text;
     the encoders' fallback."""
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")    # loaded with `linear` only
+    if fractions and isinstance(value, fractions.Fraction):
         return str(value)
     if isinstance(value, np.ndarray):
         return value.tolist()

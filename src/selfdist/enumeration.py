@@ -399,24 +399,32 @@ def _relabelings(tables: np.ndarray, size: int, arity: int):
             yield lo, t, chunk.ravel()[tables[t:t + rows, src] + offsets]
 
 
-def _check_iso_size(size: int):
-    if size > limits.ISO_SIZE_LIMIT:
-        raise InputError(
-            f"refusing isomorphism search over {size}! relabelings "
-            f"(carrier size limit {limits.ISO_SIZE_LIMIT})")
-
-
 def _check_iso_shape(op_a: OpTable, op_b: OpTable):
     if op_a.size != op_b.size or op_a.arity != op_b.arity:
         raise InputError(
             f"shape mismatch: size {op_a.size} arity {op_a.arity} vs "
             f"size {op_b.size} arity {op_b.arity}")
-    _check_iso_size(op_a.size)
+
+
+def _charge_relabelings(count: int, size: int, arity: int) -> None:
+    """Charge relabeling `count` tables along all N! permutations, before
+    any is listed (see `limits`).  A listed permutation takes 0.5 us and
+    up to 160 bytes, overpriced so that 9 points are refused; a block
+    holds 27 bytes an entry, and the uint8 tables are held twice."""
+    perms = math.factorial(min(size, 21))       # 21! passes 2^64
+    entries = size ** arity                     # the tables exist
+    what = f"isomorphism search over {count} x {size}! relabelings"
+    limits.charge_steps(19 * perms + count * perms * entries // 12, what)
+    limits.charge_bytes(160 * perms + 2 * count * entries
+                        + 32 * max(ISO_BLOCK_ENTRIES, entries), what)
 
 
 def find_isomorphism(op_a: OpTable, op_b: OpTable):
-    """Lexicographically first relabeling carrying op_a to op_b, or None."""
+    """Lexicographically first relabeling carrying op_a to op_b, or None.
+    Refuses tables of two shapes, and before any work, relabelings over the
+    budgets of `limits`, as on 9 or more points."""
     _check_iso_shape(op_a, op_b)
+    _charge_relabelings(1, op_a.size, op_a.arity)
     target = op_b.table.astype(np.uint8)
     for lo, _, block in _relabelings(op_a.table.astype(np.uint8)[None],
                                      op_a.size, op_a.arity):
@@ -438,7 +446,8 @@ def isomorphism_classes(ops) -> list:
     Each table's key is its canonical form, the lexicographically least of
     its N! relabelings, and two tables are isomorphic exactly when their
     keys agree.  Returns a list of lists of indices into ops, each sorted,
-    ordered by their smallest member.
+    ordered by their smallest member.  Refuses tables of two shapes, and
+    before any work, relabelings over the budgets of `limits`.
     """
     if isinstance(ops, TableStack):
         tables = ops.tables
@@ -450,8 +459,8 @@ def isomorphism_classes(ops) -> list:
     if len(ops) < 2:
         return [[i] for i in range(len(ops))]
     size, arity = ops[0].size, ops[0].arity
-    _check_iso_size(size)
-    tables = np.asarray(tables).astype(np.uint8)
+    _charge_relabelings(len(ops), size, arity)
+    tables = np.array(tables, dtype=np.uint8)
     # a row viewed as one opaque item sorts by its bytes, lexicographically
     row = f"V{size ** arity}"
     least = tables.view(row)[:, 0].copy()

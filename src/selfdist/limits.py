@@ -15,13 +15,14 @@ InputError, which the command line reports with exit status 2:
 
 BYTES counts the arrays one step builds whose size comes from the input:
 the int64 entries of a table, a boundary matrix or a digit grid, the
-values a cocycle passage sums and reduces with its base table, the
-terms a sparse linear map is built from (64 bytes a term), the tables of
-a full scan, the lookup tables of a translation search and each of its
-levels (the partial tables it grows and 48 bytes for each condition it
-checks), the narrow copies and the largest block of a batched scan, the
-Python lists of a dense Smith reduction (8 bytes an entry), and the int64
-columns of the braid action and of its images.  Its value is the 20M int64
+values a cocycle passage sums and reduces with its base table, the terms a
+sparse linear map is built from (64 bytes a term), the tables of a full
+scan, the lookup tables of a translation search and each of its levels
+(the partial tables it grows and 48 bytes for each condition it checks),
+the narrow copies and the largest block of a batched scan, the Python
+lists of a dense Smith reduction (8 bytes an entry), the int64 columns of
+the braid action and of its images, and the permutations, tables and
+largest block of an isomorphism search.  Its value is the 20M int64
 entries of the boundary matrix cap it replaced, so every homology verdict
 stands; it admits a table of 20M entries.  A step holds a few temporaries
 of about the charged size besides (operands, gathers, the JSON list of a
@@ -54,21 +55,16 @@ steps a tail for the grouping); a law's builder first charges the least
 any scan of it can cost, one class, so a huge arity is refused before the
 law is built.  The braid action charges 150 steps for each relation it
 checks and 25 for each letter of a twist, plus one step per tuple or tail
-each one gathers and, for a relation, one per strand.  At 40 ns a step the
-translation search spends all of STEPS in about a third of a second, so
-every refusal and every accepted run stays short.
-
-ISO_SIZE_LIMIT bounds the carrier size of isomorphism searches.  It stays
-a size, not a step count: the N! relabelings of one table cost N! * N^k
-entries, and no single step budget both refuses one size-9 binary table
-(9! * 81, about 29M) and accepts four size-8 ternary ones (4 * 8! * 512,
-about 82M).
-"""
+each one gathers and, for a relation, one per strand.  An isomorphism
+search charges 19 steps for each of the N! permutations it lists and one
+per 12 entries it relabels, N! N^k a table: four ternary tables on 8
+points take 7.6M steps, and one binary table on 9 points 9.3M.  At 40 ns
+a step the translation search spends all of STEPS in about a third of a
+second, so every refusal and every accepted run stays short."""
 from __future__ import annotations
 
 BYTES = 160_000_000
 STEPS = 1 << 23
-ISO_SIZE_LIMIT = 8                # carrier size for canonical forms
 
 
 class InputError(ValueError):

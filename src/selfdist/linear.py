@@ -27,15 +27,16 @@ demand.
 
 Every step is charged to the budgets of `limits` before it allocates: the
 products of a gather or tensor product and the entries of any dense array
-to BYTES.  The distributivity check is charged up front with the bound of
-the dense contraction it replaced: 16 bytes for each of the d^(2n) entries
-of its two sides, and its term combinations times block entries in STEPS.
-It then runs over blocks of tails, so that its gathers stay small: about
-_BLOCK products each, or one tail's where that is more.  A map whose dense
-shape (rows times columns) does not fit int64 is refused as well, since
-entries are keyed by their flat position, and so is a prime whose residue
-products (p-1)^2 do not fit int64, since products are reduced only after
-they are formed.
+to BYTES.  The distributivity check is charged up front in STEPS with the
+bound of the dense contraction it replaced, its term combinations times
+block entries.  It then runs over blocks of tails, so that its gathers
+stay small: about _BLOCK products each, or one tail's where that is more.
+A map whose dense shape (rows times columns) does not fit int64 is
+refused as well, since entries are keyed by their flat position, and so
+is a field whose residue products (p-1)^2 do not fit int64; each product
+is reduced mod p before any sum.  A failing identity between two maps
+reports the first basis input in lexicographic order where they differ,
+then its first differing row: their difference's first entry.
 """
 from __future__ import annotations
 
@@ -265,13 +266,12 @@ class LinMap:
 
     def entry(self, row: int, col: int):
         """One coefficient: an int over F_p, a Fraction over Q."""
-        nrows = self.dim ** self.dst_power
-        key = self.cols * nrows + self.rows
-        i = int(np.searchsorted(key, col * nrows + row))
-        if i < key.size and key[i] == col * nrows + row:
-            v = self.vals[i]
-        else:
-            v = self.field.scalars([0])[0]
+        nrows, ncols = _shape(self.dim, self.src_power, self.dst_power)
+        if not (0 <= row < nrows and 0 <= col < ncols):
+            raise InputError(f"entry ({row}, {col}) is outside a {nrows} x"
+                             f" {ncols} map")
+        hit = self.vals[(self.cols == col) & (self.rows == row)]
+        v = hit[0] if hit.size else self.field.scalars([0])[0]
         return int(v) if self.field.characteristic else v
 
     def _same_space(self, other, what: str):
@@ -439,10 +439,10 @@ def _perm_map(field: Field, dim: int, power: int, target_from_source) -> LinMap:
 
 
 def _mismatch(lhs: LinMap, rhs: LinMap, detail: str) -> CheckResult:
-    """Failure at the first row-major entry where two maps differ."""
+    """Failure at the first basis input where two maps differ, and at its
+    first differing row: the difference's first entry, column-major."""
     diff = lhs + (-rhs)
-    ncols = lhs.dim ** lhs.src_power
-    r, c = divmod(int((diff.rows * ncols + diff.cols).min()), ncols)
+    r, c = int(diff.rows[0]), int(diff.cols[0])
     witness = (r, index_to_tuple(c, lhs.dim, lhs.src_power))
     return CheckResult(False, Counterexample(witness, lhs.entry(r, c),
                                              rhs.entry(r, c)), detail)
@@ -566,25 +566,18 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
     to the n results.  No map has more than 3n-3 target factors (2n-1 for
     n = 2), and no head waits as an identity factor while an earlier group
     is computed.  Both sides are sparse maps out of the (2n-1)-th power,
-    computed over blocks of tails; a failure reports the first row-major
-    entry over all blocks.  The up-front charges are the bound of the dense
-    contraction this replaced, so every input that one refused is still
-    refused before any work.
+    computed over blocks of tails; a failure reports the least failing
+    basis input over all blocks, then its first differing row.  The
+    up-front STEPS charge is the bound of the dense contraction this
+    replaced, so every input that one refused is still refused before any
+    work; each map built is charged to BYTES as it is built.
     """
     com, n, w = obj.comonoid, obj.arity, obj.w
     d, field = com.dim, com.field
     p = field.characteristic
-    # the dense contraction's bound: its two sides
-    limits.charge_bytes(16 * limits.power(d, 2 * n),
-                        f"a distributivity check at dimension {d}")
-    # and its sums of d + 1 products of residues
-    if p and (d + 1) * (p - 1) ** 2 > _INT64_MAX:
-        raise InputError(
-            f"refusing a distributivity check at dimension {d} over F_{p}:"
-            " sums of d + 1 products (p-1)^2 must fit int64")
     delta = com.delta_n(n)
-    # and its term combinations, each a d x d^n block contracted at about
-    # a step an entry over F_p, or n d^(n+2) Fraction multiply-adds over Q
+    # the dense contraction's term combinations, each a d x d^n block at
+    # about a step an entry over F_p, or n d^(n+2) Fraction products over Q
     combos = delta.nnz ** (n - 1)
     limits.charge_steps(
         combos * d ** (n + 1) if p else combos * n * d ** (n + 2) * _FRACTION_STEPS,
@@ -609,7 +602,7 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
     # gather if nothing cancels: the heads and copies of the expanded right
     # side, times the terms of a column of w for each of the last two
     # operations
-    tails, size = d ** (n - 1), d ** (2 * n - 1)
+    tails = d ** (n - 1)
     terms = int(np.bincount(w.cols).max()) if w.nnz else 1
     per = -(-tails * _BLOCK // (combos * d ** n * terms ** 2))
     found = None
@@ -628,13 +621,13 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
         rhs = (_act(_act(rhs, w_last, n - 1), w, 0) if outer is None
                else outer @ rhs)
         if lhs != rhs:
-            # the first differing entry, row-major in the usual (heads,
+            # the first differing entry, column-major in the usual (heads,
             # tails) order of the inputs
             diff = lhs + (-rhs)
             tail, head = np.divmod(diff.cols, d ** n)
-            key = int((diff.rows * size + head * tails + tail).min())
+            key = int(((head * tails + tail) * d + diff.rows).min())
             if found is None or key < found[0]:
-                r, c = divmod(key, size)
+                c, r = divmod(key, d)
                 head, tail = divmod(c, tails)
                 c_here = tail * d ** n + head
                 found = key, CheckResult(False, Counterexample(

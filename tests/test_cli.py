@@ -1095,6 +1095,25 @@ def test_command_leaves_numpy_ma_unloaded(argv, files, run_fresh):
     assert code == 0 and after == before
 
 
+def test_cli_leaves_fractions_unloaded(files, run_fresh):
+    # fractions, and the decimal it loads, come only with linear; compared
+    # with import numpy alone
+    proc = run_fresh(["-c", "import contextlib, io, json, sys\n"
+                            "import numpy\n"
+                            "def loaded():\n"
+                            "    return sorted({'fractions', 'decimal'} & set(sys.modules))\n"
+                            "before = loaded()\n"
+                            "import selfdist, selfdist.cli\n"
+                            "imported = loaded()\n"
+                            "with contextlib.redirect_stdout(io.StringIO()):\n"
+                            "    code = selfdist.cli.main(['check', 'axioms', %r])\n"
+                            "print(json.dumps([code, before, imported, loaded()]))"
+                            % files["dih5"]])
+    assert proc.returncode == 0, proc.stderr
+    code, before, imported, ran = json.loads(proc.stdout)
+    assert code == 0 and before == imported == ran
+
+
 def test_writer_long_list_spans_chunks():
     table = list(range(300)) * (cli.JSON_CHUNK // 150 + 1)
     assert len(table) > 2 * cli.JSON_CHUNK

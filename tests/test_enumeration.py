@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -966,3 +968,122 @@ def test_isomorphism_guardrails():
         find_isomorphism(projection_op(3, 2), projection_op(2, 2))
     with pytest.raises(InputError):
         find_isomorphism(projection_op(9, 2), projection_op(9, 2))
+
+
+def _random_tables(count, size, arity, seed):
+    rng = np.random.default_rng(seed)
+    return [OpTable(size, arity, rng.integers(0, size, size ** arity))
+            for _ in range(count)]
+
+
+def test_isomorphism_search_is_refused_before_relabeling(monkeypatch):
+    # 200 binary tables on 8 points: 200 * 8! * 64 relabeled entries, 43M
+    # steps with the 8! listed permutations, refused before any is listed
+    called = []
+    monkeypatch.setattr(enumeration, "_permutations",
+                        lambda size: called.append(size))
+    ops = _random_tables(200, 8, 2, 200)
+    need = 200 * math.factorial(8) * 64 // 12 + 19 * math.factorial(8)
+    for tables in (ops, TableStack(8, 2, [op.table for op in ops])):
+        with pytest.raises(InputError, match=(
+                "refusing isomorphism search over 200 x 8! relabelings:"
+                f" needs {need} steps, budget {limits.STEPS}")):
+            isomorphism_classes(tables)
+    # one binary table on 9 points: listing 9! permutations and relabeling
+    # the table along each
+    with pytest.raises(InputError, match="needs 9344160 steps"):
+        find_isomorphism(projection_op(9, 2), projection_op(9, 2))
+    assert called == []
+
+
+def test_isomorphism_search_charges(monkeypatch):
+    # 19 steps a permutation and one per 12 relabeled entries; in bytes 160
+    # a permutation, the uint8 tables twice and 32 an entry of a block of
+    # ISO_BLOCK_ENTRIES
+    racks = enumerate_racks(4, 2)
+    block = 32 * enumeration.ISO_BLOCK_ENTRIES
+    for call, steps, size in (
+            (lambda: isomorphism_classes(racks), 114 * 24 * 16 // 12 + 19 * 24,
+             160 * 24 + 2 * 114 * 16 + block),
+            (lambda: find_isomorphism(racks[0], racks[1]), 24 * 16 // 12 + 19 * 24,
+             160 * 24 + 2 * 16 + block)):
+        for budget, need, unit in (("STEPS", steps, "steps"),
+                                   ("BYTES", size, "bytes")):
+            monkeypatch.setattr(limits, budget, need)
+            call()
+            monkeypatch.setattr(limits, budget, need - 1)
+            with pytest.raises(InputError, match=f"needs {need} {unit}"):
+                call()
+            monkeypatch.undo()
+
+
+def test_isomorphism_charge_covers_its_arrays(monkeypatch):
+    # the permutation list, listed afresh, the uint8 tables and the largest
+    # block stay within the bytes charged; the allowance is for the few
+    # Python objects of a call
+    charged = []
+    charge = limits.charge_bytes
+    monkeypatch.setattr(limits, "charge_bytes",
+                        lambda need, what: charged.append(need) or charge(need, what))
+    racks, wide = enumerate_racks(5, 2), _random_tables(3, 2, 20, 2)
+    a, b = _random_tables(2, 7, 3, 7)
+    for call in (lambda: isomorphism_classes(racks),
+                 lambda: isomorphism_classes(wide),
+                 lambda: find_isomorphism(a, b)):
+        enumeration._permutations.cache_clear()
+        charged.clear()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= charged[-1] + 64 * 1024, (peak, charged)
+
+
+def test_isomorphism_charge_calibration(monkeypatch):
+    # seconds per charged step, best of three, on the inputs of classes
+    # that charge at least 2000 steps (below that the fixed cost of a call
+    # dominates) and on the 8-point cases of
+    # test_size_8_ternary_through_blocks: every rate lies within a factor 3
+    # of their median (60-180 ns a step on a 2-core Xeon).  Listing the 8!
+    # permutations lies at or below that band (about 30 ns a step there):
+    # 19 steps a permutation overprices it, so that every search on 9
+    # points stays refused.
+    charged = []
+    charge = limits.charge_steps
+    monkeypatch.setattr(limits, "charge_steps",
+                        lambda need, what: charged.append(need) or charge(need, what))
+    heap = heap_op(cyclic_group(8))
+    a = relabel(heap, (3, 1, 4, 0, 7, 5, 2, 6))
+    other = relabel(heap_op(dihedral_group(4)), (1, 0, 3, 2, 5, 4, 7, 6))
+    order6 = [projection_op(6, 2), core_quandle(cyclic_group(6)),
+              conj_quandle(symmetric_group(3)), core_quandle(symmetric_group(3))]
+    rng = np.random.default_rng(6)
+    copies = [relabel(q, rng.permutation(6)) for q in order6 for _ in range(3)]
+    inputs = {"racks on 4": enumerate_racks(4, 2),
+              "affine racks mod 5": enumerate_affine(5, 3, "rack"),
+              "copies of order 6": copies,
+              "racks on 5": enumerate_racks(5, 2),
+              "quandles on 5": enumerate_racks(5, 2, "quandle"),
+              "4 ternary on 8": [a, other, heap, a]}
+    calls = {name: functools.partial(isomorphism_classes, ops)
+             for name, ops in inputs.items()}
+    calls["no isomorphism on 8"] = functools.partial(find_isomorphism, a, other)
+    # the permutation list is cached, so the searches above list none
+    calls["listing 8!"] = lambda: (charged.append(19 * math.factorial(8)),
+                                   enumeration._permutations.__wrapped__(8))
+    rates = {}
+    for name, call in calls.items():
+        best = math.inf
+        for _ in range(3):
+            charged.clear()
+            start = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - start)
+        rates[name] = best / charged[-1]
+    ns = {name: round(r * 1e9) for name, r in rates.items()}
+    listing = rates.pop("listing 8!")
+    median = float(np.median(list(rates.values())))
+    assert all(median / 3 <= r <= 3 * median for r in rates.values()), ns
+    assert listing <= 3 * median, ns

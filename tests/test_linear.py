@@ -262,8 +262,10 @@ def test_perturbed_entry_fails_with_witness():
     obj = SDObject(heap.comonoid, 3, LinMap(F3, 2, 3, 1, bad), verify=False)
     res = check_nary_sd(obj)
     assert not res.holds
-    assert res.counterexample.witness == (0, (1, 1, 1, 0, 1))
-    assert (res.counterexample.lhs, res.counterexample.rhs) == (1, 2)
+    # the first failing input: W(2 e0, e0, e1) = 2 e1 against
+    # W(e1, e1, e1) = e1, which differ first in row 1
+    assert res.counterexample.witness == (1, (0, 0, 0, 0, 1))
+    assert (res.counterexample.lhs, res.counterexample.rhs) == (2, 1)
     assert "self-distributivity" in res.detail
     with pytest.raises(PreconditionError):
         SDObject(heap.comonoid, 3, LinMap(F3, 2, 3, 1, bad))
@@ -675,6 +677,17 @@ def test_sparse_storage_is_canonical():
                                     [0, 1, 0, 0], [0, 0, 0, 1]]
 
 
+def test_entry_refuses_positions_outside_the_map():
+    # entries are keyed column * rows + row, so row 2 of column 0 would
+    # read row 0 of column 1
+    m = LinMap(F5, 2, 1, 1, [[1, 2], [3, 4]])
+    assert [m.entry(r, c) for r in range(2) for c in range(2)] == [1, 2, 3, 4]
+    for r, c in ((2, 0), (-1, 0), (0, 5), (0, -1), (0, 2)):
+        with pytest.raises(InputError, match="outside a 2 x 2 map"):
+            m.entry(r, c)
+    assert LinMap(F0, 2, 1, 0, [[0, 1]]).entry(0, 1) == Fraction(1)
+
+
 def test_budget_is_charged_before_allocation(monkeypatch):
     ident = LinMap.identity(F2, 2, 20)          # 2^20 entries, sparse
     with pytest.raises(InputError, match="dense matrix"):
@@ -801,19 +814,15 @@ def iterated_conj_table(g):
     return conj[conj[x, y], z].ravel()
 
 
-def basis_op(com, table, field):
-    d = com.dim
-    w = np.zeros((d, d ** 3), np.int64)
-    w[np.asarray(table), np.arange(d ** 3)] = 1
-    return SDObject(com, 3, LinMap(field, d, 3, 1, w), verify=False)
-
-
-def table_sides(table, d):
-    # both sides of ternary distributivity on every basis 5-tuple
-    T = np.asarray(table).reshape(d, d, d)
-    x1, x2, x3, y1, y2 = np.indices((d,) * 5).reshape(5, -1)
-    lhs = T[T[x1, x2, x3], y1, y2]
-    rhs = T[T[x1, y1, y2], T[x2, y1, y2], T[x3, y1, y2]]
+def table_sides(op):
+    # both sides of k-ary distributivity on every basis (2k - 1)-tuple of
+    # heads x and tails y, in lexicographic order
+    d, k = op.size, op.arity
+    T = np.asarray(op.table).reshape((d,) * k)
+    digits = np.indices((d,) * (2 * k - 1)).reshape(2 * k - 1, -1)
+    x, y = digits[:k], tuple(digits[k:])
+    lhs = T[(T[tuple(x)],) + y]
+    rhs = T[tuple(T[(xi,) + y] for xi in x)]
     return lhs, rhs
 
 
@@ -830,57 +839,70 @@ def test_hopf_objects_agree_with_table_scans(g):
         assert check_nary_sd(obj).holds
     # one seeded perturbed entry in each table: the verdicts agree (a
     # perturbed projection can stay distributive, a perturbed heap cannot)
-    d = g.size
     for name, table in (("heap", heap_op(g).table),
                         ("conj", iterated_conj_table(g))):
-        rng = random.Random(0xA7C + d)
-        bad = np.array(table)
-        pos = rng.randrange(d ** 3)
-        bad[pos] = (bad[pos] + rng.randrange(1, d)) % d
-        res = check_nary_sd(basis_op(com, bad, field))
-        scan = is_nary_distributive(OpTable(d, 3, bad))
+        bad = perturbed(OpTable(g.size, 3, table), random.Random(0xA7C + g.size))
+        lin = linearized(bad, field)
+        assert lin.comonoid == com      # the group algebra's comonoid
+        res = check_nary_sd(lin)
+        scan = is_nary_distributive(bad)
         assert res.holds == scan.holds
-        assert res.holds or witnesses_agree(res, scan, bad, d)
+        assert res.holds or witnesses_agree(res, scan, bad)
         assert name != "heap" or not res.holds
 
 
-def witnesses_agree(res, scan, bad, d):
-    # the first failing tuple in lexicographic order is the scan's witness;
-    # the first row-major entry of the basis-level difference, decoded from
-    # the same table sides, is the linear check's witness
-    lhs, rhs = table_sides(bad, d)
-    failing = np.flatnonzero(lhs != rhs)
-    assert tuple(scan.counterexample.witness) == tuple(
-        int(v) for v in np.unravel_index(failing[0], (d,) * 5))
-    row = int(np.minimum(lhs[failing], rhs[failing]).min())
-    col = int(failing[(lhs[failing] == row) | (rhs[failing] == row)][0])
-    want = (row, tuple(int(v) for v in np.unravel_index(col, (d,) * 5)))
-    assert res.counterexample.witness == want
+def perturbed(op, rng):
+    # one entry moved to another point
+    d = op.size
+    table = np.array(op.table)
+    pos = rng.randrange(table.size)
+    table[pos] = (table[pos] + rng.randrange(1, d)) % d
+    return OpTable(d, op.arity, table)
+
+
+def witnesses_agree(res, scan, op):
+    # the scan's witness is the first failing tuple in lexicographic order,
+    # and over k[X] the linear check's is the same basis input: its sides
+    # are the basis vectors of the scan's two values, which differ first in
+    # the row of the lesser one
+    lhs, rhs = table_sides(op)
+    first = int(np.flatnonzero(lhs != rhs)[0])
+    cex = scan.counterexample
+    assert tuple(cex.witness) == tuple(
+        int(v) for v in np.unravel_index(first, (op.size,) * len(cex.witness)))
+    assert (cex.lhs, cex.rhs) == (lhs[first], rhs[first])
+    row = min(cex.lhs, cex.rhs)
+    assert res.counterexample.witness == (row, tuple(cex.witness))
     assert (res.counterexample.lhs, res.counterexample.rhs) == (
-        int(lhs[col] == row), int(rhs[col] == row))
+        int(cex.lhs == row), int(cex.rhs == row))
     return True
 
 
 def test_large_prime_check_matches_rationals():
-    # for p = 2^26 - 5 products of residues pass 2^52 but stay exact in
-    # int64; the verdict and witness must be the rational ones reduced mod p
-    p = 67108859
-    Fp = Field(p)
-    for bump in (-2, 3):
-        sides = []
-        for field in (Fp, F0):
-            heap = hopf_heap(z2_hopf(field))
-            bad = np.array(heap.w.matrix)
-            bad[0, 1] = bad[0, 1] + bump
-            sides.append(check_nary_sd(SDObject(heap.comonoid, 3,
-                                                LinMap(field, 2, 3, 1, bad),
-                                                verify=False)))
-        mod_p, rational = sides
-        assert not mod_p.holds and not rational.holds
-        assert mod_p.counterexample.witness == rational.counterexample.witness
-        for got, want in ((mod_p.counterexample.lhs, rational.counterexample.lhs),
-                          (mod_p.counterexample.rhs, rational.counterexample.rhs)):
-            assert got == int(want) % p
+    # products of residues pass 2^52 for p = 2^26 - 5, and for 2^31 - 1 and
+    # 3037000493, the largest prime with (p-1)^2 < 2^63, they come near
+    # 2^62 and 2^63; the verdict and witness must be the rational ones
+    # reduced mod p, on bumps by -2 and 3 at one entry and four seeded ones
+    for p in (67108859, 2 ** 31 - 1, 3037000493):
+        Fp = Field(p)
+        rng = random.Random(p)
+        bumps = [((0, 1), -2), ((0, 1), 3)] + [
+            ((rng.randrange(2), rng.randrange(8)), rng.choice((-3, -2, 2, 3)))
+            for _ in range(4)]
+        for at, bump in bumps:
+            sides = []
+            for field in (Fp, F0):
+                heap = hopf_heap(z2_hopf(field))
+                bad = np.array(heap.w.matrix)
+                bad[at] = bad[at] + bump
+                sides.append(check_nary_sd(SDObject(
+                    heap.comonoid, 3, LinMap(field, 2, 3, 1, bad),
+                    verify=False)))
+            mod_p, rational = sides
+            assert not mod_p.holds and not rational.holds
+            got, want = mod_p.counterexample, rational.counterexample
+            assert got.witness == want.witness
+            assert (got.lhs, got.rhs) == (int(want.lhs) % p, int(want.rhs) % p)
 
 
 def test_primes_beyond_exact_int64_products_are_refused():
@@ -895,12 +917,17 @@ def test_primes_beyond_exact_int64_products_are_refused():
     m = LinMap(F, 1, 1, 1, [[p - 1]])
     assert (m @ m).matrix.tolist() == [[1]]
     assert m.tensor(m).matrix.tolist() == [[1]]
-    # a check sums d + 1 products, which no longer fit for that prime
+    # a check reduces each product before it sums, so it runs for that
+    # prime too
     com = ComonoidObject(1, LinMap(F, 1, 1, 2, [[1]]),
                          LinMap(F, 1, 1, 0, [[1]]))
-    w = LinMap(F, 1, 2, 1, [[1]])
-    with pytest.raises(InputError, match="int64"):
-        check_nary_sd(SDObject(com, 2, w, verify=False))
+    w = LinMap(F, 1, 2, 1, [[p - 1]])
+    res = check_nary_sd(SDObject(com, 2, w, verify=False))
+    assert res.counterexample.witness == (0, (0, 0, 0))
+    assert (res.counterexample.lhs, res.counterexample.rhs) == (1, p - 1)
+    assert check_nary_sd(SDObject(com, 2, LinMap(F, 1, 2, 1, [[1]]))).holds
+    heap = hopf_heap(group_algebra_hopf(cyclic_group(2), Field(2 ** 31 - 1)))
+    assert check_nary_sd(heap).holds
 
 
 # ---------------------------------------------------------------------------
@@ -967,7 +994,8 @@ def test_check_matches_composite_oracle():
                 if trial == 0:
                     assert res.holds
                 if not res.holds:
-                    r, c = (int(v) for v in np.argwhere(lhs != rhs)[0])
+                    # the first differing column, then its first row
+                    c, r = (int(v) for v in np.argwhere((lhs != rhs).T)[0])
                     want = (r, tuple(int(v) for v in
                                      np.unravel_index(c, (d,) * (2 * n - 1))))
                     assert res.counterexample.witness == want
@@ -1021,11 +1049,12 @@ def dense_check_nary_sd(obj):
                 rhs[:, :, tflat] %= p
     if np.array_equal(lhs, rhs):
         return True, None
-    cols = d ** (2 * n - 1)
-    res = linear_mod._mismatch(
-        LinMap(field, d, 2 * n - 1, 1, lhs.reshape(d, cols)),
-        LinMap(field, d, 2 * n - 1, 1, rhs.reshape(d, cols)), "")
-    return False, res.counterexample
+    # the first failing input, in lexicographic order, then its first
+    # differing row
+    lhs, rhs = lhs.reshape(d, -1), rhs.reshape(d, -1)
+    c, r = (int(v) for v in np.argwhere((lhs != rhs).T)[0])
+    inputs = tuple(int(v) for v in np.unravel_index(c, (d,) * (2 * n - 1)))
+    return False, ((r, inputs), lhs[r, c], rhs[r, c])
 
 
 def lie_over(field):
@@ -1110,7 +1139,8 @@ def test_check_matches_dense_contraction_oracle(monkeypatch):
             res = check_nary_sd(obj)
             assert res.holds == holds
             if not holds:
-                assert res.counterexample == witness
+                cex = res.counterexample
+                assert (cex.witness, cex.lhs, cex.rhs) == witness
                 assert res.detail == \
                     "self-distributivity fails on a basis input"
         failing += not holds
@@ -1139,16 +1169,25 @@ def _non_sd_sample(count, seed):
     return [every[i] for i in sorted(random.Random(seed).sample(rows, count))]
 
 
+def _perturbed_sd(size, arity):
+    rng = random.Random(0x5CA7 + size)
+    return [perturbed(op, rng) for op in enumerate_operations(size, arity, "sd")]
+
+
 @pytest.mark.parametrize("tables", [
     lambda: enumerate_operations(2, 2, "all"),
     lambda: enumerate_operations(2, 3, "all"),
     lambda: enumerate_operations(3, 2, "sd"),
     lambda: _non_sd_sample(200, 17),
+    lambda: _perturbed_sd(3, 2),
+    lambda: _perturbed_sd(2, 3),
 ], ids=["2 points arity 2", "2 points arity 3", "SD on 3 points",
-        "non-SD sample on 3 points"])
+        "non-SD sample on 3 points", "perturbed SD on 3 points",
+        "perturbed SD on 2 points arity 3"])
 def test_scan_and_linear_check_agree_on_linearized_tables(tables):
-    # the verdicts only: the linear witness is ordered by output row first
-    ops = list(tables())
-    scan = [bool(is_nary_distributive(op)) for op in ops]
-    linear = [bool(check_nary_sd(linearized(op))) for op in ops]
-    assert linear == scan
+    # the verdicts, and on failure the witnesses
+    for op in tables():
+        scan = is_nary_distributive(op)
+        res = check_nary_sd(linearized(op))
+        assert res.holds == scan.holds
+        assert res.holds or witnesses_agree(res, scan, op)
