@@ -378,25 +378,222 @@ def _permutations(size: int) -> np.ndarray:
     return perms
 
 
-def _relabelings(tables: np.ndarray, size: int, arity: int):
-    """Yield (lo, t, block) covering every table under every permutation.
+@functools.lru_cache(maxsize=None)
+def _relabelers(size: int) -> tuple:
+    """(perms, inverse): `_permutations` and their inverses, read-only rows
+    kept for relabeling.
 
-    tables holds flat tables as uint8 rows.  block[i, p] is row t + i
-    relabeled along permutation lo + p, in itertools order.  A block holds
-    about ISO_BLOCK_ENTRIES entries, so the N! relabelings of a large table
-    never materialize at once.
+    The first call on a size lists them, unless a rack search already
+    has, so it is charged here, before it runs: 19 steps a permutation,
+    about what listing 9! costs (0.32 s on a 2-core Xeon).  Later calls
+    list nothing and are not charged.
     """
+    limits.charge_steps(19 * math.factorial(min(size, 21)),
+                        f"listing the {size}! permutations of the carrier")
     perms = _permutations(size)
+    inverse = np.empty_like(perms)
+    inverse[np.arange(len(perms))[:, None], perms] = np.arange(size, dtype=np.uint8)
+    inverse.setflags(write=False)
+    return perms, inverse
+
+
+@functools.lru_cache(maxsize=None)
+def _word_plan(size: int, arity: int) -> tuple:
+    """(c, powers, off) for relabeling tables of this shape word by word.
+
+    A word is c consecutive entries, c the most with size^c < 2^63 (at most
+    the table), read as one base-size int64 through `powers`, so that
+    words compare as their entries do, lexicographically: 24 entries on 6
+    points.  off is the narrowest integer type that indexes the flat list
+    of permutations.
+    """
     entries = size ** arity
-    step = max(1, ISO_BLOCK_ENTRIES // entries)
-    for lo in range(0, len(perms), step):
-        chunk = perms[lo:lo + step]
-        src = digit_map(np.argsort(chunk, axis=1), size, arity)
-        # entry v under permutation row p sits at p*size + v of the flat chunk
-        offsets = np.arange(0, chunk.size, size)[:, None]
-        rows = max(1, ISO_BLOCK_ENTRIES // src.size)
-        for t in range(0, len(tables), rows):
-            yield lo, t, chunk.ravel()[tables[t:t + rows, src] + offsets]
+    c = 63 if size < 2 else int(63 / math.log2(size))
+    while c > 1 and size ** c >= 1 << 63:
+        c -= 1
+    c = min(c, entries)
+    powers = size ** np.arange(c - 1, -1, -1, dtype=np.int64)
+    powers.setflags(write=False)
+    return c, powers, np.min_scalar_type(math.factorial(min(size, 21)) * size)
+
+
+def _moved(inverse: np.ndarray, lo: int, hi: int, size: int,
+           arity: int) -> np.ndarray:
+    """src[r, j]: the entry that relabeling along the permutation whose
+    inverse is inverse[r] carries to entry lo + j, that entry's tuple moved
+    digit-wise by the inverse.
+
+    With size^m <= hi - lo < size^(m+1), the entries share all but their m
+    lowest digits, up to size carries: the low digits are read from the
+    moved tuples of m digits, the rest from the few heads lo // size^m ..
+    (hi - 1) // size^m, so the work does not grow with the arity."""
+    m = 0
+    while m < arity and size ** (m + 1) <= hi - lo:
+        m += 1
+    low = digit_map(inverse, size, m)
+    heads = np.arange(lo // size ** m, (hi - 1) // size ** m + 1)
+    head = heads[:, None] // size ** np.arange(arity - m - 1, -1, -1) % size
+    high = inverse[:, head] @ size ** np.arange(arity - 1, m - 1, -1)
+    q, r = np.divmod(np.arange(lo, hi), size ** m)
+    return high.take(q - heads[0], axis=1) + low.take(r, axis=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _source_map(size: int, arity: int) -> np.ndarray:
+    """`_moved` for every permutation and every entry, kept for the shapes
+    small enough to hold it: those whose N! N^k fits one block of
+    ISO_BLOCK_ENTRIES, none on 7 or more points."""
+    src = _moved(_relabelers(size)[1], 0, size ** arity, size, arity)
+    src.setflags(write=False)
+    return src
+
+
+def _encode(rel: np.ndarray, c: int, powers: np.ndarray) -> np.ndarray:
+    """The codes of the c-entry words of each row of rel, a short last
+    word read as if padded with zeros."""
+    n, length = rel.shape
+    full = length // c
+    if full * c == length:
+        return rel.reshape(n, full, c) @ powers
+    out = np.empty((n, full + 1), dtype=np.int64)
+    out[:, :full] = rel[:, :full * c].reshape(n, full, c) @ powers
+    out[:, full] = rel[:, full * c:] @ powers[:length - full * c]
+    return out
+
+
+# steps a table for what is done table by table: the uint8 copy, the key
+# and its class in the sorted grouping of `_classes`
+_TABLE_STEPS = 3
+
+
+def _charge_relabelings(work: int, held: int, what: str) -> None:
+    """Charge a span of words of `_least_words` before it runs (see
+    `limits`).  `work` is the steps of the search so far with the span's:
+    one per 12 entries relabeled, along every (table, permutation) pair for
+    word 0 and along the pairs still tied after it, and _TABLE_STEPS a
+    table: 40 to 110 ns a step on the calibration inputs of the tests, on
+    a 2-core Xeon.  `held` is the bytes held while the span runs: the
+    tables, the permutations, the codes and tied pairs and the largest
+    block."""
+    limits.charge_steps(work, what)
+    limits.charge_bytes(held, what)
+
+
+def _least_words(tables: np.ndarray, size: int, arity: int, what: str,
+                 target=None):
+    """Relabel uint8 tables along every carrier permutation, a word at a
+    time, keeping only the relabelings still tied with the key.
+
+    Words are those of `_word_plan`.  The key of a table is its least
+    relabeling, or with `target`, the target's words.  Every (table,
+    permutation) pair is relabeled on the first words; each later word only
+    on the pairs whose words so far equal the key's.  Words go a span at a
+    time, as many as fit ISO_BLOCK_ENTRIES for the pairs left and at least
+    one: a small stack is relabeled whole in one pass, a large one word by
+    word, and a wide table with few ties many words a pass.  Returns (keys,
+    pairs): keys[t, w] the least word w of table t (or the target's), and
+    with `target`, pairs, the flat indices t N! + p, ascending, of the
+    relabelings equal to the target in every word (without, the pairs
+    still tied before the last span).
+
+    Each span is charged before it runs, the first before any permutation
+    is listed.
+    """
+    count, entries = tables.shape
+    n_perms = math.factorial(min(size, 21))        # 21! passes 2^64
+    c, powers, off = _word_plan(size, arity)
+    n_words = -(-entries // c)
+    keys = np.empty((count, n_words), dtype=np.int64) if target is None else target
+    kept = n_perms * entries <= ISO_BLOCK_ENTRIES
+    # the uint8 tables twice, the listing and the lists of permutations, the
+    # keys, the source map when kept, and the largest block, 64 bytes an
+    # entry: its source index and the two reads `_moved` adds it from, the
+    # table value, the index into the permutations, the relabeled value and
+    # its int64 cast
+    held = (2 * count * entries + 160 * n_perms + 8 * keys.size
+            + 8 * kept * n_perms * entries + 64 * max(ISO_BLOCK_ENTRIES, c))
+
+    def sources(rows, lo, hi):
+        if kept:
+            return _source_map(size, arity)[rows, lo:hi]
+        return _moved(_relabelers(size)[1][rows], lo, hi, size, arity)
+
+    n, pairs, work, w = count * n_perms, None, _TABLE_STEPS * count, 0
+    while w < n_words and n:
+        span = min(n_words - w, max(1, ISO_BLOCK_ENTRIES // (n * c)))
+        lo, hi = w * c, min(entries, (w + span) * c)
+        last = w + span == n_words and target is None
+        work += n * (hi - lo) // 12
+        # a pair's index, table and permutation and the codes of the span;
+        # unless they are the last, its key, a sort and the ties kept
+        _charge_relabelings(work, held + 8 * n * (3 + span if last else 5 + 3 * span),
+                            what)
+        if pairs is None:
+            # every pair, table-major: the tables share the sources
+            flat = _relabelers(size)[0].ravel()
+            codes = np.empty((count, n_perms, span), dtype=np.int64)
+            step = max(1, ISO_BLOCK_ENTRIES // (hi - lo))
+            for p in range(0, n_perms, step):
+                src = sources(slice(p, p + step), lo, hi)
+                shift = np.arange(p * size, (p + len(src)) * size, size, dtype=off)
+                rows = max(1, ISO_BLOCK_ENTRIES // src.size)
+                for t in range(0, count, rows):
+                    rel = flat.take(tables[t:t + rows].take(src, axis=1) + shift[:, None])
+                    codes[t:t + rows, p:p + len(src)] = _encode(
+                        rel.reshape(-1, hi - lo), c, powers).reshape(-1, len(src), span)
+            codes = codes.reshape(n, span)
+            starts, runs = np.arange(0, n, n_perms), n_perms
+        else:
+            t, p = np.divmod(pairs, n_perms)
+            codes = np.empty((n, span), dtype=np.int64)
+            rows = max(1, ISO_BLOCK_ENTRIES // (hi - lo))
+            for r in range(0, n, rows):
+                src = sources(p[r:r + rows], lo, hi)
+                src += t[r:r + rows, None] * entries
+                shift = (p[r:r + rows, None] * size).astype(off)
+                rel = flat.take(tables.take(src) + shift)
+                codes[r:r + rows] = _encode(rel, c, powers)
+            # every table keeps a pair, and t is ascending
+            runs = np.bincount(t, minlength=count)
+            starts = np.cumsum(runs) - runs
+        if target is None:
+            # each table's pairs are a run of rows, in table order
+            if n == count:
+                least = codes
+            elif span == 1:
+                least = np.minimum.reduceat(codes[:, 0], starts)[:, None]
+            elif pairs is None:
+                grid = codes.reshape(count, n_perms, span)
+                first = np.lexsort(grid.transpose(2, 0, 1)[::-1], axis=-1)[:, 0]
+                least = grid[np.arange(count), first]
+            else:
+                table = np.repeat(np.arange(count), runs)
+                least = codes[np.lexsort((*codes.T[::-1], table))[starts]]
+            keys[:, w:w + span] = least
+            if last:
+                break
+            least = np.repeat(least, runs, axis=0)
+        else:
+            least = keys[:, w:w + span]
+        keep = (codes == least).all(axis=1)
+        pairs = np.flatnonzero(keep) if pairs is None else pairs[keep]
+        n, w = len(pairs), w + span
+    return keys, pairs
+
+
+def _classes(keys: np.ndarray) -> list:
+    """The indices of equal rows of keys, each list ascending, the lists
+    ordered by their least member."""
+    # a row of several words is sorted as one opaque item, byte by byte
+    words = keys.shape[1]
+    items = keys[:, 0] if words == 1 else keys.view(f"V{8 * words}")[:, 0]
+    order = np.argsort(items, kind="stable")
+    ranked = items[order]
+    cuts = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+    # the sort is stable, so each class starts at its least member
+    members, bounds = order.tolist(), [0, *cuts.tolist(), len(order)]
+    classes = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [classes[i] for i in np.argsort(order[bounds[:-1]]).tolist()]
 
 
 def _check_iso_shape(op_a: OpTable, op_b: OpTable):
@@ -406,32 +603,25 @@ def _check_iso_shape(op_a: OpTable, op_b: OpTable):
             f"size {op_b.size} arity {op_b.arity}")
 
 
-def _charge_relabelings(count: int, size: int, arity: int) -> None:
-    """Charge relabeling `count` tables along all N! permutations, before
-    any is listed (see `limits`).  A listed permutation takes 0.5 us and
-    up to 160 bytes, overpriced so that 9 points are refused; a block
-    holds 27 bytes an entry, and the uint8 tables are held twice."""
-    perms = math.factorial(min(size, 21))       # 21! passes 2^64
-    entries = size ** arity                     # the tables exist
-    what = f"isomorphism search over {count} x {size}! relabelings"
-    limits.charge_steps(19 * perms + count * perms * entries // 12, what)
-    limits.charge_bytes(160 * perms + 2 * count * entries
-                        + 32 * max(ISO_BLOCK_ENTRIES, entries), what)
-
-
 def find_isomorphism(op_a: OpTable, op_b: OpTable):
     """Lexicographically first relabeling carrying op_a to op_b, or None.
-    Refuses tables of two shapes, and before any work, relabelings over the
-    budgets of `limits`, as on 9 or more points."""
+
+    The permutations whose relabeling of op_a agrees with op_b in every word
+    so far are kept, word by word (see `_least_words`); the first survivor,
+    in itertools order, is the answer.  Refuses tables of two shapes, and
+    each word and the listing of the permutations before they run, when
+    over the budgets of `limits`.
+    """
     _check_iso_shape(op_a, op_b)
-    _charge_relabelings(1, op_a.size, op_a.arity)
-    target = op_b.table.astype(np.uint8)
-    for lo, _, block in _relabelings(op_a.table.astype(np.uint8)[None],
-                                     op_a.size, op_a.arity):
-        hits = np.flatnonzero((block[0] == target).all(axis=1))
-        if hits.size:
-            return tuple(int(v) for v in _permutations(op_a.size)[lo + hits[0]])
-    return None
+    size, arity = op_a.size, op_a.arity
+    c, powers = _word_plan(size, arity)[:2]
+    target = _encode(op_b.table.astype(np.uint8)[None], c, powers)
+    _, pairs = _least_words(op_a.table.astype(np.uint8)[None], size, arity,
+                            f"isomorphism search over 1 x {size}! relabelings",
+                            target)
+    if not len(pairs):
+        return None
+    return tuple(int(v) for v in _relabelers(size)[0][pairs[0]])
 
 
 def tables_isomorphic(op_a: OpTable, op_b: OpTable) -> bool:
@@ -444,33 +634,22 @@ def isomorphism_classes(ops) -> list:
     classes.
 
     Each table's key is its canonical form, the lexicographically least of
-    its N! relabelings, and two tables are isomorphic exactly when their
-    keys agree.  Returns a list of lists of indices into ops, each sorted,
-    ordered by their smallest member.  Refuses tables of two shapes, and
-    before any work, relabelings over the budgets of `limits`.
+    its N! relabelings, found one word at a time by `_least_words`, and two
+    tables are isomorphic exactly when their keys agree.  Returns a list of
+    lists of indices into ops, each sorted, ordered by their smallest
+    member.  Refuses tables of two shapes, and each word and the listing of
+    the permutations before they run, when over the budgets of `limits`.
     """
     if isinstance(ops, TableStack):
-        tables = ops.tables
+        tables, shape = ops.tables, ops
     else:
         ops = list(ops)
         for op in ops[1:]:
             _check_iso_shape(ops[0], op)
-        tables = [op.table for op in ops]
+        tables, shape = [op.table for op in ops], ops[0] if ops else None
     if len(ops) < 2:
         return [[i] for i in range(len(ops))]
-    size, arity = ops[0].size, ops[0].arity
-    _charge_relabelings(len(ops), size, arity)
-    tables = np.array(tables, dtype=np.uint8)
-    # a row viewed as one opaque item sorts by its bytes, lexicographically
-    row = f"V{size ** arity}"
-    least = tables.view(row)[:, 0].copy()
-    for _, t, block in _relabelings(tables, size, arity):
-        # a gathered block need not be laid out row by row
-        block = np.ascontiguousarray(block)
-        cand = np.concatenate([least[t:t + len(block), None],
-                               block.view(row)[..., 0]], axis=1)
-        least[t:t + len(block)] = np.sort(cand, axis=1)[:, 0]
-    classes = {}
-    for i, key in enumerate(least):
-        classes.setdefault(key.tobytes(), []).append(i)
-    return list(classes.values())
+    size, arity = shape.size, shape.arity
+    keys, _ = _least_words(np.array(tables, dtype=np.uint8), size, arity,
+                           f"isomorphism search over {len(ops)} x {size}! relabelings")
+    return _classes(keys)

@@ -21,13 +21,13 @@ scan, the lookup tables of a translation search and each of its levels
 (the partial tables it grows and 48 bytes for each condition it checks),
 the narrow copies and the largest block of a batched scan, the Python
 lists of a dense Smith reduction (8 bytes an entry), the int64 columns of
-the braid action and of its images, and the permutations, tables and
-largest block of an isomorphism search.  Its value is the 20M int64
-entries of the boundary matrix cap it replaced, so every homology verdict
-stands; it admits a table of 20M entries.  A step holds a few temporaries
-of about the charged size besides (operands, gathers, the JSON list of a
-result): the largest affine table that fits peaks at 0.9 GiB resident and
-is built and written as JSON under a 2 GB `ulimit -v`.
+the braid action and of its images, and the tables, permutations, word
+codes, tied pairs and largest block of an isomorphism search.  Its value
+is the 20M int64 entries of the boundary matrix cap it replaced, so every
+homology verdict stands; it admits a table of 20M entries.  A step holds a
+few temporaries of about the charged size besides (operands, gathers, the
+JSON list of a result): the largest affine table that fits peaks at 0.9
+GiB resident and is built and written as JSON under a 2 GB `ulimit -v`.
 
 STEPS counts the iterations of a loop whose trip count comes from the
 input: the one translation search behind the rack scans and the sd, rack
@@ -56,11 +56,20 @@ any scan of it can cost, one class, so a huge arity is refused before the
 law is built.  The braid action charges 150 steps for each relation it
 checks and 25 for each letter of a twist, plus one step per tuple or tail
 each one gathers and, for a relation, one per strand.  An isomorphism
-search charges 19 steps for each of the N! permutations it lists and one
-per 12 entries it relabels, N! N^k a table: four ternary tables on 8
-points take 7.6M steps, and one binary table on 9 points 9.3M.  At 40 ns
-a step the translation search spends all of STEPS in about a third of a
-second, so every refusal and every accepted run stays short."""
+search relabels tables a word at a time, a word being as many entries as
+one int64 holds as a base-N number (19 on 9 points).  It charges one step
+per 12 entries it relabels and 3 a table: word 0 along all N!
+permutations of every table, before any permutation is listed, then each
+later word only on the (table, permutation) pairs still tied for the
+least (a stack that fits one block takes all its words at once).
+Listing the N! permutations, once a size, is charged 19 steps each.
+Four ternary tables on 8 points take 0.28M steps, where relabeling every
+entry took 7.6M.  One binary table on 9 points takes 0.57M for word 0,
+and 2.4M if every permutation ties in every word, as for a projection,
+besides 6.9M to list 9!; on 10 points the codes and tied pairs of word 0
+alone pass BYTES.  At 40 ns a step the translation search spends all of
+STEPS in about a third of a second, so every refusal and every accepted
+run stays short."""
 from __future__ import annotations
 
 BYTES = 160_000_000

@@ -916,6 +916,167 @@ def test_size_8_ternary_through_blocks():
     assert find_isomorphism(c, d) == find_isomorphism_ref(c, d) == perm
 
 
+def least_relabeling_ref(tables, size, arity):
+    """The lexicographically least of the N! relabelings of each flat table,
+    as uint8 rows, every relabeling built at once: row p of a table's block
+    is the table relabeled along the p-th permutation in itertools order,
+    and a row read as one opaque item sorts by its bytes."""
+    entries = size ** arity
+    tables = np.asarray(tables, dtype=np.uint8).reshape(-1, entries)
+    perms = np.array(list(itertools.permutations(range(size))), dtype=np.uint8)
+    inverse = np.argsort(perms, axis=1)
+    # src[p, v]: the entry that perms[p] carries to entry v
+    src = np.zeros((len(perms), entries), dtype=np.int64)
+    for digit in np.indices((size,) * arity).reshape(arity, -1):
+        src = src * size + inverse[:, digit]
+    blocks = np.ascontiguousarray(perms[np.arange(len(perms))[:, None], tables[:, src]])
+    least = np.sort(blocks.view(f"V{entries}")[..., 0], axis=1)[:, 0]
+    return np.ascontiguousarray(least).view(np.uint8).reshape(-1, entries)
+
+
+def words_ref(row, size):
+    """A flat table's words: runs of c entries, c the most with
+    size^c < 2^63, each read as a base-size number, the last padded with
+    zeros."""
+    c = min(len(row), max(c for c in range(1, 64) if size ** c < 2 ** 63))
+    codes = []
+    for lo in range(0, len(row), c):
+        word = [int(v) for v in row[lo:lo + c]]
+        codes.append(functools.reduce(lambda code, v: code * size + v,
+                                      word + [0] * (c - len(word)), 0))
+    return codes
+
+
+def assert_matches_least_ref(ops):
+    """Keys word by word and classes against the N! least relabelings."""
+    size, arity = ops[0].size, ops[0].arity
+    tables = [op.table for op in ops]
+    least = least_relabeling_ref(tables, size, arity)
+    keys, _ = enumeration._least_words(np.array(tables, dtype=np.uint8), size, arity,
+                                       "a test")
+    assert keys.tolist() == [words_ref(row, size) for row in least]
+    classes = {}
+    for i, row in enumerate(least):
+        classes.setdefault(row.tobytes(), []).append(i)
+    assert isomorphism_classes(ops) == list(classes.values())
+
+
+def test_keys_match_least_relabeling_oracle():
+    for ops in enumerated_lists().values():
+        if len(ops):
+            assert_matches_least_ref(list(ops))
+
+
+def test_random_tables_match_least_relabeling_oracle():
+    # seeded random tables and relabeled copies of some of them, on 2 to 6
+    # points at arity 2 and 3, in one or several words (6 points at arity 3
+    # is 216 entries, 9 words of 24)
+    rng = random.Random(0x28)
+    for size in range(2, 7):
+        for arity in (2, 3):
+            nprng = np.random.default_rng(100 * size + arity)
+            bases = [make_op_table(size, arity, nprng.integers(0, size, size ** arity))
+                     for _ in range(4)]
+            ops = bases + shuffled_copies(bases[:2], 2, 10 * size + arity)
+            rng.shuffle(ops)
+            assert_matches_least_ref(ops)
+            for a, b in zip(ops, ops[1:] + ops[:1]):
+                assert find_isomorphism(a, b) == find_isomorphism_ref(a, b)
+
+
+def test_projections_tie_in_every_word():
+    # every relabeling of a projection is the projection, so all N! pairs
+    # stay tied through every word and the first isomorphism is the identity
+    for size, arity in ((2, 7), (3, 4), (4, 3), (5, 2), (6, 3)):
+        entries = size ** arity
+        for axis in range(arity):
+            table = np.indices((size,) * arity).reshape(arity, -1)[axis]
+            op = make_op_table(size, arity, table)
+            assert_matches_least_ref([op, op])
+            keys, pairs = enumeration._least_words(
+                op.table.astype(np.uint8)[None], size, arity, "a test",
+                np.array([words_ref(op.table, size)]))
+            assert len(keys[0]) == -(-entries // min(entries, max(
+                c for c in range(1, 64) if size ** c < 2 ** 63)))
+            assert pairs.tolist() == list(range(math.factorial(size)))
+            assert find_isomorphism(op, op) == tuple(range(size))
+
+
+def test_least_forms_agree_on_word_0_and_differ_later():
+    # on 2 points at arity 7 a table is 128 entries, words of 62, 62 and 4;
+    # the swap carries entry v to 127 - v.  Both tables start 0, 0 and end
+    # 0, so the swap makes either larger at entry 0 or 1: each is its own
+    # least form, and the two differ only in entry 127, in the last word
+    nprng = np.random.default_rng(7)
+    first = nprng.integers(0, 2, 128)
+    first[[0, 1, 126, 127]] = 0
+    second = first.copy()
+    second[127] = 1
+    a, b = make_op_table(2, 7, first), make_op_table(2, 7, second)
+    moved = relabel(b, (1, 0))
+    least = least_relabeling_ref([a.table, b.table], 2, 7)
+    assert np.array_equal(least[0], first) and np.array_equal(least[1], second)
+    words = [words_ref(row, 2) for row in least]
+    assert words[0][:2] == words[1][:2] and words[0][2] != words[1][2]
+    assert_matches_least_ref([a, b, moved])
+    assert isomorphism_classes([a, b, moved]) == [[0], [1, 2]]
+    assert find_isomorphism(a, b) is None
+    assert find_isomorphism(b, moved) == (1, 0)
+
+
+def test_ties_on_word_0_broken_later_at_any_block(monkeypatch):
+    # on 3 points at arity 4 (81 entries, words of 39, 39 and 3) a table
+    # that is 0 but for a 2 at (1, 1, 1, 2) ties on word 0 with its
+    # relabeling along (0, 2, 1), which is 0 but for a 1 at (2, 2, 2, 1)
+    # and is the least.  With four random tables, each block size below
+    # relabels the words one at a time, all at once, or word 0 and then
+    # the last two together
+    table = np.zeros(81, dtype=np.int64)
+    table[tuple_to_index((1, 1, 1, 2), 3)] = 2
+    tied = make_op_table(3, 4, table)
+    nprng = np.random.default_rng(34)
+    ops = [tied] + [make_op_table(3, 4, nprng.integers(0, 3, 81)) for _ in range(4)]
+    ops.append(relabel(tied, (1, 2, 0)))
+    least = least_relabeling_ref([tied.table], 3, 4)[0]
+    assert np.array_equal(least, relabel(tied, (0, 2, 1)).table)
+    for block in (1, 6 * 5 * 39, enumeration.ISO_BLOCK_ENTRIES):
+        monkeypatch.setattr(enumeration, "ISO_BLOCK_ENTRIES", block)
+        assert_matches_least_ref(ops)
+        for a in ops:
+            assert find_isomorphism(tied, a) == find_isomorphism_ref(tied, a)
+
+
+def test_alexander_quandle_on_9_points():
+    # x * y = 2x - y on Z9 against a relabeled copy: word 0 along the 9!
+    # permutations (574,563 steps), then the last words on the few pairs
+    # left; listing 9! is charged on its own, 19 steps each.  The pairs
+    # carrying one onto the other are a coset of Aut, 54 affine maps
+    z9 = make_op_table(9, 2, lambda x, y: 2 * x - y)
+    copy = relabel(z9, (4, 7, 1, 8, 0, 3, 6, 2, 5))
+    perm = find_isomorphism(z9, copy)
+    assert relabel(z9, perm) == copy
+    _, pairs = enumeration._least_words(z9.table.astype(np.uint8)[None], 9, 2, "a test",
+                                        np.array([words_ref(copy.table, 9)]))
+    assert len(pairs) == 54
+    assert find_isomorphism(z9, projection_op(9, 2)) is None
+
+
+def test_projection_on_9_points_is_answered(monkeypatch):
+    # every one of the 9! relabelings ties in all 5 words (19 entries each,
+    # 5 in the last), so the search relabels all 81 entries along each:
+    # 2,449,443 steps with 3 for the table, within the budget
+    op = projection_op(9, 2)
+    perms = math.factorial(9)
+    need = 3 + 4 * (perms * 19 // 12) + perms * 5 // 12
+    assert need == 2_449_443
+    enumeration._relabelers(9)
+    monkeypatch.setattr(limits, "STEPS", need)
+    assert find_isomorphism(op, op) == tuple(range(9))
+    monkeypatch.setattr(limits, "STEPS", need - 1)
+    with pytest.raises(InputError, match=f"needs {need} steps"):
+        find_isomorphism(op, op)
+
+
 def test_published_counts_up_to_isomorphism():
     # racks and quandles of orders 3, 4, 5 (Vojtechovsky-Yang, arXiv:1805.05908)
     for size, racks, quandles in [(3, 6, 3), (4, 19, 7), (5, 74, 22)]:
@@ -967,7 +1128,7 @@ def test_isomorphism_guardrails():
     with pytest.raises(InputError):
         find_isomorphism(projection_op(3, 2), projection_op(2, 2))
     with pytest.raises(InputError):
-        find_isomorphism(projection_op(9, 2), projection_op(9, 2))
+        find_isomorphism(projection_op(10, 2), projection_op(10, 2))
 
 
 def _random_tables(count, size, arity, seed):
@@ -977,36 +1138,53 @@ def _random_tables(count, size, arity, seed):
 
 
 def test_isomorphism_search_is_refused_before_relabeling(monkeypatch):
-    # 200 binary tables on 8 points: 200 * 8! * 64 relabeled entries, 43M
-    # steps with the 8! listed permutations, refused before any is listed
+    # 200 binary tables on 8 points: word 0, 20 entries, along each of the
+    # 8! permutations of each table, 13.4M steps with 3 a table, refused
+    # before any permutation is listed
     called = []
-    monkeypatch.setattr(enumeration, "_permutations",
-                        lambda size: called.append(size))
+    for lister in ("_permutations", "_relabelers"):
+        monkeypatch.setattr(enumeration, lister, lambda size: called.append(size))
     ops = _random_tables(200, 8, 2, 200)
-    need = 200 * math.factorial(8) * 64 // 12 + 19 * math.factorial(8)
+    need = 200 * math.factorial(8) * 20 // 12 + 3 * 200
     for tables in (ops, TableStack(8, 2, [op.table for op in ops])):
         with pytest.raises(InputError, match=(
                 "refusing isomorphism search over 200 x 8! relabelings:"
                 f" needs {need} steps, budget {limits.STEPS}")):
             isomorphism_classes(tables)
-    # one binary table on 9 points: listing 9! permutations and relabeling
-    # the table along each
-    with pytest.raises(InputError, match="needs 9344160 steps"):
-        find_isomorphism(projection_op(9, 2), projection_op(9, 2))
+    # one binary table on 10 points: word 0, 18 entries, fits the steps
+    # (5.4M), but its 10! codes and tied pairs (64 bytes each) and the
+    # listing of 10! (160 each) do not fit the bytes
+    perms = math.factorial(10)
+    need = 224 * perms + 2 * 100 + 8 * 6 + 64 * enumeration.ISO_BLOCK_ENTRIES
+    with pytest.raises(InputError, match=f"needs {need} bytes"):
+        find_isomorphism(projection_op(10, 2), projection_op(10, 2))
     assert called == []
 
 
 def test_isomorphism_search_charges(monkeypatch):
-    # 19 steps a permutation and one per 12 relabeled entries; in bytes 160
-    # a permutation, the uint8 tables twice and 32 an entry of a block of
-    # ISO_BLOCK_ENTRIES
+    # listing the 4! permutations, the first time: 19 steps each, charged
+    # after the search's own first charge (35 steps for the one table below)
+    enumeration._relabelers.cache_clear()
     racks = enumerate_racks(4, 2)
-    block = 32 * enumeration.ISO_BLOCK_ENTRIES
+    listing = "listing the 4! permutations of the carrier: needs 456 steps"
+    monkeypatch.setattr(limits, "STEPS", 455)
+    with pytest.raises(InputError, match=listing):
+        find_isomorphism(racks[0], racks[1])
+    monkeypatch.setattr(limits, "STEPS", 456)
+    assert find_isomorphism(racks[0], racks[1]) is None
+    monkeypatch.undo()
+    # listed now: one word of 16 entries, one step per 12 relabeled and 3 a
+    # table; in bytes the uint8 tables twice, 160 a permutation, 8 a key
+    # word, the kept source map (8 an entry of each relabeling) and a block
+    # of ISO_BLOCK_ENTRIES at 64 bytes an entry; then 8 (3 + 1) a pair for
+    # its index, table, permutation and code when the word is the last,
+    # else 8 (5 + 3) with the ties kept
+    fixed = 160 * 24 + 8 * 24 * 16 + 64 * enumeration.ISO_BLOCK_ENTRIES
     for call, steps, size in (
-            (lambda: isomorphism_classes(racks), 114 * 24 * 16 // 12 + 19 * 24,
-             160 * 24 + 2 * 114 * 16 + block),
-            (lambda: find_isomorphism(racks[0], racks[1]), 24 * 16 // 12 + 19 * 24,
-             160 * 24 + 2 * 16 + block)):
+            (lambda: isomorphism_classes(racks), 3 * 114 + 114 * 24 * 16 // 12,
+             fixed + 2 * 114 * 16 + 8 * 114 + 32 * 114 * 24),
+            (lambda: find_isomorphism(racks[0], racks[1]), 3 + 24 * 16 // 12,
+             fixed + 2 * 16 + 8 + 64 * 24)):
         for budget, need, unit in (("STEPS", steps, "steps"),
                                    ("BYTES", size, "bytes")):
             monkeypatch.setattr(limits, budget, need)
@@ -1041,15 +1219,35 @@ def test_isomorphism_charge_covers_its_arrays(monkeypatch):
         assert peak <= charged[-1] + 64 * 1024, (peak, charged)
 
 
+def test_isomorphism_charge_covers_a_first_listing(monkeypatch):
+    # the permutations are listed by the first search on a size, after
+    # its first charge, which covers the listing (160 bytes a permutation)
+    # with everything else the search holds: on 9 points, the list of 9!
+    # tuples is the larger part
+    charged = []
+    charge = limits.charge_bytes
+    monkeypatch.setattr(limits, "charge_bytes",
+                        lambda need, what: charged.append(need) or charge(need, what))
+    a, b = _random_tables(2, 9, 2, 9)
+    enumeration._permutations.cache_clear()
+    enumeration._relabelers.cache_clear()
+    tracemalloc.start()
+    try:
+        find_isomorphism(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(charged) + 64 * 1024, (peak, charged)
+
+
 def test_isomorphism_charge_calibration(monkeypatch):
     # seconds per charged step, best of three, on the inputs of classes
     # that charge at least 2000 steps (below that the fixed cost of a call
-    # dominates) and on the 8-point cases of
-    # test_size_8_ternary_through_blocks: every rate lies within a factor 3
-    # of their median (60-180 ns a step on a 2-core Xeon).  Listing the 8!
-    # permutations lies at or below that band (about 30 ns a step there):
-    # 19 steps a permutation overprices it, so that every search on 9
-    # points stays refused.
+    # dominates), on the 8-point cases of test_size_8_ternary_through_blocks
+    # and on a stack of 100,000 tables on 2 points, priced mostly by their 3
+    # steps a table: every rate lies within a factor 3 of their median
+    # (40-110 ns a step on a 2-core Xeon).  Listing the 8! permutations lies
+    # at or below that band (about 30 ns a step there).
     charged = []
     charge = limits.charge_steps
     monkeypatch.setattr(limits, "charge_steps",
@@ -1066,13 +1264,14 @@ def test_isomorphism_charge_calibration(monkeypatch):
               "copies of order 6": copies,
               "racks on 5": enumerate_racks(5, 2),
               "quandles on 5": enumerate_racks(5, 2, "quandle"),
-              "4 ternary on 8": [a, other, heap, a]}
+              "4 ternary on 8": [a, other, heap, a],
+              "stack on 2": TableStack(2, 2, rng.integers(0, 2, (100_000, 4)))}
     calls = {name: functools.partial(isomorphism_classes, ops)
              for name, ops in inputs.items()}
     calls["no isomorphism on 8"] = functools.partial(find_isomorphism, a, other)
-    # the permutation list is cached, so the searches above list none
-    calls["listing 8!"] = lambda: (charged.append(19 * math.factorial(8)),
-                                   enumeration._permutations.__wrapped__(8))
+    # the permutation lists are cached, so the searches above list none
+    calls["listing 8!"] = lambda: (enumeration._permutations.cache_clear(),
+                                   enumeration._relabelers.__wrapped__(8))
     rates = {}
     for name, call in calls.items():
         best = math.inf
