@@ -26,9 +26,8 @@ import numpy as np
 from . import limits
 from .kernels import digits
 from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
-                      are_mutually_distributive, inverse_translations,
-                      is_nary_distributive, is_rack)
-from .constructions import _require
+                      inverse_translations)
+from .constructions import _require_ops
 
 # Steps charged for the column action, against 0.12 us a step, about a
 # second for all of STEPS, on a 2-core Xeon with numpy 2.4.  A relation
@@ -116,7 +115,7 @@ def braid_act(op: OpTable, beta: BraidWord, x) -> tuple:
             raise InputError(f"entry {v} outside the carrier 0..{N - 1}")
     inv = None
     if beta.has_inverse_letters:
-        _require(is_rack(op), "operation is a rack")
+        _require_ops((op,), "a rack")
         inv = inverse_translations(op)
     image = _action(op, inv, beta.word, [np.array([v]) for v in xs])
     return tuple(int(c[0]) for c in image)
@@ -183,10 +182,8 @@ def verify_equivariance(star: OpTable, hat: OpTable) -> CheckResult:
         raise InputError("the acting operation must be binary")
     if star.size != hat.size:
         raise InputError("operations live on different carriers")
-    _require(is_nary_distributive(star), "acting operation is self-distributive")
-    _require(is_nary_distributive(hat), "acted operation is self-distributive")
-    _require(are_mutually_distributive(star, hat),
-             "operations are mutually distributive")
+    _require_ops((star, hat), "self-distributive", "mutually distributive",
+                 ("acting operation", "acted operation"))
     return OK
 
 
@@ -214,10 +211,8 @@ def twist_op(hat: OpTable, star: OpTable, beta: BraidWord,
     limits.charge_bytes(8 * P * (k + 2 + N), what)
     limits.charge_steps((len(beta.word) + k) * (_LETTER_STEPS + P), what)
     if verify:
-        _require(is_rack(star), "acting operation is a rack")
-        _require(is_nary_distributive(hat), "operation is self-distributive")
-        _require(are_mutually_distributive(star, hat),
-                 "operations are mutually distributive")
+        _require_ops((star, hat), ("a rack", "self-distributive"),
+                     "mutually distributive", ("acting operation", "twisted operation"))
     inv = None
     if beta.has_inverse_letters:
         inv = inverse_translations(star)

@@ -31,13 +31,11 @@ import numpy as np
 
 from . import kernels, limits
 from .homology import Elimination, boundary_matrix
-from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
-                      _checked_index, are_compatible_ternary,
-                      are_mutually_distributive, diagonal_indices,
-                      index_to_tuple, integer_array, is_nary_distributive,
-                      is_rack)
-from .constructions import (PreconditionError, _require, f_functor, g_functor,
-                            power_op)
+from .optable import (CheckResult, InputError, OK, OpTable,
+                      _checked_index, _first_failure, diagonal_indices,
+                      index_to_tuple, integer_array)
+from .constructions import (PreconditionError, _require, _require_ops,
+                            f_functor, g_functor, power_op)
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +240,17 @@ def _same_coeff(*cochains):
 # ---------------------------------------------------------------------------
 # cocycle conditions
 
+def _column(c: Cochain, fi: int) -> np.ndarray:
+    return np.ascontiguousarray(c.values[:, fi])
+
+
 def _degree2_check(c: Cochain, op: OpTable) -> CheckResult:
     for fi, d in enumerate(c.coeff.factors):
-        args = (op.table, np.ascontiguousarray(c.values[:, fi]), op.size,
-                op.arity, d)
-        flat = kernels.nary_cocycle_scan(*args)
-        if flat >= 0:
-            cex = Counterexample(*kernels.witness(kernels.cocycle_law(*args), flat))
-            return CheckResult(False, cex,
-                               f"cocycle condition fails in factor {fi}")
+        res = _first_failure(kernels.nary_cocycle_scan, kernels.cocycle_law,
+                             (op.table, _column(c, fi), op.size, op.arity, d),
+                             f"cocycle condition fails in factor {fi}")
+        if not res:
+            return res
     return OK
 
 
@@ -267,36 +267,53 @@ def is_ternary_2cocycle(psi: Cochain, op: OpTable) -> CheckResult:
     return _degree2_check(psi, op)
 
 
+def _pair_shapes(c0: Cochain, c1: Cochain, op0: OpTable, op1: OpTable,
+                 arity: int) -> AbGroup:
+    """Refuse a cochain pair that does not fit its operation pair of this
+    arity on one carrier with one coefficient group; returns the group."""
+    what = "cocycle pair check" if arity == 2 else "ternary cocycle pair check"
+    _match(op0, c0, arity, what)
+    _match(op1, c1, arity, what)
+    if op0.size != op1.size:
+        raise InputError("operations live on different carriers")
+    return _same_coeff(c0, c1)
+
+
+def _pair_conditions(c0: Cochain, c1: Cochain, op0: OpTable, op1: OpTable,
+                     arity: int) -> CheckResult:
+    """The two pair conditions of a binary (arity 2) or ternary (arity 3)
+    cochain pair, after the hypotheses: the pair law of the operations,
+    then each cochain a cocycle."""
+    _pair_shapes(c0, c1, op0, op1, arity)
+    binary = arity == 2
+    _require_ops((op0, op1), law="mutually distributive" if binary else "compatible")
+    cocycle = is_binary_2cocycle if binary else is_ternary_2cocycle
+    _require(cocycle(c0, op0), "first cochain is not a cocycle")
+    _require(cocycle(c1, op1), "second cochain is not a cocycle")
+    if binary:
+        scan, law, name = kernels.mutual_cocycle_scan, kernels.mutual_cocycle_law, "mixed"
+    else:
+        scan, law, name = kernels.compat_cocycle_scan, kernels.compat_cocycle_law, "pair"
+    for fi, d in enumerate(c0.coeff.factors):
+        for which in (1, 2):
+            res = _first_failure(scan, law, (op0.table, op1.table, _column(c0, fi),
+                                             _column(c1, fi), op0.size, d, which),
+                                 f"{name} condition {which} fails in factor {fi}")
+            if not res:
+                return res
+    return OK
+
+
 def are_mutually_distributive_cocycles(phi0: Cochain, phi1: Cochain,
                                        op0: OpTable, op1: OpTable) -> CheckResult:
     """Mixed pair conditions for cocycles over a mutually distributive pair.
 
     Condition 1: phi0(x,y) + phi1(x *0 y, z) == phi1(x,z) + phi0(x *1 z, y *1 z).
     Condition 2 swaps the roles of the two operations and cochains.
-    Individual validity and mutual distributivity of the pair are hypotheses,
-    checked up front.
+    Mutual distributivity of the pair and each cochain being a cocycle are
+    hypotheses, checked up front.
     """
-    _match(op0, phi0, 2, "cocycle pair check")
-    _match(op1, phi1, 2, "cocycle pair check")
-    if op0.size != op1.size:
-        raise InputError("operations live on different carriers")
-    _same_coeff(phi0, phi1)
-    _require(are_mutually_distributive(op0, op1),
-             "operations are mutually distributive")
-    _require(is_binary_2cocycle(phi0, op0), "first cochain is a cocycle")
-    _require(is_binary_2cocycle(phi1, op1), "second cochain is a cocycle")
-    for fi, d in enumerate(phi0.coeff.factors):
-        for which in (1, 2):
-            args = (op0.table, op1.table,
-                    np.ascontiguousarray(phi0.values[:, fi]),
-                    np.ascontiguousarray(phi1.values[:, fi]), op0.size, d, which)
-            flat = kernels.mutual_cocycle_scan(*args)
-            if flat >= 0:
-                law = kernels.mutual_cocycle_law(*args)
-                return CheckResult(
-                    False, Counterexample(*kernels.witness(law, flat)),
-                    f"mixed condition {which} fails in factor {fi}")
-    return OK
+    return _pair_conditions(phi0, phi1, op0, op1, 2)
 
 
 def are_compatible_ternary_cocycles(psi0: Cochain, psi1: Cochain,
@@ -305,29 +322,10 @@ def are_compatible_ternary_cocycles(psi0: Cochain, psi1: Cochain,
     those of `kernels.compat_cocycle_law`, under which the pair-to-binary
     composite is a cocycle.
 
-    Hypotheses checked up front: each cochain is a cocycle for its operation
-    and the operations are compatible.
+    Hypotheses checked up front: the operations are compatible and each
+    cochain is a cocycle for its operation.
     """
-    _match(T0, psi0, 3, "ternary cocycle pair check")
-    _match(T1, psi1, 3, "ternary cocycle pair check")
-    if T0.size != T1.size:
-        raise InputError("operations live on different carriers")
-    _same_coeff(psi0, psi1)
-    _require(are_compatible_ternary(T0, T1), "operations are compatible")
-    _require(is_ternary_2cocycle(psi0, T0), "first cochain is a cocycle")
-    _require(is_ternary_2cocycle(psi1, T1), "second cochain is a cocycle")
-    for fi, d in enumerate(psi0.coeff.factors):
-        for which in (1, 2):
-            args = (T0.table, T1.table,
-                    np.ascontiguousarray(psi0.values[:, fi]),
-                    np.ascontiguousarray(psi1.values[:, fi]), T0.size, d, which)
-            flat = kernels.compat_cocycle_scan(*args)
-            if flat >= 0:
-                law = kernels.compat_cocycle_law(*args)
-                return CheckResult(
-                    False, Counterexample(*kernels.witness(law, flat)),
-                    f"pair condition {which} fails in factor {fi}")
-    return OK
+    return _pair_conditions(psi0, psi1, T0, T1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +361,7 @@ def extend(op: OpTable, c: Cochain, verify: bool = True) -> OpTable:
     M = N * o
     _charge_digits(M, k, f"an extension of a size {N} table by order {o}")
     if verify:
-        _require(_degree2_check(c, op), "cochain is a cocycle")
+        _require(_degree2_check(c, op), "cochain is not a cocycle")
     base_idx, azs = _fiber_digits(N, o, k)
     res = A.residue_table()
     vals = res[azs[0]] + c.values[base_idx]
@@ -380,7 +378,7 @@ def extend_mutual_pair(op0: OpTable, op1: OpTable,
     distributive exactly because the pair conditions hold."""
     if verify:
         _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
-                 "pair cocycle conditions")
+                 "cochains are not a cocycle pair")
     return (extend(op0, phi0, verify=False), extend(op1, phi1, verify=False))
 
 
@@ -400,11 +398,11 @@ def ternary_cocycle_from_pair(phi0: Cochain, phi1: Cochain,
     """psi(x, y, z) = phi0(x, y) + phi1(x *0 y, z), a ternary cocycle for the
     composite ternary operation of the pair."""
     N = op0.size
-    A = _same_coeff(phi0, phi1)
+    A = _pair_shapes(phi0, phi1, op0, op1, 2)
     _charge_passage(N, 3, A.rank, "a ternary cocycle from a pair")
     if verify:
         _require(are_mutually_distributive_cocycles(phi0, phi1, op0, op1),
-                 "pair cocycle conditions")
+                 "cochains are not a cocycle pair")
     # row x * N + y of phi1's (N, N) view at x *0 y is phi1(x *0 y, z) over z
     vals = kernels.add_mod(phi1.values.reshape(N, N, A.rank)[op0.table],
                            phi0.values[:, None], A.factors)
@@ -418,11 +416,11 @@ def binary_cocycle_from_ternary_pair(psi0: Cochain, psi1: Cochain,
     """phi((x0,x1), (y0,y1)) = psi0(x0, y0, y1) + psi1(x1, y0, y1) on the
     square carrier, a binary cocycle for the pair-to-binary composite."""
     N = T0.size
-    A = _same_coeff(psi0, psi1)
+    A = _pair_shapes(psi0, psi1, T0, T1, 3)
     _charge_passage(N * N, 2, A.rank, "a binary cocycle from a ternary pair")
     if verify:
         _require(are_compatible_ternary_cocycles(psi0, psi1, T0, T1),
-                 "pair cocycle conditions")
+                 "cochains are not a cocycle pair")
     # (x0, x1, (y0, y1)) in the order of the square carrier's pairs
     vals = kernels.add_mod(psi0.values.reshape(N, 1, N * N, A.rank),
                            psi1.values.reshape(1, N, N * N, A.rank), A.factors)
@@ -472,7 +470,7 @@ def power_cocycle(phi: Cochain, op: OpTable, n: int,
     limits.charge_steps(n * op.size ** 2,
                         f"power cocycle {n} on a size {op.size} table")
     if verify:
-        _require(is_binary_2cocycle(phi, op), "cochain is a cocycle")
+        _require(is_binary_2cocycle(phi, op), "cochain is not a cocycle")
     N = op.size
     A = phi.coeff
     s = op.table.reshape(N, N)
@@ -607,7 +605,7 @@ def three_cocycle_from_ses(phi: Cochain, op: OpTable, ses: SES,
     N = op.size
     _charge_digits(N, 5, f"a degree-3 cocycle on a size {N} carrier")
     if verify:
-        _require(is_ternary_2cocycle(phi, op), "cochain is a cocycle")
+        _require(is_ternary_2cocycle(phi, op), "cochain is not a cocycle")
     E = ses.total
     lift_res = E.residue_table()[ses.section]           # quotient idx -> E residues
     a_idx = ses.quotient.index_array(phi.values)        # per 3-tuple

@@ -7,7 +7,15 @@ operations from group actions.
 
 Every builder validates the hypotheses its construction needs (`verify=True`)
 and refuses with the failing counterexample otherwise; pass `verify=False` to
-build unchecked tables for experimentation.
+build unchecked tables for experimentation.  A pair's hypotheses are checked
+in one order: each operation's own test (a rack, or self-distributive), then
+the pair law (mutually distributive: the exchange law both ways; or, for
+ternary operations, compatible).  Every refusal reads the same way,
+
+    <subject> is not <property>[ at <witness>: <lhs> != <rhs>][ (<detail>)]
+
+as in "first operation is not a rack (translation by tail (0,) is not a
+bijection)" or "operations are not mutually distributive at ...".
 
 The group-derived and composite tables are built by whole-row gathers.
 Indexing a table reshaped to (N, N^(k-1)) by an array of elements puts
@@ -27,6 +35,7 @@ of C there; likewise A[A] holds A(A(x, y0, y1), z0, z1).
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -48,12 +57,43 @@ class PreconditionError(ValueError):
 
 
 def _require(result: CheckResult, what: str):
+    """Refuse with `what`, "<subject> is not <property>", unless result holds."""
     if not result:
         cex = result.counterexample
         where = f" at {cex.witness}: {cex.lhs} != {cex.rhs}" if cex else ""
         raise PreconditionError(f"{what}{where}" +
                                 (f" ({result.detail})" if result.detail else ""),
                                 result)
+
+
+def _require_ops(ops, own=None, law=None, names=None):
+    """Refuse unless each operation passes its own test, and then every two
+    of them, in index order, the pair law.
+
+    `own` is "a rack" or "self-distributive", one of them per operation, or
+    None; `law` is "mutually distributive" or "compatible", or None.  The
+    operations are named "first operation" and "second operation" in a
+    pair, "operation i" in a larger system, or by `names`.
+    """
+    # built at each call, so that a wrapper installed on a check since
+    # import is the one called
+    tests = {"a rack": is_rack, "self-distributive": is_nary_distributive,
+             "mutually distributive": are_mutually_distributive,
+             "compatible": are_compatible_ternary}
+    count = len(ops)
+    if names is None:
+        names = (("operation",) if count == 1 else
+                 ("first operation", "second operation") if count == 2 else
+                 tuple(f"operation {i}" for i in range(count)))
+    if own is None or isinstance(own, str):
+        own = (own,) * count
+    for op, name, test in zip(ops, names, own):
+        if test:
+            _require(tests[test](op), f"{name} is not {test}")
+    if law:
+        for a, b in itertools.combinations(range(count), 2):
+            pair = "operations" if count == 2 else f"operations {a} and {b}"
+            _require(tests[law](ops[a], ops[b]), f"{pair} are not {law}")
 
 
 def _charge_table(size: int, arity: int, what: str) -> None:
@@ -168,7 +208,7 @@ def power_op(op: OpTable, n: int, verify: bool = True) -> OpTable:
     limits.charge_steps(2 * int(n).bit_length() * len(op.table),
                         f"power {n} of a size {N} arity {k} table")
     if verify:
-        _require(is_nary_distributive(op), "operation is not self-distributive")
+        _require_ops((op,), "self-distributive")
     P = N ** (k - 1)
     square = op.table.reshape(N, P)
     cur = np.broadcast_to(np.arange(N)[:, None], (N, P)).copy()
@@ -206,8 +246,7 @@ def product_mutual_pair(rack_x: OpTable, rack_y: OpTable,
     limits.charge_bytes(2 * table_bytes(nx * ny, 2),
                         f"a product pair of orders {nx} and {ny}")
     if verify:
-        _require(is_rack(rack_x), "first operation is not a rack")
-        _require(is_rack(rack_y), "second operation is not a rack")
+        _require_ops((rack_x, rack_y), "a rack")
     sx = rack_x.table.reshape(nx, nx)
     sy = rack_y.table.reshape(ny, ny)
     x0 = np.arange(nx)[:, None, None, None]
@@ -236,10 +275,7 @@ def doubling_binary(op0: OpTable, op1: OpTable, verify: bool = True) -> OpTable:
         raise InputError("doubling needs two binary operations of equal size")
     _charge_table(op0.size ** 2, 2, "a binary doubling")
     if verify:
-        _require(is_rack(op0), "first operation is not a rack")
-        _require(is_rack(op1), "second operation is not a rack")
-        _require(are_mutually_distributive(op0, op1),
-                 "operations are not mutually distributive")
+        _require_ops((op0, op1), "a rack", "mutually distributive")
     N = op0.size
     F = op1.table.reshape(N, N)[op0.table.reshape(N, N)]
     out = F[:, None] * N + F[None, :]
@@ -257,9 +293,7 @@ def doubling_ternary(T0: OpTable, T1: OpTable, verify: bool = True) -> OpTable:
         raise InputError("ternary doubling needs two ternary operations of equal size")
     _charge_table(T0.size ** 2, 3, "a ternary doubling")
     if verify:
-        _require(is_nary_distributive(T0), "first operation is not self-distributive")
-        _require(is_nary_distributive(T1), "second operation is not self-distributive")
-        _require(are_compatible_ternary(T0, T1), "operations are not compatible")
+        _require_ops((T0, T1), "self-distributive", "compatible")
     N = T0.size
     A = T0.table.reshape(N, N, N)
     B = T1.table.reshape(N, N, N)
@@ -277,10 +311,7 @@ def f_functor(op0: OpTable, op1: OpTable, verify: bool = True) -> OpTable:
         raise InputError("the binary-to-ternary passage needs two binary operations")
     _charge_table(op0.size, 3, "the binary-to-ternary passage")
     if verify:
-        _require(is_rack(op0), "first operation is not a rack")
-        _require(is_rack(op1), "second operation is not a rack")
-        _require(are_mutually_distributive(op0, op1),
-                 "operations are not mutually distributive")
+        _require_ops((op0, op1), "a rack", "mutually distributive")
     N = op0.size
     out = op1.table.reshape(N, N)[op0.table.reshape(N, N)]
     return OpTable(N, 3, out.ravel(), meta=_pair_meta("binary_pair_to_ternary",
@@ -296,9 +327,7 @@ def g_functor(T0: OpTable, T1: OpTable, verify: bool = True) -> OpTable:
         raise InputError("the ternary-to-binary passage needs two ternary operations")
     _charge_table(T0.size ** 2, 2, "the ternary-to-binary passage")
     if verify:
-        _require(is_rack(T0), "first operation is not a ternary rack")
-        _require(is_rack(T1), "second operation is not a ternary rack")
-        _require(are_compatible_ternary(T0, T1), "operations are not compatible")
+        _require_ops((T0, T1), "a rack", "compatible")
     N = T0.size
     A = T0.table.reshape(N, N, N)
     B = T1.table.reshape(N, N, N)
@@ -337,10 +366,7 @@ def compose_mn(W_m: OpTable, W_n: OpTable, verify: bool = True) -> OpTable:
         raise InputError(f"size mismatch: {W_m.size} vs {W_n.size}")
     _charge_table(W_m.size, W_m.arity + W_n.arity - 1, "a composite operation")
     if verify:
-        _require(is_nary_distributive(W_m), "first operation is not self-distributive")
-        _require(is_nary_distributive(W_n), "second operation is not self-distributive")
-        _require(are_mutually_distributive(W_m, W_n),
-                 "operations are not mutually distributive")
+        _require_ops((W_m, W_n), "self-distributive", "mutually distributive")
     N = W_m.size
     Pn = N ** (W_n.arity - 1)
     inner_n = W_n.table.reshape(N, Pn)

@@ -532,7 +532,7 @@ class SDObject:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "w", w)
         if verify:
-            _require(check_nary_sd(self), "operation is self-distributive")
+            _require(check_nary_sd(self), "operation is not self-distributive")
 
     def __setattr__(self, name, value):
         raise AttributeError("SDObject is immutable")

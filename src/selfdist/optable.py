@@ -272,6 +272,20 @@ def evaluate(op: OpTable, args) -> int:
     return int(op.table[_checked_index(args, op.size, op.arity)])
 
 
+def _first_failure(scan, law, args, detail: str, **options) -> CheckResult:
+    """OK when `scan(*args)` finds no failing tuple; else the first one,
+    decoded from `law(*args)`, the law the scan ran on, with `detail`.
+
+    Callers pass the kernels looked up at call time (`kernels.exchange_scan`),
+    so a wrapper installed on the kernels module sees every scan.
+    """
+    flat = scan(*args, **options)
+    if flat < 0:
+        return OK
+    return CheckResult(False, Counterexample(*kernels.witness(law(*args), flat)),
+                       detail)
+
+
 def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:
     """One direction of the exchange law: op_n distributes over op_m.
 
@@ -280,12 +294,9 @@ def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:
     """
     if op_m.size != op_n.size:
         raise InputError(f"size mismatch: {op_m.size} vs {op_n.size}")
-    args = (op_m.table, op_n.table, op_m.size, op_m.arity, op_n.arity)
-    flat = kernels.exchange_scan(*args, jobs=jobs)
-    if flat < 0:
-        return OK
-    cex = Counterexample(*kernels.witness(kernels.exchange_law(*args), flat))
-    return CheckResult(False, cex, "exchange law fails")
+    return _first_failure(kernels.exchange_scan, kernels.exchange_law,
+                         (op_m.table, op_n.table, op_m.size, op_m.arity,
+                          op_n.arity), "exchange law fails", jobs=jobs)
 
 
 def is_nary_distributive(op: OpTable, jobs: int = 1) -> CheckResult:
@@ -383,11 +394,11 @@ def are_compatible_ternary(T0: OpTable, T1: OpTable, jobs: int = 1) -> CheckResu
     if T0.size != T1.size:
         raise InputError(f"size mismatch: {T0.size} vs {T1.size}")
     for which in (1, 2):
-        args = (T0.table, T1.table, T0.size, which)
-        flat = kernels.compat_scan(*args, jobs=jobs)
-        if flat >= 0:
-            cex = Counterexample(*kernels.witness(kernels.compat_law(*args), flat))
-            return CheckResult(False, cex, f"compatibility identity {which} fails")
+        res = _first_failure(kernels.compat_scan, kernels.compat_law,
+                            (T0.table, T1.table, T0.size, which),
+                            f"compatibility identity {which} fails", jobs=jobs)
+        if not res:
+            return res
     return OK
 
 

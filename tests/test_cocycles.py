@@ -1218,3 +1218,26 @@ def test_index_array_refuses_orders_past_int64():
     for factors in ((2 ** 40, 2 ** 40), (2, 2 ** 62), (2 ** 63 - 1, 3)):
         with pytest.raises(InputError, match="past int64"):
             AbGroup(factors).index_array(np.zeros((1, 2), np.int64))
+
+
+def test_unverified_passages_check_their_shapes():
+    # verify=False skips the hypotheses, never the shapes: each mismatch is
+    # an InputError, not an error from deep inside numpy
+    d3, t3 = dih3(), tern3()
+    z = zero_cochain
+    cases = {
+        "a size-3 phi0 with a size-4 phi1":
+            lambda: ternary_cocycle_from_pair(z(3, 2, 2), z(4, 2, 2), d3, d3, verify=False),
+        "ternary cochains on a binary pair":
+            lambda: ternary_cocycle_from_pair(z(3, 3, 2), z(3, 3, 2), d3, d3, verify=False),
+        "a size-2 psi1 on a size-3 pair":
+            lambda: binary_cocycle_from_ternary_pair(z(3, 3, 2), z(2, 3, 2), t3, t3,
+                                                     verify=False),
+        "a doubling with a size-4 phi1":
+            lambda: doubled_binary_cocycle(z(3, 2, 2), z(4, 2, 2), d3, d3, verify=False),
+        "a doubling with a size-2 psi1":
+            lambda: doubled_ternary_cocycle(z(3, 3, 2), z(2, 3, 2), t3, t3, verify=False),
+    }
+    for name, call in cases.items():
+        with pytest.raises(InputError, match="cochain"):
+            call()

@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from selfdist import (FiniteGroup, InputError, PreconditionError, affine_op,
-                      affine_ternary_compat_conditions, are_compatible_ternary,
+from selfdist import (FiniteGroup, InputError, OpTable, PreconditionError,
+                      affine_op, affine_ternary_compat_conditions,
+                      are_compatible_ternary,
                       are_mutually_distributive, augmented_ternary,
                       commuting_automorphisms, compose_mn, conj_quandle,
                       core_quandle, cyclic_group, dihedral_group,
@@ -580,3 +581,102 @@ def test_affine_compat_conditions_unit_case():
     assert not are_compatible_ternary(affine_op(5, 3, (1, 0)),
                                       affine_op(5, 3, (2, 4)))
     assert affine_ternary_compat_conditions(5, 1, 0, 2, 4) == [0, 0, 4, 1]
+
+
+# ---------------------------------------------------------------------------
+# pair hypotheses: which inputs each builder and check admits, and the first
+# hypothesis it reports on the others
+
+def _hypothesis_inputs():
+    R3, T3 = affine_op(3, 2, (2,)), heap_op(cyclic_group(3))
+    # x * y = 0 is self-distributive and not a rack; x + y is not
+    # self-distributive
+    const, constT = OpTable(3, 2, [0] * 9), OpTable(3, 3, [0] * 27)
+    plus = OpTable(3, 2, [(x + y) % 3 for x, y in itertools.product(range(3), repeat=2)])
+    plusT = OpTable(3, 3, [sum(t) % 3 for t in itertools.product(range(3), repeat=3)])
+    other = next(r for r in enumerate_racks(3, 2) if not are_mutually_distributive(R3, r))
+    otherT = next(r for r in enumerate_racks(3, 3) if not are_compatible_ternary(T3, r))
+    cases = {}
+    for arity, good, sd_nonrack, non_sd, unpaired in ((2, R3, const, plus, other),
+                                                      (3, T3, constT, plusT, otherT)):
+        cases[arity] = [(good, good), (sd_nonrack, sd_nonrack), (sd_nonrack, good),
+                        (good, sd_nonrack), (non_sd, good), (good, non_sd),
+                        (good, unpaired)]
+    return cases
+
+
+def _hypothesis_builders():
+    from selfdist import cocycles as C
+    from selfdist.braid import (BraidWord, braid_act, twist_op,
+                                verify_equivariance)
+    from selfdist.homology import chain_map_F, labeled_boundary
+    zero = lambda k: C.zero_cochain(3, k, 3)
+    # name: (arity, call, names of the two operations, the outcome on each
+    # of the seven cases of `_hypothesis_inputs`: "." admitted, R1 or R2
+    # the first or second operation is not a rack, S1 or S2 not
+    # self-distributive, M the operations are not mutually distributive, C
+    # not compatible)
+    pair = ("first operation", "second operation")
+    one = ("operation", None)
+    acting = ("acting operation", "acted operation")
+    return {
+        "f_functor": (2, f_functor, pair, ". R1 R1 R2 R1 R2 M"),
+        "doubling_binary": (2, doubling_binary, pair, ". R1 R1 R2 R1 R2 M"),
+        "compose_mn": (2, compose_mn, pair, ". . M M S1 S2 M"),
+        "product_mutual_pair": (2, product_mutual_pair, pair, ". R1 R1 R2 R1 R2 ."),
+        "verify_equivariance": (2, verify_equivariance, acting, ". . M M S1 S2 M"),
+        "twist_op": (2, lambda a, b: twist_op(compose_mn(b, b, verify=False), a,
+                                              BraidWord(2, (1,))),
+                     ("acting operation", "twisted operation"), ". R1 R1 M R1 S2 M"),
+        "labeled_boundary": (2, lambda a, b: labeled_boundary([a, b], 2), pair,
+                             ". . M M S1 S2 M"),
+        "chain_map_F": (2, lambda a, b: chain_map_F(a, b, 2), pair, ". . M M S1 S2 M"),
+        "are_mutually_distributive_cocycles": (
+            2, lambda a, b: C.are_mutually_distributive_cocycles(zero(2), zero(2), a, b),
+            pair, ". . M M M M M"),
+        "extend_mutual_pair": (2, lambda a, b: C.extend_mutual_pair(a, b, zero(2), zero(2)),
+                               pair, ". . M M M M M"),
+        "ternary_cocycle_from_pair": (
+            2, lambda a, b: C.ternary_cocycle_from_pair(zero(2), zero(2), a, b),
+            pair, ". . M M M M M"),
+        "doubled_binary_cocycle": (
+            2, lambda a, b: C.doubled_binary_cocycle(zero(2), zero(2), a, b),
+            pair, ". . M M M M M"),
+        "power_op": (2, lambda a, b: power_op(a, 2), one, ". . . . S1 . ."),
+        "braid_act": (2, lambda a, b: braid_act(a, BraidWord(2, (-1,)), (0, 1)), one,
+                      ". R1 R1 . R1 . ."),
+        "g_functor": (3, g_functor, pair, ". R1 R1 R2 R1 R2 C"),
+        "doubling_ternary": (3, doubling_ternary, pair, ". . C C S1 S2 C"),
+        "compose_mn ternary": (3, compose_mn, pair, ". . M M S1 S2 ."),
+        "labeled_boundary ternary": (3, lambda a, b: labeled_boundary([a, b], 2), pair,
+                                     ". . M M S1 S2 ."),
+        "are_compatible_ternary_cocycles": (
+            3, lambda a, b: C.are_compatible_ternary_cocycles(zero(3), zero(3), a, b),
+            pair, ". . C C C C C"),
+        "binary_cocycle_from_ternary_pair": (
+            3, lambda a, b: C.binary_cocycle_from_ternary_pair(zero(3), zero(3), a, b),
+            pair, ". . C C C C C"),
+        "doubled_ternary_cocycle": (
+            3, lambda a, b: C.doubled_ternary_cocycle(zero(3), zero(3), a, b),
+            pair, ". . C C C C C"),
+    }
+
+
+def test_pair_hypotheses_admit_and_refuse_in_one_phrasing():
+    # the admitted inputs are those the builders admitted before their
+    # hypotheses were stated once; each refusal reads "<subject> is not
+    # <property>"
+    cases = _hypothesis_inputs()
+    properties = {"R": "is not a rack", "S": "is not self-distributive"}
+    laws = {"M": "operations are not mutually distributive",
+            "C": "operations are not compatible"}
+    for name, (arity, call, names, outcomes) in _hypothesis_builders().items():
+        for (a, b), want in zip(cases[arity], outcomes.split()):
+            try:
+                res = call(a, b)
+                got = "admitted" if getattr(res, "holds", True) else res.detail
+            except PreconditionError as exc:
+                got = str(exc).split(" at ")[0].split(" (")[0]
+            expected = ("admitted" if want == "." else laws.get(want) or
+                        f"{names[int(want[1]) - 1]} {properties[want[0]]}")
+            assert got == expected, (name, want)

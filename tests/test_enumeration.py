@@ -373,6 +373,26 @@ def test_isomorphism_classes_read_stacks():
     assert isomorphism_classes(enumerate_affine(9, 2, "rack")[:1]) == [[0]]
 
 
+def test_a_list_is_charged_before_it_is_read(monkeypatch):
+    # a list's tables are checked and gathered one by one in Python, about
+    # 12 steps a table, charged before the first shape check
+    stack = enumerate_operations(2, 2, "sd")
+    ops = list(stack)
+    checked = []
+    check = enumeration._check_iso_shape
+    monkeypatch.setattr(enumeration, "_check_iso_shape",
+                        lambda a, b: checked.append(1) or check(a, b))
+    budget = limits.STEPS
+    monkeypatch.setattr(limits, "STEPS", 12 * len(ops) - 1)
+    with pytest.raises(InputError, match=f"refusing reading a list of {len(ops)} tables"):
+        isomorphism_classes(ops)
+    assert not checked
+    # a stack is not read table by table, and its search fits
+    partition = isomorphism_classes(stack)
+    monkeypatch.setattr(limits, "STEPS", budget)
+    assert isomorphism_classes(ops) == partition and len(checked) == len(ops) - 1
+
+
 def test_affine_charge_covers_its_arrays(monkeypatch):
     # the numpy arrays the broadcast builds stay within the bytes it
     # charged; the allowance is for the few Python objects of a call

@@ -3,14 +3,16 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from selfdist import (InputError, PreconditionError, affine_op, conj_quandle,
-                      core_quandle, cyclic_group, limits, symmetric_group)
+from selfdist import (InputError, OpTable, PreconditionError, affine_op,
+                      are_mutually_distributive, conj_quandle, core_quandle,
+                      cyclic_group, f_functor, limits, symmetric_group)
 from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
                                chain_map_F, cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
@@ -18,7 +20,8 @@ from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
                                verify_chain_map, xgcd, _assemble,
                                _cheapest_slot, _reduced_boundary,
                                _smith_transforms, _translations)
-from selfdist.enumeration import enumerate_mutual_pairs, enumerate_operations
+from selfdist.enumeration import (enumerate_mutual_pairs, enumerate_operations,
+                                  enumerate_racks)
 from formulas import make_op_table
 
 
@@ -939,8 +942,88 @@ def test_chain_map_shapes_and_identity():
     assert F3.shape == (108, 243)
     assert (F2.sum(axis=0) == 2).all()    # two unit entries per generator
     assert (F3.sum(axis=0) == 4).all()    # four unit entries per generator
-    with pytest.raises(InputError):
-        chain_map_F(op, op, 4)
+    F4 = chain_map_F(op, op, 4)
+    assert F4.shape == (648, 2187) and (F4.sum(axis=0) == 8).all()
+    assert chain_map_commutes(op, op, 4)
+    # degree 5 on 3 points needs a 3888 x 19683 matrix, degree 16 on one
+    # point a loop over 2^15 label vectors, and a huge degree a saturated
+    # estimate: each is refused before anything is allocated
+    one = OpTable(1, 2, [0])
+    tracemalloc.start()
+    try:
+        for pair, n, what in (((op, op), 5, "bytes"), ((one, one), 16, "steps"),
+                              ((one, one), 10 ** 9, "bytes")):
+            with pytest.raises(InputError, match=f"refusing the degree-{n} chain map.* {what}"):
+                chain_map_F(*pair, n)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
+def chain_map_commutes(op0, op1, n):
+    """Whether F_{n-1} d = d F_n at degree n: the ternary boundary of the
+    pair's composite on the right, the labeled one of the pair on the left.
+    The products run in float64, exact here: every entry and partial sum is
+    an integer far below 2^53."""
+    T = f_functor(op0, op1, verify=False)
+    lhs = (chain_map_F(op0, op1, n - 1, verify=False).astype(float)
+           @ labeled_boundary([T], n, verify=False).astype(float))
+    rhs = (labeled_boundary([op0, op1], n, verify=False).astype(float)
+           @ chain_map_F(op0, op1, n, verify=False).astype(float))
+    return np.array_equal(lhs, rhs)
+
+
+def chain_map_ref(op0, op1, n):
+    """F at degrees 1-3 written out one degree at a time: the identity;
+    (x, y0, y1) -> (x, y0) + (x *0 y0, y1); and four unit entries at
+    degree 3."""
+    N = op0.size
+    if n == 1:
+        return np.eye(N, dtype=np.int64)
+    s = op0.table.reshape(N, N)
+    offs = {eps: off for eps, off, _ in labeled_blocks([op0, op1], n)}
+    M = np.zeros((2 ** (n - 1) * N ** n, N ** (2 * n - 1)), dtype=np.int64)
+    for col, g in enumerate(itertools.product(range(N), repeat=2 * n - 1)):
+        if n == 2:
+            x, y0, y1 = g
+            images = {(0,): (x, y0), (1,): (s[x, y0], y1)}
+        else:
+            x, y0, y1, z0, z1 = g
+            images = {(0, 0): (x, y0, z0), (0, 1): (s[x, z0], s[y0, z0], z1),
+                      (1, 0): (s[x, y0], y1, z0),
+                      (1, 1): (s[s[x, y0], z0], s[y1, z0], z1)}
+        for eps, image in images.items():
+            row = 0
+            for v in image:
+                row = row * N + int(v)
+            M[offs[eps] + row, col] += 1
+    return M
+
+
+def test_chain_map_matches_degree_by_degree_formulas():
+    racks = list(enumerate_racks(3, 2))
+    pairs = enumerate_mutual_pairs(2) + [(a, b) for a in racks for b in racks
+                                         if are_mutually_distributive(a, b)]
+    for a, b in pairs:
+        for n in (1, 2, 3):
+            assert np.array_equal(chain_map_F(a, b, n), chain_map_ref(a, b, n))
+
+
+def test_chain_map_commutes_at_degree_4_on_3_points():
+    racks = list(enumerate_racks(3, 2))
+    pairs = [(a, b) for a in racks for b in racks if are_mutually_distributive(a, b)]
+    pairs += enumerate_mutual_pairs(3)[::50]
+    assert len(pairs) == 57 + 98
+    assert all(chain_map_commutes(a, b, 4) for a, b in pairs)
+    # and a pair that is not mutually distributive breaks it
+    plus = OpTable(3, 2, [(x + y) % 3 for x, y in itertools.product(range(3), repeat=2)])
+    assert not chain_map_commutes(dih3(), plus, 4)
+
+
+def test_chain_map_commutes_at_degrees_4_to_6_on_2_points():
+    pairs = enumerate_mutual_pairs(2)
+    assert len(pairs) == 43
+    assert all(chain_map_commutes(a, b, n) for a, b in pairs for n in (4, 5, 6))
 
 
 def test_chain_map_commutes_with_boundaries():
