@@ -41,11 +41,10 @@ import math
 import numpy as np
 
 from . import limits
-from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
-                      OpTable, are_compatible_ternary,
+from .optable import (Axioms, CheckResult, Counterexample, FiniteGroup,
+                      InputError, OpTable, are_compatible_ternary,
                       are_mutually_distributive, check_shape, exchange_holds,
-                      integer_array, is_nary_distributive, is_rack,
-                      table_bytes)
+                      integer_array, table_bytes)
 
 
 class PreconditionError(ValueError):
@@ -74,12 +73,19 @@ def _require_ops(ops, own=None, law=None, names=None):
     None; `law` is "mutually distributive" or "compatible", or None.  The
     operations are named "first operation" and "second operation" in a
     pair, "operation i" in a larger system, or by `names`.
+
+    Each law is computed once per distinct table.  Operations with equal
+    tables share one `Axioms`, so their own tests scan once.  A pair law
+    on two equal tables is that table's self-distributivity, both
+    exchange laws and both compatibility identities alike: once an own
+    test of the pair has passed, it holds without a scan, and with no own
+    test the pair law's check scans the table once.  Refusals and
+    witnesses are those of the checks themselves.
     """
     # built at each call, so that a wrapper installed on a check since
     # import is the one called
-    tests = {"a rack": is_rack, "self-distributive": is_nary_distributive,
-             "mutually distributive": are_mutually_distributive,
-             "compatible": are_compatible_ternary}
+    laws = {"mutually distributive": are_mutually_distributive,
+            "compatible": are_compatible_ternary}
     count = len(ops)
     if names is None:
         names = (("operation",) if count == 1 else
@@ -87,13 +93,21 @@ def _require_ops(ops, own=None, law=None, names=None):
                  tuple(f"operation {i}" for i in range(count)))
     if own is None or isinstance(own, str):
         own = (own,) * count
+    verdicts = []
     for op, name, test in zip(ops, names, own):
         if test:
-            _require(tests[test](op), f"{name} is not {test}")
+            axioms = next((ax for ax in verdicts if ax.op == op), None)
+            if axioms is None:
+                axioms = Axioms(op)
+                verdicts.append(axioms)
+            _require(axioms.rack if test == "a rack" else axioms.sd,
+                     f"{name} is not {test}")
     if law:
         for a, b in itertools.combinations(range(count), 2):
+            if (own[a] or own[b]) and ops[a] == ops[b]:
+                continue
             pair = "operations" if count == 2 else f"operations {a} and {b}"
-            _require(tests[law](ops[a], ops[b]), f"{pair} are not {law}")
+            _require(laws[law](ops[a], ops[b]), f"{pair} are not {law}")
 
 
 def _charge_table(size: int, arity: int, what: str) -> None:

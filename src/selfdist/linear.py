@@ -40,6 +40,7 @@ then its first differing row: their difference's first entry.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -72,8 +73,12 @@ def _charge_terms(terms: int, what: str) -> None:
     limits.charge_bytes(_TERM_BYTES * terms, what)
 
 
+@functools.lru_cache(maxsize=256)
 def _shape(dim: int, src_power: int, dst_power: int) -> tuple:
-    # saturated, so a huge power is refused without being computed
+    # saturated, so a huge power is refused without being computed.  Kept
+    # for the shapes last asked: every map built or applied asks again, so
+    # a Hopf heap or adjoint job asks for its dozen or so shapes hundreds
+    # of times.  A refusal is not kept, so it is raised again at every call.
     rows, cols = limits.power(dim, dst_power), limits.power(dim, src_power)
     if rows * cols > _INT64_MAX:
         raise InputError(
@@ -512,9 +517,15 @@ class ComonoidObject:
 
 class SDObject:
     """A comonoid with an n-ary operation; the distributive law is verified
-    as an exact matrix identity on construction unless verify=False."""
+    as an exact matrix identity on construction unless verify=False.
 
-    __slots__ = ("comonoid", "arity", "w")
+    The object is immutable, so a verdict found at construction holds for
+    good: the object keeps it, and `check_nary_sd` returns it without
+    computing the law again.  An object built with verify=False keeps
+    nothing, and each `check_nary_sd` on it computes the law.
+    """
+
+    __slots__ = ("comonoid", "arity", "w", "_verdict")
 
     def __init__(self, comonoid: ComonoidObject, arity: int, w: LinMap,
                  verify: bool = True):
@@ -531,8 +542,11 @@ class SDObject:
         object.__setattr__(self, "comonoid", comonoid)
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "_verdict", None)
         if verify:
-            _require(check_nary_sd(self), "operation is not self-distributive")
+            verdict = check_nary_sd(self)
+            _require(verdict, "operation is not self-distributive")
+            object.__setattr__(self, "_verdict", verdict)
 
     def __setattr__(self, name, value):
         raise AttributeError("SDObject is immutable")
@@ -571,7 +585,13 @@ def check_nary_sd(obj: SDObject) -> CheckResult:
     up-front STEPS charge is the bound of the dense contraction this
     replaced, so every input that one refused is still refused before any
     work; each map built is charged to BYTES as it is built.
+
+    An object verified at construction answers with the verdict it kept
+    then, computing nothing; on one built with verify=False the law is
+    computed at every call.
     """
+    if obj._verdict is not None:
+        return obj._verdict
     com, n, w = obj.comonoid, obj.arity, obj.w
     d, field = com.dim, com.field
     p = field.characteristic

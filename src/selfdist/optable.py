@@ -368,7 +368,8 @@ def are_mutually_distributive(op_a: OpTable, op_b: OpTable,
     """Both directions of the exchange law between two operations.
 
     Only the two exchange identities are checked; each operation's own
-    self-distributivity is a separate question.
+    self-distributivity is a separate question.  On two equal tables both
+    directions are that table's self-distributivity, scanned once.
     """
     if op_a.size != op_b.size:
         raise InputError(f"size mismatch: {op_a.size} vs {op_b.size}")
@@ -376,6 +377,8 @@ def are_mutually_distributive(op_a: OpTable, op_b: OpTable,
     if not first:
         return CheckResult(False, first.counterexample,
                            "second operation fails to distribute over the first")
+    if op_a == op_b:
+        return OK
     second = exchange_holds(op_b, op_a, jobs=jobs)
     if not second:
         return CheckResult(False, second.counterexample,
@@ -388,12 +391,14 @@ def are_compatible_ternary(T0: OpTable, T1: OpTable, jobs: int = 1) -> CheckResu
 
     Identity 1 distributes T0-translations over T0, feeding the third slot
     through T1; identity 2 does the same with the roles of T0 and T1 swapped.
+    On two equal tables both identities are that table's
+    self-distributivity, scanned once.
     """
     if T0.arity != 3 or T1.arity != 3:
         raise InputError("compatibility is defined for ternary operations only")
     if T0.size != T1.size:
         raise InputError(f"size mismatch: {T0.size} vs {T1.size}")
-    for which in (1, 2):
+    for which in (1,) if T0 == T1 else (1, 2):
         res = _first_failure(kernels.compat_scan, kernels.compat_law,
                             (T0.table, T1.table, T0.size, which),
                             f"compatibility identity {which} fails", jobs=jobs)

@@ -680,3 +680,83 @@ def test_pair_hypotheses_admit_and_refuse_in_one_phrasing():
             expected = ("admitted" if want == "." else laws.get(want) or
                         f"{names[int(want[1]) - 1]} {properties[want[0]]}")
             assert got == expected, (name, want)
+
+
+def _count_scans(monkeypatch):
+    from selfdist import kernels
+    scans = []
+    for name in ("exchange_scan", "compat_scan"):
+        scan = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, scan=scan, **k:
+                            scans.append(1) or scan(*a, **k))
+    return scans
+
+
+def test_a_diagonal_pair_scans_its_law_once(monkeypatch):
+    # on two equal tables the own tests, both exchange laws and both
+    # compatibility identities are one law, the table's self-distributivity
+    from selfdist import cocycles as C
+    from selfdist.homology import labeled_boundary
+    scans = _count_scans(monkeypatch)
+    R3, T3 = affine_op(3, 2, (2,)), heap_op(cyclic_group(3))
+    copy = OpTable(3, 2, R3.table.copy())
+    zero = lambda k: C.zero_cochain(3, k, 3)
+    calls = {
+        "f_functor": lambda: f_functor(R3, R3),
+        "doubling_binary": lambda: doubling_binary(R3, R3),
+        "compose_mn": lambda: compose_mn(R3, R3),
+        "labeled_boundary on a copy": lambda: labeled_boundary([R3, copy], 2),
+        "g_functor": lambda: g_functor(T3, T3),
+        "doubling_ternary": lambda: doubling_ternary(T3, T3),
+        "mutual cocycles": lambda: C.are_mutually_distributive_cocycles(
+            zero(2), zero(2), R3, R3),
+        "compatible cocycles": lambda: C.are_compatible_ternary_cocycles(
+            zero(3), zero(3), T3, T3),
+        "are_mutually_distributive": lambda: are_mutually_distributive(R3, copy),
+        "are_compatible_ternary": lambda: are_compatible_ternary(T3, T3),
+    }
+    for name, call in calls.items():
+        scans.clear()
+        assert getattr(call(), "holds", True), name
+        assert len(scans) == 1, (name, len(scans))
+    # two different tables still scan each law
+    other = core_quandle(symmetric_group(3))
+    pair = (projection_op(6, 2), other)
+    scans.clear()
+    compose_mn(*pair)
+    assert len(scans) == 4
+
+
+def test_a_non_sd_diagonal_pair_is_refused_as_before(monkeypatch):
+    # the refusal names the first hypothesis that fails, with the witness
+    # and detail of that hypothesis' own check, after one scan
+    from selfdist import cocycles as C
+    scans = _count_scans(monkeypatch)
+    plus = OpTable(3, 2, [(x + y) % 3 for x, y in itertools.product(range(3), repeat=2)])
+    plusT = OpTable(3, 3, [sum(t) % 3 for t in itertools.product(range(3), repeat=3)])
+    zero = lambda k: C.zero_cochain(3, k, 3)
+
+    def at(op):
+        cex = is_nary_distributive(op).counterexample
+        return f" at {cex.witness}: {cex.lhs} != {cex.rhs}"
+
+    sd = "(self-distributivity fails)"
+    cases = [
+        (lambda: f_functor(plus, plus), f"first operation is not a rack{at(plus)} {sd}"),
+        (lambda: compose_mn(plus, plus),
+         f"first operation is not self-distributive{at(plus)} {sd}"),
+        (lambda: C.are_mutually_distributive_cocycles(zero(2), zero(2), plus, plus),
+         f"operations are not mutually distributive{at(plus)}"
+         " (second operation fails to distribute over the first)"),
+        (lambda: g_functor(plusT, plusT), f"first operation is not a rack{at(plusT)} {sd}"),
+        (lambda: doubling_ternary(plusT, plusT),
+         f"first operation is not self-distributive{at(plusT)} {sd}"),
+        (lambda: C.are_compatible_ternary_cocycles(zero(3), zero(3), plusT, plusT),
+         f"operations are not compatible{at(plusT)} (compatibility identity 1 fails)"),
+    ]
+    for call, message in cases:
+        scans.clear()
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == message
+        assert len(scans) == 1, message

@@ -14,6 +14,7 @@ from selfdist import (InputError, OpTable, TableStack, affine_op,
                       heap_op, is_nary_distributive, is_quandle, is_rack,
                       projection_op, relabel, symmetric_group, tuple_to_index)
 from selfdist import enumeration, limits
+from selfdist.optable import digit_map
 from selfdist.enumeration import (KINDS, enumerate_affine, enumerate_mutual_pairs,
                                   enumerate_operations, enumerate_racks,
                                   find_isomorphism, isomorphism_classes,
@@ -987,6 +988,25 @@ def test_keys_match_least_relabeling_oracle():
             assert_matches_least_ref(list(ops))
 
 
+def test_moved_sources_match_whole_tuples():
+    # `_moved` reads a span's sources as a moved head plus moved low
+    # digits; each equals the whole tuple moved digit by digit, on spans
+    # of every length, aligned or not, and at arities far past the span
+    rng = np.random.default_rng(11)
+    for size, arity in ((1, 4), (2, 5), (2, 20), (3, 4), (5, 3), (7, 2), (8, 3)):
+        inverse = enumeration._relabelers(size)[1]
+        rows = inverse[rng.choice(len(inverse), min(len(inverse), 5), replace=False)]
+        entries = size ** arity
+        whole = digit_map(rows, size, arity)
+        spans = [(0, entries), (entries - 1, entries), (0, 1)]
+        for _ in range(8):
+            lo = int(rng.integers(0, entries))
+            spans.append((lo, int(rng.integers(lo + 1, min(entries, lo + 70_000) + 1))))
+        for lo, hi in spans:
+            assert np.array_equal(enumeration._moved(rows, lo, hi, size, arity),
+                                  whole[:, lo:hi]), (size, arity, lo, hi)
+
+
 def test_random_tables_match_least_relabeling_oracle():
     # seeded random tables and relabeled copies of some of them, on 2 to 6
     # points at arity 2 and 3, in one or several words (6 points at arity 3
@@ -1263,9 +1283,11 @@ def test_isomorphism_charge_covers_a_first_listing(monkeypatch):
 def test_isomorphism_charge_calibration(monkeypatch):
     # seconds per charged step, best of three, on the inputs of classes
     # that charge at least 2000 steps (below that the fixed cost of a call
-    # dominates), on the 8-point cases of test_size_8_ternary_through_blocks
-    # and on a stack of 100,000 tables on 2 points, priced mostly by their 3
-    # steps a table: every rate lies within a factor 3 of their median
+    # dominates), on the 8-point cases of test_size_8_ternary_through_blocks,
+    # on a stack of 100,000 tables on 2 points, priced mostly by their 3
+    # steps a table, and on three random tables of arity 20 on 2 points,
+    # too wide for a kept source map, so that `_moved` computes the sources
+    # of every span: every rate lies within a factor 3 of their median
     # (40-110 ns a step on a 2-core Xeon).  Listing the 8! permutations lies
     # at or below that band (about 30 ns a step there).
     charged = []
@@ -1285,7 +1307,9 @@ def test_isomorphism_charge_calibration(monkeypatch):
               "racks on 5": enumerate_racks(5, 2),
               "quandles on 5": enumerate_racks(5, 2, "quandle"),
               "4 ternary on 8": [a, other, heap, a],
-              "stack on 2": TableStack(2, 2, rng.integers(0, 2, (100_000, 4)))}
+              "stack on 2": TableStack(2, 2, rng.integers(0, 2, (100_000, 4))),
+              "arity 20 on 2": [OpTable(2, 20, rng.integers(0, 2, 2 ** 20))
+                                for _ in range(3)]}
     calls = {name: functools.partial(isomorphism_classes, ops)
              for name, ops in inputs.items()}
     calls["no isomorphism on 8"] = functools.partial(find_isomorphism, a, other)

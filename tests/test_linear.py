@@ -34,6 +34,12 @@ def nonabelian_lie():
     return LieAlgebraObject(2, LinMap(F5, 2, 2, 1, B))
 
 
+def unverified(obj):
+    """The same comonoid and map, built with verify=False, so that
+    check_nary_sd computes the law on it instead of reading a kept verdict."""
+    return SDObject(obj.comonoid, obj.arity, obj.w, verify=False)
+
+
 def basis_table(obj):
     # operation restricted to basis vectors, when every column is a basis
     # vector; flat list in lexicographic argument order
@@ -250,7 +256,7 @@ def test_delta_n_counit_collapse():
 
 def test_heap_z2_holds_and_matches_table():
     heap = hopf_heap(z2_hopf())
-    assert check_nary_sd(heap).holds
+    assert check_nary_sd(unverified(heap)).holds
     assert basis_table(heap) == [0, 1, 1, 0, 1, 0, 0, 1]
     assert basis_table(heap) == list(heap_op(cyclic_group(2)).table)
 
@@ -527,7 +533,7 @@ def test_adjoint_tables():
 
 def test_char_zero_heap():
     heap = hopf_heap(z2_hopf(F0))
-    assert check_nary_sd(heap).holds
+    assert check_nary_sd(unverified(heap)).holds
     assert heap.w.matrix[0, 0] == Fraction(1)
 
 
@@ -835,7 +841,7 @@ def test_hopf_objects_agree_with_table_scans(g):
                        (hopf_adjoint_ternary(H), iterated_conj_table(g))):
         assert basis_table(obj) == list(table)
         op = OpTable(g.size, 3, table)
-        assert bool(check_nary_sd(obj)) == bool(is_nary_distributive(op))
+        assert bool(check_nary_sd(unverified(obj))) == bool(is_nary_distributive(op))
         assert check_nary_sd(obj).holds
     # one seeded perturbed entry in each table: the verdicts agree (a
     # perturbed projection can stay distributive, a perturbed heap cannot)
@@ -925,9 +931,10 @@ def test_primes_beyond_exact_int64_products_are_refused():
     res = check_nary_sd(SDObject(com, 2, w, verify=False))
     assert res.counterexample.witness == (0, (0, 0, 0))
     assert (res.counterexample.lhs, res.counterexample.rhs) == (1, p - 1)
-    assert check_nary_sd(SDObject(com, 2, LinMap(F, 1, 2, 1, [[1]]))).holds
+    assert check_nary_sd(SDObject(com, 2, LinMap(F, 1, 2, 1, [[1]]),
+                                  verify=False)).holds
     heap = hopf_heap(group_algebra_hopf(cyclic_group(2), Field(2 ** 31 - 1)))
-    assert check_nary_sd(heap).holds
+    assert check_nary_sd(unverified(heap)).holds
 
 
 # ---------------------------------------------------------------------------
@@ -1104,22 +1111,23 @@ def oracle_objects():
                     yield SDObject(com, n,
                                    random_operation(rng, field, d, n, density),
                                    verify=False)
-    # objects that hold by construction
+    # objects that hold by construction, verified there and then checked
+    # again unverified, so that the check computes the law
     for g, field in ((cyclic_group(3), F5), (symmetric_group(3), F2),
                      (cyclic_group(2), F0)):
         H = group_algebra_hopf(g, field)
         com = H.comonoid()
         ident = LinMap.identity(field, g.size)
-        yield hopf_heap(H)
-        yield hopf_adjoint_ternary(H)
-        yield SDObject(com, 3, ident.tensor(com.counit).tensor(com.counit))
-        yield augmented_operation(H.mult @ H.antipode.tensor(ident), H, com,
-                                  H.mult)
+        yield unverified(hopf_heap(H))
+        yield unverified(hopf_adjoint_ternary(H))
+        yield unverified(SDObject(com, 3, ident.tensor(com.counit).tensor(com.counit)))
+        yield unverified(augmented_operation(H.mult @ H.antipode.tensor(ident),
+                                             H, com, H.mult))
     for field in (F2, F5, F0):
         binary = lie_to_binary_sd(lie_over(field))
-        yield binary
-        yield categorical_double(binary)
-    yield lie_to_binary_sd(nonabelian_lie())
+        yield unverified(binary)
+        yield unverified(categorical_double(binary))
+    yield unverified(lie_to_binary_sd(nonabelian_lie()))
     # high arities, where the n^2-th power of the regrouped copies would
     # have more positions than int64 holds
     for g, n, field in ((7, 4, F2), (4, 5, F5), (3, 6, F2)):
@@ -1146,6 +1154,66 @@ def test_check_matches_dense_contraction_oracle(monkeypatch):
         failing += not holds
         count += 1
     assert (count, failing) == (97, 51)
+
+
+def verified_objects():
+    # every Hopf heap, Hopf adjoint and Lie object these tests build, each
+    # verified at construction
+    for H in (z2_hopf(), z2_hopf(F0),
+              group_algebra_hopf(cyclic_group(2), Field(2 ** 31 - 1)),
+              group_algebra_hopf(cyclic_group(3), F5),
+              group_algebra_hopf(symmetric_group(3), F2),
+              group_algebra_hopf(cyclic_group(2), F0),
+              *(group_algebra_hopf(g, F5 if g.size % 5 else F3)
+                for g in ANCHOR_GROUPS)):
+        yield hopf_heap(H)
+        yield hopf_adjoint_ternary(H)
+    for L in (nonabelian_lie(), lie_over(F2), lie_over(F5), lie_over(F0)):
+        binary = lie_to_binary_sd(L)
+        yield binary
+        yield categorical_double(binary)
+
+
+def test_kept_verdict_matches_recomputation(monkeypatch):
+    # a verified object answers with the verdict of its construction and
+    # computes nothing; the same comonoid and map unverified computes the
+    # law, to the same answer
+    acts = []
+    act = linear_mod._act
+    monkeypatch.setattr(linear_mod, "_act",
+                        lambda *a, **k: acts.append(1) or act(*a, **k))
+    count = 0
+    for obj in verified_objects():
+        acts.clear()
+        kept = check_nary_sd(obj)
+        assert kept.holds and not acts
+        assert check_nary_sd(unverified(obj)) == kept and acts
+        count += 1
+    assert count == 34
+
+
+def test_perturbed_objects_refused_with_the_computed_witness():
+    # one entry of each map bumped: construction refuses it, and an
+    # unverified copy reports the witness of the refusal, the dense
+    # contraction's where that is small
+    raised = 0
+    for obj in verified_objects():
+        com, n, field = obj.comonoid, obj.arity, obj.comonoid.field
+        bad = field.reduce(np.array(obj.w.matrix))
+        bad[0, 0] = bad[0, 0] + 1
+        w = LinMap(field, com.dim, n, 1, field.reduce(bad))
+        res = check_nary_sd(SDObject(com, n, w, verify=False))
+        with pytest.raises(PreconditionError) as err:
+            SDObject(com, n, w)
+        assert err.value.result == res
+        assert str(err.value).startswith("operation is not self-distributive at ")
+        assert res.detail == "self-distributivity fails on a basis input"
+        if com.dim ** (2 * n - 1) <= 6 ** 5:
+            cex = res.counterexample
+            assert dense_check_nary_sd(SDObject(com, n, w, verify=False)) == \
+                (False, (cex.witness, cex.lhs, cex.rhs))
+        raised += 1
+    assert raised == 34
 
 
 def linearized(op, field=F3):
