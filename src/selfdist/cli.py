@@ -38,6 +38,7 @@ import re
 import sys
 import time
 import traceback
+import warnings
 
 import numpy as np
 
@@ -323,14 +324,14 @@ def _summary(content) -> str:
 
 
 # An array written in fewer characters than this goes to json.  The int64
-# path costs about 40 us however short the array, json and np.asarray 0.04
-# (flat) to 0.08 (rows) us a character, so they cross between 0.6 and 1.5 KB.
+# path costs about 25 us however short the array and 0.006 us a character,
+# json and np.asarray 0.025 (flat) to 0.05 (rows) us a character, so they
+# cross between 0.55 (rows) and 1.2 KB (flat).
 _ARRAY_MIN = 1024
 _scan_value = json.JSONDecoder().scan_once
 _blanks = json.decoder.WHITESPACE.match
 _ROWS_END = re.compile(r"\][ \t\n\r]*\]")
-_COMMA, _MINUS, _ZERO, _NINE, _CLOSE = b",-09]"
-_SIGNED_DIGITS = bytes.maketrans(b"0123456789-", b"d" * 11)
+_COMMA, _MINUS, _ZERO, _CLOSE = b",-0]"
 
 
 def _int64_array(text: str, start: int):
@@ -339,11 +340,24 @@ def _int64_array(text: str, start: int):
     one; end is the index after its closing bracket.
 
     None when the array is shorter than _ARRAY_MIN characters, or its text
-    is anything but a valid flat or rectangular array of integers of at
-    most 18 characters each.  Those checks run on the text, before
-    np.fromstring reads it: that parser reads "01", "+1", an empty field, a
-    lone "-" and "- 1" as numbers, passes over a trailing comma, and reads
-    any overflow, of either sign, as the int64 maximum.
+    is anything but a valid flat or rectangular array of integers v with
+    |v| < 10^18.  np.fromstring reads the text between the brackets, the
+    rows' brackets taken out, in one pass.  It refuses "1,,2", "1 2", "1-2"
+    and "--1" with a ValueError; numpy < 2 warns instead and reads a
+    prefix, and that warning refuses the array too.  Each quirk it lets
+    through is refused by a test after it:
+    - a trailing comma, which it passes over: the count of values must be
+      the count of commas plus one;
+    - "+1", "\\v" and "\\f", read as 1 and as blanks: none of those bytes
+      may occur;
+    - an overflow, read, of either sign, as the int64 maximum: |v| < 10^18,
+      so each value read is exact;
+    - a field of blanks, read as 0: there must be one run of digits a
+      value;
+    - "01" and "00", read as 1 and 0: no run of digits may open with "0"
+      and go on;
+    - a lone "-", read as 0, and "- 1", read as -1: each "-" must have a
+      digit after it.
     """
     first = _blanks(text, start + 1).end()
     rows = text.startswith("[", first)
@@ -356,33 +370,41 @@ def _int64_array(text: str, start: int):
         return None
     # a character beyond ASCII becomes "?", which no integer array holds
     raw = text[start + 1:end - 1].encode("ascii", "replace")
-    if raw.translate(None, b"0123456789,-[] \t\n\r"):
-        return None
-    tight = raw.translate(None, b" \t\n\r")
     if rows:
         # [..],[..],..,[..]: tight opens with "[" and closes with "]", and
         # every other bracket is in a "],[", so no row holds a bracket
+        tight = raw.translate(None, b" \t\n\r")
         count = tight.count(b"[")
         if (tight.count(b"]") != count
                 or tight.count(b"],[") != count - 1):
             return None
-        flat = tight.translate(None, b"[]")
-    elif b"[" in tight:
+        # so taking the brackets out joins no two values
+        raw = raw.translate(None, b"[]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            values = np.fromstring(raw, dtype=np.int64, sep=",")
+        except (ValueError, Warning):
+            return None
+    g = np.frombuffer(b",%b," % raw, np.uint8)
+    if (len(values) != np.count_nonzero(g == _COMMA) - 1
+            or b"+" in raw or b"\v" in raw or b"\f" in raw
+            or values.max() >= 10 ** 18 or values.min() <= -10 ** 18):
         return None
-    else:
-        flat = tight
-    fields = flat.count(b",") + 1
-    # a blank inside a number, as in "- 1" or "1 2", is gone from flat but
-    # splits a run of digits and signs of raw in two
-    if (not _plain_fields(flat)
-            or (len(tight) != len(raw) and _runs(raw) != fields)):
+    # the parse leaves only digits, signs, commas and blanks, and of those
+    # only the digits are "0" or above
+    digit = g >= _ZERO
+    opens = digit[1:] > digit[:-1]      # a run of digits opens at g[i + 1]
+    if (np.count_nonzero(opens) != len(values)
+            or (opens[:-1] & (g[1:-1] == _ZERO) & digit[2:]).any()
+            or (b"-" in raw
+                and not digit[np.flatnonzero(g == _MINUS) + 1].all())):
         return None
-    values = np.fromstring(flat, dtype=np.int64, sep=",")
     if not rows:
         return values, end
-    if fields % count:
+    if len(values) % count:
         return None
-    width = fields // count
+    width = len(values) // count
     if width > 1:
         # before the close of row i come (i + 1) * width - 1 commas
         t = np.frombuffer(tight, np.uint8)
@@ -391,29 +413,6 @@ def _int64_array(text: str, start: int):
         if (before != width * np.arange(1, count + 1) - 1).any():
             return None
     return values.reshape(count, width), end
-
-
-def _plain_fields(flat: bytes) -> bool:
-    """Whether each comma-separated field of flat, a text of digits, signs
-    and commas, reads -?(0|[1-9][0-9]*) in at most 18 characters, which
-    int64 holds."""
-    if b"d" * 19 in flat.translate(_SIGNED_DIGITS):
-        return False
-    g = np.frombuffer(b"," + flat + b",", np.uint8)
-    comma = g == _COMMA
-    minus = g == _MINUS
-    sep = g <= _MINUS
-    return not ((comma[1:] & comma[:-1]).any()        # an empty field
-                or (minus[1:] & ~comma[:-1]).any()    # a sign inside a field
-                or (minus[:-1] & comma[1:]).any()     # a sign and no digit
-                or ((g[1:-1] == _ZERO) & sep[:-2] & ~sep[2:]).any())  # "01"
-
-
-def _runs(raw: bytes) -> int:
-    """The number of runs of digits and signs in raw."""
-    b = np.frombuffer(raw, np.uint8)
-    digit = (b >= _MINUS) & (b <= _NINE)
-    return int(np.count_nonzero(digit[1:] > digit[:-1]) + digit[0])
 
 
 def _decode_members(text: str, arrays) -> dict:

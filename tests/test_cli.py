@@ -727,6 +727,52 @@ def test_loaders_read_the_package_writers(doc, member, load, from_json, dumps,
         assert np.array_equal(got.cayley, want.cayley)
 
 
+LAYOUTS = {
+    # every layout of DUMPS, broken into lines with CRLF ends (indent 0
+    # where the layout has no indent of its own) or indented by tabs
+    "crlf": lambda doc, dumps: json.dumps(
+        doc, **{"indent": 0, **dumps}).replace("\n", "\r\n"),
+    "tabs": lambda doc, dumps: json.dumps(doc, **{**dumps, "indent": "\t"}),
+}
+
+
+@pytest.fixture(scope="module", params=["heap-D20", "cochain-14400"])
+def large_doc(request):
+    """The heap of D20 (ternary, 64,000 entries) or a 14,400 x 1 cochain."""
+    if request.param == "heap-D20":
+        return heap_op(dihedral_group(20)).as_json(), "table"
+    return _scan_cochain(120), "values"
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dumps", DUMPS)
+def test_large_arrays_keep_the_int64_path_in_every_layout(large_doc, dumps,
+                                                         layout):
+    # a layout that fell back to json would give the same answers, slowly
+    doc, member = large_doc
+    text = LAYOUTS[layout](doc, dumps)
+    assert "\r\n" in text if layout == "crlf" else "\t" in text
+    got = cli._decode(text, (member,))[member]
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    want = np.asarray(json.loads(text)[member])
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_a_numpy_1_warning_refuses_the_array():
+    # numpy < 2 warns and reads a prefix where numpy 2 raises ValueError
+    def lax(text, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to "
+                      "unmatched data", DeprecationWarning)
+        return np.zeros(text.count(b",") + 1, dtype)
+    text = "[" + ", ".join(["1"] * 600) + "]"
+    with mock.patch.object(cli.np, "fromstring", lax), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli._int64_array(text, 0) is None
+        assert cli._decode('{"table": %s}' % text, ("table",)) == {
+            "table": [1] * 600}
+
+
 def test_short_arrays_and_other_documents_stay_lists():
     short = json.dumps({"size": 3, "arity": 2, "table": [0] * 9})
     assert cli._decode(short, ("table",))["table"] == [0] * 9
@@ -758,8 +804,9 @@ LAX_TOKENS = st.sampled_from([
 NOT_INTEGERS = st.sampled_from(["true", "null", "1.5", "1e3", "-0.0", '"]]"',
                                 '"[1]"', '"]"', "[]", "[[1]]"])
 # "" runs two numbers together, and two rows into text that is not JSON
-SEPARATORS = st.sampled_from([",", ", ", " , ", ",\n  ", " ,", ""])
-BLANKS = st.sampled_from(["", " ", "\n", "\t ", "\r\n"])
+SEPARATORS = st.sampled_from([",", ", ", " , ", ",\n  ", " ,", "", ",\r\n",
+                              ",\t", "\r\n", "\t"])
+BLANKS = st.sampled_from(["", " ", "\n", "\t ", "\r\n", "\t"])
 
 
 @st.composite
@@ -816,10 +863,13 @@ def documents(draw):
     "[[1][2,3]]", "[[1,[2],3,4]]", "[[1]1]2]]", "[[1, 2], [3]]",
     "[[1, 2, 3], [4]]", "[[1], 2]", "[1, [2]]", "[[[1]]]", "[]", "[[]]",
     "[1.0]", "[true]", '["1"]', "[1e3]", "[0x10]", "[\uff11]", "[1, \u00e9]",
-    "[1, \ud800]", "[1, 2", "[[1], [2]"])
+    "[1, \ud800]", "[1, 2", "[[1], [2]", "[1, -, 2]", "[1, 2, ]", "[0-1]",
+    "[1000000000000000000]", "[-1000000000000000000]", "[[01], [2]]",
+    "[1, , 2]", "[ ]", "[[1], [ ]]", "[+ 1]", "[1,\v2]", "[1,\f2]"])
 def test_int64_path_refuses_all_but_plain_integer_arrays(text):
     # None, never an exception, so json decides these;
-    # [9223372036854775807] is valid but has 19 characters
+    # [9223372036854775807] and [1000000000000000000] are valid, but the
+    # int64 path takes no value of 10^18 or more
     with mock.patch.object(cli, "_ARRAY_MIN", 0):
         assert cli._int64_array(text, 0) is None
 
