@@ -331,7 +331,7 @@ _ARRAY_MIN = 1024
 _scan_value = json.JSONDecoder().scan_once
 _blanks = json.decoder.WHITESPACE.match
 _ROWS_END = re.compile(r"\][ \t\n\r]*\]")
-_COMMA, _MINUS, _ZERO, _CLOSE = b",-0]"
+_COMMA, _MINUS, _ZERO, _OPEN, _CLOSE = b",-0[]"
 
 
 def _int64_array(text: str, start: int):
@@ -373,10 +373,12 @@ def _int64_array(text: str, start: int):
     if rows:
         # [..],[..],..,[..]: tight opens with "[" and closes with "]", and
         # every other bracket is in a "],[", so no row holds a bracket
-        tight = raw.translate(None, b" \t\n\r")
-        count = tight.count(b"[")
-        if (tight.count(b"]") != count
-                or tight.count(b"],[") != count - 1):
+        t = np.frombuffer(raw.translate(None, b" \t\n\r"), np.uint8)
+        opens, closes = t == _OPEN, t == _CLOSE
+        count = np.count_nonzero(opens)
+        if (np.count_nonzero(closes) != count
+                or np.count_nonzero(closes[:-2] & (t[1:-1] == _COMMA) & opens[2:])
+                != count - 1):
             return None
         # so taking the brackets out joins no two values
         raw = raw.translate(None, b"[]")
@@ -407,9 +409,7 @@ def _int64_array(text: str, start: int):
     width = len(values) // count
     if width > 1:
         # before the close of row i come (i + 1) * width - 1 commas
-        t = np.frombuffer(tight, np.uint8)
-        before = np.searchsorted(np.flatnonzero(t == _COMMA),
-                                 np.flatnonzero(t == _CLOSE))
+        before = np.searchsorted(np.flatnonzero(t == _COMMA), np.flatnonzero(closes))
         if (before != width * np.arange(1, count + 1) - 1).any():
             return None
     return values.reshape(count, width), end

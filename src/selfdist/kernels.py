@@ -55,6 +55,25 @@ failing class, and so the result is still the first failing tuple.  `witness`
 and the batched laws of `holds` read every tail.  A scan's step charge
 counts the classes, so a heap is charged for N tails, not N^2.
 
+An exchange law of one table (d = 0, every act opz) says that each class's
+translation T_k = opz(., z_k) is an endomorphism of opy, and End(opy) is
+closed under composition.  So once the law holds at classes s and a, it
+holds at every class whose translation is T_a o T_s, and at a class whose
+translation is the identity, where both sides are opy(x, y).  `_scan`
+therefore scans such a law first on a generating set of its classes
+(`_generating_classes`): the identity counts as covered, each generator is
+the first class not yet covered, and a class T_k o T_s, found exactly
+among the class rows, is covered when k is.  It runs only where the scan
+spans more than one block (N^lead x classes > `_SLAB`), every translation
+is a bijection and one of them is the identity.  Bijections closed under
+composition form a group, which holds the identity, and in a group each new
+generator at least doubles the covered classes, so the choosing stops at
+the first generator that does not: a group of K classes needs at most
+log2 K generators, and composition that never closes up (the core and
+Alexander quandles) costs one lookup of the identity.  A law that fails on
+the generators and the classes left uncovered is scanned again on every
+class, so its first failing tuple is found as before.
+
 A law may also range over a stack of `batch` candidate tables, one per
 row, with the candidate as one more leading coordinate, most significant.
 Candidate c's tables are rows c*N.. of the stacked row views, so the blocks
@@ -157,7 +176,11 @@ def _entries(values, length, hi, what):
 # each leading coordinate.  The blocks spend 1.8-2.0 ns on each tuple (the
 # heap of C80, 41M tuples in 0.083 s; of S5, 207M in 0.39 s), a fifth of the
 # 10 ns charged, which was their cost in int64 and stays so that no refusal
-# moves.  `np.unique` groups the tails at 150-540 ns a row.
+# moves.  `np.unique` groups the tails at 150-540 ns a row.  The charge
+# counts every class, also where an exchange law is then scanned on its
+# generating classes alone, and is made before the closure, so that no
+# refusal moves: the heap of S5 stays refused for 207M tuples, though its
+# law would now read a few of its 120 classes.
 _LEAD_STEPS = 75
 _TUPLES_PER_STEP = 12
 _ROW_STEPS = 4
@@ -166,11 +189,13 @@ _ROW_STEPS = 4
 def _charge_blocks(N, lead, tail, what, batch=1):
     """Charge a scan's work before it starts: `lead` digit and gather calls
     for each block of leading tuples, and the tuples the blocks evaluate.
-    `tail` counts the tails scanned for each leading tuple."""
+    `tail` counts the tails scanned for each leading tuple.  Returns the
+    steps charged."""
     leads = batch * limits.power(N, lead)
     blocks = -(-leads // max(1, _SLAB // max(1, tail)))
-    limits.charge_steps(_LEAD_STEPS * lead * blocks + leads * tail // _TUPLES_PER_STEP,
-                        f"a scan of {what}")
+    need = _LEAD_STEPS * lead * blocks + leads * tail // _TUPLES_PER_STEP
+    limits.charge_steps(need, f"a scan of {what}")
+    return need
 
 
 def exchange_law(tm, tn, N, m, n, batch=1):
@@ -340,10 +365,8 @@ def _blocks(law, lo, hi):
             # flat index into Q of the right side at (unit, y tail, class):
             # (unit*K + k)*T plus the candidate's head sums, reused by every
             # later block of the same candidates, none of which is longer
-            idx = np.repeat(_head_sums(law, c0, c1, t) + np.arange(K) * T,
-                            n // (c1 - c0), axis=0)
-            units = idx.reshape(n, E)
-            units += (np.arange(n) * E)[:, None]
+            idx = ((_head_sums(law, c0, c1, t) + np.arange(K) * T)[:, None]
+                   + (np.arange(n) * E).reshape(c1 - c0, -1, 1, 1)).reshape(n, T, K)
             key = (c0, c1)
         # each unit's x-digits and head y-digits, as rows of its candidate
         r = np.arange(u0, u1)
@@ -419,18 +442,122 @@ def _tail_classes(law):
     if len(first) == rows:
         return law, None
     first.sort()
-    cut = {id(a): a.reshape(law.N, rows)[:, first].ravel() for a in read}
+    return _cut(law, first), first
+
+
+def _cut(law, tails):
+    """The law restricted to the given tails, in their order; arrays that
+    are one array in the law stay one array."""
+    cut = {}
+    for a in (law.opz, *law.acts, law.cz):
+        if a is not None and id(a) not in cut:
+            cut[id(a)] = a.reshape(law.N, law.tail)[:, tails].ravel()
     return law._replace(opz=cut[id(law.opz)], acts=tuple(cut[id(a)] for a in law.acts),
-                        cz=None if law.cz is None else cut[id(law.cz)]), first
+                        cz=None if law.cz is None else cut[id(law.cz)])
+
+
+def _generating_classes(law, need):
+    """The classes, in increasing order, that an exchange law of one table
+    is scanned on first: its generators and the classes they leave
+    uncovered; None where the law takes the full scan at once.
+
+    `law` holds one tail per class, and `need` is the scan's step charge.
+    The closure runs where the law spans more than one block, where its
+    charge is at most the scan's, so that it never costs more than the
+    scan it may save, and where every class translation is a bijection and
+    one is the identity.  It is charged for K.bit_length() generators, at
+    most log2 K + 1: for each, the K x N entries of the compositions
+    gathered and the K rows looked up, at a row of `np.unique`'s cost.
+    """
+    N, K = law.N, law.tail
+    if (law.d or law.batch > 1 or law.pick != (0, 0, 0)
+            or any(a is not law.opz for a in law.acts)
+            or N ** law.lead * K <= _SLAB):
+        return None
+    most = K.bit_length()
+    steps = most * K * (N // _TUPLES_PER_STEP + _ROW_STEPS)
+    if steps > need:
+        return None
+    what = f"the generating classes of {K} tail classes"
+    limits.charge_steps(steps, what)
+    dtype = np.min_scalar_type(N - 1)
+    # the int64 index of each entry; the class rows, their sorted keys and
+    # one generator's compositions; the lookups of each generator as lists
+    limits.charge_bytes(K * N * (8 + 3 * dtype.itemsize) + 40 * K * most, what)
+    # column k of Z is the translation of class k
+    Z = law.opz.reshape(N, K)
+    ident = np.flatnonzero(Z[0] == 0)
+    ident = ident[(Z[:, ident] == np.arange(N)[:, None]).all(axis=0)]
+    if not len(ident):
+        return None
+    seen = np.zeros(K * N, bool)
+    seen[(Z + np.arange(0, K * N, N)).ravel()] = True
+    if not seen.all():
+        return None
+    # row k of P is the translation of class k; its bytes are its key
+    P = np.ascontiguousarray(Z.T, dtype)
+    void = np.dtype((np.void, N * dtype.itemsize))
+    keys = P.view(void).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    # covered[-1], read for a composition that is no class, stays True
+    covered = [False] * K + [True]
+    nodes = [int(ident[0])]     # the covered classes, in the order covered
+    covered[nodes[0]] = True
+    gens, tos = [], []          # each generator s, and the class of T_k o T_s
+    s = 0
+    while True:
+        while s < K and covered[s]:
+            s += 1
+        if s == K:
+            break
+        got = P.take(P[s], axis=1).view(void).ravel()
+        at = np.minimum(np.searchsorted(keys, got), K - 1)
+        to = np.where(keys[at] == got, order[at], -1).tolist()
+        gens.append(s)
+        tos.append(to)
+        before = len(nodes)
+        # s and each covered class composed with s, then every class that
+        # a new one composed with a generator reaches
+        for k in [s] + [to[a] for a in nodes]:
+            if not covered[k]:
+                covered[k] = True
+                nodes.append(k)
+        i = before
+        while i < len(nodes):
+            for to in tos:
+                k = to[nodes[i]]
+                if not covered[k]:
+                    covered[k] = True
+                    nodes.append(k)
+            i += 1
+        if len(nodes) < 2 * before:
+            break
+    some = [k for k in range(K) if not covered[k]] + gens
+    if len(some) == K:
+        return None
+    some.sort()
+    return np.array(some, np.intp)
 
 
 def _scan(law, jobs=1):
-    """First failing flat index of the law over all tuples, or -1."""
+    """First failing flat index of the law over all tuples, or -1.
+
+    The law is scanned on one tail per class.  An exchange law of one table
+    whose `_generating_classes` cover some class is scanned first on the
+    classes those leave: where it holds there, it holds; where it fails,
+    every class is scanned, so that the first failing tuple is found.
+    """
     tail = law.tail
     law, first = _tail_classes(law)
     N = law.N
-    _charge_blocks(N, law.lead, law.tail, f"{law.tail} tail classes on {N} points")
+    # on every class, before the closure
+    need = _charge_blocks(N, law.lead, law.tail, f"{law.tail} tail classes on {N} points")
     per_x = N ** (law.lead - 1)
+    some = _generating_classes(law, need)
+    if some is not None and (not len(some)
+                             or _scan_range(_cut(law, some), 0, N * per_x) < 0):
+        return -1
     jobs = min(jobs or 1, N)
     if jobs <= 1:
         hit = _scan_range(law, 0, N * per_x)

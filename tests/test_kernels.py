@@ -1,13 +1,16 @@
 import itertools
+import json
 import random
 
 import numpy as np
 import pytest
 
 from selfdist import (InputError, OpTable, affine_op, are_compatible_ternary,
-                      cyclic_group, heap_op, index_to_tuple,
-                      product_mutual_pair, symmetric_group)
-from selfdist import kernels
+                      conj_quandle, core_quandle, cyclic_group, dihedral_group,
+                      direct_product, exchange_holds, generalized_alexander,
+                      heap_op, index_to_tuple, power_op, product_mutual_pair,
+                      relabel, symmetric_group)
+from selfdist import cli, kernels
 from selfdist.kernels import (compat_cocycle_scan, compat_scan, exchange_scan,
                               mutual_cocycle_scan, nary_cocycle_scan,
                               translation_scan)
@@ -424,6 +427,173 @@ def test_scan_is_charged_on_its_tail_classes():
     heap = heap_op(symmetric_group(5))
     with pytest.raises(InputError, match="refusing a scan of 120 tail classes"):
         exchange_scan(heap.table, heap.table, 120, 3, 3)
+
+
+def _generating_cases():
+    """Exchange laws (name, tm, tn, group) of racks: group says whether the
+    translations of tn form a group (heaps, conjugation and its square), or
+    never compose into one another (core and Alexander quandles).  The
+    single tables are relabeled, so that the identity class is not first."""
+    perm = random.Random(32).sample
+    S5 = symmetric_group(5)
+    conj = conj_quandle(S5)
+    ops = {"heap-D20": heap_op(dihedral_group(20)),
+           "heap-C6xC6": heap_op(direct_product(cyclic_group(6), cyclic_group(6))),
+           "conj-S5": conj, "core-S5": core_quandle(S5),
+           "alex-C120": generalized_alexander(cyclic_group(120), 7 * np.arange(120) % 120)}
+    cases = []
+    for name, op in ops.items():
+        op = relabel(op, perm(range(op.size), op.size))
+        cases.append((name, op, op, name.startswith(("heap", "conj"))))
+    conj_core = product_mutual_pair(conj_quandle(symmetric_group(4)),
+                                    core_quandle(dihedral_group(5)))
+    # the second operation of the product pair acts by the core quandle
+    for name, (a, b), group in (("prod-S4-D5", conj_core, False),
+                                ("pow-conj-S5", (conj, power_op(conj, 2)), True)):
+        cases += [(name, a, b, group), (name + "-swapped", b, a, True)]
+    return cases
+
+
+def _variants(name, tm, tn):
+    """The law as built; with one entry changed at 20 seeded positions, of
+    the outer table alone at even ones (the translations stay bijections)
+    and of the acting one at odd ones; and with two values swapped inside
+    one translation, which keeps every translation a bijection."""
+    rng = random.Random(name)
+    N, m, n = tm.size, tm.arity, tn.arity
+    one = tm is tn
+    tm, tn = as_i64(tm.table), as_i64(tn.table)
+    yield "built", tm, tn
+    for i in range(20):
+        if i % 2 == 0:
+            at = rng.randrange(len(tm))
+            yield f"outer {at}", perturbed(tm, N, at), tn
+        else:
+            at = rng.randrange(len(tn))
+            bad = perturbed(tn, N, at)
+            yield f"acting {at}", bad if one else tm, bad
+    z = rng.randrange(len(tn) // N)
+    x0, x1 = rng.sample(range(N), 2)
+    bad = tn.copy()
+    P = len(tn) // N
+    bad[x0 * P + z], bad[x1 * P + z] = tn[x1 * P + z], tn[x0 * P + z]
+    yield "swap", bad if one else tm, bad
+
+
+def test_generating_classes_match_the_full_scan(monkeypatch):
+    closures = []
+    generating = kernels._generating_classes
+
+    def spy(law, need):
+        closures.append(generating(law, need))
+        assert_closure_is_sound(law, closures[-1])
+        return closures[-1]
+
+    def full_scan(law, need):
+        return None
+
+    fails = 0
+    for name, op_m, op_n, group in _generating_cases():
+        N, m, n = op_m.size, op_m.arity, op_n.arity
+        for variant, tm, tn in _variants(name, op_m, op_n):
+            A, B = OpTable(N, m, tm), OpTable(N, n, tn)
+            monkeypatch.setattr(kernels, "_generating_classes", full_scan)
+            want, verdict = exchange_scan(tm, tn, N, m, n), exchange_holds(A, B)
+            monkeypatch.setattr(kernels, "_generating_classes", spy)
+            closures.clear()
+            assert exchange_scan(tm, tn, N, m, n) == want, (name, variant)
+            assert exchange_holds(A, B) == verdict, (name, variant)
+            if variant == "built":
+                assert want == -1, name
+                assert (closures[0] is not None) == group, name
+            if variant.startswith("acting"):
+                # a changed entry leaves its translation no bijection
+                assert closures[0] is None, (name, variant)
+            if variant == "swap":
+                # the swap passes the gate, and the law fails
+                assert want >= 0, name
+                assert (closures[0] is not None) == group, name
+            fails += want >= 0
+    assert fails > 100
+
+
+def reachable(law, some):
+    """The classes of a class-cut exchange law whose translation is the
+    identity, or is reached from one of the classes `some` by composing
+    with their translations, each step landing on a class: where the law
+    holds once it holds at `some`.  Rows as bytes, one composition at a time."""
+    N, K = law.N, law.tail
+    rows = law.opz.reshape(N, K).T
+    index = {row.tobytes(): k for k, row in enumerate(rows)}
+    found = {int(k) for k in some}
+    ident = index.get(np.arange(N, dtype=rows.dtype).tobytes())
+    if ident is not None:
+        found.add(ident)
+    stack = list(found)
+    while stack:
+        a = stack.pop()
+        for g in some:
+            k = index.get(rows[a][rows[g]].tobytes())
+            if k is not None and k not in found:
+                found.add(k)
+                stack.append(k)
+    return found
+
+
+def assert_closure_is_sound(law, some):
+    """The classes `_generating_classes` leaves out are all reachable."""
+    if some is not None:
+        assert reachable(law, some) == set(range(law.tail)), (law.N, law.tail, some)
+
+
+def test_a_law_that_holds_on_a_subgroup_is_scanned_on_every_class():
+    # conjugation by z is an endomorphism of x c y exactly when z commutes
+    # with c, so the law holds at the classes of the centralizer of c and
+    # fails at the others.  Relabeled so that c, of order 3, is the first
+    # class after the identity: the first generator lies in the centralizer,
+    # and every class is T_k o T_c for some k, so a closure that composed
+    # uncovered classes would cover every class after one scan that holds.
+    S5 = symmetric_group(5)
+    C = S5.cayley.reshape(120, 120)
+    perm = list(range(120))
+    perm[1], perm[3] = 3, 1
+    tm = as_i64(relabel(OpTable(120, 2, C[C[:, 3][:, None], np.arange(120)].ravel()), perm).table)
+    conj = as_i64(relabel(conj_quandle(S5), perm).table)
+    law = kernels._tail_classes(kernels.exchange_law(tm, conj, 120, 2, 2))[0]
+    some = kernels._generating_classes(law, 1 << 62)
+    assert_closure_is_sound(law, some)
+    assert some is not None and some[0] == 1
+    want = exchange_oracle(tm, conj, 120, 2, 2)
+    assert want[0] >= 0
+    assert exchange_scan(tm, conj, 120, 2, 2) == want[0]
+    assert kernels.witness(kernels.exchange_law(tm, conj, 120, 2, 2), want[0])[1:] == want[1:]
+
+
+def test_a_racks_law_is_scanned_on_its_generating_classes(tmp_path, monkeypatch, capsys):
+    # the heap of D20 has 40 tail classes and conjugation on S5 has 120;
+    # each forms a group, so at most log2 K + 1 classes are scanned, once.
+    # The core quandle's translations never compose into one another, so
+    # it is scanned on all of its 120 classes, as before.
+    scanned = []
+    scan_range = kernels._scan_range
+
+    def spy(law, lo, hi):
+        scanned.append(law.tail)
+        return scan_range(law, lo, hi)
+
+    monkeypatch.setattr(kernels, "_scan_range", spy)
+    S5 = symmetric_group(5)
+    for name, op, K in (("heap-D20", heap_op(dihedral_group(20)), 40),
+                        ("conj-S5", conj_quandle(S5), 120), ("core-S5", core_quandle(S5), 120)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(op.as_json()))
+        scanned.clear()
+        assert cli.main(["check", "axioms", str(path)]) == 0, name
+        if name == "core-S5":
+            assert scanned == [K]
+        else:
+            assert len(scanned) == 1 and scanned[0] <= K.bit_length(), (name, scanned)
+    capsys.readouterr()
 
 
 def test_compatible_ternary_passes_jobs_on(monkeypatch):
