@@ -1,3 +1,4 @@
+import heapq
 import importlib
 import itertools
 import math
@@ -766,6 +767,214 @@ def test_reduction_pays_for_itself_on_small_boundaries(op):
 
 
 # ---------------------------------------------------------------------------
+# unit pivots: sparsest-first sweeps against the lazy heap they replaced
+
+HOMOLOGY = importlib.import_module("selfdist.homology")
+
+
+def heap_unit_pivots(A):
+    """The unit-pivot pass as a lazy heap: the reference for the sweeps of
+    `_eliminate_unit_pivots`, returning the same record.
+
+    Each step pops a sparsest column holding a unit, least index first, and
+    takes the unit of its shortest row, least index first.  Every column
+    the pivot row changes is pushed again with its new count; popped
+    entries whose count is out of date are skipped, and a column without a
+    unit waits until fill-in changes it."""
+    ri, ci = np.nonzero(A)
+    rows, cols = {}, {}
+    for i, j, v in zip(ri.tolist(), ci.tolist(), A[ri, ci].tolist()):
+        v = int(v)
+        if v:
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, set()).add(i)
+    queue = [(len(members), j) for j, members in cols.items()]
+    heapq.heapify(queue)
+    pivots = []
+    while queue:
+        count, c = heapq.heappop(queue)
+        col = cols.get(c)
+        if col is None or len(col) != count:
+            continue
+        candidates = [i for i in col if rows[i][c] in (1, -1)]
+        if not candidates:
+            continue
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows.pop(p)
+        u = prow.pop(c)
+        del cols[c]
+        col.discard(p)
+        for j in prow:
+            cols[j].discard(p)
+        ops = []
+        for i in col:
+            row = rows[i]
+            f = row.pop(c) * u
+            ops.append((i, f))
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    row[j] = w
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        for j in prow:
+            if cols[j]:
+                heapq.heappush(queue, (len(cols[j]), j))
+            else:
+                del cols[j]
+        pivots.append((c, u, p, prow, ops))
+    res_cols = sorted(cols)
+    position = {j: k for k, j in enumerate(res_cols)}
+    res_rows = sorted(rows)
+    residual = []
+    for i in res_rows:
+        dense = [0] * len(position)
+        for j, v in rows[i].items():
+            dense[position[j]] = v
+        residual.append(dense)
+    return pivots, residual, res_rows, res_cols
+
+
+def _heap_elimination(A):
+    """An `Elimination` of A whose unit pivots come from `heap_unit_pivots`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(HOMOLOGY, "_eliminate_unit_pivots", heap_unit_pivots)
+        return Elimination(A)
+
+
+# kernel lattices are compared up to this many columns: K is columns x
+# columns Python integers, and its rank mod p takes a pass per column
+KERNEL_COLUMNS = 256
+
+
+def _check_against_heap(A, moduli, rng):
+    """The sweeps' `Elimination` of A against the heap's: equal invariant
+    factors; kernel lattices mod d inside the kernel, of equal rank mod
+    each prime dividing d; solves that succeed exactly when the heap's
+    do, with A x = b (mod d).  Returns the two unit-pivot counts."""
+    new, ref = Elimination(A), _heap_elimination(A)
+    assert new.factors == ref.factors
+    rows, cols = A.shape
+    rhs = (A.astype(np.int64) @ rng.integers(0, 36, cols),
+           rng.integers(0, 36, rows))
+    for d in moduli:
+        if cols <= KERNEL_COLUMNS:
+            K, L = new.kernel_lattice_mod(d), ref.kernel_lattice_mod(d)
+            assert not _mod_product(A, K, d).any()
+            for p in (2, 3, 5, 7):
+                if d % p == 0:
+                    assert _rank_mod_p(K.T, p) == _rank_mod_p(L.T, p), (d, p)
+        for b in rhs:
+            x, y = new.solve_mod(b, d), ref.solve_mod(b, d)
+            assert (x is None) == (y is None), d
+            if x is not None:
+                assert not ((_mod_product(A, x, d) - b) % d).any()
+    return len(new.pivots), len(ref.pivots)
+
+
+def _workload_target(name):
+    if name == "T3":
+        return tern3()
+    if name == "A5t2":
+        return affine_op(5, 2, (2,))
+    if name == "R3pair":
+        return [_anchor_op("R3")] * 2
+    return _anchor_op(name)
+
+
+# the (co)homology the benchmark's homology workload asks for: (input,
+# degree, coefficient of a cohomology job or None for homology, whose Z/d
+# jobs reduce the integral matrices again)
+WORKLOAD_ELIMINATIONS = [
+    ("T3", 2, None), ("T3", 3, None),
+    ("R3", 2, None), ("R3", 3, None), ("R3", 4, None), ("R3", 2, 3),
+    ("R3", 3, 3),
+    ("R4", 2, None), ("R4", 3, None), ("R4", 2, 2),
+    ("R5", 2, None), ("R5", 3, None), ("R5", 2, 5),
+    ("R6", 2, None), ("R6", 2, 2),
+    ("A5t2", 2, None), ("A5t2", 3, None), ("A5t2", 2, 5),
+    ("S3", 2, None), ("S3", 2, 3),
+    ("R3pair", 2, None), ("R3pair", 3, None),
+]
+
+
+@pytest.mark.parametrize(
+    "name,n,d", WORKLOAD_ELIMINATIONS,
+    ids=[f"{name}-{'H' if d is None else 'coH'}{n}" + (f"-Z{d}" if d else "")
+         for name, n, d in WORKLOAD_ELIMINATIONS])
+def test_sweeps_match_the_heap_on_the_workload_matrices(name, n, d):
+    # every boundary and coboundary the job hands to the unit-pivot pass
+    seen = []
+    real = HOMOLOGY._eliminate_unit_pivots
+
+    def record(A):
+        seen.append(np.array(A))
+        return real(A)
+
+    target = _workload_target(name)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(HOMOLOGY, "_eliminate_unit_pivots", record)
+        if d is None:
+            homology(target, n)
+        else:
+            cohomology_solve(target, n, d)
+    assert len(seen) == 2
+    rng = np.random.default_rng(n)
+    for A in seen:
+        new, ref = _check_against_heap(A, (2, 3, 4, 5, 6), rng)
+        # on these matrices the sweeps find every unit pivot the heap does
+        assert new == ref, A.shape
+
+
+def test_sweeps_match_the_heap_on_random_sparse_matrices():
+    rng = np.random.default_rng(37)
+    for trial in range(100):
+        rows, cols = rng.integers(1, 33, 2)
+        density = (0.04, 0.1, 0.2, 0.4)[trial % 4]
+        # units are rarer than the other entries in half the trials, so
+        # more of them appear only through fill-in
+        pool = (1, -1, 2, -2, 3) if trial % 2 else (1, -1, 2, -2, 3, 4, -6, 9)
+        entries = rng.choice(pool, size=(rows, cols))
+        A = np.where(rng.random((rows, cols)) < density, entries, 0)
+        _check_against_heap(A, (2, 3, 4, 6, 9, 12), rng)
+
+
+def _fill_in_chain(n):
+    """An n x n matrix whose k-th unit appears only through the fill-in of
+    the (k-1)-th pivot, its chain columns in reverse index order.
+
+    Chain column k sits at index n-1-k, with 3 in row k (-1 in row 0, 7 in
+    row n-1), 2 in row k-1 and -2 in row k+1.  Its entries turn into units
+    only once pivot k-1 clears row k: 3 - (-2)(-1)(2) = -1.  Sparsest
+    first, then least index, meets the chain backwards: the first pass
+    over the columns takes chain columns 0 and 1 only, and each later
+    pivot makes exactly one new unit.  The last entry becomes 7 - 4 = 3."""
+    A = np.zeros((n, n), dtype=np.int8)
+    k = np.arange(n)
+    col = n - 1 - k
+    A[k, col] = 3
+    A[0, col[0]], A[n - 1, col[n - 1]] = -1, 7
+    A[k[:-1], col[1:]] = 2
+    A[k[1:], col[:-1]] = -2
+    return A
+
+
+def test_a_chain_of_fill_in_units_stays_linear():
+    A = _fill_in_chain(3000)
+    new, ref = Elimination(A), _heap_elimination(A)
+    assert new.factors == ref.factors == (1,) * 2999 + (3,)
+    assert len(new.pivots) == 2999
+    # sweeps that re-examined every column after each pivot would take
+    # about 3000^2 / 2 examinations, some hundred times the heap's time
+    assert (_best_of(lambda: HOMOLOGY._eliminate_unit_pivots(A), 3)
+            < 2 * _best_of(lambda: heap_unit_pivots(A), 3))
+
+
+# ---------------------------------------------------------------------------
 # labeled complex
 
 def test_labeled_single_ternary_equals_ternary_complex():
@@ -829,21 +1038,27 @@ def test_boundary_matrix_dispatch():
 # cohomology solver
 
 def _rank_mod_p(vectors, p):
+    """Rank over Z/p, p prime, of integer vectors: the rows of a matrix, or
+    a list of n x 1 columns."""
     if not len(vectors):
         return 0
-    A = (np.stack([v[:, 0] for v in vectors]) % p).astype(np.int64)
-    r = 0
-    for c in range(A.shape[1]):
-        piv = next((i for i in range(r, A.shape[0]) if A[i, c] % p), None)
-        if piv is None:
+    M = np.asarray(vectors, dtype=object).reshape(len(vectors), -1)
+    M = (M % p).astype(np.int64)
+    rank = 0
+    for c in range(M.shape[1]):
+        hit = np.flatnonzero(M[rank:, c])
+        if not len(hit):
             continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        for i in range(A.shape[0]):
-            if i != r and A[i, c] % p:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        r += 1
-    return r
+        r = rank + hit[0]
+        M[[rank, r]] = M[[r, rank]]
+        M[rank] = M[rank] * pow(int(M[rank, c]), -1, p) % p
+        factor = M[:, c].copy()
+        factor[rank] = 0
+        M = (M - np.outer(factor, M[rank])) % p
+        rank += 1
+        if rank == M.shape[0]:
+            break
+    return rank
 
 
 def test_ternary_cohomology_dimensions():
