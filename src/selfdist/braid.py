@@ -8,9 +8,13 @@ left to right, so (x^a)^b = x^(ab).
 The action is computed on many tuples at once.  The tuples are held as m
 columns, one array of entries per position, and a letter moves one column
 into its neighbour's place and fills the other by one gather from the
-table (or from its inverse translations).  The relation check holds all N^m
-tuples of X^m this way, a twist all N^(k-1) tails of its operation, and a
-single tuple is a set of columns of length one.
+table (or from its inverse translations).  A twist holds all N^(k-1) tails
+of its operation this way, and a single tuple is one integer per strand.
+
+Generators i, i+1 braid at a tuple exactly when its entries a, b, c at
+positions i, i+1, i+2 satisfy (a * b) * c = (a * c) * (b * c), and distant
+generators move disjoint entries.  So the relation check reads the one
+self-distributivity scan and evaluates one relation at one tuple.
 
 An n-ary operation that is mutually distributive with * commutes with this
 action applied to each entry of a power of the carrier, and precomposing it
@@ -25,19 +29,14 @@ import numpy as np
 
 from . import limits
 from .kernels import digits
-from .optable import (CheckResult, Counterexample, InputError, OK, OpTable,
-                      inverse_translations)
+from .optable import (Axioms, CheckResult, Counterexample, InputError, OK,
+                      OpTable, inverse_translations)
 from .constructions import _require_ops
 
 # Steps charged for the column action, against 0.12 us a step, about a
-# second for all of STEPS, on a 2-core Xeon with numpy 2.4.  A relation
-# check spends 12-40 us of numpy calls on each relation at one point, about
-# 0.07 us more for each strand it lists and compares, and 21-95 ns on each
-# tuple and relation at 10^4 to 2.7e7 tuples.  So a relation costs
-# _RELATION_STEPS plus one step per strand and one per tuple.  A twist
+# second for all of STEPS, on a 2-core Xeon with numpy 2.4.  A twist
 # spends 2.4 us on each letter at one tail, so a letter costs
 # _LETTER_STEPS plus one step per tail.
-_RELATION_STEPS = 150
 _LETTER_STEPS = 25
 
 
@@ -80,8 +79,9 @@ def _action(op, inv, word, cols):
     """The images of tuples under a braid word, as columns.
 
     `cols` holds one int64 array per strand, the entries of every tuple at
-    that position; the letters act through the binary table `op`, and
-    negative letters through `inv`, its inverse translations.  A letter
+    that position, or one integer per strand for a single tuple; the letters
+    act through the binary table `op`, and negative letters through `inv`,
+    its inverse translations.  A letter
     replaces the two columns it moves and leaves the others as they are.
     """
     cols = list(cols)
@@ -117,54 +117,43 @@ def braid_act(op: OpTable, beta: BraidWord, x) -> tuple:
     if beta.has_inverse_letters:
         _require_ops((op,), "a rack")
         inv = inverse_translations(op)
-    image = _action(op, inv, beta.word, [np.array([v]) for v in xs])
-    return tuple(int(c[0]) for c in image)
+    return tuple(map(int, _action(op, inv, beta.word, xs)))
 
 
 def verify_braid_relations(op: OpTable, m: int) -> CheckResult:
-    """Exhaustive check of the defining relations of the braid group on X^m.
+    """The defining relations of the braid group on X^m, read from the
+    self-distributivity scan of op.
 
     Adjacent generators must braid and distant generators must commute, as
-    maps on X^m.  On a self-distributive table both families hold; a failure
-    is reported with the tuple and the two images.
+    maps on X^m.  They do for m <= 2, and for m >= 3 exactly when op is
+    self-distributive.  Otherwise, with (x, y, z) the scan's first failing
+    tuple, the least failing tuple of X^m is m - 3 zeros followed by
+    (x, y, z): moving a triple right past zeros never raises it in
+    lexicographic order, so no earlier window of that tuple fails unless
+    every entry is 0.  The first relation failing there is the braid
+    relation of generators m-2, m-1, or of generators 1, 2 when
+    (x, y, z) = (0, 0, 0); both images are the action of its two words.
     """
     if op.arity != 2:
         raise InputError("braid actions act through a binary operation")
     if m < 2:
         raise InputError("need at least 2 strands")
-    N = op.size
-    count = limits.power(N, m)
-    what = f"braid relations on {m} strands over {N} points"
-    # the m columns of X^m, the at most three columns each image gathers,
-    # one gather index and two masks
-    limits.charge_bytes(count * (8 * (m + 7) + 2), what)
-    limits.charge_steps((m - 1) * (m - 2) // 2 * (_RELATION_STEPS + m + count), what)
-    relations = []
-    for i in range(1, m - 1):
-        relations.append(((i, i + 1, i), (i + 1, i, i + 1),
-                          f"braid relation for generators {i}, {i + 1}"))
-        for j in range(i + 2, m):
-            relations.append(((i, j), (j, i),
-                              f"commutation of generators {i}, {j}"))
-    cols = digits(np.arange(count), N, m)
-    # (first failing tuple, relation order, name, both images there)
-    fails = []
-    for order, (left, right, name) in enumerate(relations):
-        a, b = _action(op, None, left, cols), _action(op, None, right, cols)
-        bad = np.zeros(count, bool)
-        for p, q in zip(a, b):
-            if p is not q:
-                bad |= p != q
-        t = int(bad.argmax())
-        if bad[t]:
-            fails.append((t, order, name, tuple(int(c[t]) for c in a),
-                          tuple(int(c[t]) for c in b)))
-    if not fails:
+    what = f"braid relations on {m} strands over {op.size} points"
+    # the witness, the two column lists the action copies, its two images,
+    # and the report's three lists and their text: 63-68 bytes a strand at
+    # 10^6 strands, which take 0.14 us a strand, more than a step
+    limits.charge_bytes(72 * m, what)
+    limits.charge_steps(2 * m, what)
+    sd = Axioms(op).sd if m > 2 else OK
+    if sd:
         return OK
-    # the least failing tuple, and the first relation failing there
-    t, _, name, lhs, rhs = min(fails)
-    return CheckResult(False, Counterexample(tuple(int(c[t]) for c in cols), lhs, rhs),
-                       f"{name} fails")
+    triple = sd.counterexample.witness
+    i = m - 2 if any(triple) else 1
+    x = (0,) * (m - 3) + triple
+    lhs, rhs = (tuple(map(int, _action(op, None, word, x)))
+                for word in ((i, i + 1, i), (i + 1, i, i + 1)))
+    return CheckResult(False, Counterexample(x, lhs, rhs),
+                       f"braid relation for generators {i}, {i + 1} fails")
 
 
 def verify_equivariance(star: OpTable, hat: OpTable) -> CheckResult:

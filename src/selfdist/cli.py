@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 import time
@@ -533,11 +532,11 @@ def _rack_word(arity: int) -> str:
 # check
 
 
-def _cmd_check(args, report, jobs):
+def _cmd_check(args, report):
     if args.what == "axioms":
         op = _load_op(args.op)
         props = args.props.split(",") if args.props else ["sd", "rack", "quandle"]
-        axioms = Axioms(op, jobs)
+        axioms = Axioms(op)
         for p in props:
             if p == "sd":
                 report.verdict("self-distributive", axioms.sd)
@@ -550,11 +549,11 @@ def _cmd_check(args, report, jobs):
     elif args.what == "mutual":
         op0, op1 = _load_op(args.op), _load_op(args.op1)
         report.verdict("mutually distributive",
-                       are_mutually_distributive(op0, op1, jobs=jobs))
+                       are_mutually_distributive(op0, op1))
     elif args.what == "compat":
         t0, t1 = _load_op(args.op), _load_op(args.op1)
         report.verdict("compatible ternary pair",
-                       are_compatible_ternary(t0, t1, jobs=jobs))
+                       are_compatible_ternary(t0, t1))
     elif args.what == "cocycle":
         _cocycle_verdict(args, report)
 
@@ -577,7 +576,7 @@ def _cocycle_verdict(args, report):
 # construct
 
 
-def _cmd_construct(args, report, jobs):
+def _cmd_construct(args, report):
     verify = not args.no_verify
     name = args.name
 
@@ -675,7 +674,7 @@ def _group_string(betti: int, torsion) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _cmd_homology(args, report, jobs):
+def _cmd_homology(args, report):
     res = homology(_homology_target(args), args.degree, _coeff(args.coeff))
     report.artifact(f"H_{args.degree}", {
         "degree": args.degree, "coefficients": args.coeff,
@@ -683,7 +682,7 @@ def _cmd_homology(args, report, jobs):
         "group": _group_string(res.betti, res.torsion)})
 
 
-def _cmd_cohomology(args, report, jobs):
+def _cmd_cohomology(args, report):
     coeff = _coeff(args.coeff)
     if coeff is None:
         raise InputError("cohomology solving needs finite coefficients")
@@ -700,12 +699,12 @@ def _cmd_cohomology(args, report, jobs):
     report.artifact(f"H^{args.degree}", content)
 
 
-def _cmd_cocycle(args, report, jobs):
+def _cmd_cocycle(args, report):
     from .cocycles import cocycles_cohomologous, extend, three_cocycle_from_ses
     if args.what == "check":
         _cocycle_verdict(args, report)
     elif args.what == "solve":
-        _cmd_cohomology(args, report, jobs)
+        _cmd_cohomology(args, report)
     elif args.what == "extend":
         out = extend(_load_op(args.op), _load_cochain(args.cochain),
                      verify=not args.no_verify)
@@ -724,7 +723,7 @@ def _cmd_cocycle(args, report, jobs):
             report.artifact("eta", eta.as_json())
 
 
-def _cmd_chainmap(args, report, jobs):
+def _cmd_chainmap(args, report):
     op0, op1 = (_load_op(p) for p in args.pair)
     report.verdict("chain map squares commute", verify_chain_map(op0, op1))
 
@@ -733,7 +732,7 @@ def _cmd_chainmap(args, report, jobs):
 # braid
 
 
-def _cmd_braid(args, report, jobs):
+def _cmd_braid(args, report):
     from .braid import BraidWord, braid_act, twist_op, verify_braid_relations
     if args.what == "act":
         op = _load_op(args.op)
@@ -764,7 +763,7 @@ def _default_pairing(H):
     return H.mult @ H.antipode.tensor(ident)
 
 
-def _cmd_linear(args, report, jobs):
+def _cmd_linear(args, report):
     from .linear import (Field, LieAlgebraObject, LinMap, SDObject,
                          augmented_operation, check_augmented_hopf,
                          check_nary_sd, group_algebra_hopf,
@@ -804,7 +803,7 @@ def _cmd_linear(args, report, jobs):
 # enumerate
 
 
-def _cmd_enumerate(args, report, jobs):
+def _cmd_enumerate(args, report):
     from . import enumeration
     if args.pairs:
         pairs = enumeration.enumerate_mutual_pairs(args.size)
@@ -843,21 +842,25 @@ HANDLERS = {"check": _cmd_check, "construct": _cmd_construct,
 def _build_parser():
     """The parser of every command line, built once per process, on the
     first call of `main`: building its 27 subparsers costs more than many of
-    the jobs it parses.  Each parse fills a fresh namespace, so no call sees
-    another's arguments, and `main` reads SELFDIST_JOBS, the default of
-    --jobs, on every call."""
+    the commands it parses.  Each parse fills a fresh namespace, so no call
+    sees another's arguments.
+
+    --jobs N is accepted before or after the command and has no effect:
+    every scan runs on one thread.  A value below 1 is still refused, with
+    exit status 2."""
+    jobs_help = "accepted and ignored: scans run on one thread; must be at least 1"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("human", "json"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+                        help=jobs_help)
     common.add_argument("-o", "--output", default=argparse.SUPPRESS)
 
     top = argparse.ArgumentParser(
         prog="selfdist",
         description="Self-distributive operations: check, construct, compute.")
     top.add_argument("--format", choices=("human", "json"), default="human")
-    # its default is SELFDIST_JOBS, set by `main` on every call
-    top.add_argument("--jobs", type=int)
+    top.add_argument("--jobs", type=int, default=1, help=jobs_help)
     top.add_argument("-o", "--output", default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -1021,17 +1024,13 @@ def _fail(args, report: Report, start: float, code: int, message: str,
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    # SELFDIST_JOBS is read on every call.  A string default goes through
-    # type=int, so a bad value is a usage error like a bad --jobs.
-    parser.set_defaults(jobs=os.environ.get("SELFDIST_JOBS", "1"))
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     report = Report(argv)
     start = time.perf_counter()
     try:
         if args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-        HANDLERS[args.command](args, report, args.jobs)
+        HANDLERS[args.command](args, report)
         if args.output:
             _write_output(report, args.output)
     except PreconditionError as exc:

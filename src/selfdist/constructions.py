@@ -167,15 +167,14 @@ def heap_op(g: FiniteGroup) -> OpTable:
     return OpTable(g.size, 3, C[C[:, g.inverse]], meta={"construction": "heap"})
 
 
-def heap_vs_core_directional(group: FiniteGroup, jobs: int = 1):
+def heap_vs_core_directional(group: FiniteGroup):
     """The two exchange directions between a group's core and heap operations.
 
     Returns (heap distributes over core, core distributes over heap); the
     second->first direction fails for every nonabelian group.
     """
     core, heap = core_quandle(group), heap_op(group)
-    return (bool(exchange_holds(core, heap, jobs=jobs)),
-            bool(exchange_holds(heap, core, jobs=jobs)))
+    return bool(exchange_holds(core, heap)), bool(exchange_holds(heap, core))
 
 
 def _check_automorphism(g: FiniteGroup, perm) -> np.ndarray:

@@ -17,7 +17,7 @@ over all y would pass `_SLAB` entries, it covers the last t y-coordinates,
 the most that fit, and the leading y-digits join x in choosing the rows of
 Q; an x-prefix with those digits is a unit.  `_blocks` walks the units in
 blocks of at most `_SLAB` entries (at least one unit), into three value
-buffers sized to the block and reused from block to block.  A worker's
+buffers sized to the block and reused from block to block.  A scan's
 memory beyond its tables is therefore three value buffers and one int64
 index table of at most `_SLAB` entries each, and the int64 rows and digits
 a block gathers through, whatever the number of tuples;
@@ -35,11 +35,11 @@ sum for the cochain builders of `cocycles`, formed in uint64.
 
 Scans return the flat index of the first failing tuple in lexicographic
 order (first coordinate most significant), or -1 when the law holds.
-Cocycle laws compare modulo d.  `_scan(law, jobs)` splits the range of the
-first coordinate over `jobs` threads, each with its own buffers; the exchange
-and compatibility scans take `jobs` from their callers.  The thread pool is
-imported only on that `jobs > 1` branch: `concurrent.futures` loads
-`logging` and `queue`, a few milliseconds of every process's start-up.
+Cocycle laws compare modulo d.  A scan runs on the calling thread, one
+block after another, and stops at the first block holding a failure.
+Splitting the first coordinate over threads was never faster on 2 cores
+(the core quandle of C300 took 26 ms on two threads against 20 ms on one),
+and the thread pool's import loads `logging` and `queue` at start-up.
 
 A law reads its tail z only through columns: the column of opz, of each act
 and of cz at z.  Tails whose columns are all equal form a class, and the law
@@ -109,8 +109,8 @@ from .limits import InputError
 # machine block reads it on every run.
 USING_NUMBA = False
 
-# most entries of one block of (lhs, rhs) rows, and of the index table; each
-# worker holds three value buffers and the comparison of at most this many.
+# most entries of one block of (lhs, rhs) rows, and of the index table; a
+# scan holds three value buffers and the comparison of at most this many.
 # Buffers that stay in cache scan the order-24..40 heaps fastest: on a
 # 2-core Xeon with 4 MiB of L2, 2^16 entries beat 2^21 by 1.4-1.8x.
 _SLAB = 1 << 16
@@ -540,7 +540,7 @@ def _generating_classes(law, need):
     return np.array(some, np.intp)
 
 
-def _scan(law, jobs=1):
+def _scan(law):
     """First failing flat index of the law over all tuples, or -1.
 
     The law is scanned on one tail per class.  An exchange law of one table
@@ -558,16 +558,7 @@ def _scan(law, jobs=1):
     if some is not None and (not len(some)
                              or _scan_range(_cut(law, some), 0, N * per_x) < 0):
         return -1
-    jobs = min(jobs or 1, N)
-    if jobs <= 1:
-        hit = _scan_range(law, 0, N * per_x)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        bounds = [N * i // jobs * per_x for i in range(jobs + 1)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            hits = list(pool.map(lambda i: _scan_range(law, bounds[i], bounds[i + 1]),
-                                 range(jobs)))
-        hit = min((h for h in hits if h >= 0), default=-1)
+    hit = _scan_range(law, 0, N * per_x)
     if hit < 0 or first is None:
         return hit
     r, k = divmod(hit, law.tail)
@@ -607,14 +598,14 @@ def witness(law, flat):
     return tuple(digits(int(flat), law.N, count)), lhs, rhs
 
 
-def exchange_scan(tm, tn, N, m, n, jobs=1):
+def exchange_scan(tm, tn, N, m, n):
     """First (x, y.., z..) index violating `exchange_law`, or -1."""
-    return _scan(exchange_law(tm, tn, N, m, n), jobs)
+    return _scan(exchange_law(tm, tn, N, m, n))
 
 
-def compat_scan(A, B, N, which, jobs=1):
+def compat_scan(A, B, N, which):
     """First (x, y0, y1, z0, z1) index violating `compat_law` identity 1 or 2, or -1."""
-    return _scan(compat_law(A, B, N, which), jobs)
+    return _scan(compat_law(A, B, N, which))
 
 
 def nary_cocycle_scan(W, phi, N, k, d):

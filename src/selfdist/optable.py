@@ -272,21 +272,21 @@ def evaluate(op: OpTable, args) -> int:
     return int(op.table[_checked_index(args, op.size, op.arity)])
 
 
-def _first_failure(scan, law, args, detail: str, **options) -> CheckResult:
+def _first_failure(scan, law, args, detail: str) -> CheckResult:
     """OK when `scan(*args)` finds no failing tuple; else the first one,
     decoded from `law(*args)`, the law the scan ran on, with `detail`.
 
     Callers pass the kernels looked up at call time (`kernels.exchange_scan`),
     so a wrapper installed on the kernels module sees every scan.
     """
-    flat = scan(*args, **options)
+    flat = scan(*args)
     if flat < 0:
         return OK
     return CheckResult(False, Counterexample(*kernels.witness(law(*args), flat)),
                        detail)
 
 
-def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:
+def exchange_holds(op_m: OpTable, op_n: OpTable) -> CheckResult:
     """One direction of the exchange law: op_n distributes over op_m.
 
     Checks op_n(op_m(x, y), z) == op_m(op_n(x, z), op_n(y_1, z), ...) for all
@@ -296,16 +296,16 @@ def exchange_holds(op_m: OpTable, op_n: OpTable, jobs: int = 1) -> CheckResult:
         raise InputError(f"size mismatch: {op_m.size} vs {op_n.size}")
     return _first_failure(kernels.exchange_scan, kernels.exchange_law,
                          (op_m.table, op_n.table, op_m.size, op_m.arity,
-                          op_n.arity), "exchange law fails", jobs=jobs)
+                          op_n.arity), "exchange law fails")
 
 
-def is_nary_distributive(op: OpTable, jobs: int = 1) -> CheckResult:
+def is_nary_distributive(op: OpTable) -> CheckResult:
     """Right self-distributivity over all N^(2k-1) argument tuples.
 
     On failure the counterexample is the lexicographically first failing tuple
     (x, y_1..y_{k-1}, z_1..z_{k-1}).
     """
-    res = exchange_holds(op, op, jobs=jobs)
+    res = exchange_holds(op, op)
     if res:
         return res
     return CheckResult(False, res.counterexample, "self-distributivity fails")
@@ -320,12 +320,12 @@ class Axioms:
     however many verdicts are asked for.
     """
 
-    def __init__(self, op: OpTable, jobs: int = 1):
-        self.op, self.jobs = op, jobs
+    def __init__(self, op: OpTable):
+        self.op = op
 
     @functools.cached_property
     def sd(self) -> CheckResult:
-        return is_nary_distributive(self.op, jobs=self.jobs)
+        return is_nary_distributive(self.op)
 
     @functools.cached_property
     def rack(self) -> CheckResult:
@@ -353,18 +353,17 @@ class Axioms:
         return CheckResult(False, cex, "diagonal is not fixed")
 
 
-def is_rack(op: OpTable, jobs: int = 1) -> CheckResult:
+def is_rack(op: OpTable) -> CheckResult:
     """Self-distributive with every translation x -> W(x, tail) a bijection."""
-    return Axioms(op, jobs).rack
+    return Axioms(op).rack
 
 
-def is_quandle(op: OpTable, jobs: int = 1) -> CheckResult:
+def is_quandle(op: OpTable) -> CheckResult:
     """Rack whose full diagonal is fixed: W(x, x, ..., x) == x for all x."""
-    return Axioms(op, jobs).quandle
+    return Axioms(op).quandle
 
 
-def are_mutually_distributive(op_a: OpTable, op_b: OpTable,
-                              jobs: int = 1) -> CheckResult:
+def are_mutually_distributive(op_a: OpTable, op_b: OpTable) -> CheckResult:
     """Both directions of the exchange law between two operations.
 
     Only the two exchange identities are checked; each operation's own
@@ -373,20 +372,20 @@ def are_mutually_distributive(op_a: OpTable, op_b: OpTable,
     """
     if op_a.size != op_b.size:
         raise InputError(f"size mismatch: {op_a.size} vs {op_b.size}")
-    first = exchange_holds(op_a, op_b, jobs=jobs)
+    first = exchange_holds(op_a, op_b)
     if not first:
         return CheckResult(False, first.counterexample,
                            "second operation fails to distribute over the first")
     if op_a == op_b:
         return OK
-    second = exchange_holds(op_b, op_a, jobs=jobs)
+    second = exchange_holds(op_b, op_a)
     if not second:
         return CheckResult(False, second.counterexample,
                            "first operation fails to distribute over the second")
     return OK
 
 
-def are_compatible_ternary(T0: OpTable, T1: OpTable, jobs: int = 1) -> CheckResult:
+def are_compatible_ternary(T0: OpTable, T1: OpTable) -> CheckResult:
     """Both ternary compatibility identities over all N^5 tuples.
 
     Identity 1 distributes T0-translations over T0, feeding the third slot
@@ -401,7 +400,7 @@ def are_compatible_ternary(T0: OpTable, T1: OpTable, jobs: int = 1) -> CheckResu
     for which in (1,) if T0 == T1 else (1, 2):
         res = _first_failure(kernels.compat_scan, kernels.compat_law,
                             (T0.table, T1.table, T0.size, which),
-                            f"compatibility identity {which} fails", jobs=jobs)
+                            f"compatibility identity {which} fails")
         if not res:
             return res
     return OK

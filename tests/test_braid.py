@@ -297,6 +297,42 @@ def test_relations_fail_without_self_distributivity():
     assert "braid relation" in res.detail
 
 
+def witness_cases():
+    r5 = core_quandle(cyclic_group(5)).table.copy()
+    r5[2 * 5 + 3] = 0
+    bad_r5 = OpTable(5, 2, r5)
+    # 0 * 0 = 1: (0 * 0) * 0 = 0 but (0 * 0) * (0 * 0) = 1
+    zero = OpTable(2, 2, [1, 0, 0, 1])
+    plus = make_op_table(3, 2, lambda x, y: (x + y) % 3)
+    return [("plus3", plus), ("perturbed R5", bad_r5), ("zero triple", zero)]
+
+
+@pytest.mark.parametrize("m", [6, 50, 10_000])
+@pytest.mark.parametrize("name, op", witness_cases())
+def test_relations_read_the_self_distributivity_scan(name, op, m):
+    # past the loop oracle's reach: the least failing tuple is zeros and
+    # the scan's first failing triple, and the relation failing first there
+    # braids generators m-2, m-1, or 1, 2 when every entry is 0
+    sd = is_nary_distributive(op)
+    assert not sd
+    triple = sd.counterexample.witness
+    assert (triple == (0, 0, 0)) == (name == "zero triple")
+    res = verify_braid_relations(op, m)
+    assert not res
+    w = res.counterexample
+    assert w.witness == (0,) * (m - 3) + triple
+    i = 1 if triple == (0, 0, 0) else m - 2
+    assert res.detail == f"braid relation for generators {i}, {i + 1} fails"
+    assert w.lhs == braid_act(op, BraidWord(m, (i, i + 1, i)), w.witness)
+    assert w.rhs == braid_act(op, BraidWord(m, (i + 1, i, i + 1)), w.witness)
+    assert w.lhs != w.rhs
+
+
+def test_relations_hold_at_a_million_strands():
+    assert verify_braid_relations(dih5(), 10 ** 6)
+    assert verify_braid_relations(conj_quandle(symmetric_group(3)), 10 ** 6)
+
+
 def test_relations_input_errors():
     with pytest.raises(InputError):
         verify_braid_relations(dih3(), 1)

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from selfdist import (InputError, OpTable, affine_op, are_compatible_ternary,
-                      conj_quandle, core_quandle, cyclic_group, dihedral_group,
+from selfdist import (InputError, OpTable, affine_op, conj_quandle,
+                      core_quandle, cyclic_group, dihedral_group,
                       direct_product, exchange_holds, generalized_alexander,
                       heap_op, index_to_tuple, power_op, product_mutual_pair,
                       relabel, symmetric_group)
@@ -290,11 +290,10 @@ ORACLE_HITS = {name: [oracle(*case) for case in cases]
                for name, (_, _, oracle, cases) in SCANS.items()}
 
 
-def assert_matches_oracle(name, jobs=1):
+def assert_matches_oracle(name):
     scan, law, _, cases = SCANS[name]
     for case, (flat, lhs, rhs) in zip(cases, ORACLE_HITS[name]):
-        got = scan(*case) if jobs == 1 else kernels._scan(law(*case), jobs)
-        assert got == flat, (name, case, jobs)
+        assert scan(*case) == flat, (name, case)
         if flat >= 0:
             args, l, r = kernels.witness(law(*case), flat)
             assert args == index_to_tuple(flat, law(*case).N, len(args))
@@ -340,7 +339,7 @@ def test_compat_cocycle_backends_agree():
 
 
 # ---------------------------------------------------------------------------
-# slab size and jobs splitting must not change indices or witnesses
+# the slab size must not change indices or witnesses
 
 def _mid_x_slab(law):
     """A slab whose blocks of leading tuples end in the middle of an x."""
@@ -377,20 +376,19 @@ def assert_batches_match_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(SCANS))
-def test_slab_and_jobs_invariance(name, monkeypatch):
+def test_slab_invariance(name, monkeypatch):
     _, law, _, cases = SCANS[name]
     big = max(cases, key=lambda case: law(*case).N)
     mid = _mid_x_slab(law(*big))
-    # splits only matter when some first failure lies past the first block
-    # (or past x = 0), and when some case holds everywhere
+    # slabs only matter when some first failure lies past the first block,
+    # and when some case holds everywhere
     flats = [flat for flat, _, _ in ORACLE_HITS[name]]
     assert -1 in flats and max(flats) > mid
     heads = _head_slabs(law(*big))
     assert heads
     for slab in (1, mid, *heads):
         monkeypatch.setattr(kernels, "_SLAB", slab)
-        for jobs in (1, 2, 3):
-            assert_matches_oracle(name, jobs=jobs)
+        assert_matches_oracle(name)
     if name == "exchange":
         assert_batches_match_oracle(monkeypatch)
 
@@ -406,10 +404,9 @@ def test_heap_scans_one_tail_per_class(monkeypatch):
 
     monkeypatch.setattr(kernels, "_scan_range", spy)
     for heap, N in ((HEAP_S3, 6), (HEAP_Z4, 4)):
-        for jobs in (1, 2):
-            tails.clear()
-            assert kernels._scan(kernels.exchange_law(heap, heap, N, 3, 3), jobs) == -1
-            assert tails == [N] * jobs
+        tails.clear()
+        assert kernels._scan(kernels.exchange_law(heap, heap, N, 3, 3)) == -1
+        assert tails == [N]
     # one changed entry moves one tail out of its class
     tails.clear()
     bad = perturbed(HEAP_S3, 6, 91)
@@ -596,34 +593,6 @@ def test_a_racks_law_is_scanned_on_its_generating_classes(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
-def test_compatible_ternary_passes_jobs_on(monkeypatch):
-    A, B = OpTable(5, 3, perturbed(CA5, 5, 115)), OpTable(5, 3, CB5)
-    base = are_compatible_ternary(A, B)
-    assert not base and base.counterexample.witness == index_to_tuple(415, 5, 5)
-    seen = []
-    scan = kernels.compat_scan
-
-    def spy(*args, jobs=1):
-        seen.append(jobs)
-        return scan(*args, jobs=jobs)
-
-    monkeypatch.setattr(kernels, "compat_scan", spy)
-    for jobs in (1, 2, 3):
-        assert are_compatible_ternary(A, B, jobs=jobs) == base
-    assert seen == [1, 2, 3]
-
-
-def test_jobs_invariance():
-    cases = [(DIH3, DIH3, 3, 2, 2), (PLUS3, PLUS3, 3, 2, 2),
-             (Z8, T1, 8, 3, 3)]
-    for _ in range(5):
-        cases.append((rand_table(3, 2), rand_table(3, 2), 3, 2, 2))
-    for tm, tn, size, m, n in cases:
-        base = exchange_scan(tm, tn, size, m, n, jobs=1)
-        for jobs in (2, 4, 7, None):
-            assert exchange_scan(tm, tn, size, m, n, jobs=jobs) == base
-
-
 def test_out_of_range_entries_are_refused():
     # the gathers clip indices, so a bad entry would read a wrong row
     bad = DIH3.copy()
@@ -786,8 +755,7 @@ def test_alexander_quandles_at_dtype_boundaries(N):
         bad = perturbed(tab, N, row * N + col)
         flat, lhs, rhs = exchange_oracle(bad, bad, N, 2, 2)
         law = kernels.exchange_law(bad, bad, N, 2, 2)
-        for jobs in (1, 2):
-            assert kernels._scan(law, jobs) == flat
+        assert kernels._scan(law) == flat
         args, l, r = kernels.witness(law, flat)
         assert args == index_to_tuple(flat, N, 3) and (l, r) == (lhs, rhs)
         firsts.append((min(lhs, rhs) >= 128, flat))

@@ -304,13 +304,6 @@ def test_inverse_translations_match_the_loop():
         assert np.array_equal(got, inverse_translations_loop(op))
 
 
-def test_exchange_jobs_independent():
-    table = make_op_table(5, 2, lambda x, y: x + y)  # fails in many places
-    results = [is_nary_distributive(table, jobs=j) for j in (1, 2, 3, 4)]
-    for res in results[1:]:
-        assert res.counterexample == results[0].counterexample
-
-
 def test_group_validation():
     g = symmetric_group(3)
     assert g.size == 6
