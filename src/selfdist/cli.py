@@ -41,6 +41,7 @@ import warnings
 
 import numpy as np
 
+from . import limits
 from .constructions import (PreconditionError, affine_op, augmented_ternary,
                             compose_mn, conj_quandle, core_quandle,
                             doubling_binary, doubling_ternary, f_functor,
@@ -257,6 +258,12 @@ class Report:
             cex = None
             if result.counterexample is not None:
                 c = result.counterexample
+                n = sum(len(v) if isinstance(v, (tuple, list, np.ndarray)) else 1
+                        for v in (c.witness, c.lhs, c.rhs))
+                # listing and writing a braid relation's 3 x 10^6 entries
+                # on 10^6 strands took 0.40 us an entry as JSON and 0.36 us
+                # as text: 10 steps an entry
+                limits.charge_steps(10 * n, f"a counterexample of {n} entries in the report")
                 cex = {"witness": _plain(c.witness), "lhs": _plain(c.lhs),
                        "rhs": _plain(c.rhs)}
             self.verdicts.append({

@@ -72,7 +72,9 @@ the first generator that does not: a group of K classes needs at most
 log2 K generators, and composition that never closes up (the core and
 Alexander quandles) costs one lookup of the identity.  A law that fails on
 the generators and the classes left uncovered is scanned again on every
-class, so its first failing tuple is found as before.
+class, so its first failing tuple is found as before.  One greedy closure,
+`_closure`, chooses these generators and those on which
+`optable.group_from_cayley` runs Light's associativity test.
 
 A law may also range over a stack of `batch` candidate tables, one per
 row, with the candidate as one more leading coordinate, most significant.
@@ -404,9 +406,9 @@ def _blocks(law, lo, hi):
         u0 = u1
 
 
-def _scan_range(law, lo, hi):
-    """First failing flat index among leading tuples lo..hi-1, or -1."""
-    for start, lhs, rhs in _blocks(law, lo, hi):
+def _scan_range(law):
+    """First failing flat index of the law over all its tuples, or -1."""
+    for start, lhs, rhs in _blocks(law, 0, law.N ** law.lead):
         hit = lhs != rhs
         i = int(hit.argmax())
         if hit.flat[i]:
@@ -456,6 +458,35 @@ def _cut(law, tails):
                         cz=None if law.cz is None else cut[id(law.cz)])
 
 
+def _closure(n, start, compose):
+    """Greedy generators of the points 0..n-1 from `start`, a left identity.
+
+    `compose(s)[k]` is the point k o s, or -1 for none.  A point is covered
+    once it is start o g_1 o ... o g_j for generators taken in order, and
+    each generator is the first point not yet covered.  Yields, for each
+    generator s, (s, before, covered): the covered points in the order
+    covered, the first `before` of them covered before s.
+    """
+    # seen[-1], read for a composition that is no point, stays True
+    seen = [False] * n + [True]
+    seen[start] = True
+    covered, tos = [start], []      # each generator's compositions
+    for s in range(n):
+        if seen[s]:
+            continue
+        tos.append(compose(s))
+        before, new = len(covered), tos[-1:]
+        # each point covered before composed with s, then each point
+        # covered since with every generator; the list grows as it is read
+        for i, a in enumerate(covered):
+            for to in new if i < before else tos:
+                k = to[a]
+                if not seen[k]:
+                    seen[k] = True
+                    covered.append(k)
+        yield s, before, covered
+
+
 def _generating_classes(law, need):
     """The classes, in increasing order, that an exchange law of one table
     is scanned on first: its generators and the classes they leave
@@ -500,44 +531,24 @@ def _generating_classes(law, need):
     keys = P.view(void).ravel()
     order = np.argsort(keys)
     keys = keys[order]
-    # covered[-1], read for a composition that is no class, stays True
-    covered = [False] * K + [True]
-    nodes = [int(ident[0])]     # the covered classes, in the order covered
-    covered[nodes[0]] = True
-    gens, tos = [], []          # each generator s, and the class of T_k o T_s
-    s = 0
-    while True:
-        while s < K and covered[s]:
-            s += 1
-        if s == K:
-            break
+    ident = int(ident[0])
+
+    def compose(s):
+        # the class of T_k o T_s for each class k, found among the keys
         got = P.take(P[s], axis=1).view(void).ravel()
         at = np.minimum(np.searchsorted(keys, got), K - 1)
-        to = np.where(keys[at] == got, order[at], -1).tolist()
+        return np.where(keys[at] == got, order[at], -1).tolist()
+
+    gens, covered = [], [ident]
+    for s, before, covered in _closure(K, ident, compose):
         gens.append(s)
-        tos.append(to)
-        before = len(nodes)
-        # s and each covered class composed with s, then every class that
-        # a new one composed with a generator reaches
-        for k in [s] + [to[a] for a in nodes]:
-            if not covered[k]:
-                covered[k] = True
-                nodes.append(k)
-        i = before
-        while i < len(nodes):
-            for to in tos:
-                k = to[nodes[i]]
-                if not covered[k]:
-                    covered[k] = True
-                    nodes.append(k)
-            i += 1
-        if len(nodes) < 2 * before:
+        if len(covered) < 2 * before:
             break
-    some = [k for k in range(K) if not covered[k]] + gens
-    if len(some) == K:
-        return None
-    some.sort()
-    return np.array(some, np.intp)
+    # the generators and the classes they leave uncovered
+    some = np.ones(K, bool)
+    some[covered] = False
+    some[gens] = True
+    return None if some.all() else np.flatnonzero(some)
 
 
 def _scan(law):
@@ -553,12 +564,10 @@ def _scan(law):
     N = law.N
     # on every class, before the closure
     need = _charge_blocks(N, law.lead, law.tail, f"{law.tail} tail classes on {N} points")
-    per_x = N ** (law.lead - 1)
     some = _generating_classes(law, need)
-    if some is not None and (not len(some)
-                             or _scan_range(_cut(law, some), 0, N * per_x) < 0):
+    if some is not None and (not len(some) or _scan_range(_cut(law, some)) < 0):
         return -1
-    hit = _scan_range(law, 0, N * per_x)
+    hit = _scan_range(law)
     if hit < 0 or first is None:
         return hit
     r, k = divmod(hit, law.tail)

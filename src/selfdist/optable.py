@@ -435,30 +435,6 @@ class FiniteGroup:
             raise InputError(f"group JSON needs size/cayley: {exc}")
 
 
-def _generating_set(C: np.ndarray, ident: int) -> list:
-    """Greedy generators: with the identity they generate the whole table.
-
-    Each generator is the first element outside the submagma generated so
-    far.  In a group that submagma is a subgroup, which each generator at
-    least doubles, so there are at most log2(size) of them.
-    """
-    reached = np.zeros(len(C), bool)
-    reached[ident] = True
-    gens = []
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.array(gens[-1:])
-        while frontier.size:
-            # products of the new elements with everything reached, both ways
-            reached[frontier] = True
-            have = np.flatnonzero(reached)
-            products = np.concatenate((C[np.ix_(frontier, have)].ravel(),
-                                       C[np.ix_(have, frontier)].ravel()))
-            # the new products, sorted and distinct; np.unique would load numpy.ma
-            frontier = np.flatnonzero(np.bincount(products[~reached[products]]))
-    return gens
-
-
 def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     """Validate a flat multiplication table and derive identity and inverses."""
     flat = np.ascontiguousarray(integer_array(cayley, "cayley entries")).ravel()
@@ -476,22 +452,24 @@ def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     if not both.any():
         raise InputError("no two-sided identity element")
     ident = int(np.argmax(both))
-    # associativity by Light's test: the elements a with (x·a)·y = x·(a·y)
-    # for all x, y form a submagma that holds the identity, so checking a
-    # generating set suffices, in O(size^2) memory per generator
-    for a in _generating_set(C, ident):
-        left = C[C[:, a]]                     # left[x, y] = (x·a)·y
-        right = C[:, C[a]]                    # right[x, y] = x·(a·y)
-        bad = np.argwhere(left != right)
-        if bad.size:
-            x, y = (int(v) for v in bad[0])
-            raise InputError(f"multiplication not associative at {(x, a, y)}")
     # a's inverse is the one b with a·b = e, which must also give b·a = e
     hits = C == ident
     inv = np.argmax(hits, axis=1)
     bad = np.flatnonzero((hits.sum(axis=1) != 1) | (C[inv, points] != ident))
     if bad.size:
         raise InputError(f"element {int(bad[0])} has no two-sided inverse")
+    # associativity by Light's test: the elements a with (x·a)·y = x·(a·y)
+    # for all x, y form a submagma that holds the identity, so checking the
+    # generators of the closure the exchange scan also uses suffices, in
+    # O(size^2) memory each.  Those that pass generate a subgroup, as each
+    # has an inverse, so at most log2(size) + 1 generators are tested
+    for a, _, _ in kernels._closure(size, ident, lambda s: C[:, s].tolist()):
+        left = C[C[:, a]]                     # left[x, y] = (x·a)·y
+        right = C[:, C[a]]                    # right[x, y] = x·(a·y)
+        bad = np.argwhere(left != right)
+        if bad.size:
+            x, y = (int(v) for v in bad[0])
+            raise InputError(f"multiplication not associative at {(x, a, y)}")
     inv.setflags(write=False)
     flat.setflags(write=False)
     return FiniteGroup(size, flat, inv, ident)

@@ -388,6 +388,27 @@ def test_braid_relations_failure(files, capsys):
     assert rep["verdicts"][0]["counterexample"]["witness"] == [0, 0, 1]
 
 
+def test_a_long_counterexample_is_charged_where_the_report_lists_it(files, capsys):
+    # three entries a strand at 10 steps an entry: 10^5 strands are
+    # written, 10^6 are refused in both formats, and a relation that holds
+    # on 10^6 strands writes no witness and is answered
+    code, rep = run_json(["braid", "relations", "--op", files["plus3"],
+                          "--strands", "100000"], capsys)
+    cex = rep["verdicts"][0]["counterexample"]
+    assert code == 1 and cex["witness"] == [0] * 99997 + [0, 0, 1]
+    want = ("refusing a counterexample of 3000000 entries in the report:"
+            " needs 30000000 steps, budget 8388608")
+    code, rep = run_json(["braid", "relations", "--op", files["plus3"],
+                          "--strands", "1000000"], capsys)
+    assert (code, rep["error"], rep["verdicts"]) == (2, want, [])
+    code, out, err = run(["braid", "relations", "--op", files["plus3"],
+                          "--strands", "1000000"], capsys)
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+    code, out, _ = run(["braid", "relations", "--op", files["dih3"],
+                        "--strands", "1000000"], capsys)
+    assert code == 0 and out.startswith("braid relations on X^1000000: yes\n")
+
+
 def test_braid_twist_output(files, capsys, tmp_path):
     out_path = tmp_path / "tw.json"
     code, _, _ = run(["-o", str(out_path), "braid", "twist",

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from selfdist import (FiniteGroup, InputError, OpTable, are_compatible_ternary,
                       heap_op, heap_vs_core_directional, inverse_translations,
                       is_nary_distributive, is_quandle, is_rack, relabel,
                       symmetric_group)
+from selfdist import kernels
 from selfdist.enumeration import enumerate_racks
 from formulas import make_op_table
 
@@ -411,12 +413,104 @@ def test_light_associativity_matches_dense_oracle():
     assert failures >= 20
 
 
+def generating_set_oracle(C, ident):
+    """Greedy generators by a two-sided numpy frontier: each is the first
+    element outside the submagma that the earlier ones and the identity
+    generate, grown by the products of its new elements with everything
+    reached, both ways."""
+    reached = np.zeros(len(C), bool)
+    reached[ident] = True
+    gens = []
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.array(gens[-1:])
+        while frontier.size:
+            reached[frontier] = True
+            have = np.flatnonzero(reached)
+            products = np.concatenate((C[np.ix_(frontier, have)].ravel(),
+                                       C[np.ix_(have, frontier)].ravel()))
+            frontier = np.flatnonzero(np.bincount(products[~reached[products]]))
+    return gens
+
+
+def closure_steps(C, ident):
+    """(generator, covered before, covered after) of each step of the
+    closure that group validation runs Light's test on."""
+    return [(s, before, len(covered)) for s, before, covered
+            in kernels._closure(len(C), ident, lambda s: C[:, s].tolist())]
+
+
+def test_closure_generators_match_the_frontier_oracle():
+    rng = random.Random(0x35)
+    groups = ([cyclic_group(n) for n in (1, 2, 3, 4, 6, 7, 12, 30, 60, 120)]
+              + [dihedral_group(n) for n in (1, 2, 3, 4, 5, 6, 8, 10, 20, 30)]
+              + [symmetric_group(n) for n in range(7)]
+              + [direct_product(g, h) for g, h in (
+                  (symmetric_group(3), cyclic_group(4)),
+                  (dihedral_group(3), symmetric_group(3)),
+                  (cyclic_group(1), dihedral_group(4)),
+                  (cyclic_group(2), cyclic_group(3)),
+                  (symmetric_group(4), cyclic_group(5)),
+                  (dihedral_group(6), cyclic_group(10)),
+                  (cyclic_group(6), cyclic_group(6)),
+                  (direct_product(cyclic_group(2), cyclic_group(2)), cyclic_group(2)))])
+    for g in groups:
+        tables = [(g.cayley.reshape(g.size, g.size), g.identity)]
+        if g.size <= 120:
+            for _ in range(2):
+                C = relabeled_cayley(g, rng)
+                tables.append((C, group_from_cayley(C.ravel()).identity))
+        for C, e in tables:
+            steps = closure_steps(C, e)
+            assert [s for s, _, _ in steps] == generating_set_oracle(C, e), g.size
+            # every generator at least doubles the subgroup, the last covers it all
+            assert all(after >= 2 * before for _, before, after in steps), g.size
+            assert (steps[-1][2] if steps else 1) == g.size
+
+
 def test_light_test_needs_few_generators():
-    from selfdist.optable import _generating_set
     g = symmetric_group(6)
-    gens = _generating_set(g.cayley.reshape(720, 720), g.identity)
-    assert len(gens) <= 9                      # log2(720) < 9.5
-    assert _generating_set(np.zeros((1, 1), np.int64), 0) == []
+    steps = closure_steps(g.cayley.reshape(720, 720), g.identity)
+    assert len(steps) <= 9                      # log2(720) < 9.5
+    assert closure_steps(np.zeros((1, 1), np.int64), 0) == []
+
+
+def test_light_tests_are_bounded_on_tables_with_inverses(monkeypatch):
+    # a table with an identity and inverses that is not a group: the
+    # generators that pass Light's test generate a subgroup, so at most
+    # log2(size) + 1 of them are tested before one fails
+    closure, tested = kernels._closure, []
+
+    def spy(n, start, compose):
+        for step in closure(n, start, compose):
+            tested.append(step[0])
+            yield step
+
+    monkeypatch.setattr(kernels, "_closure", spy)
+    rng = random.Random(0x36)
+    refused = 0
+    for g in (cyclic_group(64), symmetric_group(4), dihedral_group(16),
+              direct_product(cyclic_group(2), dihedral_group(8))):
+        for trial in range(4):
+            C = relabeled_cayley(g, rng)
+            e = int(np.flatnonzero((C == np.arange(g.size)).all(axis=1))[0])
+            a = rng.choice([x for x in range(g.size) if x != e])
+            b, c = rng.sample([y for y in range(g.size) if y != e and C[a, y] != e], 2)
+            C[a, b], C[a, c] = C[a, c], C[a, b]
+            tested.clear()
+            refused += associativity_verdict(C) is not None
+            assert len(tested) <= g.size.bit_length(), (g.size, tested)
+    assert refused == 16
+
+
+def test_a_monoid_without_inverses_is_refused_at_once():
+    # the max-semilattice is associative with identity 0, and no element
+    # but 0 has an inverse: refused before any Light test
+    C = np.maximum.outer(np.arange(1000), np.arange(1000))
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="^element 1 has no two-sided inverse$"):
+        group_from_cayley(C.ravel())
+    assert time.perf_counter() - start < 0.5
 
 
 def test_group_non_integer_entries_rejected():
