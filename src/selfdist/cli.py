@@ -89,10 +89,14 @@ def _json_default(value):
 
 
 def _plain(value):
-    """A witness as nested lists of Python scalars, for both report formats."""
+    """A witness as nested lists of Python scalars, for both report formats.
+    A flat list or tuple of them is listed at once; only nested or numpy
+    values are visited entry by entry."""
     if isinstance(value, (np.ndarray, np.generic)):
         value = _json_default(value)
     if isinstance(value, (list, tuple)):
+        if _SCALARS.issuperset(map(type, value)):
+            return list(value)
         return [_plain(v) for v in value]
     return value
 

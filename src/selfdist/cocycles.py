@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels, limits
-from .homology import Elimination, boundary_matrix
+from .homology import Elimination, _coboundary
 from .optable import (CheckResult, InputError, OK, OpTable,
                       _checked_index, _first_failure, diagonal_indices,
                       index_to_tuple, integer_array)
@@ -648,7 +648,7 @@ def cocycles_cohomologous(c1: Cochain, c2: Cochain, op: OpTable):
     _match(op, c2, op.arity, "cohomology comparison")
     A = _same_coeff(c1, c2)
     # delta is reduced once for every coefficient factor
-    delta = Elimination(boundary_matrix(op, 2, verify=False).T)
+    delta = Elimination(*_coboundary([op], 1, False))
     diff = A.reduce(c1.values.astype(np.int64) - c2.values)
     cols = []
     for fi, d in enumerate(A.factors):

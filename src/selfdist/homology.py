@@ -14,19 +14,28 @@ to every earlier entry.  Generators are enumerated lexicographically
 (label vector first for the labeled complex); matrices have one column
 per generator of the higher degree.
 
-All arithmetic is exact: matrices are int64, Smith reduction runs on
+A boundary is assembled as its entries: (rows, cols, vals) int64 arrays
+in row-major order, each entry's +-1 terms summed by `kernels.keyed_sum`
+and zeros dropped.  `homology`, `cohomology_solve` and
+`cocycles.cocycles_cohomologous` hand those entries straight to the
+elimination, with no dense matrix between; `labeled_boundary` and
+`boundary_matrix` build the dense int64 view of the same entries for
+callers that ask, and the public functions that take a dense matrix read
+its nonzero entries once, in `_coordinates`.
+
+All arithmetic is exact: entries are int64, Smith reduction runs on
 Python integers (no overflow), nothing is floating point.  Every exact
 linear-algebra answer comes from one `Elimination` of the matrix: unit
-pivots are eliminated on a sparse copy and recorded as (column, unit,
-pivot row at elimination, row operations), and the small residual left
-over gets one dense Smith reduction.  The pivots are found in sweeps over
-the columns, sparsest first, each sweep visiting only the columns that a
-pivot changed since their last visit; so a column is examined at most
-once plus once per pivot row it lies in, whatever the order in which
-fill-in makes units (see `_eliminate_unit_pivots`).  The Smith reduction
-carries only the transforms a question needs, as appended identity
-blocks: an identity right of the residual rows becomes U under the row
-operations, and an identity below them becomes V under the column
+pivots are eliminated on a dict-of-rows copy of its entries and recorded
+as (column, unit, pivot row at elimination, row operations), and the
+small residual left over gets one dense Smith reduction.  The pivots are
+found in sweeps over the columns, sparsest first, each sweep visiting only
+the columns that a pivot changed since their last visit; so a column is
+examined at most once plus once per pivot row it lies in, whatever the
+order in which fill-in makes units (see `_eliminate_unit_pivots`).  The
+Smith reduction carries only the transforms a question needs, as appended
+identity blocks: an identity right of the residual rows becomes U under
+the row operations, and an identity below them becomes V under the column
 operations, so each operation is written once.  The invariant factors
 are a 1 per pivot plus the residual's; a kernel lattice mod d lifts V's
 columns through the pivots by back-substitution; a solve mod d carries
@@ -63,7 +72,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import limits
-from .kernels import digits
+from .kernels import digits, keyed_sum
 from .optable import CheckResult, InputError, OpTable
 from .constructions import _require_ops
 
@@ -72,8 +81,9 @@ from .constructions import _require_ops
 # generator bookkeeping
 
 def _charge_boundary(rows, cols, n, what):
-    """Charge a dense int64 boundary matrix and its assembly: about n^2
-    passes over the columns, which also covers tiny carriers of huge degree."""
+    """Charge a boundary at the bytes of its dense int64 matrix, whether or
+    not one is built, and its assembly: about n^2 passes over the columns,
+    which also covers tiny carriers of huge degree."""
     limits.charge_bytes(8 * rows * cols, what)
     limits.charge_steps(n * n * cols, what)
 
@@ -134,40 +144,65 @@ def _charge_labeled(system, n):
 
 def labeled_boundary(system: Sequence[OpTable], n: int,
                      verify: bool = True) -> np.ndarray:
-    """Degree-n differential of the labeled complex of an operation system.
+    """Degree-n differential of the labeled complex of an operation system,
+    as a dense int64 matrix.
 
     For a single binary operation this is the classical rack boundary,
     and for a single ternary operation the ternary boundary.
     """
-    system = list(system)
+    return _dense(*_boundary(list(system), n, verify))
+
+
+def _boundary(system, n, verify):
+    """(shape, entries) of the degree-n differential of the system, charged
+    at its dense size; with verify, its laws are checked first."""
     if n < 1:
         raise InputError("degree must be >= 1")
     _check_system(system)
     rows, cols = _charge_labeled(system, n)
     if verify:
         _require_ops(system, "self-distributive", "mutually distributive")
-    return _assemble(system, n, np.arange(cols), np.arange(rows))
+    return (rows, cols), _assemble(system, n, np.arange(cols), np.arange(rows))
 
 
-def _assemble(system, n, columns, rows) -> np.ndarray:
-    """The degree-n differential on the given generator columns and rows:
-    sorted index arrays into the degree-n and degree-(n-1) generators.
-    Entries in rows left out are dropped."""
+def _dense(shape, entries) -> np.ndarray:
+    """The dense int64 matrix of the given shape holding the entries."""
+    rows, cols, vals = entries
+    M = np.zeros(shape, dtype=np.int64)
+    M[rows, cols] = vals
+    return M
+
+
+def _coboundary(system, n, verify):
+    """(shape, entries) of the coboundary on n-cochains, d_{n+1} transposed."""
+    (rows, cols), (r, c, v) = _boundary(system, n + 1, verify)
+    order = np.argsort(c, kind="stable")
+    return (cols, rows), (c[order], r[order], v[order])
+
+
+def _assemble(system, n, columns, rows):
+    """The degree-n differential on the given generator columns and rows,
+    sorted index arrays into the degree-n and degree-(n-1) generators, as
+    its entries (rows, cols, vals): int64 positions among the given rows
+    and columns and the sums of their terms, row-major, zeros dropped.
+    Terms in rows left out are dropped."""
     N = system[0].size
     arities = [t.arity for t in system]
     position = np.full(labeled_generator_count(system, n - 1), -1, dtype=np.int64)
     position[rows] = np.arange(len(rows))
     lo_offset = {eps: off for eps, off, _ in labeled_blocks(system, n - 1)}
-    M = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    width = max(1, len(columns))
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
 
     for eps, offset, count in labeled_blocks(system, n):
         first, stop = np.searchsorted(columns, (offset, offset + count))
-        if first == stop:
+        if first == stop or n == 1:
             continue
         tails = [arities[e] - 1 for e in eps]
         ndig = 1 + sum(tails)
         dig = digits(columns[first:stop] - offset, N, ndig)
-        colidx = np.arange(first, stop)
+        # each column's terms: the acted and the deleted tuple at each i
+        targets, signs = [], []
         starts = [1]
         for L in tails:
             starts.append(starts[-1] + L)
@@ -195,11 +230,15 @@ def _assemble(system, n, columns, rows) -> np.ndarray:
                     acted = acted * N + (act(comp) if k < i else comp)
                     deleted = deleted * N + comp
             base = lo_offset[new_eps]
-            for target, value in ((acted, sign), (deleted, -sign)):
-                row = position[base + target]
-                hit = row >= 0
-                np.add.at(M, (row[hit], colidx[hit]), value)
-    return M
+            targets += [base + acted, base + deleted]
+            signs += [sign, -sign]
+        row = position[np.concatenate(targets)]
+        hit = row >= 0
+        col = np.arange(first, stop)
+        keys.append((row.reshape(len(targets), -1) * width + col).ravel()[hit])
+        vals.append(np.repeat(signs, stop - first)[hit])
+    key, val = keyed_sum(np.concatenate(keys), np.concatenate(vals))
+    return (*np.divmod(key, width), val)
 
 
 def _translations(system) -> np.ndarray:
@@ -273,9 +312,10 @@ def _spanning_columns(system, n, slot) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _reduced_boundary(system, n, low: "Elimination", slot) -> np.ndarray:
-    """d_n on `_spanning_columns`, without the rows at the unit-pivot
-    columns of d_{n-1}'s elimination `low`: it has d_n's invariant factors.
+def _reduced_boundary(system, n, low: "Elimination", slot):
+    """(shape, entries) of d_n on `_spanning_columns`, without the rows at
+    the unit-pivot columns of d_{n-1}'s elimination `low`: it has d_n's
+    invariant factors.
 
     low's row operations turn the pivot rows of d_{n-1} into a unit
     triangular block on its pivot columns P plus entries on the other
@@ -284,8 +324,8 @@ def _reduced_boundary(system, n, low: "Elimination", slot) -> np.ndarray:
     """
     rows = np.ones(low.shape[1], dtype=bool)
     rows[[c for c, *_ in low.pivots]] = False
-    return _assemble(system, n, _spanning_columns(system, n, slot),
-                     np.flatnonzero(rows))
+    rows, columns = np.flatnonzero(rows), _spanning_columns(system, n, slot)
+    return (len(rows), len(columns)), _assemble(system, n, columns, rows)
 
 
 def _system(target) -> list:
@@ -338,11 +378,22 @@ def smith_normal_form(matrix) -> SmithResult:
     eliminated on a sparse copy, then the factors of the small residual,
     reduced on Python integers so intermediates never overflow.
     """
-    return SmithResult(Elimination(matrix).factors)
+    return SmithResult(Elimination(*_coordinates(matrix)).factors)
 
 
-def _eliminate_unit_pivots(A):
-    """Split +-1 pivots off A, working on a sparse dict-of-rows copy.
+def _coordinates(matrix):
+    """(shape, entries) of a dense integer matrix: its nonzero entries
+    (rows, cols, vals) in row-major order, the form `Elimination` reads."""
+    A = np.asarray(matrix)
+    if A.ndim != 2:
+        raise InputError("matrix must be two-dimensional")
+    rows, cols = np.nonzero(A)
+    return A.shape, (rows, cols, A[rows, cols])
+
+
+def _eliminate_unit_pivots(entries):
+    """Split +-1 pivots off a matrix given by its nonzero entries (rows,
+    cols, vals) in row-major order, working on a dict-of-rows copy.
 
     The columns are visited in sweeps.  Each sweep visits the columns that
     changed since their last visit, all of them in the first sweep, once
@@ -365,9 +416,10 @@ def _eliminate_unit_pivots(A):
     lists are sorted.  Rows and columns that became all zero are dropped,
     which changes no invariant factor.
     """
-    ri, ci = np.nonzero(A)
-    values = A[ri, ci].tolist()
-    if A.dtype.kind not in "iu":        # Python ints beyond int64, bools
+    ri, ci, values = entries
+    kind = values.dtype.kind
+    values = values.tolist()
+    if kind not in "iu":                # Python ints beyond int64, bools
         values = [int(v) for v in values]
     ri, ci = ri.tolist(), ci.tolist()
     rows = {i: {} for i in dict.fromkeys(ri)}
@@ -437,6 +489,9 @@ def _eliminate_unit_pivots(A):
 class Elimination:
     """An integer matrix A with its unit pivots eliminated once and recorded.
 
+    A is given by its shape and its nonzero entries (rows, cols, vals) in
+    row-major order; `_coordinates` reads them off a dense matrix.
+
     The pivots come from `_eliminate_unit_pivots`, in the order its sweeps
     take them: sparsest column first within a sweep, the next sweep over
     the columns those pivots changed, at most (columns + sum of pivot row
@@ -453,13 +508,10 @@ class Elimination:
     factors, every kernel lattice and every solve of one matrix share it.
     """
 
-    def __init__(self, matrix):
-        A = np.asarray(matrix)
-        if A.ndim != 2:
-            raise InputError("matrix must be two-dimensional")
-        self.shape = A.shape
+    def __init__(self, shape, entries):
+        self.shape = shape
         (self.pivots, self.residual,
-         self.res_rows, self.res_cols) = _eliminate_unit_pivots(A)
+         self.res_rows, self.res_cols) = _eliminate_unit_pivots(entries)
         self._reduced = {}
 
     def _reduce(self, left: bool, right: bool):
@@ -700,7 +752,7 @@ def solve_mod(matrix, rhs, modulus: int):
     solved through its Smith form, and the pivot entries are
     back-substituted; see `Elimination`.
     """
-    return Elimination(matrix).solve_mod(rhs, modulus)
+    return Elimination(*_coordinates(matrix)).solve_mod(rhs, modulus)
 
 
 def kernel_lattice_mod(matrix, modulus: int) -> np.ndarray:
@@ -710,7 +762,7 @@ def kernel_lattice_mod(matrix, modulus: int) -> np.ndarray:
     Built from the matrix's recorded unit-pivot elimination and the V of
     its residual's Smith form; see `Elimination.kernel_lattice_mod`.
     """
-    return Elimination(matrix).kernel_lattice_mod(modulus)
+    return Elimination(*_coordinates(matrix)).kernel_lattice_mod(modulus)
 
 
 def combine_invariant_factors(groups: Sequence[Sequence[int]]) -> Tuple[int, ...]:
@@ -816,11 +868,11 @@ def homology(target, n: int, coeff=None, verify: bool = True) -> HomologyResult:
     if 0 in coeffs:
         raise InputError("infinite cyclic coefficients are only valid integrally")
     system = _system(target)
-    dn = boundary_matrix(system, n, verify=verify)
+    dn = _boundary(system, n, verify)
     _charge_labeled(system, n + 1)
-    reduced = Elimination(dn)
-    high = smith_normal_form(_reduced_boundary(system, n + 1, reduced,
-                                               _cheapest_slot(system))).factors
+    reduced = Elimination(*dn)
+    high = Elimination(*_reduced_boundary(system, n + 1, reduced,
+                                          _cheapest_slot(system))).factors
     low = reduced.factors
     betti = _betti(target, n, low, high)
     if not coeffs:
@@ -844,18 +896,21 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
         raise InputError("cochain coefficients must be finite")
     for d in factors:
         _check_modulus(d, "cochain coefficients")
-    dn1 = boundary_matrix(target, n + 1, verify=verify)
-    dn = boundary_matrix(target, n, verify=False)
-    delta_n, delta_prev = dn1.T, dn.T    # n-cochains -> n+1, (n-1)-cochains -> n
+    system = _system(target)
+    # n-cochains -> n+1, and d_n, whose transpose maps (n-1)-cochains -> n
+    delta_n = _coboundary(system, n, verify)
+    dn_shape, dn_entries = _boundary(system, n, False)
     gens = _generator_count(target, n)
     # per factor, a gens x factors vector for each of the gens kernel columns
-    # and the dn.shape[0] coboundary columns
-    vectors = len(factors) * (gens + dn.shape[0])
+    # and the d_n rows' coboundary columns
+    vectors = len(factors) * (gens + dn_shape[0])
     limits.charge_bytes(8 * vectors * gens * len(factors),
                         f"degree-{n} cocycle and coboundary generators")
+    # the coboundary generators are dense
+    delta_prev = _dense(dn_shape, dn_entries).T
     # d_{n+1}^T is reduced once: its factors are d_{n+1}'s, and every
     # coefficient factor's kernel lattice reuses its residual reduction
-    reduced = Elimination(delta_n)
+    reduced = Elimination(*delta_n)
     k = len(factors)
     cocycles = [np.zeros((0, gens, k), dtype=np.int64)]
     coboundaries = [np.zeros((0, gens, k), dtype=np.int64)]
@@ -867,7 +922,7 @@ def cohomology_solve(target, n: int, coeff, verify: bool = True) -> CohomologyRe
         cocycles.append(_factor_vectors(K[:, K.any(axis=0)], fi, k))
         img = delta_prev % d
         coboundaries.append(_factor_vectors(img[:, img.any(axis=0)], fi, k))
-    low = smith_normal_form(dn).factors
+    low = Elimination(dn_shape, dn_entries).factors
     high = reduced.factors
     blocks = ()
     if not (isinstance(target, OpTable) and target.arity == 3):

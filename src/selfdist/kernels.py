@@ -89,6 +89,19 @@ The gathers use np.take(mode="clip"), which is exact only for in-range
 indices, so each table is checked to hold entries in 0..N-1, and each
 cochain entries in 0..d-1, once per law.
 
+`translation_scan`, the rack verdict, and `_generating_classes` test
+bijections one way, in `_bijections`: one scatter marks Z[x, t] + t N as
+seen for every entry, and tail t's translation is a bijection exactly when
+its row of marks is all seen.
+
+`keyed_sum` joins `add_mod` and `digits` as a primitive shared beyond the
+scans.  It is the package's one sum of keyed entries: it sums the values at
+equal int64 keys, counting into an array where the keys are dense and
+sorting elsewhere, and returns the distinct keys in order with their
+nonzero sums.  Boundary assembly in `homology` sums each entry's terms
+with it, and `linear.LinMap` the products of a composition or tensor
+product.
+
 `digits` is the package's one base-N decoder: every table, cochain and
 boundary indexes an argument tuple by its base-N digits, first argument most
 significant, and every module that needs the digits of a flat index or an
@@ -306,6 +319,34 @@ def add_mod(a, b, d):
     return s.view(np.int64)
 
 
+def keyed_sum(key, vals):
+    """(keys, sums): the distinct int64 keys in increasing order and the sum
+    of the values at each, zero sums dropped.  The values are int64 or
+    Python objects such as Fractions.  Keys that span at most twice their
+    count are counted into an array from the least key, which is then no
+    larger than a sort's arrays; others are sorted and each run of equal
+    keys summed."""
+    key, vals = np.asarray(key, np.int64), np.asarray(vals)
+    if key.size and not (key[1:] > key[:-1]).all():
+        low = int(key.min())
+        span = int(key.max()) - low + 1
+        if span <= 2 * key.size:
+            acc = np.zeros(span, vals.dtype)
+            np.add.at(acc, key - low, vals)
+            key = np.flatnonzero(acc)
+            return key + low, acc[key]
+        order = np.argsort(key)
+        key, vals = key[order], vals[order]
+        starts = np.flatnonzero(key[1:] != key[:-1]) + 1
+        if starts.size < key.size - 1:
+            starts = np.concatenate(([0], starts))
+            key, vals = key[starts], np.add.reduceat(vals, starts)
+    keep = vals != 0
+    if not keep.all():
+        key, vals = key[keep], vals[keep]
+    return key, vals
+
+
 def _head_sums(law, c0, c1, t):
     """(c1 - c0, N^t, K) sums of act_j(y_j, z_k) N^(t-1-j) over the last t
     y-coordinates, one table per candidate c0..c1-1, built by broadcasting
@@ -487,6 +528,16 @@ def _closure(n, start, compose):
         yield s, before, covered
 
 
+def _bijections(Z):
+    """Whether each column of the N x K table Z, entries in 0..N-1, is a
+    bijection of 0..N-1: column k marks Z[x, k] + k N as seen, and is one
+    exactly when all N of its marks are distinct."""
+    N, K = Z.shape
+    seen = np.zeros(K * N, bool)
+    seen[(Z + np.arange(0, K * N, N)).ravel()] = True
+    return seen.reshape(K, N).all(axis=1)
+
+
 def _generating_classes(law, need):
     """The classes, in increasing order, that an exchange law of one table
     is scanned on first: its generators and the classes they leave
@@ -521,9 +572,7 @@ def _generating_classes(law, need):
     ident = ident[(Z[:, ident] == np.arange(N)[:, None]).all(axis=0)]
     if not len(ident):
         return None
-    seen = np.zeros(K * N, bool)
-    seen[(Z + np.arange(0, K * N, N)).ravel()] = True
-    if not seen.all():
+    if not _bijections(Z).all():
         return None
     # row k of P is the translation of class k; its bytes are its key
     P = np.ascontiguousarray(Z.T, dtype)
@@ -633,15 +682,8 @@ def compat_cocycle_scan(A, B, s0, s1, N, d, which):
     return _scan(compat_cocycle_law(A, B, s0, s1, N, d, which))
 
 
-def translation_scan_stack(tables, N, k):
-    """`translation_scan` of each table of a stack, one table per row."""
-    tables = np.ascontiguousarray(tables, dtype=np.int64)
-    cols = np.sort(tables.reshape(-1, N, N ** (k - 1)), axis=1)
-    bad = ~(cols == np.arange(N)[:, None]).all(axis=1)
-    return np.where(bad.any(axis=1), bad.argmax(axis=1), -1)
-
-
 def translation_scan(table, N, k):
     """First tail-tuple index whose translation x -> W(x, tail) is not a
     bijection, or -1."""
-    return int(translation_scan_stack(table, N, k)[0])
+    bad = np.flatnonzero(~_bijections(np.reshape(table, (N, -1))))
+    return int(bad[0]) if bad.size else -1

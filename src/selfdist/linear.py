@@ -19,11 +19,12 @@ each row index is split into the digits before the run, the run (a column
 of the applied map) and the digits after it, and pulls in that column.
 Composition is its whole-target case, and the distributivity check applies
 the operation to each group of a head and its tails' copies in turn.
-Duplicate positions are summed by counting into an array where they are
-dense and by a sort elsewhere.  A tensor product is the outer product of
-the two maps' entries, and a permutation of tensor factors is arithmetic on
-the digits of basis indices.  The dense matrix is a read-only view built on
-demand.
+Duplicate positions are summed by `kernels.keyed_sum`, the package's one
+sum of keyed entries, which boundary assembly in `homology` shares: it
+counts into an array where the positions are dense and sorts elsewhere.
+A tensor product is the outer product of the two maps' entries, and a
+permutation of tensor factors is arithmetic on the digits of basis
+indices.  The dense matrix is a read-only view built on demand.
 
 Every step is charged to the budgets of `limits` before it allocates: the
 products of a gather or tensor product and the entries of any dense array
@@ -46,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits
-from .kernels import digits
+from .kernels import digits, keyed_sum
 from .constructions import PreconditionError, _require
 from .optable import (CheckResult, Counterexample, FiniteGroup, InputError,
                       index_to_tuple, integer_array)
@@ -223,28 +224,14 @@ class LinMap:
                    dst_power: int, key: np.ndarray, vals) -> "LinMap":
         """Map from entries keyed column * rows + row; duplicates are summed."""
         nrows = _shape(dim, src_power, dst_power)[0]
-        vals = field.scalars(vals)
-        if key.size and not (key[1:] > key[:-1]).all():
-            low = int(key.min())
-            span = int(key.max()) - low + 1
-            if span <= 2 * key.size:
-                # positions dense enough to count into, no larger than a sort
-                acc = field.zeros(span)
-                np.add.at(acc, key - low, vals)
-                key = np.flatnonzero(acc)
-                vals = field.scalars(acc[key])
-                key += low
-            else:
-                order = np.argsort(key)
-                key, vals = key[order], vals[order]
-                starts = np.flatnonzero(key[1:] != key[:-1]) + 1
-                if starts.size < key.size - 1:
-                    starts = np.concatenate(([0], starts))
-                    key = key[starts]
-                    vals = field.scalars(np.add.reduceat(vals, starts))
-        keep = vals != 0
-        if not keep.all():
-            key, vals = key[keep], vals[keep]
+        terms = key.size
+        key, vals = keyed_sum(key, field.scalars(vals))
+        if field.characteristic and key.size < terms:
+            # sums of residues, some of which reduce to zero
+            vals = field.scalars(vals)
+            keep = vals != 0
+            if not keep.all():
+                key, vals = key[keep], vals[keep]
         cols, rows = np.divmod(key, nrows)
         out = object.__new__(cls)
         out._fill(field, dim, src_power, dst_power, rows, cols, vals, None)

@@ -438,6 +438,12 @@ class FiniteGroup:
 def group_from_cayley(cayley, size: int | None = None) -> FiniteGroup:
     """Validate a flat multiplication table and derive identity and inverses."""
     flat = np.ascontiguousarray(integer_array(cayley, "cayley entries")).ravel()
+    # 25 bytes an entry, before any check: the int64 table, and Light's
+    # test's two int64 products beside it and their comparison.  cyclic_group
+    # of 300-2000 points peaked at 26.1 bytes an entry by tracemalloc, table
+    # included, so BYTES admits groups of up to 2,529 points
+    limits.charge_bytes(25 * flat.size,
+                        f"the validation of a Cayley table of {flat.size} entries")
     if size is None:
         size = round(len(flat) ** 0.5)
     size = int(size)

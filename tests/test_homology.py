@@ -14,12 +14,15 @@ import pytest
 from selfdist import (InputError, OpTable, PreconditionError, affine_op,
                       are_mutually_distributive, conj_quandle, core_quandle,
                       cyclic_group, f_functor, limits, symmetric_group)
+from selfdist.cocycles import Cochain, cocycles_cohomologous
+from selfdist.kernels import digits
 from selfdist.homology import (Elimination, HomologyResult, boundary_matrix,
                                chain_map_F, cohomology_solve, combine_invariant_factors,
                                homology, kernel_lattice_mod, labeled_blocks,
+                               labeled_generator_count,
                                labeled_boundary, smith_normal_form, solve_mod,
-                               verify_chain_map, xgcd, _assemble,
-                               _cheapest_slot, _reduced_boundary,
+                               verify_chain_map, xgcd, _assemble, _boundary,
+                               _cheapest_slot, _coordinates, _reduced_boundary,
                                _smith_transforms, _translations)
 from selfdist.enumeration import (enumerate_mutual_pairs, enumerate_operations,
                                   enumerate_racks)
@@ -297,6 +300,19 @@ def test_combine_invariant_factors_huge_prime_is_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def eliminate(A):
+    """The `Elimination` of a dense matrix, read through its entries."""
+    return Elimination(*_coordinates(A))
+
+
+def dense_of(shape, entries):
+    """The dense matrix of (shape, entries), built on its own."""
+    M = np.zeros(shape, dtype=np.int64)
+    for i, j, v in zip(*(a.tolist() for a in entries)):
+        M[i, j] = v
+    return M
+
+
 def _smith_oracle(M):
     return dense_smith(M).factors
 
@@ -345,7 +361,7 @@ def _dense_solvable(oracle, Ub, d):
 def _check_recorded_elimination(A, oracle, moduli, rhs):
     """The recorded elimination of A against the dense transforms oracle:
     factors, kernel lattices and solves for each modulus and right side."""
-    red = Elimination(A)
+    red = eliminate(A)
     assert red.factors == oracle.factors
     rows, cols = A.shape
     dense_Ub = [oracle.U.dot(np.asarray(b, dtype=object)) if rows else []
@@ -473,7 +489,7 @@ def test_residual_reduction_is_charged_before_it_runs(monkeypatch):
     monkeypatch.setattr(homology_mod, "_smith_transforms", spy)
     rng = np.random.default_rng(19)
     entries = 2 * rng.integers(1, 50, (260, 260))
-    big = Elimination(entries)
+    big = eliminate(entries)
     assert (len(big.res_rows), len(big.res_cols), big.pivots) == (260, 260, [])
     questions = [
         (lambda e: e.factors, 260 * 260 * 260 // 2, (False, False)),
@@ -490,20 +506,20 @@ def test_residual_reduction_is_charged_before_it_runs(monkeypatch):
             ask(big)
         monkeypatch.setattr(limits, "STEPS", need - 1)
         with pytest.raises(InputError, match=message):
-            ask(Elimination(entries))
+            ask(eliminate(entries))
         assert reduced == []
         monkeypatch.setattr(limits, "STEPS", need)
-        ask(Elimination(entries))
+        ask(eliminate(entries))
         assert reduced == [(260, 260) + sides]
         reduced.clear()
         monkeypatch.setattr(limits, "STEPS", budget)
     # 200 * 400 * 200 / 2 = 8,000,000 steps fit the budget
-    Elimination(2 * rng.integers(1, 50, (200, 400))).factors
+    eliminate(2 * rng.integers(1, 50, (200, 400))).factors
     assert reduced == [(200, 400, False, False)]
     reduced.clear()
     # carrying V doubles a square residual's charge: factors are admitted at
     # 220^3 / 2 = 5,324,000 steps and a kernel lattice refused at 10,648,000
-    middle = Elimination(2 * rng.integers(1, 50, (220, 220)))
+    middle = eliminate(2 * rng.integers(1, 50, (220, 220)))
     with pytest.raises(InputError, match="needs 10648000 steps"):
         middle.kernel_lattice_mod(7)
     assert reduced == []
@@ -652,7 +668,7 @@ def test_moduli_beyond_int64_refused_before_any_matrix():
 @pytest.mark.parametrize("modulus", [0, -3])
 def test_moduli_below_one_refused_by_every_entry_point(modulus):
     A, b = np.array([[2, 2]]), np.array([4])
-    red = Elimination(A)
+    red = eliminate(A)
     for call in (lambda: kernel_lattice_mod(A, modulus),
                  lambda: solve_mod(A, b, modulus),
                  lambda: red.kernel_lattice_mod(modulus),
@@ -689,10 +705,10 @@ def _check_reduced_boundaries(system, degrees):
     factors of the whole d_{n+1}; returns the count of comparisons."""
     checked = 0
     for n in degrees:
-        low = Elimination(labeled_boundary(system, n, verify=False))
+        low = eliminate(labeled_boundary(system, n, verify=False))
         want = smith_normal_form(labeled_boundary(system, n + 1, verify=False))
         for slot in range(len(_translations(system))):
-            got = Elimination(_reduced_boundary(system, n + 1, low, slot))
+            got = Elimination(*_reduced_boundary(system, n + 1, low, slot))
             assert got.factors == want.factors, (system, n, slot)
             checked += 1
     return checked
@@ -721,7 +737,7 @@ def test_reduced_boundary_keeps_invariant_factors():
 def test_reduced_boundary_shape(monkeypatch):
     # homology(T3, 3) assembles d_4 on 243 rows less d_3's unit pivots and on
     # the columns the cheapest slot keeps, and never the whole 243 x 2187 d_4
-    pivots = len(Elimination(boundary_matrix(tern3(), 3)).pivots)
+    pivots = len(eliminate(boundary_matrix(tern3(), 3)).pivots)
     shapes = []
 
     def spy(system, n, columns, rows):
@@ -753,14 +769,14 @@ def test_reduction_pays_for_itself_on_small_boundaries(op):
     # the degree-2 jobs of five-point quandles: a 25 x 125 d_3 whose
     # reduction must cost less than the Smith work it saves
     system = [op]
-    low = Elimination(labeled_boundary(system, 2))
+    low = Elimination(*_boundary(system, 2, True))
 
     def full():
-        return Elimination(labeled_boundary(system, 3, verify=False)).factors
+        return Elimination(*_boundary(system, 3, False)).factors
 
     def reduced():
-        return Elimination(_reduced_boundary(system, 3, low,
-                                             _cheapest_slot(system))).factors
+        return Elimination(*_reduced_boundary(system, 3, low,
+                                              _cheapest_slot(system))).factors
 
     assert reduced() == full()
     assert _best_of(reduced) < _best_of(full)
@@ -772,18 +788,18 @@ def test_reduction_pays_for_itself_on_small_boundaries(op):
 HOMOLOGY = importlib.import_module("selfdist.homology")
 
 
-def heap_unit_pivots(A):
+def heap_unit_pivots(entries):
     """The unit-pivot pass as a lazy heap: the reference for the sweeps of
-    `_eliminate_unit_pivots`, returning the same record.
+    `_eliminate_unit_pivots`, reading the same entries and returning the
+    same record.
 
     Each step pops a sparsest column holding a unit, least index first, and
     takes the unit of its shortest row, least index first.  Every column
     the pivot row changes is pushed again with its new count; popped
     entries whose count is out of date are skipped, and a column without a
     unit waits until fill-in changes it."""
-    ri, ci = np.nonzero(A)
     rows, cols = {}, {}
-    for i, j, v in zip(ri.tolist(), ci.tolist(), A[ri, ci].tolist()):
+    for i, j, v in zip(*(a.tolist() for a in entries)):
         v = int(v)
         if v:
             rows.setdefault(i, {})[j] = v
@@ -843,7 +859,27 @@ def _heap_elimination(A):
     """An `Elimination` of A whose unit pivots come from `heap_unit_pivots`."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(HOMOLOGY, "_eliminate_unit_pivots", heap_unit_pivots)
-        return Elimination(A)
+        return eliminate(A)
+
+
+def dense_unit_pivots(A):
+    """The unit-pivot record of a dense matrix as the sweeps got it when
+    every matrix was dense: its nonzero entries read by `np.nonzero`."""
+    ri, ci = np.nonzero(A)
+    return HOMOLOGY._eliminate_unit_pivots((ri, ci, A[ri, ci]))
+
+
+def record(red):
+    return red.pivots, red.residual, red.res_rows, red.res_cols
+
+
+def listed_entries(A):
+    """The nonzero entries of A as int64 (rows, cols, vals), listed row by
+    row in Python."""
+    listed = [(i, j, v) for i, row in enumerate(A.tolist())
+              for j, v in enumerate(row) if v]
+    return tuple(np.array([e[k] for e in listed], dtype=np.int64)
+                 for k in range(3))
 
 
 # kernel lattices are compared up to this many columns: K is columns x
@@ -856,7 +892,7 @@ def _check_against_heap(A, moduli, rng):
     factors; kernel lattices mod d inside the kernel, of equal rank mod
     each prime dividing d; solves that succeed exactly when the heap's
     do, with A x = b (mod d).  Returns the two unit-pivot counts."""
-    new, ref = Elimination(A), _heap_elimination(A)
+    new, ref = eliminate(A), _heap_elimination(A)
     assert new.factors == ref.factors
     rows, cols = A.shape
     rhs = (A.astype(np.int64) @ rng.integers(0, 36, cols),
@@ -907,24 +943,28 @@ WORKLOAD_ELIMINATIONS = [
     ids=[f"{name}-{'H' if d is None else 'coH'}{n}" + (f"-Z{d}" if d else "")
          for name, n, d in WORKLOAD_ELIMINATIONS])
 def test_sweeps_match_the_heap_on_the_workload_matrices(name, n, d):
-    # every boundary and coboundary the job hands to the unit-pivot pass
+    # every boundary and coboundary the job hands to the unit-pivot pass,
+    # as the entries it is handed
     seen = []
-    real = HOMOLOGY._eliminate_unit_pivots
+    real = Elimination.__init__
 
-    def record(A):
-        seen.append(np.array(A))
-        return real(A)
+    def spy(self, shape, entries):
+        seen.append((shape, entries))
+        real(self, shape, entries)
 
     target = _workload_target(name)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(HOMOLOGY, "_eliminate_unit_pivots", record)
+        m.setattr(Elimination, "__init__", spy)
         if d is None:
             homology(target, n)
         else:
             cohomology_solve(target, n, d)
     assert len(seen) == 2
     rng = np.random.default_rng(n)
-    for A in seen:
+    for shape, entries in seen:
+        A = dense_of(shape, entries)
+        # the record read from the entries is the one read from the matrix
+        assert record(Elimination(shape, entries)) == dense_unit_pivots(A)
         new, ref = _check_against_heap(A, (2, 3, 4, 5, 6), rng)
         # on these matrices the sweeps find every unit pivot the heap does
         assert new == ref, A.shape
@@ -940,6 +980,9 @@ def test_sweeps_match_the_heap_on_random_sparse_matrices():
         pool = (1, -1, 2, -2, 3) if trial % 2 else (1, -1, 2, -2, 3, 4, -6, 9)
         entries = rng.choice(pool, size=(rows, cols))
         A = np.where(rng.random((rows, cols)) < density, entries, 0)
+        # entries listed row by row give the record of the matrix
+        assert (record(Elimination(A.shape, listed_entries(A)))
+                == dense_unit_pivots(A))
         _check_against_heap(A, (2, 3, 4, 6, 9, 12), rng)
 
 
@@ -965,13 +1008,150 @@ def _fill_in_chain(n):
 
 def test_a_chain_of_fill_in_units_stays_linear():
     A = _fill_in_chain(3000)
-    new, ref = Elimination(A), _heap_elimination(A)
+    new, ref = eliminate(A), _heap_elimination(A)
     assert new.factors == ref.factors == (1,) * 2999 + (3,)
     assert len(new.pivots) == 2999
     # sweeps that re-examined every column after each pivot would take
     # about 3000^2 / 2 examinations, some hundred times the heap's time
-    assert (_best_of(lambda: HOMOLOGY._eliminate_unit_pivots(A), 3)
-            < 2 * _best_of(lambda: heap_unit_pivots(A), 3))
+    entries = _coordinates(A)[1]
+    assert (_best_of(lambda: HOMOLOGY._eliminate_unit_pivots(entries), 3)
+            < 2 * _best_of(lambda: heap_unit_pivots(entries), 3))
+
+
+# ---------------------------------------------------------------------------
+# boundary entries against the dense assembly they replaced
+
+def dense_assemble(system, n, columns, rows):
+    """The degree-n differential on the given generator columns and rows as
+    a dense int64 matrix, each entry added into it: the assembly of the
+    entries before they went straight to the elimination."""
+    N = system[0].size
+    arities = [t.arity for t in system]
+    position = np.full(labeled_generator_count(system, n - 1), -1, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
+    lo_offset = {eps: off for eps, off, _ in labeled_blocks(system, n - 1)}
+    M = np.zeros((len(rows), len(columns)), dtype=np.int64)
+    for eps, offset, count in labeled_blocks(system, n):
+        first, stop = np.searchsorted(columns, (offset, offset + count))
+        if first == stop:
+            continue
+        tails = [arities[e] - 1 for e in eps]
+        dig = digits(columns[first:stop] - offset, N, 1 + sum(tails))
+        colidx = np.arange(first, stop)
+        starts = [1]
+        for L in tails:
+            starts.append(starts[-1] + L)
+        for i in range(1, n):
+            Ti, Li, sign = system[eps[i - 1]].table, tails[i - 1], (-1) ** i
+
+            def act(v, s=starts[i - 1], Ti=Ti, Li=Li):
+                for q in range(Li):
+                    v = v * N + dig[s + q]
+                return Ti[v]
+
+            acted, deleted = act(dig[0]), dig[0]
+            for k in range(1, n):
+                if k == i:
+                    continue
+                s, L = starts[k - 1], tails[k - 1]
+                for q in range(L):
+                    comp = dig[s + q]
+                    acted = acted * N + (act(comp) if k < i else comp)
+                    deleted = deleted * N + comp
+            base = lo_offset[eps[:i - 1] + eps[i:]]
+            for target, value in ((acted, sign), (deleted, -sign)):
+                row = position[base + target]
+                hit = row >= 0
+                np.add.at(M, (row[hit], colidx[hit]), value)
+    return M
+
+
+def _cut_boundaries(systems, degrees):
+    """d_{n+1} cut on every slot value, after d_n's elimination."""
+    def job():
+        for system in systems:
+            for n in degrees:
+                low = Elimination(*_boundary(system, n, False))
+                for slot in range(len(_translations(system))):
+                    _reduced_boundary(system, n + 1, low, slot)
+    return job
+
+
+def _assembly_jobs():
+    jobs = {f"suite {label}": build for label, build in SUITE_BOUNDARIES.items()}
+    for name, n in sorted(set(INTEGRAL_ANCHORS) | set(REDUCED_ANCHORS)):
+        jobs[f"H{n} {name}"] = lambda name=name, n=n: homology(_anchor_op(name), n)
+    for name, n, d in WORKLOAD_ELIMINATIONS:
+        target = lambda name=name: _workload_target(name)
+        jobs[f"workload {name} " + (f"H{n}" if d is None else f"coH{n} Z{d}")] = (
+            (lambda t=target, n=n: homology(t(), n)) if d is None
+            else (lambda t=target, n=n, d=d: cohomology_solve(t(), n, d)))
+    jobs["cocycles_cohomologous"] = lambda: cocycles_cohomologous(
+        Cochain(3, 2, 3, np.zeros((9, 1), np.int64)),
+        Cochain(3, 2, 3, np.zeros((9, 1), np.int64)), dih3())
+    jobs["cut sd binary on 2 and 3 points"] = _cut_boundaries(
+        [[op] for size in (2, 3) for op in enumerate_operations(size, 2, "sd")],
+        (1, 2, 3))
+    jobs["cut sd ternary on 2 points"] = _cut_boundaries(
+        [[op] for op in enumerate_operations(2, 3, "sd")], (1, 2, 3))
+    jobs["cut pairs on 2 points"] = _cut_boundaries(
+        [list(pair) for pair in enumerate_mutual_pairs(2)], (1, 2, 3))
+    jobs["cut mixed arity and one point"] = _cut_boundaries(
+        [[dih3(), tern3()], [make_op_table(1, 2, [0])],
+         [make_op_table(1, 3, [0])]], (1, 2))
+    return jobs
+
+
+ASSEMBLY_JOBS = _assembly_jobs()
+
+
+@pytest.mark.parametrize("job", sorted(ASSEMBLY_JOBS))
+def test_assembled_entries_are_the_dense_nonzeros_in_order(job, monkeypatch):
+    # every call's entries: int64 rows, cols and vals, row-major, summed,
+    # zeros dropped, the dense assembly's nonzeros read by np.nonzero
+    shapes = []
+
+    def spy(system, n, columns, rows):
+        got = _assemble(system, n, columns, rows)
+        M = dense_assemble(system, n, columns, rows)
+        ri, ci = np.nonzero(M)
+        assert [a.dtype for a in got] == [np.dtype(np.int64)] * 3
+        assert [a.tolist() for a in got] == [ri.tolist(), ci.tolist(),
+                                             M[ri, ci].tolist()]
+        shapes.append((n, len(rows), len(columns),
+                       labeled_generator_count(system, n - 1),
+                       labeled_generator_count(system, n)))
+        return got
+
+    monkeypatch.setattr(HOMOLOGY, "_assemble", spy)
+    ASSEMBLY_JOBS[job]()
+    assert shapes
+    if not job.startswith(("suite", "cocycles")) and "coH" not in job:
+        # homology cuts d_{n+1}: cut rows or columns are among those compared
+        assert any(r < R or c < C for _, r, c, R, C in shapes), shapes
+
+
+def test_entries_reach_the_elimination_without_a_dense_matrix(monkeypatch):
+    # no dense boundary is built or read back: only cohomology_solve's dense
+    # d_n, for the coboundary generators it returns, is built from entries
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense matrix between assembly and elimination")
+
+    for name in ("labeled_boundary", "boundary_matrix", "_coordinates"):
+        monkeypatch.setattr(HOMOLOGY, name, dense)
+    built = []
+    real = HOMOLOGY._dense
+    monkeypatch.setattr(HOMOLOGY, "_dense",
+                        lambda shape, entries: built.append(shape) or real(shape, entries))
+    R4 = _anchor_op("R4")
+    assert homology(R4, 3) == HomologyResult(*INTEGRAL_ANCHORS["R4", 3])
+    assert homology(R4, 3, coeff=2) == HomologyResult(0, (2,) * 16)
+    assert built == []
+    assert len(cohomology_solve(R4, 3, 2).cocycles) == 24
+    assert built == [(16, 64)]
+    c = Cochain(4, 2, 2, np.zeros((16, 1), np.int64))
+    assert cocycles_cohomologous(c, c, R4)[0]
+    assert built == [(16, 64)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -315,11 +316,11 @@ def test_translation_backends_agree():
     for table, size, arity in cases:
         assert translation_scan(table, size, arity) == translation_oracle(
             table, size, size ** (arity - 1))
-    # a stack of same-shape tables, one per row, gets one index per table
+    # same-shape tables, each against the oracle
     for size, arity in ((3, 2), (2, 3), (3, 3)):
         stack = np.array([t for t, n, k in cases if (n, k) == (size, arity)])
         want = [translation_oracle(t, size, size ** (arity - 1)) for t in stack]
-        assert kernels.translation_scan_stack(stack, size, arity).tolist() == want
+        assert [translation_scan(t, size, arity) for t in stack] == want
 
 
 def test_compat_backends_agree():
@@ -673,6 +674,57 @@ def test_unary_exchange_law_is_the_endomorphism_law():
             kernels.exchange_law(DIH3, bad, 3, 2, 1)
         with pytest.raises(InputError, match="acting table has"):
             exchange_scan(DIH3, bad, 3, 2, 1)
+
+
+def keyed_sum_oracle(key, vals):
+    """Sums by key in a dict, nonzero sums in increasing key order."""
+    sums = {}
+    for k, v in zip(key, vals):
+        sums[int(k)] = sums.get(int(k), 0) + v
+    kept = sorted(k for k, v in sums.items() if v)
+    return kept, [sums[k] for k in kept]
+
+
+def test_keyed_sum_counts_or_sorts_to_the_same_sums():
+    # keys spanning at most twice their count are counted, others sorted;
+    # strictly increasing keys are kept as they are, zeros dropped
+    gen = np.random.default_rng(41)
+    counted = sorted_ = 0
+    for trial in range(200):
+        size = int(gen.integers(0, 40))
+        span = int(gen.integers(1, 4 * max(size, 1) + 2))
+        key = gen.integers(0, span, size) + int(gen.integers(-5, 1000))
+        if trial % 5 == 0:
+            key = np.unique(key)
+        vals = gen.choice([-2, -1, 1, 2, 3], size=len(key))
+        if trial % 2:
+            vals = np.array([Fraction(int(v), int(gen.integers(1, 4)))
+                             for v in vals], dtype=object)
+        got_key, got_vals = kernels.keyed_sum(key, vals)
+        want_key, want_vals = keyed_sum_oracle(key, vals)
+        assert got_key.dtype == np.int64 and got_key.tolist() == want_key
+        assert list(got_vals) == want_vals
+        if trial % 2 == 0:
+            assert got_vals.dtype == np.int64
+        wide = len(key) and int(key.max()) - int(key.min()) + 1 > 2 * len(key)
+        counted += not wide
+        sorted_ += bool(wide)
+    assert counted > 40 and sorted_ > 40
+
+
+def test_keyed_sum_drops_sums_that_cancel():
+    for key in ([5, 3, 5, 3, 4], [900, 3, 900, 3, 4]):      # counted, sorted
+        got = kernels.keyed_sum(key, np.array([1, 2, -1, -2, 7]))
+        assert [a.tolist() for a in got] == [[4], [7]]
+        half = Fraction(1, 2)
+        got = kernels.keyed_sum(key, np.array([half, 1, -half, -1, half],
+                                              dtype=object))
+        assert got[0].tolist() == [4] and list(got[1]) == [half]
+    # already increasing keys: only the zeros go
+    got = kernels.keyed_sum([1, 2, 3], np.array([1, 0, -4]))
+    assert [a.tolist() for a in got] == [[1, 3], [1, -4]]
+    got = kernels.keyed_sum(np.zeros(0, np.int64), np.zeros(0, np.int64))
+    assert [a.tolist() for a in got] == [[], []]
 
 
 def test_translation_known_values():

@@ -11,7 +11,7 @@ from selfdist import (FiniteGroup, InputError, OpTable, are_compatible_ternary,
                       heap_op, heap_vs_core_directional, inverse_translations,
                       is_nary_distributive, is_quandle, is_rack, relabel,
                       symmetric_group)
-from selfdist import kernels
+from selfdist import kernels, limits
 from selfdist.enumeration import enumerate_racks
 from formulas import make_op_table
 
@@ -511,6 +511,40 @@ def test_a_monoid_without_inverses_is_refused_at_once():
     with pytest.raises(InputError, match="^element 1 has no two-sided inverse$"):
         group_from_cayley(C.ravel())
     assert time.perf_counter() - start < 0.5
+
+
+def test_group_validation_is_charged_for_lights_test():
+    # 25 bytes an entry: the table, Light's two products and their
+    # comparison; the tracemalloc peak of building a cyclic group stays
+    # within 1.5 times the charge either way
+    import tracemalloc
+    charged = []
+
+    def spy(need, what):
+        if what.startswith("the validation of a Cayley table"):
+            charged.append(need)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(limits, "charge_bytes", spy)
+        for n in (300, 700, 1200, 2000):
+            charged.clear()
+            tracemalloc.start()
+            try:
+                cyclic_group(n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert charged == [25 * n * n]
+            assert charged[0] / 1.5 <= peak <= 1.5 * charged[0], (n, peak)
+    # 2,529 points is the largest order admitted, and a table is charged
+    # before anything is checked: a Cayley table of 2,530 points is refused
+    # whatever its entries
+    assert 25 * 2529 ** 2 <= limits.BYTES < 25 * 2530 ** 2
+    want = ("^refusing the validation of a Cayley table of 6400900 entries:"
+            " needs 160022500 bytes")
+    with pytest.raises(InputError, match=want):
+        cyclic_group(2530)
+    with pytest.raises(InputError, match=want):
+        group_from_cayley(np.zeros(2530 ** 2, np.int64))
 
 
 def test_group_non_integer_entries_rejected():
