@@ -65,6 +65,7 @@ of d_{n+1} stays that of the whole matrix on purpose, so no refusal moves;
 pricing the work that actually runs is ROADMAP item 4.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -105,12 +106,9 @@ def labeled_blocks(system: Sequence[OpTable], n: int):
 
 
 def _label_vectors(k, length):
-    if length == 0:
-        return [()]
-    out = []
-    for eps in np.ndindex(*([k] * length)):
-        out.append(tuple(int(e) for e in eps))
-    return out
+    """Every label tuple of the given length over k labels, in
+    lexicographic order."""
+    return list(itertools.product(range(k), repeat=length))
 
 
 def labeled_generator_count(system: Sequence[OpTable], n: int) -> int:

@@ -55,26 +55,57 @@ failing class, and so the result is still the first failing tuple.  `witness`
 and the batched laws of `holds` read every tail.  A scan's step charge
 counts the classes, so a heap is charged for N tails, not N^2.
 
-An exchange law of one table (d = 0, every act opz) says that each class's
-translation T_k = opz(., z_k) is an endomorphism of opy, and End(opy) is
-closed under composition.  So once the law holds at classes s and a, it
-holds at every class whose translation is T_a o T_s, and at a class whose
-translation is the identity, where both sides are opy(x, y).  `_scan`
-therefore scans such a law first on a generating set of its classes
-(`_generating_classes`): the identity counts as covered, each generator is
-the first class not yet covered, and a class T_k o T_s, found exactly
-among the class rows, is covered when k is.  It runs only where the scan
-spans more than one block (N^lead x classes > `_SLAB`), every translation
-is a bijection and one of them is the identity.  Bijections closed under
-composition form a group, which holds the identity, and in a group each new
-generator at least doubles the covered classes, so the choosing stops at
-the first generator that does not: a group of K classes needs at most
-log2 K generators, and composition that never closes up (the core and
-Alexander quandles) costs one lookup of the identity.  A law that fails on
-the generators and the classes left uncovered is scanned again on every
-class, so its first failing tuple is found as before.  One greedy closure,
-`_closure`, chooses these generators and those on which
-`optable.group_from_cayley` runs Light's associativity test.
+A law that holds on the generators of a structure holds on all of it, and
+`_scan` checks three laws that way.  An exchange law of one acting table
+(d = 0, every act opz) says that each class's translation T_k = opz(., z_k)
+is an endomorphism of opy; self-distributivity is the one where opy is
+opz.  The cocycle law of one table W says the same of the maps
+T_k(x, a) = (W(x, z_k), a + phi(x, z_k)) of the extension X x Z/d, once W
+is self-distributive at z_k: the extension's law at z_k is W's law there
+and the cocycle law there.  Two moves then carry the law from classes
+where it holds to others:
+
+- composition: End is closed under it, so the law holds at a class whose
+  map is T_a o T_s, found exactly among the class rows;
+- the tail move, for a self-distributive W: at a generator s whose
+  translation is a bijection, W's law gives T_s T_a T_s^-1 as the map of
+  the tail of class a acted on digit by digit by T_s, and a conjugate of
+  an endomorphism by an automorphism is one, so the law holds at that
+  tail's class, read from the class of every tail that `_tail_classes`
+  keeps, with no row looked up.
+
+A cocycle class's row is its translation and its cochain column less its
+entry at x = 0, mod d.  Adding a constant to phi(., z) leaves the law at z
+as it was (phi is read at z once on each side), and the constant is a
+shift (x, a) -> (x, a + c), an automorphism of the extension.  A
+coboundary f(W(x, z)) - f(x) plus a constant c puts c in every column and
+a composite carries it twice, so with raw columns no composite would be a
+class row and no class the identity.
+
+`_scan` therefore scans such a law first on a generating set of its
+classes (`_generating_classes`): an identity class (the identity
+translation and a constant cochain column) counts as covered, each
+generator is the first class not yet covered, and the classes its moves
+reach from covered ones are covered.  Composition runs from an identity
+class, as bijections closed under composition form a group, which holds
+it; the tail move covers the core and Alexander quandles, whose
+translations never compose into a class row.  An exchange law of two
+tables composes alone, and stops at the first generator that does not
+double the classes covered, as a group's would.  The closure runs only
+where the scan spans more than one block (N^lead x classes > `_SLAB`) and
+every class translation is a bijection; it stops once every class is
+covered, or at the most generators whose charge is half the full scan's
+(the tail move may need more than log2 K + 1: the core quandle of D60 took
+7 of its 60 classes).  The law is scanned on the generators and the
+classes they leave, and a cocycle law's W on its own self-distributivity
+there too, since both moves need it; where both hold, the law holds.
+Where either fails, every class is scanned, so the verdict, the first
+failing tuple and its witness are the full scan's; a failure on the cut
+at lead r bounds the full scan to the leads up to r.  The charge has two
+stages, each made just before it runs: the closure and the scan of the
+classes it leaves, then, only where the law fails there, the scan of every
+class.  One greedy closure, `_closure`, chooses these generators and those
+on which `optable.group_from_cayley` runs Light's associativity test.
 
 A law may also range over a stack of `batch` candidate tables, one per
 row, with the candidate as one more leading coordinate, most significant.
@@ -92,7 +123,9 @@ cochain entries in 0..d-1, once per law.
 `translation_scan`, the rack verdict, and `_generating_classes` test
 bijections one way, in `_bijections`: one scatter marks Z[x, t] + t N as
 seen for every entry, and tail t's translation is a bijection exactly when
-its row of marks is all seen.
+its row of marks is all seen.  Given the first tails of the classes that
+self-distributivity's scan grouped, the rack verdict reads one column a
+class.
 
 `keyed_sum` joins `add_mod` and `digits` as a primitive shared beyond the
 scans.  It is the package's one sum of keyed entries: it sums the values at
@@ -191,26 +224,29 @@ def _entries(values, length, hi, what):
 # each leading coordinate.  The blocks spend 1.8-2.0 ns on each tuple (the
 # heap of C80, 41M tuples in 0.083 s; of S5, 207M in 0.39 s), a fifth of the
 # 10 ns charged, which was their cost in int64 and stays so that no refusal
-# moves.  `np.unique` groups the tails at 150-540 ns a row.  The charge
-# counts every class, also where an exchange law is then scanned on its
-# generating classes alone, and is made before the closure, so that no
-# refusal moves: the heap of S5 stays refused for 207M tuples, though its
-# law would now read a few of its 120 classes.
+# of a full scan moves.  `np.unique` groups the tails at 150-540 ns a row.
+# A law scanned on its generating classes is charged in two stages, each
+# just before it runs: the closure and the scan of the classes it leaves,
+# then, only where the law fails there, the scan of every class.  So the
+# heap of S5, refused for 207M tuples on its 120 classes, is admitted on
+# the 4 its closure leaves, and a failing law meets the full charge.
 _LEAD_STEPS = 75
 _TUPLES_PER_STEP = 12
 _ROW_STEPS = 4
 
 
-def _charge_blocks(N, lead, tail, what, batch=1):
-    """Charge a scan's work before it starts: `lead` digit and gather calls
-    for each block of leading tuples, and the tuples the blocks evaluate.
-    `tail` counts the tails scanned for each leading tuple.  Returns the
-    steps charged."""
+def _scan_steps(N, lead, tail, batch=1):
+    """The steps of a scan: `lead` digit and gather calls for each block of
+    leading tuples, and the tuples the blocks evaluate.  `tail` counts the
+    tails scanned for each leading tuple."""
     leads = batch * limits.power(N, lead)
     blocks = -(-leads // max(1, _SLAB // max(1, tail)))
-    need = _LEAD_STEPS * lead * blocks + leads * tail // _TUPLES_PER_STEP
-    limits.charge_steps(need, f"a scan of {what}")
-    return need
+    return _LEAD_STEPS * lead * blocks + leads * tail // _TUPLES_PER_STEP
+
+
+def _charge_blocks(N, lead, tail, what, batch=1):
+    """Charge a scan's work before it starts."""
+    limits.charge_steps(_scan_steps(N, lead, tail, batch), f"a scan of {what}")
 
 
 def exchange_law(tm, tn, N, m, n, batch=1):
@@ -447,9 +483,10 @@ def _blocks(law, lo, hi):
         u0 = u1
 
 
-def _scan_range(law):
-    """First failing flat index of the law over all its tuples, or -1."""
-    for start, lhs, rhs in _blocks(law, 0, law.N ** law.lead):
+def _scan_range(law, leads=None):
+    """First failing flat index of the law over its tuples, or over those
+    of the first `leads` leading tuples, or -1."""
+    for start, lhs, rhs in _blocks(law, 0, law.N ** law.lead if leads is None else leads):
         hit = lhs != rhs
         i = int(hit.argmax())
         if hit.flat[i]:
@@ -457,9 +494,10 @@ def _scan_range(law):
     return -1
 
 
-def _tail_classes(law):
-    """The law restricted to the first tail of each class of equal tails,
-    with those first tails in increasing order; (law, None) when every tail
+def _tail_classes(law, inverse=True):
+    """(cut, first, of): the law restricted to the first tail of each class
+    of equal tails, those first tails in increasing order, and the class of
+    every tail, or None unless `inverse`; (law, None, None) when every tail
     is a class of its own.
 
     Two tails are equal when each array read at the tail (opz, the acts and
@@ -467,25 +505,33 @@ def _tail_classes(law):
     tail, in the narrowest unsigned dtype that holds their entries, and its
     rows are grouped as opaque byte strings, which is exact.
     """
-    rows = law.tail
+    rows, N = law.tail, law.N
     limits.charge_steps(_ROW_STEPS * rows, f"grouping {rows} tails of a scan")
     read = []
     for a in (law.opz, *law.acts, law.cz):
         if a is not None and not any(a is b for b in read):
             read.append(a)
-    dtype = np.min_scalar_type(max(law.N, law.d) - 1)
-    width = len(read) * law.N
-    # the key, and the sort order and first rows that np.unique builds
-    limits.charge_bytes(rows * (width * dtype.itemsize + 16), "the tail classes of a scan")
+    dtype = np.min_scalar_type(max(N, law.d) - 1)
+    width = len(read) * N
+    # the key, and the sort order, first rows, inverse and class of each
+    # tail that np.unique and the ranking build
+    limits.charge_bytes(rows * (width * dtype.itemsize + 32), "the tail classes of a scan")
     key = np.empty((rows, width), dtype)
     for i, a in enumerate(read):
-        key[:, i * law.N:(i + 1) * law.N] = a.reshape(law.N, rows).T
-    _, first = np.unique(key.view(np.dtype((np.void, width * dtype.itemsize))).ravel(),
-                         return_index=True)
+        key[:, i * N:(i + 1) * N] = a.reshape(N, rows).T
+    unique = np.unique(key.view(np.dtype((np.void, width * dtype.itemsize))).ravel(),
+                       return_index=True, return_inverse=inverse)
+    first = unique[1]
     if len(first) == rows:
-        return law, None
-    first.sort()
-    return _cut(law, first), first
+        return law, None, None
+    # classes numbered in the order of their first tails
+    order = np.argsort(first)
+    first, of = first[order], None
+    if inverse:
+        rank = np.empty(len(first), np.int64)
+        rank[order] = np.arange(len(first))
+        of = rank[unique[2]]
+    return _cut(law, first), first, of
 
 
 def _cut(law, tails):
@@ -499,26 +545,33 @@ def _cut(law, tails):
                         cz=None if law.cz is None else cut[id(law.cz)])
 
 
-def _closure(n, start, compose):
-    """Greedy generators of the points 0..n-1 from `start`, a left identity.
+def _closure(n, start, *moves):
+    """Greedy generators of the points 0..n-1.
 
-    `compose(s)[k]` is the point k o s, or -1 for none.  A point is covered
-    once it is start o g_1 o ... o g_j for generators taken in order, and
-    each generator is the first point not yet covered.  Yields, for each
-    generator s, (s, before, covered): the covered points in the order
-    covered, the first `before` of them covered before s.
+    Each move maps a generator s to a list whose entry k is the point that
+    s carries point k to, or -1 for none: k o s for group validation.  A
+    point is covered once it is `start` (a left identity, or None), a
+    generator, or the image of a covered point under a move of a generator
+    taken so far, and each generator is the first point not yet covered.
+    Yields, for each generator s, (s, before, covered): the covered points
+    in the order covered, the first `before` of them covered before s.
     """
-    # seen[-1], read for a composition that is no point, stays True
+    # seen[-1], read for a move to no point, stays True
     seen = [False] * n + [True]
-    seen[start] = True
-    covered, tos = [start], []      # each generator's compositions
+    covered, tos = [], []           # each generator's moves
+    if start is not None:
+        seen[start] = True
+        covered.append(start)
     for s in range(n):
         if seen[s]:
             continue
-        tos.append(compose(s))
-        before, new = len(covered), tos[-1:]
-        # each point covered before composed with s, then each point
-        # covered since with every generator; the list grows as it is read
+        new = [move(s) for move in moves]
+        tos += new
+        before = len(covered)
+        seen[s] = True
+        covered.append(s)
+        # each point covered before s moved by s, then each point covered
+        # since by every generator; the list grows as it is read
         for i, a in enumerate(covered):
             for to in new if i < before else tos:
                 k = to[a]
@@ -538,60 +591,130 @@ def _bijections(Z):
     return seen.reshape(K, N).all(axis=1)
 
 
-def _generating_classes(law, need):
-    """The classes, in increasing order, that an exchange law of one table
-    is scanned on first: its generators and the classes they leave
-    uncovered; None where the law takes the full scan at once.
+def _less_first(cols, d):
+    """Each column of residues mod d less its entry in row 0, mod d:
+    c + d - c_0 lies in 1..2d-1, which `_reduce` brings into 0..d-1 in the
+    narrowest dtype that holds 2d - 1."""
+    out = cols.astype(np.min_scalar_type(2 * d - 1))
+    out += np.asarray(d, out.dtype) - out[0]
+    _reduce(out, d, np.empty_like(out))
+    return out
 
-    `law` holds one tail per class, and `need` is the scan's step charge.
-    The closure runs where the law spans more than one block, where its
-    charge is at most the scan's, so that it never costs more than the
-    scan it may save, and where every class translation is a bijection and
-    one is the identity.  It is charged for K.bit_length() generators, at
-    most log2 K + 1: for each, the K x N entries of the compositions
-    gathered and the K rows looked up, at a row of `np.unique`'s cost.
-    """
-    N, K = law.N, law.tail
-    if (law.d or law.batch > 1 or law.pick != (0, 0, 0)
-            or any(a is not law.opz for a in law.acts)
-            or N ** law.lead * K <= _SLAB):
-        return None
-    most = K.bit_length()
-    steps = most * K * (N // _TUPLES_PER_STEP + _ROW_STEPS)
-    if steps > need:
-        return None
-    what = f"the generating classes of {K} tail classes"
-    limits.charge_steps(steps, what)
-    dtype = np.min_scalar_type(N - 1)
-    # the int64 index of each entry; the class rows, their sorted keys and
-    # one generator's compositions; the lookups of each generator as lists
-    limits.charge_bytes(K * N * (8 + 3 * dtype.itemsize) + 40 * K * most, what)
-    # column k of Z is the translation of class k
-    Z = law.opz.reshape(N, K)
-    ident = np.flatnonzero(Z[0] == 0)
-    ident = ident[(Z[:, ident] == np.arange(N)[:, None]).all(axis=0)]
-    if not len(ident):
-        return None
-    if not _bijections(Z).all():
-        return None
-    # row k of P is the translation of class k; its bytes are its key
-    P = np.ascontiguousarray(Z.T, dtype)
-    void = np.dtype((np.void, N * dtype.itemsize))
-    keys = P.view(void).ravel()
-    order = np.argsort(keys)
-    keys = keys[order]
-    ident = int(ident[0])
+
+def _composing(law, Z):
+    """The composition move: s -> the class of T_k o T_s for each class k,
+    or -1 for none, found among the class rows by their bytes.  Row k is
+    class k's translation, column k of Z, then for a cocycle law its
+    cochain column less its entry at 0, mod d."""
+    N, K, d = law.N, law.tail, law.d
+    dtype = np.min_scalar_type(max(N, d) - 1)
+    width = 2 * N if d else N
+    # the class rows as columns, so that a composite gathers whole rows
+    Q = np.empty((width, K), dtype)
+    Q[:N] = Z
+    if d:
+        Q[N:] = _less_first(law.cz.reshape(N, K), d)
+    void = np.dtype((np.void, width * dtype.itemsize))
+    P = np.ascontiguousarray(Q.T)
+    order = np.argsort(P.view(void).ravel())
+    S = P[order]
+    keys = S.view(void).ravel()
 
     def compose(s):
-        # the class of T_k o T_s for each class k, found among the keys
-        got = P.take(P[s], axis=1).view(void).ravel()
-        at = np.minimum(np.searchsorted(keys, got), K - 1)
-        return np.where(keys[at] == got, order[at], -1).tolist()
+        # x -> R_k(R_s x), and for a cocycle law the cochain part
+        # C[x, s] + C[R_s x, k] less its entry at x = 0
+        R = Z[:, s]
+        got = np.empty((width, K), dtype)
+        Q[:N].take(R, axis=0, out=got[:N])
+        if d:
+            part = _less_first(Q[N:].take(R, axis=0), d)
+            part += Q[N:, s, None]
+            _reduce(part, d, np.empty_like(part))
+            got[N:] = part
+        got = np.ascontiguousarray(got.T)
+        at = np.minimum(np.searchsorted(keys, got.view(void).ravel()), K - 1)
+        return np.where((S[at] == got).all(axis=1), order[at], -1).tolist()
+    return compose
 
-    gens, covered = [], [ident]
-    for s, before, covered in _closure(K, ident, compose):
+
+def _acting(law, Z, first, of):
+    """The tail move: s -> the class of each class's first tail acted on
+    digit by digit by T_s, whose translation is T_s T_k T_s^-1, read from
+    `of`, the class of every tail."""
+    N, K = law.N, law.tail
+    lead = digits(np.arange(K) if first is None else first, N, len(law.acts))
+
+    def act(s):
+        R, t = Z[:, s], 0
+        for dig in lead:
+            t = t * N + R[dig]
+        return (t if of is None else of[t]).tolist()
+    return act
+
+
+def _generating_classes(law, first, of, need, one):
+    """The classes, in increasing order, that the law is scanned on first:
+    its generators and the classes they leave uncovered; None where the
+    law takes the full scan at once.
+
+    `law` holds one tail per class, `first` and `of` are `_tail_classes`'
+    first tails and class of each tail (None where each tail is a class),
+    `need` is the full scan's steps, and `one` says that the law before the
+    cut read one table everywhere and one cochain: self-distributivity or
+    the cocycle law over it.  The closure runs on those and on exchange
+    laws of one acting table, where the law spans more than one block and
+    every class translation is a bijection.  Composition runs from an
+    identity class, as bijections closed under composition form a group,
+    which holds the identity; the tail move needs self-distributivity at
+    the generator, so an exchange law of two tables composes alone.  The
+    generators stop at the first that leaves no class uncovered, or at
+    `most`, the most whose closure costs at most half the full scan and
+    fits in STEPS.  Each is charged for its K composed rows, three passes
+    over their entries at the tuple rate, and three rows at `np.unique`'s
+    cost, for the lookup and each move's list.
+    """
+    N, K = law.N, law.tail
+    if (law.batch > 1 or law.pick != (0, 0, 0) or any(a is not law.opz for a in law.acts)
+            or (law.d and not one) or N ** law.lead * K <= _SLAB):
+        return None
+    width = 2 * N if law.d else N
+    per = K * (3 * width // _TUPLES_PER_STEP + 3 * _ROW_STEPS)
+    most = min(K, min(need // 2, limits.STEPS) // per)
+    if not most:
+        return None
+    what = f"the generating classes of {K} tail classes"
+    limits.charge_steps(most * per, what)
+    itemsize = np.min_scalar_type(max(N, law.d) - 1).itemsize
+    # for each entry of the class rows: the bijection test's int64 marks,
+    # and the rows, their columns, their sorted copy, and a composite, its
+    # transpose and the rows it is compared with, in the key dtype; and each
+    # move of each generator as a list.  tracemalloc peaks of 0.1-0.6 of
+    # this on the scan benchmark's closures and on a cocycle law mod 2^63-1
+    limits.charge_bytes(K * width * (16 + 6 * itemsize) + 80 * K * most, what)
+    # column k of Z is the translation of class k
+    Z = law.opz.reshape(N, K)
+    if not _bijections(Z).all():
+        return None
+    # an identity class: its translation the identity and, for a cocycle
+    # law, its cochain column constant
+    start = np.flatnonzero(Z[0] == 0)
+    start = start[(Z[:, start] == np.arange(N)[:, None]).all(axis=0)]
+    if law.d:
+        C = law.cz.reshape(N, K)
+        start = start[(C[:, start] == C[0, start]).all(axis=0)]
+    start = int(start[0]) if len(start) else None
+    moves = [] if start is None else [_composing(law, Z)]
+    # the tail move reads the class of every tail
+    if one and (of is not None or first is None):
+        moves.append(_acting(law, Z, first, of))
+    if not moves:
+        return None
+    gens, covered = [], [] if start is None else [start]
+    for s, before, covered in _closure(K, start, *moves):
         gens.append(s)
-        if len(covered) < 2 * before:
+        # composition alone covers a group, where each generator at least
+        # doubles the classes covered
+        if len(gens) == most or not one and len(covered) < 2 * before:
             break
     # the generators and the classes they leave uncovered
     some = np.ones(K, bool)
@@ -600,26 +723,46 @@ def _generating_classes(law, need):
     return None if some.all() else np.flatnonzero(some)
 
 
-def _scan(law):
-    """First failing flat index of the law over all tuples, or -1.
+def _scan(law, classes=None):
+    """First failing flat index of the law over all tuples, or -1; a list
+    passed as `classes` is given `_tail_classes`' first tails.
 
-    The law is scanned on one tail per class.  An exchange law of one table
-    whose `_generating_classes` cover some class is scanned first on the
-    classes those leave: where it holds there, it holds; where it fails,
-    every class is scanned, so that the first failing tuple is found.
+    The law is scanned on one tail per class.  A law whose
+    `_generating_classes` cover some class is scanned first on the classes
+    those leave, and so is a cocycle law's table on its own
+    self-distributivity: where each holds there, the law holds; where one
+    fails, every class is scanned, so that the first failing tuple is
+    found.  Each stage is charged just before it runs.
     """
     tail = law.tail
-    law, first = _tail_classes(law)
-    N = law.N
-    # on every class, before the closure
-    need = _charge_blocks(N, law.lead, law.tail, f"{law.tail} tail classes on {N} points")
-    some = _generating_classes(law, need)
-    if some is not None and (not len(some) or _scan_range(_cut(law, some)) < 0):
-        return -1
-    hit = _scan_range(law)
+    # one table read everywhere, and one cochain
+    one = (law.opy is law.opz and law.cy is law.cz
+           and all(a is law.opz for a in law.acts))
+    # the class of every tail is read by the tail move alone, in a closure
+    # that runs only where one table's law spans more than one block
+    law, first, of = _tail_classes(law, one and law.N ** law.lead * tail > _SLAB)
+    if classes is not None:
+        classes.append(first)
+    N, K, lead = law.N, law.tail, law.lead
+    what = f"{K} tail classes on {N} points"
+    some = _generating_classes(law, first, of, _scan_steps(N, lead, K), one)
+    leads = None
+    if some is not None:
+        if not len(some):
+            return -1
+        cut = _cut(law, some)
+        _charge_blocks(N, lead, (2 if law.d else 1) * len(some), f"{len(some)} of {what}")
+        hit = _scan_range(cut)
+        if hit >= 0:
+            # the first failing tuple leads no later than the cut's
+            leads = hit // len(some) + 1
+        elif not law.d or _scan_range(cut._replace(cy=None, cz=None, d=0)) < 0:
+            return -1
+    _charge_blocks(N, lead, K, what)
+    hit = _scan_range(law, leads)
     if hit < 0 or first is None:
         return hit
-    r, k = divmod(hit, law.tail)
+    r, k = divmod(hit, K)
     return r * tail + int(first[k])
 
 
@@ -656,9 +799,12 @@ def witness(law, flat):
     return tuple(digits(int(flat), law.N, count)), lhs, rhs
 
 
-def exchange_scan(tm, tn, N, m, n):
-    """First (x, y.., z..) index violating `exchange_law`, or -1."""
-    return _scan(exchange_law(tm, tn, N, m, n))
+def exchange_scan(tm, tn, N, m, n, classes=None):
+    """First (x, y.., z..) index violating `exchange_law`, or -1.  A list
+    passed as `classes` is given the first tail of each class of equal
+    tails that the scan grouped, in increasing order, or None where every
+    tail is a class of its own."""
+    return _scan(exchange_law(tm, tn, N, m, n), classes)
 
 
 def compat_scan(A, B, N, which):
@@ -682,8 +828,15 @@ def compat_cocycle_scan(A, B, s0, s1, N, d, which):
     return _scan(compat_cocycle_law(A, B, s0, s1, N, d, which))
 
 
-def translation_scan(table, N, k):
+def translation_scan(table, N, k, tails=None):
     """First tail-tuple index whose translation x -> W(x, tail) is not a
-    bijection, or -1."""
-    bad = np.flatnonzero(~_bijections(np.reshape(table, (N, -1))))
-    return int(bad[0]) if bad.size else -1
+    bijection, or -1.  With `tails`, the first tail of each class of equal
+    columns in increasing order, one column a class is read: the first
+    tail of the first failing class is the least failing tail."""
+    Z = np.reshape(table, (N, -1))
+    if tails is not None:
+        Z = Z[:, tails]
+    bad = np.flatnonzero(~_bijections(Z))
+    if not bad.size:
+        return -1
+    return int(bad[0] if tails is None else tails[bad[0]])

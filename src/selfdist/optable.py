@@ -305,10 +305,7 @@ def is_nary_distributive(op: OpTable) -> CheckResult:
     On failure the counterexample is the lexicographically first failing tuple
     (x, y_1..y_{k-1}, z_1..z_{k-1}).
     """
-    res = exchange_holds(op, op)
-    if res:
-        return res
-    return CheckResult(False, res.counterexample, "self-distributivity fails")
+    return Axioms(op).sd
 
 
 class Axioms:
@@ -317,22 +314,30 @@ class Axioms:
     A quandle is a rack, and a rack is self-distributive, so each verdict
     past the first is read only when the one before it holds: one
     self-distributivity scan, one translation scan and one diagonal read,
-    however many verdicts are asked for.
+    however many verdicts are asked for.  The translation scan reads one
+    tail of each class of equal translations that the first scan grouped.
     """
 
     def __init__(self, op: OpTable):
         self.op = op
+        # given the first tail of each class by the self-distributivity scan
+        self._classes = []
 
     @functools.cached_property
     def sd(self) -> CheckResult:
-        return is_nary_distributive(self.op)
+        op = self.op
+        scan = functools.partial(kernels.exchange_scan, classes=self._classes)
+        return _first_failure(scan, kernels.exchange_law,
+                              (op.table, op.table, op.size, op.arity, op.arity),
+                              "self-distributivity fails")
 
     @functools.cached_property
     def rack(self) -> CheckResult:
         if not self.sd:
             return self.sd
         op = self.op
-        t = kernels.translation_scan(op.table, op.size, op.arity)
+        t = kernels.translation_scan(op.table, op.size, op.arity,
+                                     next(iter(self._classes), None))
         if t < 0:
             return OK
         tail = index_to_tuple(t, op.size, op.arity - 1)

@@ -1436,3 +1436,40 @@ def test_chain_map_all_size2_mutual_pairs():
     assert len(pairs) >= 4
     for a, b in pairs:
         assert verify_chain_map(a, b).holds
+
+
+# ---------------------------------------------------------------------------
+# Mochizuki's 3-cocycles of the dihedral quandles R_p (ROADMAP item 8)
+
+def mochizuki(p, order=(0, 1, 2)):
+    """theta_p(x, y, z) = (x - y)((2z - y)^p + y^p - 2 z^p)/p mod p on the
+    triples of R_p in lexicographic order; `order` names the coordinates
+    that play x, y and z.  The bracket is 0 mod p by Fermat, so the
+    division is exact."""
+    t = np.indices((p, p, p)).reshape(3, -1)
+    x, y, z = (t[i] for i in order)
+    bracket = (2 * z - y) ** p + y ** p - 2 * z ** p
+    assert not (bracket % p).any()
+    return (x - y) * (bracket // p) % p
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_mochizuki_cocycles_of_dihedral_quandles(p):
+    # R_p is 2y - x mod p, the core quandle of the cyclic group of order p
+    R = core_quandle(cyclic_group(p))
+    theta = mochizuki(p)
+    d3, d4 = labeled_boundary([R], 3), labeled_boundary([R], 4)
+    # a cocycle: theta vanishes on every boundary of a 4-chain
+    assert not (theta @ d4 % p).any()
+    # not a coboundary, while a drawn coboundary is one
+    assert solve_mod(d3.T, theta, p) is None
+    f = np.random.default_rng(p).integers(0, p, d3.shape[0])
+    drawn = d3.T @ f % p
+    assert drawn.any()
+    sol = solve_mod(d3.T, drawn, p)
+    assert sol is not None and not ((d3.T @ sol - drawn) % p).any()
+    # normalized: zero on the triples with x = y or y = z
+    x, y, z = np.indices((p, p, p)).reshape(3, -1)
+    assert not theta[(x == y) | (y == z)].any() and theta.any()
+    # with its variables reversed it is no cocycle
+    assert (mochizuki(p, (2, 1, 0)) @ d4 % p).any()
